@@ -10,28 +10,37 @@
 //! and the gazetteer automaton walk builds no key strings).
 //!
 //! The counter lives in its own integration-test binary so the wrapper
-//! never touches production builds or the other test binaries; it is the
-//! only test here, so no concurrent test thread can pollute the count.
+//! never touches production builds or the other test binaries. It is
+//! per-thread: the harness runs this binary's tests concurrently, and
+//! only the measuring thread's allocations belong to the count.
 //! (`etap-annotate` itself stays `#![forbid(unsafe_code)]` — the
 //! `unsafe impl GlobalAlloc` below is local to this test crate.)
 
 use etap_annotate::{AnnotateScratch, Annotator};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation and reallocation served since process start.
+/// Counts every allocation and reallocation the calling thread makes.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations during thread teardown go uncounted
+    // instead of panicking inside the allocator.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -44,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A varied workload: entities of most categories, multi-word gazetteer

@@ -51,20 +51,19 @@ impl LeadBook {
         }
         by_driver.sort_by_key(|(d, _)| *d);
 
-        let mut resolver = AliasResolver::new();
-        let companies = rank::rank_companies_resolved(&events, &mut resolver);
+        // One canonicalization per name, shared by the MRR ranking and
+        // the lookup keys, so every key names a ranked company.
+        let (companies, name_keys) =
+            rank::rank_companies_canonical(&events, &mut AliasResolver::new());
 
         let mut by_company: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut name_keys: HashMap<String, String> = HashMap::new();
         for (i, e) in events.iter().enumerate() {
             for surface in &e.companies {
-                let canonical = resolver.canonicalize(surface);
+                let canonical = &name_keys[&AliasResolver::normalize(surface)];
                 let idxs = by_company.entry(canonical.clone()).or_default();
                 if idxs.last() != Some(&i) {
                     idxs.push(i);
                 }
-                name_keys.insert(AliasResolver::normalize(surface), canonical.clone());
-                name_keys.insert(AliasResolver::normalize(&canonical), canonical);
             }
         }
 

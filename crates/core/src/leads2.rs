@@ -1,29 +1,70 @@
-//! `LEADS v2`: the sharded, memory-mappable binary lead book.
+//! `LEADS v2`: the segmented, memory-mappable binary lead book.
 //!
 //! The text codec (`etap::persist`, `LEADS` v1) parses every event into
 //! owned heap structures at load time — O(parse) warm start and a
 //! private copy per replica. This module is the scale path:
 //!
-//! * [`encode_book`] splits a [`LeadBook`] into **shards** keyed by the
-//!   event's primary company (driver id for company-less events), each
-//!   shard a sealed `ETAPBIN` container of length-prefixed records plus
-//!   an offset table, and one **index** file holding every ranking
-//!   (global, per-driver, per-company) as `(shard, idx)` references.
+//! * A book is a list of **segments** — sealed `ETAPBIN` containers of
+//!   length-prefixed event records plus an offset table — and one
+//!   **index** holding every ranking (global, per-driver, per-company)
+//!   as `(segment, idx)` references.
+//! * [`encode_book`] is the **cold** encode: it splits a [`LeadBook`]
+//!   into `n` **base shards** keyed by each event's primary company
+//!   (driver id for company-less events).
+//! * [`encode_append`] is the **append** encode: it re-encodes a book on
+//!   top of the previous generation's segments ([`PrevSegment`]). Every
+//!   record already sealed there keeps its place; only unmatched
+//!   records are written, into one new **delta** segment.
 //! * [`MappedBook`] opens those containers over [`Arena`]s — usually
 //!   mmap-backed — and serves them **zero-copy**: string fields stay
-//!   offset+len views into the arena until response-write time.
+//!   offset+len views into the arena until response-write time. It
+//!   reads `(segment, idx)` refs whatever the layout.
 //! * [`BookHandle`] is the serving-layer wrapper that makes owned and
 //!   mapped books interchangeable behind one API ([`EventRef`] /
 //!   [`CompanyRef`] borrow from either).
 //!
-//! Shard stability is the point of the split: a shard's records are its
-//! events in global rank order, which is a total order
-//! ([`rank::event_order`](crate::rank)) restricted to the shard's
-//! subset — so extending the book with events that land in *other*
-//! shards leaves this shard's bytes **bit-identical**, and the
-//! generation store can hard-link clean shards instead of rewriting
-//! them. For the same reason shard bytes never embed the generation
-//! number.
+//! ## Why append
+//!
+//! Company-hash sharding alone cannot make re-publishes cheap. A shard
+//! re-encodes bit-identically only if none of its companies gained an
+//! event, and a daily poll of a few hundred documents mentions
+//! companies in every one of 16 buckets. Every shard was dirty on every
+//! publish, so each watch cycle rewrote the whole book. Appending
+//! decouples what is written from where new events hash: a publish
+//! writes its new records, plus the occasional delta merge or cold
+//! re-encode that keeps the file count bounded.
+//!
+//! ## Segment layout, merges and cold re-encodes
+//!
+//! Segments `0..n_base` are the base shards of the last cold encode;
+//! segments `n_base..` are deltas, oldest first. Records are matched by
+//! content, so a segment is reused only if *every* record in it is still
+//! in the book (it is **fully live**):
+//!
+//! * a fully live base shard is reused as is; any other base shard's
+//!   live records go to the new delta, and its slot holds an empty
+//!   segment;
+//! * the fully live prefix of the deltas is reused; the deltas after it
+//!   are dropped and their live records go to the new delta;
+//! * deltas merge only among themselves, like a binary counter: the new
+//!   delta absorbs the newest older delta until that one holds at least
+//!   twice its publishes and twice its records. Publish counts at least
+//!   halve from one delta to the next, so `k` appends since the last cold
+//!   encode leave at most `⌊log2 k⌋ + 1` deltas;
+//! * once the deltas hold as many records as the reused base shards, the
+//!   publish re-encodes cold instead, so records re-sort into fresh base
+//!   shards and the layout never drifts far from a cold encode.
+//!
+//! A segment's meta section is `(segment id, n_base, records)` — the 16
+//! bytes a cold shard has always carried — plus, on deltas only, the
+//! number of publishes merged into it. Nothing in a segment depends on
+//! the generation number, so the generation store can hard-link a reused
+//! segment instead of rewriting it. A cold encode is byte-identical to
+//! the pre-append format. Delta segments and an index that references
+//! deltas are container version [`LEADS2_APPEND_VERSION`], so a build
+//! that predates append publishes fails on them with a future-version
+//! error, not a metadata mismatch; it cannot read a store once a delta
+//! exists.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,12 +77,27 @@ use crate::events::TriggerEvent;
 use crate::leads::LeadBook;
 use crate::rank::CompanyScore;
 
-/// `ETAPBIN` kind of one shard file (`shards/shard-NNN.leads2`).
+/// `ETAPBIN` kind of one segment file (`shards/shard-NNNNN.leads2`).
 pub const SHARD_KIND: &str = "LEADS";
 /// `ETAPBIN` kind of the index file (`book.index`).
 pub const INDEX_KIND: &str = "LEADS-IDX";
-/// Format version of both containers.
+/// Format version of the cold containers: base shards, and an index
+/// whose segments are all base shards.
 pub const LEADS2_VERSION: u32 = 2;
+/// Format version of the containers only an append layout has: delta
+/// segments, and an index that references deltas. Builds that predate
+/// append publishes reject them with a typed future-version error.
+pub const LEADS2_APPEND_VERSION: u32 = 3;
+
+/// The container version segment `sid` of a layout with `n_base` base
+/// shards must carry.
+fn segment_version(sid: usize, n_base: usize) -> u32 {
+    if sid < n_base {
+        LEADS2_VERSION
+    } else {
+        LEADS2_APPEND_VERSION
+    }
+}
 /// Default shard count when the caller doesn't choose one.
 pub const DEFAULT_SHARDS: u32 = 16;
 
@@ -84,10 +140,9 @@ impl CodeMap {
     }
 }
 
-/// The shard an event belongs to: FNV of its primary key (first company
-/// surface form, else the driver id) modulo the shard count. Company
-/// keyed so one company's events cluster and an incremental crawl
-/// dirties few shards.
+/// The base shard an event belongs to in a cold encode: FNV of its
+/// primary key (first company surface form, else the driver id) modulo
+/// the shard count.
 #[must_use]
 pub fn shard_of(event: &TriggerEvent, n_shards: u32) -> u32 {
     let key = event
@@ -122,21 +177,57 @@ fn encode_event(out: &mut Vec<u8>, e: &TriggerEvent) {
     }
 }
 
+/// One segment of an encoded book, as the generation store persists it.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Segment {
+    /// The previous generation's segment with the same id, reused
+    /// unchanged (the store hard-links it).
+    Linked,
+    /// A freshly sealed segment container.
+    Written(Vec<u8>),
+}
+
 /// A [`LeadBook`] serialized into `LEADS v2` containers, ready to be
-/// written (or hard-linked, when unchanged) by the generation store.
+/// written or linked by the generation store.
 #[derive(Debug)]
 pub struct EncodedBook {
-    /// Sealed shard containers; `shards[i]` is shard id `i`.
-    pub shards: Vec<Vec<u8>>,
-    /// Sealed index container referencing the shards.
+    /// `segments[i]` is segment id `i`: base shards, then deltas.
+    pub segments: Vec<Segment>,
+    /// Sealed index container referencing the segments.
     pub index: Vec<u8>,
 }
 
-/// Serialize `book` into `n_shards` shard containers plus one index.
+/// Seal one segment holding `events` in order. `span` (publishes merged
+/// into the segment) is written for deltas only, so a base shard keeps
+/// its original 16-byte meta.
+fn seal_segment<'a>(
+    id: u32,
+    n_base: u32,
+    span: Option<u64>,
+    events: impl ExactSizeIterator<Item = &'a TriggerEvent>,
+) -> Vec<u8> {
+    let mut meta = Vec::with_capacity(24);
+    meta.extend_from_slice(&id.to_le_bytes());
+    meta.extend_from_slice(&n_base.to_le_bytes());
+    meta.extend_from_slice(&(events.len() as u64).to_le_bytes());
+    if let Some(span) = span {
+        meta.extend_from_slice(&span.to_le_bytes());
+    }
+    let mut records = Vec::new();
+    let mut offsets = Vec::with_capacity(events.len() * 8);
+    for e in events {
+        offsets.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        encode_event(&mut records, e);
+    }
+    let version = if span.is_some() { LEADS2_APPEND_VERSION } else { LEADS2_VERSION };
+    let mut w = BinWriter::new(SHARD_KIND, version);
+    w.section(meta).section(offsets).section(records);
+    w.finish()
+}
+
+/// Serialize `book` cold into `n_shards` base shards plus one index.
 ///
-/// Deterministic: the same book produces byte-identical output, and a
-/// shard whose event subset is unchanged between two books produces
-/// byte-identical shard bytes (see module docs).
+/// Deterministic: the same book produces byte-identical output.
 #[must_use]
 pub fn encode_book(book: &LeadBook, n_shards: u32) -> EncodedBook {
     let n_shards = n_shards.max(1);
@@ -153,38 +244,220 @@ pub fn encode_book(book: &LeadBook, n_shards: u32) -> EncodedBook {
         rank_refs.push((s, idx));
     }
 
-    let shards = shard_events
+    let segments = shard_events
         .iter()
         .enumerate()
         .map(|(sid, idxs)| {
-            let mut records = Vec::new();
-            let mut offsets = Vec::with_capacity(idxs.len() * 8);
-            for &gi in idxs {
-                offsets.extend_from_slice(&(records.len() as u64).to_le_bytes());
-                encode_event(&mut records, &events[gi]);
+            let events = idxs.iter().map(|&i| &events[i]);
+            Segment::Written(seal_segment(sid as u32, n_shards, None, events))
+        })
+        .collect();
+    let counts: Vec<usize> = shard_events.iter().map(Vec::len).collect();
+    EncodedBook {
+        segments,
+        index: seal_index(book, &rank_refs, &counts, n_shards),
+    }
+}
+
+/// A segment file of the previous generation split into its records:
+/// what [`encode_append`] matches a new book against.
+#[derive(Debug)]
+pub struct PrevSegment<'a> {
+    records: Vec<&'a [u8]>,
+    /// Publishes merged into the segment (1 for base shards).
+    span: u64,
+}
+
+impl<'a> PrevSegment<'a> {
+    /// Split sealed segment bytes into records, checking that they are
+    /// segment `id` of a layout with `n_base` base shards.
+    ///
+    /// # Errors
+    /// A typed [`CodecError`] on any structural problem. Integrity
+    /// checksums are the caller's job, as for [`MappedBook::open`].
+    pub fn parse(bytes: &'a [u8], id: u32, n_base: u32) -> Result<Self, CodecError> {
+        let sv = bin_open(bytes, SHARD_KIND, LEADS2_APPEND_VERSION, false)?;
+        let delta = sv.version() == LEADS2_APPEND_VERSION;
+        let mut meta = Cur::new(sv.section(0)?);
+        if sv.version() != segment_version(id as usize, n_base as usize)
+            || meta.u32()? != id
+            || meta.u32()? != n_base
+        {
+            return Err(CodecError::Malformed {
+                line: 0,
+                msg: format!("segment {id} is not part of a {n_base}-shard layout"),
+            });
+        }
+        let count = meta.u64()? as usize;
+        let span = if delta { meta.u64()? } else { 1 };
+        let records = sv.section(2)?;
+        let offsets = sv.section(1)?;
+        if offsets.len() / 8 != count || offsets.len() % 8 != 0 {
+            return Err(CodecError::Truncated);
+        }
+        let starts: Vec<usize> = offsets
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")) as usize)
+            .collect();
+        let records = starts
+            .iter()
+            .enumerate()
+            .map(|(i, &start)| {
+                let end = starts.get(i + 1).copied().unwrap_or(records.len());
+                records.get(start..end).ok_or(CodecError::Truncated)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self { records, span })
+    }
+}
+
+/// Re-encode `book` on top of the previous generation's segments
+/// (`prev[i]` is segment `i`; `None` when it is missing or failed its
+/// checksum, so it cannot be reused). See the module docs for the
+/// layout, merge and cold rules.
+///
+/// Returns `None` when the book must be encoded cold instead: the
+/// previous generation has fewer than `n_base` segments, or the deltas
+/// would hold as many records as the reused base shards.
+#[must_use]
+pub fn encode_append(
+    book: &LeadBook,
+    n_base: u32,
+    prev: &[Option<PrevSegment<'_>>],
+) -> Option<EncodedBook> {
+    let base = n_base as usize;
+    if base == 0 || prev.len() < base {
+        return None;
+    }
+    let events = book.events();
+
+    // Pair each event with a previous record of identical bytes; equal
+    // records pair in segment order, so the result is deterministic.
+    let mut table: HashMap<&[u8], Vec<(u32, u32)>> = HashMap::new();
+    for (sid, seg) in prev.iter().enumerate().rev() {
+        for (idx, rec) in seg.iter().flat_map(|s| s.records.iter().enumerate().rev()) {
+            table.entry(*rec).or_default().push((sid as u32, idx as u32));
+        }
+    }
+    let mut live = vec![0usize; prev.len()];
+    let mut scratch = Vec::new();
+    let matched: Vec<Option<(u32, u32)>> = events
+        .iter()
+        .map(|e| {
+            scratch.clear();
+            encode_event(&mut scratch, e);
+            let found = table.get_mut(scratch.as_slice()).and_then(Vec::pop);
+            if let Some((sid, _)) = found {
+                live[sid as usize] += 1;
             }
-            let mut meta = Vec::with_capacity(16);
-            meta.extend_from_slice(&(sid as u32).to_le_bytes());
-            meta.extend_from_slice(&n_shards.to_le_bytes());
-            meta.extend_from_slice(&(idxs.len() as u64).to_le_bytes());
-            let mut w = BinWriter::new(SHARD_KIND, LEADS2_VERSION);
-            w.section(meta).section(offsets).section(records);
-            w.finish()
+            found
         })
         .collect();
 
-    // Index section 0: meta + per-shard counts.
-    let mut meta = Vec::with_capacity(16 + shard_events.len() * 8);
-    meta.extend_from_slice(&n_shards.to_le_bytes());
-    meta.extend_from_slice(&0u32.to_le_bytes());
-    meta.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    for s in &shard_events {
-        meta.extend_from_slice(&(s.len() as u64).to_le_bytes());
+    let fully_live =
+        |sid: usize| prev[sid].as_ref().is_some_and(|s| s.records.len() == live[sid]);
+    let kept_deltas = (base..prev.len()).take_while(|&sid| fully_live(sid)).count();
+    let reused = |sid: usize| {
+        if sid < base {
+            fully_live(sid)
+        } else {
+            sid < base + kept_deltas
+        }
+    };
+    let fresh = matched
+        .iter()
+        .filter(|m| m.is_none_or(|(sid, _)| !reused(sid as usize)))
+        .count();
+
+    // The delta stack as (records, publishes); entries from `tail` on
+    // are rewritten into one new segment.
+    let mut stack: Vec<(usize, u64)> = (base..base + kept_deltas)
+        .map(|sid| (live[sid], prev[sid].as_ref().map_or(1, |s| s.span)))
+        .collect();
+    let mut tail = stack.len();
+    if fresh > 0 {
+        stack.push((fresh, 1));
+        while let [.., older, newer] = *stack.as_slice() {
+            if older.0 >= 2 * newer.0 && older.1 >= 2 * newer.1 {
+                break;
+            }
+            stack.pop();
+            *stack.last_mut().expect("two entries") =
+                (older.0 + newer.0, older.1.saturating_add(newer.1));
+        }
+        tail = stack.len() - 1;
+    }
+    let base_records: usize = (0..base).filter(|&sid| fully_live(sid)).map(|sid| live[sid]).sum();
+    if stack.iter().map(|d| d.0).sum::<usize>() >= base_records {
+        return None;
     }
 
-    // Section 1: the global ranking as (shard, idx) refs.
+    // Segments below the tail keep their ids: reused, or emptied.
+    let tail_sid = base + tail;
+    let keep: Vec<bool> = (0..tail_sid).map(reused).collect();
+    let mut tail_events = Vec::new();
+    let rank_refs: Vec<(u32, u32)> = matched
+        .iter()
+        .enumerate()
+        .map(|(i, m)| match *m {
+            Some((sid, idx)) if keep.get(sid as usize) == Some(&true) => (sid, idx),
+            _ => {
+                tail_events.push(i);
+                (tail_sid as u32, (tail_events.len() - 1) as u32)
+            }
+        })
+        .collect();
+
+    let mut segments: Vec<Segment> = keep
+        .iter()
+        .enumerate()
+        .map(|(sid, &kept)| match kept {
+            true => Segment::Linked,
+            false => Segment::Written(seal_segment(sid as u32, n_base, None, std::iter::empty())),
+        })
+        .collect();
+    let mut counts: Vec<usize> = keep
+        .iter()
+        .zip(&live)
+        .map(|(&kept, &n)| if kept { n } else { 0 })
+        .collect();
+    if let Some(&(records, span)) = stack.get(tail) {
+        debug_assert_eq!(records, tail_events.len());
+        let members = tail_events.iter().map(|&i| &events[i]);
+        segments.push(Segment::Written(seal_segment(
+            tail_sid as u32,
+            n_base,
+            Some(span),
+            members,
+        )));
+        counts.push(records);
+    }
+    Some(EncodedBook {
+        segments,
+        index: seal_index(book, &rank_refs, &counts, n_base),
+    })
+}
+
+/// Seal the index: every ranking as `(segment, idx)` refs into segments
+/// holding `counts[i]` records each. When deltas follow the base shards
+/// the index is an append container and the meta word after the segment
+/// count is `n_base`; otherwise that word is 0 and the index is
+/// byte-identical to the pre-append format.
+fn seal_index(book: &LeadBook, rank_refs: &[(u32, u32)], counts: &[usize], n_base: u32) -> Vec<u8> {
+    // Section 0: meta + per-segment counts.
+    let n_segments = counts.len() as u32;
+    let mut meta = Vec::with_capacity(16 + counts.len() * 8);
+    meta.extend_from_slice(&n_segments.to_le_bytes());
+    let appended = n_segments != n_base;
+    meta.extend_from_slice(&(if appended { n_base } else { 0 }).to_le_bytes());
+    meta.extend_from_slice(&(rank_refs.len() as u64).to_le_bytes());
+    for &c in counts {
+        meta.extend_from_slice(&(c as u64).to_le_bytes());
+    }
+
+    // Section 1: the global ranking as (segment, idx) refs.
     let mut rank_bytes = Vec::with_capacity(rank_refs.len() * 8);
-    for &r in &rank_refs {
+    for &r in rank_refs {
         put_ref(&mut rank_bytes, r);
     }
 
@@ -262,7 +535,8 @@ pub fn encode_book(book: &LeadBook, n_shards: u32) -> EncodedBook {
         tbl
     });
 
-    let mut w = BinWriter::new(INDEX_KIND, LEADS2_VERSION);
+    let version = if appended { LEADS2_APPEND_VERSION } else { LEADS2_VERSION };
+    let mut w = BinWriter::new(INDEX_KIND, version);
     w.section(meta)
         .section(rank_bytes)
         .section(driver_dir)
@@ -273,10 +547,7 @@ pub fn encode_book(book: &LeadBook, n_shards: u32) -> EncodedBook {
     if let Some(tbl) = code_table {
         w.section(tbl);
     }
-    EncodedBook {
-        shards,
-        index: w.finish(),
-    }
+    w.finish()
 }
 
 /// A bounds-checked forward cursor over a byte slice; every read fails
@@ -485,11 +756,12 @@ pub struct MappedBook {
 }
 
 impl MappedBook {
-    /// Open a book over a validated index arena and its shard arenas
-    /// (`shard_arenas[i]` must be shard id `i`).
+    /// Open a book over a validated index arena and its segment arenas
+    /// (`shard_arenas[i]` must be segment id `i`).
     ///
-    /// Structural validation happens here — counts cross-checked
-    /// between index and shards, every directory bounds-checked — so
+    /// Structural validation happens here — each segment's id, layout
+    /// and count cross-checked against the index, every directory
+    /// bounds-checked — so
     /// the per-request accessors can be simple `Option` lookups that
     /// never slice out of bounds.
     ///
@@ -499,37 +771,54 @@ impl MappedBook {
     /// already hashes every file).
     pub fn open(index: Arc<Arena>, shard_arenas: Vec<Arc<Arena>>) -> Result<Self, CodecError> {
         let malformed = |msg: String| CodecError::Malformed { line: 0, msg };
-        let iv = bin_open(index.bytes(), INDEX_KIND, LEADS2_VERSION, false)?;
+        let iv = bin_open(index.bytes(), INDEX_KIND, LEADS2_APPEND_VERSION, false)?;
 
         let mut c = Cur::new(iv.section(0)?);
-        let n_shards = c.u32()? as usize;
-        let _pad = c.u32()?;
+        let n_segments = c.u32()? as usize;
+        // A cold index pads this word; an append index names its base,
+        // which deltas follow.
+        let appended = iv.version() == LEADS2_APPEND_VERSION;
+        let n_base = match c.u32()? as usize {
+            n if appended => n,
+            _ => n_segments,
+        };
         let total = c.u64()? as usize;
-        let n_shards = c.count(n_shards, 8)?;
-        let mut counts = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
+        let n_segments = c.count(n_segments, 8)?;
+        if n_base == 0 || n_base > n_segments || (appended && n_base == n_segments) {
+            return Err(malformed(format!(
+                "index claims {n_base} base shards of {n_segments} segments"
+            )));
+        }
+        let mut counts = Vec::with_capacity(n_segments);
+        for _ in 0..n_segments {
             counts.push(c.u64()? as usize);
         }
         if counts.iter().sum::<usize>() != total {
-            return Err(malformed("shard counts do not sum to total".into()));
+            return Err(malformed("segment counts do not sum to total".into()));
         }
-        if shard_arenas.len() != n_shards {
+        if shard_arenas.len() != n_segments {
             return Err(malformed(format!(
-                "index expects {n_shards} shards, got {}",
+                "index expects {n_segments} segments, got {}",
                 shard_arenas.len()
             )));
         }
 
-        let mut shards = Vec::with_capacity(n_shards);
+        let mut shards = Vec::with_capacity(n_segments);
         for (sid, arena) in shard_arenas.into_iter().enumerate() {
-            let sv = bin_open(arena.bytes(), SHARD_KIND, LEADS2_VERSION, false)?;
+            let sv = bin_open(arena.bytes(), SHARD_KIND, LEADS2_APPEND_VERSION, false)?;
+            if sv.version() != segment_version(sid, n_base) {
+                return Err(malformed(format!(
+                    "segment {sid} has container version {} in a {n_base}-shard layout",
+                    sv.version()
+                )));
+            }
             let mut mc = Cur::new(sv.section(0)?);
             let file_sid = mc.u32()? as usize;
             let file_n = mc.u32()? as usize;
             let count = mc.u64()? as usize;
-            if file_sid != sid || file_n != n_shards || count != counts[sid] {
+            if file_sid != sid || file_n != n_base || count != counts[sid] {
                 return Err(malformed(format!(
-                    "shard {sid} metadata mismatch (claims id {file_sid}, {file_n} shards, {count} events)"
+                    "segment {sid} metadata mismatch (claims id {file_sid}, {file_n} base shards, {count} events)"
                 )));
             }
             let offsets = sv.section_range(1)?;
@@ -657,7 +946,8 @@ impl MappedBook {
         self.total == 0
     }
 
-    /// Number of shards backing this book.
+    /// Number of segment files (base shards and deltas) backing this
+    /// book.
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -1104,14 +1394,70 @@ mod tests {
             .collect()
     }
 
-    fn open_encoded(enc: &EncodedBook) -> MappedBook {
-        let index = Arc::new(Arena::Heap(enc.index.clone()));
-        let shards = enc
-            .shards
+    /// Every segment's bytes, reading reused ones from `prev`.
+    fn resolve(prev: &[Vec<u8>], enc: &EncodedBook) -> Vec<Vec<u8>> {
+        enc.segments
+            .iter()
+            .enumerate()
+            .map(|(sid, seg)| match seg {
+                Segment::Linked => prev[sid].clone(),
+                Segment::Written(bytes) => bytes.clone(),
+            })
+            .collect()
+    }
+
+    fn arenas(segments: &[Vec<u8>]) -> Vec<Arc<Arena>> {
+        segments
             .iter()
             .map(|s| Arc::new(Arena::Heap(s.clone())))
+            .collect()
+    }
+
+    fn open_segments(index: &[u8], segments: &[Vec<u8>]) -> MappedBook {
+        MappedBook::open(Arc::new(Arena::Heap(index.to_vec())), arenas(segments)).expect("open")
+    }
+
+    fn open_encoded(enc: &EncodedBook) -> MappedBook {
+        open_segments(&enc.index, &resolve(&[], enc))
+    }
+
+    /// Append-encode `book` over previously sealed `segments`.
+    fn append(segments: &[Vec<u8>], book: &LeadBook, n_base: u32) -> Option<EncodedBook> {
+        let prev: Vec<Option<PrevSegment>> = segments
+            .iter()
+            .enumerate()
+            .map(|(sid, b)| Some(PrevSegment::parse(b, sid as u32, n_base).expect("parse")))
             .collect();
-        MappedBook::open(index, shards).expect("open")
+        encode_append(book, n_base, &prev)
+    }
+
+    fn assert_same_book(mapped: &MappedBook, book: &LeadBook) {
+        assert_eq!(mapped.events_owned(), book.events());
+        for d in SalesDriver::ALL {
+            let owned: Vec<TriggerEvent> = book.top_for(d, usize::MAX).into_iter().cloned().collect();
+            let viewed: Vec<TriggerEvent> =
+                mapped.top_for(d, usize::MAX).iter().map(EventView::to_event).collect();
+            assert_eq!(owned, viewed, "driver {d:?}");
+        }
+        let companies: Vec<CompanyRef> = book.companies().iter().map(CompanyRef::from).collect();
+        assert_eq!(mapped.companies_top(usize::MAX), companies);
+        for c in book.companies() {
+            let (oc, oe) = book.company_events(&c.company).expect("owned company");
+            let (mc, me) = mapped.company_events(&c.company).expect("mapped company");
+            assert_eq!(CompanyRef::from(oc), mc);
+            let me: Vec<TriggerEvent> = me.iter().map(EventView::to_event).collect();
+            assert_eq!(oe.into_iter().cloned().collect::<Vec<_>>(), me);
+        }
+    }
+
+    /// `n` new events spread over many companies, as a daily poll is.
+    fn poll_events(first_doc: usize, n: usize) -> Vec<TriggerEvent> {
+        (first_doc..first_doc + n)
+            .map(|i| {
+                let company = format!("Poll {}", i % 13);
+                event(SalesDriver::ALL[i % 3], i, 0.3 + (i % 61) as f64 / 100.0, &[&company])
+            })
+            .collect()
     }
 
     #[test]
@@ -1152,7 +1498,7 @@ mod tests {
     fn mapped_book_matches_owned_book_exactly() {
         let book = LeadBook::build(sample_events(120));
         let enc = encode_book(&book, 8);
-        assert_eq!(enc.shards.len(), 8);
+        assert_eq!(enc.segments.len(), 8);
         let mapped = open_encoded(&enc);
 
         assert_eq!(mapped.len(), book.len());
@@ -1192,11 +1538,22 @@ mod tests {
     }
 
     #[test]
+    fn cold_encode_is_byte_identical_to_the_pre_append_format() {
+        // Digest of the same book sealed by the encoder before append
+        // publishes existed: the cold path must never drift from it.
+        let enc = encode_book(&LeadBook::build(sample_events(120)), 8);
+        let mut all = enc.index.clone();
+        for seg in resolve(&[], &enc) {
+            all.extend_from_slice(&seg);
+        }
+        assert_eq!((fnv1a64(&all), all.len()), (0x78f3_6aba_beb0_21c1, 14_936));
+    }
+
+    #[test]
     fn clean_shards_are_byte_identical_under_extend() {
         let n_shards = 8;
         let base_events = sample_events(60);
-        let base = LeadBook::build(base_events.clone());
-        let base_enc = encode_book(&base, n_shards);
+        let base = resolve(&[], &encode_book(&LeadBook::build(base_events.clone()), n_shards));
 
         // Extend with events that all target one company, i.e. one shard.
         let mut extended_events = base_events;
@@ -1208,23 +1565,121 @@ mod tests {
                 &["Hotspot Inc"],
             ));
         }
-        let hot = shard_of(&extended_events[60], n_shards as u32);
-        let ext = LeadBook::build(extended_events);
-        let ext_enc = encode_book(&ext, n_shards);
+        let hot = shard_of(&extended_events[60], n_shards) as usize;
+        let ext = resolve(&[], &encode_book(&LeadBook::build(extended_events), n_shards));
 
-        let mut identical = 0;
-        for sid in 0..n_shards as usize {
-            if sid == hot as usize {
-                assert_ne!(
-                    base_enc.shards[sid], ext_enc.shards[sid],
-                    "hot shard must change"
-                );
-            } else if base_enc.shards[sid] == ext_enc.shards[sid] {
-                identical += 1;
-            }
-        }
+        assert_eq!(base.len(), ext.len());
+        assert_ne!(base[hot], ext[hot], "hot shard must change");
         // Every shard that received no new events must be bit-identical.
+        let identical = (0..base.len()).filter(|&sid| base[sid] == ext[sid]).count();
         assert_eq!(identical, n_shards as usize - 1);
+    }
+
+    #[test]
+    fn append_reuses_every_sealed_record_and_writes_only_the_delta() {
+        let mut events = sample_events(120);
+        let cold = encode_book(&LeadBook::build(events.clone()), 8);
+        let sealed = resolve(&[], &cold);
+
+        // The poll dirties nearly every company bucket: a cold encode
+        // would rewrite all shards, the append writes one delta.
+        events.extend(poll_events(1_000, 12));
+        let book = LeadBook::build(events);
+        let dirty = encode_book(&book, 8);
+        assert!(resolve(&[], &dirty).iter().zip(&sealed).filter(|(a, b)| a != b).count() > 4);
+
+        let enc = append(&sealed, &book, 8).expect("append");
+        assert_eq!(enc.segments.len(), 9);
+        assert!(enc.segments[..8].iter().all(|s| *s == Segment::Linked));
+        let segments = resolve(&sealed, &enc);
+        let delta = PrevSegment::parse(&segments[8], 8, 8).expect("delta");
+        assert_eq!((delta.records.len(), delta.span), (12, 1));
+        assert_same_book(&open_segments(&enc.index, &segments), &book);
+
+        // Only the index and the delta carry the append version, so a
+        // reader of the cold format rejects them by version alone.
+        let cold_version =
+            |bytes: &[u8], kind| bin_open(bytes, kind, LEADS2_VERSION, true).map(|v| v.version());
+        assert_eq!(cold_version(&segments[0], SHARD_KIND).ok(), Some(LEADS2_VERSION));
+        for (bytes, kind) in [(&enc.index, INDEX_KIND), (&segments[8], SHARD_KIND)] {
+            assert!(matches!(
+                cold_version(bytes, kind),
+                Err(CodecError::FutureVersion { version: LEADS2_APPEND_VERSION, .. })
+            ));
+        }
+
+        // Republishing the same book writes no segment at all, and its
+        // index is the cold one.
+        let same = append(&sealed, &LeadBook::build(sample_events(120)), 8).expect("append");
+        assert!(same.segments.iter().all(|s| *s == Segment::Linked));
+        assert_eq!(same.index, cold.index);
+    }
+
+    #[test]
+    fn deltas_merge_like_a_binary_counter_then_reencode_cold() {
+        let mut events = sample_events(200);
+        let mut segments = resolve(&[], &encode_book(&LeadBook::build(events.clone()), 4));
+        let mut appends = 0u32;
+        loop {
+            events.extend(poll_events(1_000 + 10 * appends as usize, 10));
+            let book = LeadBook::build(events.clone());
+            let Some(enc) = append(&segments, &book, 4) else {
+                // Cold only once the deltas would hold the base's 200.
+                assert_eq!(appends, 19);
+                break;
+            };
+            appends += 1;
+            segments = resolve(&segments, &enc);
+            let deltas: Vec<PrevSegment> = (4..segments.len())
+                .map(|sid| PrevSegment::parse(&segments[sid], sid as u32, 4).expect("delta"))
+                .collect();
+            // Equal polls: one delta per set bit of the append count.
+            assert_eq!(deltas.len() as u32, appends.count_ones(), "after {appends}");
+            assert!(deltas.windows(2).all(|w| w[0].span > w[1].span));
+            assert_eq!(deltas.iter().map(|d| d.span).sum::<u64>(), u64::from(appends));
+            assert_same_book(&open_segments(&enc.index, &segments), &book);
+        }
+    }
+
+    #[test]
+    fn unusable_or_shrunken_segments_move_their_live_records_to_the_delta() {
+        let events = sample_events(120);
+        let cold = encode_book(&LeadBook::build(events.clone()), 4);
+        let sealed = resolve(&[], &cold);
+
+        // Drop one event: its shard is no longer fully live.
+        let gone = shard_of(&events[7], 4) as usize;
+        let mut fewer = events.clone();
+        fewer.remove(7);
+        let book = LeadBook::build(fewer);
+        let enc = append(&sealed, &book, 4).expect("append");
+        let segments = resolve(&sealed, &enc);
+        for sid in 0..4 {
+            assert_eq!(enc.segments[sid] == Segment::Linked, sid != gone, "segment {sid}");
+        }
+        let emptied = PrevSegment::parse(&segments[gone], gone as u32, 4).expect("emptied");
+        assert!(emptied.records.is_empty());
+        let delta = PrevSegment::parse(&segments[4], 4, 4).expect("delta");
+        let live = events.iter().filter(|e| shard_of(e, 4) as usize == gone).count() - 1;
+        assert_eq!(delta.records.len(), live);
+        assert_same_book(&open_segments(&enc.index, &segments), &book);
+
+        // A segment the caller could not verify is never reused.
+        let book = LeadBook::build(events);
+        let mut prev: Vec<Option<PrevSegment>> = sealed
+            .iter()
+            .enumerate()
+            .map(|(sid, b)| PrevSegment::parse(b, sid as u32, 4).ok())
+            .collect();
+        prev[1] = None;
+        let enc = encode_append(&book, 4, &prev).expect("append");
+        assert!(matches!(enc.segments[1], Segment::Written(_)));
+        assert_same_book(&open_segments(&enc.index, &resolve(&sealed, &enc)), &book);
+
+        // A segment of another layout is refused, and a different book
+        // (no overlap) re-encodes cold.
+        assert!(PrevSegment::parse(&sealed[0], 0, 8).is_err());
+        assert!(append(&sealed, &LeadBook::build(poll_events(5_000, 50)), 4).is_none());
     }
 
     #[test]
@@ -1233,7 +1688,7 @@ mod tests {
         let a = encode_book(&book, 4);
         let b = encode_book(&book, 4);
         assert_eq!(a.index, b.index);
-        assert_eq!(a.shards, b.shards);
+        assert_eq!(a.segments, b.segments);
     }
 
     #[test]
@@ -1243,11 +1698,7 @@ mod tests {
 
         // Truncated index.
         let short = Arc::new(Arena::Heap(enc.index[..enc.index.len() / 2].to_vec()));
-        let shards: Vec<Arc<Arena>> = enc
-            .shards
-            .iter()
-            .map(|s| Arc::new(Arena::Heap(s.clone())))
-            .collect();
+        let shards = arenas(&resolve(&[], &enc));
         assert!(MappedBook::open(short, shards.clone()).is_err());
 
         // Wrong shard count.

@@ -129,7 +129,28 @@ pub fn rank_companies_resolved(
     events: &[TriggerEvent],
     resolver: &mut AliasResolver,
 ) -> Vec<CompanyScore> {
-    rank_companies_with(events, |s| resolver.canonicalize(s))
+    rank_companies_canonical(events, resolver).0
+}
+
+/// [`rank_companies_resolved`] plus the map it ranked by, from each
+/// normalized name ([`AliasResolver::normalize`]) to its canonical
+/// company. The resolver is order-dependent, so each normalized name is
+/// canonicalized once, at its first mention in ranking order, and every
+/// later mention reuses that answer. All variations of one name thus
+/// count toward one company, and the map names only ranked companies.
+#[must_use]
+pub fn rank_companies_canonical(
+    events: &[TriggerEvent],
+    resolver: &mut AliasResolver,
+) -> (Vec<CompanyScore>, HashMap<String, String>) {
+    let mut canonical: HashMap<String, String> = HashMap::new();
+    let ranked = rank_companies_with(events, |s| {
+        canonical
+            .entry(AliasResolver::normalize(s))
+            .or_insert_with(|| resolver.canonicalize(s))
+            .clone()
+    });
+    (ranked, canonical)
 }
 
 fn rank_companies_with(

@@ -5,6 +5,7 @@
 //! Everything is `AtomicU64` with relaxed ordering — metrics tolerate
 //! torn cross-counter reads; each individual counter is exact.
 
+use crate::store::PublishOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bounds (µs) of the latency histogram buckets; the last bucket
@@ -116,9 +117,13 @@ pub struct Metrics {
     /// Gauge: 1 while the served snapshot is a zero-copy `LEADS v2`
     /// mapping, 0 while it is heap-owned.
     pub mmap_generations: AtomicU64,
-    /// Dirty shard files written by store publishes (clean shards are
-    /// hard-linked and not counted — the incremental-publish signal).
+    /// Segment files written by store publishes: deltas, merged deltas
+    /// and the shards of cold encodes.
     pub shards_dirty_total: AtomicU64,
+    /// Segment files store publishes hard-linked from the previous
+    /// generation instead of writing; linked / (linked + dirty) is the
+    /// publish link ratio.
+    pub shards_linked_total: AtomicU64,
     /// Ingest cycles completed by the watch loop (success or failure).
     pub watch_cycles_total: AtomicU64,
     /// Stage retries performed by the watch supervisor.
@@ -133,6 +138,14 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Count the segment files one store publish wrote and linked.
+    pub fn record_publish(&self, outcome: &PublishOutcome) {
+        self.shards_dirty_total
+            .fetch_add(outcome.shards_written, Ordering::Relaxed);
+        self.shards_linked_total
+            .fetch_add(outcome.files_linked, Ordering::Relaxed);
+    }
+
     /// Record a finished response.
     pub fn record_response(&self, status_code: u16, elapsed_us: u64) {
         let class = (status_code / 100).min(5) as usize;
@@ -203,6 +216,11 @@ impl Metrics {
             out,
             "etap_shards_dirty_total {}",
             self.shards_dirty_total.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(
+            out,
+            "etap_shards_linked_total {}",
+            self.shards_linked_total.load(Ordering::Relaxed)
         );
         let _ = writeln!(
             out,
@@ -297,6 +315,7 @@ mod tests {
             "etap_snapshot_bytes 0",
             "etap_mmap_generations 0",
             "etap_shards_dirty_total 0",
+            "etap_shards_linked_total 0",
             "etap_watch_cycles_total 0",
             "etap_watch_retries_total 0",
             "etap_watch_degraded 0",

@@ -255,11 +255,7 @@ pub fn start(config: &ServeConfig, initial: Arc<LeadSnapshot>) -> io::Result<Ser
 /// availability).
 fn persist_best_effort(store: &GenerationStore, snapshot: &LeadSnapshot, metrics: &Metrics) {
     match store.publish(snapshot) {
-        Ok(outcome) => {
-            metrics
-                .shards_dirty_total
-                .fetch_add(outcome.shards_written, Ordering::Relaxed);
-        }
+        Ok(outcome) => metrics.record_publish(&outcome),
         Err(_) => {
             metrics.store_failures_total.fetch_add(1, Ordering::Relaxed);
         }
@@ -337,12 +333,7 @@ impl ServerHandle {
     pub fn publish_durable(&self, snapshot: Arc<LeadSnapshot>) -> io::Result<u64> {
         if let Some(store) = &self.store {
             match store.publish(&snapshot) {
-                Ok(outcome) => {
-                    self.ctx
-                        .metrics
-                        .shards_dirty_total
-                        .fetch_add(outcome.shards_written, Ordering::Relaxed);
-                }
+                Ok(outcome) => self.ctx.metrics.record_publish(&outcome),
                 Err(e) => {
                     self.ctx
                         .metrics

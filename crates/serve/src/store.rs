@@ -13,22 +13,35 @@
 //!     model-001-<id>.model    numbered to preserve driver order
 //!   gen-4/                    binary format (LEADS v2)
 //!     MANIFEST
-//!     book.index              ETAPBIN LEADS-IDX — rankings as refs
+//!     book.index              ETAPBIN LEADS-IDX — rankings as
+//!                             (segment, idx) refs
 //!     shards/
-//!       shard-00000.leads2    ETAPBIN LEADS — event records, one
-//!       shard-00001.leads2    shard per company-hash bucket
+//!       shard-00000.leads2    ETAPBIN LEADS — event records: the
+//!       …                     base shards of the last cold encode,
+//!       shard-00015.leads2    one per company-hash bucket,
+//!       shard-00016.leads2    then deltas, oldest first
 //!     model-000-<id>.model
 //!   gen-5/
 //!     …
 //! ```
 //!
-//! Binary generations are **content-addressed**: before writing a
-//! payload file, its FNV + size are compared against the previous
-//! generation's manifest; an unchanged file is `hard_link`ed instead of
-//! rewritten (links survive pruning of the source directory — the inode
-//! lives until its last link drops). Since a clean shard's bytes are
-//! bit-identical under extend (see `etap::leads2`), an incremental
-//! publish writes only the dirty shards, the index, and the manifest.
+//! Binary publishes are **append-only** (see `etap::leads2`). Each
+//! event's record is matched by content against the previous
+//! generation's segment files. A segment whose records are all still in
+//! the book is `hard_link`ed under the same name, and the unmatched
+//! records go into one new delta segment; the index is rewritten. Links
+//! survive pruning of the source directory: the inode lives until its
+//! last link drops. A previous segment is reused only after its bytes
+//! pass the size and FNV checksum its manifest recorded, so corruption
+//! on disk never propagates into a new generation. With no previous
+//! binary generation of the same shard count, the publish encodes cold.
+//!
+//! Linking has a cost: until the next cold re-encode, every retained
+//! binary generation shares each base shard's inode. One corrupt base
+//! shard therefore fails the checksum of every generation that links
+//! it, and [`GenerationStore::load_latest`] has no older binary
+//! generation to fall back to. The next publish seals a valid one,
+//! since it never links the corrupt shard.
 //!
 //! At load, binary payloads are opened as [`Arena`]s — mmap-backed on
 //! Linux — and served zero-copy through a `MappedBook`: warm start is
@@ -61,7 +74,7 @@
 //! a concurrent warm start can't race into `ENOENT`.)
 
 use crate::snapshot::LeadSnapshot;
-use etap::leads2::{self, MappedBook};
+use etap::leads2::{self, MappedBook, PrevSegment, Segment};
 use etap::{BookHandle, LeadBook, TrainedEtap};
 use etap_persist::{open_arena, Arena, CodecError, Writer};
 use etap_runtime::perf::Stage;
@@ -74,8 +87,8 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// Codec kind of generation manifests.
 pub const MANIFEST_KIND: &str = "GEN-MANIFEST";
 /// Highest `GEN-MANIFEST` version this build reads/writes (v2 adds the
-/// `format`/`shards` records for binary generations; v1 manifests
-/// still load).
+/// `format`/`shards` records for binary generations, `shards` counting
+/// every segment file; v1 manifests still load).
 pub const MANIFEST_VERSION: u32 = 2;
 /// The ranked-event file inside each text-format generation.
 pub const EVENTS_FILE: &str = "events.leads";
@@ -94,27 +107,28 @@ static STAGE_LOAD: Stage = Stage::new("persist.load");
 pub enum LeadsFormat {
     /// `LEADS v1` text codec: greppable, parsed at load.
     Text,
-    /// Sharded `LEADS v2` binary: mmap'd at load, served zero-copy.
+    /// Segmented `LEADS v2` binary: mmap'd at load, served zero-copy.
     Binary {
-        /// Number of company-hash shards (clamped to ≥ 1).
+        /// Number of company-hash base shards a cold encode writes
+        /// (clamped to ≥ 1).
         shards: u32,
     },
 }
 
 /// What one publish actually touched — the observability payload behind
-/// the incremental-publish guarantee ("clean shards are linked, not
+/// the append-publish guarantee ("sealed records are linked, not
 /// rewritten").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishOutcome {
     /// The sealed generation directory.
     pub dir: PathBuf,
-    /// Payload files newly written (dirty shards, index, changed models).
+    /// Payload files newly written (segments, index, models).
     pub files_written: u64,
-    /// Shard files among [`files_written`](Self::files_written) — the
-    /// dirty-shard count an incremental publish is judged by (always 0
-    /// for text-format publishes).
+    /// Segment files among [`files_written`](Self::files_written): the
+    /// new delta, or every base shard of a cold encode (always 0 for
+    /// text-format publishes).
     pub shards_written: u64,
-    /// Payload files hard-linked unchanged from the previous generation.
+    /// Segment files hard-linked unchanged from the previous generation.
     pub files_linked: u64,
     /// Bytes of payload newly written (excludes linked files and the
     /// manifest).
@@ -283,9 +297,9 @@ impl GenerationStore {
     }
 
     /// The newest visible generation other than `exclude`, with its
-    /// manifest's `name → (fnv, size)` map — the content-address table
-    /// incremental publishes link against. Any failure (no previous
-    /// generation, unreadable manifest) degrades to a full write.
+    /// manifest's `name → (fnv, size)` map — what an append publish
+    /// reuses segments from. Any failure (no previous generation,
+    /// unreadable manifest) degrades to a cold publish.
     fn link_base(&self, exclude: u64) -> Option<(PathBuf, HashMap<String, (u64, usize)>)> {
         let newest = self
             .generations()
@@ -312,8 +326,9 @@ impl GenerationStore {
     /// following the crash-safety protocol (tmp dir → fsync'd files →
     /// manifest last → rename → root fsync). Republishing an existing
     /// generation number replaces it atomically. Binary-format
-    /// publishes hard-link payload files whose bytes are unchanged from
-    /// the previous generation instead of rewriting them.
+    /// publishes append to the previous generation: segments whose
+    /// records are all still in the book are hard-linked, and only the
+    /// new records are written (see `etap::leads2`).
     ///
     /// # Errors
     /// Propagates filesystem errors; the store is left without a
@@ -332,87 +347,39 @@ impl GenerationStore {
         }
         std::fs::create_dir_all(&tmp_dir)?;
 
-        let link_base = self.link_base(generation);
-
         let mut manifest = Writer::new(MANIFEST_KIND, MANIFEST_VERSION);
         manifest.record(["generation", &generation.to_string()]);
         manifest.record(["window", &snapshot.trained.snippet_window().to_string()]);
         manifest.record(["events", &snapshot.book.len().to_string()]);
-        if let LeadsFormat::Binary { shards } = self.leads_format {
-            manifest.record(["format", "binary"]);
-            manifest.record(["shards", &shards.max(1).to_string()]);
-        }
-
-        let mut outcome = PublishOutcome {
-            dir: final_dir.clone(),
-            files_written: 0,
-            shards_written: 0,
-            files_linked: 0,
-            bytes_written: 0,
+        let mut payloads = Payloads {
+            dir: tmp_dir.clone(),
+            files: Vec::new(),
+            outcome: PublishOutcome {
+                dir: final_dir.clone(),
+                files_written: 0,
+                shards_written: 0,
+                files_linked: 0,
+                bytes_written: 0,
+            },
         };
-        let mut write_payload =
-            |name: &str, contents: &[u8], outcome: &mut PublishOutcome| -> io::Result<()> {
-                let fnv = etap_persist::fnv1a64(contents);
-                let dst = tmp_dir.join(name);
-                // Only shard files are content-address linked: they
-                // carry virtually all the bytes, and sharing an inode
-                // couples the linked generations' fates under in-place
-                // corruption — acceptable for checksummed bulk shards,
-                // not worth it for the small manifest-adjacent files
-                // whose independence the fallback story leans on.
-                let linked = shard_id(name).is_some()
-                    && link_base.as_ref().is_some_and(|(prev_dir, map)| {
-                        map.get(name) == Some(&(fnv, contents.len()))
-                            && std::fs::hard_link(prev_dir.join(name), &dst).is_ok()
-                    });
-                if linked {
-                    outcome.files_linked += 1;
-                } else {
-                    write_synced(&dst, contents)?;
-                    outcome.files_written += 1;
-                    outcome.bytes_written += contents.len() as u64;
-                }
-                manifest.record([
-                    "file",
-                    name,
-                    &format!("{fnv:016x}"),
-                    &contents.len().to_string(),
-                ]);
-                Ok(())
-            };
-
         match self.leads_format {
             LeadsFormat::Text => {
                 let events = snapshot.book.events_owned();
-                write_payload(
-                    EVENTS_FILE,
-                    etap::persist::events_to_string(&events).as_bytes(),
-                    &mut outcome,
-                )?;
+                let text = etap::persist::events_to_string(&events);
+                payloads.write(EVENTS_FILE, text.as_bytes())?;
             }
             LeadsFormat::Binary { shards } => {
-                // Encode from the owned book when available; a mapped
-                // book republishing under a different shard count first
-                // materializes (republish-in-place links everything, so
-                // the cost only occurs on genuine re-encodes).
-                let encoded = match snapshot.book.as_owned() {
-                    Some(book) => leads2::encode_book(book, shards),
-                    None => {
-                        leads2::encode_book(&LeadBook::build(snapshot.book.events_owned()), shards)
-                    }
-                };
-                std::fs::create_dir_all(tmp_dir.join(SHARD_DIR))?;
-                write_payload(INDEX_FILE, &encoded.index, &mut outcome)?;
-                for (sid, bytes) in encoded.shards.iter().enumerate() {
-                    let before = outcome.files_written;
-                    write_payload(&shard_file(sid), bytes, &mut outcome)?;
-                    outcome.shards_written += outcome.files_written - before;
-                }
+                let segments = self.publish_segments(snapshot, shards.max(1), &mut payloads)?;
+                manifest.record(["format", "binary"]);
+                manifest.record(["shards", &segments.to_string()]);
             }
         }
         for (i, driver) in snapshot.trained.drivers.iter().enumerate() {
             let name = format!("model-{i:03}-{}.model", driver.spec.driver.id());
-            write_payload(&name, etap::persist::to_string(driver).as_bytes(), &mut outcome)?;
+            payloads.write(&name, etap::persist::to_string(driver).as_bytes())?;
+        }
+        for (name, fnv, size) in &payloads.files {
+            manifest.record(["file", name, &format!("{fnv:016x}"), &size.to_string()]);
         }
 
         write_synced(&tmp_dir.join("MANIFEST"), manifest.finish().as_bytes())?;
@@ -426,7 +393,62 @@ impl GenerationStore {
         if let Some(keep) = self.retention {
             let _ = self.prune(keep);
         }
-        Ok(outcome)
+        Ok(payloads.outcome)
+    }
+
+    /// Write the `LEADS v2` index and segments of `snapshot`, appending
+    /// to the newest other generation when its layout allows, else
+    /// encoding cold. Returns the segment count.
+    fn publish_segments(
+        &self,
+        snapshot: &LeadSnapshot,
+        n_base: u32,
+        payloads: &mut Payloads,
+    ) -> io::Result<usize> {
+        // A mapped book (a republished warm start) materializes first.
+        let built;
+        let book = match snapshot.book.as_owned() {
+            Some(book) => book,
+            None => {
+                built = LeadBook::build(snapshot.book.events_owned());
+                &built
+            }
+        };
+        let base = self.link_base(snapshot.generation);
+        let prev = base
+            .as_ref()
+            .map(|(dir, files)| verified_segments(dir, files))
+            .unwrap_or_default();
+        let parsed: Vec<Option<PrevSegment>> = prev
+            .iter()
+            .enumerate()
+            .map(|(sid, arena)| {
+                let arena = arena.as_ref()?;
+                PrevSegment::parse(arena.bytes(), sid as u32, n_base).ok()
+            })
+            .collect();
+        let encoded = leads2::encode_append(book, n_base, &parsed)
+            .unwrap_or_else(|| leads2::encode_book(book, n_base));
+
+        std::fs::create_dir_all(payloads.dir.join(SHARD_DIR))?;
+        payloads.write(INDEX_FILE, &encoded.index)?;
+        // Only segments are ever linked: sharing an inode couples two
+        // generations' fates under in-place corruption — acceptable for
+        // checksummed bulk segments, not for the small files (index,
+        // models, manifest) whose independence the fallback leans on.
+        for (sid, segment) in encoded.segments.iter().enumerate() {
+            let name = shard_file(sid);
+            let before = payloads.outcome.files_written;
+            match (segment, &base, prev.get(sid)) {
+                (Segment::Written(bytes), _, _) => payloads.write(&name, bytes)?,
+                (Segment::Linked, Some((dir, files)), Some(Some(arena))) => {
+                    payloads.link(&dir.join(&name), &name, arena.bytes(), files[&name].0)?;
+                }
+                (Segment::Linked, _, _) => unreachable!("only verified segments are reused"),
+            }
+            payloads.outcome.shards_written += payloads.outcome.files_written - before;
+        }
+        Ok(encoded.segments.len())
     }
 
     /// Generation numbers currently visible (sorted ascending).
@@ -585,7 +607,7 @@ impl GenerationStore {
                     .any(|(i, (sid, _))| *sid != i as u32)
             {
                 return Err(StoreError::Invalid(format!(
-                    "manifest lists {} shard files, expected shards 0..{n}",
+                    "manifest lists {} segment files, expected segments 0..{n}",
                     shard_arenas.len()
                 )));
             }
@@ -664,6 +686,53 @@ impl GenerationStore {
             }
         }
         Ok(removed)
+    }
+}
+
+/// The previous generation's segment files in id order, each mapped
+/// only when its bytes match the size and checksum its manifest
+/// recorded: a segment that fails them is never reused.
+fn verified_segments(dir: &Path, files: &HashMap<String, (u64, usize)>) -> Vec<Option<Arena>> {
+    (0..)
+        .map(shard_file)
+        .map_while(|name| files.get(&name).map(|&sum| (name, sum)))
+        .map(|(name, (fnv, size))| {
+            open_arena(&dir.join(name))
+                .ok()
+                .filter(|a| a.len() == size && etap_persist::fnv1a64(a.bytes()) == fnv)
+        })
+        .collect()
+}
+
+/// The payload files of a generation being sealed: what its manifest
+/// will list, and what the publish wrote or linked.
+struct Payloads {
+    dir: PathBuf,
+    /// `(name, fnv, size)` in publish order.
+    files: Vec<(String, u64, usize)>,
+    outcome: PublishOutcome,
+}
+
+impl Payloads {
+    fn write(&mut self, name: &str, contents: &[u8]) -> io::Result<()> {
+        write_synced(&self.dir.join(name), contents)?;
+        self.outcome.files_written += 1;
+        self.outcome.bytes_written += contents.len() as u64;
+        let fnv = etap_persist::fnv1a64(contents);
+        self.files.push((name.to_string(), fnv, contents.len()));
+        Ok(())
+    }
+
+    /// Reuse `from`, a verified file of the previous generation holding
+    /// `contents`: hard-link it (the inode outlives pruning of its
+    /// source directory), or write a copy where links fail.
+    fn link(&mut self, from: &Path, name: &str, contents: &[u8], fnv: u64) -> io::Result<()> {
+        if std::fs::hard_link(from, self.dir.join(name)).is_err() {
+            return self.write(name, contents);
+        }
+        self.outcome.files_linked += 1;
+        self.files.push((name.to_string(), fnv, contents.len()));
+        Ok(())
     }
 }
 
@@ -769,9 +838,11 @@ mod tests {
             temp_store("binlink").with_leads_format(LeadsFormat::Binary { shards: 8 });
         store.publish(&snapshot(1, 40)).expect("publish 1");
         let incremental = store.publish(&extended_snapshot(2, 40, 6)).expect("publish 2");
-        assert!(
-            incremental.files_linked > 0,
-            "clean shards must be hard-linked: {incremental:?}"
+        // Every base shard is reused; the six new events are one delta.
+        assert_eq!(
+            (incremental.files_linked, incremental.shards_written),
+            (8, 1),
+            "{incremental:?}"
         );
 
         // The same snapshot published cold (no previous generation to
@@ -807,6 +878,69 @@ mod tests {
         assert_eq!(removed, vec![1]);
         let loaded = store.load(2).expect("load after prune");
         assert_eq!(loaded.book, extended_snapshot(2, 20, 3).book);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn shard_failing_its_checksum_is_never_linked() {
+        use std::os::unix::fs::MetadataExt;
+        let store =
+            temp_store("binchecksum").with_leads_format(LeadsFormat::Binary { shards: 4 });
+        store.publish(&snapshot(1, 40)).expect("publish 1");
+        let victim = store.root().join("gen-1").join(shard_file(2));
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x04;
+        std::fs::write(&victim, &bytes).unwrap();
+
+        let next = extended_snapshot(2, 40, 3);
+        let outcome = store.publish(&next).expect("publish 2");
+        // Shards 0, 1 and 3 are linked; shard 2's slot is written empty
+        // and its live records join the three new events in the delta.
+        assert_eq!((outcome.files_linked, outcome.shards_written), (3, 2), "{outcome:?}");
+        let ino = |g: u64, sid: usize| {
+            let path = store.root().join(format!("gen-{g}")).join(shard_file(sid));
+            std::fs::metadata(path).unwrap().ino()
+        };
+        assert_ne!(ino(1, 2), ino(2, 2));
+        assert_eq!(ino(1, 0), ino(2, 0));
+        let loaded = store.load(2).expect("the new generation loads cleanly");
+        assert_eq!(loaded.book, next.book);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn corrupt_linked_base_shard_fails_every_generation_that_links_it() {
+        use std::os::unix::fs::MetadataExt;
+        let store =
+            temp_store("binshared").with_leads_format(LeadsFormat::Binary { shards: 4 });
+        store.publish(&snapshot(1, 40)).expect("publish 1");
+        store.publish(&extended_snapshot(2, 40, 3)).expect("publish 2");
+        store.publish(&extended_snapshot(3, 40, 6)).expect("publish 3");
+        let victim = |g: u64| store.root().join(format!("gen-{g}")).join(shard_file(2));
+        let ino = |g: u64| std::fs::metadata(victim(g)).unwrap().ino();
+        assert!(ino(1) == ino(2) && ino(2) == ino(3), "one inode, three generations");
+
+        // An in-place flip through any one link corrupts all of them.
+        let mut bytes = std::fs::read(victim(3)).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(victim(3), &bytes).unwrap();
+        for g in 1..=3 {
+            match store.load(g) {
+                Err(StoreError::Invalid(msg)) => assert!(msg.contains("checksum"), "{msg}"),
+                other => panic!("gen {g}: expected Invalid(checksum), got {other:?}"),
+            }
+        }
+        assert!(store.load_latest().expect("scan").is_none(), "no binary fallback");
+
+        // The next publish does not link the corrupt shard, so it loads.
+        let next = extended_snapshot(4, 40, 6);
+        store.publish(&next).expect("publish 4");
+        assert_ne!(ino(3), ino(4));
+        let (loaded, skipped) = store.load_latest().expect("scan").expect("gen 4");
+        assert_eq!((loaded.generation, skipped.len()), (4, 0));
+        assert_eq!(loaded.book, next.book);
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -273,7 +273,7 @@ fn run_cycle(
     };
 
     // publish — seal on disk first; swap live only on success.
-    let shards_written = {
+    let outcome = {
         let _t = STAGE_PUBLISH.scope();
         let snap = Arc::clone(&next);
         let root = store.root().to_path_buf();
@@ -294,15 +294,11 @@ fn run_cycle(
                 // retention prune this publish triggers (the pin table
                 // is process-global, so it holds across the re-open).
                 store.pin(serving);
-                let outcome = store.publish(&snap).map_err(|e| e.to_string())?;
-                Ok(outcome.shards_written)
+                store.publish(&snap).map_err(|e| e.to_string())
             })
             .map_err(|e| ("publish", e))?
     };
-    server
-        .metrics()
-        .shards_dirty_total
-        .fetch_add(shards_written, Ordering::Relaxed);
+    server.metrics().record_publish(&outcome);
     server.publish_snapshot(next);
     // The pin follows the served generation forward, releasing the old
     // one to the next prune.

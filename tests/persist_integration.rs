@@ -335,3 +335,47 @@ fn legacy_v1_model_files_still_serve() {
     assert!(persist::load(&path).is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn every_listed_company_resolves_in_owned_and_mapped_books() {
+    use etap_repro::persist::Arena;
+    use etap_repro::system::leads2::{encode_book, Segment};
+    use etap_repro::system::{LeadBook, MappedBook};
+
+    // Alias resolution is order-dependent, and Eq. 2 ranks companies
+    // per driver while lookups walk the global ranking: the bug needs
+    // several drivers and enough companies for their orders to differ.
+    let mut events = trained().identify_events(crawl(0xA11A5, 2_000).docs());
+    // Books grown poll by poll, as the watch loop grows them.
+    for poll in 0..3 {
+        events.extend(trained().identify_events(crawl(0xB00C + poll, 80).docs()));
+        let book = LeadBook::build(events.clone());
+        let enc = encode_book(&book, 4);
+        let segments = enc
+            .segments
+            .iter()
+            .map(|s| match s {
+                Segment::Written(bytes) => Arc::new(Arena::Heap(bytes.clone())),
+                Segment::Linked => unreachable!("a cold encode writes every segment"),
+            })
+            .collect();
+        let mapped = MappedBook::open(Arc::new(Arena::Heap(enc.index)), segments).expect("open");
+        for c in book.companies() {
+            let (owned, owned_events) = book
+                .company_events(&c.company)
+                .unwrap_or_else(|| panic!("poll {poll}: listed {:?} does not resolve", c.company));
+            assert_eq!(owned, c, "poll {poll}: {:?} resolves elsewhere", c.company);
+            let (view, view_events) = mapped.company_events(&c.company).expect("mapped lookup");
+            assert_eq!((view.company, view.events), (c.company.as_str(), c.events));
+            let view_events: Vec<_> = view_events.iter().map(|v| v.to_event()).collect();
+            assert_eq!(owned_events.into_iter().cloned().collect::<Vec<_>>(), view_events);
+        }
+        // Every surface form an event names resolves to a listed company.
+        for surface in book.events().iter().flat_map(|e| &e.companies) {
+            assert!(
+                book.company_events(surface).is_some(),
+                "poll {poll}: surface {surface:?} resolves to no listed company"
+            );
+        }
+    }
+}
