@@ -8,20 +8,28 @@
 //!   length-prefixed event records plus an offset table — and one
 //!   **index** holding every ranking (global, per-driver, per-company)
 //!   as `(segment, idx)` references.
-//! * [`encode_book`] is the **cold** encode: it splits a [`LeadBook`]
+//! * [`encode_book`] is the **cold** encode: it splits a [`MappedBook`]
 //!   into `n` **base shards** keyed by each event's primary company
 //!   (driver id for company-less events).
 //! * [`encode_append`] is the **append** encode: it re-encodes a book on
 //!   top of the previous generation's segments ([`PrevSegment`]). Every
 //!   record already sealed there keeps its place; only unmatched
 //!   records are written, into one new **delta** segment.
-//! * [`MappedBook`] opens those containers over [`Arena`]s — usually
-//!   mmap-backed — and serves them **zero-copy**: string fields stay
-//!   offset+len views into the arena until response-write time. It
-//!   reads `(segment, idx)` refs whatever the layout.
-//! * [`BookHandle`] is the serving-layer wrapper that makes owned and
-//!   mapped books interchangeable behind one API ([`EventRef`] /
-//!   [`CompanyRef`] borrow from either).
+//! * Both encoders copy each record's sealed bytes and re-emit the
+//!   index with its directories (driver table, company table, name
+//!   keys, driver-code table) copied verbatim; only the segment counts
+//!   and the three ref blobs are rewritten. No publish re-encodes an
+//!   event, and driver codes always travel with their own book's code
+//!   table.
+//! * [`MappedBook`] opens those containers over [`Arena`]s and serves
+//!   them **zero-copy**: string fields stay offset+len views into the
+//!   arena until response-write time. It reads `(segment, idx)` refs
+//!   whatever the layout.
+//! * [`BookHandle`] is the one served book: a shared [`MappedBook`].
+//!   `From<LeadBook>` seals a freshly built book into heap arenas — one
+//!   segment in rank order plus the index — so built, extended,
+//!   text-loaded and mmap-loaded books all answer through the same
+//!   code, with [`EventView`] the one event type.
 //!
 //! ## Why append
 //!
@@ -67,6 +75,7 @@
 //! exists.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use etap_corpus::SalesDriver;
@@ -75,7 +84,6 @@ use etap_persist::{bin_open, fnv1a64, Arena, BinWriter, CodecError};
 use crate::aliases::AliasResolver;
 use crate::events::TriggerEvent;
 use crate::leads::LeadBook;
-use crate::rank::CompanyScore;
 
 /// `ETAPBIN` kind of one segment file (`shards/shard-NNNNN.leads2`).
 pub const SHARD_KIND: &str = "LEADS";
@@ -144,11 +152,8 @@ impl CodeMap {
 /// primary key (first company surface form, else the driver id) modulo
 /// the shard count.
 #[must_use]
-pub fn shard_of(event: &TriggerEvent, n_shards: u32) -> u32 {
-    let key = event
-        .companies
-        .first()
-        .map_or_else(|| event.driver.id(), String::as_str);
+pub fn shard_of(event: &EventView<'_>, n_shards: u32) -> u32 {
+    let key = event.companies().next().unwrap_or_else(|| event.driver().id());
     (fnv1a64(key.as_bytes()) % u64::from(n_shards.max(1))) as u32
 }
 
@@ -160,6 +165,12 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 fn put_ref(out: &mut Vec<u8>, (shard, idx): (u32, u32)) {
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(&idx.to_le_bytes());
+}
+
+/// Bytes [`encode_event`] writes for `e`.
+fn event_len(e: &TriggerEvent) -> usize {
+    const FIXED: usize = 1 + 8 + 8 + 4 + 4 + 4 + 2;
+    FIXED + e.url.len() + e.snippet.len() + e.companies.iter().map(|c| 4 + c.len()).sum::<usize>()
 }
 
 fn encode_event(out: &mut Vec<u8>, e: &TriggerEvent) {
@@ -187,8 +198,8 @@ pub enum Segment {
     Written(Vec<u8>),
 }
 
-/// A [`LeadBook`] serialized into `LEADS v2` containers, ready to be
-/// written or linked by the generation store.
+/// A book serialized into `LEADS v2` containers, ready to be written or
+/// linked by the generation store.
 #[derive(Debug)]
 pub struct EncodedBook {
     /// `segments[i]` is segment id `i`: base shards, then deltas.
@@ -197,65 +208,208 @@ pub struct EncodedBook {
     pub index: Vec<u8>,
 }
 
-/// Seal one segment holding `events` in order. `span` (publishes merged
-/// into the segment) is written for deltas only, so a base shard keeps
-/// its original 16-byte meta.
-fn seal_segment<'a>(
-    id: u32,
-    n_base: u32,
-    span: Option<u64>,
-    events: impl ExactSizeIterator<Item = &'a TriggerEvent>,
-) -> Vec<u8> {
+/// A segment's records laid end to end, with the offset table that
+/// finds each one.
+#[derive(Default)]
+struct Records {
+    count: usize,
+    offsets: Vec<u8>,
+    blob: Vec<u8>,
+}
+
+impl Records {
+    fn push(&mut self, rec: &[u8]) {
+        self.count += 1;
+        self.offsets.extend_from_slice(&(self.blob.len() as u64).to_le_bytes());
+        self.blob.extend_from_slice(rec);
+    }
+}
+
+/// A segment container of `count` records with its meta section
+/// written; the offset table and the records follow. `span` (publishes
+/// merged into the segment) is written for deltas only, so a base shard
+/// keeps its original 16-byte meta.
+fn segment_writer(id: u32, n_base: u32, span: Option<u64>, count: usize) -> BinWriter {
     let mut meta = Vec::with_capacity(24);
     meta.extend_from_slice(&id.to_le_bytes());
     meta.extend_from_slice(&n_base.to_le_bytes());
-    meta.extend_from_slice(&(events.len() as u64).to_le_bytes());
+    meta.extend_from_slice(&(count as u64).to_le_bytes());
     if let Some(span) = span {
         meta.extend_from_slice(&span.to_le_bytes());
     }
-    let mut records = Vec::new();
-    let mut offsets = Vec::with_capacity(events.len() * 8);
-    for e in events {
-        offsets.extend_from_slice(&(records.len() as u64).to_le_bytes());
-        encode_event(&mut records, e);
-    }
     let version = if span.is_some() { LEADS2_APPEND_VERSION } else { LEADS2_VERSION };
     let mut w = BinWriter::new(SHARD_KIND, version);
-    w.section(meta).section(offsets).section(records);
+    w.section(meta);
+    w
+}
+
+/// Seal one segment holding `records` in order.
+fn seal_segment(id: u32, n_base: u32, span: Option<u64>, records: Records) -> Vec<u8> {
+    let mut w = segment_writer(id, n_base, span, records.count);
+    w.section(records.offsets).section(records.blob);
     w.finish()
+}
+
+/// Seal an index over segments holding `counts[i]` records each:
+/// section 0 (meta + counts) is written here, `sections` are 1.. in
+/// order. When deltas follow the base shards the index is an append
+/// container and the meta word after the segment count is `n_base`;
+/// otherwise that word is 0 and the index is byte-identical to the
+/// pre-append format.
+fn seal_index(counts: &[usize], n_base: u32, total: usize, sections: Vec<Vec<u8>>) -> Vec<u8> {
+    let n_segments = counts.len() as u32;
+    let mut meta = Vec::with_capacity(16 + counts.len() * 8);
+    meta.extend_from_slice(&n_segments.to_le_bytes());
+    let appended = n_segments != n_base;
+    meta.extend_from_slice(&(if appended { n_base } else { 0 }).to_le_bytes());
+    meta.extend_from_slice(&(total as u64).to_le_bytes());
+    for &c in counts {
+        meta.extend_from_slice(&(c as u64).to_le_bytes());
+    }
+    let version = if appended { LEADS2_APPEND_VERSION } else { LEADS2_VERSION };
+    let mut w = BinWriter::new(INDEX_KIND, version);
+    w.section(meta);
+    for s in sections {
+        w.section(s);
+    }
+    w.finish()
+}
+
+/// Seal a freshly built book as one segment holding every event in rank
+/// order, plus its index: `(index, segment)`. The only encoder that
+/// reads a [`LeadBook`]; every later encode copies these bytes.
+fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
+    let events = book.events();
+    // Records are encoded straight into the sealed container, so the
+    // book's bytes are never held twice.
+    let mut offsets = Vec::with_capacity(events.len() * 8);
+    let mut len = 0;
+    for e in events {
+        offsets.extend_from_slice(&(len as u64).to_le_bytes());
+        len += event_len(e);
+    }
+    let mut w = segment_writer(0, 1, None, events.len());
+    w.section(offsets);
+    let segment = w.finish_with(len, |out| events.iter().for_each(|e| encode_event(out, e)));
+    let at = |gi: usize| (0, gi as u32);
+
+    // Section 1: the global ranking.
+    let mut rank_bytes = Vec::with_capacity(events.len() * 8);
+    for gi in 0..events.len() {
+        put_ref(&mut rank_bytes, at(gi));
+    }
+
+    // Sections 2+3: per-driver directory + refs blob.
+    let by_driver = book.by_driver_raw();
+    let mut driver_dir = Vec::new();
+    let mut driver_refs = Vec::new();
+    driver_dir.extend_from_slice(&(by_driver.len() as u32).to_le_bytes());
+    for (d, idxs) in by_driver {
+        let off = (driver_refs.len() / 8) as u64;
+        for &gi in idxs {
+            put_ref(&mut driver_refs, at(gi));
+        }
+        driver_dir.push(driver_code(*d));
+        driver_dir.extend_from_slice(&[0, 0, 0]);
+        driver_dir.extend_from_slice(&off.to_le_bytes());
+        driver_dir.extend_from_slice(&(idxs.len() as u64).to_le_bytes());
+    }
+
+    // Sections 4+5: company directory (MRR order) + refs blob.
+    let companies = book.companies();
+    let mut company_dir = Vec::new();
+    let mut company_refs = Vec::new();
+    company_dir.extend_from_slice(&(companies.len() as u64).to_le_bytes());
+    for c in companies {
+        let off = (company_refs.len() / 8) as u64;
+        let idxs = book
+            .by_company_raw()
+            .get(&c.company)
+            .map_or(&[][..], Vec::as_slice);
+        for &gi in idxs {
+            put_ref(&mut company_refs, at(gi));
+        }
+        put_str(&mut company_dir, &c.company);
+        company_dir.extend_from_slice(&c.mrr.to_bits().to_le_bytes());
+        company_dir.extend_from_slice(&(c.events as u64).to_le_bytes());
+        company_dir.extend_from_slice(&off.to_le_bytes());
+        company_dir.extend_from_slice(&(idxs.len() as u64).to_le_bytes());
+    }
+
+    // Section 6: normalized-name lookup keys, sorted for determinism.
+    let canon_idx: HashMap<&str, u64> = companies
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c.company.as_str(), i as u64))
+        .collect();
+    let mut keys: Vec<(&String, &String)> = book.name_keys_raw().iter().collect();
+    keys.sort();
+    let entries: Vec<(&String, u64)> = keys
+        .iter()
+        .filter_map(|(k, canon)| canon_idx.get(canon.as_str()).map(|&i| (*k, i)))
+        .collect();
+    let mut name_keys = Vec::new();
+    name_keys.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    for (k, i) in entries {
+        put_str(&mut name_keys, k);
+        name_keys.extend_from_slice(&i.to_le_bytes());
+    }
+
+    let mut sections = vec![
+        rank_bytes,
+        driver_dir,
+        driver_refs,
+        company_dir,
+        company_refs,
+        name_keys,
+    ];
+
+    // Optional section 7: code→key table for registered (non-builtin)
+    // drivers. Omitted entirely when only built-ins are present, which
+    // keeps those indexes byte-identical to the pre-registry format.
+    let custom: Vec<SalesDriver> = by_driver
+        .iter()
+        .map(|(d, _)| *d)
+        .filter(|d| !d.is_builtin())
+        .collect();
+    if !custom.is_empty() {
+        let mut tbl = Vec::new();
+        tbl.extend_from_slice(&(custom.len() as u32).to_le_bytes());
+        for d in &custom {
+            tbl.push(driver_code(*d));
+            put_str(&mut tbl, d.id());
+        }
+        sections.push(tbl);
+    }
+    (seal_index(&[events.len()], 1, events.len(), sections), segment)
 }
 
 /// Serialize `book` cold into `n_shards` base shards plus one index.
 ///
 /// Deterministic: the same book produces byte-identical output.
 #[must_use]
-pub fn encode_book(book: &LeadBook, n_shards: u32) -> EncodedBook {
+pub fn encode_book(book: &MappedBook, n_shards: u32) -> EncodedBook {
     let n_shards = n_shards.max(1);
-    let events = book.events();
-
-    // Assign events to shards in global rank order; remember each
-    // event's (shard, idx-within-shard) reference.
-    let mut shard_events: Vec<Vec<usize>> = vec![Vec::new(); n_shards as usize];
-    let mut rank_refs: Vec<(u32, u32)> = Vec::with_capacity(events.len());
-    for (i, e) in events.iter().enumerate() {
-        let s = shard_of(e, n_shards);
-        let idx = shard_events[s as usize].len() as u32;
-        shard_events[s as usize].push(i);
-        rank_refs.push((s, idx));
+    // Assign records to shards in global rank order; remember where
+    // each one moved.
+    let mut moved = book.moves();
+    let mut shards: Vec<Records> = (0..n_shards).map(|_| Records::default()).collect();
+    for (old, rec) in book.ranked_records() {
+        let Some(e) = book.decode(rec) else { continue };
+        let sid = shard_of(&e, n_shards);
+        let shard = &mut shards[sid as usize];
+        moved.set(old, (sid, shard.count as u32));
+        shard.push(rec);
     }
-
-    let segments = shard_events
-        .iter()
+    let counts: Vec<usize> = shards.iter().map(|s| s.count).collect();
+    let segments = shards
+        .into_iter()
         .enumerate()
-        .map(|(sid, idxs)| {
-            let events = idxs.iter().map(|&i| &events[i]);
-            Segment::Written(seal_segment(sid as u32, n_shards, None, events))
-        })
+        .map(|(sid, recs)| Segment::Written(seal_segment(sid as u32, n_shards, None, recs)))
         .collect();
-    let counts: Vec<usize> = shard_events.iter().map(Vec::len).collect();
     EncodedBook {
         segments,
-        index: seal_index(book, &rank_refs, &counts, n_shards),
+        index: book.reseal_index(&moved, &counts, n_shards),
     }
 }
 
@@ -313,15 +467,15 @@ impl<'a> PrevSegment<'a> {
 
 /// Re-encode `book` on top of the previous generation's segments
 /// (`prev[i]` is segment `i`; `None` when it is missing or failed its
-/// checksum, so it cannot be reused). See the module docs for the
-/// layout, merge and cold rules.
+/// checksum, so it cannot be reused). Records match by their sealed
+/// bytes. See the module docs for the layout, merge and cold rules.
 ///
 /// Returns `None` when the book must be encoded cold instead: the
 /// previous generation has fewer than `n_base` segments, or the deltas
 /// would hold as many records as the reused base shards.
 #[must_use]
 pub fn encode_append(
-    book: &LeadBook,
+    book: &MappedBook,
     n_base: u32,
     prev: &[Option<PrevSegment<'_>>],
 ) -> Option<EncodedBook> {
@@ -329,9 +483,9 @@ pub fn encode_append(
     if base == 0 || prev.len() < base {
         return None;
     }
-    let events = book.events();
+    let ranked: Vec<((u32, u32), &[u8])> = book.ranked_records().collect();
 
-    // Pair each event with a previous record of identical bytes; equal
+    // Pair each record with a previous record of identical bytes; equal
     // records pair in segment order, so the result is deterministic.
     let mut table: HashMap<&[u8], Vec<(u32, u32)>> = HashMap::new();
     for (sid, seg) in prev.iter().enumerate().rev() {
@@ -340,13 +494,10 @@ pub fn encode_append(
         }
     }
     let mut live = vec![0usize; prev.len()];
-    let mut scratch = Vec::new();
-    let matched: Vec<Option<(u32, u32)>> = events
+    let matched: Vec<Option<(u32, u32)>> = ranked
         .iter()
-        .map(|e| {
-            scratch.clear();
-            encode_event(&mut scratch, e);
-            let found = table.get_mut(scratch.as_slice()).and_then(Vec::pop);
+        .map(|(_, rec)| {
+            let found = table.get_mut(rec).and_then(Vec::pop);
             if let Some((sid, _)) = found {
                 live[sid as usize] += 1;
             }
@@ -395,25 +546,25 @@ pub fn encode_append(
     // Segments below the tail keep their ids: reused, or emptied.
     let tail_sid = base + tail;
     let keep: Vec<bool> = (0..tail_sid).map(reused).collect();
-    let mut tail_events = Vec::new();
-    let rank_refs: Vec<(u32, u32)> = matched
-        .iter()
-        .enumerate()
-        .map(|(i, m)| match *m {
+    let mut moved = book.moves();
+    let mut tail_records = Records::default();
+    for (&(old, rec), m) in ranked.iter().zip(&matched) {
+        let at = match *m {
             Some((sid, idx)) if keep.get(sid as usize) == Some(&true) => (sid, idx),
             _ => {
-                tail_events.push(i);
-                (tail_sid as u32, (tail_events.len() - 1) as u32)
+                tail_records.push(rec);
+                (tail_sid as u32, (tail_records.count - 1) as u32)
             }
-        })
-        .collect();
+        };
+        moved.set(old, at);
+    }
 
     let mut segments: Vec<Segment> = keep
         .iter()
         .enumerate()
         .map(|(sid, &kept)| match kept {
             true => Segment::Linked,
-            false => Segment::Written(seal_segment(sid as u32, n_base, None, std::iter::empty())),
+            false => Segment::Written(seal_segment(sid as u32, n_base, None, Records::default())),
         })
         .collect();
     let mut counts: Vec<usize> = keep
@@ -422,132 +573,41 @@ pub fn encode_append(
         .map(|(&kept, &n)| if kept { n } else { 0 })
         .collect();
     if let Some(&(records, span)) = stack.get(tail) {
-        debug_assert_eq!(records, tail_events.len());
-        let members = tail_events.iter().map(|&i| &events[i]);
-        segments.push(Segment::Written(seal_segment(
-            tail_sid as u32,
-            n_base,
-            Some(span),
-            members,
-        )));
+        debug_assert_eq!(records, tail_records.count);
+        let delta = seal_segment(tail_sid as u32, n_base, Some(span), tail_records);
+        segments.push(Segment::Written(delta));
         counts.push(records);
     }
     Some(EncodedBook {
         segments,
-        index: seal_index(book, &rank_refs, &counts, n_base),
+        index: book.reseal_index(&moved, &counts, n_base),
     })
 }
 
-/// Seal the index: every ranking as `(segment, idx)` refs into segments
-/// holding `counts[i]` records each. When deltas follow the base shards
-/// the index is an append container and the meta word after the segment
-/// count is `n_base`; otherwise that word is 0 and the index is
-/// byte-identical to the pre-append format.
-fn seal_index(book: &LeadBook, rank_refs: &[(u32, u32)], counts: &[usize], n_base: u32) -> Vec<u8> {
-    // Section 0: meta + per-segment counts.
-    let n_segments = counts.len() as u32;
-    let mut meta = Vec::with_capacity(16 + counts.len() * 8);
-    meta.extend_from_slice(&n_segments.to_le_bytes());
-    let appended = n_segments != n_base;
-    meta.extend_from_slice(&(if appended { n_base } else { 0 }).to_le_bytes());
-    meta.extend_from_slice(&(rank_refs.len() as u64).to_le_bytes());
-    for &c in counts {
-        meta.extend_from_slice(&(c as u64).to_le_bytes());
-    }
+/// Where an encode put each record of the book it read:
+/// `at[segment][idx]` is the record's new `(segment, idx)` ref.
+struct Moves {
+    at: Vec<Vec<(u32, u32)>>,
+}
 
-    // Section 1: the global ranking as (segment, idx) refs.
-    let mut rank_bytes = Vec::with_capacity(rank_refs.len() * 8);
-    for &r in rank_refs {
-        put_ref(&mut rank_bytes, r);
-    }
+impl Moves {
+    /// The ref written for a record that was not placed (only a corrupt
+    /// book has one); it resolves to no event.
+    const NOWHERE: (u32, u32) = (u32::MAX, u32::MAX);
 
-    // Sections 2+3: per-driver directory + refs blob.
-    let by_driver = book.by_driver_raw();
-    let mut driver_dir = Vec::new();
-    let mut driver_refs = Vec::new();
-    driver_dir.extend_from_slice(&(by_driver.len() as u32).to_le_bytes());
-    for (d, idxs) in by_driver {
-        let off = (driver_refs.len() / 8) as u64;
-        for &gi in idxs {
-            put_ref(&mut driver_refs, rank_refs[gi]);
+    fn set(&mut self, (sid, idx): (u32, u32), to: (u32, u32)) {
+        if let Some(slot) = self.at.get_mut(sid as usize).and_then(|s| s.get_mut(idx as usize)) {
+            *slot = to;
         }
-        driver_dir.push(driver_code(*d));
-        driver_dir.extend_from_slice(&[0, 0, 0]);
-        driver_dir.extend_from_slice(&off.to_le_bytes());
-        driver_dir.extend_from_slice(&(idxs.len() as u64).to_le_bytes());
     }
 
-    // Sections 4+5: company directory (MRR order) + refs blob.
-    let companies = book.companies();
-    let mut company_dir = Vec::new();
-    let mut company_refs = Vec::new();
-    company_dir.extend_from_slice(&(companies.len() as u64).to_le_bytes());
-    for c in companies {
-        let off = (company_refs.len() / 8) as u64;
-        let idxs = book
-            .by_company_raw()
-            .get(&c.company)
-            .map_or(&[][..], Vec::as_slice);
-        for &gi in idxs {
-            put_ref(&mut company_refs, rank_refs[gi]);
-        }
-        put_str(&mut company_dir, &c.company);
-        company_dir.extend_from_slice(&c.mrr.to_bits().to_le_bytes());
-        company_dir.extend_from_slice(&(c.events as u64).to_le_bytes());
-        company_dir.extend_from_slice(&off.to_le_bytes());
-        company_dir.extend_from_slice(&(idxs.len() as u64).to_le_bytes());
+    fn get(&self, (sid, idx): (u32, u32)) -> (u32, u32) {
+        self.at
+            .get(sid as usize)
+            .and_then(|s| s.get(idx as usize))
+            .copied()
+            .unwrap_or(Self::NOWHERE)
     }
-
-    // Section 6: normalized-name lookup keys, sorted for determinism.
-    let canon_idx: HashMap<&str, u64> = companies
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.company.as_str(), i as u64))
-        .collect();
-    let mut keys: Vec<(&String, &String)> = book.name_keys_raw().iter().collect();
-    keys.sort();
-    let entries: Vec<(&String, u64)> = keys
-        .iter()
-        .filter_map(|(k, canon)| canon_idx.get(canon.as_str()).map(|&i| (*k, i)))
-        .collect();
-    let mut name_keys = Vec::new();
-    name_keys.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (k, i) in entries {
-        put_str(&mut name_keys, k);
-        name_keys.extend_from_slice(&i.to_le_bytes());
-    }
-
-    // Optional section 7: code→key table for registered (non-builtin)
-    // drivers. Omitted entirely when only built-ins are present, which
-    // keeps those indexes byte-identical to the pre-registry format.
-    let custom: Vec<SalesDriver> = by_driver
-        .iter()
-        .map(|(d, _)| *d)
-        .filter(|d| !d.is_builtin())
-        .collect();
-    let code_table = (!custom.is_empty()).then(|| {
-        let mut tbl = Vec::new();
-        tbl.extend_from_slice(&(custom.len() as u32).to_le_bytes());
-        for d in &custom {
-            tbl.push(driver_code(*d));
-            put_str(&mut tbl, d.id());
-        }
-        tbl
-    });
-
-    let version = if appended { LEADS2_APPEND_VERSION } else { LEADS2_VERSION };
-    let mut w = BinWriter::new(INDEX_KIND, version);
-    w.section(meta)
-        .section(rank_bytes)
-        .section(driver_dir)
-        .section(driver_refs)
-        .section(company_dir)
-        .section(company_refs)
-        .section(name_keys);
-    if let Some(tbl) = code_table {
-        w.section(tbl);
-    }
-    w.finish()
 }
 
 /// A bounds-checked forward cursor over a byte slice; every read fails
@@ -602,8 +662,8 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// A lazily decoded event inside a mapped shard: the string fields are
-/// views into the arena, copied only if the caller owns them.
+/// A lazily decoded event inside a sealed segment: the string fields
+/// are views into the arena, copied only if the caller owns them.
 #[derive(Debug, Clone, Copy)]
 pub struct EventView<'a> {
     driver: SalesDriver,
@@ -679,25 +739,29 @@ impl<'a> EventView<'a> {
         self.snippet
     }
 
-    /// Company surface forms, borrowed from the arena.
-    #[must_use]
-    pub fn companies(&self) -> Vec<&'a str> {
+    /// Company surface forms in extraction order, borrowed from the
+    /// arena.
+    pub fn companies(&self) -> impl Iterator<Item = &'a str> {
         let mut c = Cur::new(self.companies);
-        (0..self.n_companies)
-            .filter_map(|_| c.str_view().ok())
-            .collect()
+        (0..self.n_companies).map_while(move |_| c.str_view().ok())
+    }
+
+    /// Company surface forms, collected.
+    #[must_use]
+    pub fn companies_vec(&self) -> Vec<&'a str> {
+        self.companies().collect()
     }
 
     /// Copy into an owned [`TriggerEvent`].
     #[must_use]
-    pub fn to_event(&self) -> TriggerEvent {
+    pub fn to_owned_event(&self) -> TriggerEvent {
         TriggerEvent {
             driver: self.driver,
             doc_id: self.doc_id(),
             url: self.url.to_string(),
             snippet: self.snippet.to_string(),
             score: self.score,
-            companies: self.companies().iter().map(ToString::to_string).collect(),
+            companies: self.companies().map(ToString::to_string).collect(),
             doc_date: self.date,
         }
     }
@@ -737,10 +801,12 @@ struct CompanyEntry {
     count: usize,
 }
 
-/// A lead book served directly from `LEADS v2` arenas — usually mmap'd
-/// files — without materializing events. The small directories (driver
-/// table, company table, name keys) are decoded eagerly, O(#companies);
-/// the event records and all ranking refs stay in the arenas.
+/// A lead book served directly from `LEADS v2` arenas — mmap'd files
+/// for a loaded generation, heap buffers for a book sealed in this
+/// process — without materializing events. The small directories
+/// (driver table, company table, name keys) are decoded eagerly,
+/// O(#companies); the event records and all ranking refs stay in the
+/// arenas.
 #[derive(Debug)]
 pub struct MappedBook {
     index: Arc<Arena>,
@@ -753,6 +819,9 @@ pub struct MappedBook {
     company_refs: (usize, usize),
     name_keys: HashMap<String, usize>,
     codes: CodeMap,
+    /// Index sections an encode copies verbatim: the driver and company
+    /// directories, the name keys and, when present, the code table.
+    directories: Vec<(usize, usize)>,
 }
 
 impl MappedBook {
@@ -793,7 +862,7 @@ impl MappedBook {
         for _ in 0..n_segments {
             counts.push(c.u64()? as usize);
         }
-        if counts.iter().sum::<usize>() != total {
+        if counts.iter().try_fold(0usize, |sum, &n| sum.checked_add(n)) != Some(total) {
             return Err(malformed("segment counts do not sum to total".into()));
         }
         if shard_arenas.len() != n_segments {
@@ -822,7 +891,7 @@ impl MappedBook {
                 )));
             }
             let offsets = sv.section_range(1)?;
-            if offsets.1 != count * 8 {
+            if count.checked_mul(8) != Some(offsets.1) {
                 return Err(malformed(format!("shard {sid} offset table length")));
             }
             let records = sv.section_range(2)?;
@@ -835,14 +904,17 @@ impl MappedBook {
         }
 
         let rank_refs = iv.section_range(1)?;
-        if rank_refs.1 != total * 8 {
+        if total.checked_mul(8) != Some(rank_refs.1) {
             return Err(malformed("rank table length".into()));
         }
 
         // The trailing code→key table (absent on builtin-only books)
         // decodes first: the driver directory below resolves through it.
         let mut codes = CodeMap::default();
+        let mut directories =
+            vec![iv.section_range(2)?, iv.section_range(4)?, iv.section_range(6)?];
         if iv.section_count() > 7 {
+            directories.push(iv.section_range(7)?);
             let mut c = Cur::new(iv.section(7)?);
             let n = c.u32()? as usize;
             let n = c.count(n, 5)?;
@@ -870,7 +942,8 @@ impl MappedBook {
                 .ok_or_else(|| malformed(format!("unknown driver code {code}")))?;
             if refs_off
                 .checked_add(count)
-                .is_none_or(|end| end * 8 > driver_refs.1)
+                .and_then(|end| end.checked_mul(8))
+                .is_none_or(|end| end > driver_refs.1)
             {
                 return Err(malformed(format!("driver {} refs out of bounds", driver.id())));
             }
@@ -894,7 +967,8 @@ impl MappedBook {
             let count = c.u64()? as usize;
             if refs_off
                 .checked_add(count)
-                .is_none_or(|end| end * 8 > company_refs.1)
+                .and_then(|end| end.checked_mul(8))
+                .is_none_or(|end| end > company_refs.1)
             {
                 return Err(malformed(format!("company {name:?} refs out of bounds")));
             }
@@ -931,6 +1005,7 @@ impl MappedBook {
             company_refs,
             name_keys,
             codes,
+            directories,
         })
     }
 
@@ -976,19 +1051,39 @@ impl MappedBook {
         Some((shard, idx))
     }
 
-    /// The event at a `(shard, idx)` reference, if structurally valid.
-    #[must_use]
-    pub fn event_at(&self, shard: u32, idx: u32) -> Option<EventView<'_>> {
+    /// The sealed bytes of the record at a `(shard, idx)` reference, if
+    /// structurally valid.
+    fn record(&self, (shard, idx): (u32, u32)) -> Option<&[u8]> {
         let sm = self.shards.get(shard as usize)?;
-        if idx as usize >= sm.count {
+        let idx = idx as usize;
+        if idx >= sm.count {
             return None;
         }
         let b = sm.arena.bytes();
-        let off_at = sm.offsets.0 + idx as usize * 8;
-        let rec_off =
-            u64::from_le_bytes(b.get(off_at..off_at + 8)?.try_into().ok()?) as usize;
-        let rec = b.get(sm.records.0 + rec_off..sm.records.0 + sm.records.1)?;
+        let offset = |i: usize| -> Option<usize> {
+            let at = sm.offsets.0 + i * 8;
+            Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?) as usize)
+        };
+        let start = offset(idx)?;
+        let end = if idx + 1 < sm.count { offset(idx + 1)? } else { sm.records.1 };
+        b.get(sm.records.0..sm.records.0 + sm.records.1)?.get(start..end)
+    }
+
+    fn decode<'a>(&self, rec: &'a [u8]) -> Option<EventView<'a>> {
         EventView::decode(rec, &self.codes).ok()
+    }
+
+    /// The event at a `(shard, idx)` reference, if structurally valid.
+    #[must_use]
+    pub fn event_at(&self, shard: u32, idx: u32) -> Option<EventView<'_>> {
+        self.decode(self.record((shard, idx))?)
+    }
+
+    /// Every resolvable record in global rank order, with its ref.
+    fn ranked_records(&self) -> impl Iterator<Item = ((u32, u32), &[u8])> {
+        (0..self.total)
+            .filter_map(|i| self.ref_at(self.rank_refs, i))
+            .filter_map(|r| Some((r, self.record(r)?)))
     }
 
     fn events_from(&self, refs: (usize, usize), off: usize, n: usize) -> Vec<EventView<'_>> {
@@ -996,6 +1091,42 @@ impl MappedBook {
             .filter_map(|i| self.ref_at(refs, i))
             .filter_map(|(s, x)| self.event_at(s, x))
             .collect()
+    }
+
+    /// An empty [`Moves`] table shaped like this book's segments.
+    fn moves(&self) -> Moves {
+        Moves {
+            at: self.shards.iter().map(|s| vec![Moves::NOWHERE; s.count]).collect(),
+        }
+    }
+
+    /// Re-emit this book's index for records placed by `moved` into
+    /// segments holding `counts[i]` records each: the three ref blobs
+    /// are rewritten through `moved`, every directory is copied.
+    fn reseal_index(&self, moved: &Moves, counts: &[usize], n_base: u32) -> Vec<u8> {
+        let bytes = |(start, len): (usize, usize)| &self.index.bytes()[start..start + len];
+        let remap = |refs: (usize, usize)| {
+            let mut out = Vec::with_capacity(refs.1);
+            for r in bytes(refs).chunks_exact(8) {
+                let old = (
+                    u32::from_le_bytes(r[..4].try_into().expect("4 bytes")),
+                    u32::from_le_bytes(r[4..].try_into().expect("4 bytes")),
+                );
+                put_ref(&mut out, moved.get(old));
+            }
+            out
+        };
+        let copy = |i: usize| bytes(self.directories[i]).to_vec();
+        let mut sections = vec![
+            remap(self.rank_refs),
+            copy(0),
+            remap(self.driver_refs),
+            copy(1),
+            remap(self.company_refs),
+            copy(2),
+        ];
+        sections.extend((3..self.directories.len()).map(copy));
+        seal_index(counts, n_base, self.total, sections)
     }
 
     /// The top `top` events across all drivers (best first).
@@ -1060,7 +1191,7 @@ impl MappedBook {
     /// purpose if called per request.
     #[must_use]
     pub fn events_owned(&self) -> Vec<TriggerEvent> {
-        self.top(self.total).iter().map(EventView::to_event).collect()
+        self.top(self.total).iter().map(EventView::to_owned_event).collect()
     }
 }
 
@@ -1074,7 +1205,7 @@ impl CompanyEntry {
     }
 }
 
-/// A company ranking entry borrowed from either book backing.
+/// A company ranking entry borrowed from a book's company directory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompanyRef<'a> {
     /// Canonical company name.
@@ -1085,281 +1216,58 @@ pub struct CompanyRef<'a> {
     pub events: usize,
 }
 
-impl<'a> From<&'a CompanyScore> for CompanyRef<'a> {
-    fn from(c: &'a CompanyScore) -> Self {
-        Self {
-            company: &c.company,
-            mrr: c.mrr,
-            events: c.events,
-        }
-    }
-}
-
-/// An event borrowed from either book backing: a reference into an
-/// owned [`LeadBook`] or a zero-copy [`EventView`] into an arena.
-#[derive(Debug, Clone, Copy)]
-pub enum EventRef<'a> {
-    /// Borrowed from an owned book.
-    Owned(&'a TriggerEvent),
-    /// Decoded view into a mapped arena.
-    View(EventView<'a>),
-}
-
-impl<'a> EventRef<'a> {
-    /// The event's sales driver.
-    #[must_use]
-    pub fn driver(&self) -> SalesDriver {
-        match self {
-            EventRef::Owned(e) => e.driver,
-            EventRef::View(v) => v.driver(),
-        }
-    }
-
-    /// Source document id.
-    #[must_use]
-    pub fn doc_id(&self) -> usize {
-        match self {
-            EventRef::Owned(e) => e.doc_id,
-            EventRef::View(v) => v.doc_id(),
-        }
-    }
-
-    /// Classifier confidence.
-    #[must_use]
-    pub fn score(&self) -> f64 {
-        match self {
-            EventRef::Owned(e) => e.score,
-            EventRef::View(v) => v.score(),
-        }
-    }
-
-    /// Publication date `(year, month, day)`.
-    #[must_use]
-    pub fn date(&self) -> (u16, u8, u8) {
-        match self {
-            EventRef::Owned(e) => e.doc_date,
-            EventRef::View(v) => v.date(),
-        }
-    }
-
-    /// Source URL.
-    #[must_use]
-    pub fn url(&self) -> &'a str {
-        match self {
-            EventRef::Owned(e) => &e.url,
-            EventRef::View(v) => v.url(),
-        }
-    }
-
-    /// Snippet text.
-    #[must_use]
-    pub fn snippet(&self) -> &'a str {
-        match self {
-            EventRef::Owned(e) => &e.snippet,
-            EventRef::View(v) => v.snippet(),
-        }
-    }
-
-    /// Company surface forms.
-    #[must_use]
-    pub fn companies_vec(&self) -> Vec<&'a str> {
-        match self {
-            EventRef::Owned(e) => e.companies.iter().map(String::as_str).collect(),
-            EventRef::View(v) => v.companies(),
-        }
-    }
-
-    /// Copy into an owned [`TriggerEvent`].
-    #[must_use]
-    pub fn to_owned_event(&self) -> TriggerEvent {
-        match self {
-            EventRef::Owned(e) => (*e).clone(),
-            EventRef::View(v) => v.to_event(),
-        }
-    }
-}
-
-/// The serving-layer book: an owned [`LeadBook`] or a zero-copy
-/// [`MappedBook`], behind one ranking/query API. Cloning a mapped
-/// handle is an `Arc` bump; cloning an owned handle deep-copies.
+/// The served lead book: one shared [`MappedBook`], queried through
+/// `Deref`. A loaded binary generation maps its files; every other book
+/// (built, extended, or loaded from text) is sealed into heap arenas by
+/// `From<LeadBook>`. Cloning is an `Arc` bump.
 #[derive(Debug, Clone)]
-pub enum BookHandle {
-    /// Heap-owned book built from events in this process.
-    Owned(LeadBook),
-    /// Book served from mapped `LEADS v2` arenas.
-    Mapped(Arc<MappedBook>),
-}
+pub struct BookHandle(Arc<MappedBook>);
 
 impl From<LeadBook> for BookHandle {
     fn from(book: LeadBook) -> Self {
-        BookHandle::Owned(book)
+        let (index, segment) = seal(&book);
+        let heap = |bytes| Arc::new(Arena::Heap(bytes));
+        MappedBook::open(heap(index), vec![heap(segment)])
+            .expect("a freshly sealed book opens")
+            .into()
     }
 }
 
-impl From<Arc<MappedBook>> for BookHandle {
-    fn from(book: Arc<MappedBook>) -> Self {
-        BookHandle::Mapped(book)
+impl From<MappedBook> for BookHandle {
+    fn from(book: MappedBook) -> Self {
+        Self(Arc::new(book))
+    }
+}
+
+impl Deref for BookHandle {
+    type Target = MappedBook;
+
+    fn deref(&self) -> &MappedBook {
+        &self.0
     }
 }
 
 impl PartialEq for BookHandle {
-    /// Semantic equality: two handles are equal when they rank the same
-    /// events identically, regardless of backing. Owned-vs-owned
-    /// compares the full books; any mapped side compares materialized
-    /// events (test/migration use — not a hot path).
+    /// Semantic equality: both books rank the same events identically,
+    /// whatever their layout (test and migration use, not a hot path).
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (BookHandle::Owned(a), BookHandle::Owned(b)) => a == b,
-            _ => self.events_owned() == other.events_owned(),
-        }
+        self.events_owned() == other.events_owned()
     }
 }
 
 impl BookHandle {
-    /// Total ranked events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            BookHandle::Owned(b) => b.len(),
-            BookHandle::Mapped(m) => m.len(),
-        }
-    }
-
-    /// Whether the book holds no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when served from mapped arenas rather than owned heap.
+    /// True when the book is served from file mappings (a loaded binary
+    /// generation), false when sealed into heap arenas.
     #[must_use]
     pub fn is_mapped(&self) -> bool {
-        matches!(self, BookHandle::Mapped(_))
-    }
-
-    /// The owned book, when this handle is the owned backing.
-    #[must_use]
-    pub fn as_owned(&self) -> Option<&LeadBook> {
-        match self {
-            BookHandle::Owned(b) => Some(b),
-            BookHandle::Mapped(_) => None,
-        }
-    }
-
-    /// The mapped book, when this handle is the mapped backing.
-    #[must_use]
-    pub fn as_mapped(&self) -> Option<&Arc<MappedBook>> {
-        match self {
-            BookHandle::Owned(_) => None,
-            BookHandle::Mapped(m) => Some(m),
-        }
-    }
-
-    /// Approximate resident/mapped size in bytes, for observability.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            BookHandle::Owned(b) => b
-                .events()
-                .iter()
-                .map(|e| {
-                    std::mem::size_of::<TriggerEvent>()
-                        + e.url.len()
-                        + e.snippet.len()
-                        + e.companies.iter().map(String::len).sum::<usize>()
-                })
-                .sum(),
-            BookHandle::Mapped(m) => m.arena_bytes(),
-        }
-    }
-
-    /// The top `top` events across all drivers (best first).
-    #[must_use]
-    pub fn top(&self, top: usize) -> Vec<EventRef<'_>> {
-        match self {
-            BookHandle::Owned(b) => b.top(top).iter().map(EventRef::Owned).collect(),
-            BookHandle::Mapped(m) => m.top(top).into_iter().map(EventRef::View).collect(),
-        }
-    }
-
-    /// The top `top` events for one driver (best first).
-    #[must_use]
-    pub fn top_for(&self, driver: SalesDriver, top: usize) -> Vec<EventRef<'_>> {
-        match self {
-            BookHandle::Owned(b) => b.top_for(driver, top).into_iter().map(EventRef::Owned).collect(),
-            BookHandle::Mapped(m) => m.top_for(driver, top).into_iter().map(EventRef::View).collect(),
-        }
-    }
-
-    /// Total events for one driver.
-    #[must_use]
-    pub fn driver_total(&self, driver: SalesDriver) -> usize {
-        match self {
-            BookHandle::Owned(b) => b
-                .by_driver_raw()
-                .iter()
-                .find(|(d, _)| *d == driver)
-                .map_or(0, |(_, idxs)| idxs.len()),
-            BookHandle::Mapped(m) => m.driver_total(driver),
-        }
-    }
-
-    /// Drivers present, in canonical order.
-    #[must_use]
-    pub fn drivers(&self) -> Vec<SalesDriver> {
-        match self {
-            BookHandle::Owned(b) => b.drivers(),
-            BookHandle::Mapped(m) => m.drivers(),
-        }
-    }
-
-    /// Number of ranked companies.
-    #[must_use]
-    pub fn companies_len(&self) -> usize {
-        match self {
-            BookHandle::Owned(b) => b.companies().len(),
-            BookHandle::Mapped(m) => m.companies_len(),
-        }
-    }
-
-    /// The top `top` companies by MRR (best first).
-    #[must_use]
-    pub fn companies_top(&self, top: usize) -> Vec<CompanyRef<'_>> {
-        match self {
-            BookHandle::Owned(b) => b.companies().iter().take(top).map(CompanyRef::from).collect(),
-            BookHandle::Mapped(m) => m.companies_top(top),
-        }
-    }
-
-    /// A company's MRR entry and its events, by any name variation.
-    #[must_use]
-    pub fn company_events(&self, name: &str) -> Option<(CompanyRef<'_>, Vec<EventRef<'_>>)> {
-        match self {
-            BookHandle::Owned(b) => b.company_events(name).map(|(c, evs)| {
-                (
-                    CompanyRef::from(c),
-                    evs.into_iter().map(EventRef::Owned).collect(),
-                )
-            }),
-            BookHandle::Mapped(m) => m.company_events(name).map(|(c, evs)| {
-                (c, evs.into_iter().map(EventRef::View).collect())
-            }),
-        }
-    }
-
-    /// Copy every event out in global rank order (owned structures).
-    #[must_use]
-    pub fn events_owned(&self) -> Vec<TriggerEvent> {
-        match self {
-            BookHandle::Owned(b) => b.events().to_vec(),
-            BookHandle::Mapped(m) => m.events_owned(),
-        }
+        self.0.is_fully_mapped()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rank::CompanyScore;
 
     fn event(
         driver: SalesDriver,
@@ -1394,6 +1302,24 @@ mod tests {
             .collect()
     }
 
+    /// `events` built into a book and sealed into heap arenas.
+    fn handle(events: Vec<TriggerEvent>) -> BookHandle {
+        LeadBook::build(events).into()
+    }
+
+    /// The base shard of one event, read back through its sealed view.
+    fn shard_of_event(e: &TriggerEvent, n_shards: u32) -> u32 {
+        shard_of(&handle(vec![e.clone()]).top(1)[0], n_shards)
+    }
+
+    fn company_ref(c: &CompanyScore) -> CompanyRef<'_> {
+        CompanyRef {
+            company: &c.company,
+            mrr: c.mrr,
+            events: c.events,
+        }
+    }
+
     /// Every segment's bytes, reading reused ones from `prev`.
     fn resolve(prev: &[Vec<u8>], enc: &EncodedBook) -> Vec<Vec<u8>> {
         enc.segments
@@ -1421,14 +1347,14 @@ mod tests {
         open_segments(&enc.index, &resolve(&[], enc))
     }
 
-    /// Append-encode `book` over previously sealed `segments`.
-    fn append(segments: &[Vec<u8>], book: &LeadBook, n_base: u32) -> Option<EncodedBook> {
+    /// Append-encode `events` over previously sealed `segments`.
+    fn append(segments: &[Vec<u8>], events: Vec<TriggerEvent>, n_base: u32) -> Option<EncodedBook> {
         let prev: Vec<Option<PrevSegment>> = segments
             .iter()
             .enumerate()
             .map(|(sid, b)| Some(PrevSegment::parse(b, sid as u32, n_base).expect("parse")))
             .collect();
-        encode_append(book, n_base, &prev)
+        encode_append(&handle(events), n_base, &prev)
     }
 
     fn assert_same_book(mapped: &MappedBook, book: &LeadBook) {
@@ -1436,16 +1362,16 @@ mod tests {
         for d in SalesDriver::ALL {
             let owned: Vec<TriggerEvent> = book.top_for(d, usize::MAX).into_iter().cloned().collect();
             let viewed: Vec<TriggerEvent> =
-                mapped.top_for(d, usize::MAX).iter().map(EventView::to_event).collect();
+                mapped.top_for(d, usize::MAX).iter().map(EventView::to_owned_event).collect();
             assert_eq!(owned, viewed, "driver {d:?}");
         }
-        let companies: Vec<CompanyRef> = book.companies().iter().map(CompanyRef::from).collect();
+        let companies: Vec<CompanyRef> = book.companies().iter().map(company_ref).collect();
         assert_eq!(mapped.companies_top(usize::MAX), companies);
         for c in book.companies() {
             let (oc, oe) = book.company_events(&c.company).expect("owned company");
             let (mc, me) = mapped.company_events(&c.company).expect("mapped company");
-            assert_eq!(CompanyRef::from(oc), mc);
-            let me: Vec<TriggerEvent> = me.iter().map(EventView::to_event).collect();
+            assert_eq!(company_ref(oc), mc);
+            let me: Vec<TriggerEvent> = me.iter().map(EventView::to_owned_event).collect();
             assert_eq!(oe.into_iter().cloned().collect::<Vec<_>>(), me);
         }
     }
@@ -1465,8 +1391,7 @@ mod tests {
         // Builtin-only books encode exactly the seven legacy sections —
         // the byte-layout contract that keeps them identical to
         // pre-registry LEADS v2 artifacts.
-        let builtin = LeadBook::build(sample_events(40));
-        let enc = encode_book(&builtin, 4);
+        let enc = encode_book(&handle(sample_events(40)), 4);
         let iv = bin_open(&enc.index, INDEX_KIND, LEADS2_VERSION, true).expect("open");
         assert_eq!(iv.section_count(), 7);
 
@@ -1478,7 +1403,7 @@ mod tests {
         events.push(event(custom, 90, 0.91, &["Acme 0"]));
         events.push(event(custom, 91, 0.81, &[]));
         let book = LeadBook::build(events);
-        let enc = encode_book(&book, 4);
+        let enc = encode_book(&BookHandle::from(book.clone()), 4);
         let iv = bin_open(&enc.index, INDEX_KIND, LEADS2_VERSION, true).expect("open");
         assert_eq!(iv.section_count(), 8, "custom drivers append the code table");
 
@@ -1497,27 +1422,20 @@ mod tests {
     #[test]
     fn mapped_book_matches_owned_book_exactly() {
         let book = LeadBook::build(sample_events(120));
-        let enc = encode_book(&book, 8);
+        let enc = encode_book(&BookHandle::from(book.clone()), 8);
         assert_eq!(enc.segments.len(), 8);
         let mapped = open_encoded(&enc);
 
         assert_eq!(mapped.len(), book.len());
-        assert_eq!(mapped.events_owned(), book.events());
         assert_eq!(mapped.drivers(), book.drivers());
         for d in SalesDriver::ALL {
             assert_eq!(mapped.driver_total(d), book.top_for(d, usize::MAX).len());
-            let owned: Vec<TriggerEvent> =
-                book.top_for(d, 10).into_iter().cloned().collect();
-            let viewed: Vec<TriggerEvent> =
-                mapped.top_for(d, 10).iter().map(EventView::to_event).collect();
-            assert_eq!(owned, viewed, "driver {d:?}");
         }
         assert_eq!(mapped.companies_len(), book.companies().len());
         for (c, m) in book.companies().iter().zip(mapped.companies_top(usize::MAX)) {
-            assert_eq!(c.company, m.company);
             assert_eq!(c.mrr.to_bits(), m.mrr.to_bits());
-            assert_eq!(c.events, m.events);
         }
+        assert_same_book(&mapped, &book);
     }
 
     #[test]
@@ -1528,7 +1446,7 @@ mod tests {
             event(SalesDriver::MergersAcquisitions, 2, 0.95, &["Zed Ltd"]),
         ];
         let book = LeadBook::build(events);
-        let mapped = open_encoded(&encode_book(&book, 4));
+        let mapped = open_encoded(&encode_book(&BookHandle::from(book.clone()), 4));
 
         let (owned_score, owned_events) = book.company_events("Acme Corp.").expect("owned");
         let (mapped_score, mapped_events) = mapped.company_events("Acme Corp.").expect("mapped");
@@ -1541,7 +1459,7 @@ mod tests {
     fn cold_encode_is_byte_identical_to_the_pre_append_format() {
         // Digest of the same book sealed by the encoder before append
         // publishes existed: the cold path must never drift from it.
-        let enc = encode_book(&LeadBook::build(sample_events(120)), 8);
+        let enc = encode_book(&handle(sample_events(120)), 8);
         let mut all = enc.index.clone();
         for seg in resolve(&[], &enc) {
             all.extend_from_slice(&seg);
@@ -1553,7 +1471,7 @@ mod tests {
     fn clean_shards_are_byte_identical_under_extend() {
         let n_shards = 8;
         let base_events = sample_events(60);
-        let base = resolve(&[], &encode_book(&LeadBook::build(base_events.clone()), n_shards));
+        let base = resolve(&[], &encode_book(&handle(base_events.clone()), n_shards));
 
         // Extend with events that all target one company, i.e. one shard.
         let mut extended_events = base_events;
@@ -1565,8 +1483,8 @@ mod tests {
                 &["Hotspot Inc"],
             ));
         }
-        let hot = shard_of(&extended_events[60], n_shards) as usize;
-        let ext = resolve(&[], &encode_book(&LeadBook::build(extended_events), n_shards));
+        let hot = shard_of_event(&extended_events[60], n_shards) as usize;
+        let ext = resolve(&[], &encode_book(&handle(extended_events), n_shards));
 
         assert_eq!(base.len(), ext.len());
         assert_ne!(base[hot], ext[hot], "hot shard must change");
@@ -1578,17 +1496,17 @@ mod tests {
     #[test]
     fn append_reuses_every_sealed_record_and_writes_only_the_delta() {
         let mut events = sample_events(120);
-        let cold = encode_book(&LeadBook::build(events.clone()), 8);
+        let cold = encode_book(&handle(events.clone()), 8);
         let sealed = resolve(&[], &cold);
 
         // The poll dirties nearly every company bucket: a cold encode
         // would rewrite all shards, the append writes one delta.
         events.extend(poll_events(1_000, 12));
-        let book = LeadBook::build(events);
-        let dirty = encode_book(&book, 8);
+        let book = LeadBook::build(events.clone());
+        let dirty = encode_book(&BookHandle::from(book.clone()), 8);
         assert!(resolve(&[], &dirty).iter().zip(&sealed).filter(|(a, b)| a != b).count() > 4);
 
-        let enc = append(&sealed, &book, 8).expect("append");
+        let enc = append(&sealed, events, 8).expect("append");
         assert_eq!(enc.segments.len(), 9);
         assert!(enc.segments[..8].iter().all(|s| *s == Segment::Linked));
         let segments = resolve(&sealed, &enc);
@@ -1610,7 +1528,7 @@ mod tests {
 
         // Republishing the same book writes no segment at all, and its
         // index is the cold one.
-        let same = append(&sealed, &LeadBook::build(sample_events(120)), 8).expect("append");
+        let same = append(&sealed, sample_events(120), 8).expect("append");
         assert!(same.segments.iter().all(|s| *s == Segment::Linked));
         assert_eq!(same.index, cold.index);
     }
@@ -1618,12 +1536,11 @@ mod tests {
     #[test]
     fn deltas_merge_like_a_binary_counter_then_reencode_cold() {
         let mut events = sample_events(200);
-        let mut segments = resolve(&[], &encode_book(&LeadBook::build(events.clone()), 4));
+        let mut segments = resolve(&[], &encode_book(&handle(events.clone()), 4));
         let mut appends = 0u32;
         loop {
             events.extend(poll_events(1_000 + 10 * appends as usize, 10));
-            let book = LeadBook::build(events.clone());
-            let Some(enc) = append(&segments, &book, 4) else {
+            let Some(enc) = append(&segments, events.clone(), 4) else {
                 // Cold only once the deltas would hold the base's 200.
                 assert_eq!(appends, 19);
                 break;
@@ -1637,22 +1554,32 @@ mod tests {
             assert_eq!(deltas.len() as u32, appends.count_ones(), "after {appends}");
             assert!(deltas.windows(2).all(|w| w[0].span > w[1].span));
             assert_eq!(deltas.iter().map(|d| d.span).sum::<u64>(), u64::from(appends));
-            assert_same_book(&open_segments(&enc.index, &segments), &book);
+            let mapped = open_segments(&enc.index, &segments);
+            assert_same_book(&mapped, &LeadBook::build(events.clone()));
+
+            // Republishing the loaded layout itself links everything.
+            let prev: Vec<Option<PrevSegment>> = segments
+                .iter()
+                .enumerate()
+                .map(|(sid, b)| PrevSegment::parse(b, sid as u32, 4).ok())
+                .collect();
+            let again = encode_append(&mapped, 4, &prev).expect("append");
+            assert!(again.segments.iter().all(|s| *s == Segment::Linked));
+            assert_eq!(again.index, enc.index);
         }
     }
 
     #[test]
     fn unusable_or_shrunken_segments_move_their_live_records_to_the_delta() {
         let events = sample_events(120);
-        let cold = encode_book(&LeadBook::build(events.clone()), 4);
+        let cold = encode_book(&handle(events.clone()), 4);
         let sealed = resolve(&[], &cold);
 
         // Drop one event: its shard is no longer fully live.
-        let gone = shard_of(&events[7], 4) as usize;
+        let gone = shard_of_event(&events[7], 4) as usize;
         let mut fewer = events.clone();
         fewer.remove(7);
-        let book = LeadBook::build(fewer);
-        let enc = append(&sealed, &book, 4).expect("append");
+        let enc = append(&sealed, fewer.clone(), 4).expect("append");
         let segments = resolve(&sealed, &enc);
         for sid in 0..4 {
             assert_eq!(enc.segments[sid] == Segment::Linked, sid != gone, "segment {sid}");
@@ -1660,9 +1587,9 @@ mod tests {
         let emptied = PrevSegment::parse(&segments[gone], gone as u32, 4).expect("emptied");
         assert!(emptied.records.is_empty());
         let delta = PrevSegment::parse(&segments[4], 4, 4).expect("delta");
-        let live = events.iter().filter(|e| shard_of(e, 4) as usize == gone).count() - 1;
+        let live = events.iter().filter(|e| shard_of_event(e, 4) as usize == gone).count() - 1;
         assert_eq!(delta.records.len(), live);
-        assert_same_book(&open_segments(&enc.index, &segments), &book);
+        assert_same_book(&open_segments(&enc.index, &segments), &LeadBook::build(fewer));
 
         // A segment the caller could not verify is never reused.
         let book = LeadBook::build(events);
@@ -1672,29 +1599,33 @@ mod tests {
             .map(|(sid, b)| PrevSegment::parse(b, sid as u32, 4).ok())
             .collect();
         prev[1] = None;
-        let enc = encode_append(&book, 4, &prev).expect("append");
+        let enc = encode_append(&BookHandle::from(book.clone()), 4, &prev).expect("append");
         assert!(matches!(enc.segments[1], Segment::Written(_)));
         assert_same_book(&open_segments(&enc.index, &resolve(&sealed, &enc)), &book);
 
         // A segment of another layout is refused, and a different book
         // (no overlap) re-encodes cold.
         assert!(PrevSegment::parse(&sealed[0], 0, 8).is_err());
-        assert!(append(&sealed, &LeadBook::build(poll_events(5_000, 50)), 4).is_none());
+        assert!(append(&sealed, poll_events(5_000, 50), 4).is_none());
     }
 
     #[test]
     fn encode_is_deterministic() {
-        let book = LeadBook::build(sample_events(50));
+        let book = handle(sample_events(50));
         let a = encode_book(&book, 4);
         let b = encode_book(&book, 4);
         assert_eq!(a.index, b.index);
         assert_eq!(a.segments, b.segments);
+        // Re-encoding the sealed layout, not the heap book, gives the
+        // same bytes: records and directories are copied, not rebuilt.
+        let c = encode_book(&open_encoded(&a), 4);
+        assert_eq!(a.index, c.index);
+        assert_eq!(a.segments, c.segments);
     }
 
     #[test]
     fn corrupt_structures_fail_typed_never_panic() {
-        let book = LeadBook::build(sample_events(30));
-        let enc = encode_book(&book, 4);
+        let enc = encode_book(&handle(sample_events(30)), 4);
 
         // Truncated index.
         let short = Arc::new(Arena::Heap(enc.index[..enc.index.len() / 2].to_vec()));
@@ -1726,28 +1657,29 @@ mod tests {
 
     #[test]
     fn handle_api_is_backing_agnostic() {
-        let book = LeadBook::build(sample_events(40));
-        let enc = encode_book(&book, 4);
-        let mapped: BookHandle = Arc::new(open_encoded(&enc)).into();
-        let owned: BookHandle = book.into();
+        // A heap-sealed book and the same book sharded over four
+        // segments answer every query alike.
+        let sealed = handle(sample_events(40));
+        let sharded: BookHandle = open_encoded(&encode_book(&sealed, 4)).into();
 
-        assert_eq!(owned, mapped);
-        assert!(mapped.is_mapped() && !owned.is_mapped());
-        assert_eq!(owned.len(), mapped.len());
-        assert_eq!(owned.drivers(), mapped.drivers());
-        for (a, b) in owned.top(10).iter().zip(mapped.top(10)) {
-            assert_eq!(a.to_owned_event(), b.to_owned_event());
+        assert_eq!(sealed.shard_count(), 1);
+        assert_eq!(sharded.shard_count(), 4);
+        assert!(!sealed.is_mapped() && !sharded.is_mapped());
+        assert_eq!(sealed.events_owned(), sharded.events_owned());
+        assert_eq!(sealed.drivers(), sharded.drivers());
+        for (a, b) in sealed.top(10).iter().zip(sharded.top(10)) {
             assert_eq!(a.snippet(), b.snippet());
             assert_eq!(a.companies_vec(), b.companies_vec());
         }
-        assert!(owned.approx_bytes() > 0 && mapped.approx_bytes() > 0);
+        assert_eq!(sealed.companies_top(usize::MAX), sharded.companies_top(usize::MAX));
+        assert!(sealed.arena_bytes() > 0 && sharded.arena_bytes() > 0);
     }
 
     #[test]
     fn events_without_companies_shard_by_driver() {
         let e = event(SalesDriver::RevenueGrowth, 1, 0.7, &[]);
         assert_eq!(
-            shard_of(&e, 16),
+            shard_of_event(&e, 16),
             (fnv1a64(b"revenue_growth") % 16) as u32
         );
     }

@@ -66,7 +66,7 @@ pub use events::{EventIdentifier, TriggerEvent};
 pub use filter::{Filter, FilterParseError};
 pub use icp::{IcpConfig, IcpScore, IcpWeights};
 pub use leads::LeadBook;
-pub use leads2::{BookHandle, CompanyRef, EventRef, MappedBook};
+pub use leads2::{BookHandle, CompanyRef, EventView, MappedBook};
 pub use lexlearn::LexiconLearner;
 pub use orientation::OrientationLexicon;
 pub use rank::{

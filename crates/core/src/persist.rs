@@ -26,8 +26,7 @@
 //!   ```
 //!
 //!   (fields are tab-separated; spelled with spaces above for
-//!   legibility). The pre-codec `ETAP-MODEL v1` format — no escaping,
-//!   no checksum — is still read for existing `.model` files.
+//!   legibility).
 //!
 //! * **`LEADS` v1** — a ranked event list (the serializable heart of a
 //!   [`LeadBook`]): a `count` record, then one `e` record per event
@@ -47,7 +46,6 @@ use etap_persist::{CodecError, Record, Writer};
 use etap_text::Vocabulary;
 use std::io;
 use std::path::Path;
-use std::str::FromStr;
 
 /// Codec kind of trained-model documents.
 pub const MODEL_KIND: &str = "MODEL";
@@ -113,8 +111,8 @@ pub fn save(trained: &TrainedDriver, path: &Path) -> io::Result<()> {
     etap_persist::write_atomic(path, &to_string(trained))
 }
 
-/// Parse a persisted model (codec v2, or the legacy `ETAP-MODEL v1`
-/// text) back into a [`TrainedDriver`]. The driver's spec is re-created
+/// Parse a persisted model (codec v2 or v3) back into a
+/// [`TrainedDriver`]. The driver's spec is re-created
 /// from the built-in registry (specs are code, not data); the training
 /// report is zeroed (it described the original run).
 ///
@@ -122,9 +120,6 @@ pub fn save(trained: &TrainedDriver, path: &Path) -> io::Result<()> {
 /// Returns `InvalidData` on any malformed content (checksum mismatch,
 /// future version, bad record…).
 pub fn from_str(text: &str) -> io::Result<TrainedDriver> {
-    if text.starts_with("ETAP-MODEL v1") {
-        return from_str_v1(text);
-    }
     decode_model(text).map_err(io::Error::from)
 }
 
@@ -239,89 +234,6 @@ fn decode_model(text: &str) -> Result<TrainedDriver, CodecError> {
     };
     Ok(TrainedDriver {
         spec,
-        vectorizer: Vectorizer::from_parts(policy, vocab, bigrams),
-        model: MultinomialNbModel::from_parts(ll, prior, unseen),
-        report: zeroed_report(),
-    })
-}
-
-/// Legacy reader for the pre-codec `ETAP-MODEL v1` line format (no
-/// escaping, no checksum) so `.model` files written by earlier builds
-/// keep loading.
-fn from_str_v1(text: &str) -> io::Result<TrainedDriver> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut lines = text.lines();
-    if lines.next() != Some("ETAP-MODEL v1") {
-        return Err(bad("missing ETAP-MODEL v1 header"));
-    }
-    let driver_line = lines.next().ok_or_else(|| bad("missing driver line"))?;
-    let driver_id = driver_line
-        .strip_prefix("driver ")
-        .ok_or_else(|| bad("malformed driver line"))?;
-    let driver =
-        SalesDriver::from_str(driver_id).map_err(|e| bad(&format!("unknown driver: {e}")))?;
-
-    let mut policy = AbstractionPolicy::paper_default();
-    let mut prior = [0.0f64; 2];
-    let mut unseen = [0.0f64; 2];
-    let mut n_features = 0usize;
-    let mut bigrams = false;
-    for line in lines.by_ref() {
-        if let Some(rest) = line.strip_prefix("policy-entity ") {
-            let (tag, choice) = split2(rest).ok_or_else(|| bad("malformed policy-entity"))?;
-            let cat: EntityCategory = tag.parse().map_err(|_| bad("unknown entity tag"))?;
-            policy.set_entity(cat, parse_choice_v1(choice).ok_or_else(|| bad("bad choice"))?);
-        } else if let Some(rest) = line.strip_prefix("policy-pos ") {
-            let (tag, choice) = split2(rest).ok_or_else(|| bad("malformed policy-pos"))?;
-            let pos = PosTag::ALL
-                .iter()
-                .copied()
-                .find(|t| t.tag() == tag)
-                .ok_or_else(|| bad("unknown pos tag"))?;
-            policy.set_pos(pos, parse_choice_v1(choice).ok_or_else(|| bad("bad choice"))?);
-        } else if let Some(rest) = line.strip_prefix("bigrams ") {
-            bigrams = rest == "true";
-        } else if let Some(rest) = line.strip_prefix("prior ") {
-            prior = parse_pair(rest).ok_or_else(|| bad("malformed prior"))?;
-        } else if let Some(rest) = line.strip_prefix("unseen ") {
-            unseen = parse_pair(rest).ok_or_else(|| bad("malformed unseen"))?;
-        } else if let Some(rest) = line.strip_prefix("features ") {
-            n_features = rest.parse().map_err(|_| bad("malformed features count"))?;
-            break;
-        } else {
-            return Err(bad(&format!("unexpected line: {line:?}")));
-        }
-    }
-
-    let mut vocab = Vocabulary::with_capacity(n_features);
-    let mut ll = [
-        Vec::with_capacity(n_features),
-        Vec::with_capacity(n_features),
-    ];
-    for line in lines {
-        let mut parts = line.split('\t');
-        let term = parts.next().ok_or_else(|| bad("missing term"))?;
-        let lp: f64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("missing positive likelihood"))?;
-        let ln: f64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("missing negative likelihood"))?;
-        vocab.intern(term);
-        ll[0].push(lp);
-        ll[1].push(ln);
-    }
-    if vocab.len() != n_features {
-        return Err(bad(&format!(
-            "feature count mismatch: header says {n_features}, file has {}",
-            vocab.len()
-        )));
-    }
-
-    Ok(TrainedDriver {
-        spec: DriverSpec::builtin(driver),
         vectorizer: Vectorizer::from_parts(policy, vocab, bigrams),
         model: MultinomialNbModel::from_parts(ll, prior, unseen),
         report: zeroed_report(),
@@ -453,26 +365,12 @@ fn choice_name(c: CategoryChoice) -> &'static str {
 }
 
 fn parse_choice(rec: &Record, i: usize) -> Result<CategoryChoice, CodecError> {
-    parse_choice_v1(rec.str(i)?).ok_or_else(|| rec.malformed("bad abstraction choice"))
-}
-
-fn parse_choice_v1(s: &str) -> Option<CategoryChoice> {
-    match s {
-        "Abstract" => Some(CategoryChoice::Abstract),
-        "Instance" => Some(CategoryChoice::Instance),
-        "Drop" => Some(CategoryChoice::Drop),
-        _ => None,
+    match rec.str(i)? {
+        "Abstract" => Ok(CategoryChoice::Abstract),
+        "Instance" => Ok(CategoryChoice::Instance),
+        "Drop" => Ok(CategoryChoice::Drop),
+        _ => Err(rec.malformed("bad abstraction choice")),
     }
-}
-
-fn split2(s: &str) -> Option<(&str, &str)> {
-    let mut it = s.splitn(2, ' ');
-    Some((it.next()?, it.next()?))
-}
-
-fn parse_pair(s: &str) -> Option<[f64; 2]> {
-    let (a, b) = split2(s)?;
-    Some([a.parse().ok()?, b.parse().ok()?])
 }
 
 #[cfg(test)]
@@ -538,17 +436,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_models_still_load() {
-        // A hand-built minimal v1 file (no checksum, space-separated
-        // header records, raw tab-separated feature lines).
+    fn v1_model_header_is_a_typed_invalid_data_error() {
+        // The pre-codec `ETAP-MODEL v1` format (no escaping, no
+        // checksum) is no longer read. The codec checks the `#sum`
+        // trailer before the header, and v1 files never had one.
         let mut v1 = String::from("ETAP-MODEL v1\ndriver change_in_management\n");
-        v1.push_str("bigrams false\nprior -0.5 -1.0\nunseen -9.0 -8.0\nfeatures 2\n");
-        v1.push_str("alpha\t-1.5\t-2.5\nbeta beta\t-3.5\t-4.5\n");
-        let restored = from_str(&v1).expect("legacy parse");
-        assert_eq!(restored.spec.driver, SalesDriver::ChangeInManagement);
-        let vocab = restored.vectorizer.vocabulary();
-        assert_eq!(vocab.len(), 2);
-        assert_eq!(vocab.term(1), Some("beta beta"));
+        v1.push_str("bigrams false\nprior -0.5 -1.0\nunseen -9.0 -8.0\nfeatures 1\n");
+        v1.push_str("alpha\t-1.5\t-2.5\n");
+        let err = from_str(&v1).expect_err("v1 models no longer load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let codec = err.get_ref().and_then(|e| e.downcast_ref::<CodecError>());
+        assert!(matches!(codec, Some(CodecError::Truncated)), "{err:?}");
     }
 
     #[test]

@@ -71,32 +71,55 @@ impl BinWriter {
     /// Seal the container: header + section table + payload + checksum.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
-        let payload_len: u64 = self.sections.iter().map(|s| s.len() as u64).sum();
-        let mut table = Vec::with_capacity(self.sections.len() * 16);
-        let mut off = 0u64;
-        for s in &self.sections {
-            table.extend_from_slice(&off.to_le_bytes());
-            table.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            off += s.len() as u64;
-        }
-        // Checksum covers the section table and payload: the parts the
-        // header's fixed fields cannot structurally validate.
-        let mut hashed = table;
-        for s in &self.sections {
-            hashed.extend_from_slice(s);
-        }
-        let checksum = fnv1a64(&hashed);
+        self.seal(None::<(usize, fn(&mut Vec<u8>))>)
+    }
 
-        let mut out = Vec::with_capacity(HEADER_LEN + hashed.len());
+    /// Seal the container with one more, final section of exactly `len`
+    /// bytes, which `write` appends straight into the output buffer, so
+    /// the bytes of that section are never held twice.
+    ///
+    /// # Panics
+    /// If `write` appends other than `len` bytes.
+    #[must_use]
+    pub fn finish_with(self, len: usize, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        self.seal(Some((len, write)))
+    }
+
+    fn seal(self, last: Option<(usize, impl FnOnce(&mut Vec<u8>))>) -> Vec<u8> {
+        let lens: Vec<usize> = self
+            .sections
+            .iter()
+            .map(Vec::len)
+            .chain(last.as_ref().map(|l| l.0))
+            .collect();
+        let payload_len: usize = lens.iter().sum();
+        let mut out = Vec::with_capacity(HEADER_LEN + lens.len() * 16 + payload_len);
         out.extend_from_slice(MAGIC);
         let mut kind = [b' '; KIND_LEN];
         kind[..self.kind.len()].copy_from_slice(self.kind.as_bytes());
         out.extend_from_slice(&kind);
         out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload_len.to_le_bytes());
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out.extend_from_slice(&hashed);
+        out.extend_from_slice(&(lens.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(payload_len as u64).to_le_bytes());
+        out.extend_from_slice(&[0; 8]); // checksum, filled in below
+        let mut off = 0u64;
+        for &len in &lens {
+            out.extend_from_slice(&off.to_le_bytes());
+            out.extend_from_slice(&(len as u64).to_le_bytes());
+            off += len as u64;
+        }
+        for s in &self.sections {
+            out.extend_from_slice(s);
+        }
+        if let Some((len, write)) = last {
+            let start = out.len();
+            write(&mut out);
+            assert_eq!(out.len() - start, len, "final section length");
+        }
+        // Checksum covers the section table and payload: the parts the
+        // header's fixed fields cannot structurally validate.
+        let checksum = fnv1a64(&out[HEADER_LEN..]);
+        out[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
         out
     }
 }

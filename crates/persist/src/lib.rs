@@ -131,7 +131,7 @@ impl From<CodecError> for io::Error {
     fn from(e: CodecError) -> Self {
         match e {
             CodecError::Io(inner) => inner,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+            other => io::Error::new(io::ErrorKind::InvalidData, other),
         }
     }
 }

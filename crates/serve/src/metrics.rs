@@ -111,11 +111,12 @@ pub struct Metrics {
     pub store_failures_total: AtomicU64,
     /// Generation of the currently published snapshot.
     pub snapshot_generation: AtomicU64,
-    /// Gauge: approximate bytes behind the served book — arena bytes
-    /// for a mapped snapshot, heap estimate for an owned one.
+    /// Gauge: bytes of the `LEADS v2` arenas behind the served book,
+    /// file-mapped or heap.
     pub snapshot_bytes: AtomicU64,
-    /// Gauge: 1 while the served snapshot is a zero-copy `LEADS v2`
-    /// mapping, 0 while it is heap-owned.
+    /// Gauge: 1 while every arena of the served book is a file mapping
+    /// (`MappedBook::is_fully_mapped`, a loaded binary generation), 0
+    /// while it is sealed into heap arenas.
     pub mmap_generations: AtomicU64,
     /// Segment files written by store publishes: deltas, merged deltas
     /// and the shards of cold encodes.

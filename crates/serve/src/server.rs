@@ -30,7 +30,7 @@ use crate::json::JsonWriter;
 use crate::metrics::Metrics;
 use crate::snapshot::{parse_driver, LeadSnapshot, SnapshotCell};
 use crate::store::GenerationStore;
-use etap::{CompanyRef, EventRef, IcpConfig};
+use etap::{CompanyRef, EventView, IcpConfig};
 use etap_runtime::pool::{Bounded, PushError, WorkerPool};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -266,10 +266,10 @@ fn persist_best_effort(store: &GenerationStore, snapshot: &LeadSnapshot, metrics
 fn record_snapshot_gauges(metrics: &Metrics, snapshot: &LeadSnapshot) {
     metrics
         .snapshot_bytes
-        .store(snapshot.book.approx_bytes() as u64, Ordering::Relaxed);
+        .store(snapshot.book.arena_bytes() as u64, Ordering::Relaxed);
     metrics
         .mmap_generations
-        .store(u64::from(snapshot.book.is_mapped()), Ordering::Relaxed);
+        .store(u64::from(snapshot.book.is_fully_mapped()), Ordering::Relaxed);
 }
 
 impl ServerHandle {
@@ -279,9 +279,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Publish a new book built by the caller — owned or mapped —
-    /// assigning it the next generation number. Returns that
-    /// generation. Never blocks readers beyond a pointer swap.
+    /// Publish a new book built by the caller — a `LeadBook`, sealed
+    /// into heap arenas on the way in, or an already served
+    /// `BookHandle` — assigning it the next generation number. Returns
+    /// that generation. Never blocks readers beyond a pointer swap.
     pub fn publish(
         &self,
         book: impl Into<etap::BookHandle>,
@@ -398,59 +399,73 @@ fn accept_loop(
     stop: &AtomicBool,
 ) {
     loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if stop.load(Ordering::SeqCst) {
-                return;
+        match listener.accept() {
+            Ok((stream, _)) => enqueue(stream, queue, ctx),
+            Err(_) if !stop.load(Ordering::SeqCst) => {
+                // Back off before retrying: a persistent accept error
+                // (e.g. EMFILE under fd exhaustion) would otherwise
+                // busy-spin this thread at 100% CPU.
+                std::thread::sleep(Duration::from_millis(20));
+                continue;
             }
-            // Back off before retrying: a persistent accept error (e.g.
-            // EMFILE under fd exhaustion) would otherwise busy-spin this
-            // thread at 100% CPU.
-            std::thread::sleep(Duration::from_millis(20));
-            continue;
-        };
-        if stop.load(Ordering::SeqCst) {
-            return; // the wake-up connection (or late arrivals) drop here
+            Err(_) => {}
         }
-        // Nagle would stall response n+1 on a kept-alive connection
-        // behind the delayed ACK of response n; request/response
-        // exchanges want immediate flushes.
-        let _ = stream.set_nodelay(true);
-        let job = Job {
-            stream,
-            accepted: Instant::now(),
-        };
-        match queue.try_push(job) {
-            Ok(()) => {
-                ctx.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+        if stop.load(Ordering::SeqCst) {
+            // Every connection made before shutdown sits in the backlog
+            // ahead of the wake-up connection. Drain it without
+            // blocking, so the listener's drop resets none of them.
+            if listener.set_nonblocking(true).is_ok() {
+                while let Ok((stream, _)) = listener.accept() {
+                    let _ = stream.set_nonblocking(false);
+                    enqueue(stream, queue, ctx);
+                }
             }
-            Err(PushError::Full(job) | PushError::Closed(job)) => {
-                // Shed at the gate: cheap fixed 503 on the acceptor
-                // thread; workers never see the connection.
-                ctx.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-                let mut stream = job.stream;
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                let _ = http::write_response(
-                    &mut stream,
-                    status::SERVICE_UNAVAILABLE,
-                    "text/plain; charset=utf-8",
-                    &[("Retry-After", "1")],
-                    b"queue full, retry\n",
-                    false,
-                );
-                // One short best-effort read to consume the request
-                // bytes that typically arrived with the connection:
-                // closing with unread data pending turns the close into
-                // an RST that can destroy the 503 before the client
-                // reads it (the hazard drain_request guards against on
-                // the worker path — a full drain would stall the
-                // acceptor too long under overload).
-                use std::io::Read as _;
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
-                let mut scratch = [0u8; 4096];
-                let _ = stream.read(&mut scratch);
-                ctx.metrics
-                    .record_response(503, job.accepted.elapsed().as_micros() as u64);
-            }
+            return;
+        }
+    }
+}
+
+/// Hand an accepted connection to the worker pool, or shed it with a
+/// 503 when the queue is full.
+fn enqueue(stream: TcpStream, queue: &Bounded<Job>, ctx: &Ctx) {
+    // Nagle would stall response n+1 on a kept-alive connection behind
+    // the delayed ACK of response n; request/response exchanges want
+    // immediate flushes.
+    let _ = stream.set_nodelay(true);
+    let job = Job {
+        stream,
+        accepted: Instant::now(),
+    };
+    match queue.try_push(job) {
+        Ok(()) => {
+            ctx.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(PushError::Full(job) | PushError::Closed(job)) => {
+            // Shed at the gate: cheap fixed 503 on the acceptor thread;
+            // workers never see the connection.
+            ctx.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
+            let mut stream = job.stream;
+            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+            let _ = http::write_response(
+                &mut stream,
+                status::SERVICE_UNAVAILABLE,
+                "text/plain; charset=utf-8",
+                &[("Retry-After", "1")],
+                b"queue full, retry\n",
+                false,
+            );
+            // One short best-effort read to consume the request bytes
+            // that typically arrived with the connection: closing with
+            // unread data pending turns the close into an RST that can
+            // destroy the 503 before the client reads it (the hazard
+            // drain_request guards against on the worker path — a full
+            // drain would stall the acceptor too long under overload).
+            use std::io::Read as _;
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
+            let mut scratch = [0u8; 4096];
+            let _ = stream.read(&mut scratch);
+            ctx.metrics
+                .record_response(503, job.accepted.elapsed().as_micros() as u64);
         }
     }
 }
@@ -725,7 +740,7 @@ fn parse_top(req: &Request, default: usize) -> Result<usize, Response> {
     }
 }
 
-fn write_event(w: &mut JsonWriter, rank: usize, e: EventRef<'_>, icp: Option<&IcpConfig>) {
+fn write_event(w: &mut JsonWriter, rank: usize, e: EventView<'_>, icp: Option<&IcpConfig>) {
     let (y, m, d) = e.date();
     w.begin_object()
         .key("rank")
@@ -744,15 +759,17 @@ fn write_event(w: &mut JsonWriter, rank: usize, e: EventRef<'_>, icp: Option<&Ic
         .string(&format!("{y:04}-{m:02}-{d:02}"))
         .key("companies")
         .begin_array();
-    for c in e.companies_vec() {
+    // The lead company is the event's first extracted company.
+    let mut lead = None;
+    for c in e.companies() {
+        lead.get_or_insert(c);
         w.string(c);
     }
     w.end_array();
     // ICP enrichment is strictly opt-in (`icp=1`): default /leads bytes
-    // stay identical to pre-ICP builds. The lead company is the
-    // event's first extracted company.
+    // stay identical to pre-ICP builds.
     if let Some(config) = icp {
-        if let Some(company) = e.companies_vec().first() {
+        if let Some(company) = lead {
             let scored = etap::icp::score(company, config);
             w.key("icp")
                 .begin_object()
@@ -837,7 +854,7 @@ fn leads(ctx: &Ctx, req: &Request) -> Response {
         None
     };
 
-    let selected: Vec<EventRef<'_>> = match driver {
+    let selected: Vec<EventView<'_>> = match driver {
         Some(d) => snap.book.top_for(d, top),
         None => snap.book.top(top),
     };

@@ -2,7 +2,7 @@
 //!
 //! A [`LeadSnapshot`] bundles everything one *generation* of the system
 //! needs to answer queries: the trained per-driver models (for `POST
-//! /score`) and the frozen [`LeadBook`] rankings (for `GET /leads` and
+//! /score`) and the frozen lead book rankings (for `GET /leads` and
 //! the company endpoints). Snapshots are **never mutated** after
 //! construction — re-training or re-scanning builds a *new* snapshot
 //! that the [`SnapshotCell`] publishes atomically.
@@ -25,9 +25,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub struct LeadSnapshot {
     /// Monotonically increasing publish counter (1 = first snapshot).
     pub generation: u64,
-    /// Frozen rankings: global, per-driver, per-company (Eq. 2 MRR).
-    /// Either heap-owned (built in this process) or a zero-copy
-    /// `LEADS v2` mapping (warm-started from the generation store).
+    /// Frozen rankings: global, per-driver, per-company (Eq. 2 MRR),
+    /// always served from `LEADS v2` arenas — heap buffers for a book
+    /// built in this process or loaded from text, file mappings for a
+    /// binary generation warm-started from the generation store.
     pub book: BookHandle,
     /// The trained system (shared across generations when only the
     /// scanned corpus changed, not the models).

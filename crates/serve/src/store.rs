@@ -405,15 +405,7 @@ impl GenerationStore {
         n_base: u32,
         payloads: &mut Payloads,
     ) -> io::Result<usize> {
-        // A mapped book (a republished warm start) materializes first.
-        let built;
-        let book = match snapshot.book.as_owned() {
-            Some(book) => book,
-            None => {
-                built = LeadBook::build(snapshot.book.events_owned());
-                &built
-            }
-        };
+        let book = &snapshot.book;
         let base = self.link_base(snapshot.generation);
         let prev = base
             .as_ref()
@@ -477,10 +469,10 @@ impl GenerationStore {
 
     /// Load and fully validate one generation: the manifest must parse,
     /// list each file exactly once with matching size and checksum, and
-    /// every payload file must itself decode. Text generations parse
-    /// into an owned book; binary generations mmap into a zero-copy
-    /// `MappedBook` (the manifest FNV pass over the arenas is the
-    /// integrity check — no parse happens).
+    /// every payload file must itself decode. Both formats serve through
+    /// one `MappedBook`: a text generation parses and is sealed into
+    /// heap arenas, a binary one mmaps zero-copy (the manifest FNV pass
+    /// over the arenas is the integrity check — no parse happens).
     ///
     /// # Errors
     /// See [`StoreError`]; any failure means this generation is not
@@ -612,7 +604,7 @@ impl GenerationStore {
                 )));
             }
             let shards = shard_arenas.into_iter().map(|(_, a)| a).collect();
-            BookHandle::Mapped(Arc::new(MappedBook::open(index, shards)?))
+            MappedBook::open(index, shards)?.into()
         } else {
             text_book.ok_or_else(|| missing("events.leads file"))?.into()
         };

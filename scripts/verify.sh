@@ -27,6 +27,10 @@
 #    then converges back to healthy with the generation counter still
 #    monotone; also runs bench_watch (writes BENCH_watch.json).
 #
+# Right after tier 1, the end-to-end benchmark (`e2ebench/`, its own
+# workspace, so tier 1 never compiles it) is built and its unit tests
+# run: an API change that breaks the benchmark fails here.
+#
 # On a single-core host the parallel path cannot be faster — the gate
 # then only requires that the fan-out overhead stays small (speedup
 # >= 0.85 instead of >= 1.0). ETAP_THREADS / ETAP_DOCS are honored.
@@ -36,6 +40,11 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
+
+echo
+echo "== benchmark: e2ebench builds and its tests pass =="
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+cargo test --offline --manifest-path e2ebench/Cargo.toml
 
 echo
 echo "== throughput: bench_throughput (writes BENCH_pipeline.json) =="

@@ -316,23 +316,19 @@ fn rewrite_manifest_entry(dir: &PathBuf, name: &str, contents: &str) {
 }
 
 #[test]
-fn legacy_v1_model_files_still_serve() {
-    // A v1 file written by hand in the old format must load and be
-    // usable inside a TrainedEtap (the upgrade path for existing model
-    // directories).
+fn legacy_v1_model_files_are_refused() {
+    // The pre-codec `ETAP-MODEL v1` format is no longer read: a v1 file
+    // in a model directory must fail with a typed InvalidData error and
+    // be left on disk as it was.
     let mut v1 = String::from("ETAP-MODEL v1\ndriver revenue_growth\n");
     v1.push_str("bigrams false\nprior -0.7 -0.7\nunseen -9.0 -9.0\nfeatures 2\n");
     v1.push_str("revenue\t-1.0\t-5.0\ngrowth\t-1.2\t-5.2\n");
     let dir = temp_dir("legacy");
     let path = dir.join("revenue_growth.model");
     std::fs::write(&path, &v1).unwrap();
-    let restored = persist::load(&path).expect("legacy load");
-    assert_eq!(restored.spec.driver, SalesDriver::RevenueGrowth);
-    // Saving it back upgrades to v2.
-    persist::save(&restored, &path).expect("resave");
-    let upgraded = std::fs::read_to_string(&path).unwrap();
-    assert!(upgraded.starts_with("ETAP MODEL v2\n"));
-    assert!(persist::load(&path).is_ok());
+    let err = persist::load(&path).expect_err("v1 models no longer load");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err:?}");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), v1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -340,7 +336,7 @@ fn legacy_v1_model_files_still_serve() {
 fn every_listed_company_resolves_in_owned_and_mapped_books() {
     use etap_repro::persist::Arena;
     use etap_repro::system::leads2::{encode_book, Segment};
-    use etap_repro::system::{LeadBook, MappedBook};
+    use etap_repro::system::{BookHandle, LeadBook, MappedBook};
 
     // Alias resolution is order-dependent, and Eq. 2 ranks companies
     // per driver while lookups walk the global ranking: the bug needs
@@ -350,7 +346,7 @@ fn every_listed_company_resolves_in_owned_and_mapped_books() {
     for poll in 0..3 {
         events.extend(trained().identify_events(crawl(0xB00C + poll, 80).docs()));
         let book = LeadBook::build(events.clone());
-        let enc = encode_book(&book, 4);
+        let enc = encode_book(&BookHandle::from(book.clone()), 4);
         let segments = enc
             .segments
             .iter()
@@ -367,7 +363,7 @@ fn every_listed_company_resolves_in_owned_and_mapped_books() {
             assert_eq!(owned, c, "poll {poll}: {:?} resolves elsewhere", c.company);
             let (view, view_events) = mapped.company_events(&c.company).expect("mapped lookup");
             assert_eq!((view.company, view.events), (c.company.as_str(), c.events));
-            let view_events: Vec<_> = view_events.iter().map(|v| v.to_event()).collect();
+            let view_events: Vec<_> = view_events.iter().map(|v| v.to_owned_event()).collect();
             assert_eq!(owned_events.into_iter().cloned().collect::<Vec<_>>(), view_events);
         }
         // Every surface form an event names resolves to a listed company.
