@@ -23,7 +23,7 @@
 //! cargo run --release -p etap-bench --bin ablation_abstraction
 //! ```
 
-use etap::training::train_driver;
+use etap::training::train_drivers;
 use etap::{DriverSpec, SalesDriver, TrainingConfig};
 use etap_annotate::Annotator;
 use etap_annotate::{EntityCategory, PosTag};
@@ -79,17 +79,17 @@ fn main() {
             policy,
             ..paper_training_config(&web)
         };
-        for (i, driver) in drivers.into_iter().enumerate() {
-            let spec = DriverSpec::builtin(driver);
-            let trained = train_driver(&spec, &engine, &web, &annotator, &config, is_test_doc);
+        let specs = drivers.map(DriverSpec::builtin);
+        let trained_all = train_drivers(&specs, &engine, &web, &annotator, &config, is_test_doc);
+        for (i, (driver, trained)) in drivers.into_iter().zip(&trained_all).enumerate() {
             let held = evaluate_driver(
-                &trained,
+                trained,
                 &annotator,
                 &test_pos[i],
                 &[test_pos[1 - i].as_slice(), test_bg.as_slice()],
             );
             let shifted = evaluate_driver(
-                &trained,
+                trained,
                 &annotator,
                 &fresh_pos[i],
                 &[fresh_pos[1 - i].as_slice(), fresh_bg.as_slice()],

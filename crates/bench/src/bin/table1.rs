@@ -17,7 +17,7 @@
 //! ETAP_DOCS=8000 ETAP_SEED=99 cargo run --release -p etap-bench --bin table1
 //! ```
 
-use etap::training::train_driver;
+use etap::training::train_drivers;
 use etap::{DriverSpec, SalesDriver};
 use etap_annotate::Annotator;
 use etap_bench::{
@@ -51,12 +51,12 @@ fn main() {
         let config = paper_training_config(&web);
         let (positives, background) = paper_test_set(&web);
         print!("seed {seed:>6}:");
-        for (i, driver) in drivers.into_iter().enumerate() {
-            let spec = DriverSpec::builtin(driver);
-            let trained = train_driver(&spec, &engine, &web, &annotator, &config, is_test_doc);
+        let specs = drivers.map(DriverSpec::builtin);
+        let trained_all = train_drivers(&specs, &engine, &web, &annotator, &config, is_test_doc);
+        for (i, (driver, trained)) in drivers.into_iter().zip(&trained_all).enumerate() {
             let other = &positives[1 - i];
             let prf = evaluate_driver(
-                &trained,
+                trained,
                 &annotator,
                 &positives[i],
                 &[other.as_slice(), background.as_slice()],

@@ -4,13 +4,13 @@
 //! into snippets and associates with each snippet, a score of its
 //! relevance to the given sales drivers."
 
-use crate::training::TrainedDriver;
+use crate::training::{DriverScorer, ScoreScratch, TrainedDriver};
 use etap_annotate::{AnnotateScratch, Annotator, EntityCategory};
 use etap_classify::Classifier;
 use etap_corpus::{SalesDriver, SyntheticDoc};
-use etap_features::VectorScratch;
 use etap_runtime::Stage;
-use etap_text::SnippetGenerator;
+use etap_text::{SnippetGenerator, SnippetScratch};
+use std::sync::Arc;
 
 /// Perf stages for the document-scan path (no-ops unless `ETAP_PERF=1`).
 /// Together with `score.vectorize`/`score.posterior` from the scoring
@@ -39,9 +39,12 @@ pub struct TriggerEvent {
 }
 
 /// Identifies trigger events across a document collection.
-#[derive(Debug)]
+///
+/// `Clone` is cheap: the annotator (with its gazetteer automaton) is
+/// shared, not rebuilt.
+#[derive(Debug, Clone)]
 pub struct EventIdentifier {
-    annotator: Annotator,
+    annotator: Arc<Annotator>,
     snipgen: SnippetGenerator,
     /// Minimum posterior for a snippet to be flagged. Default 0.5.
     pub threshold: f64,
@@ -51,12 +54,30 @@ pub struct EventIdentifier {
     pub threads: usize,
 }
 
+/// Per-thread buffers of a document scan: the document text, its
+/// sentences and current snippet, the annotator's and the scorer's
+/// working sets. After warm-up a document none of whose snippets is
+/// flagged costs no allocation here.
+#[derive(Debug, Default)]
+struct ScanScratch {
+    text: String,
+    snippets: SnippetScratch,
+    annotate: AnnotateScratch,
+    scores: ScoreScratch,
+}
+
 impl EventIdentifier {
     /// Identifier with snippet window `n` and the default 0.5 threshold.
     #[must_use]
     pub fn new(window: usize) -> Self {
+        Self::with_annotator(Arc::new(Annotator::new()), window)
+    }
+
+    /// Identifier that shares an already built annotator.
+    #[must_use]
+    pub fn with_annotator(annotator: Arc<Annotator>, window: usize) -> Self {
         Self {
-            annotator: Annotator::new(),
+            annotator,
             snipgen: SnippetGenerator::new(window),
             threshold: 0.5,
             threads: 0,
@@ -112,41 +133,47 @@ impl EventIdentifier {
         docs: &[SyntheticDoc],
         threads: usize,
     ) -> Vec<TriggerEvent> {
-        let per_doc = etap_runtime::par_map_with(
-            docs,
-            threads,
-            || (VectorScratch::new(), AnnotateScratch::new()),
-            |(vs, asc), doc| self.identify_doc(drivers, doc, vs, asc),
-        );
+        let scorer = DriverScorer::new(drivers);
+        let per_doc = etap_runtime::par_map_with(docs, threads, ScanScratch::default, |sc, doc| {
+            self.identify_doc(&scorer, doc, sc)
+        });
         per_doc.into_iter().flatten().collect()
     }
 
     fn identify_doc<M: Classifier>(
         &self,
-        drivers: &[TrainedDriver<M>],
+        scorer: &DriverScorer<'_, M>,
         doc: &SyntheticDoc,
-        scratch: &mut VectorScratch,
-        ann_scratch: &mut AnnotateScratch,
+        scratch: &mut ScanScratch,
     ) -> Vec<TriggerEvent> {
+        let ScanScratch {
+            text,
+            snippets,
+            annotate,
+            scores,
+        } = scratch;
         let mut events = Vec::new();
-        let text = doc.text();
-        let snippets = {
+        let count = {
             let _t = STAGE_SNIPPETS.scope();
-            self.snipgen.snippets(&text)
+            doc.text_into(text);
+            self.snipgen.split(text, snippets)
         };
-        for snip in snippets {
+        for k in 0..count {
+            let snippet = {
+                let _t = STAGE_SNIPPETS.scope();
+                self.snipgen.snippet_text(text, k, snippets)
+            };
             let ann = {
                 let _t = STAGE_ANNOTATE.scope();
-                self.annotator.annotate_with(&snip.text, ann_scratch)
+                self.annotator.annotate_with(snippet, annotate)
             };
-            // Annotate once per snippet, score once per driver. The ORG
-            // surface strings are only materialized once some driver
-            // actually flags the snippet — on a well-trained model the
-            // overwhelming majority of snippets score below threshold,
-            // so the eager version allocated company lists it threw away.
+            // Annotate once per snippet, walk its features once per walk
+            // group, look them up once per driver. The snippet text and
+            // the ORG surface strings are only copied out once some
+            // driver actually flags the snippet — on a well-trained
+            // model the overwhelming majority score below threshold.
             let mut companies: Option<Vec<String>> = None;
-            for trained in drivers {
-                let score = trained.score_with(&ann, scratch);
+            for (trained, &score) in scorer.drivers().iter().zip(scorer.score(&ann, scores)) {
                 if score >= self.threshold {
                     let _t = STAGE_EVENTS.scope();
                     let companies = companies.get_or_insert_with(|| {
@@ -161,7 +188,7 @@ impl EventIdentifier {
                         driver: trained.spec.driver,
                         doc_id: doc.id,
                         url: doc.url.clone(),
-                        snippet: snip.text.clone(),
+                        snippet: snippet.to_owned(),
                         score,
                         companies: companies.clone(),
                         doc_date: doc.date,

@@ -75,13 +75,14 @@ pub use rank::{
 };
 pub use spec::{DriverSpec, SpecError};
 pub use temporal::{Date, TemporalResolver};
-pub use training::{TrainedDriver, TrainingConfig, TrainingReport};
+pub use training::{DriverScorer, ScoreScratch, TrainedDriver, TrainingConfig, TrainingReport};
 
 // Re-export the pieces users compose with.
 pub use etap_corpus::{DriverId, DriverSet, DriverTemplates, SalesDriver};
 
 use etap_annotate::Annotator;
 use etap_corpus::{SearchEngine, SyntheticDoc, SyntheticWeb};
+use std::sync::Arc;
 
 /// Top-level configuration of an ETAP instance.
 #[derive(Debug, Clone, Default)]
@@ -104,11 +105,12 @@ impl EtapConfig {
     }
 }
 
-/// An untrained ETAP system: configuration + annotator.
+/// An untrained ETAP system: configuration + annotator. The annotator
+/// is built once and shared with every system it trains.
 #[derive(Debug)]
 pub struct Etap {
     config: EtapConfig,
-    annotator: Annotator,
+    annotator: Arc<Annotator>,
 }
 
 impl Default for Etap {
@@ -127,7 +129,7 @@ impl Etap {
         }
         Self {
             config,
-            annotator: Annotator::new(),
+            annotator: Arc::new(Annotator::new()),
         }
     }
 
@@ -154,24 +156,20 @@ impl Etap {
         exclude_doc: impl Fn(usize) -> bool + Copy + Sync,
     ) -> TrainedEtap {
         let engine = SearchEngine::build(web.docs());
-        let drivers = self
-            .config
-            .drivers
-            .iter()
-            .map(|spec| {
-                training::train_driver(
-                    spec,
-                    &engine,
-                    web,
-                    &self.annotator,
-                    &self.config.training,
-                    exclude_doc,
-                )
-            })
-            .collect();
+        let drivers = training::train_drivers(
+            &self.config.drivers,
+            &engine,
+            web,
+            &self.annotator,
+            &self.config.training,
+            exclude_doc,
+        );
         TrainedEtap {
             drivers,
-            identifier: EventIdentifier::new(self.config.training.snippet_window),
+            identifier: EventIdentifier::with_annotator(
+                Arc::clone(&self.annotator),
+                self.config.training.snippet_window,
+            ),
         }
     }
 }
@@ -244,6 +242,9 @@ impl TrainedEtap {
     /// missing entries leave that driver unchanged). Likelihoods — and
     /// therefore each snippet's feature evidence — are untouched; see
     /// [`TrainedDriver::with_adapted_prior`].
+    ///
+    /// The new system shares this one's annotator: a prior-only change
+    /// rebuilds nothing on the scan path.
     #[must_use]
     pub fn with_adapted_priors(&self, rates: &[f64], blend: f64) -> Self {
         let drivers = self
@@ -255,7 +256,10 @@ impl TrainedEtap {
                 None => d.clone(),
             })
             .collect();
-        Self::from_drivers(drivers, self.snippet_window())
+        Self {
+            drivers,
+            identifier: self.identifier.clone(),
+        }
     }
 
     /// Score one raw snippet text against one driver.

@@ -25,9 +25,9 @@ use crate::spec::DriverSpec;
 use etap_annotate::{AnnotateScratch, AnnotatedSnippet, Annotator};
 use etap_classify::denoise::{DenoiseConfig, IterativeDenoiser};
 use etap_classify::{Classifier, MultinomialNb, Trainer};
-use etap_corpus::{SearchEngine, SyntheticWeb};
-use etap_features::{AbstractionPolicy, SparseVec, Vectorizer, VectorScratch};
-use etap_text::SnippetGenerator;
+use etap_corpus::{SearchEngine, SyntheticDoc, SyntheticWeb};
+use etap_features::{AbstractionPolicy, FeatureWalk, SparseVec, Vectorizer, VectorScratch};
+use etap_text::{SnippetGenerator, SnippetScratch};
 use etap_runtime::{Rng, Stage};
 
 /// Perf stages (no-ops unless `ETAP_PERF=1`; see `etap_runtime::perf`).
@@ -140,6 +140,19 @@ impl<M: Classifier> TrainedDriver<M> {
         self.model.posterior(v)
     }
 
+    /// Score a snippet whose feature walk is already recorded (by any
+    /// vectorizer that walks like this one): look the walk up in this
+    /// driver's vocabulary, then take the posterior. `score_with` is
+    /// the record-then-lookup special case of the same two steps.
+    fn score_walk(&self, walk: &FeatureWalk, scratch: &mut VectorScratch) -> f64 {
+        let v = {
+            let _t = STAGE_VECTORIZE.scope();
+            self.vectorizer.lookup_walk(walk, scratch)
+        };
+        let _t = STAGE_POSTERIOR.scope();
+        self.model.posterior(v)
+    }
+
     /// Score every snippet on up to `threads` worker threads (`0` = the
     /// `ETAP_THREADS` default). Output `i` is exactly
     /// `self.score(&snips[i])` — order-preserving and bit-identical to
@@ -152,6 +165,110 @@ impl<M: Classifier> TrainedDriver<M> {
         etap_runtime::par_map_with(snips, threads, VectorScratch::new, |scratch, s| {
             self.score_with(s, scratch)
         })
+    }
+}
+
+/// Scores a snippet against every driver of a system with **one**
+/// feature walk per group of drivers that walk alike (equal abstraction
+/// policy and bigram setting — for the shipped drivers, one walk for
+/// all of them). The walk — lowercasing, stop-word checks, stemming,
+/// policy lookups — is the expensive, driver-independent part of
+/// scoring; each driver then only looks the recorded features up in its
+/// own frozen vocabulary and takes its posterior.
+///
+/// Every score is bit-identical to that driver's own
+/// [`TrainedDriver::score_with`]: the lookup assigns and canonicalizes
+/// ids in the driver's own id order, so every float sum runs in the
+/// same order.
+#[derive(Debug)]
+pub struct DriverScorer<'d, M> {
+    drivers: &'d [TrainedDriver<M>],
+    /// `walk_of[i]`: the walk group driver `i` reads.
+    walk_of: Vec<usize>,
+    /// One driver per walk group, whose vectorizer records the group's
+    /// walk.
+    leaders: Vec<usize>,
+}
+
+/// Per-thread buffers for [`DriverScorer::score`]: one recorded walk
+/// per walk group, the lookup scratch and the score row. Purely an
+/// allocation cache; contents never influence results.
+#[derive(Debug, Default, Clone)]
+pub struct ScoreScratch {
+    walks: Vec<FeatureWalk>,
+    vectors: VectorScratch,
+    scores: Vec<f64>,
+}
+
+impl ScoreScratch {
+    /// Fresh (empty) scratch.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<'d, M: Classifier> DriverScorer<'d, M> {
+    /// Group `drivers` by how they walk a snippet. `O(D²)` policy
+    /// comparisons, done once per scan, never per snippet.
+    #[must_use]
+    pub fn new(drivers: &'d [TrainedDriver<M>]) -> Self {
+        let mut leaders: Vec<usize> = Vec::new();
+        let walk_of = drivers
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                leaders
+                    .iter()
+                    .position(|&l| drivers[l].vectorizer.walks_like(&d.vectorizer))
+                    .unwrap_or_else(|| {
+                        leaders.push(i);
+                        leaders.len() - 1
+                    })
+            })
+            .collect();
+        Self {
+            drivers,
+            walk_of,
+            leaders,
+        }
+    }
+
+    /// The drivers this scorer scores, in order.
+    #[must_use]
+    pub fn drivers(&self) -> &'d [TrainedDriver<M>] {
+        self.drivers
+    }
+
+    /// Number of distinct feature walks one snippet costs.
+    #[must_use]
+    pub fn walks(&self) -> usize {
+        self.leaders.len()
+    }
+
+    /// Score `snip` against every driver: entry `i` is exactly
+    /// `drivers[i].score_with(snip, _)`. Allocation-free once `scratch`
+    /// is warm.
+    pub fn score<'s>(&self, snip: &AnnotatedSnippet, scratch: &'s mut ScoreScratch) -> &'s [f64] {
+        let ScoreScratch {
+            walks,
+            vectors,
+            scores,
+        } = scratch;
+        if walks.len() < self.leaders.len() {
+            walks.resize_with(self.leaders.len(), FeatureWalk::new);
+        }
+        {
+            let _t = STAGE_VECTORIZE.scope();
+            for (walk, &l) in walks.iter_mut().zip(&self.leaders) {
+                self.drivers[l].vectorizer.record_walk(snip, walk);
+            }
+        }
+        scores.clear();
+        for (d, &g) in self.drivers.iter().zip(&self.walk_of) {
+            scores.push(d.score_walk(&walks[g], vectors));
+        }
+        scores
     }
 }
 
@@ -188,6 +305,36 @@ pub struct Harvest {
     pub snippets_considered: usize,
 }
 
+/// Per-worker buffers for reading documents snippet by snippet: the
+/// document text, its sentences, the current snippet's text and a
+/// feature walk are reused, so only what a caller keeps is copied out.
+#[derive(Debug, Default)]
+struct DocScratch {
+    text: String,
+    snippets: SnippetScratch,
+    annotate: AnnotateScratch,
+    walk: FeatureWalk,
+}
+
+impl DocScratch {
+    /// Load `doc` and split it; returns its snippet count.
+    fn split(&mut self, snipgen: &SnippetGenerator, doc: &SyntheticDoc) -> usize {
+        doc.text_into(&mut self.text);
+        snipgen.split(&self.text, &mut self.snippets)
+    }
+
+    /// Snippet `k` of the loaded document: its text and annotation.
+    fn annotate(
+        &mut self,
+        snipgen: &SnippetGenerator,
+        annotator: &Annotator,
+        k: usize,
+    ) -> (&str, AnnotatedSnippet) {
+        let text = snipgen.snippet_text(&self.text, k, &mut self.snippets);
+        (text, annotator.annotate_with(text, &mut self.annotate))
+    }
+}
+
 /// Run the smart-query harvest (§3.3.1) for one driver.
 #[must_use]
 pub fn harvest_noisy_positives(
@@ -213,16 +360,14 @@ pub fn harvest_noisy_positives(
     let per_doc = etap_runtime::par_map_with(
         &doc_ids,
         config.threads,
-        AnnotateScratch::new,
+        DocScratch::default,
         |sc, &id| {
-            let text = web.doc(id).text();
-            let mut considered = 0usize;
+            let considered = sc.split(&snipgen, web.doc(id));
             let mut kept: Vec<(AnnotatedSnippet, String)> = Vec::new();
-            for snip in snipgen.snippets(&text) {
-                considered += 1;
-                let ann = annotator.annotate_with(&snip.text, sc);
+            for k in 0..considered {
+                let (text, ann) = sc.annotate(&snipgen, annotator, k);
                 if spec.snippet_filter.matches(&ann) {
-                    kept.push((ann, snip.text));
+                    kept.push((ann, text.to_owned()));
                 }
             }
             (considered, kept)
@@ -271,17 +416,13 @@ pub fn collect_pure_positives(
     let per_doc = etap_runtime::par_map_with(
         &docs,
         config.threads,
-        AnnotateScratch::new,
+        DocScratch::default,
         |sc, doc| {
-            let text = doc.text();
             let mut kept: Vec<AnnotatedSnippet> = Vec::new();
-            for snip in snipgen.snippets(&text) {
-                if doc
-                    .trigger_sentences
-                    .iter()
-                    .any(|t| snip.text.contains(t.as_str()))
-                {
-                    kept.push(annotator.annotate_with(&snip.text, sc));
+            for k in 0..sc.split(&snipgen, doc) {
+                let text = snipgen.snippet_text(&sc.text, k, &mut sc.snippets);
+                if doc.trigger_sentences.iter().any(|t| text.contains(t.as_str())) {
+                    kept.push(sc.annotate(&snipgen, annotator, k).1);
                 }
             }
             kept
@@ -315,6 +456,19 @@ pub fn sample_negatives(
     config: &TrainingConfig,
     exclude_doc: impl Fn(usize) -> bool + Sync,
 ) -> Vec<AnnotatedSnippet> {
+    sample_negatives_into(web, annotator, config, exclude_doc, |_, ann| ann)
+}
+
+/// [`sample_negatives`], handing each negative to `keep` — with the
+/// worker's walk buffer — the moment it is annotated, so a caller that
+/// keeps only a digest of each snippet never holds the annotated pool.
+fn sample_negatives_into<U: Send>(
+    web: &SyntheticWeb,
+    annotator: &Annotator,
+    config: &TrainingConfig,
+    exclude_doc: impl Fn(usize) -> bool + Sync,
+    keep: impl Fn(&mut FeatureWalk, AnnotatedSnippet) -> U + Sync,
+) -> Vec<U> {
     let target = config.negative_snippets;
     if target == 0 || web.len() == 0 {
         return Vec::new();
@@ -325,7 +479,7 @@ pub fn sample_negatives(
     let chunks = etap_runtime::par::par_chunk_map_with(
         n_chunks,
         config.threads,
-        AnnotateScratch::new,
+        DocScratch::default,
         |sc, ci| {
             let mut rng = Rng::stream(seed, ci as u64);
             let want = NEGATIVE_CHUNK.min(target - ci * NEGATIVE_CHUNK);
@@ -340,13 +494,13 @@ pub fn sample_negatives(
                 if exclude_doc(id) {
                     continue;
                 }
-                let text = web.doc(id).text();
-                let snippets = snipgen.snippets(&text);
-                if snippets.is_empty() {
+                let n = sc.split(&snipgen, web.doc(id));
+                if n == 0 {
                     continue;
                 }
-                let pick = rng.gen_range(0..snippets.len());
-                out.push(annotator.annotate_with(&snippets[pick].text, sc));
+                let pick = rng.gen_range(0..n);
+                let ann = sc.annotate(&snipgen, annotator, pick).1;
+                out.push(keep(&mut sc.walk, ann));
             }
             out
         },
@@ -367,26 +521,68 @@ pub fn train_driver_with<T: Trainer>(
 where
     T::Model: Sync,
 {
+    let negatives = negative_pool(web, annotator, config, exclude_doc);
+    train_on_negatives(trainer, spec, engine, web, annotator, config, exclude_doc, &negatives)
+}
+
+/// A fresh vectorizer under `config`'s policy and bigram setting.
+fn new_vectorizer(config: &TrainingConfig) -> Vectorizer {
+    Vectorizer::new(config.policy.clone()).with_bigrams(config.bigrams)
+}
+
+/// The negative pool as every driver trained under `config` reads it:
+/// sampled, annotated and feature-walked once. The pool depends only on
+/// the web, the seed, `exclude_doc` and the walk settings — never on
+/// the driver — so every driver of a system can share it. Each
+/// annotation is dropped as soon as it is walked, so the annotator's
+/// arena recycles one buffer instead of holding the whole pool.
+fn negative_pool(
+    web: &SyntheticWeb,
+    annotator: &Annotator,
+    config: &TrainingConfig,
+    exclude_doc: impl Fn(usize) -> bool + Sync,
+) -> Vec<FeatureWalk> {
+    let vectorizer = new_vectorizer(config);
+    let _t = STAGE_NEGATIVES.scope();
+    sample_negatives_into(web, annotator, config, exclude_doc, |walk, ann| {
+        vectorizer.record_walk(&ann, walk);
+        walk.clone()
+    })
+}
+
+/// Train one driver against an already walked negative pool (see
+/// [`negative_pool`]).
+#[allow(clippy::too_many_arguments)]
+fn train_on_negatives<T: Trainer>(
+    trainer: &T,
+    spec: &DriverSpec,
+    engine: &SearchEngine,
+    web: &SyntheticWeb,
+    annotator: &Annotator,
+    config: &TrainingConfig,
+    exclude_doc: impl Fn(usize) -> bool + Copy + Sync,
+    negatives: &[FeatureWalk],
+) -> TrainedDriver<T::Model>
+where
+    T::Model: Sync,
+{
     let (harvest, pure) = {
         let _t = STAGE_HARVEST.scope();
         let harvest = harvest_noisy_positives(spec, engine, web, annotator, config);
         let pure = collect_pure_positives(spec, web, annotator, config, exclude_doc);
         (harvest, pure)
     };
-    let negatives = {
-        let _t = STAGE_NEGATIVES.scope();
-        sample_negatives(web, annotator, config, exclude_doc)
-    };
 
     // Batch vectorization: feature extraction fans out, interning stays
     // sequential in snippet order, so the vocabulary's dense id
-    // assignment is identical to the one-by-one loop.
-    let mut vectorizer = Vectorizer::new(config.policy.clone()).with_bigrams(config.bigrams);
+    // assignment is identical to the one-by-one loop. Each driver
+    // interns the shared negative pool into its own vocabulary.
+    let mut vectorizer = new_vectorizer(config);
     let (noisy_vecs, pure_vecs, neg_vecs): (Vec<SparseVec>, Vec<SparseVec>, Vec<SparseVec>) = {
         let _t = STAGE_TRAIN_VECTORIZE.scope();
         let noisy = vectorizer.vectorize_batch(&harvest.noisy, config.threads);
         let pure_v = vectorizer.vectorize_batch(&pure, config.threads);
-        let neg = vectorizer.vectorize_batch(&negatives, config.threads);
+        let neg = vectorizer.vectorize_walks(negatives, config.threads);
         vectorizer.freeze();
         (noisy, pure_v, neg)
     };
@@ -433,6 +629,34 @@ pub fn train_driver(
         config,
         exclude_doc,
     )
+}
+
+/// Train every driver of `specs` with the paper's classifier, sampling,
+/// annotating and feature-walking the random negative class **once**
+/// for all of them (§3.3: the negative class is a random web sample,
+/// the same whatever the driver). Driver `i` of the result is
+/// byte-identical to `train_driver(&specs[i], …)`: each driver still
+/// interns the pool into its own vocabulary, in its own first-seen
+/// order.
+pub fn train_drivers(
+    specs: &[DriverSpec],
+    engine: &SearchEngine,
+    web: &SyntheticWeb,
+    annotator: &Annotator,
+    config: &TrainingConfig,
+    exclude_doc: impl Fn(usize) -> bool + Copy + Sync,
+) -> Vec<TrainedDriver> {
+    if specs.is_empty() {
+        return Vec::new();
+    }
+    let negatives = negative_pool(web, annotator, config, exclude_doc);
+    let trainer = MultinomialNb::new();
+    specs
+        .iter()
+        .map(|spec| {
+            train_on_negatives(&trainer, spec, engine, web, annotator, config, exclude_doc, &negatives)
+        })
+        .collect()
 }
 
 /// Build the paper's evaluation test set for a list of drivers: for each

@@ -56,7 +56,18 @@ impl SyntheticDoc {
     /// Full text: headline, blank line, body.
     #[must_use]
     pub fn text(&self) -> String {
-        format!("{}\n\n{}", self.title, self.body)
+        let mut text = String::with_capacity(self.title.len() + 2 + self.body.len());
+        self.text_into(&mut text);
+        text
+    }
+
+    /// [`SyntheticDoc::text`] into a caller-kept buffer (cleared first),
+    /// so a scan over many documents reuses one allocation.
+    pub fn text_into(&self, out: &mut String) {
+        out.clear();
+        out.push_str(&self.title);
+        out.push_str("\n\n");
+        out.push_str(&self.body);
     }
 
     /// The driver this document genuinely triggers, if any.

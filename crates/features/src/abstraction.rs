@@ -108,13 +108,15 @@ pub enum CategoryChoice {
     Drop,
 }
 
-/// Per-category abstraction decisions used by the vectorizer.
+/// Per-category abstraction decisions used by the vectorizer: one
+/// decision per entity category and per POS tag, read by plain
+/// indexing — the vectorizer consults it once per token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbstractionPolicy {
-    entity: HashMap<EntityCategory, CategoryChoice>,
-    pos: HashMap<PosTag, CategoryChoice>,
-    /// Fallback for POS tags without an explicit entry.
-    default_pos: CategoryChoice,
+    /// Indexed by `EntityCategory as usize`.
+    entity: [CategoryChoice; EntityCategory::ALL.len()],
+    /// Indexed by `PosTag as usize` (tokens outside entities).
+    pos: [CategoryChoice; PosTag::ALL.len()],
 }
 
 impl Default for AbstractionPolicy {
@@ -124,30 +126,29 @@ impl Default for AbstractionPolicy {
 }
 
 impl AbstractionPolicy {
+    /// Every entity category takes `entity`; content POS tags keep
+    /// their instances and closed-class tags (whose words are stop
+    /// words anyway) emit nothing.
+    fn with_entities(entity: CategoryChoice) -> Self {
+        let mut pos = [CategoryChoice::Drop; PosTag::ALL.len()];
+        for t in PosTag::ALL {
+            if t.is_content() {
+                pos[t as usize] = CategoryChoice::Instance;
+            }
+        }
+        Self {
+            entity: [entity; EntityCategory::ALL.len()],
+            pos,
+        }
+    }
+
     /// The policy the paper derives from Figures 3/4: PA for every
     /// entity category, IV for the content POS tags (vb, rb, nn, np,
     /// jj), and nothing for closed-class tags (whose words are stop
     /// words anyway).
     #[must_use]
     pub fn paper_default() -> Self {
-        let entity = EntityCategory::ALL
-            .iter()
-            .map(|&c| (c, CategoryChoice::Abstract))
-            .collect();
-        let mut pos = HashMap::new();
-        for t in PosTag::ALL {
-            let choice = if t.is_content() {
-                CategoryChoice::Instance
-            } else {
-                CategoryChoice::Drop
-            };
-            pos.insert(t, choice);
-        }
-        Self {
-            entity,
-            pos,
-            default_pos: CategoryChoice::Drop,
-        }
+        Self::with_entities(CategoryChoice::Abstract)
     }
 
     /// A no-abstraction baseline: every entity and every content POS tag
@@ -155,24 +156,7 @@ impl AbstractionPolicy {
     /// benches to quantify what abstraction buys.
     #[must_use]
     pub fn bag_of_words() -> Self {
-        let entity = EntityCategory::ALL
-            .iter()
-            .map(|&c| (c, CategoryChoice::Instance))
-            .collect();
-        let mut pos = HashMap::new();
-        for t in PosTag::ALL {
-            let choice = if t.is_content() {
-                CategoryChoice::Instance
-            } else {
-                CategoryChoice::Drop
-            };
-            pos.insert(t, choice);
-        }
-        Self {
-            entity,
-            pos,
-            default_pos: CategoryChoice::Drop,
-        }
+        Self::with_entities(CategoryChoice::Instance)
     }
 
     /// Derive a policy from a RIG analysis: each category takes whichever
@@ -190,12 +174,8 @@ impl AbstractionPolicy {
                 CategoryChoice::Instance
             };
             match r.category {
-                AbstractionCategory::Entity(c) => {
-                    policy.entity.insert(c, choice);
-                }
-                AbstractionCategory::Pos(t) => {
-                    policy.pos.insert(t, choice);
-                }
+                AbstractionCategory::Entity(c) => policy.set_entity(c, choice),
+                AbstractionCategory::Pos(t) => policy.set_pos(t, choice),
             }
         }
         policy
@@ -204,26 +184,23 @@ impl AbstractionPolicy {
     /// Decision for an entity category.
     #[must_use]
     pub fn entity_choice(&self, cat: EntityCategory) -> CategoryChoice {
-        self.entity
-            .get(&cat)
-            .copied()
-            .unwrap_or(CategoryChoice::Abstract)
+        self.entity[cat as usize]
     }
 
     /// Decision for a POS tag (tokens outside entities).
     #[must_use]
     pub fn pos_choice(&self, tag: PosTag) -> CategoryChoice {
-        self.pos.get(&tag).copied().unwrap_or(self.default_pos)
+        self.pos[tag as usize]
     }
 
     /// Override the decision for an entity category.
     pub fn set_entity(&mut self, cat: EntityCategory, choice: CategoryChoice) {
-        self.entity.insert(cat, choice);
+        self.entity[cat as usize] = choice;
     }
 
     /// Override the decision for a POS tag.
     pub fn set_pos(&mut self, tag: PosTag, choice: CategoryChoice) {
-        self.pos.insert(tag, choice);
+        self.pos[tag as usize] = choice;
     }
 }
 
@@ -349,6 +326,16 @@ mod tests {
         );
         assert!(all.contains(&AbstractionCategory::Pos(PosTag::Vb)));
         assert!(!all.contains(&AbstractionCategory::Pos(PosTag::Punct)));
+    }
+
+    #[test]
+    fn category_lists_follow_discriminant_order() {
+        for (i, c) in EntityCategory::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{c:?}");
+        }
+        for (i, t) in PosTag::ALL.iter().enumerate() {
+            assert_eq!(*t as usize, i, "{t:?}");
+        }
     }
 
     #[test]

@@ -31,4 +31,4 @@ pub use abstraction::{
 };
 pub use entropy::{entropy, rig};
 pub use select::{chi_square, information_gain, mutual_information, FeatureStats};
-pub use vectorize::{SparseVec, Vectorizer, VectorScratch};
+pub use vectorize::{FeatureWalk, SparseVec, Vectorizer, VectorScratch};

@@ -218,58 +218,30 @@ impl Vectorizer {
     #[must_use]
     pub fn vectorize_with(&mut self, snip: &AnnotatedSnippet, scratch: &mut VectorScratch) -> SparseVec {
         scratch.reset();
-        let Self {
-            policy,
-            vocab,
-            frozen,
-            bigrams,
-        } = self;
-        let frozen = *frozen;
         let VectorScratch {
             walk,
             pairs,
             seen_tags,
             ..
         } = scratch;
-        walk_features(policy, *bigrams, snip, walk, |feat, once| {
-            let id = if frozen {
-                vocab.get(feat)
+        walk.record(&self.policy, self.bigrams, snip);
+        for (feat, once) in walk.iter() {
+            let id = if self.frozen {
+                self.vocab.get(feat)
             } else {
-                Some(vocab.intern(feat))
+                Some(self.vocab.intern(feat))
             };
             if let Some(id) = id {
-                if once {
-                    if seen_tags.contains(&id) {
-                        return;
-                    }
-                    seen_tags.push(id);
-                }
-                pairs.push((id, 1.0));
+                push_feature(pairs, seen_tags, id, once);
             }
-        });
+        }
         SparseVec::from_pairs_buf(pairs)
     }
 
     /// Vectorize against a **frozen** feature space without mutating —
-    /// or cloning — the vectorizer. This is the inference hot path:
-    /// scoring previously cloned the entire vocabulary per snippet to
-    /// keep `&self`; this does pure id lookups into the shared table.
-    ///
-    /// # Panics
-    /// Panics if the vocabulary is not frozen (an unfrozen vectorize
-    /// must intern, which needs `&mut self`).
-    #[must_use]
-    pub fn vectorize_frozen(&self, snip: &AnnotatedSnippet, scratch: &mut VectorScratch) -> SparseVec {
-        assert!(
-            self.frozen,
-            "vectorize_frozen requires a frozen vocabulary (call freeze() after training)"
-        );
-        self.vectorize_frozen_into(snip, scratch).clone()
-    }
-
-    /// Like [`Vectorizer::vectorize_frozen`], but the result is
-    /// **borrowed from the scratch** instead of freshly allocated: the
-    /// canonical (sorted, deduplicated) pair buffer is swapped into a
+    /// or cloning — the vectorizer: pure id lookups into the shared
+    /// table. The result is **borrowed from the scratch**: the canonical
+    /// (sorted, deduplicated) pair buffer is swapped into a
     /// scratch-owned [`SparseVec`] whose storage is recycled on the next
     /// call. This is the zero-allocation scoring path — after warm-up,
     /// vectorizing a snippet allocates nothing.
@@ -282,113 +254,144 @@ impl Vectorizer {
         snip: &AnnotatedSnippet,
         scratch: &'s mut VectorScratch,
     ) -> &'s SparseVec {
-        assert!(
-            self.frozen,
-            "vectorize_frozen requires a frozen vocabulary (call freeze() after training)"
-        );
-        scratch.reset();
+        self.assert_frozen();
+        self.record_walk(snip, &mut scratch.walk);
         let VectorScratch {
             walk,
             pairs,
             seen_tags,
             out,
         } = scratch;
-        walk_features(&self.policy, self.bigrams, snip, walk, |feat, once| {
-            if let Some(id) = self.vocab.get(feat) {
-                if once {
-                    if seen_tags.contains(&id) {
-                        return;
-                    }
-                    seen_tags.push(id);
-                }
-                pairs.push((id, 1.0));
-            }
-        });
-        canonicalize(pairs);
-        // Swap rather than copy: `out` hands its previous (cleared-on-
-        // next-reset) buffer back to `pairs`, so both capacities are
-        // retained across snippets and nothing is allocated.
-        std::mem::swap(&mut out.pairs, pairs);
-        out
+        lookup_walk(&self.vocab, walk, pairs, seen_tags, out)
+    }
+
+    /// Whether `other` walks a snippet exactly as this vectorizer does
+    /// (same policy, same bigram setting): drivers that walk alike can
+    /// share one [`FeatureWalk`] per snippet.
+    #[must_use]
+    pub fn walks_like(&self, other: &Vectorizer) -> bool {
+        self.bigrams == other.bigrams && self.policy == other.policy
+    }
+
+    /// Record `snip`'s feature walk under this vectorizer's policy into
+    /// `walk` (its previous contents are discarded). The walk does not
+    /// depend on the vocabulary, so one recording serves every
+    /// vectorizer that [`walks_like`](Self::walks_like) this one.
+    pub fn record_walk(&self, snip: &AnnotatedSnippet, walk: &mut FeatureWalk) {
+        walk.record(&self.policy, self.bigrams, snip);
+    }
+
+    /// Look a recorded walk up in this **frozen** vocabulary: the
+    /// second half of [`Vectorizer::vectorize_frozen_into`], which is
+    /// exactly [`record_walk`](Self::record_walk) followed by this
+    /// call. Ids are assigned and canonicalized in this vectorizer's own
+    /// id order, so the vector — and every float summed over it — is
+    /// identical to the one-driver path. `scratch`'s own walk buffer is
+    /// left untouched.
+    ///
+    /// # Panics
+    /// Panics if the vocabulary is not frozen.
+    #[must_use]
+    pub fn lookup_walk<'s>(&self, walk: &FeatureWalk, scratch: &'s mut VectorScratch) -> &'s SparseVec {
+        self.assert_frozen();
+        let VectorScratch {
+            pairs,
+            seen_tags,
+            out,
+            ..
+        } = scratch;
+        lookup_walk(&self.vocab, walk, pairs, seen_tags, out)
+    }
+
+    fn assert_frozen(&self) {
+        assert!(
+            self.frozen,
+            "a frozen lookup requires a frozen vocabulary (call freeze() after training)"
+        );
     }
 
     /// Vectorize a batch of snippets on up to `threads` worker threads
     /// (`0` = the `ETAP_THREADS` default), bit-identical to vectorizing
-    /// them sequentially in order — for **any** thread count.
-    ///
-    /// * Frozen: pure lookups fan out fully, one scratch per worker.
-    /// * Unfrozen (training): the walk fans out to produce each
-    ///   snippet's feature-string sequence, then ids are interned
-    ///   **sequentially in snippet order**, so the vocabulary gets the
-    ///   exact same dense first-seen id assignment as the sequential
-    ///   path.
+    /// them sequentially in order — for **any** thread count:
+    /// [`record_walks`](Self::record_walks) then
+    /// [`vectorize_walks`](Self::vectorize_walks).
     #[must_use]
     pub fn vectorize_batch(&mut self, snips: &[AnnotatedSnippet], threads: usize) -> Vec<SparseVec> {
+        let walks = self.record_walks(snips, threads);
+        self.vectorize_walks(&walks, threads)
+    }
+
+    /// Record every snippet's feature walk under this vectorizer's
+    /// policy, on up to `threads` workers, in snippet order. A pool
+    /// recorded once serves every vectorizer that
+    /// [`walks_like`](Self::walks_like) this one.
+    #[must_use]
+    pub fn record_walks(&self, snips: &[AnnotatedSnippet], threads: usize) -> Vec<FeatureWalk> {
+        etap_runtime::par_map_with(snips, threads, FeatureWalk::new, |walk, snip| {
+            self.record_walk(snip, walk);
+            walk.clone()
+        })
+    }
+
+    /// Vectorize recorded walks (see [`record_walks`](Self::record_walks)),
+    /// bit-identical to vectorizing the snippets they were recorded from
+    /// one by one, in order, for any thread count. Unfrozen, unseen
+    /// features are interned: the lookup fans out, then ids are interned
+    /// **sequentially in walk order**, so the vocabulary gets the exact
+    /// dense first-seen id assignment of the sequential path.
+    #[must_use]
+    pub fn vectorize_walks(&mut self, walks: &[FeatureWalk], threads: usize) -> Vec<SparseVec> {
         if self.frozen {
-            return etap_runtime::par_map_with(snips, threads, VectorScratch::default, |sc, s| {
-                self.vectorize_frozen(s, sc)
+            return etap_runtime::par_map_with(walks, threads, VectorScratch::default, |sc, w| {
+                self.lookup_walk(w, sc).clone()
             });
         }
-        let Self {
-            policy,
-            vocab,
-            bigrams,
-            ..
-        } = self;
-        let bigrams = *bigrams;
+        let vocab = &mut self.vocab;
         // Phase 1 (parallel, read-only): resolve every feature against
         // the *current* vocabulary. A term already interned travels as
-        // its dense `TermId` — no `String` materialized; only terms new
-        // to this batch carry their text into phase 2. (The old
-        // implementation built `Vec<Vec<String>>` — one fresh `String`
-        // per feature *occurrence* — which dominated training-path
-        // allocations.)
-        let extracted: Vec<Vec<Feat>> = etap_runtime::par_map_with(
-            snips,
-            threads,
-            WalkScratch::default,
-            |walk, snip| {
-                let mut feats: Vec<Feat> = Vec::new();
-                // Once-per-snippet tags deduplicate by id where the term
-                // is known and by text otherwise; the sequential path
-                // dedups by id, which is equivalent because interning is
-                // injective.
-                let mut seen_ids: Vec<TermId> = Vec::new();
-                let mut seen_new: Vec<Box<str>> = Vec::new();
-                walk_features(policy, bigrams, snip, walk, |feat, once| {
-                    match vocab.get(feat) {
-                        Some(id) => {
-                            if once {
-                                if seen_ids.contains(&id) {
-                                    return;
-                                }
-                                seen_ids.push(id);
+        // its dense `TermId`; a term new to this batch travels as a
+        // slice of its walk, interned in phase 2.
+        let walks: Vec<&FeatureWalk> = walks.iter().collect();
+        let extracted: Vec<Vec<Feat<'_>>> = etap_runtime::par_map(&walks, threads, |&walk| {
+            let mut feats: Vec<Feat<'_>> = Vec::with_capacity(walk.len());
+            // Once-per-snippet tags deduplicate by id where the term is
+            // known and by text otherwise; the sequential path dedups by
+            // id, which is equivalent because interning is injective.
+            let mut seen_ids: Vec<TermId> = Vec::new();
+            let mut seen_new: Vec<&str> = Vec::new();
+            for (feat, once) in walk.iter() {
+                match vocab.get(feat) {
+                    Some(id) => {
+                        if once {
+                            if seen_ids.contains(&id) {
+                                continue;
                             }
-                            feats.push(Feat::Id(id));
+                            seen_ids.push(id);
                         }
-                        None => {
-                            if once {
-                                if seen_new.iter().any(|s| s.as_ref() == feat) {
-                                    return;
-                                }
-                                seen_new.push(feat.into());
-                            }
-                            feats.push(Feat::New(feat.into()));
-                        }
+                        feats.push(Feat::Id(id));
                     }
-                });
-                feats
-            },
-        );
-        // Phase 2 (sequential): intern in snippet order, so new terms
-        // get the exact dense first-seen ids of the sequential path.
+                    None => {
+                        if once {
+                            if seen_new.contains(&feat) {
+                                continue;
+                            }
+                            seen_new.push(feat);
+                        }
+                        feats.push(Feat::New(feat));
+                    }
+                }
+            }
+            feats
+        });
+        // Phase 2 (sequential): intern in walk order, so new terms get
+        // the exact dense first-seen ids of the sequential path.
         let mut pairs: Vec<(u32, f32)> = Vec::new();
         extracted
             .iter()
             .map(|feats| {
                 pairs.clear();
-                pairs.extend(feats.iter().map(|f| match f {
-                    Feat::Id(id) => (*id, 1.0),
+                pairs.extend(feats.iter().map(|f| match *f {
+                    Feat::Id(id) => (id, 1.0),
                     Feat::New(text) => (vocab.intern(text), 1.0),
                 }));
                 SparseVec::from_pairs_buf(&mut pairs)
@@ -398,21 +401,21 @@ impl Vectorizer {
 }
 
 /// One resolved feature occurrence from the parallel extraction phase
-/// of an unfrozen [`Vectorizer::vectorize_batch`].
-#[derive(Debug, Clone)]
-enum Feat {
+/// of an unfrozen [`Vectorizer::vectorize_walks`].
+#[derive(Debug, Clone, Copy)]
+enum Feat<'w> {
     /// Already interned before this batch started.
     Id(TermId),
-    /// New to the vocabulary; carries its text to the sequential
-    /// interning phase.
-    New(Box<str>),
+    /// New to the vocabulary; its text, borrowed from the walk, goes to
+    /// the sequential interning phase.
+    New(&'w str),
 }
 
 /// Reusable per-thread working buffers for vectorization. Purely an
 /// allocation cache: contents never influence results.
 #[derive(Debug, Default, Clone)]
 pub struct VectorScratch {
-    walk: WalkScratch,
+    walk: FeatureWalk,
     pairs: Vec<(u32, f32)>,
     seen_tags: Vec<u32>,
     out: SparseVec,
@@ -431,107 +434,198 @@ impl VectorScratch {
     }
 }
 
-/// The string/byte buffers [`walk_features`] cycles through per token.
-/// Every buffer is cleared before use; none carries state across calls.
-#[derive(Debug, Default, Clone)]
-struct WalkScratch {
+/// Append one looked-up feature occurrence; a once-per-snippet feature
+/// is kept only the first time its id appears.
+fn push_feature(pairs: &mut Vec<(u32, f32)>, seen_tags: &mut Vec<u32>, id: u32, once: bool) {
+    if once {
+        if seen_tags.contains(&id) {
+            return;
+        }
+        seen_tags.push(id);
+    }
+    pairs.push((id, 1.0));
+}
+
+/// Resolve a recorded walk against a frozen vocabulary into `out`,
+/// canonicalized. The frozen core of every scoring path.
+fn lookup_walk<'s>(
+    vocab: &Vocabulary,
+    walk: &FeatureWalk,
+    pairs: &mut Vec<(u32, f32)>,
+    seen_tags: &mut Vec<u32>,
+    out: &'s mut SparseVec,
+) -> &'s SparseVec {
+    pairs.clear();
+    seen_tags.clear();
+    for (feat, once) in walk.iter() {
+        if let Some(id) = vocab.get(feat) {
+            push_feature(pairs, seen_tags, id, once);
+        }
+    }
+    canonicalize(pairs);
+    // Swap rather than copy: `out` hands its previous (cleared-on-
+    // next-use) buffer back to `pairs`, so both capacities are
+    // retained across snippets and nothing is allocated.
+    std::mem::swap(&mut out.pairs, pairs);
+    out
+}
+
+/// One snippet's features in the canonical emit order, as recorded by a
+/// single walk. The walk — lowercasing, stop-word checks, stemming,
+/// policy lookups — depends only on the abstraction policy and the
+/// bigram setting, never on a vocabulary. Recording it once lets every
+/// vectorizer that walks alike look the same features up in its own
+/// vocabulary; every vectorization mode (interning, frozen lookup,
+/// batch extraction) reads the walk through this one recorder, so they
+/// cannot drift apart.
+///
+/// Allocation-free once warm: features are appended back to back into
+/// one reused text buffer, and every intermediate (lowercased token,
+/// stemmed word, entity surface, bigram join) is built in reused
+/// buffers. Emit order — load-bearing for dense id assignment during
+/// training: entity features first (in entity order), then token
+/// features (in token order), with each bigram emitted immediately
+/// **before** its second unigram.
+///
+/// A clone carries the recording only, not the work buffers.
+#[derive(Debug, Default)]
+pub struct FeatureWalk {
+    /// Every recorded feature, back to back.
+    text: String,
+    /// Per feature: its end offset in `text` and whether it counts at
+    /// most once per snippet (an abstracted entity tag).
+    feats: Vec<(u32, bool)>,
     feature: String,
     prev: String,
-    bigram: String,
     lower: String,
     stem: Vec<u8>,
 }
 
-/// Walk one snippet's features in the canonical emit order, calling
-/// `emit(feature, once_per_snippet)` for each. This single walker backs
-/// every vectorization mode (interning, frozen lookup, batch
-/// extraction), so they cannot drift apart.
-///
-/// Allocation-free: every intermediate (lowercased token, stemmed word,
-/// entity surface, bigram join) is built in `scratch`'s reused buffers —
-/// the walker itself performs zero heap allocations after the buffers
-/// warm up. Emit order — load-bearing for dense id assignment during
-/// training: entity features first (in entity order), then token
-/// features (in token order), with each bigram emitted immediately
-/// **before** its second unigram, exactly as the original implementation
-/// did.
-fn walk_features(
-    policy: &AbstractionPolicy,
-    bigrams: bool,
-    snip: &AnnotatedSnippet,
-    scratch: &mut WalkScratch,
-    mut emit: impl FnMut(&str, bool),
-) {
-    let WalkScratch {
-        feature,
-        prev,
-        bigram,
-        lower,
-        stem,
-    } = scratch;
-    // Entity-level features. Under **Abstract** the representation is
-    // presence/absence (the paper's PA), so the tag feature is emitted
-    // at most once per snippet no matter how many entities of the
-    // category occur — otherwise entity-dense background text (market
-    // roundups naming five companies) gets its NE:ORG evidence
-    // multiplied and swamps the event vocabulary.
-    for ent in snip.entities().iter() {
-        feature.clear();
-        match policy.entity_choice(ent.category) {
-            CategoryChoice::Abstract => {
-                feature.push_str("NE:");
-                feature.push_str(ent.category.tag());
-                emit(feature, true);
-            }
-            CategoryChoice::Instance => {
-                feature.push_str("ne=");
-                for (k, ti) in ent.token_range().enumerate() {
-                    if k > 0 {
-                        feature.push(' ');
-                    }
-                    lower_into(snip.token_text(ti), lower);
-                    feature.push_str(lower);
-                }
-                emit(feature, false);
-            }
-            CategoryChoice::Drop => continue,
+impl Clone for FeatureWalk {
+    fn clone(&self) -> Self {
+        Self {
+            text: self.text.clone(),
+            feats: self.feats.clone(),
+            ..Self::default()
         }
     }
+}
 
-    // Token-level features for tokens outside entities.
-    let mut last_instance: Option<usize> = None;
-    for (ti, tok) in snip.tokens().enumerate() {
-        if tok.entity.is_some() || tok.pos == PosTag::Punct {
-            continue;
+impl FeatureWalk {
+    /// Fresh (empty) walk.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of recorded feature occurrences.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.feats.len()
+    }
+
+    /// True when the walk recorded no feature.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.feats.is_empty()
+    }
+
+    /// The recorded `(feature, once_per_snippet)` occurrences in emit
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, bool)> + '_ {
+        let mut start = 0usize;
+        self.feats.iter().map(move |&(end, once)| {
+            let feat = &self.text[start..end as usize];
+            start = end as usize;
+            (feat, once)
+        })
+    }
+
+    /// Walk `snip` under `policy` and record its features, replacing
+    /// the previous recording.
+    pub fn record(&mut self, policy: &AbstractionPolicy, bigrams: bool, snip: &AnnotatedSnippet) {
+        let Self {
+            text,
+            feats,
+            feature,
+            prev,
+            lower,
+            stem,
+        } = self;
+        text.clear();
+        feats.clear();
+        // Append `feat` and close the occurrence that began at the
+        // previous occurrence's end (so a prefix already pushed into
+        // `text` — a bigram's first word — belongs to it).
+        fn emit(text: &mut String, feats: &mut Vec<(u32, bool)>, feat: &str, once: bool) {
+            text.push_str(feat);
+            let end = u32::try_from(text.len()).expect("snippet features exceed u32 range");
+            feats.push((end, once));
         }
-        feature.clear();
-        match policy.pos_choice(tok.pos) {
-            CategoryChoice::Abstract => {
-                feature.push_str("pos:");
-                feature.push_str(tok.pos.tag());
-            }
-            CategoryChoice::Instance => {
-                lower_into(tok.text, lower);
-                if is_stopword(lower) {
-                    continue;
+        // Entity-level features. Under **Abstract** the representation
+        // is presence/absence (the paper's PA), so the tag feature is
+        // emitted at most once per snippet no matter how many entities
+        // of the category occur — otherwise entity-dense background text
+        // (market roundups naming five companies) gets its NE:ORG
+        // evidence multiplied and swamps the event vocabulary.
+        for ent in snip.entities().iter() {
+            feature.clear();
+            match policy.entity_choice(ent.category) {
+                CategoryChoice::Abstract => {
+                    feature.push_str("NE:");
+                    feature.push_str(ent.category.tag());
+                    emit(text, feats, feature, true);
                 }
-                feature.push_str(stem_with(lower, stem));
-                if bigrams {
-                    if last_instance == Some(ti.wrapping_sub(1)) {
-                        bigram.clear();
-                        bigram.push_str(prev);
-                        bigram.push('_');
-                        bigram.push_str(feature);
-                        emit(bigram, false);
+                CategoryChoice::Instance => {
+                    feature.push_str("ne=");
+                    for (k, ti) in ent.token_range().enumerate() {
+                        if k > 0 {
+                            feature.push(' ');
+                        }
+                        lower_into(snip.token_text(ti), lower);
+                        feature.push_str(lower);
                     }
-                    last_instance = Some(ti);
-                    prev.clear();
-                    prev.push_str(feature);
+                    emit(text, feats, feature, false);
                 }
+                CategoryChoice::Drop => continue,
             }
-            CategoryChoice::Drop => continue,
         }
-        emit(feature, false);
+
+        // Token-level features for tokens outside entities.
+        let mut last_instance: Option<usize> = None;
+        for (ti, tok) in snip.tokens().enumerate() {
+            if tok.entity.is_some() || tok.pos == PosTag::Punct {
+                continue;
+            }
+            feature.clear();
+            match policy.pos_choice(tok.pos) {
+                CategoryChoice::Abstract => {
+                    feature.push_str("pos:");
+                    feature.push_str(tok.pos.tag());
+                }
+                CategoryChoice::Instance => {
+                    lower_into(tok.text, lower);
+                    if is_stopword(lower) {
+                        continue;
+                    }
+                    feature.push_str(stem_with(lower, stem));
+                    if bigrams {
+                        if last_instance == Some(ti.wrapping_sub(1)) {
+                            // The bigram is recorded straight into the
+                            // text buffer: `prev`, '_', then the unigram.
+                            text.push_str(prev);
+                            text.push('_');
+                            emit(text, feats, feature, false);
+                        }
+                        last_instance = Some(ti);
+                        prev.clear();
+                        prev.push_str(feature);
+                    }
+                }
+                CategoryChoice::Drop => continue,
+            }
+            emit(text, feats, feature, false);
+        }
     }
 }
 
@@ -682,7 +776,7 @@ mod tests {
         vz.freeze();
         let mut scratch = VectorScratch::new();
         for s in &snips {
-            assert_eq!(vz.vectorize_frozen(s, &mut scratch), vz.vectorize(s));
+            assert_eq!(vz.vectorize_frozen_into(s, &mut scratch), &vz.vectorize(s));
         }
     }
 
@@ -719,10 +813,38 @@ mod tests {
     }
 
     #[test]
+    fn one_recorded_pool_serves_every_vectorizer_that_walks_alike() {
+        let snips = annotate_batch_texts();
+        // Two vectorizers with different vocabularies (one has already
+        // interned other text) but the same walk settings.
+        let fresh = Vectorizer::paper_default().with_bigrams(true);
+        let mut warmed = Vectorizer::paper_default().with_bigrams(true);
+        let _ = warmed.vectorize(&annotate("Shares of Acme fell sharply after the merger."));
+        assert!(fresh.walks_like(&warmed));
+        assert!(!fresh.walks_like(&Vectorizer::paper_default()));
+        let walks = fresh.record_walks(&snips, 2);
+        for mut vz in [fresh, warmed] {
+            let mut direct = vz.clone();
+            let expect: Vec<SparseVec> = snips.iter().map(|s| direct.vectorize(s)).collect();
+            assert_eq!(vz.vectorize_walks(&walks, 3), expect);
+            assert_eq!(
+                vz.vocabulary().iter().collect::<Vec<_>>(),
+                direct.vocabulary().iter().collect::<Vec<_>>()
+            );
+            vz.freeze();
+            let (mut a, mut b) = (VectorScratch::new(), VectorScratch::new());
+            for (walk, snip) in walks.iter().zip(&snips) {
+                assert_eq!(vz.lookup_walk(walk, &mut a), vz.vectorize_frozen_into(snip, &mut b));
+            }
+            assert_eq!(vz.vectorize_walks(&walks, 2), vz.vectorize_batch(&snips, 1));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "requires a frozen vocabulary")]
     fn vectorize_frozen_rejects_unfrozen() {
         let vz = Vectorizer::paper_default();
         let snip = annotate("profits rose.");
-        let _ = vz.vectorize_frozen(&snip, &mut VectorScratch::new());
+        let _ = vz.vectorize_frozen_into(&snip, &mut VectorScratch::new());
     }
 }

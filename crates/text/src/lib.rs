@@ -32,7 +32,7 @@ pub mod token;
 pub mod vocab;
 
 pub use sentence::{SentenceChunker, SentenceSpan};
-pub use snippet::{Snippet, SnippetGenerator};
+pub use snippet::{Snippet, SnippetGenerator, SnippetScratch};
 pub use stem::{stem, stem_with};
 pub use stopwords::is_stopword;
 pub use token::{

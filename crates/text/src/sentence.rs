@@ -13,7 +13,7 @@
 //! * ellipses (`...`) and quoted sentence ends (`."`, `.'`),
 //! * terminators `!`, `?` and hard breaks (blank lines).
 
-use crate::token::{tokenize, Token};
+use crate::token::{is_capitalized, tokenize_into, TokenSpan};
 
 /// Byte span of a sentence within the source document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,13 +53,11 @@ const COMPANY_ABBREVS: &[&str] = &[
 ];
 
 fn is_non_terminal_abbrev(word: &str) -> bool {
-    let lower = word.to_ascii_lowercase();
-    NON_TERMINAL_ABBREVS.contains(&lower.as_str())
+    NON_TERMINAL_ABBREVS.iter().any(|a| a.eq_ignore_ascii_case(word))
 }
 
 fn is_company_abbrev(word: &str) -> bool {
-    let lower = word.to_ascii_lowercase();
-    COMPANY_ABBREVS.contains(&lower.as_str())
+    COMPANY_ABBREVS.iter().any(|a| a.eq_ignore_ascii_case(word))
 }
 
 /// A single-character uppercase initial, as in `J. P. Morgan`.
@@ -98,41 +96,44 @@ impl SentenceChunker {
     /// sentences (whitespace) belongs to no span.
     #[must_use]
     pub fn sentences(&self, text: &str) -> Vec<SentenceSpan> {
-        let tokens = tokenize(text);
         let mut spans = Vec::new();
-        if tokens.is_empty() {
-            return spans;
-        }
+        self.sentences_into(text, &mut Vec::new(), &mut spans);
+        spans
+    }
 
+    /// [`SentenceChunker::sentences`] into caller-kept buffers (both
+    /// cleared first): `tokens` is working space, `spans` receives the
+    /// sentences. Allocation-free once the buffers are warm.
+    pub fn sentences_into(&self, text: &str, tokens: &mut Vec<TokenSpan>, spans: &mut Vec<SentenceSpan>) {
+        spans.clear();
+        tokenize_into(text, tokens);
+        let tok = |i: usize| tokens[i].text(text);
         let mut sent_start_tok = 0usize;
         let mut i = 0usize;
         while i < tokens.len() {
-            let tok = &tokens[i];
-            let boundary = match tok.text {
-                "." => self.period_is_boundary(&tokens, i),
+            let boundary = match tok(i) {
+                "." => self.period_is_boundary(text, tokens, i),
                 "!" | "?" => true,
                 _ => {
                     // Hard break: a blank line between this token and the
                     // next one always separates sentences (e.g. headline
                     // followed by body text).
-                    i + 1 < tokens.len() && has_blank_line(text, tok.end, tokens[i + 1].start)
+                    i + 1 < tokens.len()
+                        && has_blank_line(text, tokens[i].end as usize, tokens[i + 1].start as usize)
                 }
             };
             if boundary {
                 // Absorb trailing closing quotes/brackets into this sentence.
                 let mut end_tok = i;
                 while end_tok + 1 < tokens.len()
-                    && matches!(
-                        tokens[end_tok + 1].text,
-                        "\"" | "'" | ")" | "\u{201d}" | "\u{2019}"
-                    )
+                    && matches!(tok(end_tok + 1), "\"" | "'" | ")" | "\u{201d}" | "\u{2019}")
                     && tokens[end_tok + 1].start == tokens[end_tok].end
                 {
                     end_tok += 1;
                 }
                 spans.push(SentenceSpan {
-                    start: tokens[sent_start_tok].start,
-                    end: tokens[end_tok].end,
+                    start: tokens[sent_start_tok].start as usize,
+                    end: tokens[end_tok].end as usize,
                 });
                 i = end_tok + 1;
                 sent_start_tok = i;
@@ -142,11 +143,10 @@ impl SentenceChunker {
         }
         if sent_start_tok < tokens.len() {
             spans.push(SentenceSpan {
-                start: tokens[sent_start_tok].start,
-                end: tokens[tokens.len() - 1].end,
+                start: tokens[sent_start_tok].start as usize,
+                end: tokens[tokens.len() - 1].end as usize,
             });
         }
-        spans
     }
 
     /// Convenience: return owned sentence strings.
@@ -159,45 +159,39 @@ impl SentenceChunker {
     }
 
     /// Decide whether the period at token index `i` terminates a sentence.
-    fn period_is_boundary(&self, tokens: &[Token<'_>], i: usize) -> bool {
-        let Some(prev) = i.checked_sub(1).map(|p| &tokens[p]) else {
+    fn period_is_boundary(&self, text: &str, tokens: &[TokenSpan], i: usize) -> bool {
+        let Some(prev) = i.checked_sub(1).map(|p| tokens[p]) else {
             return true; // A leading period: treat as terminator.
         };
+        let prev_text = prev.text(text);
         // The period must be attached to the previous token to be an
         // abbreviation dot; a free-standing " . " is a terminator.
         let attached = prev.end == tokens[i].start;
 
-        let next = tokens.get(i + 1);
+        let next = tokens.get(i + 1).map(|n| (n, n.text(text)));
+        let next_capitalized = next.is_some_and(|(n, t)| is_capitalized(t, n.kind));
 
         // Ellipsis: consume as boundary only if followed by a capital.
-        if let Some(n) = next {
-            if n.text == "." {
-                return false; // middle of "..." — defer to the last dot
-            }
+        if let Some((_, ".")) = next {
+            return false; // middle of "..." — defer to the last dot
         }
 
-        if attached && is_initial(prev.text) && prev.kind.is_word() {
+        if attached && is_initial(prev_text) && prev.kind.is_word() && next_capitalized {
             // "J." in "J. P. Morgan" — not a boundary if the next token
             // is another initial or a capitalised surname.
-            if let Some(n) = next {
-                if n.is_capitalized() {
-                    return false;
-                }
-            }
-        }
-
-        if attached && is_non_terminal_abbrev(prev.text) {
             return false;
         }
 
-        if attached && is_company_abbrev(prev.text) {
+        if attached && is_non_terminal_abbrev(prev_text) {
+            return false;
+        }
+
+        if attached && is_company_abbrev(prev_text) {
             // "Acme Corp. announced" — "announced" is lowercase, so the
             // dot belongs to the abbreviation; "Acme Corp. Its shares…"
             // starts a new sentence.
             return match next {
-                Some(n) => {
-                    (n.is_capitalized() || n.kind.is_numeric()) && !is_company_abbrev(n.text)
-                }
+                Some((n, t)) => (next_capitalized || n.kind.is_numeric()) && !is_company_abbrev(t),
                 None => true,
             };
         }
@@ -205,7 +199,7 @@ impl SentenceChunker {
         // Decimal-number guard: tokenizer already keeps "5.3" together,
         // but "5 . 3" with spaces should still not split. Conservative:
         // digit '.' digit is not a boundary.
-        if let (true, Some(n)) = (prev.kind.is_numeric(), next) {
+        if let (true, Some((n, _))) = (prev.kind.is_numeric(), next) {
             if n.kind.is_numeric() && attached && n.start == tokens[i].end {
                 return false;
             }

@@ -7,6 +7,7 @@
 //! contains the snippet".
 
 use crate::sentence::{SentenceChunker, SentenceSpan};
+use crate::token::TokenSpan;
 
 /// A snippet: `n` consecutive sentences from one document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,38 +116,98 @@ impl SnippetGenerator {
     /// the chunker when the caller already has them).
     #[must_use]
     pub fn snippets_from_spans(&self, doc: &str, spans: &[SentenceSpan]) -> Vec<Snippet> {
-        let mut out = Vec::new();
-        if spans.is_empty() {
-            return out;
-        }
-        let stride = match self.mode {
-            WindowMode::Disjoint => self.n,
-            WindowMode::Sliding => 1,
-        };
-        let mut first = 0usize;
-        while first < spans.len() {
-            let last = usize::min(first + self.n, spans.len());
-            let window = &spans[first..last];
-            let mut text = String::with_capacity(window.iter().map(|s| s.end - s.start + 1).sum());
-            for (k, s) in window.iter().enumerate() {
-                if k > 0 {
-                    text.push(' ');
+        (0..self.window_count(spans.len()))
+            .map(|k| {
+                let sentences = self.sentences_of(k, spans.len());
+                let window = &spans[sentences.clone()];
+                let mut text = String::new();
+                join_window(doc, window, &mut text);
+                Snippet {
+                    text,
+                    start: window[0].start,
+                    end: window[window.len() - 1].end,
+                    first_sentence: sentences.start,
+                    len: window.len(),
                 }
-                text.push_str(s.text(doc));
-            }
-            out.push(Snippet {
-                text,
-                start: window[0].start,
-                end: window[window.len() - 1].end,
-                first_sentence: first,
-                len: window.len(),
-            });
-            if self.mode == WindowMode::Sliding && last == spans.len() {
-                break; // last full (or single partial) window emitted
-            }
-            first += stride;
+            })
+            .collect()
+    }
+
+    /// Split `doc` into sentences held in `scratch` and return how many
+    /// snippets it has; [`SnippetGenerator::snippet_text`] then joins
+    /// them one at a time. The allocation-free counterpart of
+    /// [`SnippetGenerator::snippets`] for scans that read each snippet's
+    /// text once and keep almost none of them: snippet `k`'s text is the
+    /// same string as `self.snippets(doc)[k].text`.
+    pub fn split(&self, doc: &str, scratch: &mut SnippetScratch) -> usize {
+        self.chunker
+            .sentences_into(doc, &mut scratch.tokens, &mut scratch.spans);
+        self.window_count(scratch.spans.len())
+    }
+
+    /// The text of snippet `k` of the document last [`split`](Self::split)
+    /// into `scratch`, joined in the scratch's reused buffer.
+    ///
+    /// # Panics
+    /// Panics if `k` is not below the count `split` returned.
+    pub fn snippet_text<'s>(&self, doc: &str, k: usize, scratch: &'s mut SnippetScratch) -> &'s str {
+        let window = self.sentences_of(k, scratch.spans.len());
+        join_window(doc, &scratch.spans[window], &mut scratch.text);
+        &scratch.text
+    }
+
+    /// Number of snippet windows over `n` sentences: disjoint windows
+    /// cover every sentence once; sliding ones stop at the last full
+    /// window (a document shorter than the window yields one partial).
+    fn window_count(&self, n: usize) -> usize {
+        if n == 0 {
+            return 0;
         }
-        out
+        match self.mode {
+            WindowMode::Disjoint => n.div_ceil(self.n),
+            WindowMode::Sliding => n.saturating_sub(self.n) + 1,
+        }
+    }
+
+    /// Sentence indexes of window `k` over `n` sentences.
+    fn sentences_of(&self, k: usize, n: usize) -> std::ops::Range<usize> {
+        let first = match self.mode {
+            WindowMode::Disjoint => k * self.n,
+            WindowMode::Sliding => k,
+        };
+        first..usize::min(first + self.n, n)
+    }
+}
+
+/// Join a window's sentences with single spaces into `out` (cleared
+/// first).
+fn join_window(doc: &str, window: &[SentenceSpan], out: &mut String) {
+    out.clear();
+    out.reserve(window.iter().map(|s| s.end - s.start + 1).sum());
+    for (k, s) in window.iter().enumerate() {
+        if k > 0 {
+            out.push(' ');
+        }
+        out.push_str(s.text(doc));
+    }
+}
+
+/// Reused buffers for [`SnippetGenerator::split`]: the chunker's
+/// tokens, the sentence spans of the current document and one snippet's
+/// joined text. Purely an
+/// allocation cache; contents never influence results.
+#[derive(Debug, Default, Clone)]
+pub struct SnippetScratch {
+    tokens: Vec<TokenSpan>,
+    spans: Vec<SentenceSpan>,
+    text: String,
+}
+
+impl SnippetScratch {
+    /// Fresh (empty) scratch.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -234,6 +295,27 @@ mod tests {
             snips.iter().map(|s| s.first_sentence).collect::<Vec<_>>(),
             vec![0, 3, 6]
         );
+    }
+
+    #[test]
+    fn split_and_join_match_owned_snippets() {
+        let docs = [DOC, "", "Aa. Bb.", "Only one sentence here.", "Aa. Bb. Cc. Dd. Ee."];
+        let mut scratch = SnippetScratch::new();
+        for g in [
+            SnippetGenerator::new(3),
+            SnippetGenerator::new(1),
+            SnippetGenerator::new(2).sliding(),
+            SnippetGenerator::new(3).sliding(),
+        ] {
+            for doc in docs {
+                let owned = g.snippets(doc);
+                let n = g.split(doc, &mut scratch);
+                let joined: Vec<String> =
+                    (0..n).map(|k| g.snippet_text(doc, k, &mut scratch).to_string()).collect();
+                let texts: Vec<String> = owned.into_iter().map(|s| s.text).collect();
+                assert_eq!(joined, texts, "{doc:?}");
+            }
+        }
     }
 
     #[test]

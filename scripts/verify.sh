@@ -431,10 +431,11 @@ echo "scale: v1/v2 byte parity, mmap warm start survives kill -9 (generation ${s
 echo
 echo "== drivers as data: DRIVERS file -> train -> publish v2 -> crash + thread parity =="
 drv_models=$(mktemp -d)
+drv_models4=$(mktemp -d)
 drv_store=$(mktemp -d)
 drv_store4=$(mktemp -d)
 drv_cleanup() {
-    rm -rf "$drv_models" "$drv_store" "$drv_store4"
+    rm -rf "$drv_models" "$drv_models4" "$drv_store" "$drv_store4"
 }
 trap 'cleanup; chaos_cleanup; scale_cleanup; drv_cleanup' EXIT
 
@@ -446,12 +447,23 @@ cargo run -q --release --bin etap-cli -- example-drivers \
     || { echo "FAIL: drivers/extra.drivers drifted from 'etap-cli example-drivers'" >&2; exit 1; }
 
 # Train the two shipped example drivers purely from the data file — no
-# driver-specific Rust anywhere in this stage.
-cargo run -q --release --bin etap-cli -- \
-    train --out "$drv_models" --docs 900 --drivers drivers/extra.drivers \
-    --driver funding-rounds,executive-hires >/dev/null
-[ -f "$drv_models/funding-rounds.model" ] && [ -f "$drv_models/executive-hires.model" ] \
-    || { echo "FAIL: train --drivers did not write the custom models" >&2; exit 1; }
+# driver-specific Rust anywhere in this stage. Both drivers train off
+# one shared negative pool; training it again at 4 threads must write
+# byte-identical models (the pool's chunked parallel merge, end to end).
+for t in 1 4; do
+    out=$drv_models
+    [ "$t" = 4 ] && out=$drv_models4
+    ETAP_THREADS=$t cargo run -q --release --bin etap-cli -- \
+        train --out "$out" --docs 900 --drivers drivers/extra.drivers \
+        --driver funding-rounds,executive-hires >/dev/null
+done
+for m in funding-rounds executive-hires; do
+    [ -f "$drv_models/$m.model" ] \
+        || { echo "FAIL: train --drivers did not write $m.model" >&2; exit 1; }
+    cmp -s "$drv_models/$m.model" "$drv_models4/$m.model" \
+        || { echo "FAIL: $m.model differs between ETAP_THREADS=1 and =4" >&2; exit 1; }
+done
+echo "drivers: custom .model files byte-identical at 1 vs 4 training threads"
 
 # Publish as sharded LEADS v2 single-threaded (custom driver codes
 # travel in the book's code table).
