@@ -16,9 +16,8 @@
 
 use crate::aliases::AliasResolver;
 use crate::events::TriggerEvent;
-use crate::rank::{self, CompanyScore};
+use crate::rank::{self, CompanyRanking, CompanyScore, Mentions};
 use etap_corpus::SalesDriver;
-use std::collections::HashMap;
 
 /// An immutable, query-ready index over ranked trigger events.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,12 +26,9 @@ pub struct LeadBook {
     events: Vec<TriggerEvent>,
     /// Per-driver rankings: indices into `events`, best first.
     by_driver: Vec<(SalesDriver, Vec<usize>)>,
-    /// Companies ranked by Eq. 2 MRR, alias-resolved.
-    companies: Vec<CompanyScore>,
-    /// Canonical company name → indices into `events` (score order).
-    by_company: HashMap<String, Vec<usize>>,
-    /// Normalized lookup key → canonical company name.
-    name_keys: HashMap<String, String>,
+    /// Companies ranked by Eq. 2 MRR, alias-resolved, with each one's
+    /// event indices (score order) and the normalized lookup keys.
+    companies: CompanyRanking,
 }
 
 impl LeadBook {
@@ -41,38 +37,16 @@ impl LeadBook {
     #[must_use]
     pub fn build(events: Vec<TriggerEvent>) -> Self {
         let events = rank::rank_by_score(events);
-
-        let mut by_driver: Vec<(SalesDriver, Vec<usize>)> = Vec::new();
-        for (i, e) in events.iter().enumerate() {
-            match by_driver.iter_mut().find(|(d, _)| *d == e.driver) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_driver.push((e.driver, vec![i])),
-            }
-        }
-        by_driver.sort_by_key(|(d, _)| *d);
-
-        // One canonicalization per name, shared by the MRR ranking and
-        // the lookup keys, so every key names a ranked company.
-        let (companies, name_keys) =
-            rank::rank_companies_canonical(&events, &mut AliasResolver::new());
-
-        let mut by_company: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, e) in events.iter().enumerate() {
-            for surface in &e.companies {
-                let canonical = &name_keys[&AliasResolver::normalize(surface)];
-                let idxs = by_company.entry(canonical.clone()).or_default();
-                if idxs.last() != Some(&i) {
-                    idxs.push(i);
-                }
-            }
-        }
-
+        let (by_driver, companies) = directories(
+            &events
+                .iter()
+                .map(|e| (e.driver, e.companies.iter().map(String::as_str)))
+                .collect(),
+        );
         Self {
             events,
             by_driver,
             companies,
-            by_company,
-            name_keys,
         }
     }
 
@@ -101,30 +75,37 @@ impl LeadBook {
     /// Companies ranked by `MRR(c)` (Eq. 2), best first.
     #[must_use]
     pub fn companies(&self) -> &[CompanyScore] {
-        &self.companies
+        &self.companies.companies
+    }
+
+    /// The index into [`companies`](Self::companies) of the company a
+    /// name (any surface variation) resolves to.
+    fn company_index(&self, name: &str) -> Option<usize> {
+        let key = AliasResolver::normalize(name);
+        let keys = &self.companies.name_keys;
+        let at = keys.binary_search_by(|(k, _)| k.as_str().cmp(&key)).ok()?;
+        Some(keys[at].1)
     }
 
     /// Resolve a company name (any surface variation) to its canonical
     /// form, without mutating the book.
     #[must_use]
     pub fn resolve_company(&self, name: &str) -> Option<&str> {
-        self.name_keys
-            .get(&AliasResolver::normalize(name))
-            .map(String::as_str)
+        Some(&self.companies().get(self.company_index(name)?)?.company)
     }
 
     /// A company's MRR score and its events (score order), looked up by
     /// any surface variation of its name.
     #[must_use]
     pub fn company_events(&self, name: &str) -> Option<(&CompanyScore, Vec<&TriggerEvent>)> {
-        let canonical = self.resolve_company(name)?;
-        let score = self.companies.iter().find(|c| c.company == canonical)?;
+        let idx = self.company_index(name)?;
         let events = self
-            .by_company
-            .get(canonical)
-            .map(|idxs| idxs.iter().map(|&i| &self.events[i]).collect())
-            .unwrap_or_default();
-        Some((score, events))
+            .companies
+            .events_of(idx)
+            .iter()
+            .map(|&i| &self.events[i])
+            .collect();
+        Some((self.companies().get(idx)?, events))
     }
 
     /// Total ranked events.
@@ -150,15 +131,23 @@ impl LeadBook {
         &self.by_driver
     }
 
-    /// Per-company index lists, for the binary encoder (`leads2`).
-    pub(crate) fn by_company_raw(&self) -> &HashMap<String, Vec<usize>> {
-        &self.by_company
+    /// The company ranking with its index lists and name keys, for the
+    /// binary encoder (`leads2`).
+    pub(crate) fn ranking(&self) -> &CompanyRanking {
+        &self.companies
     }
+}
 
-    /// Normalized-name lookup keys, for the binary encoder (`leads2`).
-    pub(crate) fn name_keys_raw(&self) -> &HashMap<String, String> {
-        &self.name_keys
-    }
+/// Every directory of a book over rank-ordered mentions: the per-driver
+/// rankings and the alias-resolved Eq. 2 company ranking. A built book
+/// and an extended sealed one both index through this.
+pub(crate) fn directories(
+    mentions: &Mentions<'_>,
+) -> (Vec<(SalesDriver, Vec<usize>)>, CompanyRanking) {
+    (
+        mentions.by_driver(),
+        rank::rank_companies_canonical(mentions, &mut AliasResolver::new()),
+    )
 }
 
 #[cfg(test)]

@@ -30,6 +30,14 @@
 //!   segment in rank order plus the index — so built, extended,
 //!   text-loaded and mmap-loaded books all answer through the same
 //!   code, with [`EventView`] the one event type.
+//! * [`MappedBook::extend`] is the in-memory append: it encodes only
+//!   the new events, merges them into the book's ranking in place,
+//!   recomputes the directories and lays the result out by the same
+//!   rules as [`encode_append`] against the book's own segments. The
+//!   extended book shares every reused segment's arena (mapped or
+//!   heap) and seals only its delta, so a watch cycle costs in
+//!   proportion to its poll. A mapped base with heap deltas is not
+//!   [fully mapped](MappedBook::is_fully_mapped).
 //!
 //! ## Why append
 //!
@@ -83,7 +91,8 @@ use etap_persist::{bin_open, fnv1a64, Arena, BinWriter, CodecError};
 
 use crate::aliases::AliasResolver;
 use crate::events::TriggerEvent;
-use crate::leads::LeadBook;
+use crate::leads::{self, LeadBook};
+use crate::rank::{self, CompanyRanking, Mentions, RankKey};
 
 /// `ETAPBIN` kind of one segment file (`shards/shard-NNNNN.leads2`).
 pub const SHARD_KIND: &str = "LEADS";
@@ -138,6 +147,18 @@ struct CodeMap {
 }
 
 impl CodeMap {
+    /// This process's codes for `drivers`: the table an index written
+    /// for them carries.
+    fn of(drivers: impl IntoIterator<Item = SalesDriver>) -> Self {
+        Self {
+            custom: drivers
+                .into_iter()
+                .filter(|d| !d.is_builtin())
+                .map(|d| (driver_code(d), d))
+                .collect(),
+        }
+    }
+
     fn resolve(&self, c: u8) -> Option<SalesDriver> {
         driver_from_code(c).or_else(|| {
             self.custom
@@ -223,6 +244,27 @@ impl Records {
         self.offsets.extend_from_slice(&(self.blob.len() as u64).to_le_bytes());
         self.blob.extend_from_slice(rec);
     }
+
+    fn push_event(&mut self, e: &TriggerEvent) {
+        self.count += 1;
+        self.offsets
+            .extend_from_slice(&(self.blob.len() as u64).to_le_bytes());
+        encode_event(&mut self.blob, e);
+    }
+
+    /// The bytes of record `i`.
+    fn get(&self, i: usize) -> &[u8] {
+        let start = |i: usize| {
+            let at = i * 8;
+            u64::from_le_bytes(self.offsets[at..at + 8].try_into().expect("8 bytes")) as usize
+        };
+        let end = if i + 1 < self.count {
+            start(i + 1)
+        } else {
+            self.blob.len()
+        };
+        &self.blob[start(i)..end]
+    }
 }
 
 /// A segment container of `count` records with its meta section
@@ -275,39 +317,32 @@ fn seal_index(counts: &[usize], n_base: u32, total: usize, sections: Vec<Vec<u8>
     w.finish()
 }
 
-/// Seal a freshly built book as one segment holding every event in rank
-/// order, plus its index: `(index, segment)`. The only encoder that
-/// reads a [`LeadBook`]; every later encode copies these bytes.
-fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
-    let events = book.events();
-    // Records are encoded straight into the sealed container, so the
-    // book's bytes are never held twice.
-    let mut offsets = Vec::with_capacity(events.len() * 8);
-    let mut len = 0;
-    for e in events {
-        offsets.extend_from_slice(&(len as u64).to_le_bytes());
-        len += event_len(e);
-    }
-    let mut w = segment_writer(0, 1, None, events.len());
-    w.section(offsets);
-    let segment = w.finish_with(len, |out| events.iter().for_each(|e| encode_event(out, e)));
-    let at = |gi: usize| (0, gi as u32);
-
+/// Index sections 1.. of a book whose event at rank position `i` is the
+/// record at `at(i)`: the global ranking, the per-driver directory and
+/// refs, the company directory (MRR order) and refs, the normalized-name
+/// keys and, when registered drivers are present, their code table.
+/// Sealing a built book and extending a sealed one both write their
+/// index through this; every later encode copies the directories.
+fn index_sections(
+    total: usize,
+    at: impl Fn(usize) -> (u32, u32),
+    by_driver: &[(SalesDriver, Vec<usize>)],
+    ranking: &CompanyRanking,
+) -> Vec<Vec<u8>> {
     // Section 1: the global ranking.
-    let mut rank_bytes = Vec::with_capacity(events.len() * 8);
-    for gi in 0..events.len() {
-        put_ref(&mut rank_bytes, at(gi));
+    let mut rank_bytes = Vec::with_capacity(total * 8);
+    for i in 0..total {
+        put_ref(&mut rank_bytes, at(i));
     }
 
     // Sections 2+3: per-driver directory + refs blob.
-    let by_driver = book.by_driver_raw();
     let mut driver_dir = Vec::new();
-    let mut driver_refs = Vec::new();
+    let mut driver_refs = Vec::with_capacity(total * 8);
     driver_dir.extend_from_slice(&(by_driver.len() as u32).to_le_bytes());
     for (d, idxs) in by_driver {
         let off = (driver_refs.len() / 8) as u64;
-        for &gi in idxs {
-            put_ref(&mut driver_refs, at(gi));
+        for &i in idxs {
+            put_ref(&mut driver_refs, at(i));
         }
         driver_dir.push(driver_code(*d));
         driver_dir.extend_from_slice(&[0, 0, 0]);
@@ -316,18 +351,14 @@ fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
     }
 
     // Sections 4+5: company directory (MRR order) + refs blob.
-    let companies = book.companies();
     let mut company_dir = Vec::new();
     let mut company_refs = Vec::new();
-    company_dir.extend_from_slice(&(companies.len() as u64).to_le_bytes());
-    for c in companies {
+    company_dir.extend_from_slice(&(ranking.companies.len() as u64).to_le_bytes());
+    for (i, c) in ranking.companies.iter().enumerate() {
+        let idxs = ranking.events_of(i);
         let off = (company_refs.len() / 8) as u64;
-        let idxs = book
-            .by_company_raw()
-            .get(&c.company)
-            .map_or(&[][..], Vec::as_slice);
-        for &gi in idxs {
-            put_ref(&mut company_refs, at(gi));
+        for &i in idxs {
+            put_ref(&mut company_refs, at(i));
         }
         put_str(&mut company_dir, &c.company);
         company_dir.extend_from_slice(&c.mrr.to_bits().to_le_bytes());
@@ -336,23 +367,14 @@ fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
         company_dir.extend_from_slice(&(idxs.len() as u64).to_le_bytes());
     }
 
-    // Section 6: normalized-name lookup keys, sorted for determinism.
-    let canon_idx: HashMap<&str, u64> = companies
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.company.as_str(), i as u64))
-        .collect();
-    let mut keys: Vec<(&String, &String)> = book.name_keys_raw().iter().collect();
-    keys.sort();
-    let entries: Vec<(&String, u64)> = keys
-        .iter()
-        .filter_map(|(k, canon)| canon_idx.get(canon.as_str()).map(|&i| (*k, i)))
-        .collect();
+    // Section 6: normalized-name lookup keys, sorted for determinism
+    // and binary search.
+    let keys = &ranking.name_keys;
     let mut name_keys = Vec::new();
-    name_keys.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (k, i) in entries {
+    name_keys.extend_from_slice(&(keys.len() as u64).to_le_bytes());
+    for (k, i) in keys {
         put_str(&mut name_keys, k);
-        name_keys.extend_from_slice(&i.to_le_bytes());
+        name_keys.extend_from_slice(&(*i as u64).to_le_bytes());
     }
 
     let mut sections = vec![
@@ -381,6 +403,31 @@ fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
         }
         sections.push(tbl);
     }
+    sections
+}
+
+/// Seal a freshly built book as one segment holding every event in rank
+/// order, plus its index: `(index, segment)`. The only encoder that
+/// reads a [`LeadBook`]; every later encode copies these bytes.
+fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
+    let events = book.events();
+    // Records are encoded straight into the sealed container, so the
+    // book's bytes are never held twice.
+    let mut offsets = Vec::with_capacity(events.len() * 8);
+    let mut len = 0;
+    for e in events {
+        offsets.extend_from_slice(&(len as u64).to_le_bytes());
+        len += event_len(e);
+    }
+    let mut w = segment_writer(0, 1, None, events.len());
+    w.section(offsets);
+    let segment = w.finish_with(len, |out| events.iter().for_each(|e| encode_event(out, e)));
+    let sections = index_sections(
+        events.len(),
+        |gi| (0, gi as u32),
+        book.by_driver_raw(),
+        book.ranking(),
+    );
     (seal_index(&[events.len()], 1, events.len(), sections), segment)
 }
 
@@ -390,12 +437,31 @@ fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
 #[must_use]
 pub fn encode_book(book: &MappedBook, n_shards: u32) -> EncodedBook {
     let n_shards = n_shards.max(1);
-    // Assign records to shards in global rank order; remember where
-    // each one moved.
-    let mut moved = book.moves();
+    let layout = cold_layout(book.ranked_records(), book.moves(), &book.codes, n_shards);
+    book.reseal(layout, n_shards)
+}
+
+/// Where an encode puts a book's records: the segments it seals (or
+/// reuses), the records each one holds, and each record's new ref.
+struct Layout {
+    segments: Vec<Segment>,
+    counts: Vec<usize>,
+    moved: Moves,
+}
+
+/// The cold layout of records given in rank order with their refs:
+/// each goes to the base shard of its primary key, in rank order.
+fn cold_layout<'r>(
+    ranked: impl IntoIterator<Item = ((u32, u32), &'r [u8])>,
+    mut moved: Moves,
+    codes: &CodeMap,
+    n_shards: u32,
+) -> Layout {
     let mut shards: Vec<Records> = (0..n_shards).map(|_| Records::default()).collect();
-    for (old, rec) in book.ranked_records() {
-        let Some(e) = book.decode(rec) else { continue };
+    for (old, rec) in ranked {
+        let Ok(e) = EventView::decode(rec, codes) else {
+            continue;
+        };
         let sid = shard_of(&e, n_shards);
         let shard = &mut shards[sid as usize];
         moved.set(old, (sid, shard.count as u32));
@@ -407,9 +473,10 @@ pub fn encode_book(book: &MappedBook, n_shards: u32) -> EncodedBook {
         .enumerate()
         .map(|(sid, recs)| Segment::Written(seal_segment(sid as u32, n_shards, None, recs)))
         .collect();
-    EncodedBook {
+    Layout {
         segments,
-        index: book.reseal_index(&moved, &counts, n_shards),
+        counts,
+        moved,
     }
 }
 
@@ -479,15 +546,29 @@ pub fn encode_append(
     n_base: u32,
     prev: &[Option<PrevSegment<'_>>],
 ) -> Option<EncodedBook> {
+    let ranked: Vec<((u32, u32), &[u8])> = book.ranked_records().collect();
+    let layout = append_layout(&ranked, book.moves(), n_base, prev)?;
+    Some(book.reseal(layout, n_base))
+}
+
+/// The append layout of records given in rank order with their refs,
+/// on top of `prev` ([`encode_append`]'s rules); `None` when the book
+/// must be laid out cold instead.
+fn append_layout(
+    ranked: &[((u32, u32), &[u8])],
+    mut moved: Moves,
+    n_base: u32,
+    prev: &[Option<PrevSegment<'_>>],
+) -> Option<Layout> {
     let base = n_base as usize;
     if base == 0 || prev.len() < base {
         return None;
     }
-    let ranked: Vec<((u32, u32), &[u8])> = book.ranked_records().collect();
 
     // Pair each record with a previous record of identical bytes; equal
     // records pair in segment order, so the result is deterministic.
-    let mut table: HashMap<&[u8], Vec<(u32, u32)>> = HashMap::new();
+    let sealed = prev.iter().flatten().map(|s| s.records.len()).sum();
+    let mut table: HashMap<&[u8], Vec<(u32, u32)>> = HashMap::with_capacity(sealed);
     for (sid, seg) in prev.iter().enumerate().rev() {
         for (idx, rec) in seg.iter().flat_map(|s| s.records.iter().enumerate().rev()) {
             table.entry(*rec).or_default().push((sid as u32, idx as u32));
@@ -546,7 +627,6 @@ pub fn encode_append(
     // Segments below the tail keep their ids: reused, or emptied.
     let tail_sid = base + tail;
     let keep: Vec<bool> = (0..tail_sid).map(reused).collect();
-    let mut moved = book.moves();
     let mut tail_records = Records::default();
     for (&(old, rec), m) in ranked.iter().zip(&matched) {
         let at = match *m {
@@ -578,9 +658,10 @@ pub fn encode_append(
         segments.push(Segment::Written(delta));
         counts.push(records);
     }
-    Some(EncodedBook {
+    Some(Layout {
         segments,
-        index: book.reseal_index(&moved, &counts, n_base),
+        counts,
+        moved,
     })
 }
 
@@ -594,6 +675,13 @@ impl Moves {
     /// The ref written for a record that was not placed (only a corrupt
     /// book has one); it resolves to no event.
     const NOWHERE: (u32, u32) = (u32::MAX, u32::MAX);
+
+    /// An empty table for segments holding `counts[i]` records each.
+    fn shaped(counts: impl IntoIterator<Item = usize>) -> Self {
+        Self {
+            at: counts.into_iter().map(|n| vec![Self::NOWHERE; n]).collect(),
+        }
+    }
 
     fn set(&mut self, (sid, idx): (u32, u32), to: (u32, u32)) {
         if let Some(slot) = self.at.get_mut(sid as usize).and_then(|s| s.get_mut(idx as usize)) {
@@ -660,6 +748,13 @@ impl<'a> Cur<'a> {
         let len = self.u32()? as usize;
         std::str::from_utf8(self.bytes(len)?).map_err(|_| CodecError::Truncated)
     }
+
+    /// [`str_view`](Self::str_view) as its `(start, len)` within the
+    /// cursor's slice.
+    fn str_range(&mut self) -> Result<(usize, usize), CodecError> {
+        let s = self.str_view()?;
+        Ok((self.at - s.len(), s.len()))
+    }
 }
 
 /// A lazily decoded event inside a sealed segment: the string fields
@@ -707,6 +802,12 @@ impl<'a> EventView<'a> {
     #[must_use]
     pub fn driver(&self) -> SalesDriver {
         self.driver
+    }
+
+    /// The fields the ranking order compares ([`rank::key_order`]).
+    #[must_use]
+    pub fn rank_key(&self) -> RankKey<'a> {
+        (self.score, self.doc_id(), self.driver, self.snippet)
     }
 
     /// Source document id.
@@ -794,7 +895,8 @@ struct DriverEntry {
 
 #[derive(Debug)]
 struct CompanyEntry {
-    name: String,
+    /// `(start, len)` of the name within the index arena.
+    name: (usize, usize),
     mrr: f64,
     events: usize,
     refs_off: usize,
@@ -803,21 +905,25 @@ struct CompanyEntry {
 
 /// A lead book served directly from `LEADS v2` arenas — mmap'd files
 /// for a loaded generation, heap buffers for a book sealed in this
-/// process — without materializing events. The small directories
-/// (driver table, company table, name keys) are decoded eagerly,
-/// O(#companies); the event records and all ranking refs stay in the
-/// arenas.
+/// process — without materializing events. The directories (driver
+/// table, company table, name keys) are indexed eagerly, O(#companies),
+/// into a few flat tables; company names, lookup keys, event records
+/// and all ranking refs stay in the arenas.
 #[derive(Debug)]
 pub struct MappedBook {
     index: Arc<Arena>,
     shards: Vec<ShardMap>,
+    /// Segments `0..n_base` are base shards; the rest are deltas.
+    n_base: usize,
     total: usize,
     rank_refs: (usize, usize),
     drivers: Vec<DriverEntry>,
     driver_refs: (usize, usize),
     companies: Vec<CompanyEntry>,
     company_refs: (usize, usize),
-    name_keys: HashMap<String, usize>,
+    /// The name-key section in key order: each normalized name's
+    /// `(start, len)` within the index arena, and its company's index.
+    name_keys: Vec<((usize, usize), usize)>,
     codes: CodeMap,
     /// Index sections an encode copies verbatim: the driver and company
     /// directories, the name keys and, when present, the code table.
@@ -955,12 +1061,14 @@ impl MappedBook {
         }
 
         let mut c = Cur::new(iv.section(4)?);
+        let at = iv.section_range(4)?.0;
         let n = c.u64()? as usize;
         let n = c.count(n, 36)?;
         let company_refs = iv.section_range(5)?;
         let mut companies = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = c.str_view()?.to_string();
+            let (start, len) = c.str_range()?;
+            let name = (at + start, len);
             let mrr = f64::from_bits(c.u64()?);
             let events = c.u64()? as usize;
             let refs_off = c.u64()? as usize;
@@ -970,7 +1078,10 @@ impl MappedBook {
                 .and_then(|end| end.checked_mul(8))
                 .is_none_or(|end| end > company_refs.1)
             {
-                return Err(malformed(format!("company {name:?} refs out of bounds")));
+                return Err(malformed(format!(
+                    "company at {} refs out of bounds",
+                    name.0
+                )));
             }
             companies.push(CompanyEntry {
                 name,
@@ -981,22 +1092,33 @@ impl MappedBook {
             });
         }
 
+        // Name keys are written sorted, so lookups binary-search them in
+        // place.
         let mut c = Cur::new(iv.section(6)?);
+        let at = iv.section_range(6)?.0;
         let n = c.u64()? as usize;
         let n = c.count(n, 12)?;
-        let mut name_keys = HashMap::with_capacity(n);
+        let mut name_keys = Vec::with_capacity(n);
+        let mut last: Option<&str> = None;
         for _ in 0..n {
-            let key = c.str_view()?.to_string();
+            let (start, len) = c.str_range()?;
+            let key = &iv.section(6)?[start..start + len];
+            let key = std::str::from_utf8(key).map_err(|_| CodecError::Truncated)?;
             let idx = c.u64()? as usize;
             if idx >= companies.len() {
                 return Err(malformed(format!("name key {key:?} points past company table")));
             }
-            name_keys.insert(key, idx);
+            if last.is_some_and(|last| last >= key) {
+                return Err(malformed(format!("name key {key:?} out of order")));
+            }
+            last = Some(key);
+            name_keys.push(((at + start, len), idx));
         }
 
         Ok(Self {
             index,
             shards,
+            n_base,
             total,
             rank_refs,
             drivers,
@@ -1028,16 +1150,40 @@ impl MappedBook {
         self.shards.len()
     }
 
+    /// The segment arenas backing this book, by segment id. An extended
+    /// book holds the very arenas of the book it extended for every
+    /// segment it reused.
+    pub fn segments(&self) -> impl ExactSizeIterator<Item = &Arc<Arena>> {
+        self.shards.iter().map(|s| &s.arena)
+    }
+
+    fn arenas(&self) -> impl Iterator<Item = &Arc<Arena>> {
+        std::iter::once(&self.index).chain(self.segments())
+    }
+
     /// Total bytes across index and shard arenas (mapped or heap).
     #[must_use]
     pub fn arena_bytes(&self) -> usize {
-        self.index.len() + self.shards.iter().map(|s| s.arena.len()).sum::<usize>()
+        self.arenas().map(|a| a.len()).sum()
     }
 
-    /// Whether every arena is an actual file mapping.
+    /// Bytes of the arenas that live on the heap rather than in a file
+    /// mapping: all of a book built or text-loaded in this process; the
+    /// index and deltas of a mapped generation extended in memory.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.arenas()
+            .filter(|a| !a.is_mapped())
+            .map(|a| a.len())
+            .sum()
+    }
+
+    /// Whether every arena is an actual file mapping. A mapped generation
+    /// extended in memory is not: its base stays mapped, but its index
+    /// and deltas are heap arenas.
     #[must_use]
     pub fn is_fully_mapped(&self) -> bool {
-        self.index.is_mapped() && self.shards.iter().all(|s| s.arena.is_mapped())
+        self.arenas().all(|a| a.is_mapped())
     }
 
     fn ref_at(&self, (start, len): (usize, usize), i: usize) -> Option<(u32, u32)> {
@@ -1095,8 +1241,14 @@ impl MappedBook {
 
     /// An empty [`Moves`] table shaped like this book's segments.
     fn moves(&self) -> Moves {
-        Moves {
-            at: self.shards.iter().map(|s| vec![Moves::NOWHERE; s.count]).collect(),
+        Moves::shaped(self.shards.iter().map(|s| s.count))
+    }
+
+    /// This book re-encoded into `layout`.
+    fn reseal(&self, layout: Layout, n_base: u32) -> EncodedBook {
+        EncodedBook {
+            index: self.reseal_index(&layout.moved, &layout.counts, n_base),
+            segments: layout.segments,
         }
     }
 
@@ -1166,13 +1318,29 @@ impl MappedBook {
         self.companies.len()
     }
 
+    /// The index bytes at `(start, len)`, checked at open.
+    fn index_bytes(&self, (start, len): (usize, usize)) -> &[u8] {
+        self.index
+            .bytes()
+            .get(start..start + len)
+            .unwrap_or_default()
+    }
+
+    fn company_ref(&self, entry: &CompanyEntry) -> CompanyRef<'_> {
+        CompanyRef {
+            company: std::str::from_utf8(self.index_bytes(entry.name)).unwrap_or_default(),
+            mrr: entry.mrr,
+            events: entry.events,
+        }
+    }
+
     /// The top `top` companies by MRR (best first).
     #[must_use]
     pub fn companies_top(&self, top: usize) -> Vec<CompanyRef<'_>> {
         self.companies
             .iter()
             .take(top)
-            .map(CompanyEntry::as_ref)
+            .map(|e| self.company_ref(e))
             .collect()
     }
 
@@ -1180,10 +1348,165 @@ impl MappedBook {
     /// any surface variation of its name.
     #[must_use]
     pub fn company_events(&self, name: &str) -> Option<(CompanyRef<'_>, Vec<EventView<'_>>)> {
-        let &idx = self.name_keys.get(&AliasResolver::normalize(name))?;
-        let entry = self.companies.get(idx)?;
+        let key = AliasResolver::normalize(name);
+        let at = self
+            .name_keys
+            .binary_search_by(|&(k, _)| self.index_bytes(k).cmp(key.as_bytes()))
+            .ok()?;
+        let entry = self.companies.get(self.name_keys[at].1)?;
         let events = self.events_from(self.company_refs, entry.refs_off, entry.count);
-        Some((entry.as_ref(), events))
+        Some((self.company_ref(entry), events))
+    }
+
+    /// This book with `events` added: the book [`LeadBook::build`] makes
+    /// of this book's events followed by `events`, laid out as a publish
+    /// would lay it out on this book's segments. No record of this book
+    /// is copied or decoded into an owned event:
+    ///
+    /// 1. **merge** — only the new events are encoded, in rank order,
+    ///    and merged into this book's ranking, each sealed record's sort
+    ///    key read in place;
+    /// 2. **directories** — the per-driver rankings, the Eq. 2 company
+    ///    ranking and the name keys are recomputed in one pass over the
+    ///    merged views, through the code `LeadBook::build` uses, and
+    ///    written by the index writer sealing uses;
+    /// 3. **layout** — the merged records (this book's segments plus the
+    ///    new ones) are laid out by the rules of [`encode_append`] against
+    ///    this book's own segments, else cold as by [`encode_book`] with
+    ///    this book's base shard count: the rules a publish applies
+    ///    against the previous generation on disk. A reused segment stays
+    ///    the same `Arc<Arena>`, mapped or heap; deltas merge and the
+    ///    book re-encodes cold as on disk, so the segment count stays
+    ///    bounded however many cycles a daemon runs.
+    ///
+    /// Records are matched, ranked and indexed by content, so the result
+    /// is byte-identical (after [`encode_book`]) to sealing the rebuilt
+    /// book. A book whose records cannot be shared — sealed by a process
+    /// that registered its drivers in another order, so its driver codes
+    /// differ from this process's, or (corrupt) with a ranking that does
+    /// not name each record once — has its events re-encoded with the
+    /// new ones instead.
+    #[must_use]
+    pub fn extend(&self, mut events: Vec<TriggerEvent>) -> MappedBook {
+        let shared = self.shares_records();
+        if !shared {
+            let mut all = self.events_owned();
+            all.append(&mut events);
+            events = all;
+        }
+        events.sort_by(rank::event_order);
+        // The new records in rank order: one segment after this book's.
+        let mut fresh = Records::default();
+        for e in &events {
+            fresh.push_event(e);
+        }
+        let (old_total, old_segments) = match shared {
+            true => (self.total, self.shards.len()),
+            false => (0, 0),
+        };
+        let fresh_id = old_segments as u32;
+
+        // 1. Merge. Equal keys keep this book's events first, as a stable
+        // sort of its events followed by the new ones would.
+        let mut old = (0..old_total)
+            .filter_map(|i| self.ref_at(self.rank_refs, i))
+            .filter_map(|at| Some((at, self.event_at(at.0, at.1)?)))
+            .peekable();
+        let mut new = events.iter().zip(0u32..).peekable();
+        let mut order = Vec::with_capacity(old_total + events.len());
+        let mut mentions = Mentions::default();
+        loop {
+            let take_new = match (old.peek(), new.peek()) {
+                (Some((_, view)), Some((e, _))) => {
+                    rank::key_order(rank::rank_key(e), view.rank_key()).is_lt()
+                }
+                (None, next) => next.is_some(),
+                (Some(_), None) => false,
+            };
+            if take_new {
+                let (e, idx) = new.next().expect("peeked");
+                mentions.push(e.driver, e.companies.iter().map(String::as_str));
+                order.push((fresh_id, idx));
+            } else if let Some((at, view)) = old.next() {
+                mentions.push(view.driver(), view.companies());
+                order.push(at);
+            } else {
+                break;
+            }
+        }
+
+        // 2. Directories.
+        let (by_driver, ranking) = leads::directories(&mentions);
+        drop(mentions);
+        drop(events);
+
+        // 3. Layout, by the rules a publish applies on disk.
+        let ranked: Vec<((u32, u32), &[u8])> = order
+            .iter()
+            .map(|&at| {
+                let rec = match at {
+                    (sid, idx) if sid == fresh_id => fresh.get(idx as usize),
+                    at => self.record(at).expect("checked by shares_records"),
+                };
+                (at, rec)
+            })
+            .collect();
+        let shape = || {
+            let old = self.shards[..old_segments].iter().map(|s| s.count);
+            Moves::shaped(old.chain([fresh.count]))
+        };
+        let n_base = self.n_base as u32;
+        let prev: Vec<Option<PrevSegment<'_>>> = self
+            .segments()
+            .enumerate()
+            .map(|(sid, arena)| PrevSegment::parse(arena.bytes(), sid as u32, n_base).ok())
+            .collect();
+        let layout = append_layout(&ranked, shape(), n_base, &prev).unwrap_or_else(|| {
+            let codes = CodeMap::of(by_driver.iter().map(|(d, _)| *d));
+            cold_layout(ranked.iter().copied(), shape(), &codes, n_base)
+        });
+        let sections = index_sections(
+            order.len(),
+            |i| layout.moved.get(order[i]),
+            &by_driver,
+            &ranking,
+        );
+        let index = seal_index(&layout.counts, n_base, order.len(), sections);
+        let arenas = layout
+            .segments
+            .into_iter()
+            .zip(self.segments().map(Some).chain(std::iter::repeat(None)))
+            .map(|(segment, reused)| match (segment, reused) {
+                (Segment::Linked, Some(arena)) => Arc::clone(arena),
+                (Segment::Written(bytes), _) => Arc::new(Arena::Heap(bytes)),
+                (Segment::Linked, None) => unreachable!("only existing segments are reused"),
+            })
+            .collect();
+        MappedBook::open(Arc::new(Arena::Heap(index)), arenas).expect("an extended book opens")
+    }
+
+    /// Whether an extension can share this book's records: their driver
+    /// codes are this process's, and the ranking names each record
+    /// exactly once (`open` checked that the segments hold `total`
+    /// records). A record that fails to decode drops out of the merge,
+    /// as it drops out of [`events_owned`](Self::events_owned).
+    fn shares_records(&self) -> bool {
+        if self
+            .codes
+            .custom
+            .iter()
+            .any(|&(code, d)| driver_code(d) != code)
+        {
+            return false;
+        }
+        let mut seen: Vec<Vec<bool>> = self.shards.iter().map(|s| vec![false; s.count]).collect();
+        (0..self.total).all(|i| {
+            self.ref_at(self.rank_refs, i)
+                .filter(|&at| self.record(at).is_some())
+                .is_some_and(|(sid, idx)| {
+                    !std::mem::replace(&mut seen[sid as usize][idx as usize], true)
+                })
+        })
     }
 
     /// Copy every event out in global rank order — the migration /
@@ -1192,16 +1515,6 @@ impl MappedBook {
     #[must_use]
     pub fn events_owned(&self) -> Vec<TriggerEvent> {
         self.top(self.total).iter().map(EventView::to_owned_event).collect()
-    }
-}
-
-impl CompanyEntry {
-    fn as_ref(&self) -> CompanyRef<'_> {
-        CompanyRef {
-            company: &self.name,
-            mrr: self.mrr,
-            events: self.events,
-        }
     }
 }
 
@@ -1217,9 +1530,10 @@ pub struct CompanyRef<'a> {
 }
 
 /// The served lead book: one shared [`MappedBook`], queried through
-/// `Deref`. A loaded binary generation maps its files; every other book
-/// (built, extended, or loaded from text) is sealed into heap arenas by
-/// `From<LeadBook>`. Cloning is an `Arc` bump.
+/// `Deref`. A loaded binary generation maps its files; a book built or
+/// loaded from text is sealed into heap arenas by `From<LeadBook>`; an
+/// extended book ([`MappedBook::extend`]) shares the arenas of the book
+/// it extended and adds heap ones. Cloning is an `Arc` bump.
 #[derive(Debug, Clone)]
 pub struct BookHandle(Arc<MappedBook>);
 
@@ -1248,16 +1562,21 @@ impl Deref for BookHandle {
 }
 
 impl PartialEq for BookHandle {
-    /// Semantic equality: both books rank the same events identically,
-    /// whatever their layout (test and migration use, not a hot path).
+    /// Two books are equal when their single-shard cold encodes are: the
+    /// same records in the same rank order, and the same directories —
+    /// per-driver rankings, companies with their MRR bits, name keys and
+    /// driver codes — whatever their layout (test and migration use, not
+    /// a hot path).
     fn eq(&self, other: &Self) -> bool {
-        self.events_owned() == other.events_owned()
+        let (a, b) = (encode_book(self, 1), encode_book(other, 1));
+        a.index == b.index && a.segments == b.segments
     }
 }
 
 impl BookHandle {
-    /// True when the book is served from file mappings (a loaded binary
-    /// generation), false when sealed into heap arenas.
+    /// True when the book is served from file mappings only (a loaded
+    /// binary generation); false when any arena is on the heap, as for
+    /// a mapped generation extended in memory.
     #[must_use]
     pub fn is_mapped(&self) -> bool {
         self.0.is_fully_mapped()

@@ -11,7 +11,7 @@
 //!    Eq. 2, ranking companies by all their trigger events across all
 //!    drivers.
 
-use crate::aliases::AliasResolver;
+use crate::aliases::{AliasResolver, FnvMap};
 use crate::events::TriggerEvent;
 use crate::orientation::OrientationLexicon;
 use crate::temporal::{Date, TemporalResolver};
@@ -31,15 +31,32 @@ pub fn rank_by_score(mut events: Vec<TriggerEvent>) -> Vec<TriggerEvent> {
     events
 }
 
+/// The fields the ranking order compares: score, document id, driver,
+/// snippet.
+pub type RankKey<'a> = (f64, usize, SalesDriver, &'a str);
+
 /// The total ranking order used by [`rank_by_score`] (exposed so other
 /// components can assert or reuse the exact discipline).
 #[must_use]
 pub fn event_order(a: &TriggerEvent, b: &TriggerEvent) -> std::cmp::Ordering {
-    b.score
-        .total_cmp(&a.score)
-        .then(a.doc_id.cmp(&b.doc_id))
-        .then(a.driver.cmp(&b.driver))
-        .then_with(|| a.snippet.cmp(&b.snippet))
+    key_order(rank_key(a), rank_key(b))
+}
+
+/// The [`RankKey`] of an event.
+#[must_use]
+pub fn rank_key(e: &TriggerEvent) -> RankKey<'_> {
+    (e.score, e.doc_id, e.driver, &e.snippet)
+}
+
+/// [`event_order`] on bare [`RankKey`]s: score descending, then document
+/// id, driver and snippet ascending. A sealed book compares its records
+/// through this without decoding them into owned events.
+#[must_use]
+pub fn key_order(a: RankKey<'_>, b: RankKey<'_>) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0)
+        .then(a.1.cmp(&b.1))
+        .then(a.2.cmp(&b.2))
+        .then_with(|| a.3.cmp(b.3))
 }
 
 /// Sort events by semantic-orientation score (returned alongside each
@@ -105,6 +122,200 @@ pub struct CompanyScore {
     pub events: usize,
 }
 
+/// The company mentions of events given in global rank order: each
+/// event's driver and company surface forms. This is all the per-driver
+/// rankings and Eq. 2 read, whether the events are owned or views into
+/// a sealed book.
+#[derive(Debug, Default)]
+pub struct Mentions<'a> {
+    drivers: Vec<SalesDriver>,
+    /// Event `i`'s surfaces are `surfaces[ends[i - 1]..ends[i]]`.
+    ends: Vec<usize>,
+    surfaces: Vec<&'a str>,
+}
+
+impl<'a> Mentions<'a> {
+    /// Append the next event in rank order.
+    pub fn push(&mut self, driver: SalesDriver, companies: impl IntoIterator<Item = &'a str>) {
+        self.surfaces.extend(companies);
+        self.drivers.push(driver);
+        self.ends.push(self.surfaces.len());
+    }
+
+    /// Number of events.
+    fn len(&self) -> usize {
+        self.drivers.len()
+    }
+
+    /// Mention indices (into `surfaces`) of event `i`.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        (if i == 0 { 0 } else { self.ends[i - 1] })..self.ends[i]
+    }
+
+    /// The per-driver rankings: each driver present, in canonical order,
+    /// with the positions of its events, best first.
+    #[must_use]
+    pub fn by_driver(&self) -> Vec<(SalesDriver, Vec<usize>)> {
+        let mut by_driver: Vec<(SalesDriver, Vec<usize>)> = Vec::new();
+        for (i, &d) in self.drivers.iter().enumerate() {
+            match by_driver.iter_mut().find(|(x, _)| *x == d) {
+                Some((_, idxs)) => idxs.push(i),
+                None => by_driver.push((d, vec![i])),
+            }
+        }
+        by_driver.sort_by_key(|(d, _)| *d);
+        by_driver
+    }
+
+    /// Eq. 2's sums over these mentions, each counting toward the
+    /// company `company_of` names by a dense id, handed out in
+    /// first-seen order.
+    fn tally(&self, mut company_of: impl FnMut(&'a str) -> usize) -> Tally {
+        let mut sums: Vec<(f64, usize)> = Vec::new();
+        let mut ids = vec![0; self.surfaces.len()];
+        // Drivers in canonical order, so alias registration (first
+        // surface wins) does not depend on hash-map iteration; each
+        // driver's events ranked separately.
+        for (_, list) in self.by_driver() {
+            for (idx, &e) in list.iter().enumerate() {
+                let rank = idx + 1;
+                for m in self.span(e) {
+                    let id = company_of(self.surfaces[m]);
+                    if id >= sums.len() {
+                        sums.resize(id + 1, (0.0, 0));
+                    }
+                    sums[id].0 += 1.0 / rank as f64;
+                    sums[id].1 += 1;
+                    ids[m] = id;
+                }
+            }
+        }
+        Tally { sums, ids }
+    }
+
+    /// Rank the companies `tally` counted, `names[id]` naming each.
+    /// Returns the ranking (without name keys) and each id's position
+    /// in it.
+    fn rank(&self, tally: Tally, names: Vec<String>) -> (CompanyRanking, Vec<usize>) {
+        let Tally { sums, ids } = tally;
+        let mut scored: Vec<(CompanyScore, usize)> = names
+            .into_iter()
+            .zip(sums)
+            .enumerate()
+            .map(|(id, (company, (sum, count)))| {
+                let score = CompanyScore {
+                    company,
+                    mrr: sum / count as f64,
+                    events: count,
+                };
+                (score, id)
+            })
+            .collect();
+        scored.sort_by(|(a, _), (b, _)| {
+            b.mrr
+                .total_cmp(&a.mrr)
+                .then(b.events.cmp(&a.events))
+                .then(a.company.cmp(&b.company))
+        });
+        let mut position = vec![0; scored.len()];
+        for (at, (_, id)) in scored.iter().enumerate() {
+            position[*id] = at;
+        }
+
+        // Each company's events, each once, in rank order: counted, then
+        // filled into one flat list.
+        let n = scored.len();
+        let mut ends = vec![0usize; n];
+        let mut last = vec![usize::MAX; n];
+        for e in 0..self.len() {
+            for m in self.span(e) {
+                let c = position[ids[m]];
+                if std::mem::replace(&mut last[c], e) != e {
+                    ends[c] += 1;
+                }
+            }
+        }
+        let mut next = Vec::with_capacity(n);
+        let mut total = 0;
+        for end in &mut ends {
+            next.push(total);
+            total += *end;
+            *end = total;
+        }
+        let mut events = vec![0; total];
+        last.fill(usize::MAX);
+        for e in 0..self.len() {
+            for m in self.span(e) {
+                let c = position[ids[m]];
+                if std::mem::replace(&mut last[c], e) != e {
+                    events[next[c]] = e;
+                    next[c] += 1;
+                }
+            }
+        }
+        let ranking = CompanyRanking {
+            companies: scored.into_iter().map(|(score, _)| score).collect(),
+            events,
+            ends,
+            name_keys: Vec::new(),
+        };
+        (ranking, position)
+    }
+}
+
+/// Per company id, `(Σ 1/rank, mentions)`; per mention, its company id.
+struct Tally {
+    sums: Vec<(f64, usize)>,
+    ids: Vec<usize>,
+}
+
+impl<'a, I: IntoIterator<Item = &'a str>> FromIterator<(SalesDriver, I)> for Mentions<'a> {
+    fn from_iter<T: IntoIterator<Item = (SalesDriver, I)>>(events: T) -> Self {
+        let mut mentions = Self::default();
+        for (driver, companies) in events {
+            mentions.push(driver, companies);
+        }
+        mentions
+    }
+}
+
+/// Companies ranked by Eq. 2, with the lists a lead book indexes them
+/// by.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CompanyRanking {
+    /// Companies by `MRR(c)`, best first.
+    pub companies: Vec<CompanyScore>,
+    /// The positions of the events mentioning each company, each once,
+    /// best first, company after company (see [`events_of`](Self::events_of)).
+    events: Vec<usize>,
+    /// `ends[i]`: where company `i`'s positions end in `events`.
+    ends: Vec<usize>,
+    /// Each normalized name ([`AliasResolver::normalize`]) with the
+    /// index in `companies` of its canonical company, sorted by name;
+    /// empty when ranked without alias resolution.
+    pub name_keys: Vec<(String, usize)>,
+}
+
+impl CompanyRanking {
+    /// The positions of the events mentioning `companies[i]`, each once,
+    /// best first.
+    #[must_use]
+    pub fn events_of(&self, i: usize) -> &[usize] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.events[start..self.ends[i]]
+    }
+}
+
+/// Events as rank-ordered mentions.
+fn ranked_mentions(events: &[TriggerEvent]) -> Mentions<'_> {
+    let mut ranked: Vec<&TriggerEvent> = events.iter().collect();
+    ranked.sort_by(|a, b| event_order(a, b));
+    ranked
+        .into_iter()
+        .map(|e| (e.driver, e.companies.iter().map(String::as_str)))
+        .collect()
+}
+
 /// Company ranking per the paper's Eq. 2:
 ///
 /// ```text
@@ -118,7 +329,16 @@ pub struct CompanyScore {
 /// driver's ranked list. Returns companies sorted by MRR descending.
 #[must_use]
 pub fn rank_companies(events: &[TriggerEvent]) -> Vec<CompanyScore> {
-    rank_companies_with(events, |s| s.to_string())
+    let mut ids: HashMap<&str, usize> = HashMap::new();
+    let mut names = Vec::new();
+    let mentions = ranked_mentions(events);
+    let tally = mentions.tally(|surface| {
+        *ids.entry(surface).or_insert_with(|| {
+            names.push(surface.to_string());
+            names.len() - 1
+        })
+    });
+    mentions.rank(tally, names).0.companies
 }
 
 /// [`rank_companies`] with company-name variation resolution (§6): all
@@ -129,71 +349,48 @@ pub fn rank_companies_resolved(
     events: &[TriggerEvent],
     resolver: &mut AliasResolver,
 ) -> Vec<CompanyScore> {
-    rank_companies_canonical(events, resolver).0
+    rank_companies_canonical(&ranked_mentions(events), resolver).companies
 }
 
-/// [`rank_companies_resolved`] plus the map it ranked by, from each
-/// normalized name ([`AliasResolver::normalize`]) to its canonical
-/// company. The resolver is order-dependent, so each normalized name is
-/// canonicalized once, at its first mention in ranking order, and every
-/// later mention reuses that answer. All variations of one name thus
-/// count toward one company, and the map names only ranked companies.
+/// [`rank_companies_resolved`] over mentions already in rank order, with
+/// the name keys it ranked by. The resolver is order-dependent, so each
+/// normalized name is canonicalized once, at its first mention in
+/// ranking order, and every later mention reuses that answer. All
+/// variations of one name thus count toward one company, and every key
+/// names a ranked company. Each distinct surface form is normalized
+/// once.
 #[must_use]
 pub fn rank_companies_canonical(
-    events: &[TriggerEvent],
+    mentions: &Mentions<'_>,
     resolver: &mut AliasResolver,
-) -> (Vec<CompanyScore>, HashMap<String, String>) {
-    let mut canonical: HashMap<String, String> = HashMap::new();
-    let ranked = rank_companies_with(events, |s| {
-        canonical
-            .entry(AliasResolver::normalize(s))
-            .or_insert_with(|| resolver.canonicalize(s))
-            .clone()
-    });
-    (ranked, canonical)
-}
-
-fn rank_companies_with(
-    events: &[TriggerEvent],
-    mut name_of: impl FnMut(&str) -> String,
-) -> Vec<CompanyScore> {
-    // Partition by driver, rank each partition by score.
-    let mut by_driver: HashMap<SalesDriver, Vec<&TriggerEvent>> = HashMap::new();
-    for e in events {
-        by_driver.entry(e.driver).or_default().push(e);
-    }
-    let mut sums: HashMap<String, (f64, usize)> = HashMap::new();
-    // Deterministic driver order so alias registration (first surface
-    // wins) does not depend on hash-map iteration.
-    let mut driver_lists: Vec<(SalesDriver, Vec<&TriggerEvent>)> = by_driver.into_iter().collect();
-    driver_lists.sort_by_key(|(d, _)| *d);
-    for (_, list) in &mut driver_lists {
-        list.sort_by(|a, b| event_order(a, b));
-        for (idx, e) in list.iter().enumerate() {
-            let rank = idx + 1;
-            for company in &e.companies {
-                let name = name_of(company);
-                let entry = sums.entry(name).or_insert((0.0, 0));
-                entry.0 += 1.0 / rank as f64;
-                entry.1 += 1;
+) -> CompanyRanking {
+    let mut by_surface: FnvMap<&str, usize> = FnvMap::default();
+    let mut by_key: FnvMap<String, usize> = FnvMap::default();
+    let mut by_name: FnvMap<String, usize> = FnvMap::default();
+    let tally = mentions.tally(|surface| {
+        *by_surface.entry(surface).or_insert_with(|| {
+            let key = AliasResolver::normalize(surface);
+            if let Some(&id) = by_key.get(&key) {
+                return id;
             }
-        }
-    }
-    let mut out: Vec<CompanyScore> = sums
-        .into_iter()
-        .map(|(company, (sum, count))| CompanyScore {
-            company,
-            mrr: sum / count as f64,
-            events: count,
+            let name = resolver.canonicalize_key(&key, surface);
+            let next = by_name.len();
+            let id = *by_name.entry(name).or_insert(next);
+            by_key.insert(key, id);
+            id
         })
-        .collect();
-    out.sort_by(|a, b| {
-        b.mrr
-            .total_cmp(&a.mrr)
-            .then(b.events.cmp(&a.events))
-            .then(a.company.cmp(&b.company))
     });
-    out
+    let mut names = vec![String::new(); by_name.len()];
+    for (name, id) in by_name {
+        names[id] = name;
+    }
+    let (mut ranking, position) = mentions.rank(tally, names);
+    ranking.name_keys = by_key
+        .into_iter()
+        .map(|(key, id)| (key, position[id]))
+        .collect();
+    ranking.name_keys.sort_unstable();
+    ranking
 }
 
 #[cfg(test)]

@@ -114,9 +114,14 @@ pub struct Metrics {
     /// Gauge: bytes of the `LEADS v2` arenas behind the served book,
     /// file-mapped or heap.
     pub snapshot_bytes: AtomicU64,
+    /// Gauge: the part of [`snapshot_bytes`](Self::snapshot_bytes) held
+    /// in heap arenas — all of a built or text-loaded book; the index
+    /// and deltas of a mapped generation extended by the watch loop.
+    pub snapshot_heap_bytes: AtomicU64,
     /// Gauge: 1 while every arena of the served book is a file mapping
     /// (`MappedBook::is_fully_mapped`, a loaded binary generation), 0
-    /// while it is sealed into heap arenas.
+    /// otherwise. A mapped generation extended in memory reads 0: its
+    /// base stays mapped, but its index and deltas are heap arenas.
     pub mmap_generations: AtomicU64,
     /// Segment files written by store publishes: deltas, merged deltas
     /// and the shards of cold encodes.
@@ -207,6 +212,11 @@ impl Metrics {
             out,
             "etap_snapshot_bytes {}",
             self.snapshot_bytes.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(
+            out,
+            "etap_snapshot_heap_bytes {}",
+            self.snapshot_heap_bytes.load(Ordering::Relaxed)
         );
         let _ = writeln!(
             out,
@@ -314,6 +324,7 @@ mod tests {
             "etap_workers 4",
             "etap_snapshot_generation 0",
             "etap_snapshot_bytes 0",
+            "etap_snapshot_heap_bytes 0",
             "etap_mmap_generations 0",
             "etap_shards_dirty_total 0",
             "etap_shards_linked_total 0",

@@ -268,6 +268,9 @@ fn record_snapshot_gauges(metrics: &Metrics, snapshot: &LeadSnapshot) {
         .snapshot_bytes
         .store(snapshot.book.arena_bytes() as u64, Ordering::Relaxed);
     metrics
+        .snapshot_heap_bytes
+        .store(snapshot.book.heap_bytes() as u64, Ordering::Relaxed);
+    metrics
         .mmap_generations
         .store(u64::from(snapshot.book.is_fully_mapped()), Ordering::Relaxed);
 }

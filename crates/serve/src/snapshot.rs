@@ -7,6 +7,12 @@
 //! construction — re-training or re-scanning builds a *new* snapshot
 //! that the [`SnapshotCell`] publishes atomically.
 //!
+//! A generation's book is a `LEADS v2` book over shared arenas
+//! ([`etap::MappedBook`]): [`LeadSnapshot::extend`] builds the next
+//! generation's book on top of the previous one's sealed segments rather
+//! than rebuilding it, so consecutive snapshots share most of their
+//! bytes and a snapshot stays immutable all the same.
+//!
 //! The swap discipline gives readers a simple consistency guarantee:
 //! a request loads the `Arc<LeadSnapshot>` exactly once and answers
 //! entirely from it, so every response is internally consistent with a
@@ -69,11 +75,14 @@ impl LeadSnapshot {
 
     /// Incremental generation: extend `prev` with the events identified
     /// in `new_docs` only (no re-scan of the documents behind `prev`),
-    /// reusing its trained models. Because the ranking comparator is a
-    /// total order, re-ranking the merged event list is
-    /// permutation-invariant — the resulting book is **bit-identical**
-    /// to a full rebuild over `old_docs ++ new_docs`, for any `threads`
-    /// value (`0` = the `ETAP_THREADS` default).
+    /// reusing its trained models. The served book is extended in place
+    /// ([`etap::MappedBook::extend`]): only the new events are encoded,
+    /// every sealed segment of `prev`'s book is shared (mapped or heap),
+    /// and the layout follows the rules a publish applies on disk.
+    /// Because the ranking comparator is a total order, the merged
+    /// ranking is permutation-invariant — the resulting book is
+    /// **bit-identical** to a full rebuild over `old_docs ++ new_docs`,
+    /// for any `threads` value (`0` = the `ETAP_THREADS` default).
     #[must_use]
     pub fn extend(
         prev: &LeadSnapshot,
@@ -81,11 +90,10 @@ impl LeadSnapshot {
         generation: u64,
         threads: usize,
     ) -> Self {
-        let mut events = prev.book.events_owned();
-        events.extend(prev.trained.identify_events_parallel(new_docs, threads));
+        let events = prev.trained.identify_events_parallel(new_docs, threads);
         Self {
             generation,
-            book: LeadBook::build(events).into(),
+            book: prev.book.extend(events).into(),
             trained: Arc::clone(&prev.trained),
         }
     }

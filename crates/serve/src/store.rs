@@ -33,8 +33,12 @@
 //! survive pruning of the source directory: the inode lives until its
 //! last link drops. A previous segment is reused only after its bytes
 //! pass the size and FNV checksum its manifest recorded, so corruption
-//! on disk never propagates into a new generation. With no previous
-//! binary generation of the same shard count, the publish encodes cold.
+//! on disk never propagates into a new generation. A previous segment
+//! the published book already holds (a book extended in memory shares
+//! the segments of the generation it extends) is compared with its file
+//! through a small buffer and then read through the book's arena, rather
+//! than mapped a second time. With no previous binary generation of the
+//! same shard count, the publish encodes cold.
 //!
 //! Linking has a cost: until the next cold re-encode, every retained
 //! binary generation shares each base shard's inode. One corrupt base
@@ -409,7 +413,7 @@ impl GenerationStore {
         let base = self.link_base(snapshot.generation);
         let prev = base
             .as_ref()
-            .map(|(dir, files)| verified_segments(dir, files))
+            .map(|(dir, files)| verified_segments(dir, files, book))
             .unwrap_or_default();
         let parsed: Vec<Option<PrevSegment>> = prev
             .iter()
@@ -681,19 +685,56 @@ impl GenerationStore {
     }
 }
 
-/// The previous generation's segment files in id order, each mapped
-/// only when its bytes match the size and checksum its manifest
-/// recorded: a segment that fails them is never reused.
-fn verified_segments(dir: &Path, files: &HashMap<String, (u64, usize)>) -> Vec<Option<Arena>> {
+/// The previous generation's segment files in id order, each only when
+/// its bytes match the size and checksum its manifest recorded: a
+/// segment that fails them is never reused.
+///
+/// A book extended in memory holds the previous generation's segments
+/// as its own (see `MappedBook::extend`). A file whose bytes equal the
+/// book's segment with the same id is read through that arena, after
+/// a buffered comparison, instead of being mapped a second time — a
+/// second mapping would count every page of it twice in the resident
+/// set. Any other file is mapped.
+fn verified_segments(
+    dir: &Path,
+    files: &HashMap<String, (u64, usize)>,
+    book: &MappedBook,
+) -> Vec<Option<Arc<Arena>>> {
+    let held: Vec<&Arc<Arena>> = book.segments().collect();
     (0..)
         .map(shard_file)
         .map_while(|name| files.get(&name).map(|&sum| (name, sum)))
-        .map(|(name, (fnv, size))| {
-            open_arena(&dir.join(name))
-                .ok()
-                .filter(|a| a.len() == size && etap_persist::fnv1a64(a.bytes()) == fnv)
+        .enumerate()
+        .map(|(sid, (name, (fnv, size)))| {
+            let path = dir.join(name);
+            let verified = |a: &Arena| a.len() == size && etap_persist::fnv1a64(a.bytes()) == fnv;
+            match held.get(sid) {
+                Some(arena) if verified(arena) && file_equals(&path, arena.bytes()) => {
+                    Some(Arc::clone(arena))
+                }
+                _ => open_arena(&path).ok().filter(|a| verified(a)).map(Arc::new),
+            }
         })
         .collect()
+}
+
+/// Whether the file at `path` holds exactly `bytes`, read through a
+/// small buffer.
+fn file_equals(path: &Path, bytes: &[u8]) -> bool {
+    use std::io::Read as _;
+    let Ok(mut file) = std::fs::File::open(path) else {
+        return false;
+    };
+    let mut buf = vec![0; 1 << 16];
+    let mut at = 0;
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => return at == bytes.len(),
+            Ok(n) if bytes.get(at..at + n) == Some(&buf[..n]) => at += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            _ => return false,
+        }
+    }
 }
 
 /// The payload files of a generation being sealed: what its manifest
@@ -870,6 +911,49 @@ mod tests {
         assert_eq!(removed, vec![1]);
         let loaded = store.load(2).expect("load after prune");
         assert_eq!(loaded.book, extended_snapshot(2, 20, 3).book);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn held_segment_is_reused_only_while_its_file_still_matches() {
+        use std::os::unix::fs::MetadataExt;
+        let store = temp_store("binheld").with_leads_format(LeadsFormat::Binary { shards: 4 });
+        store.publish(&snapshot(1, 40)).expect("publish 1");
+        let loaded = store.load(1).expect("load");
+        let extra = extended_snapshot(2, 40, 3).book.events_owned()[40..].to_vec();
+        let extend = |generation| LeadSnapshot {
+            generation,
+            book: loaded.book.extend(extra.clone()).into(),
+            trained: Arc::clone(&loaded.trained),
+        };
+
+        // The extended book shares generation 1's mapped shards; the
+        // publish reads them through it and links them all.
+        let outcome = store.publish(&extend(2)).expect("publish 2");
+        assert_eq!(
+            (outcome.files_linked, outcome.shards_written),
+            (4, 1),
+            "{outcome:?}"
+        );
+
+        // Replace one of generation 2's shard files (a new inode, so the
+        // mapping still holds the sealed bytes) with corrupt bytes: the
+        // book's intact arena must not vouch for the file.
+        let victim = store.root().join("gen-2").join(shard_file(1));
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x04;
+        let tmp = victim.with_extension("tmp");
+        std::fs::write(&tmp, &bytes).unwrap();
+        std::fs::rename(&tmp, &victim).unwrap();
+        let outcome = store.publish(&extend(3)).expect("publish 3");
+        let ino = |g: u64, sid: usize| {
+            let path = store.root().join(format!("gen-{g}")).join(shard_file(sid));
+            std::fs::metadata(path).unwrap().ino()
+        };
+        assert_ne!(ino(2, 1), ino(3, 1), "{outcome:?}");
+        assert_eq!(ino(2, 0), ino(3, 0));
+        assert_eq!(store.load(3).expect("load 3").book, extend(3).book);
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -18,7 +18,10 @@
 //!   the generation it was building — replay, not drift.
 //! * **extend** — delta-scan only the fresh documents and merge into
 //!   the served book ([`LeadSnapshot::extend`]; bit-identical to a full
-//!   rebuild).
+//!   rebuild). The new book shares every sealed segment of the served
+//!   one — still mapped, on a binary store — and seals only its delta,
+//!   laid out as the publish will lay it out on disk, so the stage
+//!   costs in proportion to the poll rather than to the book.
 //! * **retrain** — incremental prior adaptation: blend each driver's
 //!   class prior toward the trigger rate observed in this batch
 //!   ([`etap::TrainedEtap::with_adapted_priors`]). Skipped when

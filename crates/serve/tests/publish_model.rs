@@ -15,7 +15,11 @@
 //!   its inode until a merge or cold re-encode rewrites it;
 //! * the segment count stays within `shards + ⌈log2 appends⌉ + 1`;
 //! * a twin history scanned with 4 threads seals byte-identical files;
-//! * a crashed publish leaves the previous generation loadable.
+//! * a crashed publish leaves the previous generation loadable;
+//! * once the served book came from the store (a restart), the extends
+//!   in memory lay it out exactly as the publishes lay it out on disk:
+//!   every segment a publish linked or wrote is byte-identical to the
+//!   served book's segment with the same id.
 //!
 //! The fault registry is process-global, so every test here runs under
 //! [`lock`].
@@ -245,7 +249,9 @@ fn check_outcome(outcome: &PublishOutcome, expect: (u64, u64)) {
     );
 }
 
-fn run_history(seed: u64, steps: u64) {
+/// Run one seeded history; returns the publishes checked against the
+/// served book's own layout.
+fn run_history(seed: u64, steps: u64) -> usize {
     let mut rng = Rng::seed_from_u64(seed);
     let root = temp_root(&format!("t1_{seed}"));
     let twin_root = temp_root(&format!("t4_{seed}"));
@@ -257,6 +263,8 @@ fn run_history(seed: u64, steps: u64) {
     let mut twin_snap = Arc::new(LeadSnapshot::build_parallel(trained(), &first, 1, 4));
     let mut prev: Option<Sealed> = None;
     let mut prev_len = 0;
+    let mut served_from_store = false;
+    let mut layouts_checked = 0;
 
     for generation in 1..=steps {
         if generation > 1 {
@@ -326,6 +334,22 @@ fn run_history(seed: u64, steps: u64) {
         assert!(skipped.is_empty(), "{skipped:?}");
         assert_eq!(loaded.generation, generation);
         assert_same_book(&loaded, &snap);
+        if served_from_store {
+            let in_memory: Vec<&[u8]> = snap.book.segments().map(|a| a.bytes()).collect();
+            assert_eq!(
+                in_memory.len(),
+                segment_count(&root, generation),
+                "generation {generation}"
+            );
+            for (sid, bytes) in in_memory.iter().enumerate() {
+                let on_disk = std::fs::read(segment_path(&root, generation, sid)).expect("segment");
+                assert!(
+                    on_disk == *bytes,
+                    "generation {generation}: segment {sid} on disk differs from the served book's"
+                );
+            }
+            layouts_checked += 1;
+        }
 
         if rng.gen_bool(0.3) {
             store.prune(rng.gen_range(1..3usize)).expect("prune");
@@ -335,18 +359,22 @@ fn run_history(seed: u64, steps: u64) {
             // serves.
             store = open_store(&root);
             snap = Arc::new(loaded);
+            served_from_store = true;
         }
     }
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&twin_root);
+    layouts_checked
 }
 
 #[test]
 fn random_histories_match_the_reference_layout() {
     let _guard = lock();
-    for seed in [11, 23, 47] {
-        run_history(seed, 14);
-    }
+    let checked: usize = [11, 23, 47]
+        .into_iter()
+        .map(|seed| run_history(seed, 14))
+        .sum();
+    assert!(checked >= 5, "only {checked} publishes followed a restart");
 }
 
 #[test]

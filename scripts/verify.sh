@@ -338,8 +338,9 @@ cargo run -q --release -p etap-bench --bin bench_watch
 echo
 echo "== scale: streamed corpus, sharded LEADS v2, mmap warm start =="
 scale_store=$(mktemp -d)
+scale_store4=$(mktemp -d)
 scale_cleanup() {
-    rm -rf "$scale_store"
+    rm -rf "$scale_store" "$scale_store4"
 }
 trap 'cleanup; chaos_cleanup; scale_cleanup' EXIT
 
@@ -427,6 +428,53 @@ cargo run -q --release --bin etap-cli -- \
     | grep -q "(+0 / -0)" \
     || { echo "FAIL: v1 and v2 generations of the same crawl disagree" >&2; exit 1; }
 echo "scale: v1/v2 byte parity, mmap warm start survives kill -9 (generation ${scale_gen})"
+
+# In-memory extends on a mapped store: two fresh polls extended into two
+# copies of the v2 store, scanned with 1 and 4 threads. Each extend
+# shares the loaded generation's segments and lays the book out as the
+# publish does, so both copies must seal byte-identical generations.
+# The extended store then serves byte-identical /leads across a kill -9
+# and an mmap warm restart.
+cp -a "$scale_store/." "$scale_store4/"
+for t in 1 4; do
+    ext_store=$scale_store
+    [ "$t" = 4 ] && ext_store=$scale_store4
+    for ext_seed in 31 32; do
+        ETAP_THREADS=$t cargo run -q --release --bin etap-cli -- \
+            publish --store "$ext_store" --extend --docs 60 --seed "$ext_seed" \
+            --format v2 --shards 8 >/dev/null
+    done
+done
+for g in 3 4; do
+    ext_files=$(cd "$scale_store/gen-$g" && find . -type f | sort)
+    [ -n "$ext_files" ] && [ "$ext_files" = "$(cd "$scale_store4/gen-$g" && find . -type f | sort)" ] \
+        || { echo "FAIL: extended generation $g holds different files at 1 and 4 threads" >&2; exit 1; }
+    for f in $ext_files; do
+        cmp -s "$scale_store/gen-$g/$f" "$scale_store4/gen-$g/$f" \
+            || { echo "FAIL: extended generation $g: $f differs between 1 and 4 threads" >&2; exit 1; }
+    done
+done
+
+old_store_dir=$store_dir
+store_dir=$scale_store
+boot_store "$smoke_log"
+ext_leads=$(curl -fsS "$base/leads?top=100")
+ext_gen=$(curl -fsS "$base/healthz" | sed -n 's/.*"generation": \([0-9]*\).*/\1/p')
+ext_mmap=$(curl -fsS "$base/metrics" | sed -n 's/^etap_mmap_generations \([0-9]*\)$/\1/p')
+kill -9 "$server_pid" 2>/dev/null || true
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
+boot_store "$smoke_log"
+ext_leads_again=$(curl -fsS "$base/leads?top=100")
+kill -9 "$server_pid" 2>/dev/null || true
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
+store_dir=$old_store_dir
+[ "$ext_gen" = "4" ] && [ "$ext_mmap" = "1" ] \
+    || { echo "FAIL: extended store warm start served generation ${ext_gen} (mmap ${ext_mmap})" >&2; exit 1; }
+[ "$ext_leads" = "$ext_leads_again" ] \
+    || { echo "FAIL: /leads of the extended store differs across kill -9 + mmap warm restart" >&2; exit 1; }
+echo "scale: extends at 1 and 4 threads seal identical generations; /leads survives kill -9 (generation ${ext_gen})"
 
 echo
 echo "== drivers as data: DRIVERS file -> train -> publish v2 -> crash + thread parity =="

@@ -4,18 +4,25 @@
 //! sealed from a freshly built `LeadBook` or loaded from a text or
 //! `LEADS v2` generation. These tests hold each of those books to the
 //! `LeadBook` it came from, query by query, on seeded books over the
-//! builtin and `drivers/extra.drivers` specs. A seeded decoder fuzz
-//! then checks that `MappedBook::open` is total on corrupt layouts.
+//! builtin and `drivers/extra.drivers` specs. Long chains of in-memory
+//! extends are held to the `LeadBook` built over the union, from each
+//! kind of starting book. A seeded decoder fuzz then checks that
+//! `MappedBook::open` is total on corrupt layouts.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use etap_repro::persist::Arena;
+use etap_repro::persist::{bin_open, Arena};
 use etap_repro::runtime::Rng;
 use etap_repro::serve::{GenerationStore, LeadSnapshot, LeadsFormat};
-use etap_repro::system::leads2::{encode_append, encode_book, EncodedBook, PrevSegment, Segment};
+use etap_repro::system::leads2::{
+    encode_append, encode_book, EncodedBook, PrevSegment, Segment, LEADS2_APPEND_VERSION,
+    SHARD_KIND,
+};
 use etap_repro::system::{driverfile, BookHandle, EventView, LeadBook, MappedBook};
-use etap_repro::{DriverSpec, SalesDriver, TrainedEtap, TriggerEvent};
+use etap_repro::{
+    DriverSpec, Etap, EtapConfig, SalesDriver, SyntheticWeb, TrainedEtap, TriggerEvent, WebConfig,
+};
 
 /// Company names as a crawl spells them: each group is one company
 /// under its alias variants.
@@ -266,6 +273,248 @@ fn published_books_reload_like_their_oracle() {
             }
             let _ = std::fs::remove_dir_all(store.root());
         }
+    }
+}
+
+/// Publishes merged into each delta segment of `book` (segment meta word
+/// 3; base shards carry none).
+fn delta_spans(book: &MappedBook, base: usize) -> Vec<u64> {
+    book.segments()
+        .skip(base)
+        .map(|arena| {
+            let view = bin_open(arena.bytes(), SHARD_KIND, LEADS2_APPEND_VERSION, false)
+                .expect("delta container");
+            let meta = view.section(0).expect("meta");
+            u64::from_le_bytes(meta[16..24].try_into().expect("span"))
+        })
+        .collect()
+}
+
+/// How one extend laid out its segments relative to the book it
+/// extended.
+#[derive(Debug, Default)]
+struct Relayouts {
+    appends: u64,
+    merges: u64,
+    colds: u64,
+}
+
+/// Check the layout of `next`, extended from `prev` (`base` base
+/// shards): it is bounded like a publish, and every segment it kept is
+/// the previous book's very arena.
+fn check_relayout(
+    prev: &MappedBook,
+    next: &MappedBook,
+    base: usize,
+    seen: &mut Relayouts,
+    what: &str,
+) {
+    let spans = delta_spans(next, base);
+    let appends: u64 = spans.iter().sum();
+    let log2 = 63 - u64::leading_zeros(appends.max(1)) as usize;
+    assert!(
+        next.shard_count() <= base + log2 + 1,
+        "{what}: {} segments after {appends} appends",
+        next.shard_count()
+    );
+    let kept = prev
+        .segments()
+        .zip(next.segments())
+        .take_while(|(a, b)| Arc::ptr_eq(a, b))
+        .count();
+    if spans.is_empty() {
+        // A cold re-encode seals every base shard afresh, as on disk.
+        seen.colds += 1;
+        return;
+    }
+    assert!(
+        kept >= base,
+        "{what}: a base shard was not shared ({kept} kept)"
+    );
+    for (sid, (a, b)) in prev.segments().zip(next.segments()).enumerate().skip(kept) {
+        assert!(
+            a.bytes() != b.bytes(),
+            "{what}: segment {sid} re-sealed unchanged instead of shared"
+        );
+    }
+    if kept < prev.shard_count() {
+        seen.merges += 1;
+    } else {
+        seen.appends += 1;
+    }
+}
+
+/// A starting book for an extend chain, with its base shard count.
+fn chain_start(
+    tag: &str,
+    seed: u64,
+    all: &[TriggerEvent],
+    rng: &mut Rng,
+    drivers: &[SalesDriver],
+) -> (BookHandle, usize, Vec<TriggerEvent>) {
+    let mut all = all.to_vec();
+    match tag {
+        "sealed" => (LeadBook::build(all.clone()).into(), 1, all),
+        "text" => {
+            let store =
+                GenerationStore::open(temp_dir(&format!("chain_text_{seed}"))).expect("open");
+            store
+                .publish(&snapshot(1, LeadBook::build(all.clone()).into()))
+                .expect("publish");
+            let book = store.load(1).expect("load").book;
+            let _ = std::fs::remove_dir_all(store.root());
+            (book, 1, all)
+        }
+        _ => {
+            // A mapped 16-shard generation that already holds deltas:
+            // two polls published after the cold one.
+            let store = GenerationStore::open(temp_dir(&format!("chain_v2_{seed}")))
+                .expect("open")
+                .with_leads_format(LeadsFormat::Binary { shards: 16 });
+            for generation in 1..=3u64 {
+                if generation > 1 {
+                    all.extend(events(rng, drivers, all.len(), 9));
+                }
+                store
+                    .publish(&snapshot(generation, LeadBook::build(all.clone()).into()))
+                    .expect("publish");
+            }
+            let book = store.load(3).expect("load").book;
+            assert!(
+                book.is_mapped() && book.shard_count() > 16,
+                "{:?}",
+                book.shard_count()
+            );
+            // The mappings outlive the directory.
+            let _ = std::fs::remove_dir_all(store.root());
+            (book, 16, all)
+        }
+    }
+}
+
+#[test]
+fn extend_chains_match_the_oracle_across_layouts() {
+    let drivers = drivers();
+    for tag in ["sealed", "text", "v2"] {
+        for seed in [7u64, 8] {
+            let mut rng = Rng::seed_from_u64(0xE7_7E4D + seed);
+            let first = events(&mut rng, &drivers, 0, 160);
+            let (mut book, base, mut all) = chain_start(tag, seed, &first, &mut rng, &drivers);
+            let mut seen = Relayouts::default();
+            for step in 0..44 {
+                let what = format!("{tag} seed {seed} step {step}");
+                let n = rng.gen_range(1..14usize);
+                let poll = events(&mut rng, &drivers, all.len(), n);
+                all.extend(poll.iter().cloned());
+                let next: BookHandle = book.extend(poll.clone()).into();
+                let oracle = LeadBook::build(all.clone());
+                assert_matches_oracle(&next, &oracle, &drivers, &what);
+                assert!(
+                    next == BookHandle::from(oracle),
+                    "{what}: cold encode differs"
+                );
+                // The order the poll arrives in cannot matter, so neither
+                // can the scan's thread count.
+                let mut shuffled = poll;
+                rng.shuffle(&mut shuffled);
+                assert!(
+                    BookHandle::from(book.extend(shuffled)) == next,
+                    "{what}: poll order changed the book"
+                );
+                check_relayout(&book, &next, base, &mut seen, &what);
+                if tag == "v2" {
+                    assert!(
+                        !next.is_mapped(),
+                        "{what}: heap deltas are not a full mapping"
+                    );
+                    // The mapped base serves until the first cold
+                    // re-encode seals the book into the heap.
+                    if seen.colds == 0 {
+                        assert!(next.heap_bytes() < next.arena_bytes(), "{what}");
+                    }
+                }
+                book = next;
+            }
+            assert!(
+                seen.merges > 0 && seen.colds > 0 && seen.appends > 0,
+                "{tag} seed {seed}: the chain must append, merge deltas and re-encode cold: {seen:?}"
+            );
+        }
+    }
+}
+
+/// A small trained system: two builtin drivers on a 500-document web.
+fn trained() -> Arc<TrainedEtap> {
+    static TRAINED: OnceLock<Arc<TrainedEtap>> = OnceLock::new();
+    Arc::clone(TRAINED.get_or_init(|| {
+        let web = SyntheticWeb::generate(WebConfig {
+            total_docs: 500,
+            ..WebConfig::default()
+        });
+        let mut config = EtapConfig::paper();
+        config.training.top_docs_per_query = 50;
+        config.training.negative_snippets = 750;
+        config.training.pure_positives = 10;
+        config.drivers = vec![
+            DriverSpec::builtin(SalesDriver::MergersAcquisitions),
+            DriverSpec::builtin(SalesDriver::RevenueGrowth),
+        ];
+        Arc::new(Etap::new(config).train(&web))
+    }))
+}
+
+#[test]
+fn snapshot_extend_chains_agree_across_scan_threads() {
+    let system = trained();
+    let web = |seed: u64, docs: usize| {
+        SyntheticWeb::generate(WebConfig {
+            total_docs: docs,
+            seed,
+            ..WebConfig::default()
+        })
+        .docs()
+        .to_vec()
+    };
+    let store = GenerationStore::open(temp_dir("thread_chain"))
+        .expect("open")
+        .with_leads_format(LeadsFormat::Binary { shards: 16 });
+    let mut union = web(90, 80);
+    store
+        .publish(&LeadSnapshot::build(Arc::clone(&system), &union, 1))
+        .expect("publish");
+    let start = Arc::new(store.load(1).expect("load"));
+    let _ = std::fs::remove_dir_all(store.root());
+    let (mut one, mut four) = (Arc::clone(&start), start);
+    for generation in 2..=41u64 {
+        let docs = web(1_000 + generation, 3);
+        union.extend(docs.iter().cloned());
+        let next_one = LeadSnapshot::extend(&one, &docs, generation, 1);
+        let next_four = LeadSnapshot::extend(&four, &docs, generation, 4);
+        assert!(
+            next_one.book == next_four.book,
+            "generation {generation}: 1 vs 4 threads"
+        );
+        if generation % 8 == 0 {
+            let full = LeadBook::build(system.identify_events(&union));
+            assert!(
+                next_one.book == BookHandle::from(full),
+                "generation {generation}: rebuild"
+            );
+        }
+        // Unless the extend re-encoded cold, every base shard is the
+        // previous book's own arena.
+        let shared = one
+            .book
+            .segments()
+            .zip(next_one.book.segments())
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
+        assert!(
+            shared >= 16 || next_one.book.shard_count() == 16,
+            "generation {generation}: {shared} segments shared"
+        );
+        one = Arc::new(next_one);
+        four = Arc::new(next_four);
     }
 }
 

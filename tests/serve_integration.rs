@@ -764,3 +764,68 @@ fn corrupt_newest_generation_falls_back_without_panics() {
     server2.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// One gauge out of a `/metrics` body.
+fn gauge(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in:\n{metrics}"))
+}
+
+#[test]
+fn watch_cycle_on_a_mapped_store_keeps_its_base_mapped() {
+    use etap_repro::serve::{watch, GenerationStore, LeadsFormat, WatchConfig};
+
+    let root = temp_store_dir("mapped_watch");
+    let store = GenerationStore::open(&root)
+        .expect("open store")
+        .with_leads_format(LeadsFormat::Binary { shards: 16 });
+    let base = SyntheticWeb::generate(WebConfig {
+        total_docs: 400,
+        seed: 21,
+        ..WebConfig::default()
+    });
+    store
+        .publish(&LeadSnapshot::build(trained(), base.docs(), 1))
+        .expect("publish");
+    let (loaded, _) = store.load_latest().expect("scan").expect("generation 1");
+    let server =
+        etap_repro::serve::start(&ServeConfig::default(), Arc::new(loaded)).expect("start server");
+    let before = get(server.addr(), "/metrics");
+    let before = body_of(&before);
+    assert_eq!(gauge(before, "etap_mmap_generations"), 1, "{before}");
+    assert_eq!(gauge(before, "etap_snapshot_heap_bytes"), 0, "{before}");
+
+    let config = WatchConfig {
+        interval: Duration::ZERO,
+        cycles: Some(1),
+        poll_docs: 20,
+        threads: 1,
+        prior_blend: 0.0,
+        ..WatchConfig::default()
+    };
+    let report = watch::run(&server, &store, &config);
+    assert_eq!(
+        (report.cycles_failed, report.final_generation),
+        (0, 2),
+        "{report:?}"
+    );
+
+    // The extended book shares the generation's mapped segments and
+    // holds only its index and one delta on the heap: no longer fully
+    // mapped, and mostly mapped bytes.
+    let after = get(server.addr(), "/metrics");
+    let after = body_of(&after);
+    let (total, heap) = (
+        gauge(after, "etap_snapshot_bytes"),
+        gauge(after, "etap_snapshot_heap_bytes"),
+    );
+    assert_eq!(gauge(after, "etap_mmap_generations"), 0, "{after}");
+    assert!(
+        heap > 0 && heap < total - heap,
+        "heap {heap} of {total} bytes"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
