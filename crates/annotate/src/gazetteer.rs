@@ -121,6 +121,23 @@ impl Gazetteer {
         self.nodes[node as usize].terminal
     }
 
+    /// Whether some entry's first token is `text`: after `text` the walk
+    /// stands on a complete entry or before the separator of a longer
+    /// one. When false, no match of any length starts at a token `text`.
+    #[must_use]
+    pub fn starts_entry(&self, text: &str) -> bool {
+        let mut walk = self.walk();
+        walk.token(text) && (walk.matched() || walk.sep())
+    }
+
+    /// [`Gazetteer::starts_entry`] for entries stored lowercase, with
+    /// `text` folded as [`Walk::token_folded`] folds it.
+    #[must_use]
+    pub fn starts_entry_folded(&self, text: &str, scratch: &mut String) -> bool {
+        let mut walk = self.walk();
+        walk.token_folded(text, scratch) && (walk.matched() || walk.sep())
+    }
+
     /// Start an incremental walk from the trie root. Feed it tokens (and
     /// separators between them) to probe entries prefix-by-prefix.
     #[must_use]
@@ -1093,6 +1110,60 @@ pub const OBJECTS: &[&str] = &[
     "Nikkei",
     "FTSE",
     "S&P 500",
+];
+
+/// Honorifics that open a person name (PRSN rules; case-sensitive).
+pub const HONORIFICS: &[&str] = &["Mr", "Mrs", "Ms", "Dr", "Prof", "Sir", "Madam"];
+
+/// Scale words that extend a currency figure (CURRENCY rules).
+pub const SCALE_WORDS: &[&str] = &[
+    "million", "billion", "trillion", "thousand", "crore", "lakh", "m", "bn",
+];
+
+/// Currency symbols that open a CURRENCY span (case-sensitive).
+pub const CURRENCY_SYMBOLS: &[&str] = &["$", "€", "£", "¥", "₹"];
+
+/// Currency codes that open a CURRENCY span (`Rs 5 crore`).
+pub const CURRENCY_CODES: &[&str] = &["rs", "usd", "eur", "gbp", "inr", "jpy"];
+
+/// Words that open a relative PERIOD (`fourth quarter`, `last year`).
+pub const PERIOD_HEADS: &[&str] = &[
+    "first", "second", "third", "fourth", "last", "next", "this", "current", "previous", "fiscal",
+];
+
+/// Named times of day (TIM rules).
+pub const NAMED_TIMES: &[&str] = &["noon", "midnight"];
+
+/// Words after a figure that make it a percentage (PRCNT rules).
+pub const PERCENT_WORDS: &[&str] = &["percent", "pct"];
+
+/// Words after a figure that make it a time of day (TIM rules).
+pub const MERIDIEMS: &[&str] = &["am", "pm"];
+
+/// Plural nouns after a figure that make it a count (CNT rules).
+pub const COUNT_NOUNS: &[&str] = &[
+    "employees",
+    "people",
+    "workers",
+    "staff",
+    "stores",
+    "offices",
+    "branches",
+    "customers",
+    "subscribers",
+    "users",
+    "units",
+    "shares",
+    "subsidiaries",
+    "plants",
+    "factories",
+    "countries",
+    "cities",
+    "products",
+    "patents",
+    "clients",
+    "members",
+    "engineers",
 ];
 
 #[cfg(test)]

@@ -32,27 +32,52 @@ pub mod pos;
 
 pub use annotated::{AnnotatedSnippet, SnippetBuf, TokenRef};
 pub use entity::{EntityCategory, EntitySpan};
-pub use ner::NamedEntityRecognizer;
+pub use ner::{NamedEntityRecognizer, StartClass};
 pub use pos::{PosTag, PosTagger};
 
 use annotated::SnipRange;
 use etap_runtime::Arena;
-use etap_text::TokenSpan;
+use etap_text::{LexemeMemo, TokenSpan};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// What the annotator derives from a token's surface alone: its POS tag
+/// and which NER rules can start at it.
+#[derive(Debug, Clone, Copy)]
+struct Lexeme {
+    pos: PosTag,
+    start: StartClass,
+}
 
 /// Per-worker reusable state for the zero-allocation annotate path:
 /// tokenizer span vector, NER/POS outputs, the lowercase fold buffer, and
 /// the [`Arena`] that owns snippet buffers. One scratch per worker
 /// (threaded through `par_chunk_map_with`); after warm-up, annotating a
 /// snippet whose previous output has been dropped allocates nothing.
+///
+/// The scratch also remembers each distinct token surface's POS tag and
+/// NER [`StartClass`] (a [`LexemeMemo`]), from its second snippet on.
+/// The memo belongs to one annotator: used with another one, or with
+/// the same one after [`Annotator::ner_mut`], the scratch forgets it.
 #[derive(Debug, Default)]
 pub struct AnnotateScratch {
+    tokens: TokenScratch,
+    ranges: Vec<SnipRange>,
+    arena: Arena<SnippetBuf>,
+}
+
+/// The per-snippet half of an [`AnnotateScratch`]: one snippet's tokens
+/// and annotations, and the lexeme memo.
+#[derive(Debug, Default)]
+struct TokenScratch {
     spans: Vec<TokenSpan>,
     entities: Vec<EntitySpan>,
     pos: Vec<PosTag>,
+    starts: Vec<StartClass>,
     lower: String,
-    ranges: Vec<SnipRange>,
-    arena: Arena<SnippetBuf>,
+    lexemes: LexemeMemo<Lexeme>,
+    /// [`Annotator::stamp`] of the annotator `lexemes` was filled by.
+    stamp: u64,
 }
 
 impl AnnotateScratch {
@@ -63,11 +88,30 @@ impl AnnotateScratch {
     }
 }
 
+/// Source of annotator identity stamps (`0` is never handed out, so a
+/// fresh scratch matches no annotator).
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
 /// Full annotator: NER + POS in one pass.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct Annotator {
     ner: NamedEntityRecognizer,
     pos: PosTagger,
+    /// Identity of this annotator's gazetteers and lexicon: new for
+    /// every constructed annotator and on every [`Annotator::ner_mut`];
+    /// a clone shares it (its contents are equal). Scratch memos are
+    /// valid only for the stamp that filled them.
+    stamp: u64,
+}
+
+impl Default for Annotator {
+    fn default() -> Self {
+        Self::with_components(NamedEntityRecognizer::default(), PosTagger::default())
+    }
 }
 
 impl Annotator {
@@ -80,14 +124,18 @@ impl Annotator {
     /// Create an annotator wrapping custom components.
     #[must_use]
     pub fn with_components(ner: NamedEntityRecognizer, pos: PosTagger) -> Self {
-        Self { ner, pos }
+        Self {
+            ner,
+            pos,
+            stamp: fresh_stamp(),
+        }
     }
 
     /// Annotate a snippet: tokenize, find entity spans, tag the rest.
     ///
     /// Convenience wrapper over [`Self::annotate_with`] with a throwaway
-    /// scratch; loops should hold an [`AnnotateScratch`] and call
-    /// `annotate_with` directly.
+    /// scratch, whose memo is never filled; loops should hold an
+    /// [`AnnotateScratch`] and call `annotate_with` directly.
     #[must_use]
     pub fn annotate(&self, text: &str) -> AnnotatedSnippet {
         self.annotate_with(text, &mut AnnotateScratch::new())
@@ -103,18 +151,53 @@ impl Annotator {
     #[must_use]
     pub fn annotate_with(&self, text: &str, scratch: &mut AnnotateScratch) -> AnnotatedSnippet {
         let AnnotateScratch {
+            tokens: t, arena, ..
+        } = scratch;
+        self.annotate_spans(text, t);
+        let range = arena
+            .fill()
+            .push_snippet(text, &t.spans, &t.pos, &t.entities);
+        AnnotatedSnippet::from_shared(arena.share(), range)
+    }
+
+    /// Tokenize `text` into the scratch and fill its POS tags and entity
+    /// spans. Each token's [`Lexeme`] comes from the scratch's memo,
+    /// except on the scratch's first snippet.
+    fn annotate_spans(&self, text: &str, scratch: &mut TokenScratch) {
+        let TokenScratch {
             spans,
             entities,
             pos,
+            starts,
             lower,
-            arena,
-            ..
+            lexemes,
+            stamp,
         } = scratch;
         etap_text::tokenize_into(text, spans);
-        self.ner.recognize_into(text, spans, lower, entities);
-        self.pos.tag_spans_into(text, spans, lower, pos);
-        let range = arena.fill().push_snippet(text, spans, pos, entities);
-        AnnotatedSnippet::from_shared(arena.share(), range)
+        if *stamp != self.stamp {
+            lexemes.clear();
+            *stamp = self.stamp;
+        }
+        if !lexemes.warm() {
+            // The scratch's first snippet (all a one-shot call sees):
+            // compute every token's attributes directly.
+            self.pos.tag_spans_into(text, spans, lower, pos);
+            self.ner.recognize_into(text, spans, lower, entities);
+            return;
+        }
+        pos.clear();
+        starts.clear();
+        for s in spans.iter() {
+            let word = s.text(text);
+            let lex = lexemes.get_or_insert_with(word, |_| Lexeme {
+                pos: self.pos.tag_text(word, s.kind, lower),
+                start: self.ner.start_class(word, s.kind, lower),
+            });
+            pos.push(lex.pos);
+            starts.push(lex.start);
+        }
+        self.ner
+            .recognize_with_starts(text, spans, starts, lower, entities);
     }
 
     /// Annotate one chunk of a batch into a single shared buffer: the
@@ -126,22 +209,17 @@ impl Annotator {
         scratch: &mut AnnotateScratch,
     ) -> Vec<AnnotatedSnippet> {
         let AnnotateScratch {
-            spans,
-            entities,
-            pos,
-            lower,
+            tokens: t,
             ranges,
             arena,
         } = scratch;
         ranges.clear();
         {
             let buf = arena.fill();
-            for t in chunk {
-                let text = t.as_ref();
-                etap_text::tokenize_into(text, spans);
-                self.ner.recognize_into(text, spans, lower, entities);
-                self.pos.tag_spans_into(text, spans, lower, pos);
-                ranges.push(buf.push_snippet(text, spans, pos, entities));
+            for text in chunk {
+                let text = text.as_ref();
+                self.annotate_spans(text, t);
+                ranges.push(buf.push_snippet(text, &t.spans, &t.pos, &t.entities));
             }
         }
         let shared = arena.share();
@@ -187,9 +265,36 @@ impl Annotator {
         &self.ner
     }
 
-    /// Mutable access to the underlying NER.
+    /// Mutable access to the underlying NER. Takes a new identity
+    /// stamp, so scratches warmed on this annotator drop their memos.
     pub fn ner_mut(&mut self) -> &mut NamedEntityRecognizer {
+        self.stamp = fresh_stamp();
         &mut self.ner
+    }
+}
+
+/// The reference annotator, kept as the executable spec for the oracle
+/// suite (`tests/annotate_oracle.rs`): every NER rule at every token and
+/// every POS tag computed afresh, with no start-class gate and no memo.
+#[doc(hidden)]
+pub mod reference {
+    use super::{AnnotatedSnippet, Annotator, SnippetBuf};
+    use std::sync::Arc;
+
+    /// Annotate `text` the reference way.
+    #[must_use]
+    pub fn annotate(annotator: &Annotator, text: &str) -> AnnotatedSnippet {
+        let (mut spans, mut entities, mut pos, mut lower) = Default::default();
+        etap_text::tokenize_into(text, &mut spans);
+        annotator
+            .ner
+            .recognize_sweep(text, &spans, &mut lower, &mut entities);
+        annotator
+            .pos
+            .tag_spans_into(text, &spans, &mut lower, &mut pos);
+        let mut buf = SnippetBuf::default();
+        let range = buf.push_snippet(text, &spans, &pos, &entities);
+        AnnotatedSnippet::from_shared(Arc::new(buf), range)
     }
 }
 

@@ -37,9 +37,23 @@
 //! case-insensitive word checks fold ASCII in place (`eq_ignore_ascii_case`),
 //! falling back to a caller-kept scratch `String` only for non-ASCII
 //! tokens. Steady-state recognition allocates nothing.
+//!
+//! ## Start classes
+//!
+//! Most tokens cannot open an entity: every rule first tests the token
+//! it would start at (a figure, a month, a gazetteer entry's first
+//! word, a capitalised word, …). [`NamedEntityRecognizer::start_class`]
+//! evaluates those first-token tests alone and sorts the token into a
+//! [`StartClass`]; the scan then skips plain words and runs only the
+//! org-suffix rule for unknown capitalised words. The class depends
+//! only on the token, so the annotator remembers it per distinct
+//! surface (see `AnnotateScratch`).
 
 use crate::entity::{EntityCategory, EntitySpan};
-use crate::gazetteer::{self, Gazetteer};
+use crate::gazetteer::{
+    self, Gazetteer, COUNT_NOUNS, CURRENCY_CODES, CURRENCY_SYMBOLS, HONORIFICS, MERIDIEMS,
+    NAMED_TIMES, PERCENT_WORDS, PERIOD_HEADS, SCALE_WORDS,
+};
 use etap_text::{is_capitalized, lower_into, tokenize, Token, TokenKind, TokenSpan};
 
 /// A candidate match produced by one rule at one position.
@@ -130,6 +144,20 @@ fn lower_eq(text: &str, word: &str, scratch: &mut String) -> bool {
     }
 }
 
+/// Which rules can match a span that starts at a token, judged from the
+/// token alone ([`NamedEntityRecognizer::start_class`]). The scan runs
+/// only those rules there; the classes never change its output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StartClass {
+    /// No rule can start here.
+    None,
+    /// Only the capitalised-run + org-suffix rule can start here (an
+    /// unknown capitalised word).
+    OrgRun,
+    /// Any rule may start here: run them all.
+    Any,
+}
+
 /// Gazetteer- and rule-based NER for the 13 ETAP categories.
 #[derive(Debug, Clone)]
 pub struct NamedEntityRecognizer {
@@ -187,40 +215,6 @@ fn join_tokens(text: &str, lowercase: bool) -> String {
     s
 }
 
-const HONORIFICS: &[&str] = &["Mr", "Mrs", "Ms", "Dr", "Prof", "Sir", "Madam"];
-const SCALE_WORDS: &[&str] = &[
-    "million", "billion", "trillion", "thousand", "crore", "lakh", "m", "bn",
-];
-const CURRENCY_SYMBOLS: &[&str] = &["$", "€", "£", "¥", "₹"];
-const CURRENCY_CODES: &[&str] = &["rs", "usd", "eur", "gbp", "inr", "jpy"];
-const PERIOD_HEADS: &[&str] = &[
-    "first", "second", "third", "fourth", "last", "next", "this", "current", "previous", "fiscal",
-];
-const COUNT_NOUNS: &[&str] = &[
-    "employees",
-    "people",
-    "workers",
-    "staff",
-    "stores",
-    "offices",
-    "branches",
-    "customers",
-    "subscribers",
-    "users",
-    "units",
-    "shares",
-    "subsidiaries",
-    "plants",
-    "factories",
-    "countries",
-    "cities",
-    "products",
-    "patents",
-    "clients",
-    "members",
-    "engineers",
-];
-
 impl NamedEntityRecognizer {
     /// Create a recognizer with the built-in gazetteers.
     #[must_use]
@@ -259,7 +253,9 @@ impl NamedEntityRecognizer {
     pub fn recognize(&self, tokens: &[Token<'_>]) -> Vec<EntitySpan> {
         let mut out = Vec::new();
         let mut scratch = String::new();
-        self.recognize_impl(tokens, &mut scratch, &mut out);
+        self.recognize_impl(tokens, &mut scratch, &mut out, |t, i, sc| {
+            self.start_class(t.text(i), t.kind(i), sc)
+        });
         out
     }
 
@@ -274,7 +270,72 @@ impl NamedEntityRecognizer {
         out: &mut Vec<EntitySpan>,
     ) {
         out.clear();
-        self.recognize_impl(&SpanToks { text, spans }, scratch, out);
+        self.recognize_impl(&SpanToks { text, spans }, scratch, out, |t, i, sc| {
+            self.start_class(t.text(i), t.kind(i), sc)
+        });
+    }
+
+    /// [`Self::recognize_into`] with every token's [`StartClass`] already
+    /// known (`starts[i]` for `spans[i]`), as a lexeme memo keeps them.
+    pub(crate) fn recognize_with_starts(
+        &self,
+        text: &str,
+        spans: &[TokenSpan],
+        starts: &[StartClass],
+        scratch: &mut String,
+        out: &mut Vec<EntitySpan>,
+    ) {
+        out.clear();
+        self.recognize_impl(&SpanToks { text, spans }, scratch, out, |_, i, _| starts[i]);
+    }
+
+    /// The reference recognizer: every rule at every position, with no
+    /// start-class gate. Kept as the executable spec the oracle suite
+    /// holds the gated paths to.
+    pub(crate) fn recognize_sweep(
+        &self,
+        text: &str,
+        spans: &[TokenSpan],
+        scratch: &mut String,
+        out: &mut Vec<EntitySpan>,
+    ) {
+        out.clear();
+        self.recognize_impl(&SpanToks { text, spans }, scratch, out, |_, _, _| {
+            StartClass::Any
+        });
+    }
+
+    /// Which rules can start a span at a token `text` of shape `kind`:
+    /// each clause is one rule's own first-token test, over the same
+    /// word lists and tries the rule reads. It depends on nothing but
+    /// the token, so a worker may remember it per distinct surface (the
+    /// tokenizer derives `kind` from the text alone).
+    #[must_use]
+    pub fn start_class(&self, text: &str, kind: TokenKind, sc: &mut String) -> StartClass {
+        let capitalized = is_capitalized(text, kind);
+        let any = kind.is_numeric() // currency, percent, time, ordinal period, year, length, count
+            || CURRENCY_SYMBOLS.contains(&text)
+            || lower_in(text, CURRENCY_CODES, sc)
+            || lower_in(text, NAMED_TIMES, sc)
+            || is_half_or_quarter(text)
+            || gazetteer::MONTHS.contains(&text)
+            || gazetteer::WEEKDAYS.contains(&text)
+            || lower_in(text, PERIOD_HEADS, sc)
+            || lower_in(text, gazetteer::NUMBER_WORDS, sc)
+            || HONORIFICS.contains(&text)
+            || (capitalized && (self.given_names.contains(text) || self.surnames.contains(text)))
+            || self.orgs.starts_entry(text)
+            || self.designations.starts_entry_folded(text, sc)
+            || self.places.starts_entry(text)
+            || self.products.starts_entry(text)
+            || self.objects.starts_entry(text);
+        if any {
+            StartClass::Any
+        } else if capitalized {
+            StartClass::OrgRun
+        } else {
+            StartClass::None
+        }
     }
 
     /// Convenience: tokenize and recognize in one call, returning entity
@@ -288,15 +349,23 @@ impl NamedEntityRecognizer {
             .collect()
     }
 
+    /// Longest-match scan; `start_at` gives the [`StartClass`] of the
+    /// token at each position the scan visits.
     fn recognize_impl<S: Toks + ?Sized>(
         &self,
         toks: &S,
         scratch: &mut String,
         out: &mut Vec<EntitySpan>,
+        mut start_at: impl FnMut(&S, usize, &mut String) -> StartClass,
     ) {
         let mut i = 0usize;
         while i < toks.len() {
-            if let Some(best) = self.best_candidate(toks, i, scratch) {
+            let best = match start_at(toks, i, scratch) {
+                StartClass::None => None,
+                StartClass::OrgRun => self.match_org(toks, i),
+                StartClass::Any => self.best_candidate(toks, i, scratch),
+            };
+            if let Some(best) = best {
                 let last = i + best.token_len - 1;
                 out.push(EntitySpan {
                     category: best.category,
@@ -486,7 +555,7 @@ impl NamedEntityRecognizer {
             return None;
         }
         let next = toks.text(i + 1);
-        if next == "%" || lower_in(next, &["percent", "pct"], sc) {
+        if next == "%" || lower_in(next, PERCENT_WORDS, sc) {
             return Some(Candidate {
                 category: EntityCategory::Prcnt,
                 token_len: 2,
@@ -515,7 +584,7 @@ impl NamedEntityRecognizer {
     ) -> Option<Candidate> {
         let n = toks.len();
         // Named times of day.
-        if lower_in(toks.text(i), &["noon", "midnight"], sc) {
+        if lower_in(toks.text(i), NAMED_TIMES, sc) {
             return Some(Candidate {
                 category: EntityCategory::Tim,
                 token_len: 1,
@@ -528,7 +597,7 @@ impl NamedEntityRecognizer {
         // "4 p.m." — tokenizer yields ["4","p",".","m","."] or "4 pm".
         if i + 1 < n {
             let next = toks.text(i + 1);
-            if lower_in(next, &["am", "pm"], sc) {
+            if lower_in(next, MERIDIEMS, sc) {
                 return Some(Candidate {
                     category: EntityCategory::Tim,
                     token_len: 2,
@@ -576,10 +645,7 @@ impl NamedEntityRecognizer {
         let n = toks.len();
         let text = toks.text(i);
         // Quarter shorthand: "Q3", "Q4 2005", "H1 2006".
-        if text.len() == 2
-            && (text.starts_with('Q') || text.starts_with('H'))
-            && text[1..].chars().all(|c| c.is_ascii_digit())
-        {
+        if is_half_or_quarter(text) {
             let len = if i + 1 < n && is_year(toks.text(i + 1)) {
                 2
             } else {
@@ -834,6 +900,13 @@ impl NamedEntityRecognizer {
             (a, b) => a.or(b),
         }
     }
+}
+
+/// Is `text` quarter or half-year shorthand (`Q3`, `H1`)?
+fn is_half_or_quarter(text: &str) -> bool {
+    text.len() == 2
+        && (text.starts_with('Q') || text.starts_with('H'))
+        && text[1..].chars().all(|c| c.is_ascii_digit())
 }
 
 /// Is `text` a plausible year literal (1900–2099)?

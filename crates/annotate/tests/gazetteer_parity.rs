@@ -103,6 +103,14 @@ fn trie_walk_matches_set_membership_on_random_vocabularies() {
                 set.matches_at(&tokens, start),
                 "entries {phrases:?}, tokens {tokens:?}, start {start}"
             );
+            // `starts_entry` (the NER's start-class test) holds exactly
+            // when some entry's first word is this token.
+            let tok = tokens[start].as_str();
+            assert_eq!(
+                trie.starts_entry(tok),
+                phrases.iter().any(|p| p[0] == tok),
+                "entries {phrases:?}, token {tok:?}"
+            );
         }
     }
 }

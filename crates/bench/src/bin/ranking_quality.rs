@@ -13,10 +13,11 @@
 
 use etap::training::train_driver;
 use etap::{rank, AliasResolver, DriverSpec, EventIdentifier, SalesDriver};
-use etap_annotate::Annotator;
+use etap_annotate::{AnnotateScratch, Annotator};
 use etap_bench::{is_test_doc, paper_test_set, paper_training_config, standard_web};
 use etap_classify::ranking::{average_precision, pr_curve, precision_at_k, roc_auc, Scored};
 use etap_corpus::SearchEngine;
+use etap_features::VectorScratch;
 use std::collections::HashSet;
 
 fn main() {
@@ -44,15 +45,18 @@ fn main() {
         let spec = DriverSpec::builtin(driver);
         let trained = train_driver(&spec, &engine, &web, &annotator, &config, is_test_doc);
         let mut scored: Vec<Scored> = Vec::new();
+        let (mut ann, mut vec) = (AnnotateScratch::new(), VectorScratch::new());
+        let mut score =
+            |text: &str| trained.score_with(&annotator.annotate_with(text, &mut ann), &mut vec);
         for text in &positives[i] {
             scored.push(Scored {
-                score: trained.score(&annotator.annotate(text)),
+                score: score(text),
                 positive: true,
             });
         }
         for text in positives[1 - i].iter().chain(background.iter()) {
             scored.push(Scored {
-                score: trained.score(&annotator.annotate(text)),
+                score: score(text),
                 positive: false,
             });
         }

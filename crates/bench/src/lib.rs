@@ -17,10 +17,11 @@
 
 use etap::training::{build_test_set, TrainedDriver};
 use etap::SalesDriver;
-use etap_annotate::Annotator;
+use etap_annotate::{AnnotateScratch, Annotator};
 use etap_classify::metrics::{ConfusionMatrix, PrecisionRecallF1};
 use etap_classify::Classifier;
 use etap_corpus::{SyntheticWeb, WebConfig};
+use etap_features::VectorScratch;
 
 /// Default number of documents in the experiment web.
 pub const DEFAULT_DOCS: usize = 4_000;
@@ -102,14 +103,15 @@ pub fn evaluate_driver<M: Classifier>(
     negatives: &[&[String]],
 ) -> PrecisionRecallF1 {
     let mut cm = ConfusionMatrix::default();
+    let (mut ann, mut vec) = (AnnotateScratch::new(), VectorScratch::new());
+    let mut score =
+        |text: &str| trained.score_with(&annotator.annotate_with(text, &mut ann), &mut vec);
     for text in positives {
-        let score = trained.score(&annotator.annotate(text));
-        cm.record(true, score >= 0.5);
+        cm.record(true, score(text) >= 0.5);
     }
     for pool in negatives {
         for text in *pool {
-            let score = trained.score(&annotator.annotate(text));
-            cm.record(false, score >= 0.5);
+            cm.record(false, score(text) >= 0.5);
         }
     }
     cm.prf()

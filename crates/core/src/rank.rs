@@ -15,7 +15,7 @@ use crate::aliases::{AliasResolver, FnvMap};
 use crate::events::TriggerEvent;
 use crate::orientation::OrientationLexicon;
 use crate::temporal::{Date, TemporalResolver};
-use etap_annotate::Annotator;
+use etap_annotate::{AnnotateScratch, Annotator};
 use etap_corpus::SalesDriver;
 use std::collections::HashMap;
 
@@ -97,11 +97,12 @@ pub fn rank_by_time_weighted_score(
     half_life_days: f64,
 ) -> Vec<(TriggerEvent, f64)> {
     let annotator = Annotator::new();
+    let mut scratch = AnnotateScratch::new();
     let resolver = TemporalResolver::new();
     let mut scored: Vec<(TriggerEvent, f64)> = events
         .into_iter()
         .map(|e| {
-            let ann = annotator.annotate(&e.snippet);
+            let ann = annotator.annotate_with(&e.snippet, &mut scratch);
             let recency = resolver.recency_score(&ann, Date::from(e.doc_date), half_life_days);
             let weighted = e.score * recency;
             (e, weighted)

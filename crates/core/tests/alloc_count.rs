@@ -12,7 +12,7 @@
 //! The counter lives in its own integration-test binary so the wrapper
 //! never touches production builds or the other test binaries.
 
-use etap::training::{train_drivers, DriverScorer, ScoreScratch, TrainingConfig};
+use etap::training::{train_drivers, DriverScorer, ScoreScratch, TrainedDriver, TrainingConfig};
 use etap::{driverfile, DriverSet, DriverSpec};
 use etap_annotate::{AnnotateScratch, Annotator};
 use etap_corpus::{SearchEngine, SyntheticWeb, WebConfig};
@@ -66,8 +66,8 @@ const TEXTS: &[&str] = &[
     "",
 ];
 
-#[test]
-fn scoring_an_unflagged_snippet_against_five_drivers_allocates_nothing() {
+/// The five shipped drivers, trained on a small web.
+fn five_drivers(annotator: &Annotator) -> Vec<TrainedDriver> {
     let mut specs = DriverSpec::all_builtin();
     specs.extend(
         driverfile::load_str(include_str!("../../../drivers/extra.drivers"))
@@ -79,15 +79,21 @@ fn scoring_an_unflagged_snippet_against_five_drivers_allocates_nothing() {
         ..WebConfig::default()
     });
     let engine = SearchEngine::build(web.docs());
-    let annotator = Annotator::new();
     let config = TrainingConfig {
         top_docs_per_query: 40,
         negative_snippets: 500,
         pure_positives: 10,
         ..TrainingConfig::default()
     };
-    let drivers = train_drivers(&specs, &engine, &web, &annotator, &config, |_| false);
+    let drivers = train_drivers(&specs, &engine, &web, annotator, &config, |_| false);
     assert_eq!(drivers.len(), 5);
+    drivers
+}
+
+#[test]
+fn scoring_an_unflagged_snippet_against_five_drivers_allocates_nothing() {
+    let annotator = Annotator::new();
+    let drivers = five_drivers(&annotator);
     let scorer = DriverScorer::new(&drivers);
 
     let mut ann_scratch = AnnotateScratch::new();
@@ -120,5 +126,32 @@ fn scoring_an_unflagged_snippet_against_five_drivers_allocates_nothing() {
         "annotate + 5-driver scoring allocated {} times over {} warm snippets",
         after - before,
         10 * TEXTS.len()
+    );
+}
+
+/// Allocations of the one-shot path (`Annotator::annotate`, then
+/// `TrainedDriver::score` against each driver) over `TEXTS`, measured
+/// before the scratch memos existed. A one-shot call uses a fresh
+/// scratch once, so it must not pay for a memo it never reads again.
+const ONE_SHOT_ALLOCS: u64 = 346;
+
+#[test]
+fn one_shot_annotate_and_score_allocate_no_more_than_without_memos() {
+    let annotator = Annotator::new();
+    let drivers = five_drivers(&annotator);
+    let before = allocations();
+    let mut checksum = 0.0f64;
+    for text in TEXTS {
+        let snip = annotator.annotate(text);
+        for d in &drivers {
+            checksum += d.score(&snip);
+        }
+    }
+    let after = allocations();
+    std::hint::black_box(checksum);
+    assert!(
+        after - before <= ONE_SHOT_ALLOCS,
+        "one-shot annotate + score allocated {} times (pinned: {ONE_SHOT_ALLOCS})",
+        after - before
     );
 }

@@ -18,7 +18,7 @@
 
 use crate::abstraction::{AbstractionPolicy, CategoryChoice};
 use etap_annotate::{AnnotatedSnippet, PosTag};
-use etap_text::{is_stopword, lower_into, stem_with, TermId, Vocabulary};
+use etap_text::{is_stopword, lower_into, stem_with, LexemeMemo, TermId, Vocabulary};
 
 /// A sparse feature vector: (feature id, count) pairs sorted by id.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -482,7 +482,9 @@ fn lookup_walk<'s>(
 /// Allocation-free once warm: features are appended back to back into
 /// one reused text buffer, and every intermediate (lowercased token,
 /// stemmed word, entity surface, bigram join) is built in reused
-/// buffers. Emit order — load-bearing for dense id assignment during
+/// buffers. From its second recording on, a walk remembers each
+/// lowercased word's stop-word flag and stem (a [`LexemeMemo`]), so a
+/// word is stemmed once per worker, not once per occurrence. Emit order — load-bearing for dense id assignment during
 /// training: entity features first (in entity order), then token
 /// features (in token order), with each bigram emitted immediately
 /// **before** its second unigram.
@@ -499,6 +501,9 @@ pub struct FeatureWalk {
     prev: String,
     lower: String,
     stem: Vec<u8>,
+    /// Lowercased word → its stem's range in the memo's arena, or
+    /// `None` for a stop word.
+    words: LexemeMemo<Option<(u32, u32)>>,
 }
 
 impl Clone for FeatureWalk {
@@ -551,9 +556,11 @@ impl FeatureWalk {
             prev,
             lower,
             stem,
+            words,
         } = self;
         text.clear();
         feats.clear();
+        let warm = words.warm();
         // Append `feat` and close the occurrence that began at the
         // previous occurrence's end (so a prefix already pushed into
         // `text` — a bigram's first word — belongs to it).
@@ -605,10 +612,11 @@ impl FeatureWalk {
                 }
                 CategoryChoice::Instance => {
                     lower_into(tok.text, lower);
-                    if is_stopword(lower) {
+                    let Some(word) = stem_unless_stopword(lower, warm.then_some(&mut *words), stem)
+                    else {
                         continue;
-                    }
-                    feature.push_str(stem_with(lower, stem));
+                    };
+                    feature.push_str(word);
                     if bigrams {
                         if last_instance == Some(ti.wrapping_sub(1)) {
                             // The bigram is recorded straight into the
@@ -627,6 +635,27 @@ impl FeatureWalk {
             emit(text, feats, feature, false);
         }
     }
+}
+
+/// The stem of lowercase `word`, or `None` for a stop word: looked up
+/// in `memo` when given (and remembered there on a miss), else computed
+/// into `buf`.
+fn stem_unless_stopword<'a>(
+    word: &str,
+    memo: Option<&'a mut LexemeMemo<Option<(u32, u32)>>>,
+    buf: &'a mut Vec<u8>,
+) -> Option<&'a str> {
+    let Some(memo) = memo else {
+        return (!is_stopword(word)).then(|| stem_with(word, buf));
+    };
+    let (start, end) = memo.get_or_insert_with(word, |arena| {
+        (!is_stopword(word)).then(|| {
+            let start = arena.len() as u32;
+            arena.push_str(stem_with(word, buf));
+            (start, arena.len() as u32)
+        })
+    })?;
+    Some(&memo.text()[start as usize..end as usize])
 }
 
 #[cfg(test)]
@@ -837,6 +866,36 @@ mod tests {
                 assert_eq!(vz.lookup_walk(walk, &mut a), vz.vectorize_frozen_into(snip, &mut b));
             }
             assert_eq!(vz.vectorize_walks(&walks, 2), vz.vectorize_batch(&snips, 1));
+        }
+    }
+
+    #[test]
+    fn a_warm_walk_records_what_a_fresh_walk_records() {
+        // Past the memo's bound too: distinct lowercase words that stem
+        // ("zabcing" → "zabc"), so stems are re-learned after a clear.
+        let letters = |i: usize| (b'a' + (i % 26) as u8) as char;
+        let many: String = (0..etap_text::memo::MEMO_ENTRIES + 500)
+            .map(|i| format!("z{}{}{}ing ", letters(i / 676), letters(i / 26), letters(i)))
+            .collect();
+        let ann = Annotator::new();
+        let mut texts: Vec<&str> = BATCH_TEXTS.to_vec();
+        texts.push("The profits of the firm rose; several acquisitions happened.");
+        texts.push(&many);
+        let snips: Vec<AnnotatedSnippet> = texts.iter().map(|t| ann.annotate(t)).collect();
+        for (policy, bigrams) in [
+            (AbstractionPolicy::paper_default(), true),
+            (AbstractionPolicy::paper_default(), false),
+            (AbstractionPolicy::bag_of_words(), true),
+        ] {
+            let mut warm = FeatureWalk::new();
+            for _ in 0..2 {
+                for snip in snips.iter().chain(&snips[..2]) {
+                    warm.record(&policy, bigrams, snip);
+                    let mut fresh = FeatureWalk::new();
+                    fresh.record(&policy, bigrams, snip);
+                    assert!(warm.iter().eq(fresh.iter()), "{:?}", snip.text());
+                }
+            }
         }
     }
 

@@ -694,13 +694,15 @@ impl GenerationStore {
 /// book's segment with the same id is read through that arena, after
 /// a buffered comparison, instead of being mapped a second time — a
 /// second mapping would count every page of it twice in the resident
-/// set. Any other file is mapped.
+/// set. Any other file is mapped. One read buffer serves every
+/// comparison of the publish.
 fn verified_segments(
     dir: &Path,
     files: &HashMap<String, (u64, usize)>,
     book: &MappedBook,
 ) -> Vec<Option<Arc<Arena>>> {
     let held: Vec<&Arc<Arena>> = book.segments().collect();
+    let mut buf = vec![0; 1 << 16];
     (0..)
         .map(shard_file)
         .map_while(|name| files.get(&name).map(|&sum| (name, sum)))
@@ -709,7 +711,7 @@ fn verified_segments(
             let path = dir.join(name);
             let verified = |a: &Arena| a.len() == size && etap_persist::fnv1a64(a.bytes()) == fnv;
             match held.get(sid) {
-                Some(arena) if verified(arena) && file_equals(&path, arena.bytes()) => {
+                Some(arena) if verified(arena) && file_equals(&path, arena.bytes(), &mut buf) => {
                     Some(Arc::clone(arena))
                 }
                 _ => open_arena(&path).ok().filter(|a| verified(a)).map(Arc::new),
@@ -718,17 +720,16 @@ fn verified_segments(
         .collect()
 }
 
-/// Whether the file at `path` holds exactly `bytes`, read through a
-/// small buffer.
-fn file_equals(path: &Path, bytes: &[u8]) -> bool {
+/// Whether the file at `path` holds exactly `bytes`, read through the
+/// caller's buffer.
+fn file_equals(path: &Path, bytes: &[u8], buf: &mut [u8]) -> bool {
     use std::io::Read as _;
     let Ok(mut file) = std::fs::File::open(path) else {
         return false;
     };
-    let mut buf = vec![0; 1 << 16];
     let mut at = 0;
     loop {
-        match file.read(&mut buf) {
+        match file.read(buf) {
             Ok(0) => return at == bytes.len(),
             Ok(n) if bytes.get(at..at + n) == Some(&buf[..n]) => at += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

@@ -15,7 +15,9 @@
 //!   extraction,
 //! * [`stopwords`] — a standard English stop-word list,
 //! * [`Vocabulary`] — string interning so downstream feature vectors can
-//!   use dense `u32` ids instead of owned strings.
+//!   use dense `u32` ids instead of owned strings,
+//! * [`LexemeMemo`] — a bounded per-worker memo of the attributes that
+//!   depend only on a token's surface (POS tag, stem, …).
 //!
 //! Everything here is deterministic and allocation-conscious: tokenizers
 //! return borrowed slices with byte offsets, and hot paths avoid per-token
@@ -24,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod memo;
 pub mod sentence;
 pub mod snippet;
 pub mod stem;
@@ -31,6 +34,7 @@ pub mod stopwords;
 pub mod token;
 pub mod vocab;
 
+pub use memo::LexemeMemo;
 pub use sentence::{SentenceChunker, SentenceSpan};
 pub use snippet::{Snippet, SnippetGenerator, SnippetScratch};
 pub use stem::{stem, stem_with};
