@@ -22,7 +22,7 @@
 //!    the registered multi-word keys by first word, so the link is one
 //!    lookup, not a scan of every key.
 
-use etap_text::vocab::Fnv1a64;
+use etap_runtime::hash::Fnv1a64;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 

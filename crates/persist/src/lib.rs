@@ -49,6 +49,10 @@ pub mod binfmt;
 
 pub use arena::{open_arena, Arena};
 pub use binfmt::{bin_open, BinView, BinWriter};
+/// FNV-1a 64, the trailer and container checksum. Not cryptographic: it
+/// guards against truncation and accidental corruption, the failure modes
+/// a local generation store actually sees.
+pub use etap_runtime::hash::fnv1a64;
 
 use std::fmt;
 use std::io;
@@ -134,19 +138,6 @@ impl From<CodecError> for io::Error {
             other => io::Error::new(io::ErrorKind::InvalidData, other),
         }
     }
-}
-
-/// FNV-1a 64-bit hash — the trailer checksum. Not cryptographic; it
-/// guards against truncation and accidental corruption, the failure
-/// modes a local generation store actually sees.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn escape_into(out: &mut String, field: &str) {

@@ -35,6 +35,7 @@
 //! global [`trace`](FaultRegistry::trace): same spec + same seed ⇒ the
 //! identical injection sequence, replayable forever.
 
+use crate::hash::fnv1a64;
 use crate::rng::Rng;
 use std::collections::HashMap;
 use std::fmt;
@@ -195,18 +196,6 @@ fn parse_duration(text: &str) -> Option<Duration> {
         return s.trim().parse::<u64>().ok().map(Duration::from_secs);
     }
     text.parse::<u64>().ok().map(Duration::from_millis)
-}
-
-/// FNV-1a 64 over the point name — stable across runs and platforms,
-/// used to derive each point's independent PRNG stream. (Local copy:
-/// `etap-runtime` sits below `etap-persist` in the dependency graph.)
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// One injected fault, as recorded in the registry trace.

@@ -23,6 +23,8 @@
 //!   persist/serve/ingest layers consult a seeded registry (configured
 //!   via `ETAP_FAULTS`) so every failure-recovery path replays
 //!   identically from a spec + seed.
+//! * [`hash`] — FNV-1a 64, the one deterministic hash (checksums, fault
+//!   streams, vocabulary maps).
 //! * [`perf`] — scoped stage timers (`ETAP_PERF`) aggregating per-stage
 //!   wall-clock across threads; one relaxed atomic load when disabled,
 //!   so the pipeline keeps its timers compiled in permanently.
@@ -45,6 +47,7 @@
 
 pub mod arena;
 pub mod fault;
+pub mod hash;
 pub mod par;
 pub mod perf;
 pub mod pool;

@@ -51,7 +51,8 @@ use std::time::{Duration, Instant};
 /// Perf stages mirroring the supervisor's cycle stages (no-ops unless
 /// `ETAP_PERF=1`). The supervisor measures wall-clock per *attempt* for
 /// retry/timeout policy; these accumulate total time per stage across a
-/// whole run, which is what `bench_watch`'s per-stage column reports.
+/// whole run, which the traced `e2ebench` reports per cycle as
+/// `watch.{poll,extend,retrain,publish}_ms`.
 static STAGE_POLL: Stage = Stage::new("watch.poll");
 static STAGE_EXTEND: Stage = Stage::new("watch.extend");
 static STAGE_RETRAIN: Stage = Stage::new("watch.retrain");

@@ -18,7 +18,7 @@
 //! constant, not a setting: it only trades memory for hit rate, never
 //! output.
 
-use crate::vocab::Fnv1a64;
+use etap_runtime::hash::Fnv1a64;
 use std::hash::Hasher;
 
 /// Most keys one memo holds before it is cleared.

@@ -5,46 +5,15 @@
 //! snippets". Interning every feature string once and passing `u32` ids
 //! through the pipeline keeps feature vectors compact and hashing cheap.
 
+use etap_runtime::hash::Fnv1a64;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// Dense id assigned to an interned string.
 pub type TermId = u32;
 
-/// FNV-1a, a fast deterministic hash for the short feature strings this
-/// table holds ("acquisit", "NE:ORG", "will_acquir"). The std SipHash
-/// default is DoS-hardened but measurably slower per lookup, and the
-/// scoring hot path does one lookup per emitted feature; vocabulary
-/// keys come from our own tokenizer, not an adversary, so the cheap
-/// hash is safe here. (Same function as `etap_runtime::fault`'s point
-/// hashing; duplicated because etap-text sits below etap-runtime.)
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a64(u64);
-
-impl Default for Fnv1a64 {
-    fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a64 {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = h;
-    }
-}
-
+/// Feature strings come from our own tokenizer, so the cheap hash is safe.
 type FnvBuild = BuildHasherDefault<Fnv1a64>;
 
 /// A bidirectional string ↔ id table.

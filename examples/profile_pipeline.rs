@@ -11,9 +11,10 @@
 //! ```
 //!
 //! Either way this prints a per-stage table: calls, total ms, mean µs,
-//! and each stage's share of instrumented time. This is the same timer
-//! the benchmarks use to emit the `stages` column of
-//! `BENCH_pipeline.json` / `BENCH_watch.json`.
+//! and each stage's share of instrumented time. These are the same
+//! timers behind the `stages` column of `BENCH_pipeline.json` and the
+//! traced `e2ebench` per-layer metrics (`scan.annotate_ms`,
+//! `watch.extend_ms`, …).
 
 use etap_repro::runtime::perf;
 use etap_repro::{Etap, EtapConfig, SyntheticWeb, WebConfig};

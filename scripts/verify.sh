@@ -1,41 +1,67 @@
 #!/usr/bin/env bash
-# Tier-1 verification + pipeline throughput gate + serve smoke test.
+# Repository verification: every stage must pass, and the script leaves
+# every committed file as it found it.
 #
-# 1. `cargo build --release && cargo test -q` (the repo's tier-1 bar);
-# 2. the throughput benchmark (writes BENCH_pipeline.json with 1/2/4-
-#    thread docs/sec and a per-stage ms breakdown);
-# 3. perf gate: fails if (a) the 2-/4-thread speedups fall below
-#    hardware-scaled floors (1.5x / 2.5x on a >=4-core host; overhead
-#    bound 0.85x on a single core, where real speedup is impossible),
-#    or (b) single-thread docs/sec regresses >10% below the committed
-#    BENCH_pipeline.json baseline — printed as a diff-style report —
-#    or (c) scan.annotate ms/doc (the dominant stage, pinned by the
-#    zero-allocation annotation engine) regresses below the same
-#    ETAP_PERF_FLOOR ratio against the committed baseline;
-# 4. boots `etap-cli serve` on an ephemeral port, curls /healthz and
-#    /leads, then load-tests with bench_serve (writes BENCH_serve.json)
-#    and fails if any request was shed at nominal load;
-# 5. persistence crash-recovery: publishes two generations into a
-#    store, serves them warm, kill -9s the server, restarts it from
-#    disk, and fails unless /leads is byte-identical across the crash
-#    and the generation counter continues monotonically; also runs
-#    bench_persist (writes BENCH_persist.json);
+# 1. tier 1: `cargo build --release && cargo test -q`;
+# 2. e2ebench: the end-to-end benchmark (`e2ebench/`, its own workspace,
+#    so tier 1 never compiles it) builds and its unit tests pass; then
+#    its three workloads run traced at seed 101 for 5 s each, and the
+#    exact-counter gate compares them with the committed BENCH_e2e.json:
+#    every run correct with no failed check, each workload's output
+#    digest equal, and each counter in E2E_COUNTERS equal to or better
+#    than its committed value ("better" as BENCHMARK.json declares it).
+#    No floor, ratio or knob: these counters do not drift with the host.
+#    A gate self-test then feeds the comparator doctored baselines (one
+#    counter one unit better than the fresh run, one digest flipped)
+#    and fails unless it rejects both. A change that alters output
+#    re-records the baseline: copy .bench_out/BENCH_e2e.json over
+#    BENCH_e2e.json and say so in CHANGES.md;
+# 3. throughput: bench_throughput, run in a scratch directory, gated on
+#    hardware-scaled 2-/4-thread speedup floors (1.5x / 2.5x on >= 4
+#    cores, 1.5x / 1.5x on 2-3, fan-out overhead >= 0.85x on 1), and on
+#    single-thread docs/sec and scan.annotate ms/doc each within
+#    ETAP_PERF_FLOOR (default 0.9) of the committed BENCH_pipeline.json;
+# 4. serve smoke: boots `etap-cli serve` on an ephemeral port and curls
+#    /healthz and /leads;
+# 5. persistence: publishes two generations into a store, serves them
+#    warm, kill -9s the server, restarts it from disk, and fails unless
+#    /leads is byte-identical across the crash and the generation
+#    counter continues monotonically;
 # 6. chaos: runs the `watch` daemon under deterministic fault injection
 #    (ETAP_FAULTS: injected write errors, delayed polls, one panic),
 #    kill -9s it mid-cycle, and fails unless a warm restart serves the
 #    last sealed generation byte-for-byte and a fault-free watch run
 #    then converges back to healthy with the generation counter still
-#    monotone; also runs bench_watch (writes BENCH_watch.json).
+#    monotone;
+# 7. scale: bench_scale (100k docs unless ETAP_SCALE_DOCS says
+#    otherwise), run in a scratch directory, gated on mmap warm start
+#    >= 10x the parsed one and an append publish that writes fewer bytes
+#    than a full one and hard-links every base shard; then v1/v2 byte
+#    parity, extends sealing identical generations at 1 and 4 threads,
+#    and /leads across kill -9 and mmap warm restarts;
+# 8. drivers as data: the DRIVERS file trains byte-identical models at 1
+#    and 4 threads and serves identical /leads across kill -9 and thread
+#    counts.
 #
-# Right after tier 1, the end-to-end benchmark (`e2ebench/`, its own
-# workspace, so tier 1 never compiles it) is built and its unit tests
-# run: an API change that breaks the benchmark fails here.
-#
-# On a single-core host the parallel path cannot be faster — the gate
-# then only requires that the fan-out overhead stays small (speedup
-# >= 0.85 instead of >= 1.0). ETAP_THREADS / ETAP_DOCS are honored.
+# Finally, every tracked BENCH_*.json must match its checksum taken at
+# the start. ETAP_THREADS / ETAP_DOCS are honored.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+repo=$(pwd)
+
+work=$(mktemp -d)
+server_pid=""
+cleanup() {
+    [ -n "$server_pid" ] && kill -9 "$server_pid" 2>/dev/null || true
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
+bench_sums="$work/bench.sha256"
+(git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json) | xargs -r sha256sum >"$bench_sums"
+
+# jnum <file> <key>: pull a flat numeric JSON field.
+jnum() { sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p" "$1"; }
 
 echo "== tier 1: cargo build --release && cargo test -q =="
 cargo build --release
@@ -47,22 +73,110 @@ cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 cargo test --offline --manifest-path e2ebench/Cargo.toml
 
 echo
-echo "== throughput: bench_throughput (writes BENCH_pipeline.json) =="
-# Capture the committed baseline before the bench overwrites it.
-perf_baseline=""
-if [ -f BENCH_pipeline.json ]; then
-    perf_baseline=$(mktemp)
-    cp BENCH_pipeline.json "$perf_baseline"
+echo "== e2ebench: exact counters and digests vs BENCH_e2e.json =="
+E2E_COUNTERS="scan.events scan.allocs_per_doc scan.alloc_bytes_per_doc
+    book.events book.companies store.publish_wchar_bytes
+    store.publish_bytes_written store.publish_files_written
+    store.bytes_written store.write_calls store.files_written
+    store.link_ratio serve.shed watch.retries watch.cycles_failed"
+
+# e2e_gate <baseline> <fresh>: both files hold the record and result
+# line of each run, as BENCH_e2e.json does. Fails, naming every miss,
+# unless each baseline workload has a fresh run that is correct with no
+# failed check, has the baseline's digest, and reads every counter in
+# E2E_COUNTERS equal to or better than the baseline.
+e2e_gate() {
+    awk -v counters="$E2E_COUNTERS" '
+        function str(line, key,   i, rest) {
+            i = index(line, "\"" key "\": \"")
+            if (!i) return ""
+            rest = substr(line, i + length(key) + 5)
+            return substr(rest, 1, index(rest, "\"") - 1)
+        }
+        function num(line, key,   i, rest) {
+            i = index(line, "\"" key "\": {\"value\": ")
+            if (!i) return ""
+            rest = substr(line, i + length(key) + 14)
+            return substr(rest, 1, match(rest, /[,}]/) - 1)
+        }
+        function miss(msg) { print "FAIL: " msg > "/dev/stderr"; bad = missed = 1 }
+        FNR == 1 { file++ }
+        file == 1 && /"name":/ { name = $0; gsub(/.*"name": *"|".*/, "", name) }
+        file == 1 && /"better":/ { b = $0; gsub(/.*"better": *"|".*/, "", b); better[name] = b }
+        file > 1 && /^\{"record":/ { w = str($0, "workload"); digest[file, w] = str($0, "digest") }
+        file > 1 && /^\{"correct":/ { result[file, w] = $0; if (file == 2) order[++n] = w }
+        END {
+            split(counters, names, /[ \n]+/)
+            for (k = 1; k <= n; k++) {
+                w = order[k]; base = result[2, w]; now = result[3, w]; missed = 0
+                if (now == "") { miss(w ": no fresh run"); continue }
+                if (now !~ /^\{"correct": true, "attempted": [0-9]+, "failed": 0,/)
+                    miss(w ": run not correct or with failed checks")
+                if (digest[3, w] != digest[2, w])
+                    miss(w ": digest " digest[3, w] ", committed " digest[2, w])
+                for (j = 1; j in names; j++) {
+                    m = names[j]; if (m == "") continue
+                    b = num(base, m); v = num(now, m)
+                    if (b == "" || v == "") { miss(w ": " m " missing"); continue }
+                    if ((better[m] == "higher" && v + 0 < b + 0) ||
+                        (better[m] == "lower" && v + 0 > b + 0) ||
+                        (better[m] != "higher" && better[m] != "lower"))
+                        miss(w ": " m " = " v ", committed " b " (better: " better[m] ")")
+                }
+                if (!missed) print "  ok: " w " digest " digest[3, w] ", every counter equal or better"
+                fflush()
+            }
+            exit bad
+        }
+    ' BENCHMARK.json "$1" "$2"
+}
+
+e2e_bin="${CARGO_TARGET_DIR:-e2ebench/target}/release/etap-e2e-bench"
+e2e_fresh=.bench_out/BENCH_e2e.json
+mkdir -p .bench_out
+{
+    echo "["
+    for w in crawl serve watch; do
+        "$e2e_bin" --workload "$w" --seed 101 --seconds 5 --trace 1 | tail -n 2
+    done | sed '$!s/$/,/'
+    echo "]"
+} >"$e2e_fresh"
+if ! e2e_gate BENCH_e2e.json "$e2e_fresh"; then
+    echo "FAIL: e2ebench gate; if the output change is intended, copy" \
+        "$e2e_fresh over BENCH_e2e.json and say so in CHANGES.md" >&2
+    exit 1
 fi
-cargo run -q --release -p etap-bench --bin bench_throughput
 
-# jnum <file> <key>: pull a flat numeric JSON field.
-jnum() { sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p" "$1"; }
+# Gate self-test: the comparator must reject a baseline one counter unit
+# better than the fresh crawl run, and one whose crawl digest differs.
+crawl_line=$(($(grep -n '"workload": "crawl"' "$e2e_fresh" | cut -d: -f1) + 1))
+events=$(sed -n "${crawl_line}s/.*\"book.events\": {\"value\": \([0-9.]*\).*/\1/p" "$e2e_fresh")
+sed "${crawl_line}s/\"book.events\": {\"value\": [0-9.]*/\"book.events\": {\"value\": $(awk -v v="$events" 'BEGIN { print v + 1 }')/" \
+    BENCH_e2e.json >"$work/doctored-counter.json"
+digest=$(sed -n 's/.*"workload": "crawl".*"digest": "\([0-9a-f]*\)".*/\1/p' BENCH_e2e.json)
+flipped="${digest%?}$(printf '%s' "${digest: -1}" | tr '0-9a-f' '1-9a-f0')"
+sed "s/\"digest\": \"$digest\"/\"digest\": \"$flipped\"/" BENCH_e2e.json >"$work/doctored-digest.json"
+for probe in "counter:book.events = $events, committed" "digest:digest $digest, committed $flipped"; do
+    if out=$(e2e_gate "$work/doctored-${probe%%:*}.json" "$e2e_fresh" 2>&1); then
+        echo "FAIL: e2ebench gate accepted a doctored ${probe%%:*}" >&2
+        exit 1
+    fi
+    echo "$out" | grep -qF "crawl: ${probe#*:}" \
+        || { echo "FAIL: e2ebench gate rejected the doctored ${probe%%:*} for another reason: $out" >&2; exit 1; }
+    echo "  ok: gate rejects a doctored ${probe%%:*}"
+done
 
-cores=$(jnum BENCH_pipeline.json cores)
-d1=$(jnum BENCH_pipeline.json docs_per_sec_1t)
-s2=$(jnum BENCH_pipeline.json speedup_2t)
-s4=$(jnum BENCH_pipeline.json speedup_4t)
+echo
+echo "== throughput: bench_throughput vs the committed BENCH_pipeline.json =="
+mkdir "$work/throughput"
+(cd "$work/throughput" && cargo run -q --release --manifest-path "$repo/Cargo.toml" \
+    -p etap-bench --bin bench_throughput)
+pipeline="$work/throughput/BENCH_pipeline.json"
+
+cores=$(jnum "$pipeline" cores)
+d1=$(jnum "$pipeline" docs_per_sec_1t)
+s2=$(jnum "$pipeline" speedup_2t)
+s4=$(jnum "$pipeline" speedup_4t)
 
 # Hardware-scaled speedup floors. The fan-out is capped at the host's
 # parallelism (oversubscription only adds context switches), so a
@@ -98,69 +212,60 @@ gate "speedup_4t" "$s4" "$floor4"
 # shared-host noise; ETAP_PERF_FLOOR overrides the 0.9 ratio on hosts
 # whose clock-for-clock throughput genuinely drifts (noisy neighbors).
 perf_floor="${ETAP_PERF_FLOOR:-0.9}"
-if [ -n "$perf_baseline" ]; then
-    base_d1=$(jnum "$perf_baseline" docs_per_sec_1t)
-    if [ -n "$base_d1" ]; then
-        echo "  perf diff vs committed BENCH_pipeline.json:"
-        awk -v b="$base_d1" -v c="$d1" 'BEGIN {
-            printf "    %-22s %10.1f  -> %10.1f    (%+.1f%%)\n",
-                   "docs_per_sec_1t", b, c, (c / b - 1) * 100 }'
-        # Stage names are the dotted keys of the "stages" object.
-        for st in $(grep -o '"[a-z]*\.[a-z]*": [0-9.]*' BENCH_pipeline.json \
-                    | sed 's/"\([^"]*\)": .*/\1/'); do
-            bv=$(jnum "$perf_baseline" "$st")
-            cv=$(jnum BENCH_pipeline.json "$st")
-            if [ -n "$bv" ] && [ -n "$cv" ]; then
-                awk -v n="$st" -v b="$bv" -v c="$cv" 'BEGIN {
-                    printf "    %-22s %8.1f ms -> %8.1f ms (%+.1f%%)\n",
-                           n, b, c, (b > 0 ? (c / b - 1) * 100 : 0) }'
-            fi
-        done
-        gate "docs_per_sec_1t vs ${perf_floor}x baseline ($base_d1)" "$d1" \
-            "$(awk -v b="$base_d1" -v f="$perf_floor" 'BEGIN { print b * f }')"
-        # Per-stage floor on the dominant scan stage: annotate ms/doc
-        # must stay within perf_floor of the committed baseline. This
-        # pins the zero-allocation annotation engine specifically — a
-        # regression here can hide inside a globally-noisy docs/sec
-        # number, so the stage is gated on its own. Normalized per doc
-        # so a different ETAP_DOCS run stays comparable; expressed as a
-        # speed ratio (baseline ms-per-doc over current) so the shared
-        # `gate >= floor` check applies.
-        base_docs=$(jnum "$perf_baseline" docs)
-        new_docs=$(jnum BENCH_pipeline.json docs)
-        base_ann=$(jnum "$perf_baseline" "scan.annotate")
-        new_ann=$(jnum BENCH_pipeline.json "scan.annotate")
-        if [ -n "$base_ann" ] && [ -n "$new_ann" ] \
-            && [ -n "$base_docs" ] && [ -n "$new_docs" ]; then
-            ann_ratio=$(awk -v bm="$base_ann" -v bd="$base_docs" \
-                            -v nm="$new_ann" -v nd="$new_docs" \
-                'BEGIN { printf "%.3f", (bm / bd) / (nm / nd) }')
-            gate "scan.annotate speed vs baseline (${base_ann}ms -> ${new_ann}ms)" \
-                "$ann_ratio" "$perf_floor"
-        else
-            echo "  note: baseline lacks scan.annotate; stage gate skipped."
-        fi
-    else
-        echo "  note: committed baseline predates the 1t/2t/4t schema; regression gate skipped."
+perf_baseline=BENCH_pipeline.json
+base_d1=$(jnum "$perf_baseline" docs_per_sec_1t)
+echo "  perf diff vs committed BENCH_pipeline.json:"
+awk -v b="$base_d1" -v c="$d1" 'BEGIN {
+    printf "    %-22s %10.1f  -> %10.1f    (%+.1f%%)\n",
+           "docs_per_sec_1t", b, c, (c / b - 1) * 100 }'
+# Stage names are the dotted keys of the "stages" object.
+for st in $(grep -o '"[a-z]*\.[a-z]*": [0-9.]*' "$pipeline" \
+            | sed 's/"\([^"]*\)": .*/\1/'); do
+    bv=$(jnum "$perf_baseline" "$st")
+    cv=$(jnum "$pipeline" "$st")
+    if [ -n "$bv" ] && [ -n "$cv" ]; then
+        awk -v n="$st" -v b="$bv" -v c="$cv" 'BEGIN {
+            printf "    %-22s %8.1f ms -> %8.1f ms (%+.1f%%)\n",
+                   n, b, c, (b > 0 ? (c / b - 1) * 100 : 0) }'
     fi
-    rm -f "$perf_baseline"
-fi
+done
+gate "docs_per_sec_1t vs ${perf_floor}x baseline ($base_d1)" "$d1" \
+    "$(awk -v b="$base_d1" -v f="$perf_floor" 'BEGIN { print b * f }')"
+# Per-stage floor on the dominant scan stage: annotate ms/doc must stay
+# within perf_floor of the committed baseline. This pins the
+# zero-allocation annotation engine specifically — a regression here
+# can hide inside a globally-noisy docs/sec number, so the stage is
+# gated on its own. Normalized per doc so a different ETAP_DOCS run
+# stays comparable; expressed as a speed ratio (baseline ms-per-doc
+# over current) so the shared `gate >= floor` check applies.
+base_docs=$(jnum "$perf_baseline" docs)
+new_docs=$(jnum "$pipeline" docs)
+base_ann=$(jnum "$perf_baseline" "scan.annotate")
+new_ann=$(jnum "$pipeline" "scan.annotate")
+ann_ratio=$(awk -v bm="$base_ann" -v bd="$base_docs" \
+                -v nm="$new_ann" -v nd="$new_docs" \
+    'BEGIN { printf "%.3f", (bm / bd) / (nm / nd) }')
+gate "scan.annotate speed vs baseline (${base_ann}ms -> ${new_ann}ms)" \
+    "$ann_ratio" "$perf_floor"
 if [ "$perf_fail" -ne 0 ]; then
     echo "FAIL: pipeline perf gate (see above)" >&2
     exit 1
 fi
 
 echo
-echo "== serve smoke: etap-cli serve + curl + bench_serve =="
-smoke_models=$(mktemp -d)
-smoke_log=$(mktemp)
-store_dir=$(mktemp -d)
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill -9 "$server_pid" 2>/dev/null || true
-    rm -rf "$smoke_models" "$smoke_log" "$store_dir"
-}
-trap cleanup EXIT
+echo "== serve smoke: etap-cli serve + curl =="
+smoke_models="$work/models"
+smoke_log="$work/serve.log"
+store_dir="$work/store"
+chaos_store="$work/chaos-store"
+scale_store="$work/scale-store"
+scale_store4="$work/scale-store4"
+drv_models="$work/drv-models"
+drv_models4="$work/drv-models4"
+drv_store="$work/drv-store"
+drv_store4="$work/drv-store4"
+mkdir "$smoke_models" "$store_dir" "$chaos_store" "$scale_store" "$scale_store4" \
+    "$drv_models" "$drv_models4" "$drv_store" "$drv_store4"
 
 # Small but real: train one driver, then serve a fresh crawl from it.
 cargo run -q --release --bin etap-cli -- \
@@ -188,15 +293,6 @@ echo "smoke: /healthz and /leads respond"
 kill "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
-
-cargo run -q --release -p etap-bench --bin bench_serve
-
-shed_rate=$(sed -n 's/.*"shed_rate": \([0-9.]*\).*/\1/p' BENCH_serve.json)
-shed_ok=$(awk -v s="$shed_rate" 'BEGIN { print (s == 0) ? 1 : 0 }')
-if [ "$shed_ok" -ne 1 ]; then
-    echo "FAIL: server shed requests at nominal load (shed_rate ${shed_rate})" >&2
-    exit 1
-fi
 
 echo
 echo "== persistence: publish ×2, kill -9, warm restart, byte parity =="
@@ -252,16 +348,8 @@ cargo run -q --release --bin etap-cli -- \
     || { echo "FAIL: generation counter did not continue monotonically" >&2; exit 1; }
 echo "generation counter monotonic across restart (next publish was 3)"
 
-cargo run -q --release -p etap-bench --bin bench_persist
-
 echo
 echo "== chaos: watch under ETAP_FAULTS, kill -9 mid-cycle, reconverge =="
-chaos_store=$(mktemp -d)
-chaos_cleanup() {
-    rm -rf "$chaos_store"
-}
-trap 'cleanup; chaos_cleanup' EXIT
-
 # A long-running watch under injected faults: some writes fail (and are
 # retried), polls are delayed, the retrain stage panics exactly once.
 : >"$smoke_log"
@@ -333,24 +421,18 @@ chaos_final=$(echo "$chaos_out" | sed -n 's/.*final generation \([0-9]*\).*/\1/p
     || { echo "FAIL: generation not monotone (${chaos_gen_a} -> ${chaos_final})" >&2; exit 1; }
 echo "chaos convergence: healthy after faults, generation ${chaos_gen_a} -> ${chaos_final}"
 
-cargo run -q --release -p etap-bench --bin bench_watch
-
 echo
 echo "== scale: streamed corpus, sharded LEADS v2, mmap warm start =="
-scale_store=$(mktemp -d)
-scale_store4=$(mktemp -d)
-scale_cleanup() {
-    rm -rf "$scale_store" "$scale_store4"
-}
-trap 'cleanup; chaos_cleanup; scale_cleanup' EXIT
-
 # bench_scale streams the corpus (never materializing it), publishes the
 # same book as LEADS v1 text and sharded LEADS v2 binary, republishes a
 # small extension incrementally, and measures parse-vs-mmap warm starts.
 # CI-bounded to 100k docs; override with ETAP_SCALE_DOCS for the full
-# million-document run recorded in the committed BENCH_scale.json.
-ETAP_SCALE_DOCS="${ETAP_SCALE_DOCS:-100000}" \
-    cargo run -q --release -p etap-bench --bin bench_scale
+# million-document run recorded in the committed BENCH_scale.json. It
+# runs in a scratch directory, so that record stays as committed.
+mkdir "$work/scale"
+(cd "$work/scale" && ETAP_SCALE_DOCS="${ETAP_SCALE_DOCS:-100000}" \
+    cargo run -q --release --manifest-path "$repo/Cargo.toml" -p etap-bench --bin bench_scale)
+scale="$work/scale/BENCH_scale.json"
 
 scale_fail=0
 sgate() { # sgate <label> <value> <floor>
@@ -361,12 +443,12 @@ sgate() { # sgate <label> <value> <floor>
         echo "  ok: $1 = $2 (floor $3)"
     fi
 }
-warm_speedup=$(jnum BENCH_scale.json warm_speedup)
-v2_bytes=$(jnum BENCH_scale.json v2_bytes)
-extend_bytes=$(jnum BENCH_scale.json extend_bytes)
-n_shards=$(jnum BENCH_scale.json shards)
-dirty_shards=$(jnum BENCH_scale.json extend_dirty_shards)
-linked_files=$(jnum BENCH_scale.json extend_linked_files)
+warm_speedup=$(jnum "$scale" warm_speedup)
+v2_bytes=$(jnum "$scale" v2_bytes)
+extend_bytes=$(jnum "$scale" extend_bytes)
+n_shards=$(jnum "$scale" shards)
+dirty_shards=$(jnum "$scale" extend_dirty_shards)
+linked_files=$(jnum "$scale" extend_linked_files)
 
 # The acceptance gates: mmap warm start >= 10x the parsed one, and the
 # append publish of the extension writing strictly fewer bytes than the
@@ -478,15 +560,6 @@ echo "scale: extends at 1 and 4 threads seal identical generations; /leads survi
 
 echo
 echo "== drivers as data: DRIVERS file -> train -> publish v2 -> crash + thread parity =="
-drv_models=$(mktemp -d)
-drv_models4=$(mktemp -d)
-drv_store=$(mktemp -d)
-drv_store4=$(mktemp -d)
-drv_cleanup() {
-    rm -rf "$drv_models" "$drv_models4" "$drv_store" "$drv_store4"
-}
-trap 'cleanup; chaos_cleanup; scale_cleanup; drv_cleanup' EXIT
-
 # The committed driver pack must match what the emitter writes today
 # (checksum trailer included) — the same invariant the integration
 # tests pin, but here against the real binary.
@@ -561,4 +634,10 @@ store_dir=$old_store_dir
 echo "drivers: funding-rounds /leads bit-identical at 1 vs 4 threads"
 
 echo
-echo "OK: verify passed (1t ${d1} docs/s, speedup ${s2}x/${s4}x on ${cores} core(s), shed_rate ${shed_rate}, warm_speedup ${warm_speedup}x)"
+echo "== committed files: every tracked BENCH_*.json as at the start =="
+sha256sum --quiet -c "$bench_sums" \
+    || { echo "FAIL: a committed BENCH_*.json changed during verify" >&2; exit 1; }
+echo "  ok: $(wc -l <"$bench_sums") BENCH_*.json file(s) unchanged"
+
+echo
+echo "OK: verify passed (e2ebench counters and digests as committed, 1t ${d1} docs/s, speedup ${s2}x/${s4}x on ${cores} core(s), warm_speedup ${warm_speedup}x)"

@@ -432,6 +432,51 @@ fn backpressure_sheds_with_retry_after() {
 }
 
 #[test]
+fn nominal_load_never_sheds() {
+    // Four concurrent clients against the default queue: first one
+    // connection per request, then one keep-alive connection each.
+    const TARGETS: [&str; 4] = [
+        "/leads?top=5",
+        "/companies?top=5",
+        "/healthz",
+        "/score?company=Acme%20Corp&industry=software&w_industry=2",
+    ];
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 30;
+    let server = boot_default();
+    let addr = server.addr();
+    for keepalive in [false, true] {
+        std::thread::scope(|s| {
+            for client in 0..CLIENTS {
+                s.spawn(move || {
+                    let mut stream = keepalive.then(|| TcpStream::connect(addr).expect("connect"));
+                    let mut carry = Vec::new();
+                    for i in 0..REQUESTS {
+                        let target = TARGETS[(client + i) % TARGETS.len()];
+                        let response = match stream.as_mut() {
+                            Some(stream) => {
+                                let req = format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n");
+                                stream.write_all(req.as_bytes()).expect("write");
+                                read_one_response(stream, &mut carry)
+                            }
+                            None => get(addr, target),
+                        };
+                        assert_eq!(status_of(&response), 200, "{target}: {response}");
+                    }
+                });
+            }
+        });
+    }
+    let metrics = get(addr, "/metrics");
+    let body = body_of(&metrics);
+    assert_eq!(gauge(body, "etap_shed_total"), 0, "{body}");
+    // Every keep-alive request after a client's first reused its socket.
+    let reuses = gauge(body, "etap_keepalive_reuses_total");
+    assert!(reuses >= (CLIENTS * (REQUESTS - 1)) as u64, "{body}");
+    server.shutdown();
+}
+
+#[test]
 fn hot_swap_never_mixes_generations() {
     let server = Arc::new(boot_default());
     let addr = server.addr();
