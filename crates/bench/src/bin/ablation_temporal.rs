@@ -34,7 +34,7 @@ fn main() {
         ..WebConfig::with_docs(600)
     });
     let identifier = EventIdentifier::new(3);
-    let events = identifier.identify(&[trained], crawl.docs());
+    let events = identifier.identify(&[trained], crawl.docs(), 0);
     let trigger_docs: Vec<usize> = crawl
         .trigger_docs(SalesDriver::ChangeInManagement)
         .map(|d| d.id)

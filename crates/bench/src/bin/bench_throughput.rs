@@ -79,7 +79,7 @@ fn main() {
     let docs = web.docs();
 
     // Warm-up (page in lexicons, gazetteers, branch predictors).
-    let _ = identifier.identify_parallel(&drivers, &docs[..docs.len().min(64)], 1);
+    let _ = identifier.identify(&drivers, &docs[..docs.len().min(64)], 1);
 
     // Best of three runs per thread count: wall-clock on a shared host
     // is noisy in one direction only (interference makes runs slower,
@@ -90,7 +90,7 @@ fn main() {
         let mut events = Vec::new();
         for _ in 0..3 {
             let t0 = Instant::now();
-            events = identifier.identify_parallel(&drivers, docs, threads);
+            events = identifier.identify(&drivers, docs, threads);
             best = best.min(t0.elapsed().as_secs_f64());
         }
         (best, events)
@@ -110,7 +110,7 @@ fn main() {
     // Instrumented scan pass: timers on, wall-clock discarded.
     perf::set_enabled(true);
     perf::reset();
-    let _ = identifier.identify_parallel(&drivers, docs, 1);
+    let _ = identifier.identify(&drivers, docs, 1);
     let scan_profile = perf::report();
     perf::set_enabled(false);
 

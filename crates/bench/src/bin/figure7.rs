@@ -31,7 +31,7 @@ fn main() {
         ..WebConfig::with_docs(400)
     });
     let identifier = EventIdentifier::new(3);
-    let events = identifier.identify(&[trained], crawl.docs());
+    let events = identifier.identify(&[trained], crawl.docs(), 0);
     let ranked = rank::rank_by_score(events.clone());
 
     println!("ETAP — trigger events for sales driver: change in management");

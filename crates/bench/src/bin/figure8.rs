@@ -30,7 +30,7 @@ fn main() {
         ..WebConfig::with_docs(400)
     });
     let identifier = EventIdentifier::new(3);
-    let events = identifier.identify(&[trained], crawl.docs());
+    let events = identifier.identify(&[trained], crawl.docs(), 0);
     let lexicon = OrientationLexicon::revenue_growth();
     let ranked = rank::rank_by_orientation(events, &lexicon);
 

@@ -11,13 +11,12 @@
 //! cargo run --release -p etap-bench --bin ranking_quality
 //! ```
 
-use etap::training::train_driver;
+use etap::training::{train_driver, DriverScorer, ScoreScratch};
 use etap::{rank, AliasResolver, DriverSpec, EventIdentifier, SalesDriver};
 use etap_annotate::{AnnotateScratch, Annotator};
 use etap_bench::{is_test_doc, paper_test_set, paper_training_config, standard_web};
 use etap_classify::ranking::{average_precision, pr_curve, precision_at_k, roc_auc, Scored};
 use etap_corpus::SearchEngine;
-use etap_features::VectorScratch;
 use std::collections::HashSet;
 
 fn main() {
@@ -45,9 +44,10 @@ fn main() {
         let spec = DriverSpec::builtin(driver);
         let trained = train_driver(&spec, &engine, &web, &annotator, &config, is_test_doc);
         let mut scored: Vec<Scored> = Vec::new();
-        let (mut ann, mut vec) = (AnnotateScratch::new(), VectorScratch::new());
+        let scorer = DriverScorer::new(std::slice::from_ref(&trained));
+        let (mut ann, mut scores) = (AnnotateScratch::new(), ScoreScratch::new());
         let mut score =
-            |text: &str| trained.score_with(&annotator.annotate_with(text, &mut ann), &mut vec);
+            |text: &str| scorer.score(&annotator.annotate_with(text, &mut ann), &mut scores)[0];
         for text in &positives[i] {
             scored.push(Scored {
                 score: score(text),
@@ -94,7 +94,7 @@ fn main() {
         .cloned()
         .collect();
     let identifier = EventIdentifier::new(3);
-    let events = identifier.identify(&[trained], &held_out);
+    let events = identifier.identify(&[trained], &held_out, 0);
     let mut resolver = AliasResolver::new();
     let companies = rank::rank_companies_resolved(&events, &mut resolver);
 

@@ -15,13 +15,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use etap::training::{build_test_set, TrainedDriver};
+use etap::training::{build_test_set, DriverScorer, ScoreScratch, TrainedDriver};
 use etap::SalesDriver;
 use etap_annotate::{AnnotateScratch, Annotator};
 use etap_classify::metrics::{ConfusionMatrix, PrecisionRecallF1};
 use etap_classify::Classifier;
 use etap_corpus::{SyntheticWeb, WebConfig};
-use etap_features::VectorScratch;
 
 /// Default number of documents in the experiment web.
 pub const DEFAULT_DOCS: usize = 4_000;
@@ -103,9 +102,10 @@ pub fn evaluate_driver<M: Classifier>(
     negatives: &[&[String]],
 ) -> PrecisionRecallF1 {
     let mut cm = ConfusionMatrix::default();
-    let (mut ann, mut vec) = (AnnotateScratch::new(), VectorScratch::new());
+    let scorer = DriverScorer::new(std::slice::from_ref(trained));
+    let (mut ann, mut scores) = (AnnotateScratch::new(), ScoreScratch::new());
     let mut score =
-        |text: &str| trained.score_with(&annotator.annotate_with(text, &mut ann), &mut vec);
+        |text: &str| scorer.score(&annotator.annotate_with(text, &mut ann), &mut scores)[0];
     for text in positives {
         cm.record(true, score(text) >= 0.5);
     }

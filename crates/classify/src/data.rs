@@ -59,12 +59,6 @@ impl Dataset {
         self.labels.push(label);
     }
 
-    /// Append every example of `other`.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        self.vectors.extend(other.vectors.iter().cloned());
-        self.labels.extend(other.labels.iter().copied());
-    }
-
     /// Append `v` repeated `times` times (the paper oversamples the pure
     /// positive set "by a factor of 3").
     pub fn push_oversampled(&mut self, v: SparseVec, label: Label, times: usize) {

@@ -19,6 +19,10 @@ static STAGE_SNIPPETS: Stage = Stage::new("scan.snippets");
 static STAGE_ANNOTATE: Stage = Stage::new("scan.annotate");
 static STAGE_EVENTS: Stage = Stage::new("scan.events");
 
+/// Minimum posterior for a snippet to be flagged as a driver's trigger
+/// event: the two-class classifier's decision boundary.
+const THRESHOLD: f64 = 0.5;
+
 /// A scored trigger event: a snippet flagged relevant to a sales driver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TriggerEvent {
@@ -46,12 +50,6 @@ pub struct TriggerEvent {
 pub struct EventIdentifier {
     annotator: Arc<Annotator>,
     snipgen: SnippetGenerator,
-    /// Minimum posterior for a snippet to be flagged. Default 0.5.
-    pub threshold: f64,
-    /// Worker threads for document scanning (`0` = the `ETAP_THREADS`
-    /// default, `1` = sequential). The flagged events are bit-identical
-    /// for any value.
-    pub threads: usize,
 }
 
 /// Per-thread buffers of a document scan: the document text, its
@@ -67,7 +65,7 @@ struct ScanScratch {
 }
 
 impl EventIdentifier {
-    /// Identifier with snippet window `n` and the default 0.5 threshold.
+    /// Identifier with snippet window `n`.
     #[must_use]
     pub fn new(window: usize) -> Self {
         Self::with_annotator(Arc::new(Annotator::new()), window)
@@ -79,23 +77,7 @@ impl EventIdentifier {
         Self {
             annotator,
             snipgen: SnippetGenerator::new(window),
-            threshold: 0.5,
-            threads: 0,
         }
-    }
-
-    /// Override the flagging threshold.
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Override the worker-thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// The annotator in use.
@@ -111,23 +93,14 @@ impl EventIdentifier {
     }
 
     /// Scan `docs` with every trained driver; return all flagged events
-    /// (unordered — ranking is the next component's job). Runs on up to
-    /// `self.threads` worker threads; the result is bit-identical to a
-    /// sequential document loop for any thread count (documents are
-    /// independent; the merge preserves document order).
+    /// (unordered — ranking is the next component's job). A snippet is
+    /// flagged for each driver whose posterior is at least 0.5. Runs on
+    /// up to `threads` worker threads (`0` = the `ETAP_THREADS`
+    /// default); the result is bit-identical to a sequential document
+    /// loop for any thread count (documents are independent; the merge
+    /// preserves document order).
     #[must_use]
     pub fn identify<M: Classifier + Sync>(
-        &self,
-        drivers: &[TrainedDriver<M>],
-        docs: &[SyntheticDoc],
-    ) -> Vec<TriggerEvent> {
-        self.identify_parallel(drivers, docs, self.threads)
-    }
-
-    /// [`EventIdentifier::identify`] with an explicit thread count
-    /// (`0` = the `ETAP_THREADS` default, overriding `self.threads`).
-    #[must_use]
-    pub fn identify_parallel<M: Classifier + Sync>(
         &self,
         drivers: &[TrainedDriver<M>],
         docs: &[SyntheticDoc],
@@ -174,7 +147,7 @@ impl EventIdentifier {
             // model the overwhelming majority score below threshold.
             let mut companies: Option<Vec<String>> = None;
             for (trained, &score) in scorer.drivers().iter().zip(scorer.score(&ann, scores)) {
-                if score >= self.threshold {
+                if score >= THRESHOLD {
                     let _t = STAGE_EVENTS.scope();
                     let companies = companies.get_or_insert_with(|| {
                         ann.entities()
@@ -231,13 +204,13 @@ mod tests {
             ..WebConfig::default()
         });
         let identifier = EventIdentifier::new(3);
-        let sequential = identifier.identify(&drivers, fresh.docs());
+        let sequential = identifier.identify(&drivers, fresh.docs(), 1);
         for t in [2usize, 4, 64] {
-            let parallel = identifier.identify_parallel(&drivers, fresh.docs(), t);
+            let parallel = identifier.identify(&drivers, fresh.docs(), t);
             assert_eq!(sequential, parallel, "threads = {t}");
         }
         // Degenerate thread counts fall back gracefully.
-        let one = identifier.identify_parallel(&drivers, fresh.docs(), 0);
+        let one = identifier.identify(&drivers, fresh.docs(), 0);
         assert_eq!(sequential, one);
     }
 
@@ -265,7 +238,7 @@ mod tests {
             ..WebConfig::default()
         });
         let identifier = EventIdentifier::new(3);
-        let events = identifier.identify(&[trained], fresh.docs());
+        let events = identifier.identify(&[trained], fresh.docs(), 0);
         assert!(!events.is_empty(), "should flag events in fresh docs");
 
         // Recall: most genuine CiM trigger documents get flagged.

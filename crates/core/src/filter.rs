@@ -24,7 +24,10 @@
 //! ```
 //!
 //! `NOT` binds tighter than `AND`, which binds tighter than `OR` — so
-//! `DESIG AND PRSN OR ORG` is `(DESIG AND PRSN) OR ORG`. [`Filter`]'s
+//! `DESIG AND PRSN OR ORG` is `(DESIG AND PRSN) OR ORG`. Filters arrive
+//! in driver and model files, so parsing is bounded: an expression
+//! whose tree, or whose parentheses, nest deeper than [`MAX_DEPTH`]
+//! levels is a [`FilterParseError`], never a stack overflow. [`Filter`]'s
 //! `Display` emits this grammar back with minimal parentheses, and
 //! `parse → display → parse` is the identity on filter trees (property
 //! tested).
@@ -32,6 +35,12 @@
 use etap_annotate::{AnnotatedSnippet, EntityCategory};
 use std::fmt;
 use std::str::FromStr;
+
+/// Deepest filter tree — and deepest parenthesis nesting — the parser
+/// accepts. Every filter a driver needs is a handful of levels deep;
+/// the bound keeps parsing, matching, printing and dropping a parsed
+/// filter within a small, fixed stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A boolean filter over an annotated snippet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,8 +182,12 @@ impl FromStr for Filter {
     type Err = FilterParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut p = Parser { src: s, pos: 0 };
-        let expr = p.parse_or()?;
+        let mut p = Parser {
+            src: s,
+            pos: 0,
+            open: 0,
+        };
+        let (expr, _) = p.parse_or()?;
         p.skip_ws();
         if p.pos != s.len() {
             return Err(p.err("trailing input after expression"));
@@ -187,9 +200,16 @@ impl FromStr for Filter {
 /// docs. Word matching is case-insensitive (`and`, `And`, `AND` all
 /// work); `KW(...)` arguments are taken verbatim up to the closing
 /// parenthesis and lowercased (matching [`Filter::kw`]).
+///
+/// Each `parse_*` returns its subtree with the subtree's depth, and
+/// every node built is checked against [`MAX_DEPTH`]. Only parentheses
+/// recurse (`NOT` chains and `AND`/`OR` chains loop), and `open` bounds
+/// them.
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Parentheses currently open.
+    open: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -201,9 +221,17 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.src[self.pos..].starts_with(|c: char| c.is_whitespace()) {
-            self.pos += 1;
+        while let Some(c) = self.src[self.pos..].chars().next().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
+    }
+
+    /// The depth of a node whose deepest child is `child` levels deep.
+    fn deeper(&self, child: usize) -> Result<usize, FilterParseError> {
+        if child >= MAX_DEPTH {
+            return Err(self.err(format!("filter nests deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(child + 1)
     }
 
     fn peek(&mut self) -> Option<char> {
@@ -236,36 +264,51 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_or(&mut self) -> Result<Filter, FilterParseError> {
-        let mut left = self.parse_and()?;
+    fn parse_or(&mut self) -> Result<(Filter, usize), FilterParseError> {
+        let (mut left, mut depth) = self.parse_and()?;
         while self.peek_word().is_some_and(|w| w.eq_ignore_ascii_case("OR")) {
             self.eat_word();
-            left = left.or(self.parse_and()?);
+            let (right, right_depth) = self.parse_and()?;
+            depth = self.deeper(depth.max(right_depth))?;
+            left = left.or(right);
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn parse_and(&mut self) -> Result<Filter, FilterParseError> {
-        let mut left = self.parse_not()?;
+    fn parse_and(&mut self) -> Result<(Filter, usize), FilterParseError> {
+        let (mut left, mut depth) = self.parse_not()?;
         while self.peek_word().is_some_and(|w| w.eq_ignore_ascii_case("AND")) {
             self.eat_word();
-            left = left.and(self.parse_not()?);
+            let (right, right_depth) = self.parse_not()?;
+            depth = self.deeper(depth.max(right_depth))?;
+            left = left.and(right);
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn parse_not(&mut self) -> Result<Filter, FilterParseError> {
-        if self.peek_word().is_some_and(|w| w.eq_ignore_ascii_case("NOT")) {
+    fn parse_not(&mut self) -> Result<(Filter, usize), FilterParseError> {
+        let mut nots = 0usize;
+        while self.peek_word().is_some_and(|w| w.eq_ignore_ascii_case("NOT")) {
             self.eat_word();
-            return Ok(self.parse_not()?.negate());
+            nots += 1;
         }
-        self.parse_atom()
+        let (mut inner, mut depth) = self.parse_atom()?;
+        for _ in 0..nots {
+            depth = self.deeper(depth)?;
+            inner = inner.negate();
+        }
+        Ok((inner, depth))
     }
 
-    fn parse_atom(&mut self) -> Result<Filter, FilterParseError> {
+    fn parse_atom(&mut self) -> Result<(Filter, usize), FilterParseError> {
         if self.peek() == Some('(') {
+            if self.open >= MAX_DEPTH {
+                return Err(self.err(format!("parentheses nest deeper than {MAX_DEPTH} levels")));
+            }
             self.pos += 1;
+            self.open += 1;
             let inner = self.parse_or()?;
+            self.open -= 1;
             self.expect_char(')')?;
             return Ok(inner);
         }
@@ -273,7 +316,7 @@ impl<'a> Parser<'a> {
             return Err(self.err("expected a category, TRUE, KW(...), ATLEAST(...), or '('"));
         };
         let upper = word.to_ascii_uppercase();
-        match upper.as_str() {
+        let leaf = match upper.as_str() {
             "TRUE" => Ok(Filter::True),
             "KW" => {
                 self.expect_char('(')?;
@@ -299,7 +342,8 @@ impl<'a> Parser<'a> {
                 Ok(Filter::AtLeast(cat, n))
             }
             _ => parse_category(word).map(Filter::Category).map_err(|m| self.err(m)),
-        }
+        };
+        Ok((leaf?, 1))
     }
 }
 
@@ -528,6 +572,73 @@ mod tests {
                 .unwrap();
             let parsed: Filter = text.parse().unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(parsed, hand, "{text}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_whitespace_separates_tokens() {
+        let want: Filter = "ORG AND PRSN".parse().unwrap();
+        for text in ["ORG\u{a0}AND PRSN", "ORG AND\u{3000}PRSN", "\u{2003}ORG AND PRSN\u{a0}"] {
+            assert_eq!(text.parse::<Filter>(), Ok(want.clone()), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_typed_error() {
+        let n = 100_000;
+        let parens = format!("{}ORG{}", "(".repeat(n), ")".repeat(n));
+        let nots = format!("{}ORG", "NOT ".repeat(n));
+        let ands = vec!["ORG"; n].join(" AND ");
+        let ors = vec!["ORG"; n].join(" OR ");
+        for text in [&parens, &nots, &ands, &ors] {
+            let err = text.parse::<Filter>().expect_err("too deep");
+            assert!(err.msg.contains("deeper than"), "{err}");
+        }
+        // Up to the bound parses: parentheses add no tree level, and a
+        // chain of `MAX_DEPTH` NOTs over an atom is `MAX_DEPTH + 1` deep.
+        let parens = format!("{}ORG{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert_eq!(parens.parse::<Filter>(), Ok(Filter::cat(EntityCategory::Org)));
+        let nots = format!("{}ORG", "NOT ".repeat(MAX_DEPTH - 1));
+        assert!(nots.parse::<Filter>().is_ok());
+        assert!(format!("NOT {nots}").parse::<Filter>().is_err());
+        let ands = vec!["ORG"; MAX_DEPTH].join(" AND ");
+        assert!(ands.parse::<Filter>().is_ok());
+        assert!(format!("{ands} AND ORG").parse::<Filter>().is_err());
+    }
+
+    /// Seeded fuzz over the grammar: token soup with multibyte
+    /// whitespace, stray bytes and deep nesting. Every input parses to
+    /// `Ok` or a typed `Err` whose offset lies inside the input — never
+    /// a panic or a stack overflow — and an accepted filter re-parses
+    /// from its own display.
+    #[test]
+    fn fuzzed_expressions_parse_or_fail_typed() {
+        const PIECES: &[&str] = &[
+            "ORG", "PRSN", "DESIG", "AND", "OR", "NOT", "not", "TRUE", "(", ")", "KW(", "ATLEAST(",
+            ",", "2", "acquire", " ", " ", "\t", "\u{a0}", "\u{3000}", "\u{2003}", "é", "\u{1F600}",
+            "_", "ß", "\u{0}",
+        ];
+        let mut rng = etap_runtime::Rng::seed_from_u64(0xF0221);
+        for case in 0..3_000 {
+            let mut text = String::new();
+            if rng.gen_bool(0.1) {
+                let depth = rng.gen_range(1..4 * MAX_DEPTH);
+                let open = *rng.choose(&["(", "NOT ", "ORG AND ", "TRUE OR "]).unwrap();
+                text.push_str(&open.repeat(depth));
+            }
+            for _ in 0..rng.gen_range(0..24usize) {
+                text.push_str(rng.choose(PIECES).unwrap());
+                if rng.gen_bool(0.6) {
+                    text.push(' ');
+                }
+            }
+            if rng.gen_bool(0.1) {
+                text.push_str(&")".repeat(rng.gen_range(1..4 * MAX_DEPTH)));
+            }
+            match text.parse::<Filter>() {
+                Ok(f) => assert_eq!(f.to_string().parse::<Filter>(), Ok(f), "case {case}: {text:?}"),
+                Err(e) => assert!(e.pos <= text.len(), "case {case}: {text:?}: {e}"),
+            }
         }
     }
 

@@ -87,13 +87,6 @@ impl LeadBook {
         Some(keys[at].1)
     }
 
-    /// Resolve a company name (any surface variation) to its canonical
-    /// form, without mutating the book.
-    #[must_use]
-    pub fn resolve_company(&self, name: &str) -> Option<&str> {
-        Some(&self.companies().get(self.company_index(name)?)?.company)
-    }
-
     /// A company's MRR score and its events (score order), looked up by
     /// any surface variation of its name.
     #[must_use]

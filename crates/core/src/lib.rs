@@ -185,8 +185,8 @@ pub struct TrainedEtap {
 impl TrainedEtap {
     /// Reassemble a trained system from persisted drivers (the
     /// `etap::persist` round-trip) and a snippet window — the serving
-    /// path's entry point: load models, then [`lead_book`](Self::lead_book)
-    /// a crawl into a queryable snapshot.
+    /// path's entry point: load models, then identify a crawl's events
+    /// and build them into a [`LeadBook`].
     #[must_use]
     pub fn from_drivers(drivers: Vec<TrainedDriver>, snippet_window: usize) -> Self {
         Self {
@@ -199,7 +199,7 @@ impl TrainedEtap {
     /// drivers, unordered).
     #[must_use]
     pub fn identify_events(&self, docs: &[SyntheticDoc]) -> Vec<TriggerEvent> {
-        self.identifier.identify(&self.drivers, docs)
+        self.identify_events_parallel(docs, 0)
     }
 
     /// Identify events on an explicit worker-thread count (`0` = the
@@ -210,16 +210,7 @@ impl TrainedEtap {
         docs: &[SyntheticDoc],
         threads: usize,
     ) -> Vec<TriggerEvent> {
-        self.identifier.identify_parallel(&self.drivers, docs, threads)
-    }
-
-    /// Scan `docs` and freeze the result into a queryable [`LeadBook`]
-    /// (global + per-driver rankings, Eq. 2 company MRR, alias-resolved
-    /// company index) — the snapshot-construction path `etap-serve`
-    /// publishes from.
-    #[must_use]
-    pub fn lead_book(&self, docs: &[SyntheticDoc]) -> LeadBook {
-        LeadBook::build(self.identify_events(docs))
+        self.identifier.identify(&self.drivers, docs, threads)
     }
 
     /// The snippet window size the event identifier was built with

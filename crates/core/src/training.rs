@@ -119,31 +119,24 @@ pub struct TrainedDriver<M = etap_classify::nb::MultinomialNbModel> {
 
 impl<M: Classifier> TrainedDriver<M> {
     /// Posterior probability that an annotated snippet is a trigger
-    /// event for this driver.
+    /// event for this driver: record the snippet's feature walk, then
+    /// [`score_walk`](Self::score_walk) it. One-shot; a scan scores
+    /// through [`DriverScorer`], whose scratch is reused per snippet.
     #[must_use]
     pub fn score(&self, snip: &AnnotatedSnippet) -> f64 {
-        self.score_with(snip, &mut VectorScratch::new())
-    }
-
-    /// [`TrainedDriver::score`] with a caller-kept scratch buffer. The
-    /// vocabulary is frozen, so scoring is a pure id lookup — no clone
-    /// of the vectorizer (the old implementation cloned the entire
-    /// vocabulary per snippet) and no allocation beyond the reused
-    /// scratch.
-    #[must_use]
-    pub fn score_with(&self, snip: &AnnotatedSnippet, scratch: &mut VectorScratch) -> f64 {
-        let v = {
+        let mut walk = FeatureWalk::new();
+        {
             let _t = STAGE_VECTORIZE.scope();
-            self.vectorizer.vectorize_frozen_into(snip, scratch)
-        };
-        let _t = STAGE_POSTERIOR.scope();
-        self.model.posterior(v)
+            self.vectorizer.record_walk(snip, &mut walk);
+        }
+        self.score_walk(&walk, &mut VectorScratch::new())
     }
 
     /// Score a snippet whose feature walk is already recorded (by any
     /// vectorizer that walks like this one): look the walk up in this
-    /// driver's vocabulary, then take the posterior. `score_with` is
-    /// the record-then-lookup special case of the same two steps.
+    /// driver's frozen vocabulary, then take the posterior. The only
+    /// walk-to-score code: [`score`](Self::score) and
+    /// [`DriverScorer::score`] both end here.
     fn score_walk(&self, walk: &FeatureWalk, scratch: &mut VectorScratch) -> f64 {
         let v = {
             let _t = STAGE_VECTORIZE.scope();
@@ -151,20 +144,6 @@ impl<M: Classifier> TrainedDriver<M> {
         };
         let _t = STAGE_POSTERIOR.scope();
         self.model.posterior(v)
-    }
-
-    /// Score every snippet on up to `threads` worker threads (`0` = the
-    /// `ETAP_THREADS` default). Output `i` is exactly
-    /// `self.score(&snips[i])` — order-preserving and bit-identical to
-    /// the sequential loop for any thread count.
-    #[must_use]
-    pub fn score_batch(&self, snips: &[AnnotatedSnippet], threads: usize) -> Vec<f64>
-    where
-        M: Sync,
-    {
-        etap_runtime::par_map_with(snips, threads, VectorScratch::new, |scratch, s| {
-            self.score_with(s, scratch)
-        })
     }
 }
 
@@ -177,9 +156,10 @@ impl<M: Classifier> TrainedDriver<M> {
 /// own frozen vocabulary and takes its posterior.
 ///
 /// Every score is bit-identical to that driver's own
-/// [`TrainedDriver::score_with`]: the lookup assigns and canonicalizes
-/// ids in the driver's own id order, so every float sum runs in the
-/// same order.
+/// [`TrainedDriver::score`]: both record the walk the driver's own
+/// vectorizer records and take the same lookup-then-posterior step,
+/// which assigns and canonicalizes ids in the driver's own id order, so
+/// every float sum runs in the same order.
 #[derive(Debug)]
 pub struct DriverScorer<'d, M> {
     drivers: &'d [TrainedDriver<M>],
@@ -247,8 +227,8 @@ impl<'d, M: Classifier> DriverScorer<'d, M> {
     }
 
     /// Score `snip` against every driver: entry `i` is exactly
-    /// `drivers[i].score_with(snip, _)`. Allocation-free once `scratch`
-    /// is warm.
+    /// `drivers[i].score(snip)`. Allocation-free once `scratch` is
+    /// warm.
     pub fn score<'s>(&self, snip: &AnnotatedSnippet, scratch: &'s mut ScoreScratch) -> &'s [f64] {
         let ScoreScratch {
             walks,

@@ -4,7 +4,7 @@
 //! drivers that walk alike and lets every driver look the recording up
 //! in its own vocabulary. Over seeded snippets — real ones from a fresh
 //! crawl and shuffled word salads drawn from them — every fused score
-//! must equal that driver's own `score_with` under `to_bits`, for the
+//! must equal that driver's own `score` under `to_bits`, for the
 //! five shipped drivers, a mixed set spanning three walk groups, one
 //! driver alone and no drivers at all. The scan built on it must flag
 //! exactly the events a naive snippet-by-snippet, driver-by-driver loop
@@ -14,7 +14,7 @@ use etap::training::{train_drivers, DriverScorer, ScoreScratch, TrainedDriver, T
 use etap::{driverfile, DriverSet, DriverSpec, EventIdentifier, SalesDriver, TriggerEvent};
 use etap_annotate::{AnnotatedSnippet, Annotator, EntityCategory};
 use etap_corpus::{SearchEngine, SyntheticWeb, WebConfig};
-use etap_features::{AbstractionPolicy, VectorScratch};
+use etap_features::AbstractionPolicy;
 use etap_runtime::Rng;
 use etap_text::SnippetGenerator;
 use std::sync::OnceLock;
@@ -126,12 +126,11 @@ fn assert_parity(drivers: &[TrainedDriver], walks: usize) {
     let scorer = DriverScorer::new(drivers);
     assert_eq!(scorer.walks(), walks, "walk groups");
     let mut fused = ScoreScratch::new();
-    let mut single = VectorScratch::new();
     for snip in &fx.snippets {
         let scores = scorer.score(snip, &mut fused);
         assert_eq!(scores.len(), drivers.len());
         for (d, &got) in drivers.iter().zip(scores) {
-            let want = d.score_with(snip, &mut single);
+            let want = d.score(snip);
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
@@ -213,7 +212,7 @@ fn fused_scan_flags_what_the_naive_loop_flags() {
         assert!(!want.is_empty(), "the fresh crawl should flag something");
         let identifier = EventIdentifier::new(3);
         for threads in [1, 3] {
-            let got = identifier.identify_parallel(drivers, fx.fresh.docs(), threads);
+            let got = identifier.identify(drivers, fx.fresh.docs(), threads);
             assert_eq!(got, want, "threads = {threads}");
         }
     }

@@ -195,11 +195,6 @@ impl DocGenerator {
             date,
         }
     }
-
-    /// Access the underlying name generator (e.g. for extra draws).
-    pub fn names_mut(&mut self) -> &mut NameGenerator {
-        &mut self.names
-    }
 }
 
 /// Retrospective/analysis headlines. Unlike trigger headlines they do

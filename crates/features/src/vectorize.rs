@@ -186,12 +186,6 @@ impl Vectorizer {
         self.frozen = true;
     }
 
-    /// Whether the vocabulary is frozen.
-    #[must_use]
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// The vocabulary accumulated so far.
     #[must_use]
     pub fn vocabulary(&self) -> &Vocabulary {
@@ -204,65 +198,15 @@ impl Vectorizer {
         &self.policy
     }
 
-    /// Vectorize one annotated snippet.
+    /// Vectorize one annotated snippet:
+    /// [`record_walk`](Self::record_walk), then
+    /// [`vectorize_walks`](Self::vectorize_walks) on that one walk.
     #[must_use]
     pub fn vectorize(&mut self, snip: &AnnotatedSnippet) -> SparseVec {
-        let mut scratch = VectorScratch::default();
-        self.vectorize_with(snip, &mut scratch)
-    }
-
-    /// [`Vectorizer::vectorize`] with a caller-kept scratch buffer —
-    /// the per-thread working set of the batch paths. Reusing the
-    /// scratch across snippets removes all per-snippet buffer
-    /// allocations; results are identical to [`Vectorizer::vectorize`].
-    #[must_use]
-    pub fn vectorize_with(&mut self, snip: &AnnotatedSnippet, scratch: &mut VectorScratch) -> SparseVec {
-        scratch.reset();
-        let VectorScratch {
-            walk,
-            pairs,
-            seen_tags,
-            ..
-        } = scratch;
-        walk.record(&self.policy, self.bigrams, snip);
-        for (feat, once) in walk.iter() {
-            let id = if self.frozen {
-                self.vocab.get(feat)
-            } else {
-                Some(self.vocab.intern(feat))
-            };
-            if let Some(id) = id {
-                push_feature(pairs, seen_tags, id, once);
-            }
-        }
-        SparseVec::from_pairs_buf(pairs)
-    }
-
-    /// Vectorize against a **frozen** feature space without mutating —
-    /// or cloning — the vectorizer: pure id lookups into the shared
-    /// table. The result is **borrowed from the scratch**: the canonical
-    /// (sorted, deduplicated) pair buffer is swapped into a
-    /// scratch-owned [`SparseVec`] whose storage is recycled on the next
-    /// call. This is the zero-allocation scoring path — after warm-up,
-    /// vectorizing a snippet allocates nothing.
-    ///
-    /// # Panics
-    /// Panics if the vocabulary is not frozen.
-    #[must_use]
-    pub fn vectorize_frozen_into<'s>(
-        &self,
-        snip: &AnnotatedSnippet,
-        scratch: &'s mut VectorScratch,
-    ) -> &'s SparseVec {
-        self.assert_frozen();
-        self.record_walk(snip, &mut scratch.walk);
-        let VectorScratch {
-            walk,
-            pairs,
-            seen_tags,
-            out,
-        } = scratch;
-        lookup_walk(&self.vocab, walk, pairs, seen_tags, out)
+        let mut walk = FeatureWalk::new();
+        self.record_walk(snip, &mut walk);
+        let mut vectors = self.vectorize_walks(std::slice::from_ref(&walk), 1);
+        vectors.pop().expect("one walk vectorizes to one vector")
     }
 
     /// Whether `other` walks a snippet exactly as this vectorizer does
@@ -281,64 +225,70 @@ impl Vectorizer {
         walk.record(&self.policy, self.bigrams, snip);
     }
 
-    /// Look a recorded walk up in this **frozen** vocabulary: the
-    /// second half of [`Vectorizer::vectorize_frozen_into`], which is
-    /// exactly [`record_walk`](Self::record_walk) followed by this
-    /// call. Ids are assigned and canonicalized in this vectorizer's own
-    /// id order, so the vector — and every float summed over it — is
-    /// identical to the one-driver path. `scratch`'s own walk buffer is
-    /// left untouched.
+    /// Look a recorded walk up in this **frozen** vocabulary without
+    /// mutating — or cloning — the vectorizer: pure id lookups into the
+    /// shared table. Ids are assigned and canonicalized in this
+    /// vectorizer's own id order, so the vector — and every float
+    /// summed over it — does not depend on which vectorizer recorded
+    /// the walk. The result is **borrowed from the scratch**: the
+    /// canonical pair buffer is swapped into a scratch-owned
+    /// [`SparseVec`] whose storage is recycled on the next call, so a
+    /// warm lookup allocates nothing.
     ///
     /// # Panics
     /// Panics if the vocabulary is not frozen.
     #[must_use]
     pub fn lookup_walk<'s>(&self, walk: &FeatureWalk, scratch: &'s mut VectorScratch) -> &'s SparseVec {
-        self.assert_frozen();
-        let VectorScratch {
-            pairs,
-            seen_tags,
-            out,
-            ..
-        } = scratch;
-        lookup_walk(&self.vocab, walk, pairs, seen_tags, out)
-    }
-
-    fn assert_frozen(&self) {
         assert!(
             self.frozen,
             "a frozen lookup requires a frozen vocabulary (call freeze() after training)"
         );
+        let VectorScratch {
+            pairs,
+            seen_tags,
+            out,
+        } = scratch;
+        pairs.clear();
+        seen_tags.clear();
+        for (feat, once) in walk.iter() {
+            if let Some(id) = self.vocab.get(feat) {
+                if once {
+                    if seen_tags.contains(&id) {
+                        continue;
+                    }
+                    seen_tags.push(id);
+                }
+                pairs.push((id, 1.0));
+            }
+        }
+        canonicalize(pairs);
+        // Swap rather than copy: `out` hands its previous (cleared-on-
+        // next-use) buffer back to `pairs`, so both capacities are
+        // retained across snippets and nothing is allocated.
+        std::mem::swap(&mut out.pairs, pairs);
+        out
     }
 
     /// Vectorize a batch of snippets on up to `threads` worker threads
     /// (`0` = the `ETAP_THREADS` default), bit-identical to vectorizing
-    /// them sequentially in order — for **any** thread count:
-    /// [`record_walks`](Self::record_walks) then
+    /// them sequentially in order — for **any** thread count: record
+    /// every walk in snippet order, then
     /// [`vectorize_walks`](Self::vectorize_walks).
     #[must_use]
     pub fn vectorize_batch(&mut self, snips: &[AnnotatedSnippet], threads: usize) -> Vec<SparseVec> {
-        let walks = self.record_walks(snips, threads);
+        let walks = etap_runtime::par_map_with(snips, threads, FeatureWalk::new, |walk, snip| {
+            self.record_walk(snip, walk);
+            walk.clone()
+        });
         self.vectorize_walks(&walks, threads)
     }
 
-    /// Record every snippet's feature walk under this vectorizer's
-    /// policy, on up to `threads` workers, in snippet order. A pool
-    /// recorded once serves every vectorizer that
-    /// [`walks_like`](Self::walks_like) this one.
-    #[must_use]
-    pub fn record_walks(&self, snips: &[AnnotatedSnippet], threads: usize) -> Vec<FeatureWalk> {
-        etap_runtime::par_map_with(snips, threads, FeatureWalk::new, |walk, snip| {
-            self.record_walk(snip, walk);
-            walk.clone()
-        })
-    }
-
-    /// Vectorize recorded walks (see [`record_walks`](Self::record_walks)),
-    /// bit-identical to vectorizing the snippets they were recorded from
-    /// one by one, in order, for any thread count. Unfrozen, unseen
-    /// features are interned: the lookup fans out, then ids are interned
-    /// **sequentially in walk order**, so the vocabulary gets the exact
-    /// dense first-seen id assignment of the sequential path.
+    /// Vectorize recorded walks (see [`record_walk`](Self::record_walk));
+    /// the one interning implementation. Unless the vocabulary is
+    /// frozen, unseen features are interned: the lookup fans out, then
+    /// ids are interned **sequentially in walk order**, so the
+    /// vocabulary gets dense first-seen ids and the vectors are
+    /// identical for any thread count.
     #[must_use]
     pub fn vectorize_walks(&mut self, walks: &[FeatureWalk], threads: usize) -> Vec<SparseVec> {
         if self.frozen {
@@ -355,8 +305,8 @@ impl Vectorizer {
         let extracted: Vec<Vec<Feat<'_>>> = etap_runtime::par_map(&walks, threads, |&walk| {
             let mut feats: Vec<Feat<'_>> = Vec::with_capacity(walk.len());
             // Once-per-snippet tags deduplicate by id where the term is
-            // known and by text otherwise; the sequential path dedups by
-            // id, which is equivalent because interning is injective.
+            // known and by text otherwise — the same thing as by id,
+            // because interning is injective.
             let mut seen_ids: Vec<TermId> = Vec::new();
             let mut seen_new: Vec<&str> = Vec::new();
             for (feat, once) in walk.iter() {
@@ -384,7 +334,7 @@ impl Vectorizer {
             feats
         });
         // Phase 2 (sequential): intern in walk order, so new terms get
-        // the exact dense first-seen ids of the sequential path.
+        // dense first-seen ids whatever the thread count.
         let mut pairs: Vec<(u32, f32)> = Vec::new();
         extracted
             .iter()
@@ -415,7 +365,6 @@ enum Feat<'w> {
 /// allocation cache: contents never influence results.
 #[derive(Debug, Default, Clone)]
 pub struct VectorScratch {
-    walk: FeatureWalk,
     pairs: Vec<(u32, f32)>,
     seen_tags: Vec<u32>,
     out: SparseVec,
@@ -427,47 +376,6 @@ impl VectorScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn reset(&mut self) {
-        self.pairs.clear();
-        self.seen_tags.clear();
-    }
-}
-
-/// Append one looked-up feature occurrence; a once-per-snippet feature
-/// is kept only the first time its id appears.
-fn push_feature(pairs: &mut Vec<(u32, f32)>, seen_tags: &mut Vec<u32>, id: u32, once: bool) {
-    if once {
-        if seen_tags.contains(&id) {
-            return;
-        }
-        seen_tags.push(id);
-    }
-    pairs.push((id, 1.0));
-}
-
-/// Resolve a recorded walk against a frozen vocabulary into `out`,
-/// canonicalized. The frozen core of every scoring path.
-fn lookup_walk<'s>(
-    vocab: &Vocabulary,
-    walk: &FeatureWalk,
-    pairs: &mut Vec<(u32, f32)>,
-    seen_tags: &mut Vec<u32>,
-    out: &'s mut SparseVec,
-) -> &'s SparseVec {
-    pairs.clear();
-    seen_tags.clear();
-    for (feat, once) in walk.iter() {
-        if let Some(id) = vocab.get(feat) {
-            push_feature(pairs, seen_tags, id, once);
-        }
-    }
-    canonicalize(pairs);
-    // Swap rather than copy: `out` hands its previous (cleared-on-
-    // next-use) buffer back to `pairs`, so both capacities are
-    // retained across snippets and nothing is allocated.
-    std::mem::swap(&mut out.pairs, pairs);
-    out
 }
 
 /// One snippet's features in the canonical emit order, as recorded by a
@@ -475,9 +383,9 @@ fn lookup_walk<'s>(
 /// policy lookups — depends only on the abstraction policy and the
 /// bigram setting, never on a vocabulary. Recording it once lets every
 /// vectorizer that walks alike look the same features up in its own
-/// vocabulary; every vectorization mode (interning, frozen lookup,
-/// batch extraction) reads the walk through this one recorder, so they
-/// cannot drift apart.
+/// vocabulary; both vectorization modes (interning and frozen lookup)
+/// read the walk through this one recorder, so they cannot drift
+/// apart.
 ///
 /// Allocation-free once warm: features are appended back to back into
 /// one reused text buffer, and every intermediate (lowercased token,
@@ -797,15 +705,17 @@ mod tests {
 
     #[test]
     fn frozen_path_matches_mutable_path() {
+        // Once every feature is interned, a frozen lookup finds exactly
+        // the vector interning built.
         let mut vz = Vectorizer::paper_default().with_bigrams(true);
         let snips = annotate_batch_texts();
-        for s in &snips {
-            let _ = vz.vectorize(s);
-        }
+        let interned: Vec<SparseVec> = snips.iter().map(|s| vz.vectorize(s)).collect();
         vz.freeze();
-        let mut scratch = VectorScratch::new();
-        for s in &snips {
-            assert_eq!(vz.vectorize_frozen_into(s, &mut scratch), &vz.vectorize(s));
+        let (mut walk, mut scratch) = (FeatureWalk::new(), VectorScratch::new());
+        for (s, want) in snips.iter().zip(&interned) {
+            vz.record_walk(s, &mut walk);
+            assert_eq!(vz.lookup_walk(&walk, &mut scratch), want);
+            assert_eq!(&vz.vectorize(s), want);
         }
     }
 
@@ -851,7 +761,14 @@ mod tests {
         let _ = warmed.vectorize(&annotate("Shares of Acme fell sharply after the merger."));
         assert!(fresh.walks_like(&warmed));
         assert!(!fresh.walks_like(&Vectorizer::paper_default()));
-        let walks = fresh.record_walks(&snips, 2);
+        let walks: Vec<FeatureWalk> = snips
+            .iter()
+            .map(|s| {
+                let mut walk = FeatureWalk::new();
+                fresh.record_walk(s, &mut walk);
+                walk
+            })
+            .collect();
         for mut vz in [fresh, warmed] {
             let mut direct = vz.clone();
             let expect: Vec<SparseVec> = snips.iter().map(|s| direct.vectorize(s)).collect();
@@ -861,9 +778,9 @@ mod tests {
                 direct.vocabulary().iter().collect::<Vec<_>>()
             );
             vz.freeze();
-            let (mut a, mut b) = (VectorScratch::new(), VectorScratch::new());
+            let mut scratch = VectorScratch::new();
             for (walk, snip) in walks.iter().zip(&snips) {
-                assert_eq!(vz.lookup_walk(walk, &mut a), vz.vectorize_frozen_into(snip, &mut b));
+                assert_eq!(vz.lookup_walk(walk, &mut scratch), &vz.vectorize(snip));
             }
             assert_eq!(vz.vectorize_walks(&walks, 2), vz.vectorize_batch(&snips, 1));
         }
@@ -904,6 +821,8 @@ mod tests {
     fn vectorize_frozen_rejects_unfrozen() {
         let vz = Vectorizer::paper_default();
         let snip = annotate("profits rose.");
-        let _ = vz.vectorize_frozen_into(&snip, &mut VectorScratch::new());
+        let mut walk = FeatureWalk::new();
+        vz.record_walk(&snip, &mut walk);
+        let _ = vz.lookup_walk(&walk, &mut VectorScratch::new());
     }
 }

@@ -9,8 +9,8 @@
 //!   start is O(mmap): no read, no parse, and N replicas of the same
 //!   generation share one page cache.
 //! * **Heap** — `fs::read` into a `Vec<u8>`. The portable fallback for
-//!   non-Linux targets, and the forced path under `ETAP_NO_MMAP=1`
-//!   (used by benches to compare the two).
+//!   non-Linux targets, empty files and mappings the filesystem
+//!   refuses.
 //!
 //! Either way the rest of the system sees only `&[u8]`, so every
 //! consumer is backing-agnostic.
@@ -73,7 +73,7 @@ impl Arena {
 ///
 /// Falls back to a heap read when mapping is unsupported on this
 /// target, when the file is empty (zero-length `mmap` is an error), or
-/// when `ETAP_NO_MMAP=1` forces the portable path.
+/// when the mapping fails.
 ///
 /// # Errors
 /// Propagates I/O errors from opening or reading the file.
@@ -81,16 +81,14 @@ pub fn open_arena(path: &Path) -> io::Result<Arena> {
     let _t = STAGE_MMAP.scope();
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
-        if std::env::var_os("ETAP_NO_MMAP").is_none_or(|v| v != "1") {
-            let file = File::open(path)?;
-            let len = file.metadata()?.len();
-            if len > 0 {
-                if let Ok(mapping) = sys::Mapping::map_readonly(&file, len as usize) {
-                    return Ok(Arena::Mmap(mapping));
-                }
-                // Mapping can fail on exotic filesystems; fall through
-                // to the heap read rather than failing the load.
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        if len > 0 {
+            if let Ok(mapping) = sys::Mapping::map_readonly(&file, len as usize) {
+                return Ok(Arena::Mmap(mapping));
             }
+            // Mapping can fail on exotic filesystems; fall through to
+            // the heap read rather than failing the load.
         }
     }
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]

@@ -148,12 +148,6 @@ impl<T> Bounded<T> {
         drop(state);
         self.not_empty.notify_all();
     }
-
-    /// Whether [`close`](Self::close) has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.lock_state().closed
-    }
 }
 
 /// A fixed set of long-lived worker threads draining a [`Bounded`].

@@ -43,7 +43,7 @@
 //! let web = SyntheticWeb::generate(WebConfig::with_docs(600));
 //! let trained = Arc::new(Etap::new(EtapConfig::paper()).train(&web));
 //! let crawl = SyntheticWeb::generate(WebConfig { seed: 7, ..WebConfig::with_docs(200) });
-//! let snapshot = Arc::new(LeadSnapshot::build(trained, crawl.docs(), 1));
+//! let snapshot = Arc::new(LeadSnapshot::build(trained, crawl.docs(), 1, 0));
 //! let server = etap_serve::start(&ServeConfig::from_env(), snapshot).unwrap();
 //! println!("serving on http://{}", server.addr());
 //! ```

@@ -324,43 +324,6 @@ impl ServerHandle {
         generation
     }
 
-    /// Strict-durability publish: persist to the configured store
-    /// *first* and swap the snapshot live only if persistence
-    /// succeeded. The continuous-ingest loop uses this so the serving
-    /// generation never runs ahead of the last sealed on-disk
-    /// generation — the invariant that makes kill -9 at any instant
-    /// recoverable. With no store configured this is a plain swap.
-    ///
-    /// # Errors
-    /// The store failure; the previously published snapshot stays live
-    /// and the failure is also counted in `etap_store_failures_total`.
-    pub fn publish_durable(&self, snapshot: Arc<LeadSnapshot>) -> io::Result<u64> {
-        if let Some(store) = &self.store {
-            match store.publish(&snapshot) {
-                Ok(outcome) => self.ctx.metrics.record_publish(&outcome),
-                Err(e) => {
-                    self.ctx
-                        .metrics
-                        .store_failures_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-        }
-        let generation = snapshot.generation;
-        self.generation.store(generation, Ordering::SeqCst);
-        record_snapshot_gauges(&self.ctx.metrics, &snapshot);
-        self.ctx.cell.publish(snapshot);
-        self.ctx
-            .metrics
-            .snapshot_generation
-            .store(generation, Ordering::Relaxed);
-        if let Some(store) = &self.store {
-            store.pin(generation);
-        }
-        Ok(generation)
-    }
-
     /// The generation store backing this server, when configured.
     #[must_use]
     pub fn store(&self) -> Option<&GenerationStore> {

@@ -42,24 +42,13 @@ pub struct LeadSnapshot {
 }
 
 impl LeadSnapshot {
-    /// Scan `docs` with `trained` and freeze the result as generation
-    /// `generation`.
+    /// Scan `docs` with `trained` on up to `threads` worker threads
+    /// (`0` = the `ETAP_THREADS` default) and freeze the result as
+    /// generation `generation`. The snapshot is bit-identical for any
+    /// `threads` value — the determinism contract of `etap-runtime`
+    /// extends to served responses.
     #[must_use]
-    pub fn build(trained: Arc<TrainedEtap>, docs: &[SyntheticDoc], generation: u64) -> Self {
-        let book = trained.lead_book(docs);
-        Self {
-            generation,
-            book: book.into(),
-            trained,
-        }
-    }
-
-    /// Like [`build`](Self::build) with an explicit worker-thread count
-    /// for the scan (`0` = the `ETAP_THREADS` default). The resulting
-    /// snapshot is bit-identical for any value — the determinism
-    /// contract of `etap-runtime` extends to served responses.
-    #[must_use]
-    pub fn build_parallel(
+    pub fn build(
         trained: Arc<TrainedEtap>,
         docs: &[SyntheticDoc],
         generation: u64,

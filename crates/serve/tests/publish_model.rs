@@ -259,8 +259,8 @@ fn run_history(seed: u64, steps: u64) -> usize {
     let twin = open_store(&twin_root);
 
     let first = poll(seed, 60);
-    let mut snap = Arc::new(LeadSnapshot::build_parallel(trained(), &first, 1, 1));
-    let mut twin_snap = Arc::new(LeadSnapshot::build_parallel(trained(), &first, 1, 4));
+    let mut snap = Arc::new(LeadSnapshot::build(trained(), &first, 1, 1));
+    let mut twin_snap = Arc::new(LeadSnapshot::build(trained(), &first, 1, 4));
     let mut prev: Option<Sealed> = None;
     let mut prev_len = 0;
     let mut served_from_store = false;
@@ -382,7 +382,7 @@ fn amortized_bytes_per_cycle_stay_below_a_cold_publish() {
     let _guard = lock();
     let root = temp_root("amortized");
     let store = open_store(&root);
-    let mut snap = Arc::new(LeadSnapshot::build_parallel(trained(), &poll(5, 40), 1, 1));
+    let mut snap = Arc::new(LeadSnapshot::build(trained(), &poll(5, 40), 1, 1));
     store.publish(&snap).expect("publish 1");
     let mut written = 0;
     for generation in 2..=65 {

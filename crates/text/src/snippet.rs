@@ -99,19 +99,6 @@ impl SnippetGenerator {
         self.snippets_from_spans(doc, &spans)
     }
 
-    /// Split many documents on up to `threads` worker threads
-    /// (`0` = the `ETAP_THREADS` default). Output `i` is exactly
-    /// `self.snippets(&docs[i])` — order-preserving, bit-identical to
-    /// the sequential path for any thread count.
-    #[must_use]
-    pub fn snippets_batch<S: AsRef<str> + Sync>(
-        &self,
-        docs: &[S],
-        threads: usize,
-    ) -> Vec<Vec<Snippet>> {
-        etap_runtime::par_map(docs, threads, |doc| self.snippets(doc.as_ref()))
-    }
-
     /// Build snippets from pre-computed sentence spans (avoids re-running
     /// the chunker when the caller already has them).
     #[must_use]

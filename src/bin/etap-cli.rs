@@ -345,7 +345,7 @@ fn cmd_scan(opts: &Opts) -> Result<(), CliError> {
     let crawl = fresh_crawl(opts);
     let top = opts.usize_or("top", 10);
     let identifier = EventIdentifier::new(3);
-    let events = identifier.identify(&models, crawl.docs());
+    let events = identifier.identify(&models, crawl.docs(), 0);
     eprintln!("{} trigger events flagged.", events.len());
 
     if opts.has("time-weighted") {
@@ -397,7 +397,7 @@ fn cmd_companies(opts: &Opts) -> Result<(), CliError> {
     let crawl = fresh_crawl(opts);
     let top = opts.usize_or("top", 10);
     let identifier = EventIdentifier::new(3);
-    let events = identifier.identify(&models, crawl.docs());
+    let events = identifier.identify(&models, crawl.docs(), 0);
     let mut resolver = AliasResolver::new();
     let companies = rank::rank_companies_resolved(&events, &mut resolver);
     println!("{:<32} {:>7} {:>7}", "company", "MRR", "events");
@@ -456,7 +456,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
             let trained = Arc::new(etap_repro::TrainedEtap::from_drivers(models, window));
             let crawl = fresh_crawl(opts);
             eprintln!("building lead snapshot (generation 1)…");
-            let snapshot = Arc::new(LeadSnapshot::build(trained, crawl.docs(), 1));
+            let snapshot = Arc::new(LeadSnapshot::build(trained, crawl.docs(), 1, 0));
             eprintln!(
                 "snapshot ready: {} events, {} companies",
                 snapshot.book.len(),
@@ -529,7 +529,7 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
                 ..WebConfig::with_docs(docs)
             });
             eprintln!("cold start: building generation 1 from {docs} documents…");
-            let snapshot = Arc::new(LeadSnapshot::build(trained, crawl.docs(), 1));
+            let snapshot = Arc::new(LeadSnapshot::build(trained, crawl.docs(), 1, 0));
             store.publish(&snapshot).map_err(io_err)?;
             snapshot
         }
@@ -663,7 +663,7 @@ fn cmd_publish(opts: &Opts) -> Result<(), CliError> {
         let window = opts.usize_or("window", 3);
         let trained = Arc::new(etap_repro::TrainedEtap::from_drivers(models, window));
         let crawl = fresh_crawl(opts);
-        LeadSnapshot::build(trained, crawl.docs(), next_generation)
+        LeadSnapshot::build(trained, crawl.docs(), next_generation, 0)
     };
 
     let outcome = store.publish(&snapshot).map_err(|e| e.to_string())?;
@@ -789,7 +789,7 @@ fn cmd_eval(opts: &Opts) -> Result<(), CliError> {
         ..WebConfig::default()
     });
     let identifier = EventIdentifier::new(3);
-    let events = identifier.identify(&models, crawl.docs());
+    let events = identifier.identify(&models, crawl.docs(), 0);
 
     println!(
         "{:<26} {:>9} {:>7} {:>7}",

@@ -480,7 +480,7 @@ fn snapshot_extend_chains_agree_across_scan_threads() {
         .with_leads_format(LeadsFormat::Binary { shards: 16 });
     let mut union = web(90, 80);
     store
-        .publish(&LeadSnapshot::build(Arc::clone(&system), &union, 1))
+        .publish(&LeadSnapshot::build(Arc::clone(&system), &union, 1, 0))
         .expect("publish");
     let start = Arc::new(store.load(1).expect("load"));
     let _ = std::fs::remove_dir_all(store.root());

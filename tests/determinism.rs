@@ -112,13 +112,10 @@ fn parallel_scoring_and_rankings_match_sequential() {
         ..WebConfig::with_docs(120)
     });
 
-    let sequential = EventIdentifier::new(3)
-        .with_threads(1)
-        .identify(&trained.drivers, fresh.docs());
+    let identifier = EventIdentifier::new(3);
+    let sequential = identifier.identify(&trained.drivers, fresh.docs(), 1);
     for threads in [2usize, 4] {
-        let parallel = EventIdentifier::new(3)
-            .with_threads(threads)
-            .identify(&trained.drivers, fresh.docs());
+        let parallel = identifier.identify(&trained.drivers, fresh.docs(), threads);
         assert_eq!(sequential, parallel, "threads = {threads}");
         assert_eq!(
             rank::rank_by_score(sequential.clone()),

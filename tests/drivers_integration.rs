@@ -130,7 +130,7 @@ fn custom_driver_leads_survive_v2_publish_restart_and_threads() {
 
     // Publish generation 1 as sharded LEADS v2 (custom driver codes
     // travel in the book's code table).
-    let snapshot = Arc::new(LeadSnapshot::build_parallel(
+    let snapshot = Arc::new(LeadSnapshot::build(
         Arc::clone(&trained),
         crawl.docs(),
         1,
@@ -168,7 +168,7 @@ fn custom_driver_leads_survive_v2_publish_restart_and_threads() {
 
     // Thread-count determinism: a 4-thread build of the same snapshot
     // serves the same bytes as the 1-thread build.
-    let snapshot4 = Arc::new(LeadSnapshot::build_parallel(
+    let snapshot4 = Arc::new(LeadSnapshot::build(
         Arc::clone(&trained),
         crawl.docs(),
         1,

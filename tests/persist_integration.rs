@@ -5,7 +5,7 @@
 
 use etap_repro::corpus::{SyntheticWeb, WebConfig};
 use etap_repro::serve::{GenerationStore, LeadSnapshot};
-use etap_repro::system::persist;
+use etap_repro::system::{persist, LeadBook};
 use etap_repro::{DriverSpec, Etap, EtapConfig, SalesDriver, TrainedEtap};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -89,7 +89,7 @@ fn serialized_model_is_v2_codec_with_checksum() {
 #[test]
 fn lead_book_roundtrips_bit_exactly_through_leads_document() {
     let system = trained();
-    let book = system.lead_book(crawl(22, 60).docs());
+    let book = LeadBook::build(system.identify_events(crawl(22, 60).docs()));
     assert!(book.len() > 0, "need events to make the test meaningful");
     let text = persist::book_to_string(&book);
     let restored = persist::book_from_str(&text).expect("parse book");
@@ -107,8 +107,8 @@ fn extend_is_bit_identical_to_full_rebuild_for_any_thread_count() {
     let mut union: Vec<_> = old.docs().to_vec();
     union.extend(delta.docs().iter().cloned());
 
-    let full = LeadSnapshot::build(Arc::clone(&system), &union, 2);
-    let base = LeadSnapshot::build(Arc::clone(&system), old.docs(), 1);
+    let full = LeadSnapshot::build(Arc::clone(&system), &union, 2, 0);
+    let base = LeadSnapshot::build(Arc::clone(&system), old.docs(), 1, 0);
     for threads in [1usize, 4] {
         let extended = LeadSnapshot::extend(&base, delta.docs(), 2, threads);
         assert_eq!(
@@ -131,7 +131,7 @@ fn extend_roundtrips_through_the_store() {
     let root = temp_dir("extend_store");
     let store = GenerationStore::open(&root).expect("open");
     let system = trained();
-    let base = LeadSnapshot::build(Arc::clone(&system), crawl(40, 40).docs(), 1);
+    let base = LeadSnapshot::build(Arc::clone(&system), crawl(40, 40).docs(), 1, 0);
     store.publish(&base).expect("publish gen 1");
 
     let (reloaded, _) = store.load_latest().expect("scan").expect("gen 1");
@@ -196,7 +196,7 @@ fn store_corruption_matrix_falls_back_to_newest_valid() {
     for (tag, corrupt) in corruptions {
         let root = temp_dir(&format!("matrix_{tag}"));
         let store = GenerationStore::open(&root).expect("open");
-        let gen1 = LeadSnapshot::build(Arc::clone(&system), crawl(50, 40).docs(), 1);
+        let gen1 = LeadSnapshot::build(Arc::clone(&system), crawl(50, 40).docs(), 1, 0);
         store.publish(&gen1).expect("publish 1");
         let gen2 = LeadSnapshot::extend(&gen1, crawl(51, 20).docs(), 2, 0);
         store.publish(&gen2).expect("publish 2");
@@ -224,7 +224,7 @@ fn torn_manifest_write_falls_back_to_previous_generation() {
     let system = trained();
     let root = temp_dir("torn_manifest");
     let store = GenerationStore::open(&root).expect("open");
-    let gen1 = LeadSnapshot::build(Arc::clone(&system), crawl(60, 40).docs(), 1);
+    let gen1 = LeadSnapshot::build(Arc::clone(&system), crawl(60, 40).docs(), 1, 0);
     store.publish(&gen1).expect("publish 1");
     let gen2 = LeadSnapshot::extend(&gen1, crawl(61, 20).docs(), 2, 0);
     store.publish(&gen2).expect("publish 2");
@@ -255,7 +255,7 @@ fn generation_vanishing_between_listing_and_read_never_panics() {
     let system = trained();
     let root = temp_dir("vanishing_gen");
     let store = GenerationStore::open(&root).expect("open");
-    let gen1 = LeadSnapshot::build(Arc::clone(&system), crawl(62, 40).docs(), 1);
+    let gen1 = LeadSnapshot::build(Arc::clone(&system), crawl(62, 40).docs(), 1, 0);
     store.publish(&gen1).expect("publish 1");
     let gen2 = LeadSnapshot::extend(&gen1, crawl(63, 20).docs(), 2, 0);
     store.publish(&gen2).expect("publish 2");

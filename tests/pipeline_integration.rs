@@ -100,7 +100,7 @@ fn event_scores_are_probabilities_and_companies_extracted() {
 
     let fresh = small_web(22);
     let identifier = EventIdentifier::new(3);
-    let events = identifier.identify(&[trained], fresh.docs());
+    let events = identifier.identify(&[trained], fresh.docs(), 0);
     assert!(!events.is_empty());
     let mut with_companies = 0;
     for e in &events {

@@ -5,7 +5,7 @@
 
 use etap_repro::corpus::{SyntheticWeb, WebConfig};
 use etap_repro::serve::{LeadSnapshot, ServeConfig, ServerHandle};
-use etap_repro::system::{rank, AliasResolver};
+use etap_repro::system::{rank, AliasResolver, LeadBook};
 use etap_repro::{DriverSpec, Etap, EtapConfig, SalesDriver, TrainedEtap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -39,7 +39,7 @@ fn crawl(seed: u64) -> SyntheticWeb {
 }
 
 fn boot(config: &ServeConfig) -> ServerHandle {
-    let snapshot = Arc::new(LeadSnapshot::build(trained(), crawl(7).docs(), 1));
+    let snapshot = Arc::new(LeadSnapshot::build(trained(), crawl(7).docs(), 1, 0));
     etap_repro::serve::start(config, snapshot).expect("start server")
 }
 
@@ -506,7 +506,7 @@ fn hot_swap_never_mixes_generations() {
 
     // Publish generation 2 (different crawl) mid-traffic.
     std::thread::sleep(Duration::from_millis(150));
-    let book2 = trained().lead_book(crawl(99).docs());
+    let book2 = LeadBook::build(trained().identify_events(crawl(99).docs()));
     let published = server.publish(book2, trained());
     assert_eq!(published, 2);
     std::thread::sleep(Duration::from_millis(150));
@@ -546,7 +546,7 @@ fn served_responses_are_identical_for_any_thread_count() {
     let fresh = crawl(7);
     let mut bodies = Vec::new();
     for threads in [1usize, 4] {
-        let snapshot = Arc::new(LeadSnapshot::build_parallel(
+        let snapshot = Arc::new(LeadSnapshot::build(
             trained(),
             fresh.docs(),
             1,
@@ -832,7 +832,7 @@ fn watch_cycle_on_a_mapped_store_keeps_its_base_mapped() {
         ..WebConfig::default()
     });
     store
-        .publish(&LeadSnapshot::build(trained(), base.docs(), 1))
+        .publish(&LeadSnapshot::build(trained(), base.docs(), 1, 0))
         .expect("publish");
     let (loaded, _) = store.load_latest().expect("scan").expect("generation 1");
     let server =

@@ -92,7 +92,7 @@ fn seeded_store(tag: &str) -> (PathBuf, GenerationStore, Arc<LeadSnapshot>) {
         seed: watch::poll_batch_seed(99, 1),
         ..WebConfig::with_docs(30)
     });
-    let gen1 = Arc::new(LeadSnapshot::build(trained(), crawl.docs(), 1));
+    let gen1 = Arc::new(LeadSnapshot::build(trained(), crawl.docs(), 1, 0));
     store.publish(&gen1).expect("seal generation 1");
     (root, store, gen1)
 }
