@@ -32,7 +32,7 @@ pub mod pos;
 
 pub use annotated::{AnnotatedSnippet, SnippetBuf, TokenRef};
 pub use entity::{EntityCategory, EntitySpan};
-pub use ner::{NamedEntityRecognizer, StartClass};
+pub use ner::{NamedEntityRecognizer, Rule, StartClass};
 pub use pos::{PosTag, PosTagger};
 
 use annotated::SnipRange;

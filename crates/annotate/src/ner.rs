@@ -43,11 +43,13 @@
 //! Most tokens cannot open an entity: every rule first tests the token
 //! it would start at (a figure, a month, a gazetteer entry's first
 //! word, a capitalised word, …). [`NamedEntityRecognizer::start_class`]
-//! evaluates those first-token tests alone and sorts the token into a
-//! [`StartClass`]; the scan then skips plain words and runs only the
-//! org-suffix rule for unknown capitalised words. The class depends
-//! only on the token, so the annotator remembers it per distinct
-//! surface (see `AnnotateScratch`).
+//! evaluates each rule's first-token test alone and collects the rules
+//! that pass into a [`StartClass`], one bit per [`Rule`]; the scan then
+//! runs only those rules at the token — none at a plain word, the ORG
+//! rule alone at an unknown capitalised word, two or three at a
+//! gazetteer word such as "Chief" or "Bangalore". The set depends only
+//! on the token, so the annotator remembers it per distinct surface
+//! (see `AnnotateScratch`).
 
 use crate::entity::{EntityCategory, EntitySpan};
 use crate::gazetteer::{
@@ -144,18 +146,100 @@ fn lower_eq(text: &str, word: &str, scratch: &mut String) -> bool {
     }
 }
 
-/// Which rules can match a span that starts at a token, judged from the
-/// token alone ([`NamedEntityRecognizer::start_class`]). The scan runs
-/// only those rules there; the classes never change its output.
+/// One recognizer rule, in the order the scan considers candidates
+/// (which breaks ties of equal length and priority).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StartClass {
+pub enum Rule {
+    /// Currency symbol/code/word + figure.
+    Currency,
+    /// Figure + `%` / `percent`.
+    Percent,
+    /// Figure + meridiem or `HH:MM`, named times.
+    Time,
+    /// Month, weekday, quarter shorthand, period heads, ordinal + quarter.
+    Period,
+    /// Bare 19xx/20xx figure.
+    Year,
+    /// Figure + measurement unit.
+    Length,
+    /// Figure or spelled number + count noun.
+    Count,
+    /// Honorific + capitalised run, given name / surname.
+    Person,
+    /// Org gazetteer, capitalised run + org suffix.
+    Org,
+    /// Designation lexicon (case-insensitive).
+    Designation,
+    /// Place gazetteer.
+    Place,
+    /// Product gazetteer.
+    Product,
+    /// Object gazetteer.
+    Object,
+}
+
+impl Rule {
+    /// Every rule, in consideration order (`ALL[r as usize] == r`).
+    pub const ALL: [Rule; 13] = [
+        Rule::Currency,
+        Rule::Percent,
+        Rule::Time,
+        Rule::Period,
+        Rule::Year,
+        Rule::Length,
+        Rule::Count,
+        Rule::Person,
+        Rule::Org,
+        Rule::Designation,
+        Rule::Place,
+        Rule::Product,
+        Rule::Object,
+    ];
+
+    const fn bit(self) -> u16 {
+        1 << self as u16
+    }
+}
+
+/// The rules that can match a span starting at a token, judged from the
+/// token alone ([`NamedEntityRecognizer::start_class`]): one bit per
+/// [`Rule`]. The scan runs only those rules there; the set never
+/// changes its output.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct StartClass(u16);
+
+impl std::fmt::Debug for StartClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.rules()).finish()
+    }
+}
+
+impl StartClass {
     /// No rule can start here.
-    None,
-    /// Only the capitalised-run + org-suffix rule can start here (an
-    /// unknown capitalised word).
-    OrgRun,
-    /// Any rule may start here: run them all.
-    Any,
+    pub const NONE: Self = Self(0);
+    /// Every rule: the reference sweep's set.
+    pub const ALL: Self = Self((1 << Rule::ALL.len()) - 1);
+
+    /// Whether `rule` is in the set.
+    #[must_use]
+    pub fn contains(self, rule: Rule) -> bool {
+        self.0 & rule.bit() != 0
+    }
+
+    /// The set plus `rule` when `test` holds.
+    fn with(self, rule: Rule, test: bool) -> Self {
+        Self(self.0 | if test { rule.bit() } else { 0 })
+    }
+
+    /// The rules in the set, in consideration order.
+    fn rules(self) -> impl Iterator<Item = Rule> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let r = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            Rule::ALL.get(r).copied()
+        })
+    }
 }
 
 /// Gazetteer- and rule-based NER for the 13 ETAP categories.
@@ -289,9 +373,9 @@ impl NamedEntityRecognizer {
         self.recognize_impl(&SpanToks { text, spans }, scratch, out, |_, i, _| starts[i]);
     }
 
-    /// The reference recognizer: every rule at every position, with no
-    /// start-class gate. Kept as the executable spec the oracle suite
-    /// holds the gated paths to.
+    /// The reference recognizer: every rule at every position (the
+    /// full [`StartClass::ALL`] set). Kept as the executable spec the
+    /// oracle suite holds the gated paths to.
     pub(crate) fn recognize_sweep(
         &self,
         text: &str,
@@ -301,41 +385,54 @@ impl NamedEntityRecognizer {
     ) {
         out.clear();
         self.recognize_impl(&SpanToks { text, spans }, scratch, out, |_, _, _| {
-            StartClass::Any
+            StartClass::ALL
         });
     }
 
     /// Which rules can start a span at a token `text` of shape `kind`:
-    /// each clause is one rule's own first-token test, over the same
-    /// word lists and tries the rule reads. It depends on nothing but
-    /// the token, so a worker may remember it per distinct surface (the
-    /// tokenizer derives `kind` from the text alone).
+    /// each rule's bit is set by that rule's own first-token test, over
+    /// the same word lists and tries the rule reads. It depends on
+    /// nothing but the token, so a worker may remember it per distinct
+    /// surface (the tokenizer derives `kind` from the text alone).
     #[must_use]
     pub fn start_class(&self, text: &str, kind: TokenKind, sc: &mut String) -> StartClass {
+        let numeric = kind.is_numeric();
         let capitalized = is_capitalized(text, kind);
-        let any = kind.is_numeric() // currency, percent, time, ordinal period, year, length, count
-            || CURRENCY_SYMBOLS.contains(&text)
-            || lower_in(text, CURRENCY_CODES, sc)
-            || lower_in(text, NAMED_TIMES, sc)
-            || is_half_or_quarter(text)
-            || gazetteer::MONTHS.contains(&text)
-            || gazetteer::WEEKDAYS.contains(&text)
-            || lower_in(text, PERIOD_HEADS, sc)
-            || lower_in(text, gazetteer::NUMBER_WORDS, sc)
-            || HONORIFICS.contains(&text)
-            || (capitalized && (self.given_names.contains(text) || self.surnames.contains(text)))
-            || self.orgs.starts_entry(text)
-            || self.designations.starts_entry_folded(text, sc)
-            || self.places.starts_entry(text)
-            || self.products.starts_entry(text)
-            || self.objects.starts_entry(text);
-        if any {
-            StartClass::Any
-        } else if capitalized {
-            StartClass::OrgRun
-        } else {
-            StartClass::None
-        }
+        StartClass::NONE
+            .with(
+                Rule::Currency,
+                numeric || CURRENCY_SYMBOLS.contains(&text) || lower_in(text, CURRENCY_CODES, sc),
+            )
+            .with(Rule::Percent, numeric)
+            .with(Rule::Time, numeric || lower_in(text, NAMED_TIMES, sc))
+            .with(
+                Rule::Period,
+                kind == TokenKind::Ordinal
+                    || is_half_or_quarter(text)
+                    || gazetteer::MONTHS.contains(&text)
+                    || gazetteer::WEEKDAYS.contains(&text)
+                    || lower_in(text, PERIOD_HEADS, sc),
+            )
+            .with(Rule::Year, kind == TokenKind::Number && is_year(text))
+            .with(Rule::Length, numeric)
+            .with(
+                Rule::Count,
+                (numeric && !is_year(text)) || lower_in(text, gazetteer::NUMBER_WORDS, sc),
+            )
+            .with(
+                Rule::Person,
+                HONORIFICS.contains(&text)
+                    || (capitalized
+                        && (self.given_names.contains(text) || self.surnames.contains(text))),
+            )
+            .with(Rule::Org, capitalized || self.orgs.starts_entry(text))
+            .with(
+                Rule::Designation,
+                self.designations.starts_entry_folded(text, sc),
+            )
+            .with(Rule::Place, self.places.starts_entry(text))
+            .with(Rule::Product, self.products.starts_entry(text))
+            .with(Rule::Object, self.objects.starts_entry(text))
     }
 
     /// Convenience: tokenize and recognize in one call, returning entity
@@ -350,7 +447,8 @@ impl NamedEntityRecognizer {
     }
 
     /// Longest-match scan; `start_at` gives the [`StartClass`] of the
-    /// token at each position the scan visits.
+    /// token at each position the scan visits, and only its rules run
+    /// there.
     fn recognize_impl<S: Toks + ?Sized>(
         &self,
         toks: &S,
@@ -360,12 +458,8 @@ impl NamedEntityRecognizer {
     ) {
         let mut i = 0usize;
         while i < toks.len() {
-            let best = match start_at(toks, i, scratch) {
-                StartClass::None => None,
-                StartClass::OrgRun => self.match_org(toks, i),
-                StartClass::Any => self.best_candidate(toks, i, scratch),
-            };
-            if let Some(best) = best {
+            let rules = start_at(toks, i, scratch);
+            if let Some(best) = self.best_candidate(toks, i, rules, scratch) {
                 let last = i + best.token_len - 1;
                 out.push(EntitySpan {
                     category: best.category,
@@ -381,41 +475,59 @@ impl NamedEntityRecognizer {
         }
     }
 
+    /// The longest candidate among `rules` at `i` (ties: lower
+    /// priority, then the earlier rule).
     fn best_candidate<S: Toks + ?Sized>(
         &self,
         toks: &S,
         i: usize,
+        rules: StartClass,
         sc: &mut String,
     ) -> Option<Candidate> {
         let mut best: Option<Candidate> = None;
-        let mut consider = |c: Option<Candidate>| {
-            if let Some(c) = c {
-                best = match best {
-                    None => Some(c),
-                    Some(b)
-                        if c.token_len > b.token_len
-                            || (c.token_len == b.token_len && c.priority < b.priority) =>
-                    {
-                        Some(c)
-                    }
-                    b => b,
-                };
-            }
-        };
-        consider(self.match_currency(toks, i, sc));
-        consider(self.match_percent(toks, i, sc));
-        consider(self.match_time(toks, i, sc));
-        consider(self.match_period(toks, i, sc));
-        consider(self.match_year(toks, i));
-        consider(self.match_length(toks, i, sc));
-        consider(self.match_count(toks, i, sc));
-        consider(self.match_person(toks, i));
-        consider(self.match_org(toks, i));
-        consider(self.match_designation(toks, i, sc));
-        consider(self.match_gazetteer(&self.places, toks, i, EntityCategory::Plc, 40));
-        consider(self.match_gazetteer(&self.products, toks, i, EntityCategory::Prod, 50));
-        consider(self.match_gazetteer(&self.objects, toks, i, EntityCategory::Obj, 60));
+        for rule in rules.rules() {
+            let Some(c) = self.match_rule(rule, toks, i, sc) else {
+                continue;
+            };
+            best = match best {
+                None => Some(c),
+                Some(b)
+                    if c.token_len > b.token_len
+                        || (c.token_len == b.token_len && c.priority < b.priority) =>
+                {
+                    Some(c)
+                }
+                b => b,
+            };
+        }
         best
+    }
+
+    /// Run one rule at `i`.
+    fn match_rule<S: Toks + ?Sized>(
+        &self,
+        rule: Rule,
+        toks: &S,
+        i: usize,
+        sc: &mut String,
+    ) -> Option<Candidate> {
+        match rule {
+            Rule::Currency => self.match_currency(toks, i, sc),
+            Rule::Percent => self.match_percent(toks, i, sc),
+            Rule::Time => self.match_time(toks, i, sc),
+            Rule::Period => self.match_period(toks, i, sc),
+            Rule::Year => self.match_year(toks, i),
+            Rule::Length => self.match_length(toks, i, sc),
+            Rule::Count => self.match_count(toks, i, sc),
+            Rule::Person => self.match_person(toks, i),
+            Rule::Org => self.match_org(toks, i),
+            Rule::Designation => self.match_designation(toks, i, sc),
+            Rule::Place => self.match_gazetteer(&self.places, toks, i, EntityCategory::Plc, 40),
+            Rule::Product => {
+                self.match_gazetteer(&self.products, toks, i, EntityCategory::Prod, 50)
+            }
+            Rule::Object => self.match_gazetteer(&self.objects, toks, i, EntityCategory::Obj, 60),
+        }
     }
 
     /// Longest gazetteer match starting at `i` (case-preserving): one
@@ -1187,6 +1299,174 @@ mod tests {
         assert!(!is_year("210"));
         assert!(!is_year("21000"));
         assert!(!is_year("20a4"));
+    }
+
+    /// Every entry of every word list the rules read, plus the single
+    /// words they compare against inline.
+    fn rule_words() -> Vec<&'static str> {
+        let lists: [&[&'static str]; 23] = [
+            gazetteer::ORGANIZATIONS,
+            gazetteer::ORG_SUFFIXES,
+            gazetteer::GIVEN_NAMES,
+            gazetteer::SURNAMES,
+            gazetteer::PLACES,
+            gazetteer::DESIGNATIONS,
+            gazetteer::PRODUCTS,
+            gazetteer::OBJECTS,
+            gazetteer::UNITS,
+            gazetteer::CURRENCY_WORDS,
+            gazetteer::MONTHS,
+            gazetteer::WEEKDAYS,
+            gazetteer::PERIOD_WORDS,
+            gazetteer::NUMBER_WORDS,
+            HONORIFICS,
+            SCALE_WORDS,
+            CURRENCY_SYMBOLS,
+            CURRENCY_CODES,
+            PERIOD_HEADS,
+            NAMED_TIMES,
+            PERCENT_WORDS,
+            MERIDIEMS,
+            COUNT_NOUNS,
+        ];
+        let inline = [
+            "percentage",
+            "point",
+            "points",
+            "a",
+            "p",
+            "m",
+            ".",
+            ":",
+            ",",
+            "%",
+            "fiscal",
+        ];
+        lists
+            .iter()
+            .flat_map(|l| l.iter().copied())
+            .chain(inline)
+            .collect()
+    }
+
+    /// Figures of every numeric shape, quarter shorthand, non-ASCII
+    /// words and junk.
+    const ODD_TOKENS: &[&str] = &[
+        "1996",
+        "2004",
+        "12",
+        "7",
+        "09",
+        "30",
+        "5.3",
+        "1,200",
+        "5-7",
+        "4th",
+        "22nd",
+        "Q3",
+        "H1",
+        "Q12",
+        "B2B",
+        "x9z",
+        "eShop",
+        "O'Brien",
+        "Société",
+        "ZÜRICH",
+        "İstanbul",
+        "ß",
+        "Ωmega",
+        "’",
+        "&",
+        "@",
+        "…",
+        "Qwzx",
+        "Zenlith",
+    ];
+
+    /// `word` in one of four casings.
+    fn random_case(word: &str, rng: &mut etap_runtime::Rng) -> String {
+        match rng.gen_range(0..4u32) {
+            0 => word.to_string(),
+            1 => word.to_lowercase(),
+            2 => word.to_uppercase(),
+            _ => {
+                let mut c = word.chars();
+                c.next()
+                    .map(|f| f.to_uppercase().chain(c).collect())
+                    .unwrap_or_default()
+            }
+        }
+    }
+
+    #[test]
+    fn every_rule_that_matches_has_its_bit_in_the_start_class() {
+        let n = ner();
+        let words = rule_words();
+        let mut rng = etap_runtime::Rng::seed_from_u64(0x57A27);
+        let mut sc = String::new();
+        let mut hits = [0usize; Rule::ALL.len()];
+        for round in 0..4 {
+            for &input in ODD_TOKENS.iter().chain(&words) {
+                let mut text = if round == 0 {
+                    input.to_string()
+                } else {
+                    random_case(input, &mut rng)
+                };
+                for _ in 0..rng.gen_range(1..5usize) {
+                    let w = rng.choose(&words).copied().unwrap_or("x");
+                    let w = if rng.gen_bool(0.3) {
+                        rng.choose(ODD_TOKENS).copied().unwrap_or("x").to_string()
+                    } else if rng.gen_bool(0.5) {
+                        w.to_string()
+                    } else {
+                        random_case(w, &mut rng)
+                    };
+                    if rng.gen_bool(0.9) {
+                        text.push(' ');
+                    }
+                    text.push_str(&w);
+                }
+                let toks = tokenize(&text);
+                for i in 0..toks.len() {
+                    let class = n.start_class(toks[i].text, toks[i].kind, &mut sc);
+                    for rule in Rule::ALL {
+                        if n.match_rule(rule, toks.as_slice(), i, &mut sc).is_some() {
+                            hits[rule as usize] += 1;
+                            assert!(
+                                class.contains(rule),
+                                "{rule:?} matches at {:?} in {text:?} but is not in {class:?}",
+                                toks[i].text
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for rule in Rule::ALL {
+            assert!(hits[rule as usize] > 0, "{rule:?} never matched");
+        }
+    }
+
+    #[test]
+    fn start_class_sets_are_as_narrow_as_the_first_token_tests() {
+        let n = ner();
+        let mut sc = String::new();
+        let class = |text: &str, sc: &mut String| {
+            let t = tokenize(text)[0];
+            n.start_class(t.text, t.kind, sc)
+        };
+        assert_eq!(class("acquired", &mut sc), StartClass::NONE);
+        let unknown = class("Qwzx", &mut sc);
+        assert!(Rule::ALL
+            .iter()
+            .all(|&r| unknown.contains(r) == (r == Rule::Org)));
+        let place = class("Bangalore", &mut sc);
+        assert!(place.contains(Rule::Place) && place.contains(Rule::Org));
+        assert!(!place.contains(Rule::Currency) && !place.contains(Rule::Period));
+        assert_eq!(
+            StartClass::ALL.rules().collect::<Vec<_>>(),
+            Rule::ALL.to_vec()
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and more distinct tokens than one memo holds.
 
 use etap_annotate::gazetteer::{self, Gazetteer};
-use etap_annotate::{reference, AnnotateScratch, Annotator, EntityCategory};
+use etap_annotate::{reference, AnnotateScratch, Annotator, EntityCategory, Rule};
 use etap_corpus::{SyntheticWeb, WebConfig};
 use etap_runtime::Rng;
 use etap_text::memo::MEMO_ENTRIES;
@@ -234,23 +234,35 @@ fn memo_path_matches_reference_on_lexicon_soup() {
 #[test]
 fn every_rule_list_entry_is_classed_as_a_possible_start() {
     // Start classes come from the rules' own first-token tests: each
-    // gazetteer entry's first token must open a match, whatever else
-    // the gate decides.
+    // word-list entry's first token must carry the bit of the rule that
+    // reads the list, whatever else the set holds.
     let ner = Annotator::new();
     let mut sc = String::new();
-    for list in [
-        gazetteer::ORGANIZATIONS,
-        gazetteer::PLACES,
-        gazetteer::PRODUCTS,
-        gazetteer::OBJECTS,
-    ] {
+    let lists: [(&[&str], Rule); 15] = [
+        (gazetteer::ORGANIZATIONS, Rule::Org),
+        (gazetteer::PLACES, Rule::Place),
+        (gazetteer::PRODUCTS, Rule::Product),
+        (gazetteer::OBJECTS, Rule::Object),
+        (gazetteer::DESIGNATIONS, Rule::Designation),
+        (gazetteer::GIVEN_NAMES, Rule::Person),
+        (gazetteer::SURNAMES, Rule::Person),
+        (gazetteer::HONORIFICS, Rule::Person),
+        (gazetteer::MONTHS, Rule::Period),
+        (gazetteer::WEEKDAYS, Rule::Period),
+        (gazetteer::PERIOD_HEADS, Rule::Period),
+        (gazetteer::CURRENCY_SYMBOLS, Rule::Currency),
+        (gazetteer::CURRENCY_CODES, Rule::Currency),
+        (gazetteer::NAMED_TIMES, Rule::Time),
+        (gazetteer::NUMBER_WORDS, Rule::Count),
+    ];
+    for (list, rule) in lists {
         for entry in list {
             let toks = etap_text::tokenize(entry);
             let first = toks[0];
-            assert_eq!(
-                ner.ner().start_class(first.text, first.kind, &mut sc),
-                etap_annotate::StartClass::Any,
-                "{entry:?}"
+            let class = ner.ner().start_class(first.text, first.kind, &mut sc);
+            assert!(
+                class.contains(rule),
+                "{rule:?} not in {class:?} for {entry:?}"
             );
         }
     }

@@ -106,9 +106,18 @@ impl EventIdentifier {
         docs: &[SyntheticDoc],
         threads: usize,
     ) -> Vec<TriggerEvent> {
-        let scorer = DriverScorer::new(drivers);
+        self.scan(&DriverScorer::new(drivers), docs, threads)
+    }
+
+    /// [`identify`](Self::identify) through an already built scorer.
+    pub(crate) fn scan<M: Classifier + Sync>(
+        &self,
+        scorer: &DriverScorer<'_, M>,
+        docs: &[SyntheticDoc],
+        threads: usize,
+    ) -> Vec<TriggerEvent> {
         let per_doc = etap_runtime::par_map_with(docs, threads, ScanScratch::default, |sc, doc| {
-            self.identify_doc(&scorer, doc, sc)
+            self.identify_doc(scorer, doc, sc)
         });
         per_doc.into_iter().flatten().collect()
     }
@@ -140,11 +149,12 @@ impl EventIdentifier {
                 let _t = STAGE_ANNOTATE.scope();
                 self.annotator.annotate_with(snippet, annotate)
             };
-            // Annotate once per snippet, walk its features once per walk
-            // group, look them up once per driver. The snippet text and
-            // the ORG surface strings are only copied out once some
-            // driver actually flags the snippet — on a well-trained
-            // model the overwhelming majority score below threshold.
+            // Annotate once per snippet, walk its features and probe
+            // them once per walk group, gather ids once per driver. The
+            // snippet text and the ORG surface strings are only copied
+            // out once some driver actually flags the snippet — on a
+            // well-trained model the overwhelming majority score below
+            // threshold.
             let mut companies: Option<Vec<String>> = None;
             for (trained, &score) in scorer.drivers().iter().zip(scorer.score(&ann, scores)) {
                 if score >= THRESHOLD {

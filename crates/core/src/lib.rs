@@ -83,6 +83,7 @@ pub use etap_corpus::{DriverId, DriverSet, DriverTemplates, SalesDriver};
 use etap_annotate::Annotator;
 use etap_corpus::{SearchEngine, SyntheticDoc, SyntheticWeb};
 use std::sync::Arc;
+use training::ScoreIndex;
 
 /// Top-level configuration of an ETAP instance.
 #[derive(Debug, Clone, Default)]
@@ -164,13 +165,13 @@ impl Etap {
             &self.config.training,
             exclude_doc,
         );
-        TrainedEtap {
+        TrainedEtap::assemble(
             drivers,
-            identifier: EventIdentifier::with_annotator(
+            EventIdentifier::with_annotator(
                 Arc::clone(&self.annotator),
                 self.config.training.snippet_window,
             ),
-        }
+        )
     }
 }
 
@@ -178,7 +179,10 @@ impl Etap {
 #[derive(Debug)]
 pub struct TrainedEtap {
     /// One trained classifier per driver.
-    pub drivers: Vec<TrainedDriver>,
+    drivers: Vec<TrainedDriver>,
+    /// The drivers' walk groups and term indexes, built once here and
+    /// read by every scan (see [`DriverScorer`]).
+    index: Arc<ScoreIndex>,
     identifier: EventIdentifier,
 }
 
@@ -189,10 +193,23 @@ impl TrainedEtap {
     /// and build them into a [`LeadBook`].
     #[must_use]
     pub fn from_drivers(drivers: Vec<TrainedDriver>, snippet_window: usize) -> Self {
+        Self::assemble(drivers, EventIdentifier::new(snippet_window))
+    }
+
+    /// The one constructor from fresh drivers: indexes their
+    /// vocabularies for scoring.
+    fn assemble(drivers: Vec<TrainedDriver>, identifier: EventIdentifier) -> Self {
         Self {
+            index: Arc::new(ScoreIndex::new(&drivers)),
             drivers,
-            identifier: EventIdentifier::new(snippet_window),
+            identifier,
         }
+    }
+
+    /// The trained classifiers, one per driver.
+    #[must_use]
+    pub fn drivers(&self) -> &[TrainedDriver] {
+        &self.drivers
     }
 
     /// Identify trigger events across a document collection (all
@@ -210,7 +227,8 @@ impl TrainedEtap {
         docs: &[SyntheticDoc],
         threads: usize,
     ) -> Vec<TriggerEvent> {
-        self.identifier.identify(&self.drivers, docs, threads)
+        let scorer = DriverScorer::with_index(&self.drivers, &self.index);
+        self.identifier.scan(&scorer, docs, threads)
     }
 
     /// The snippet window size the event identifier was built with
@@ -234,8 +252,8 @@ impl TrainedEtap {
     /// therefore each snippet's feature evidence — are untouched; see
     /// [`TrainedDriver::with_adapted_prior`].
     ///
-    /// The new system shares this one's annotator: a prior-only change
-    /// rebuilds nothing on the scan path.
+    /// The new system shares this one's annotator and term index: a
+    /// prior-only change rebuilds nothing on the scan path.
     #[must_use]
     pub fn with_adapted_priors(&self, rates: &[f64], blend: f64) -> Self {
         let drivers = self
@@ -249,6 +267,7 @@ impl TrainedEtap {
             .collect();
         Self {
             drivers,
+            index: Arc::clone(&self.index),
             identifier: self.identifier.clone(),
         }
     }

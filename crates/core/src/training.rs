@@ -26,9 +26,12 @@ use etap_annotate::{AnnotateScratch, AnnotatedSnippet, Annotator};
 use etap_classify::denoise::{DenoiseConfig, IterativeDenoiser};
 use etap_classify::{Classifier, MultinomialNb, Trainer};
 use etap_corpus::{SearchEngine, SyntheticDoc, SyntheticWeb};
-use etap_features::{AbstractionPolicy, FeatureWalk, SparseVec, Vectorizer, VectorScratch};
+use etap_features::{
+    AbstractionPolicy, FeatureWalk, ProbedWalk, SparseVec, TermIndex, VectorScratch, Vectorizer,
+};
 use etap_text::{SnippetGenerator, SnippetScratch};
 use etap_runtime::{Rng, Stage};
+use std::borrow::Cow;
 
 /// Perf stages (no-ops unless `ETAP_PERF=1`; see `etap_runtime::perf`).
 /// The scoring pair is split so a profile shows whether the hot loop is
@@ -119,64 +122,106 @@ pub struct TrainedDriver<M = etap_classify::nb::MultinomialNbModel> {
 
 impl<M: Classifier> TrainedDriver<M> {
     /// Posterior probability that an annotated snippet is a trigger
-    /// event for this driver: record the snippet's feature walk, then
-    /// [`score_walk`](Self::score_walk) it. One-shot; a scan scores
-    /// through [`DriverScorer`], whose scratch is reused per snippet.
+    /// event for this driver: record the snippet's feature walk, look it
+    /// up in this driver's frozen vocabulary, take the posterior.
+    /// One-shot; a scan scores through [`DriverScorer`], which reuses
+    /// its scratch per snippet and probes each feature once for all
+    /// drivers, and gets the same bits.
     #[must_use]
     pub fn score(&self, snip: &AnnotatedSnippet) -> f64 {
-        let mut walk = FeatureWalk::new();
-        {
-            let _t = STAGE_VECTORIZE.scope();
-            self.vectorizer.record_walk(snip, &mut walk);
-        }
-        self.score_walk(&walk, &mut VectorScratch::new())
-    }
-
-    /// Score a snippet whose feature walk is already recorded (by any
-    /// vectorizer that walks like this one): look the walk up in this
-    /// driver's frozen vocabulary, then take the posterior. The only
-    /// walk-to-score code: [`score`](Self::score) and
-    /// [`DriverScorer::score`] both end here.
-    fn score_walk(&self, walk: &FeatureWalk, scratch: &mut VectorScratch) -> f64 {
+        let (mut walk, mut scratch) = (FeatureWalk::new(), VectorScratch::new());
         let v = {
             let _t = STAGE_VECTORIZE.scope();
-            self.vectorizer.lookup_walk(walk, scratch)
+            self.vectorizer.record_walk(snip, &mut walk);
+            self.vectorizer.lookup_walk(&walk, &mut scratch)
         };
+        self.posterior(v)
+    }
+
+    /// The posterior of a looked-up vector: the one tail both scoring
+    /// paths end in.
+    fn posterior(&self, v: &SparseVec) -> f64 {
         let _t = STAGE_POSTERIOR.scope();
         self.model.posterior(v)
     }
 }
 
-/// Scores a snippet against every driver of a system with **one**
-/// feature walk per group of drivers that walk alike (equal abstraction
-/// policy and bigram setting — for the shipped drivers, one walk for
-/// all of them). The walk — lowercasing, stop-word checks, stemming,
-/// policy lookups — is the expensive, driver-independent part of
-/// scoring; each driver then only looks the recorded features up in its
-/// own frozen vocabulary and takes its posterior.
-///
-/// Every score is bit-identical to that driver's own
-/// [`TrainedDriver::score`]: both record the walk the driver's own
-/// vectorizer records and take the same lookup-then-posterior step,
-/// which assigns and canonicalizes ids in the driver's own id order, so
-/// every float sum runs in the same order.
-#[derive(Debug)]
-pub struct DriverScorer<'d, M> {
-    drivers: &'d [TrainedDriver<M>],
-    /// `walk_of[i]`: the walk group driver `i` reads.
-    walk_of: Vec<usize>,
+/// How a set of drivers is scored together: the drivers grouped by how
+/// they walk a snippet (equal abstraction policy and bigram setting —
+/// for the shipped drivers, one group), and per group a [`TermIndex`]
+/// over its members' vocabularies. It depends only on the drivers'
+/// vectorizers, so it is built once where a system is assembled and
+/// shared by every prior-adapted copy.
+#[derive(Debug, Clone)]
+pub(crate) struct ScoreIndex {
     /// One driver per walk group, whose vectorizer records the group's
     /// walk.
     leaders: Vec<usize>,
+    /// Per driver: its walk group and its column in the group's index.
+    slots: Vec<(usize, usize)>,
+    /// Per walk group: term → every member's id.
+    terms: Vec<TermIndex>,
+}
+
+impl ScoreIndex {
+    /// Group `drivers` and index each group's vocabularies. `O(D²)`
+    /// policy comparisons plus one pass over every vocabulary.
+    pub(crate) fn new<M>(drivers: &[TrainedDriver<M>]) -> Self {
+        let mut leaders: Vec<usize> = Vec::new();
+        let mut members: Vec<Vec<&Vectorizer>> = Vec::new();
+        let slots = drivers
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let g = leaders
+                    .iter()
+                    .position(|&l| drivers[l].vectorizer.walks_like(&d.vectorizer))
+                    .unwrap_or_else(|| {
+                        leaders.push(i);
+                        members.push(Vec::new());
+                        leaders.len() - 1
+                    });
+                members[g].push(&d.vectorizer);
+                (g, members[g].len() - 1)
+            })
+            .collect();
+        let terms = members.iter().map(|m| TermIndex::new(m)).collect();
+        Self {
+            leaders,
+            slots,
+            terms,
+        }
+    }
+}
+
+/// Scores a snippet against every driver of a system with **one**
+/// feature walk and **one** vocabulary probe per feature per group of
+/// drivers that walk alike (for the shipped drivers, one group). The
+/// walk — lowercasing, stop-word checks, stemming, policy lookups — is
+/// the expensive, driver-independent part of scoring; the group's
+/// [`TermIndex`] then finds every member's id for a feature in one
+/// hash probe, and each driver gathers its ids and takes its posterior.
+///
+/// Every score is bit-identical to that driver's own
+/// [`TrainedDriver::score`]: both record the walk the driver's own
+/// vectorizer records, and a gathered column is exactly the driver's
+/// own lookup — its ids, canonicalized in its own id order — so every
+/// float sum runs in the same order.
+#[derive(Debug)]
+pub struct DriverScorer<'d, M> {
+    drivers: &'d [TrainedDriver<M>],
+    index: Cow<'d, ScoreIndex>,
 }
 
 /// Per-thread buffers for [`DriverScorer::score`]: one recorded walk
-/// per walk group, the lookup scratch and the score row. Purely an
-/// allocation cache; contents never influence results.
+/// per walk group, the probed rows of the group being scored, the
+/// gathered vector and the score row. Purely an allocation cache;
+/// contents never influence results.
 #[derive(Debug, Default, Clone)]
 pub struct ScoreScratch {
     walks: Vec<FeatureWalk>,
-    vectors: VectorScratch,
+    probed: ProbedWalk,
+    vector: SparseVec,
     scores: Vec<f64>,
 }
 
@@ -189,28 +234,28 @@ impl ScoreScratch {
 }
 
 impl<'d, M: Classifier> DriverScorer<'d, M> {
-    /// Group `drivers` by how they walk a snippet. `O(D²)` policy
-    /// comparisons, done once per scan, never per snippet.
+    /// Group `drivers` by how they walk a snippet and index each
+    /// group's vocabularies. A [`TrainedEtap`](crate::TrainedEtap)
+    /// builds its index once when assembled and scans without this.
     #[must_use]
     pub fn new(drivers: &'d [TrainedDriver<M>]) -> Self {
-        let mut leaders: Vec<usize> = Vec::new();
-        let walk_of = drivers
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                leaders
-                    .iter()
-                    .position(|&l| drivers[l].vectorizer.walks_like(&d.vectorizer))
-                    .unwrap_or_else(|| {
-                        leaders.push(i);
-                        leaders.len() - 1
-                    })
-            })
-            .collect();
         Self {
             drivers,
-            walk_of,
-            leaders,
+            index: Cow::Owned(ScoreIndex::new(drivers)),
+        }
+    }
+
+    /// A scorer over an index built from these same drivers (or from
+    /// copies with the same vectorizers).
+    pub(crate) fn with_index(drivers: &'d [TrainedDriver<M>], index: &'d ScoreIndex) -> Self {
+        assert_eq!(
+            index.slots.len(),
+            drivers.len(),
+            "index built for other drivers"
+        );
+        Self {
+            drivers,
+            index: Cow::Borrowed(index),
         }
     }
 
@@ -223,7 +268,7 @@ impl<'d, M: Classifier> DriverScorer<'d, M> {
     /// Number of distinct feature walks one snippet costs.
     #[must_use]
     pub fn walks(&self) -> usize {
-        self.leaders.len()
+        self.index.leaders.len()
     }
 
     /// Score `snip` against every driver: entry `i` is exactly
@@ -232,21 +277,34 @@ impl<'d, M: Classifier> DriverScorer<'d, M> {
     pub fn score<'s>(&self, snip: &AnnotatedSnippet, scratch: &'s mut ScoreScratch) -> &'s [f64] {
         let ScoreScratch {
             walks,
-            vectors,
+            probed,
+            vector,
             scores,
         } = scratch;
-        if walks.len() < self.leaders.len() {
-            walks.resize_with(self.leaders.len(), FeatureWalk::new);
+        let index = &*self.index;
+        if walks.len() < index.leaders.len() {
+            walks.resize_with(index.leaders.len(), FeatureWalk::new);
         }
         {
             let _t = STAGE_VECTORIZE.scope();
-            for (walk, &l) in walks.iter_mut().zip(&self.leaders) {
+            for (walk, &l) in walks.iter_mut().zip(&index.leaders) {
                 self.drivers[l].vectorizer.record_walk(snip, walk);
             }
         }
         scores.clear();
-        for (d, &g) in self.drivers.iter().zip(&self.walk_of) {
-            scores.push(d.score_walk(&walks[g], vectors));
+        scores.resize(self.drivers.len(), 0.0);
+        for (g, (terms, walk)) in index.terms.iter().zip(walks.iter()).enumerate() {
+            {
+                let _t = STAGE_VECTORIZE.scope();
+                terms.probe(walk, probed);
+            }
+            for (i, &(_, col)) in index.slots.iter().enumerate().filter(|(_, s)| s.0 == g) {
+                let v = {
+                    let _t = STAGE_VECTORIZE.scope();
+                    terms.gather(probed, col, vector)
+                };
+                scores[i] = self.drivers[i].posterior(v);
+            }
         }
         scores
     }

@@ -43,7 +43,7 @@ fn trained_model_files_match_the_pinned_digests() {
     let trained = Etap::new(config).train(&web);
 
     let got: Vec<(String, u64)> = trained
-        .drivers
+        .drivers()
         .iter()
         .map(|d| {
             let text = persist::to_string(d);

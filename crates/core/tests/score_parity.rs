@@ -1,17 +1,23 @@
 //! Fused multi-driver scoring is bit-identical to per-driver scoring.
 //!
 //! [`DriverScorer`] walks each snippet's features once per group of
-//! drivers that walk alike and lets every driver look the recording up
-//! in its own vocabulary. Over seeded snippets — real ones from a fresh
-//! crawl and shuffled word salads drawn from them — every fused score
-//! must equal that driver's own `score` under `to_bits`, for the
-//! five shipped drivers, a mixed set spanning three walk groups, one
-//! driver alone and no drivers at all. The scan built on it must flag
-//! exactly the events a naive snippet-by-snippet, driver-by-driver loop
-//! flags.
+//! drivers that walk alike, probes each recorded feature once in the
+//! group's term index, and lets every driver gather its own ids. Over
+//! seeded snippets — real ones from a fresh crawl and shuffled word
+//! salads drawn from them — every fused score must equal that driver's
+//! own `score` under `to_bits`, for the five shipped drivers, a mixed
+//! set spanning three walk groups, drivers whose vocabularies differ
+//! (some trained on another web), drivers reloaded through
+//! `etap::persist`, one driver alone and no drivers at all. The scan
+//! built on it must flag exactly the events a naive snippet-by-snippet,
+//! driver-by-driver loop flags, and an assembled system — whose index
+//! is built once, not per scan — exactly what the identifier flags.
 
 use etap::training::{train_drivers, DriverScorer, ScoreScratch, TrainedDriver, TrainingConfig};
-use etap::{driverfile, DriverSet, DriverSpec, EventIdentifier, SalesDriver, TriggerEvent};
+use etap::{
+    driverfile, persist, DriverSet, DriverSpec, EventIdentifier, SalesDriver, TrainedEtap,
+    TriggerEvent,
+};
 use etap_annotate::{AnnotatedSnippet, Annotator, EntityCategory};
 use etap_corpus::{SearchEngine, SyntheticWeb, WebConfig};
 use etap_features::AbstractionPolicy;
@@ -25,6 +31,9 @@ struct Fixture {
     shipped: Vec<TrainedDriver>,
     /// Paper policy, bag-of-words policy, paper policy with bigrams.
     mixed: Vec<TrainedDriver>,
+    /// One walk group, vocabularies that differ: shipped drivers
+    /// interleaved with drivers trained on another seed's web.
+    differing: Vec<TrainedDriver>,
     snippets: Vec<AnnotatedSnippet>,
     fresh: SyntheticWeb,
 }
@@ -79,6 +88,29 @@ fn fixture() -> &'static Fixture {
             ),
         ];
 
+        let other_web = SyntheticWeb::generate(WebConfig {
+            total_docs: 300,
+            seed: 0x07E4,
+            drivers: DriverSet::all_registered(),
+            ..WebConfig::default()
+        });
+        let other_specs = [specs[1].clone(), specs[4].clone()];
+        let other = train_drivers(
+            &other_specs,
+            &SearchEngine::build(other_web.docs()),
+            &other_web,
+            &annotator,
+            &config(),
+            |_| false,
+        );
+        let differing = vec![
+            shipped[0].clone(),
+            other[0].clone(),
+            shipped[1].clone(),
+            other[1].clone(),
+            shipped[4].clone(),
+        ];
+
         let fresh = SyntheticWeb::generate(WebConfig {
             total_docs: 80,
             seed: 0xF4E5,
@@ -114,6 +146,7 @@ fn fixture() -> &'static Fixture {
             annotator,
             shipped,
             mixed,
+            differing,
             snippets,
             fresh,
         }
@@ -165,6 +198,99 @@ fn one_driver_scores_bit_identically() {
 #[test]
 fn no_drivers_score_nothing() {
     assert_parity(&[], 0);
+}
+
+/// Whether `a`'s vocabulary holds a term `b`'s lacks.
+fn has_term_missing_from(a: &TrainedDriver, b: &TrainedDriver) -> bool {
+    let theirs = b.vectorizer.vocabulary();
+    a.vectorizer
+        .vocabulary()
+        .iter()
+        .any(|(_, t)| theirs.get(t).is_none())
+}
+
+#[test]
+fn drivers_with_differing_vocabularies_score_bit_identically() {
+    let d = &fixture().differing;
+    // Premise: one walk group, yet terms that only some drivers know,
+    // so the index holds absent ids in both directions.
+    assert!(d.iter().all(|x| x.vectorizer.walks_like(&d[0].vectorizer)));
+    assert!(has_term_missing_from(&d[0], &d[1]) && has_term_missing_from(&d[1], &d[0]));
+    assert!(has_term_missing_from(&d[3], &d[4]) && has_term_missing_from(&d[4], &d[3]));
+    assert_parity(d, 1);
+}
+
+/// The five shipped drivers after a save/load round trip through the
+/// model codec.
+fn reloaded() -> Vec<TrainedDriver> {
+    fixture()
+        .shipped
+        .iter()
+        .map(|d| persist::from_str(&persist::to_string(d)).expect("reload model"))
+        .collect()
+}
+
+#[test]
+fn reloaded_drivers_score_bit_identically() {
+    let shipped = &fixture().shipped;
+    let versions: Vec<&str> = shipped
+        .iter()
+        .map(|d| {
+            let text = persist::to_string(d);
+            if text.starts_with("ETAP MODEL v3\n") {
+                "v3"
+            } else {
+                "v2"
+            }
+        })
+        .collect();
+    assert!(
+        versions.contains(&"v2") && versions.contains(&"v3"),
+        "{versions:?}"
+    );
+    let reloaded = reloaded();
+    assert_parity(&reloaded, 1);
+    let (mut a, mut b) = (ScoreScratch::new(), ScoreScratch::new());
+    let (orig, back) = (DriverScorer::new(shipped), DriverScorer::new(&reloaded));
+    for snip in &fixture().snippets {
+        let want: Vec<u64> = orig
+            .score(snip, &mut a)
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        let got: Vec<u64> = back
+            .score(snip, &mut b)
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        assert_eq!(got, want, "{:?}", snip.text());
+    }
+}
+
+#[test]
+fn assembled_systems_flag_what_the_identifier_flags() {
+    let fx = fixture();
+    let docs = fx.fresh.docs();
+    let identifier = EventIdentifier::new(3);
+    for drivers in [
+        fx.shipped.clone(),
+        fx.mixed.clone(),
+        fx.differing.clone(),
+        reloaded(),
+    ] {
+        let want = identifier.identify(&drivers, docs, 1);
+        assert!(!want.is_empty(), "the fresh crawl should flag something");
+        let system = TrainedEtap::from_drivers(drivers, 3);
+        assert_eq!(system.identify_events(docs), want);
+        assert_eq!(system.identify_events_parallel(docs, 3), want);
+        // A prior-adapted copy shares the index; its scan must still be
+        // what the identifier makes of its own drivers.
+        let adapted = system.with_adapted_priors(&[0.9, 0.01], 0.5);
+        assert_eq!(
+            adapted.identify_events_parallel(docs, 2),
+            identifier.identify(adapted.drivers(), docs, 2)
+        );
+    }
 }
 
 /// The scan flags exactly what a snippet-by-snippet, driver-by-driver

@@ -378,6 +378,99 @@ impl VectorScratch {
     }
 }
 
+/// The terms of several frozen vocabularies, probed once for all of
+/// them: term → one row holding each vocabulary's id for it (a
+/// sentinel where a vocabulary lacks the term).
+/// Vectorizers that walk alike read one recorded [`FeatureWalk`]; with
+/// an index over their vocabularies each recorded feature is hashed
+/// once, not once per vocabulary. Column `c` of a probed walk gathers
+/// to exactly the vector `vectorizers[c].lookup_walk` returns.
+#[derive(Debug, Clone, Default)]
+pub struct TermIndex {
+    /// Term → row.
+    rows: Vocabulary,
+    /// Row-major ids, `width` per row.
+    ids: Vec<TermId>,
+    width: usize,
+}
+
+/// A walk's features as [`TermIndex`] rows, in emit order (see
+/// [`TermIndex::probe`]). Purely a reusable buffer between a probe and
+/// its gathers.
+#[derive(Debug, Default, Clone)]
+pub struct ProbedWalk {
+    rows: Vec<u32>,
+    seen_tags: Vec<u32>,
+}
+
+impl TermIndex {
+    /// The id of a term a column's vocabulary lacks.
+    const ABSENT: TermId = TermId::MAX;
+
+    /// Index the vocabularies of `vectorizers`, one column each.
+    ///
+    /// # Panics
+    /// Panics if a vocabulary is not frozen.
+    #[must_use]
+    pub fn new(vectorizers: &[&Vectorizer]) -> Self {
+        let width = vectorizers.len();
+        let mut rows = Vocabulary::new();
+        let mut ids = Vec::new();
+        for (col, v) in vectorizers.iter().enumerate() {
+            assert!(v.frozen, "a term index requires frozen vocabularies");
+            for (id, term) in v.vocab.iter() {
+                let row = rows.intern(term) as usize;
+                if ids.len() <= row * width {
+                    ids.resize((row + 1) * width, Self::ABSENT);
+                }
+                ids[row * width + col] = id;
+            }
+        }
+        Self { rows, ids, width }
+    }
+
+    /// Look every feature of `walk` up once, keeping the rows of those
+    /// some vocabulary holds in emit order; a once-per-snippet feature
+    /// is kept at its first occurrence only (by row, which within one
+    /// column is the same as by id).
+    pub fn probe(&self, walk: &FeatureWalk, probed: &mut ProbedWalk) {
+        let ProbedWalk { rows, seen_tags } = probed;
+        rows.clear();
+        seen_tags.clear();
+        for (feat, once) in walk.iter() {
+            if let Some(row) = self.rows.get(feat) {
+                if once {
+                    if seen_tags.contains(&row) {
+                        continue;
+                    }
+                    seen_tags.push(row);
+                }
+                rows.push(row);
+            }
+        }
+    }
+
+    /// Column `col`'s vector of a probed walk, written into `out` (its
+    /// storage is reused): the ids the column's vocabulary holds,
+    /// canonicalized in its own id order.
+    pub fn gather<'s>(
+        &self,
+        probed: &ProbedWalk,
+        col: usize,
+        out: &'s mut SparseVec,
+    ) -> &'s SparseVec {
+        out.pairs.clear();
+        for &row in &probed.rows {
+            let id = self.ids[row as usize * self.width + col];
+            if id != Self::ABSENT {
+                out.pairs.push((id, 1.0));
+            }
+        }
+        canonicalize(&mut out.pairs);
+        out
+    }
+}
+
 /// One snippet's features in the canonical emit order, as recorded by a
 /// single walk. The walk — lowercasing, stop-word checks, stemming,
 /// policy lookups — depends only on the abstraction policy and the
@@ -812,6 +905,43 @@ mod tests {
                     fresh.record(&policy, bigrams, snip);
                     assert!(warm.iter().eq(fresh.iter()), "{:?}", snip.text());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn term_index_gathers_each_columns_own_lookup() {
+        // Three frozen vocabularies that share some terms and not
+        // others, in different id orders.
+        let snips = annotate_batch_texts();
+        let extra = annotate("Shares of Acme fell sharply after the merger.");
+        let mut a = Vectorizer::paper_default();
+        let mut b = Vectorizer::paper_default();
+        let mut c = Vectorizer::paper_default();
+        for s in &snips[..3] {
+            let _ = a.vectorize(s);
+        }
+        let _ = b.vectorize(&extra);
+        for s in snips.iter().rev() {
+            let _ = b.vectorize(s);
+        }
+        let _ = c.vectorize(&extra);
+        for v in [&mut a, &mut b, &mut c] {
+            v.freeze();
+        }
+        let index = TermIndex::new(&[&a, &b, &c]);
+        let (mut walk, mut probed) = (FeatureWalk::new(), ProbedWalk::default());
+        let (mut want, mut got) = (VectorScratch::new(), SparseVec::default());
+        for snip in snips.iter().chain([&extra]) {
+            a.record_walk(snip, &mut walk);
+            index.probe(&walk, &mut probed);
+            for (col, v) in [&a, &b, &c].into_iter().enumerate() {
+                assert_eq!(
+                    index.gather(&probed, col, &mut got),
+                    v.lookup_walk(&walk, &mut want),
+                    "column {col} on {:?}",
+                    snip.text()
+                );
             }
         }
     }

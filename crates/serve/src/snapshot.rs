@@ -97,7 +97,11 @@ impl LeadSnapshot {
     /// Drivers with a trained model in this snapshot.
     #[must_use]
     pub fn drivers(&self) -> Vec<SalesDriver> {
-        self.trained.drivers.iter().map(|d| d.spec.driver).collect()
+        self.trained
+            .drivers()
+            .iter()
+            .map(|d| d.spec.driver)
+            .collect()
     }
 }
 

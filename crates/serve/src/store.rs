@@ -378,7 +378,7 @@ impl GenerationStore {
                 manifest.record(["shards", &segments.to_string()]);
             }
         }
-        for (i, driver) in snapshot.trained.drivers.iter().enumerate() {
+        for (i, driver) in snapshot.trained.drivers().iter().enumerate() {
             let name = format!("model-{i:03}-{}.model", driver.spec.driver.id());
             payloads.write(&name, etap::persist::to_string(driver).as_bytes())?;
         }

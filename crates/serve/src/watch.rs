@@ -255,7 +255,7 @@ fn run_cycle(
                     // (extended book minus the base book).
                     let rates: Vec<f64> = snap
                         .trained
-                        .drivers
+                        .drivers()
                         .iter()
                         .map(|d| {
                             let driver = d.spec.driver;

@@ -20,7 +20,7 @@ fn main() {
     let mut config = EtapConfig::paper();
     config.drivers = vec![DriverSpec::builtin(SalesDriver::MergersAcquisitions)];
     let trained = Etap::new(config).train(&web);
-    let report = &trained.drivers[0].report;
+    let report = &trained.drivers()[0].report;
     println!(
         "Trained M&A classifier: {} docs fetched by smart queries, {} noisy positives → {} retained.",
         report.docs_fetched, report.noisy_positives, report.retained_positives

@@ -23,7 +23,7 @@ fn main() {
     println!("Training classifiers for all three sales drivers…");
     let system = Etap::new(EtapConfig::paper());
     let trained = system.train(&web);
-    for d in &trained.drivers {
+    for d in trained.drivers() {
         println!(
             "  {:<24} noisy positives: {} → retained: {} ({} iterations)",
             d.spec.driver.to_string(),

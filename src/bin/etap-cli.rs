@@ -289,7 +289,7 @@ fn cmd_train(opts: &Opts) -> Result<(), CliError> {
     config.training.negative_snippets = docs * 3 / 2;
     eprintln!("training {} driver(s)…", drivers.len());
     let trained = Etap::new(config).train(&web);
-    for d in &trained.drivers {
+    for d in trained.drivers() {
         let path = out.join(format!("{}.model", d.spec.driver.id()));
         persist::save(d, &path).map_err(|e| e.to_string())?;
         println!(

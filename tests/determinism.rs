@@ -46,8 +46,8 @@ fn trained_models_serialize_identically_across_runs() {
     let web = SyntheticWeb::generate(WebConfig::with_docs(600));
     let t1 = Etap::new(config()).train(&web);
     let t2 = Etap::new(config()).train(&web);
-    let s1 = persist::to_string(&t1.drivers[0]);
-    let s2 = persist::to_string(&t2.drivers[0]);
+    let s1 = persist::to_string(&t1.drivers()[0]);
+    let s2 = persist::to_string(&t2.drivers()[0]);
     assert_eq!(s1, s2, "training must be deterministic end to end");
 }
 
@@ -91,8 +91,8 @@ fn parallel_training_is_bit_identical_to_sequential() {
     par.training.threads = 4;
     let t1 = Etap::new(seq).train(&web);
     let t4 = Etap::new(par).train(&web);
-    let s1 = persist::to_string(&t1.drivers[0]);
-    let s4 = persist::to_string(&t4.drivers[0]);
+    let s1 = persist::to_string(&t1.drivers()[0]);
+    let s4 = persist::to_string(&t4.drivers()[0]);
     assert_eq!(
         s1, s4,
         "ETAP_THREADS=4 training must serialize byte-identically to ETAP_THREADS=1"
@@ -113,9 +113,9 @@ fn parallel_scoring_and_rankings_match_sequential() {
     });
 
     let identifier = EventIdentifier::new(3);
-    let sequential = identifier.identify(&trained.drivers, fresh.docs(), 1);
+    let sequential = identifier.identify(trained.drivers(), fresh.docs(), 1);
     for threads in [2usize, 4] {
-        let parallel = identifier.identify(&trained.drivers, fresh.docs(), threads);
+        let parallel = identifier.identify(trained.drivers(), fresh.docs(), threads);
         assert_eq!(sequential, parallel, "threads = {threads}");
         assert_eq!(
             rank::rank_by_score(sequential.clone()),

@@ -51,14 +51,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn trained_system_roundtrips_through_model_files() {
     let dir = temp_dir("models");
     let system = trained();
-    for driver in &system.drivers {
+    for driver in system.drivers() {
         let path = dir.join(format!("{}.model", driver.spec.driver.id()));
         persist::save(driver, &path).expect("save");
     }
 
     // Reload in the same order and verify identical event identification.
     let restored: Vec<_> = system
-        .drivers
+        .drivers()
         .iter()
         .map(|d| {
             persist::load(&dir.join(format!("{}.model", d.spec.driver.id()))).expect("load")
@@ -76,7 +76,7 @@ fn trained_system_roundtrips_through_model_files() {
 #[test]
 fn serialized_model_is_v2_codec_with_checksum() {
     let system = trained();
-    let text = persist::to_string(&system.drivers[0]);
+    let text = persist::to_string(&system.drivers()[0]);
     assert!(text.starts_with("ETAP MODEL v2\n"), "{}", &text[..40]);
     let trailer = text.lines().last().expect("trailer");
     assert!(trailer.starts_with("#sum "), "{trailer}");
