@@ -454,6 +454,75 @@ mod tests {
         assert!(parse_defs(&w.finish()).is_err());
     }
 
+    /// Seeded fuzz of the decoder over the shipped pack: truncations,
+    /// bit flips and record splices, each re-sealed with a valid `#sum`
+    /// so the damage reaches the record parser rather than stopping at
+    /// the checksum. Invariant: `Ok` or a typed [`DriverFileError`],
+    /// never a panic; what decodes re-encodes to a fixed point.
+    #[test]
+    fn fuzzed_packs_parse_or_fail_typed() {
+        fn seal(body: &str) -> String {
+            let mut text = body.to_string();
+            if !text.ends_with('\n') {
+                text.push('\n');
+            }
+            let sum = etap_persist::fnv1a64(text.as_bytes());
+            text.push_str(&format!("#sum {sum:016x}\n"));
+            text
+        }
+        let pack = include_str!("../../../drivers/extra.drivers");
+        let (body, _) = pack
+            .trim_end_matches('\n')
+            .rsplit_once('\n')
+            .expect("trailer");
+        let lines: Vec<&str> = body.split_inclusive('\n').collect();
+        let mut rng = etap_runtime::Rng::seed_from_u64(0xD21F);
+        let (mut ok, mut bad) = (0, 0);
+        for case in 0..2_000 {
+            let mut bytes = body.as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..4usize) {
+                match rng.gen_range(0..4u64) {
+                    0 => bytes.truncate(rng.gen_range(0..bytes.len() + 1)),
+                    1 if !bytes.is_empty() => {
+                        let i = rng.gen_range(0..bytes.len());
+                        bytes[i] ^= 1 << rng.gen_range(0..8u64);
+                    }
+                    2 => {
+                        // Splice a whole record of the pack in anywhere.
+                        let at = rng.gen_range(0..bytes.len() + 1);
+                        let line = rng.choose(&lines).expect("records");
+                        bytes.splice(at..at, line.bytes());
+                    }
+                    _ => {
+                        // Splice a record's head onto another's tail.
+                        let a = rng.choose(&lines).expect("records").as_bytes();
+                        let b = rng.choose(&lines).expect("records").as_bytes();
+                        let mut joined = a[..rng.gen_range(0..a.len())].to_vec();
+                        joined.extend_from_slice(&b[rng.gen_range(0..b.len())..]);
+                        let at = rng.gen_range(0..bytes.len() + 1);
+                        bytes.splice(at..at, joined);
+                    }
+                }
+            }
+            let text = seal(&String::from_utf8_lossy(&bytes));
+            match parse_defs(&text) {
+                Ok(defs) => {
+                    ok += 1;
+                    let again = to_string(&defs);
+                    let back = parse_defs(&again).unwrap_or_else(|e| panic!("case {case}: {e}"));
+                    assert_eq!(to_string(&back), again, "case {case}");
+                }
+                Err(e) => {
+                    bad += 1;
+                    assert!(!e.to_string().is_empty(), "case {case}");
+                }
+            }
+        }
+        // Both outcomes occur, so the mutations neither all miss nor
+        // all stop at the header.
+        assert!(ok > 100 && bad > 100, "{ok} ok, {bad} rejected");
+    }
+
     #[test]
     fn missing_filter_defaults_to_true() {
         let mut def = minimal_def("test_df_nofilter");

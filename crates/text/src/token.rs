@@ -166,14 +166,19 @@ pub fn lower_cow(text: &str) -> Cow<'_, str> {
 }
 
 /// Lowercase `text` into a caller-kept buffer (cleared first): the
-/// zero-allocation companion of [`lower_cow`] for loops that lowercase
-/// every token into the same scratch `String`.
+/// companion of [`lower_cow`] for loops that lowercase every token into
+/// the same scratch `String`, with byte-identical output. Only a word
+/// holding a capital sigma allocates: `str::to_lowercase` maps `Σ` by
+/// its neighbours (word-final `ς`, else `σ`), which a char-by-char
+/// mapping cannot see, so that word takes the `str` path.
 pub fn lower_into(text: &str, out: &mut String) {
     out.clear();
     if text.is_ascii() {
         for b in text.bytes() {
             out.push(b.to_ascii_lowercase() as char);
         }
+    } else if text.contains('Σ') {
+        out.push_str(&text.to_lowercase());
     } else {
         out.extend(text.chars().flat_map(char::to_lowercase));
     }

@@ -9,7 +9,7 @@
 //! slices of those texts to probe mid-string starts.
 
 use etap_runtime::Rng;
-use etap_text::{tokenize, tokenize_into, TokenSpan};
+use etap_text::{lower_cow, lower_into, tokenize, tokenize_into, TokenSpan};
 
 /// Alphabet biased toward tokenizer edge cases. ASCII letters/digits
 /// appear several times so words form often; the tail carries every
@@ -90,5 +90,44 @@ fn char_boundary_suffixes_tokenize_identically() {
         for (i, _) in text.char_indices() {
             assert_parity(&text[i..]);
         }
+    }
+}
+
+/// `lower_into` must write exactly what `lower_cow` (and so
+/// `str::to_lowercase`) returns, for every word and whole text —
+/// including the word-final capital sigma, which lowercases by context.
+#[test]
+fn lower_into_agrees_with_lower_cow() {
+    fn check(word: &str, buf: &mut String) {
+        lower_into(word, buf);
+        assert_eq!(*buf, lower_cow(word), "{word:?}");
+        assert_eq!(*buf, word.to_lowercase(), "{word:?}");
+    }
+    let mut buf = String::new();
+    for word in [
+        "ΟΔΟΣ",
+        "Σ",
+        "ΣΑ",
+        "AΣ",
+        "ΑΣ.",
+        "ΑΣ\u{0301}",
+        "ὈΔΥΣΣΕΎΣ",
+        "İstanbul",
+        "MIXED Case",
+    ] {
+        check(word, &mut buf);
+    }
+    assert_eq!(lower_cow("ΟΔΟΣ"), "οδος");
+    let mut rng = Rng::seed_from_u64(0x6c6f77); // "low"
+    for _ in 0..2000 {
+        let text = arb_text(&mut rng, 40);
+        check(&text, &mut buf);
+        for tok in tokenize(&text) {
+            check(tok.text, &mut buf);
+        }
+        let ascii: String = (0..rng.gen_range(0..24))
+            .map(|_| char::from(rng.gen_range(0x20u64..0x7fu64) as u8))
+            .collect();
+        check(&ascii, &mut buf);
     }
 }
