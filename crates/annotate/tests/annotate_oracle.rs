@@ -223,7 +223,22 @@ fn memo_path_matches_reference_on_lexicon_soup() {
         let len = rng.gen_range(1..24usize);
         let text = soup(&mut rng, &words, len);
         check(&annotator, &mut scratch, &text);
-        entities += annotator.annotate(&text).entities().len();
+        let ann = annotator.annotate(&text);
+        // Entities are ordered, disjoint, and each of their tokens links
+        // back to them.
+        for w in ann.entities().windows(2) {
+            assert!(
+                w[0].first_token + w[0].token_len <= w[1].first_token,
+                "{text:?}: {:?}",
+                ann.entities()
+            );
+        }
+        for (ei, e) in ann.entities().iter().enumerate() {
+            for ti in e.token_range() {
+                assert_eq!(ann.entity_of(ti), Some(ei), "{text:?}");
+            }
+        }
+        entities += ann.entities().len();
     }
     assert!(
         entities > 3000,

@@ -11,7 +11,7 @@
 //! discarded) collects the per-stage breakdown, so timer overhead never
 //! contaminates the recorded docs/sec.
 //!
-//! Writes `BENCH_pipeline.json` into the current directory:
+//! Prints its JSON record as the last line of stdout and writes no file:
 //!
 //! ```json
 //! {"docs": 4000, "cores": 8,
@@ -23,7 +23,8 @@
 //! `cores` records the host parallelism the run had available: the
 //! thread fan-out is capped there (oversubscribing a core is a pure
 //! pessimization), so on a 1-core host every speedup is ≈ 1.0 by
-//! design and the verify gate scales its floors accordingly.
+//! design. `scripts/verify.sh` gates these figures as ratios to the
+//! same binary built from the base revision, in interleaved pairs.
 //!
 //! ```sh
 //! cargo run --release -p etap-bench --bin bench_throughput
@@ -83,8 +84,7 @@ fn main() {
 
     // Best of three runs per thread count: wall-clock on a shared host
     // is noisy in one direction only (interference makes runs slower,
-    // never faster), so the minimum is the stable estimator the verify
-    // gate compares across commits.
+    // never faster), so the minimum is the steadier estimator.
     let time = |threads: usize| {
         let mut best = f64::INFINITY;
         let mut events = Vec::new();
@@ -131,16 +131,14 @@ fn main() {
     println!("\ntraining profile:\n{train_profile}");
     println!("scan profile (1 thread):\n{scan_profile}");
 
-    let json = format!(
+    println!(
         "{{\"docs\": {}, \"cores\": {cores}, \
          \"docs_per_sec_1t\": {docs_per_sec_1t:.2}, \
          \"docs_per_sec_2t\": {docs_per_sec_2t:.2}, \
          \"docs_per_sec_4t\": {docs_per_sec_4t:.2}, \
          \"speedup_2t\": {speedup_2t:.3}, \"speedup_4t\": {speedup_4t:.3}, \
-         \"stages\": {}}}\n",
+         \"stages\": {}}}",
         docs.len(),
         stages_json(&train_profile, &scan_profile)
     );
-    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
-    println!("\nwrote BENCH_pipeline.json: {json}");
 }

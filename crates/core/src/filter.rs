@@ -370,7 +370,11 @@ mod tests {
         assert!(f.matches(&annotate("IBM named James Wilson as its new CEO.")));
         assert!(!f.matches(&annotate("The weather was mild on Monday.")));
         // Designation without any person/org fails.
-        assert!(!f.matches(&annotate("a ceo generally works long hours.")) || true);
+        let desig_only = annotate("The new CEO starts on Monday.");
+        assert!(desig_only.contains_category(EntityCategory::Desig));
+        assert!(!desig_only.contains_category(EntityCategory::Prsn));
+        assert!(!desig_only.contains_category(EntityCategory::Org));
+        assert!(!f.matches(&desig_only));
     }
 
     #[test]
@@ -621,6 +625,13 @@ mod tests {
         let mut rng = etap_runtime::Rng::seed_from_u64(0xF0221);
         for case in 0..3_000 {
             let mut text = String::new();
+            if rng.gen_bool(0.1) {
+                // Arbitrary scalar values, not only grammar pieces.
+                text.extend(
+                    (0..rng.gen_range(0..120usize))
+                        .filter_map(|_| char::from_u32(rng.gen_range(0..0x11_0000u32))),
+                );
+            }
             if rng.gen_bool(0.1) {
                 let depth = rng.gen_range(1..4 * MAX_DEPTH);
                 let open = *rng.choose(&["(", "NOT ", "ORG AND ", "TRUE OR "]).unwrap();

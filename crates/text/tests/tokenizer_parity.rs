@@ -36,9 +36,24 @@ fn arb_text(rng: &mut Rng, max_len: usize) -> String {
 }
 
 /// The three public views must agree exactly: the reference iterator
-/// (old implementation), the byte scanner, and the span writer.
+/// (old implementation), the byte scanner, and the span writer. The
+/// reference's tokens are ordered, disjoint slices of the text that
+/// together cover every byte but whitespace and control characters.
 fn assert_parity(text: &str) {
     let reference = etap_text::token::reference::tokenize(text);
+    for tok in &reference {
+        assert_eq!(&text[tok.start..tok.end], tok.text, "slice on {text:?}");
+    }
+    for w in reference.windows(2) {
+        assert!(w[0].end <= w[1].start, "overlap on {text:?}");
+    }
+    let covered: usize = reference.iter().map(|t| t.text.len()).sum();
+    let expected: usize = text
+        .chars()
+        .filter(|c| !c.is_whitespace() && !c.is_control())
+        .map(char::len_utf8)
+        .sum();
+    assert_eq!(covered, expected, "coverage on {text:?}");
     let scanned = tokenize(text);
     assert_eq!(
         scanned, reference,

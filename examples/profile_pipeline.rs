@@ -12,8 +12,8 @@
 //!
 //! Either way this prints a per-stage table: calls, total ms, mean µs,
 //! and each stage's share of instrumented time. These are the same
-//! timers behind the `stages` column of `BENCH_pipeline.json` and the
-//! traced `e2ebench` per-layer metrics (`scan.annotate_ms`,
+//! timers behind the `stages` object of `bench_throughput`'s JSON
+//! record and the traced `e2ebench` per-layer metrics (`scan.annotate_ms`,
 //! `watch.extend_ms`, …).
 
 use etap_repro::runtime::perf;

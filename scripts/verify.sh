@@ -16,11 +16,13 @@
 #    and fails unless it rejects both. A change that alters output
 #    re-records the baseline: copy .bench_out/BENCH_e2e.json over
 #    BENCH_e2e.json and say so in CHANGES.md;
-# 3. throughput: bench_throughput, run in a scratch directory, gated on
-#    hardware-scaled 2-/4-thread speedup floors (1.5x / 2.5x on >= 4
-#    cores, 1.5x / 1.5x on 2-3, fan-out overhead >= 0.85x on 1), and on
-#    single-thread docs/sec and scan.annotate ms/doc each within
-#    ETAP_PERF_FLOOR (default 0.9) of the committed BENCH_pipeline.json;
+# 3. throughput: over 30 interleaved pairs of bench_throughput runs from
+#    this tree and from the base revision (HEAD when the working tree
+#    differs from it, else HEAD~1), the median ratio of single-thread
+#    docs/sec, scan.annotate ms and the 2-/4-thread speedups must each
+#    stay within a constant bound. A self-test fails unless the gate
+#    rejects the base with a sed-slowed annotation stage and accepts it
+#    paired with itself;
 # 4. serve smoke: boots `etap-cli serve` on an ephemeral port and curls
 #    /healthz and /leads;
 # 5. persistence: publishes two generations into a store, serves them
@@ -167,90 +169,94 @@ for probe in "counter:book.events = $events, committed" "digest:digest $digest, 
 done
 
 echo
-echo "== throughput: bench_throughput vs the committed BENCH_pipeline.json =="
-mkdir "$work/throughput"
-(cd "$work/throughput" && cargo run -q --release --manifest-path "$repo/Cargo.toml" \
-    -p etap-bench --bin bench_throughput)
-pipeline="$work/throughput/BENCH_pipeline.json"
+echo "== throughput: bench_throughput paired with the base build =="
+# One timing rule: each figure is the median, over THROUGHPUT_PAIRS
+# interleaved runs, of the ratio of this tree's bench_throughput to the
+# base revision's, held to a constant bound. The bounds come from 200
+# A/A pairs (two builds of one commit) on a 2-vCPU shared VM, recorded
+# in CHANGES.md: single pairs read 0.38-1.71 there, and a 30-pair median
+# crosses one of these bounds in ~0.6% of resamples.
+THROUGHPUT_PAIRS=30
+THROUGHPUT_GATES="docs_per_sec_1t 1 higher 0.91
+scan.annotate 2 lower 1.08
+speedup_2t 3 higher 0.87
+speedup_4t 4 higher 0.87"
+base_rev=HEAD~1
+[ -z "$(git status --porcelain)" ] || base_rev=HEAD
+tree_bench="${CARGO_TARGET_DIR:-$repo/target}/release/bench_throughput"
 
-cores=$(jnum "$pipeline" cores)
-d1=$(jnum "$pipeline" docs_per_sec_1t)
-s2=$(jnum "$pipeline" speedup_2t)
-s4=$(jnum "$pipeline" speedup_4t)
-
-# Hardware-scaled speedup floors. The fan-out is capped at the host's
-# parallelism (oversubscription only adds context switches), so a
-# 1-core host can never beat ~1.0x — there the gate only bounds the
-# fan-out overhead, and a 2–3-core host can't be held to the 4-thread
-# target.
-if [ "$cores" -ge 4 ]; then
-    floor2=1.5 floor4=2.5
-elif [ "$cores" -ge 2 ]; then
-    floor2=1.5 floor4=1.5
-else
-    floor2=0.85 floor4=0.85
-    echo "note: single-core host — parallel speedup is bounded at ~1.0x;"
-    echo "      gating only on fan-out overhead (speedup >= $floor2)."
-fi
-
-perf_fail=0
-gate() { # gate <label> <value> <floor>
-    if [ "$(awk -v v="$2" -v f="$3" 'BEGIN { print (v >= f) ? 1 : 0 }')" -ne 1 ]; then
-        echo "FAIL: $1 = $2 (floor $3)" >&2
-        perf_fail=1
-    else
-        echo "  ok: $1 = $2 (floor $3)"
-    fi
+# build_bench <dir> [sed script]: export the base revision into <dir>,
+# apply the sed script to its crates/core/src/events.rs, and build its
+# bench_throughput under <dir>/target.
+build_bench() {
+    mkdir "$1"
+    git archive "$base_rev" | tar -x -C "$1"
+    [ -z "${2:-}" ] || sed -i "$2" "$1/crates/core/src/events.rs"
+    CARGO_TARGET_DIR="$1/target" cargo build -q --release --offline \
+        --manifest-path "$1/Cargo.toml" -p etap-bench --bin bench_throughput
 }
-gate "speedup_2t" "$s2" "$floor2"
-gate "speedup_4t" "$s4" "$floor4"
 
-# Regression gate vs the committed baseline: single-thread docs/sec is
-# measurable on any host (unlike speedup), so it must not drop more
-# than 10% below what was last committed. Printed as a diff-style
-# report, per-stage times included. The bench takes best-of-3 to damp
-# shared-host noise; ETAP_PERF_FLOOR overrides the 0.9 ratio on hosts
-# whose clock-for-clock throughput genuinely drifts (noisy neighbors).
-perf_floor="${ETAP_PERF_FLOOR:-0.9}"
-perf_baseline=BENCH_pipeline.json
-base_d1=$(jnum "$perf_baseline" docs_per_sec_1t)
-echo "  perf diff vs committed BENCH_pipeline.json:"
-awk -v b="$base_d1" -v c="$d1" 'BEGIN {
-    printf "    %-22s %10.1f  -> %10.1f    (%+.1f%%)\n",
-           "docs_per_sec_1t", b, c, (c / b - 1) * 100 }'
-# Stage names are the dotted keys of the "stages" object.
-for st in $(grep -o '"[a-z]*\.[a-z]*": [0-9.]*' "$pipeline" \
-            | sed 's/"\([^"]*\)": .*/\1/'); do
-    bv=$(jnum "$perf_baseline" "$st")
-    cv=$(jnum "$pipeline" "$st")
-    if [ -n "$bv" ] && [ -n "$cv" ]; then
-        awk -v n="$st" -v b="$bv" -v c="$cv" 'BEGIN {
-            printf "    %-22s %8.1f ms -> %8.1f ms (%+.1f%%)\n",
-                   n, b, c, (b > 0 ? (c / b - 1) * 100 : 0) }'
-    fi
-done
-gate "docs_per_sec_1t vs ${perf_floor}x baseline ($base_d1)" "$d1" \
-    "$(awk -v b="$base_d1" -v f="$perf_floor" 'BEGIN { print b * f }')"
-# Per-stage floor on the dominant scan stage: annotate ms/doc must stay
-# within perf_floor of the committed baseline. This pins the
-# zero-allocation annotation engine specifically — a regression here
-# can hide inside a globally-noisy docs/sec number, so the stage is
-# gated on its own. Normalized per doc so a different ETAP_DOCS run
-# stays comparable; expressed as a speed ratio (baseline ms-per-doc
-# over current) so the shared `gate >= floor` check applies.
-base_docs=$(jnum "$perf_baseline" docs)
-new_docs=$(jnum "$pipeline" docs)
-base_ann=$(jnum "$perf_baseline" "scan.annotate")
-new_ann=$(jnum "$pipeline" "scan.annotate")
-ann_ratio=$(awk -v bm="$base_ann" -v bd="$base_docs" \
-                -v nm="$new_ann" -v nd="$new_docs" \
-    'BEGIN { printf "%.3f", (bm / bd) / (nm / nd) }')
-gate "scan.annotate speed vs baseline (${base_ann}ms -> ${new_ann}ms)" \
-    "$ann_ratio" "$perf_floor"
-if [ "$perf_fail" -ne 0 ]; then
-    echo "FAIL: pipeline perf gate (see above)" >&2
+# bench_figures <bench>: one run, from $work (older builds write a file
+# into the working directory); prints its docs_per_sec_1t, scan.annotate,
+# speedup_2t and speedup_4t.
+bench_figures() {
+    (cd "$work" && "$1") | sed -n 's/.*"docs_per_sec_1t": \([0-9.]*\).*"speedup_2t": \([0-9.]*\), "speedup_4t": \([0-9.]*\).*"scan.annotate": \([0-9.]*\).*/\1 \4 \2 \3/p' | tail -n 1
+}
+
+# paired_ratios <bench A> <bench B>: THROUGHPUT_PAIRS pairs of runs, A
+# first in odd pairs; one line per pair of the ratios A/B of the figures
+# in THROUGHPUT_GATES.
+paired_ratios() {
+    local i a b
+    for i in $(seq 1 "$THROUGHPUT_PAIRS"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            a=$(bench_figures "$1"); b=$(bench_figures "$2")
+        else
+            b=$(bench_figures "$2"); a=$(bench_figures "$1")
+        fi
+        echo "$a $b" | awk 'NF != 8 { exit 1 } { printf "%.4f %.4f %.4f %.4f\n", $1 / $5, $2 / $6, $3 / $7, $4 / $8 }' \
+            || { echo "FAIL: a bench_throughput run printed no complete record" >&2; exit 1; }
+    done
+}
+
+# pair_gate <ratios>: fails, naming every miss, unless each figure's
+# median ratio is within its bound in THROUGHPUT_GATES.
+pair_gate() {
+    local bad=0 name col better bound med
+    while read -r name col better bound; do
+        med=$(cut -d' ' -f"$col" "$1" | sort -g | awk '{ v[NR] = $1 }
+            END { printf "%.3f", NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }')
+        if awk -v m="$med" -v b="$bound" -v w="$better" 'BEGIN { exit !(w == "higher" ? m >= b : m <= b) }'; then
+            echo "  ok: $name median ratio $med (bound: $better than $bound)"
+        else
+            echo "FAIL: $name median ratio $med (bound: $better than $bound)" >&2
+            bad=1
+        fi
+    done <<<"$THROUGHPUT_GATES"
+    return "$bad"
+}
+
+echo "base: $base_rev ($(git rev-parse --short "$base_rev")), $THROUGHPUT_PAIRS pairs per comparison"
+build_bench "$work/base"
+base_bench="$work/base/target/release/bench_throughput"
+paired_ratios "$tree_bench" "$base_bench" >"$work/tree.ratios"
+pair_gate "$work/tree.ratios" || { echo "FAIL: throughput gate, this tree vs $base_rev" >&2; exit 1; }
+
+# Gate self-test: the base with its annotation stage spinning 16
+# black-boxed steps per snippet byte (scan.annotate 1.31x slower, median
+# of 40 pairs on the VM above) must fail on scan.annotate, and the base
+# paired with itself must pass.
+build_bench "$work/slow" 's/let _t = STAGE_ANNOTATE.scope();/&(0..snippet.len() * 16).for_each(|i| { std::hint::black_box(i); });/'
+paired_ratios "$work/slow/target/release/bench_throughput" "$base_bench" >"$work/slow.ratios"
+if out=$(pair_gate "$work/slow.ratios" 2>&1) || ! echo "$out" | grep -q "^FAIL: scan.annotate"; then
+    echo "FAIL: throughput gate did not reject the slowed copy on scan.annotate" \
+        "(does its patch still apply to events.rs?): $out" >&2
     exit 1
 fi
+echo "  ok: gate rejects the slowed copy ($(echo "$out" | grep "^FAIL: scan.annotate" | cut -d' ' -f2-5))"
+paired_ratios "$base_bench" "$base_bench" >"$work/aa.ratios"
+pair_gate "$work/aa.ratios" >/dev/null || { echo "FAIL: throughput gate rejected the base paired with itself" >&2; exit 1; }
+echo "  ok: gate accepts the base paired with itself"
 
 echo
 echo "== serve smoke: etap-cli serve + curl =="
@@ -320,15 +326,20 @@ boot_store() {
     [ -n "$base" ] || { echo "FAIL: warm serve never printed its address" >&2; exit 1; }
 }
 
+# kill_server: kill -9 the running server and reap it.
+kill_server() {
+    kill -9 "$server_pid" 2>/dev/null || true
+    wait "$server_pid" 2>/dev/null || true
+    server_pid=""
+}
+
 boot_store "$smoke_log"
 leads_before=$(curl -fsS "$base/leads?top=100")
 gen_before=$(curl -fsS "$base/healthz" | sed -n 's/.*"generation": \([0-9]*\).*/\1/p')
 [ "$gen_before" = "2" ] \
     || { echo "FAIL: warm start served generation ${gen_before}, expected 2" >&2; exit 1; }
 
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 
 boot_store "$smoke_log"
 leads_after=$(curl -fsS "$base/leads?top=100")
@@ -337,9 +348,7 @@ if [ "$leads_before" != "$leads_after" ]; then
     exit 1
 fi
 echo "crash recovery: /leads byte-identical across kill -9 (generation ${gen_before})"
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 
 # The generation counter continues past the crash: the next publish is 3.
 cargo run -q --release --bin etap-cli -- \
@@ -383,9 +392,7 @@ done
 echo "chaos watch reached generation ${chaos_gen} under injected faults"
 
 # kill -9 mid-cycle: whatever was in flight must not be served later.
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 
 # Two fault-free warm restarts must agree byte-for-byte: the daemon
 # only ever serves sealed generations, so the kill lost at most an
@@ -395,14 +402,10 @@ store_dir=$chaos_store
 boot_store "$smoke_log"
 chaos_leads_a=$(curl -fsS "$base/leads?top=100")
 chaos_gen_a=$(curl -fsS "$base/healthz" | sed -n 's/.*"generation": \([0-9]*\).*/\1/p')
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 boot_store "$smoke_log"
 chaos_leads_b=$(curl -fsS "$base/leads?top=100")
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 store_dir=$old_store_dir
 [ "$chaos_leads_a" = "$chaos_leads_b" ] \
     || { echo "FAIL: /leads differs across kill -9 of the watch daemon" >&2; exit 1; }
@@ -490,15 +493,11 @@ scale_mmap=$(curl -fsS "$base/metrics" | sed -n 's/^etap_mmap_generations \([0-9
     || { echo "FAIL: scale warm start served generation ${scale_gen}, expected 2" >&2; exit 1; }
 [ "$scale_mmap" = "1" ] \
     || { echo "FAIL: v2 warm start is not serving from an mmap (etap_mmap_generations=${scale_mmap})" >&2; exit 1; }
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 
 boot_store "$smoke_log"
 scale_leads_again=$(curl -fsS "$base/leads?top=100")
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 store_dir=$old_store_dir
 [ "$scale_leads_v2" = "$scale_leads_again" ] \
     || { echo "FAIL: /leads differs across kill -9 + mmap warm restart" >&2; exit 1; }
@@ -543,14 +542,10 @@ boot_store "$smoke_log"
 ext_leads=$(curl -fsS "$base/leads?top=100")
 ext_gen=$(curl -fsS "$base/healthz" | sed -n 's/.*"generation": \([0-9]*\).*/\1/p')
 ext_mmap=$(curl -fsS "$base/metrics" | sed -n 's/^etap_mmap_generations \([0-9]*\)$/\1/p')
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 boot_store "$smoke_log"
 ext_leads_again=$(curl -fsS "$base/leads?top=100")
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 store_dir=$old_store_dir
 [ "$ext_gen" = "4" ] && [ "$ext_mmap" = "1" ] \
     || { echo "FAIL: extended store warm start served generation ${ext_gen} (mmap ${ext_mmap})" >&2; exit 1; }
@@ -604,15 +599,11 @@ unknown_code=$(curl -s -o /dev/null -w '%{http_code}' "$base/leads?driver=no-suc
 [ "$unknown_code" = "404" ] \
     || { echo "FAIL: unknown driver key gave ${unknown_code}, expected 404" >&2; exit 1; }
 
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 
 boot_store "$smoke_log"
 drv_leads_again=$(curl -fsS "$base/leads?driver=funding-rounds&top=50")
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 [ "$drv_leads" = "$drv_leads_again" ] \
     || { echo "FAIL: custom-driver /leads differs across kill -9 + warm restart" >&2; exit 1; }
 echo "drivers: funding-rounds /leads byte-identical across kill -9"
@@ -625,9 +616,7 @@ ETAP_THREADS=4 cargo run -q --release --bin etap-cli -- \
 store_dir=$drv_store4
 boot_store "$smoke_log"
 drv_leads_4t=$(curl -fsS "$base/leads?driver=funding-rounds&top=50")
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+kill_server
 store_dir=$old_store_dir
 [ "$drv_leads" = "$drv_leads_4t" ] \
     || { echo "FAIL: custom-driver /leads differs between ETAP_THREADS=1 and =4" >&2; exit 1; }
@@ -640,4 +629,4 @@ sha256sum --quiet -c "$bench_sums" \
 echo "  ok: $(wc -l <"$bench_sums") BENCH_*.json file(s) unchanged"
 
 echo
-echo "OK: verify passed (e2ebench counters and digests as committed, 1t ${d1} docs/s, speedup ${s2}x/${s4}x on ${cores} core(s), warm_speedup ${warm_speedup}x)"
+echo "OK: verify passed (e2ebench counters and digests as committed, throughput within its bounds of $base_rev, warm_speedup ${warm_speedup}x)"

@@ -245,15 +245,12 @@ fn parse_drivers(spec: &str) -> Result<Vec<SalesDriver>, CliError> {
         return Ok(SalesDriver::registered());
     }
     spec.split(',')
-        .map(|s| match s.trim() {
-            "ma" => Ok(SalesDriver::MergersAcquisitions),
-            "cim" => Ok(SalesDriver::ChangeInManagement),
-            "rev" => Ok(SalesDriver::RevenueGrowth),
-            other => other.parse::<SalesDriver>().map_err(|_| {
+        .map(|s| {
+            etap_repro::serve::parse_driver(s.trim()).map_err(|other| {
                 CliError::Usage(format!(
                     "unknown driver {other:?} (use all|ma|cim|rev or a key registered via --drivers)"
                 ))
-            }),
+            })
         })
         .collect()
 }

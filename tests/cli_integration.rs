@@ -358,6 +358,15 @@ fn exit_codes_classify_usage_corruption_and_transient_io() {
     assert_eq!(out.status.code(), Some(2), "unknown command");
     let out = cli().arg("train").output().expect("run");
     assert_eq!(out.status.code(), Some(2), "missing --out");
+    let models = temp_model_dir("bad_driver");
+    let out = cli()
+        .args(["train", "--out", models.to_str().unwrap(), "--driver", "cim,astrology"])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2), "unknown driver");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown driver \"astrology\""), "{stderr}");
+    let _ = std::fs::remove_dir_all(&models);
 
     // Transient I/O exits 4: the store root collides with a plain file,
     // so opening it fails at the filesystem layer.
