@@ -1205,7 +1205,10 @@ mod tests {
         assert!(w.token("Bank"));
         assert!(!w.matched());
         assert!(w.sep());
-        assert!(!w.token("off"), "walk must die inside the mismatching token");
+        assert!(
+            !w.token("off"),
+            "walk must die inside the mismatching token"
+        );
         assert!(!w.alive());
         assert!(!w.token("America"));
     }

@@ -347,7 +347,12 @@ mod tests {
         let ann = Annotator::new();
         // Straddle the chunk boundary so multiple shared buffers appear.
         let texts: Vec<String> = (0..etap_runtime::par::CHUNK + 7)
-            .map(|i| format!("Company{i} Inc. hired {i} employees in Q{} 2004.", i % 4 + 1))
+            .map(|i| {
+                format!(
+                    "Company{i} Inc. hired {i} employees in Q{} 2004.",
+                    i % 4 + 1
+                )
+            })
             .collect();
         for threads in [1, 4] {
             let batch = ann.annotate_batch(&texts, threads);

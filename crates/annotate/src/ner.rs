@@ -780,11 +780,7 @@ impl NamedEntityRecognizer {
                 }
             }
             // Optional ", 2004" after a day.
-            if len == 2
-                && i + 3 < n
-                && toks.text(i + 2) == ","
-                && is_year(toks.text(i + 3))
-            {
+            if len == 2 && i + 3 < n && toks.text(i + 2) == "," && is_year(toks.text(i + 3)) {
                 len = 4;
             }
             return Some(Candidate {

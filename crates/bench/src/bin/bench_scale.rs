@@ -267,7 +267,9 @@ fn main() {
         extend_outcome.shards_written,
         extend_outcome.files_linked
     );
-    println!("  warm start    : v1 {v1_warm_ms:.2} ms → v2 {v2_warm_ms:.2} ms ({warm_speedup:.1}×)");
+    println!(
+        "  warm start    : v1 {v1_warm_ms:.2} ms → v2 {v2_warm_ms:.2} ms ({warm_speedup:.1}×)"
+    );
     println!("  serving       : {req_per_sec:>10.0} req/s over {reqs} requests");
     println!("  peak RSS      : {rss_mib:>10.1} MiB");
 

@@ -47,7 +47,11 @@ use etap_runtime::perf;
 /// aggregates are kept so scan-path numbers come from the scan pass.
 fn stages_json(train: &perf::PerfReport, scan: &perf::PerfReport) -> String {
     let mut parts: Vec<String> = Vec::new();
-    for s in train.stages().iter().filter(|s| s.name.starts_with("train.")) {
+    for s in train
+        .stages()
+        .iter()
+        .filter(|s| s.name.starts_with("train."))
+    {
         parts.push(format!("\"{}\": {:.2}", s.name, s.total_ms()));
     }
     for s in scan.stages() {

@@ -131,8 +131,9 @@ impl IterativeDenoiser {
             // predicted positives. Prediction is read-only per snippet,
             // so fan-out + ordered merge keeps `kept` identical to the
             // sequential filter.
-            let verdicts =
-                etap_runtime::par_map(&retained, self.threads, |&i| model.predict(&noisy_positive[i]));
+            let verdicts = etap_runtime::par_map(&retained, self.threads, |&i| {
+                model.predict(&noisy_positive[i])
+            });
             let kept: Vec<usize> = retained
                 .iter()
                 .copied()

@@ -372,12 +372,38 @@ mod tests {
     /// variants, and junk that normalizes to nothing.
     fn surface(rng: &mut etap_runtime::Rng, seen: &[String]) -> String {
         const WORDS: &[&str] = &[
-            "veridian", "systems", "networks", "acme", "advanced", "micro", "devices", "zed", "ab",
-            "a", "labs", "3m", "orbital", "data", "quill", "zed-x", "zürich", "straße", "σοφοσ",
-            "\u{212A}orp", "the",
+            "veridian",
+            "systems",
+            "networks",
+            "acme",
+            "advanced",
+            "micro",
+            "devices",
+            "zed",
+            "ab",
+            "a",
+            "labs",
+            "3m",
+            "orbital",
+            "data",
+            "quill",
+            "zed-x",
+            "zürich",
+            "straße",
+            "σοφοσ",
+            "\u{212A}orp",
+            "the",
         ];
         const DESIGNATORS: &[&str] = &[
-            "Inc.", "Corp", "Group", "Ltd", "Holdings", "Co", "İnc", "\u{212A}o", "GMBH",
+            "Inc.",
+            "Corp",
+            "Group",
+            "Ltd",
+            "Holdings",
+            "Co",
+            "İnc",
+            "\u{212A}o",
+            "GMBH",
         ];
         const JUNK: &[&str] = &["...", "", "  ", "&", "-- --", "The", "Inc."];
         let pick =
@@ -435,7 +461,11 @@ mod tests {
             let mut seen = Vec::new();
             for step in 0..120 {
                 let s = surface(&mut rng, &seen);
-                assert_eq!(AliasResolver::normalize(&s), normalize_by_words(&s), "{s:?}");
+                assert_eq!(
+                    AliasResolver::normalize(&s),
+                    normalize_by_words(&s),
+                    "{s:?}"
+                );
                 assert_eq!(
                     indexed.canonicalize(&s),
                     oracle.canonicalize(&s),

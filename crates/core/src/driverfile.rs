@@ -29,9 +29,9 @@
 //! as a typed [`DriverFileError`]; a bad file can never abort the
 //! process.
 
-use crate::spec::{DriverSpec, SpecError};
 use crate::filter::Filter;
 use crate::orientation::OrientationLexicon;
+use crate::spec::{DriverSpec, SpecError};
 use etap_corpus::{DriverTemplates, SalesDriver};
 use etap_persist::{CodecError, Writer};
 use std::fmt;
@@ -413,10 +413,7 @@ mod tests {
             .take(text.lines().count() / 2)
             .map(|l| format!("{l}\n"))
             .collect();
-        assert!(matches!(
-            parse_defs(&cut),
-            Err(DriverFileError::Codec(_))
-        ));
+        assert!(matches!(parse_defs(&cut), Err(DriverFileError::Codec(_))));
     }
 
     #[test]

@@ -172,7 +172,11 @@ pub struct FilterParseError {
 
 impl fmt::Display for FilterParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "filter expression error at byte {}: {}", self.pos, self.msg)
+        write!(
+            f,
+            "filter expression error at byte {}: {}",
+            self.pos, self.msg
+        )
     }
 }
 
@@ -221,7 +225,11 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(c) = self.src[self.pos..].chars().next().filter(|c| c.is_whitespace()) {
+        while let Some(c) = self.src[self.pos..]
+            .chars()
+            .next()
+            .filter(|c| c.is_whitespace())
+        {
             self.pos += c.len_utf8();
         }
     }
@@ -266,7 +274,10 @@ impl<'a> Parser<'a> {
 
     fn parse_or(&mut self) -> Result<(Filter, usize), FilterParseError> {
         let (mut left, mut depth) = self.parse_and()?;
-        while self.peek_word().is_some_and(|w| w.eq_ignore_ascii_case("OR")) {
+        while self
+            .peek_word()
+            .is_some_and(|w| w.eq_ignore_ascii_case("OR"))
+        {
             self.eat_word();
             let (right, right_depth) = self.parse_and()?;
             depth = self.deeper(depth.max(right_depth))?;
@@ -277,7 +288,10 @@ impl<'a> Parser<'a> {
 
     fn parse_and(&mut self) -> Result<(Filter, usize), FilterParseError> {
         let (mut left, mut depth) = self.parse_not()?;
-        while self.peek_word().is_some_and(|w| w.eq_ignore_ascii_case("AND")) {
+        while self
+            .peek_word()
+            .is_some_and(|w| w.eq_ignore_ascii_case("AND"))
+        {
             self.eat_word();
             let (right, right_depth) = self.parse_not()?;
             depth = self.deeper(depth.max(right_depth))?;
@@ -288,7 +302,10 @@ impl<'a> Parser<'a> {
 
     fn parse_not(&mut self) -> Result<(Filter, usize), FilterParseError> {
         let mut nots = 0usize;
-        while self.peek_word().is_some_and(|w| w.eq_ignore_ascii_case("NOT")) {
+        while self
+            .peek_word()
+            .is_some_and(|w| w.eq_ignore_ascii_case("NOT"))
+        {
             self.eat_word();
             nots += 1;
         }
@@ -331,17 +348,23 @@ impl<'a> Parser<'a> {
             }
             "ATLEAST" => {
                 self.expect_char('(')?;
-                let cat_word = self.eat_word().ok_or_else(|| self.err("expected a category in ATLEAST"))?;
+                let cat_word = self
+                    .eat_word()
+                    .ok_or_else(|| self.err("expected a category in ATLEAST"))?;
                 let cat = parse_category(cat_word).map_err(|m| self.err(m))?;
                 self.expect_char(',')?;
-                let n_word = self.eat_word().ok_or_else(|| self.err("expected a count in ATLEAST"))?;
+                let n_word = self
+                    .eat_word()
+                    .ok_or_else(|| self.err("expected a count in ATLEAST"))?;
                 let n: usize = n_word
                     .parse()
                     .map_err(|_| self.err(format!("bad ATLEAST count {n_word:?}")))?;
                 self.expect_char(')')?;
                 Ok(Filter::AtLeast(cat, n))
             }
-            _ => parse_category(word).map(Filter::Category).map_err(|m| self.err(m)),
+            _ => parse_category(word)
+                .map(Filter::Category)
+                .map_err(|m| self.err(m)),
         };
         Ok((leaf?, 1))
     }
@@ -570,10 +593,7 @@ mod tests {
                     or_groups.push(prev.and(term));
                 }
             }
-            let hand = or_groups
-                .into_iter()
-                .reduce(|a, b| a.or(b))
-                .unwrap();
+            let hand = or_groups.into_iter().reduce(|a, b| a.or(b)).unwrap();
             let parsed: Filter = text.parse().unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(parsed, hand, "{text}");
         }
@@ -582,7 +602,11 @@ mod tests {
     #[test]
     fn non_ascii_whitespace_separates_tokens() {
         let want: Filter = "ORG AND PRSN".parse().unwrap();
-        for text in ["ORG\u{a0}AND PRSN", "ORG AND\u{3000}PRSN", "\u{2003}ORG AND PRSN\u{a0}"] {
+        for text in [
+            "ORG\u{a0}AND PRSN",
+            "ORG AND\u{3000}PRSN",
+            "\u{2003}ORG AND PRSN\u{a0}",
+        ] {
             assert_eq!(text.parse::<Filter>(), Ok(want.clone()), "{text:?}");
         }
     }
@@ -601,7 +625,10 @@ mod tests {
         // Up to the bound parses: parentheses add no tree level, and a
         // chain of `MAX_DEPTH` NOTs over an atom is `MAX_DEPTH + 1` deep.
         let parens = format!("{}ORG{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
-        assert_eq!(parens.parse::<Filter>(), Ok(Filter::cat(EntityCategory::Org)));
+        assert_eq!(
+            parens.parse::<Filter>(),
+            Ok(Filter::cat(EntityCategory::Org))
+        );
         let nots = format!("{}ORG", "NOT ".repeat(MAX_DEPTH - 1));
         assert!(nots.parse::<Filter>().is_ok());
         assert!(format!("NOT {nots}").parse::<Filter>().is_err());
@@ -618,9 +645,32 @@ mod tests {
     #[test]
     fn fuzzed_expressions_parse_or_fail_typed() {
         const PIECES: &[&str] = &[
-            "ORG", "PRSN", "DESIG", "AND", "OR", "NOT", "not", "TRUE", "(", ")", "KW(", "ATLEAST(",
-            ",", "2", "acquire", " ", " ", "\t", "\u{a0}", "\u{3000}", "\u{2003}", "é", "\u{1F600}",
-            "_", "ß", "\u{0}",
+            "ORG",
+            "PRSN",
+            "DESIG",
+            "AND",
+            "OR",
+            "NOT",
+            "not",
+            "TRUE",
+            "(",
+            ")",
+            "KW(",
+            "ATLEAST(",
+            ",",
+            "2",
+            "acquire",
+            " ",
+            " ",
+            "\t",
+            "\u{a0}",
+            "\u{3000}",
+            "\u{2003}",
+            "é",
+            "\u{1F600}",
+            "_",
+            "ß",
+            "\u{0}",
         ];
         let mut rng = etap_runtime::Rng::seed_from_u64(0xF0221);
         for case in 0..3_000 {
@@ -647,7 +697,11 @@ mod tests {
                 text.push_str(&")".repeat(rng.gen_range(1..4 * MAX_DEPTH)));
             }
             match text.parse::<Filter>() {
-                Ok(f) => assert_eq!(f.to_string().parse::<Filter>(), Ok(f), "case {case}: {text:?}"),
+                Ok(f) => assert_eq!(
+                    f.to_string().parse::<Filter>(),
+                    Ok(f),
+                    "case {case}: {text:?}"
+                ),
                 Err(e) => assert!(e.pos <= text.len(), "case {case}: {text:?}: {e}"),
             }
         }
@@ -655,7 +709,16 @@ mod tests {
 
     #[test]
     fn parse_errors_are_typed_with_position() {
-        for bad in ["", "ORG AND", "ORG AND (", "BOGUSCAT", "KW()", "ATLEAST(ORG)", "ORG EXTRA", "(ORG"] {
+        for bad in [
+            "",
+            "ORG AND",
+            "ORG AND (",
+            "BOGUSCAT",
+            "KW()",
+            "ATLEAST(ORG)",
+            "ORG EXTRA",
+            "(ORG",
+        ] {
             let err = bad.parse::<Filter>().expect_err(bad);
             assert!(err.pos <= bad.len(), "{bad}: pos {}", err.pos);
             assert!(!err.to_string().is_empty());

@@ -300,7 +300,11 @@ mod tests {
         let f = &s.factors[0];
         assert_eq!(f.factor, "industry");
         assert_eq!(f.fit, 0.0);
-        assert!(f.explanation.contains("not among target industries"), "{}", f.explanation);
+        assert!(
+            f.explanation.contains("not among target industries"),
+            "{}",
+            f.explanation
+        );
     }
 
     #[test]

@@ -186,10 +186,7 @@ mod tests {
         assert_eq!(book.top_for(SalesDriver::ChangeInManagement, 10).len(), 0);
         assert_eq!(
             book.drivers(),
-            vec![
-                SalesDriver::MergersAcquisitions,
-                SalesDriver::RevenueGrowth
-            ]
+            vec![SalesDriver::MergersAcquisitions, SalesDriver::RevenueGrowth]
         );
     }
 

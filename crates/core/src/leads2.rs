@@ -174,7 +174,10 @@ impl CodeMap {
 /// the shard count.
 #[must_use]
 pub fn shard_of(event: &EventView<'_>, n_shards: u32) -> u32 {
-    let key = event.companies().next().unwrap_or_else(|| event.driver().id());
+    let key = event
+        .companies()
+        .next()
+        .unwrap_or_else(|| event.driver().id());
     (fnv1a64(key.as_bytes()) % u64::from(n_shards.max(1))) as u32
 }
 
@@ -241,7 +244,8 @@ struct Records {
 impl Records {
     fn push(&mut self, rec: &[u8]) {
         self.count += 1;
-        self.offsets.extend_from_slice(&(self.blob.len() as u64).to_le_bytes());
+        self.offsets
+            .extend_from_slice(&(self.blob.len() as u64).to_le_bytes());
         self.blob.extend_from_slice(rec);
     }
 
@@ -279,7 +283,11 @@ fn segment_writer(id: u32, n_base: u32, span: Option<u64>, count: usize) -> BinW
     if let Some(span) = span {
         meta.extend_from_slice(&span.to_le_bytes());
     }
-    let version = if span.is_some() { LEADS2_APPEND_VERSION } else { LEADS2_VERSION };
+    let version = if span.is_some() {
+        LEADS2_APPEND_VERSION
+    } else {
+        LEADS2_VERSION
+    };
     let mut w = BinWriter::new(SHARD_KIND, version);
     w.section(meta);
     w
@@ -308,7 +316,11 @@ fn seal_index(counts: &[usize], n_base: u32, total: usize, sections: Vec<Vec<u8>
     for &c in counts {
         meta.extend_from_slice(&(c as u64).to_le_bytes());
     }
-    let version = if appended { LEADS2_APPEND_VERSION } else { LEADS2_VERSION };
+    let version = if appended {
+        LEADS2_APPEND_VERSION
+    } else {
+        LEADS2_VERSION
+    };
     let mut w = BinWriter::new(INDEX_KIND, version);
     w.section(meta);
     for s in sections {
@@ -428,7 +440,10 @@ fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
         book.by_driver_raw(),
         book.ranking(),
     );
-    (seal_index(&[events.len()], 1, events.len(), sections), segment)
+    (
+        seal_index(&[events.len()], 1, events.len(), sections),
+        segment,
+    )
 }
 
 /// Serialize `book` cold into `n_shards` base shards plus one index.
@@ -571,7 +586,10 @@ fn append_layout(
     let mut table: HashMap<&[u8], Vec<(u32, u32)>> = HashMap::with_capacity(sealed);
     for (sid, seg) in prev.iter().enumerate().rev() {
         for (idx, rec) in seg.iter().flat_map(|s| s.records.iter().enumerate().rev()) {
-            table.entry(*rec).or_default().push((sid as u32, idx as u32));
+            table
+                .entry(*rec)
+                .or_default()
+                .push((sid as u32, idx as u32));
         }
     }
     let mut live = vec![0usize; prev.len()];
@@ -586,9 +604,14 @@ fn append_layout(
         })
         .collect();
 
-    let fully_live =
-        |sid: usize| prev[sid].as_ref().is_some_and(|s| s.records.len() == live[sid]);
-    let kept_deltas = (base..prev.len()).take_while(|&sid| fully_live(sid)).count();
+    let fully_live = |sid: usize| {
+        prev[sid]
+            .as_ref()
+            .is_some_and(|s| s.records.len() == live[sid])
+    };
+    let kept_deltas = (base..prev.len())
+        .take_while(|&sid| fully_live(sid))
+        .count();
     let reused = |sid: usize| {
         if sid < base {
             fully_live(sid)
@@ -619,7 +642,10 @@ fn append_layout(
         }
         tail = stack.len() - 1;
     }
-    let base_records: usize = (0..base).filter(|&sid| fully_live(sid)).map(|sid| live[sid]).sum();
+    let base_records: usize = (0..base)
+        .filter(|&sid| fully_live(sid))
+        .map(|sid| live[sid])
+        .sum();
     if stack.iter().map(|d| d.0).sum::<usize>() >= base_records {
         return None;
     }
@@ -684,7 +710,11 @@ impl Moves {
     }
 
     fn set(&mut self, (sid, idx): (u32, u32), to: (u32, u32)) {
-        if let Some(slot) = self.at.get_mut(sid as usize).and_then(|s| s.get_mut(idx as usize)) {
+        if let Some(slot) = self
+            .at
+            .get_mut(sid as usize)
+            .and_then(|s| s.get_mut(idx as usize))
+        {
             *slot = to;
         }
     }
@@ -1017,8 +1047,11 @@ impl MappedBook {
         // The trailing code→key table (absent on builtin-only books)
         // decodes first: the driver directory below resolves through it.
         let mut codes = CodeMap::default();
-        let mut directories =
-            vec![iv.section_range(2)?, iv.section_range(4)?, iv.section_range(6)?];
+        let mut directories = vec![
+            iv.section_range(2)?,
+            iv.section_range(4)?,
+            iv.section_range(6)?,
+        ];
         if iv.section_count() > 7 {
             directories.push(iv.section_range(7)?);
             let mut c = Cur::new(iv.section(7)?);
@@ -1051,7 +1084,10 @@ impl MappedBook {
                 .and_then(|end| end.checked_mul(8))
                 .is_none_or(|end| end > driver_refs.1)
             {
-                return Err(malformed(format!("driver {} refs out of bounds", driver.id())));
+                return Err(malformed(format!(
+                    "driver {} refs out of bounds",
+                    driver.id()
+                )));
             }
             drivers.push(DriverEntry {
                 driver,
@@ -1106,7 +1142,9 @@ impl MappedBook {
             let key = std::str::from_utf8(key).map_err(|_| CodecError::Truncated)?;
             let idx = c.u64()? as usize;
             if idx >= companies.len() {
-                return Err(malformed(format!("name key {key:?} points past company table")));
+                return Err(malformed(format!(
+                    "name key {key:?} points past company table"
+                )));
             }
             if last.is_some_and(|last| last >= key) {
                 return Err(malformed(format!("name key {key:?} out of order")));
@@ -1211,8 +1249,13 @@ impl MappedBook {
             Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?) as usize)
         };
         let start = offset(idx)?;
-        let end = if idx + 1 < sm.count { offset(idx + 1)? } else { sm.records.1 };
-        b.get(sm.records.0..sm.records.0 + sm.records.1)?.get(start..end)
+        let end = if idx + 1 < sm.count {
+            offset(idx + 1)?
+        } else {
+            sm.records.1
+        };
+        b.get(sm.records.0..sm.records.0 + sm.records.1)?
+            .get(start..end)
     }
 
     fn decode<'a>(&self, rec: &'a [u8]) -> Option<EventView<'a>> {
@@ -1514,7 +1557,10 @@ impl MappedBook {
     /// purpose if called per request.
     #[must_use]
     pub fn events_owned(&self) -> Vec<TriggerEvent> {
-        self.top(self.total).iter().map(EventView::to_owned_event).collect()
+        self.top(self.total)
+            .iter()
+            .map(EventView::to_owned_event)
+            .collect()
     }
 }
 
@@ -1588,12 +1634,7 @@ mod tests {
     use super::*;
     use crate::rank::CompanyScore;
 
-    fn event(
-        driver: SalesDriver,
-        doc_id: usize,
-        score: f64,
-        companies: &[&str],
-    ) -> TriggerEvent {
+    fn event(driver: SalesDriver, doc_id: usize, score: f64, companies: &[&str]) -> TriggerEvent {
         TriggerEvent {
             driver,
             doc_id,
@@ -1679,9 +1720,13 @@ mod tests {
     fn assert_same_book(mapped: &MappedBook, book: &LeadBook) {
         assert_eq!(mapped.events_owned(), book.events());
         for d in SalesDriver::ALL {
-            let owned: Vec<TriggerEvent> = book.top_for(d, usize::MAX).into_iter().cloned().collect();
-            let viewed: Vec<TriggerEvent> =
-                mapped.top_for(d, usize::MAX).iter().map(EventView::to_owned_event).collect();
+            let owned: Vec<TriggerEvent> =
+                book.top_for(d, usize::MAX).into_iter().cloned().collect();
+            let viewed: Vec<TriggerEvent> = mapped
+                .top_for(d, usize::MAX)
+                .iter()
+                .map(EventView::to_owned_event)
+                .collect();
             assert_eq!(owned, viewed, "driver {d:?}");
         }
         let companies: Vec<CompanyRef> = book.companies().iter().map(company_ref).collect();
@@ -1700,7 +1745,12 @@ mod tests {
         (first_doc..first_doc + n)
             .map(|i| {
                 let company = format!("Poll {}", i % 13);
-                event(SalesDriver::ALL[i % 3], i, 0.3 + (i % 61) as f64 / 100.0, &[&company])
+                event(
+                    SalesDriver::ALL[i % 3],
+                    i,
+                    0.3 + (i % 61) as f64 / 100.0,
+                    &[&company],
+                )
             })
             .collect()
     }
@@ -1716,15 +1766,19 @@ mod tests {
 
         // A custom driver adds the trailing code table, and the mapped
         // book resolves its events back to the registered DriverId.
-        let custom = SalesDriver::register("test_leads2_custom", "pilot programs")
-            .expect("register");
+        let custom =
+            SalesDriver::register("test_leads2_custom", "pilot programs").expect("register");
         let mut events = sample_events(12);
         events.push(event(custom, 90, 0.91, &["Acme 0"]));
         events.push(event(custom, 91, 0.81, &[]));
         let book = LeadBook::build(events);
         let enc = encode_book(&BookHandle::from(book.clone()), 4);
         let iv = bin_open(&enc.index, INDEX_KIND, LEADS2_VERSION, true).expect("open");
-        assert_eq!(iv.section_count(), 8, "custom drivers append the code table");
+        assert_eq!(
+            iv.section_count(),
+            8,
+            "custom drivers append the code table"
+        );
 
         let mapped = open_encoded(&enc);
         assert_eq!(mapped.events_owned(), book.events());
@@ -1751,7 +1805,11 @@ mod tests {
             assert_eq!(mapped.driver_total(d), book.top_for(d, usize::MAX).len());
         }
         assert_eq!(mapped.companies_len(), book.companies().len());
-        for (c, m) in book.companies().iter().zip(mapped.companies_top(usize::MAX)) {
+        for (c, m) in book
+            .companies()
+            .iter()
+            .zip(mapped.companies_top(usize::MAX))
+        {
             assert_eq!(c.mrr.to_bits(), m.mrr.to_bits());
         }
         assert_same_book(&mapped, &book);
@@ -1823,7 +1881,14 @@ mod tests {
         events.extend(poll_events(1_000, 12));
         let book = LeadBook::build(events.clone());
         let dirty = encode_book(&BookHandle::from(book.clone()), 8);
-        assert!(resolve(&[], &dirty).iter().zip(&sealed).filter(|(a, b)| a != b).count() > 4);
+        assert!(
+            resolve(&[], &dirty)
+                .iter()
+                .zip(&sealed)
+                .filter(|(a, b)| a != b)
+                .count()
+                > 4
+        );
 
         let enc = append(&sealed, events, 8).expect("append");
         assert_eq!(enc.segments.len(), 9);
@@ -1837,11 +1902,17 @@ mod tests {
         // reader of the cold format rejects them by version alone.
         let cold_version =
             |bytes: &[u8], kind| bin_open(bytes, kind, LEADS2_VERSION, true).map(|v| v.version());
-        assert_eq!(cold_version(&segments[0], SHARD_KIND).ok(), Some(LEADS2_VERSION));
+        assert_eq!(
+            cold_version(&segments[0], SHARD_KIND).ok(),
+            Some(LEADS2_VERSION)
+        );
         for (bytes, kind) in [(&enc.index, INDEX_KIND), (&segments[8], SHARD_KIND)] {
             assert!(matches!(
                 cold_version(bytes, kind),
-                Err(CodecError::FutureVersion { version: LEADS2_APPEND_VERSION, .. })
+                Err(CodecError::FutureVersion {
+                    version: LEADS2_APPEND_VERSION,
+                    ..
+                })
             ));
         }
 
@@ -1872,7 +1943,10 @@ mod tests {
             // Equal polls: one delta per set bit of the append count.
             assert_eq!(deltas.len() as u32, appends.count_ones(), "after {appends}");
             assert!(deltas.windows(2).all(|w| w[0].span > w[1].span));
-            assert_eq!(deltas.iter().map(|d| d.span).sum::<u64>(), u64::from(appends));
+            assert_eq!(
+                deltas.iter().map(|d| d.span).sum::<u64>(),
+                u64::from(appends)
+            );
             let mapped = open_segments(&enc.index, &segments);
             assert_same_book(&mapped, &LeadBook::build(events.clone()));
 
@@ -1901,14 +1975,25 @@ mod tests {
         let enc = append(&sealed, fewer.clone(), 4).expect("append");
         let segments = resolve(&sealed, &enc);
         for sid in 0..4 {
-            assert_eq!(enc.segments[sid] == Segment::Linked, sid != gone, "segment {sid}");
+            assert_eq!(
+                enc.segments[sid] == Segment::Linked,
+                sid != gone,
+                "segment {sid}"
+            );
         }
         let emptied = PrevSegment::parse(&segments[gone], gone as u32, 4).expect("emptied");
         assert!(emptied.records.is_empty());
         let delta = PrevSegment::parse(&segments[4], 4, 4).expect("delta");
-        let live = events.iter().filter(|e| shard_of_event(e, 4) as usize == gone).count() - 1;
+        let live = events
+            .iter()
+            .filter(|e| shard_of_event(e, 4) as usize == gone)
+            .count()
+            - 1;
         assert_eq!(delta.records.len(), live);
-        assert_same_book(&open_segments(&enc.index, &segments), &LeadBook::build(fewer));
+        assert_same_book(
+            &open_segments(&enc.index, &segments),
+            &LeadBook::build(fewer),
+        );
 
         // A segment the caller could not verify is never reused.
         let book = LeadBook::build(events);
@@ -1990,7 +2075,10 @@ mod tests {
             assert_eq!(a.snippet(), b.snippet());
             assert_eq!(a.companies_vec(), b.companies_vec());
         }
-        assert_eq!(sealed.companies_top(usize::MAX), sharded.companies_top(usize::MAX));
+        assert_eq!(
+            sealed.companies_top(usize::MAX),
+            sharded.companies_top(usize::MAX)
+        );
         assert!(sealed.arena_bytes() > 0 && sharded.arena_bytes() > 0);
     }
 

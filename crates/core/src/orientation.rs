@@ -102,8 +102,7 @@ impl OrientationLexicon {
     /// serializers need (the backing map is unordered).
     #[must_use]
     pub fn entries(&self) -> Vec<(&str, f64)> {
-        let mut v: Vec<(&str, f64)> =
-            self.phrases.iter().map(|(k, &w)| (k.as_str(), w)).collect();
+        let mut v: Vec<(&str, f64)> = self.phrases.iter().map(|(k, &w)| (k.as_str(), w)).collect();
         v.sort_by(|a, b| a.0.cmp(b.0));
         v
     }
@@ -112,7 +111,10 @@ impl OrientationLexicon {
     /// first (a matched span is consumed).
     #[must_use]
     pub fn score(&self, text: &str) -> f64 {
-        let words: Vec<String> = tokenize(text).iter().map(|t| t.lower().into_owned()).collect();
+        let words: Vec<String> = tokenize(text)
+            .iter()
+            .map(|t| t.lower().into_owned())
+            .collect();
         let mut total = 0.0;
         let mut i = 0;
         while i < words.len() {

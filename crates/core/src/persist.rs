@@ -85,12 +85,23 @@ pub fn to_string(trained: &TrainedDriver) -> String {
         }
     }
     for cat in EntityCategory::ALL {
-        w.record(["policy-entity", cat.tag(), choice_name(policy.entity_choice(cat))]);
+        w.record([
+            "policy-entity",
+            cat.tag(),
+            choice_name(policy.entity_choice(cat)),
+        ]);
     }
     for tag in PosTag::ALL {
         w.record(["policy-pos", tag.tag(), choice_name(policy.pos_choice(tag))]);
     }
-    w.record(["bigrams", if trained.vectorizer.has_bigrams() { "true" } else { "false" }]);
+    w.record([
+        "bigrams",
+        if trained.vectorizer.has_bigrams() {
+            "true"
+        } else {
+            "false"
+        },
+    ]);
     w.record(["prior", &prior[0].to_string(), &prior[1].to_string()]);
     w.record(["unseen", &unseen[0].to_string(), &unseen[1].to_string()]);
     w.record(["features", &vocab.len().to_string()]);
@@ -482,7 +493,10 @@ mod tests {
         let text = to_string(&quick_trained());
         assert!(text.starts_with("ETAP MODEL v2\n"), "{}", &text[..40]);
         for tag in ["driver-name", "query\t", "filter\t", "lex\t"] {
-            assert!(!text.contains(&format!("\n{tag}")), "v2 must not embed {tag:?}");
+            assert!(
+                !text.contains(&format!("\n{tag}")),
+                "v2 must not embed {tag:?}"
+            );
         }
         let restored = from_str(&text).expect("parse");
         assert_eq!(restored.spec.driver, SalesDriver::ChangeInManagement);
@@ -490,8 +504,8 @@ mod tests {
 
     #[test]
     fn custom_models_embed_their_spec_in_v3() {
-        let driver = SalesDriver::register("test_persist_custom", "pilot programs")
-            .expect("register");
+        let driver =
+            SalesDriver::register("test_persist_custom", "pilot programs").expect("register");
         let mut lexicon = crate::OrientationLexicon::new();
         lexicon.insert("expanded pilot", 1.5);
         lexicon.insert("cancelled pilot", -2.0);
@@ -499,7 +513,9 @@ mod tests {
         trained.spec = DriverSpec {
             driver,
             smart_queries: vec!["\"pilot program\"".to_string(), "\"rollout\"".to_string()],
-            snippet_filter: "ORG AND (KW(pilot) OR KW(rollout))".parse().expect("filter"),
+            snippet_filter: "ORG AND (KW(pilot) OR KW(rollout))"
+                .parse()
+                .expect("filter"),
             orientation: Some(lexicon),
         };
 
@@ -512,7 +528,11 @@ mod tests {
             restored.spec.snippet_filter.to_string(),
             trained.spec.snippet_filter.to_string()
         );
-        let lex = restored.spec.orientation.as_ref().expect("lexicon restored");
+        let lex = restored
+            .spec
+            .orientation
+            .as_ref()
+            .expect("lexicon restored");
         assert_eq!(
             lex.entries(),
             trained.spec.orientation.as_ref().unwrap().entries()

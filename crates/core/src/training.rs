@@ -29,8 +29,8 @@ use etap_corpus::{SearchEngine, SyntheticDoc, SyntheticWeb};
 use etap_features::{
     AbstractionPolicy, FeatureWalk, ProbedWalk, SparseVec, TermIndex, VectorScratch, Vectorizer,
 };
-use etap_text::{SnippetGenerator, SnippetScratch};
 use etap_runtime::{Rng, Stage};
+use etap_text::{SnippetGenerator, SnippetScratch};
 use std::borrow::Cow;
 
 /// Perf stages (no-ops unless `ETAP_PERF=1`; see `etap_runtime::perf`).
@@ -395,11 +395,8 @@ pub fn harvest_noisy_positives(
     // Distill + annotate + filter each document independently in
     // parallel; the ordered merge makes the harvest identical to the
     // sequential document loop for any thread count.
-    let per_doc = etap_runtime::par_map_with(
-        &doc_ids,
-        config.threads,
-        DocScratch::default,
-        |sc, &id| {
+    let per_doc =
+        etap_runtime::par_map_with(&doc_ids, config.threads, DocScratch::default, |sc, &id| {
             let considered = sc.split(&snipgen, web.doc(id));
             let mut kept: Vec<(AnnotatedSnippet, String)> = Vec::new();
             for k in 0..considered {
@@ -409,8 +406,7 @@ pub fn harvest_noisy_positives(
                 }
             }
             (considered, kept)
-        },
-    );
+        });
 
     let mut noisy = Vec::new();
     let mut noisy_texts = Vec::new();
@@ -451,21 +447,21 @@ pub fn collect_pure_positives(
     // Annotate each candidate document's trigger snippets in parallel;
     // the ordered merge keeps the pool in document order, so the
     // RNG subsample below sees the exact sequential pool.
-    let per_doc = etap_runtime::par_map_with(
-        &docs,
-        config.threads,
-        DocScratch::default,
-        |sc, doc| {
+    let per_doc =
+        etap_runtime::par_map_with(&docs, config.threads, DocScratch::default, |sc, doc| {
             let mut kept: Vec<AnnotatedSnippet> = Vec::new();
             for k in 0..sc.split(&snipgen, doc) {
                 let text = snipgen.snippet_text(&sc.text, k, &mut sc.snippets);
-                if doc.trigger_sentences.iter().any(|t| text.contains(t.as_str())) {
+                if doc
+                    .trigger_sentences
+                    .iter()
+                    .any(|t| text.contains(t.as_str()))
+                {
                     kept.push(sc.annotate(&snipgen, annotator, k).1);
                 }
             }
             kept
-        },
-    );
+        });
     let mut pool: Vec<AnnotatedSnippet> = per_doc.into_iter().flatten().collect();
     // Uniformly subsample to the requested size.
     while pool.len() > config.pure_positives {
@@ -560,7 +556,16 @@ where
     T::Model: Sync,
 {
     let negatives = negative_pool(web, annotator, config, exclude_doc);
-    train_on_negatives(trainer, spec, engine, web, annotator, config, exclude_doc, &negatives)
+    train_on_negatives(
+        trainer,
+        spec,
+        engine,
+        web,
+        annotator,
+        config,
+        exclude_doc,
+        &negatives,
+    )
 }
 
 /// A fresh vectorizer under `config`'s policy and bigram setting.
@@ -692,7 +697,16 @@ pub fn train_drivers(
     specs
         .iter()
         .map(|spec| {
-            train_on_negatives(&trainer, spec, engine, web, annotator, config, exclude_doc, &negatives)
+            train_on_negatives(
+                &trainer,
+                spec,
+                engine,
+                web,
+                annotator,
+                config,
+                exclude_doc,
+                &negatives,
+            )
         })
         .collect()
 }

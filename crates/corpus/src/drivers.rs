@@ -345,7 +345,9 @@ impl DriverSet {
     /// Members in ascending id order (the order every corpus RNG draw
     /// sequence iterates, so it must be deterministic).
     pub fn iter(self) -> impl Iterator<Item = DriverId> {
-        (0..64u16).filter(move |i| self.bits & (1u64 << i) != 0).map(DriverId)
+        (0..64u16)
+            .filter(move |i| self.bits & (1u64 << i) != 0)
+            .map(DriverId)
     }
 }
 

@@ -212,7 +212,10 @@ mod tests {
             drop(doc);
         }
         assert_eq!(n, 5_000);
-        assert!(s.ring.is_empty(), "ring must stay empty without syndication");
+        assert!(
+            s.ring.is_empty(),
+            "ring must stay empty without syndication"
+        );
 
         let mut synd = DocStream::new(WebConfig {
             syndication_fraction: 0.2,

@@ -91,7 +91,11 @@ pub fn distractor_sentence(driver: SalesDriver, g: &mut NameGenerator) -> Senten
 /// document generator, which renders custom headlines the same way.
 #[must_use]
 pub(crate) fn render_custom(tpls: &[String], g: &mut NameGenerator) -> Sentence {
-    let idx = if tpls.len() > 1 { g.range(0, tpls.len()) } else { 0 };
+    let idx = if tpls.len() > 1 {
+        g.range(0, tpls.len())
+    } else {
+        0
+    };
     render_template(&tpls[idx], g)
 }
 
@@ -137,18 +141,21 @@ fn placeholder_value(
     if let Some(v) = vals.get(key) {
         return Some(v.clone());
     }
-    let distinct_from = |g: &mut NameGenerator, prior: Option<&String>, mut draw: Box<dyn FnMut(&mut NameGenerator) -> String>| {
-        let mut v = draw(g);
-        if let Some(p) = prior {
-            for _ in 0..8 {
-                if v != *p {
-                    break;
+    let distinct_from =
+        |g: &mut NameGenerator,
+         prior: Option<&String>,
+         mut draw: Box<dyn FnMut(&mut NameGenerator) -> String>| {
+            let mut v = draw(g);
+            if let Some(p) = prior {
+                for _ in 0..8 {
+                    if v != *p {
+                        break;
+                    }
+                    v = draw(g);
                 }
-                v = draw(g);
             }
-        }
-        v
-    };
+            v
+        };
     let v = match key {
         "company" => {
             let v = g.company();

@@ -69,8 +69,7 @@ impl WebConfig {
     }
 
     pub(crate) fn validate(&self) {
-        let events =
-            (self.trigger_fraction + self.distractor_fraction) * self.drivers.len() as f64;
+        let events = (self.trigger_fraction + self.distractor_fraction) * self.drivers.len() as f64;
         let total = events + self.business_noise_fraction;
         assert!(
             total <= 1.0 + 1e-9,

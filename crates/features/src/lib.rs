@@ -31,4 +31,4 @@ pub use abstraction::{
 };
 pub use entropy::{entropy, rig};
 pub use select::{chi_square, information_gain, mutual_information, FeatureStats};
-pub use vectorize::{FeatureWalk, ProbedWalk, SparseVec, TermIndex, Vectorizer, VectorScratch};
+pub use vectorize::{FeatureWalk, ProbedWalk, SparseVec, TermIndex, VectorScratch, Vectorizer};

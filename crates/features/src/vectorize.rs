@@ -238,7 +238,11 @@ impl Vectorizer {
     /// # Panics
     /// Panics if the vocabulary is not frozen.
     #[must_use]
-    pub fn lookup_walk<'s>(&self, walk: &FeatureWalk, scratch: &'s mut VectorScratch) -> &'s SparseVec {
+    pub fn lookup_walk<'s>(
+        &self,
+        walk: &FeatureWalk,
+        scratch: &'s mut VectorScratch,
+    ) -> &'s SparseVec {
         assert!(
             self.frozen,
             "a frozen lookup requires a frozen vocabulary (call freeze() after training)"
@@ -275,7 +279,11 @@ impl Vectorizer {
     /// every walk in snippet order, then
     /// [`vectorize_walks`](Self::vectorize_walks).
     #[must_use]
-    pub fn vectorize_batch(&mut self, snips: &[AnnotatedSnippet], threads: usize) -> Vec<SparseVec> {
+    pub fn vectorize_batch(
+        &mut self,
+        snips: &[AnnotatedSnippet],
+        threads: usize,
+    ) -> Vec<SparseVec> {
         let walks = etap_runtime::par_map_with(snips, threads, FeatureWalk::new, |walk, snip| {
             self.record_walk(snip, walk);
             walk.clone()
@@ -840,7 +848,11 @@ mod tests {
         vz.freeze();
         let expect: Vec<SparseVec> = snips.iter().map(|s| vz.vectorize(s)).collect();
         for threads in [1usize, 2, 8] {
-            assert_eq!(vz.vectorize_batch(&snips, threads), expect, "threads={threads}");
+            assert_eq!(
+                vz.vectorize_batch(&snips, threads),
+                expect,
+                "threads={threads}"
+            );
         }
     }
 

@@ -219,9 +219,7 @@ pub fn bin_open<'a>(
     let payload_len = rd_u64(28);
     let stored = rd_u64(36);
 
-    let table_len = section_count
-        .checked_mul(16)
-        .ok_or(CodecError::Truncated)?;
+    let table_len = section_count.checked_mul(16).ok_or(CodecError::Truncated)?;
     let payload_start = HEADER_LEN
         .checked_add(table_len)
         .ok_or(CodecError::Truncated)?;
@@ -234,10 +232,7 @@ pub fn bin_open<'a>(
     if verify_checksum {
         let computed = fnv1a64(&bytes[HEADER_LEN..]);
         if computed != stored {
-            return Err(CodecError::BadChecksum {
-                stored,
-                computed,
-            });
+            return Err(CodecError::BadChecksum { stored, computed });
         }
     }
 

@@ -102,7 +102,10 @@ impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::BadHeader { expected, found } => {
-                write!(f, "bad header: expected `ETAP {expected} v<n>`, found {found:?}")
+                write!(
+                    f,
+                    "bad header: expected `ETAP {expected} v<n>`, found {found:?}"
+                )
             }
             Self::FutureVersion {
                 kind,
@@ -171,7 +174,10 @@ fn unescape(field: &str, line: usize) -> Result<String, CodecError> {
             other => {
                 return Err(CodecError::Malformed {
                     line,
-                    msg: format!("bad escape `\\{}`", other.map_or(String::new(), String::from)),
+                    msg: format!(
+                        "bad escape `\\{}`",
+                        other.map_or(String::new(), String::from)
+                    ),
                 })
             }
         }
@@ -375,7 +381,11 @@ fn parse_header(header: &str, kind: &str, max_version: u32) -> Result<u32, Codec
 ///
 /// # Errors
 /// [`CodecError::Io`] on filesystem errors, otherwise see [`parse`].
-pub fn read_file(path: &Path, kind: &str, max_version: u32) -> Result<(u32, Vec<Record>), CodecError> {
+pub fn read_file(
+    path: &Path,
+    kind: &str,
+    max_version: u32,
+) -> Result<(u32, Vec<Record>), CodecError> {
     let text = std::fs::read_to_string(path)?;
     parse(&text, kind, max_version)
 }
@@ -470,8 +480,8 @@ mod tests {
                 w.record(rec);
             }
             let text = w.finish();
-            let (version, records) = parse(&text, "FUZZ", 3)
-                .unwrap_or_else(|e| panic!("case {case}: {e}\n{text:?}"));
+            let (version, records) =
+                parse(&text, "FUZZ", 3).unwrap_or_else(|e| panic!("case {case}: {e}\n{text:?}"));
             assert_eq!(version, 3);
             let decoded: Vec<Vec<String>> = records.into_iter().map(|r| r.fields).collect();
             assert_eq!(decoded, original, "case {case}");
@@ -487,7 +497,11 @@ mod tests {
             // Mix raw bit patterns (finite only) and small probabilities.
             let bits = rng.next();
             let f = f64::from_bits(bits);
-            let f = if f.is_finite() { f } else { (bits % 1000) as f64 / 997.0 };
+            let f = if f.is_finite() {
+                f
+            } else {
+                (bits % 1000) as f64 / 997.0
+            };
             originals.push(f);
             w.record([f.to_string()]);
         }
@@ -567,7 +581,10 @@ mod tests {
         assert_eq!(rec.tag(), "tag");
         assert_eq!(rec.str(1).unwrap(), "not-a-number");
         let err = rec.parse::<f64>(1).expect_err("must fail");
-        assert!(matches!(err, CodecError::Malformed { line: 2, .. }), "{err}");
+        assert!(
+            matches!(err, CodecError::Malformed { line: 2, .. }),
+            "{err}"
+        );
         assert!(rec.str(9).is_err());
     }
 

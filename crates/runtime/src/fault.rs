@@ -126,9 +126,7 @@ impl FaultPlan {
                         .parse()
                         .map_err(|_| format!("fault entry {entry:?}: bad rate {p:?}"))?;
                     if !(0.0..=1.0).contains(&p) {
-                        return Err(format!(
-                            "fault entry {entry:?}: rate {p} outside [0, 1]"
-                        ));
+                        return Err(format!("fault entry {entry:?}: rate {p} outside [0, 1]"));
                     }
                     Rate::Prob(p)
                 }

@@ -246,17 +246,12 @@ mod tests {
     fn par_map_with_reuses_scratch_per_worker() {
         // Scratch as allocation cache: results must not change.
         let items: Vec<usize> = (0..500).collect();
-        let got = par_map_with(
-            &items,
-            4,
-            String::new,
-            |buf, &x| {
-                buf.clear();
-                use std::fmt::Write;
-                write!(buf, "{x}").unwrap();
-                buf.len()
-            },
-        );
+        let got = par_map_with(&items, 4, String::new, |buf, &x| {
+            buf.clear();
+            use std::fmt::Write;
+            write!(buf, "{x}").unwrap();
+            buf.len()
+        });
         let expected: Vec<usize> = items.iter().map(|x| x.to_string().len()).collect();
         assert_eq!(got, expected);
     }

@@ -181,9 +181,10 @@ impl WorkerPool {
                     .name(format!("{name}-{i}"))
                     .spawn(move || {
                         while let Some(item) = queue.pop() {
-                            let caught = std::panic::catch_unwind(
-                                std::panic::AssertUnwindSafe(|| handler(item)),
-                            );
+                            let caught =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    handler(item)
+                                }));
                             if caught.is_err() {
                                 panics.fetch_add(1, Ordering::Relaxed);
                             }

@@ -206,7 +206,9 @@ impl Supervisor {
             self.stats.degraded.store(false, Ordering::SeqCst);
             false
         } else {
-            self.stats.cycles_failed_total.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .cycles_failed_total
+                .fetch_add(1, Ordering::Relaxed);
             let run = self
                 .stats
                 .consecutive_failures
@@ -229,16 +231,18 @@ where
 {
     let (tx, rx) = mpsc::channel::<Result<T, StageError>>();
     let thread_name = format!("etap-stage-{name}");
-    let spawned = std::thread::Builder::new().name(thread_name).spawn(move || {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f()));
-        let result = match outcome {
-            Ok(Ok(value)) => Ok(value),
-            Ok(Err(msg)) => Err(StageError::Failed(msg)),
-            Err(payload) => Err(StageError::Panicked(panic_message(payload.as_ref()))),
-        };
-        // Receiver gone = the supervisor timed us out; nothing to do.
-        let _ = tx.send(result);
-    });
+    let spawned = std::thread::Builder::new()
+        .name(thread_name)
+        .spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f()));
+            let result = match outcome {
+                Ok(Ok(value)) => Ok(value),
+                Ok(Err(msg)) => Err(StageError::Failed(msg)),
+                Err(payload) => Err(StageError::Panicked(panic_message(payload.as_ref()))),
+            };
+            // Receiver gone = the supervisor timed us out; nothing to do.
+            let _ = tx.send(result);
+        });
     match spawned {
         Ok(_handle) => match rx.recv_timeout(timeout) {
             Ok(result) => result,
@@ -306,9 +310,8 @@ mod tests {
     #[test]
     fn persistent_failure_exhausts_attempts() {
         let mut sup = Supervisor::new(fast_policy(), 2);
-        let got: Result<(), _> = sup.stage("doomed", Duration::from_secs(1), || {
-            Err("nope".to_string())
-        });
+        let got: Result<(), _> =
+            sup.stage("doomed", Duration::from_secs(1), || Err("nope".to_string()));
         assert_eq!(got, Err(StageError::Failed("nope".to_string())));
         assert_eq!(sup.stats().stage_failures_total.load(Ordering::Relaxed), 3);
     }
@@ -352,7 +355,10 @@ mod tests {
         let sup = Supervisor::new(fast_policy(), 3);
         assert!(!sup.complete_cycle(false));
         assert!(!sup.complete_cycle(false));
-        assert!(sup.complete_cycle(false), "third consecutive failure degrades");
+        assert!(
+            sup.complete_cycle(false),
+            "third consecutive failure degrades"
+        );
         assert!(sup.stats().is_degraded());
         assert!(!sup.complete_cycle(true), "one success recovers");
         assert!(!sup.stats().is_degraded());

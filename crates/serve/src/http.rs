@@ -93,7 +93,8 @@ pub fn read_request(
     carry: &mut Vec<u8>,
 ) -> Result<Request, RequestError> {
     let (head, leftover) = read_head(stream, std::mem::take(carry))?;
-    let head_text = String::from_utf8(head).map_err(|_| RequestError::Malformed("non-UTF-8 header"))?;
+    let head_text =
+        String::from_utf8(head).map_err(|_| RequestError::Malformed("non-UTF-8 header"))?;
     let mut lines = head_text.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ');
@@ -166,10 +167,7 @@ pub fn read_request(
 /// Read until the `\r\n\r\n` header terminator; returns `(head, extra)`
 /// where `extra` is any body prefix that arrived in the same packets.
 /// Consumes `carry` (keep-alive read-ahead) before touching the socket.
-fn read_head(
-    stream: &mut TcpStream,
-    carry: Vec<u8>,
-) -> Result<(Vec<u8>, Vec<u8>), RequestError> {
+fn read_head(stream: &mut TcpStream, carry: Vec<u8>) -> Result<(Vec<u8>, Vec<u8>), RequestError> {
     let mut buf = carry;
     let mut chunk = [0u8; 1024];
     loop {

@@ -146,14 +146,22 @@ mod tests {
     fn builds_nested_structures() {
         let mut w = JsonWriter::new();
         w.begin_object()
-            .key("n").uint(3)
-            .key("score").float(0.5)
-            .key("ok").boolean(true)
-            .key("items").begin_array()
+            .key("n")
+            .uint(3)
+            .key("score")
+            .float(0.5)
+            .key("ok")
+            .boolean(true)
+            .key("items")
+            .begin_array()
             .string("a")
             .string("b")
             .end_array()
-            .key("inner").begin_object().key("x").uint(1).end_object()
+            .key("inner")
+            .begin_object()
+            .key("x")
+            .uint(1)
+            .end_object()
             .end_object();
         assert_eq!(
             w.finish(),

@@ -297,7 +297,11 @@ mod tests {
             h.observe_us(40_000); // ≤ 50_000 bucket
         }
         assert_eq!(h.count(), 100);
-        assert!((h.quantile_ms(0.5) - 0.2).abs() < 1e-9, "{}", h.quantile_ms(0.5));
+        assert!(
+            (h.quantile_ms(0.5) - 0.2).abs() < 1e-9,
+            "{}",
+            h.quantile_ms(0.5)
+        );
         assert!((h.quantile_ms(0.99) - 50.0).abs() < 1e-9);
         assert!(h.mean_ms() > 0.0);
     }

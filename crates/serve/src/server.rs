@@ -270,9 +270,10 @@ fn record_snapshot_gauges(metrics: &Metrics, snapshot: &LeadSnapshot) {
     metrics
         .snapshot_heap_bytes
         .store(snapshot.book.heap_bytes() as u64, Ordering::Relaxed);
-    metrics
-        .mmap_generations
-        .store(u64::from(snapshot.book.is_fully_mapped()), Ordering::Relaxed);
+    metrics.mmap_generations.store(
+        u64::from(snapshot.book.is_fully_mapped()),
+        Ordering::Relaxed,
+    );
 }
 
 impl ServerHandle {
@@ -447,9 +448,20 @@ fn handle_job(ctx: &Ctx, job: Job) {
     // start their clock here.
     let mut carry = Vec::new();
     for served in 0..ctx.keepalive_requests {
-        let started = if served == 0 { accepted } else { Instant::now() };
+        let started = if served == 0 {
+            accepted
+        } else {
+            Instant::now()
+        };
         let last_allowed = served + 1 == ctx.keepalive_requests;
-        match serve_one(ctx, &mut stream, started, &mut carry, last_allowed, served > 0) {
+        match serve_one(
+            ctx,
+            &mut stream,
+            started,
+            &mut carry,
+            last_allowed,
+            served > 0,
+        ) {
             ConnAction::KeepAlive => {}
             ConnAction::Close => return,
         }
@@ -573,8 +585,7 @@ fn serve_one(
     // The connection survives only when every party agrees: the client
     // asked for keep-alive, the per-connection cap has room, and the
     // server is not draining for shutdown.
-    let keep_alive =
-        request.keep_alive && !last_allowed && !ctx.stop.load(Ordering::SeqCst);
+    let keep_alive = request.keep_alive && !last_allowed && !ctx.stop.load(Ordering::SeqCst);
 
     let (st, content_type, headers, body) = route(ctx, &request);
     let header_refs: Vec<(&str, &str)> = headers
@@ -626,9 +637,7 @@ fn route(ctx: &Ctx, req: &Request) -> Response {
             json(status::OK, snap.generation, body)
         }
         ("GET", "/metrics") => {
-            let body = ctx
-                .metrics
-                .exposition(ctx.queue_depth.len(), ctx.workers);
+            let body = ctx.metrics.exposition(ctx.queue_depth.len(), ctx.workers);
             (
                 status::OK,
                 "text/plain; charset=utf-8",
@@ -640,10 +649,9 @@ fn route(ctx: &Ctx, req: &Request) -> Response {
         ("GET", "/companies") => companies(ctx, req),
         ("POST", "/score") => score(ctx, req),
         ("GET", "/score") => icp(ctx, req),
-        ("POST", "/leads" | "/companies" | "/healthz" | "/metrics") => text(
-            status::METHOD_NOT_ALLOWED,
-            "method not allowed\n",
-        ),
+        ("POST", "/leads" | "/companies" | "/healthz" | "/metrics") => {
+            text(status::METHOD_NOT_ALLOWED, "method not allowed\n")
+        }
         ("GET", path) => match company_events_name(path) {
             Some(name) => company_events(ctx, name),
             None => text(status::NOT_FOUND, "not found\n"),
@@ -680,12 +688,7 @@ fn text(st: Status, body: &str) -> Response {
 fn json_error(st: Status, msg: &str) -> Response {
     let mut w = JsonWriter::new();
     w.begin_object().key("error").string(msg).end_object();
-    (
-        st,
-        "application/json",
-        Vec::new(),
-        w.finish().into_bytes(),
-    )
+    (st, "application/json", Vec::new(), w.finish().into_bytes())
 }
 
 fn json(st: Status, generation: u64, body: String) -> Response {

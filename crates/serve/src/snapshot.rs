@@ -154,10 +154,7 @@ impl SnapshotCell {
     /// the old `Arc` until they finish; its memory is freed when the
     /// last one drops it.
     pub fn publish(&self, next: Arc<LeadSnapshot>) -> u64 {
-        let mut slot = self
-            .current
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.current.lock().unwrap_or_else(PoisonError::into_inner);
         let old = slot.generation;
         *slot = next;
         old

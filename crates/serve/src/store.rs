@@ -268,7 +268,9 @@ impl GenerationStore {
     /// canonicalized so every re-open of the same directory shares the
     /// pin slot.
     fn pin_key(&self) -> PathBuf {
-        self.root.canonicalize().unwrap_or_else(|_| self.root.clone())
+        self.root
+            .canonicalize()
+            .unwrap_or_else(|_| self.root.clone())
     }
 
     /// Mark `generation` as actively served: [`prune`](Self::prune) and
@@ -487,11 +489,8 @@ impl GenerationStore {
         // the load_latest fall-back-to-older-generation path.
         etap_runtime::fault::check_io("store.load")?;
         let dir = self.gen_dir(generation);
-        let (_, records) = etap_persist::read_file(
-            &dir.join("MANIFEST"),
-            MANIFEST_KIND,
-            MANIFEST_VERSION,
-        )?;
+        let (_, records) =
+            etap_persist::read_file(&dir.join("MANIFEST"), MANIFEST_KIND, MANIFEST_VERSION)?;
 
         let mut stated_generation: Option<u64> = None;
         let mut window: Option<usize> = None;
@@ -610,7 +609,9 @@ impl GenerationStore {
             let shards = shard_arenas.into_iter().map(|(_, a)| a).collect();
             MappedBook::open(index, shards)?.into()
         } else {
-            text_book.ok_or_else(|| missing("events.leads file"))?.into()
+            text_book
+                .ok_or_else(|| missing("events.leads file"))?
+                .into()
         };
         if book.len() != event_count {
             return Err(StoreError::Invalid(format!(
@@ -634,9 +635,7 @@ impl GenerationStore {
     /// # Errors
     /// Propagates only root-directory read failures; per-generation
     /// failures are *reported*, not raised.
-    pub fn load_latest(
-        &self,
-    ) -> io::Result<Option<(LeadSnapshot, Vec<(u64, String)>)>> {
+    pub fn load_latest(&self) -> io::Result<Option<(LeadSnapshot, Vec<(u64, String)>)>> {
         let mut skipped = Vec::new();
         for generation in self.generations()?.into_iter().rev() {
             match self.load(generation) {
@@ -661,7 +660,10 @@ impl GenerationStore {
         for entry in std::fs::read_dir(&self.root)? {
             let entry = entry?;
             let name = entry.file_name();
-            if name.to_str().is_some_and(|s| s.starts_with("gen-") && s.ends_with(".tmp")) {
+            if name
+                .to_str()
+                .is_some_and(|s| s.starts_with("gen-") && s.ends_with(".tmp"))
+            {
                 let _ = std::fs::remove_dir_all(entry.path());
             }
         }
@@ -788,10 +790,7 @@ mod tests {
     use etap::{LeadBook, SalesDriver, TriggerEvent};
 
     fn temp_store(tag: &str) -> GenerationStore {
-        let root = std::env::temp_dir().join(format!(
-            "etap_store_{tag}_{}",
-            std::process::id()
-        ));
+        let root = std::env::temp_dir().join(format!("etap_store_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         GenerationStore::open(root).expect("open store")
     }
@@ -851,8 +850,7 @@ mod tests {
 
     #[test]
     fn binary_publish_roundtrips_and_maps() {
-        let store =
-            temp_store("binround").with_leads_format(LeadsFormat::Binary { shards: 4 });
+        let store = temp_store("binround").with_leads_format(LeadsFormat::Binary { shards: 4 });
         let outcome = store.publish(&snapshot(1, 12)).expect("publish");
         // Full publish, nothing to link: index + 4 shards.
         assert_eq!(outcome.files_linked, 0);
@@ -868,10 +866,11 @@ mod tests {
 
     #[test]
     fn incremental_binary_publish_links_clean_shards() {
-        let store =
-            temp_store("binlink").with_leads_format(LeadsFormat::Binary { shards: 8 });
+        let store = temp_store("binlink").with_leads_format(LeadsFormat::Binary { shards: 8 });
         store.publish(&snapshot(1, 40)).expect("publish 1");
-        let incremental = store.publish(&extended_snapshot(2, 40, 6)).expect("publish 2");
+        let incremental = store
+            .publish(&extended_snapshot(2, 40, 6))
+            .expect("publish 2");
         // Every base shard is reused; the six new events are one delta.
         assert_eq!(
             (incremental.files_linked, incremental.shards_written),
@@ -884,7 +883,9 @@ mod tests {
         // must write strictly fewer.
         let cold_store =
             temp_store("binlink_cold").with_leads_format(LeadsFormat::Binary { shards: 8 });
-        let full = cold_store.publish(&extended_snapshot(2, 40, 6)).expect("cold");
+        let full = cold_store
+            .publish(&extended_snapshot(2, 40, 6))
+            .expect("cold");
         assert_eq!(full.files_linked, 0);
         assert!(
             incremental.bytes_written < full.bytes_written,
@@ -903,10 +904,11 @@ mod tests {
 
     #[test]
     fn linked_files_survive_pruning_the_source_generation() {
-        let store =
-            temp_store("linksurvive").with_leads_format(LeadsFormat::Binary { shards: 4 });
+        let store = temp_store("linksurvive").with_leads_format(LeadsFormat::Binary { shards: 4 });
         store.publish(&snapshot(1, 20)).expect("publish 1");
-        store.publish(&extended_snapshot(2, 20, 3)).expect("publish 2");
+        store
+            .publish(&extended_snapshot(2, 20, 3))
+            .expect("publish 2");
         // Deleting gen-1 must not corrupt gen-2's hard-linked files.
         let removed = store.prune(1).expect("prune");
         assert_eq!(removed, vec![1]);
@@ -961,8 +963,7 @@ mod tests {
     #[test]
     fn shard_failing_its_checksum_is_never_linked() {
         use std::os::unix::fs::MetadataExt;
-        let store =
-            temp_store("binchecksum").with_leads_format(LeadsFormat::Binary { shards: 4 });
+        let store = temp_store("binchecksum").with_leads_format(LeadsFormat::Binary { shards: 4 });
         store.publish(&snapshot(1, 40)).expect("publish 1");
         let victim = store.root().join("gen-1").join(shard_file(2));
         let mut bytes = std::fs::read(&victim).unwrap();
@@ -974,7 +975,11 @@ mod tests {
         let outcome = store.publish(&next).expect("publish 2");
         // Shards 0, 1 and 3 are linked; shard 2's slot is written empty
         // and its live records join the three new events in the delta.
-        assert_eq!((outcome.files_linked, outcome.shards_written), (3, 2), "{outcome:?}");
+        assert_eq!(
+            (outcome.files_linked, outcome.shards_written),
+            (3, 2),
+            "{outcome:?}"
+        );
         let ino = |g: u64, sid: usize| {
             let path = store.root().join(format!("gen-{g}")).join(shard_file(sid));
             std::fs::metadata(path).unwrap().ino()
@@ -989,14 +994,20 @@ mod tests {
     #[test]
     fn corrupt_linked_base_shard_fails_every_generation_that_links_it() {
         use std::os::unix::fs::MetadataExt;
-        let store =
-            temp_store("binshared").with_leads_format(LeadsFormat::Binary { shards: 4 });
+        let store = temp_store("binshared").with_leads_format(LeadsFormat::Binary { shards: 4 });
         store.publish(&snapshot(1, 40)).expect("publish 1");
-        store.publish(&extended_snapshot(2, 40, 3)).expect("publish 2");
-        store.publish(&extended_snapshot(3, 40, 6)).expect("publish 3");
+        store
+            .publish(&extended_snapshot(2, 40, 3))
+            .expect("publish 2");
+        store
+            .publish(&extended_snapshot(3, 40, 6))
+            .expect("publish 3");
         let victim = |g: u64| store.root().join(format!("gen-{g}")).join(shard_file(2));
         let ino = |g: u64| std::fs::metadata(victim(g)).unwrap().ino();
-        assert!(ino(1) == ino(2) && ino(2) == ino(3), "one inode, three generations");
+        assert!(
+            ino(1) == ino(2) && ino(2) == ino(3),
+            "one inode, three generations"
+        );
 
         // An in-place flip through any one link corrupts all of them.
         let mut bytes = std::fs::read(victim(3)).unwrap();
@@ -1009,7 +1020,10 @@ mod tests {
                 other => panic!("gen {g}: expected Invalid(checksum), got {other:?}"),
             }
         }
-        assert!(store.load_latest().expect("scan").is_none(), "no binary fallback");
+        assert!(
+            store.load_latest().expect("scan").is_none(),
+            "no binary fallback"
+        );
 
         // The next publish does not link the corrupt shard, so it loads.
         let next = extended_snapshot(4, 40, 6);
@@ -1046,8 +1060,7 @@ mod tests {
 
     #[test]
     fn corrupt_binary_arena_fails_cleanly() {
-        let store =
-            temp_store("bincorrupt").with_leads_format(LeadsFormat::Binary { shards: 2 });
+        let store = temp_store("bincorrupt").with_leads_format(LeadsFormat::Binary { shards: 2 });
         store.publish(&snapshot(1, 10)).expect("publish");
 
         // Bit-flip inside a shard: manifest checksum catches it.
@@ -1182,7 +1195,10 @@ mod tests {
         }
         // Retention kept gen-1 alive through four auto-prunes.
         assert_eq!(store.generations().unwrap(), vec![1, 4, 5]);
-        assert!(store.load(1).is_ok(), "pinned generation must stay loadable");
+        assert!(
+            store.load(1).is_ok(),
+            "pinned generation must stay loadable"
+        );
 
         // An explicit prune skips it too…
         let removed = store.prune(1).expect("prune");

@@ -172,10 +172,14 @@ pub fn run(server: &ServerHandle, store: &GenerationStore, config: &WatchConfig)
 
         // Mirror supervision + fault state into the served metrics.
         let m = server.metrics();
-        m.watch_cycles_total
-            .store(stats.cycles_total.load(Ordering::Relaxed), Ordering::Relaxed);
-        m.watch_retries_total
-            .store(stats.retries_total.load(Ordering::Relaxed), Ordering::Relaxed);
+        m.watch_cycles_total.store(
+            stats.cycles_total.load(Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
+        m.watch_retries_total.store(
+            stats.retries_total.load(Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
         m.watch_degraded
             .store(u64::from(stats.is_degraded()), Ordering::Relaxed);
         m.faults_injected_total

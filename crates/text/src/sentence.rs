@@ -53,7 +53,9 @@ const COMPANY_ABBREVS: &[&str] = &[
 ];
 
 fn is_non_terminal_abbrev(word: &str) -> bool {
-    NON_TERMINAL_ABBREVS.iter().any(|a| a.eq_ignore_ascii_case(word))
+    NON_TERMINAL_ABBREVS
+        .iter()
+        .any(|a| a.eq_ignore_ascii_case(word))
 }
 
 fn is_company_abbrev(word: &str) -> bool {
@@ -104,7 +106,12 @@ impl SentenceChunker {
     /// [`SentenceChunker::sentences`] into caller-kept buffers (both
     /// cleared first): `tokens` is working space, `spans` receives the
     /// sentences. Allocation-free once the buffers are warm.
-    pub fn sentences_into(&self, text: &str, tokens: &mut Vec<TokenSpan>, spans: &mut Vec<SentenceSpan>) {
+    pub fn sentences_into(
+        &self,
+        text: &str,
+        tokens: &mut Vec<TokenSpan>,
+        spans: &mut Vec<SentenceSpan>,
+    ) {
         spans.clear();
         tokenize_into(text, tokens);
         let tok = |i: usize| tokens[i].text(text);
@@ -119,7 +126,11 @@ impl SentenceChunker {
                     // next one always separates sentences (e.g. headline
                     // followed by body text).
                     i + 1 < tokens.len()
-                        && has_blank_line(text, tokens[i].end as usize, tokens[i + 1].start as usize)
+                        && has_blank_line(
+                            text,
+                            tokens[i].end as usize,
+                            tokens[i + 1].start as usize,
+                        )
                 }
             };
             if boundary {

@@ -137,7 +137,12 @@ impl SnippetGenerator {
     ///
     /// # Panics
     /// Panics if `k` is not below the count `split` returned.
-    pub fn snippet_text<'s>(&self, doc: &str, k: usize, scratch: &'s mut SnippetScratch) -> &'s str {
+    pub fn snippet_text<'s>(
+        &self,
+        doc: &str,
+        k: usize,
+        scratch: &'s mut SnippetScratch,
+    ) -> &'s str {
         let window = self.sentences_of(k, scratch.spans.len());
         join_window(doc, &scratch.spans[window], &mut scratch.text);
         &scratch.text
@@ -286,7 +291,13 @@ mod tests {
 
     #[test]
     fn split_and_join_match_owned_snippets() {
-        let docs = [DOC, "", "Aa. Bb.", "Only one sentence here.", "Aa. Bb. Cc. Dd. Ee."];
+        let docs = [
+            DOC,
+            "",
+            "Aa. Bb.",
+            "Only one sentence here.",
+            "Aa. Bb. Cc. Dd. Ee.",
+        ];
         let mut scratch = SnippetScratch::new();
         for g in [
             SnippetGenerator::new(3),
@@ -297,8 +308,9 @@ mod tests {
             for doc in docs {
                 let owned = g.snippets(doc);
                 let n = g.split(doc, &mut scratch);
-                let joined: Vec<String> =
-                    (0..n).map(|k| g.snippet_text(doc, k, &mut scratch).to_string()).collect();
+                let joined: Vec<String> = (0..n)
+                    .map(|k| g.snippet_text(doc, k, &mut scratch).to_string())
+                    .collect();
                 let texts: Vec<String> = owned.into_iter().map(|s| s.text).collect();
                 assert_eq!(joined, texts, "{doc:?}");
             }

@@ -338,7 +338,10 @@ pub fn tokenize(text: &str) -> Vec<Token<'_>> {
 /// Spans carry the same boundaries, order and shapes as [`tokenize`]
 /// output; resolve them with [`TokenSpan::text`].
 pub fn tokenize_into(text: &str, out: &mut Vec<TokenSpan>) {
-    debug_assert!(u32::try_from(text.len()).is_ok(), "snippet exceeds u32 span range");
+    debug_assert!(
+        u32::try_from(text.len()).is_ok(),
+        "snippet exceeds u32 span range"
+    );
     out.clear();
     tokenize_core(text, |start, end, kind| {
         out.push(TokenSpan {

@@ -15,16 +15,57 @@ use etap_text::{lower_cow, lower_into, tokenize, tokenize_into, TokenSpan};
 /// appear several times so words form often; the tail carries every
 /// special class the scanner branches on.
 const ALPHABET: &[char] = &[
-    'a', 'b', 'c', 'e', 'n', 'r', 's', 't', 'd', 'h', // word-formers
-    'A', 'B', 'I', 'M', 'Q', // capitals (AllCaps, Capitalized)
-    '0', '1', '2', '5', '9', // digits (ordinals, times, decimals)
-    ' ', ' ', ' ', '\t', '\n', // whitespace (dense)
-    '.', ',', '\'', '-', ':', '$', '%', '(', ')', // joiners + punct
-    '\u{0B}', '\u{7f}', '\u{85}', '\u{a0}', // exotic space/control
+    'a',
+    'b',
+    'c',
+    'e',
+    'n',
+    'r',
+    's',
+    't',
+    'd',
+    'h', // word-formers
+    'A',
+    'B',
+    'I',
+    'M',
+    'Q', // capitals (AllCaps, Capitalized)
+    '0',
+    '1',
+    '2',
+    '5',
+    '9', // digits (ordinals, times, decimals)
+    ' ',
+    ' ',
+    ' ',
+    '\t',
+    '\n', // whitespace (dense)
+    '.',
+    ',',
+    '\'',
+    '-',
+    ':',
+    '$',
+    '%',
+    '(',
+    ')', // joiners + punct
+    '\u{0B}',
+    '\u{7f}',
+    '\u{85}',
+    '\u{a0}',   // exotic space/control
     '\u{2019}', // curly apostrophe joiner
-    'é', 'ü', 'ß', '中', '日', 'Σ', 'σ', 'ς', // multibyte letters
+    'é',
+    'ü',
+    'ß',
+    '中',
+    '日',
+    'Σ',
+    'σ',
+    'ς',        // multibyte letters
     '\u{0301}', // combining acute (non-alphanumeric, non-space)
-    '€', '—', '…', // multibyte punctuation
+    '€',
+    '—',
+    '…',         // multibyte punctuation
     '\u{1F600}', // 4-byte scalar
 ];
 

@@ -44,7 +44,12 @@ fn main() {
         seed: watch::poll_batch_seed(poll_seed, 1),
         ..WebConfig::with_docs(300)
     });
-    let gen1 = Arc::new(LeadSnapshot::build(Arc::clone(&trained), day_one.docs(), 1, 0));
+    let gen1 = Arc::new(LeadSnapshot::build(
+        Arc::clone(&trained),
+        day_one.docs(),
+        1,
+        0,
+    ));
     store.publish(&gen1).expect("seal generation 1");
 
     let server = etap_repro::serve::start(

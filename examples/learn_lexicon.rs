@@ -60,9 +60,7 @@ fn main() {
     // clear-cut cases.
     assert!(learned.score("revenue surged past expectations") > 0.0);
     assert!(learned.score("demand slumped and earnings dropped") < 0.0);
-    println!(
-        "\nLearned lexicon agrees with the hand-built one on sign for the clear cases."
-    );
+    println!("\nLearned lexicon agrees with the hand-built one on sign for the clear cases.");
     println!(
         "Known SO-PMI limitation, visible above: words from mixed-sentiment windows \
          (\"revenue may fall…\" sentences share 3-sentence snippets with upbeat ones) \

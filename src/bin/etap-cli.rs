@@ -37,7 +37,9 @@
 //! Exit codes are classified for supervising shells / unit files:
 //! 1 unclassified, 2 usage, 3 store corruption, 4 transient I/O.
 
-use etap_repro::system::{driverfile, persist, rank, AliasResolver, EventIdentifier, TrainedDriver};
+use etap_repro::system::{
+    driverfile, persist, rank, AliasResolver, EventIdentifier, TrainedDriver,
+};
 use etap_repro::{DriverSet, DriverSpec, Etap, EtapConfig, SalesDriver, SyntheticWeb, WebConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -133,7 +135,9 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown command {other:?}\n{USAGE}"))),
+        other => Err(CliError::Usage(format!(
+            "unknown command {other:?}\n{USAGE}"
+        ))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -314,7 +318,10 @@ fn load_models(dir: &Path) -> Result<Vec<TrainedDriver>, CliError> {
         models.push(persist::load(&p).map_err(|e| format!("{}: {e}", p.display()))?);
     }
     if models.is_empty() {
-        return Err(CliError::Usage(format!("no .model files in {}", dir.display())));
+        return Err(CliError::Usage(format!(
+            "no .model files in {}",
+            dir.display()
+        )));
     }
     Ok(models)
 }
@@ -446,9 +453,10 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
         None => {
             // Cold start: build generation 1 from trained models + a
             // fresh crawl (persisted by the server when a store is set).
-            let models = load_models(Path::new(opts.get("models").ok_or(
-                "--models <dir> required (store is empty or not configured)",
-            )?))?;
+            let models = load_models(Path::new(
+                opts.get("models")
+                    .ok_or("--models <dir> required (store is empty or not configured)")?,
+            ))?;
             let window = opts.usize_or("window", 3);
             let trained = Arc::new(etap_repro::TrainedEtap::from_drivers(models, window));
             let crawl = fresh_crawl(opts);
@@ -483,8 +491,8 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
     // Arm deterministic fault injection first so every later store /
     // corpus call runs under the configured chaos plan. A malformed
     // spec is an invocation error, not a runtime one.
-    if let Some(registry) = etap_repro::runtime::fault::install_from_env()
-        .map_err(CliError::Usage)?
+    if let Some(registry) =
+        etap_repro::runtime::fault::install_from_env().map_err(CliError::Usage)?
     {
         eprintln!(
             "fault injection armed: {} (seed {:#x})",
@@ -691,7 +699,10 @@ fn cmd_generations(opts: &Opts) -> Result<(), CliError> {
         println!("store {} is empty", store.root().display());
         return Ok(());
     }
-    println!("{:<12} {:>8} {:>10}  status", "generation", "events", "companies");
+    println!(
+        "{:<12} {:>8} {:>10}  status",
+        "generation", "events", "companies"
+    );
     for generation in generations {
         match store.load(generation) {
             Ok(snapshot) => println!(
@@ -747,10 +758,16 @@ fn cmd_diff(opts: &Opts) -> Result<(), CliError> {
         remaining.len()
     );
     for event in added.iter().take(opts.usize_or("top", 5)) {
-        println!("+ [{:.3}] ({}) {}", event.score, event.driver, event.snippet);
+        println!(
+            "+ [{:.3}] ({}) {}",
+            event.score, event.driver, event.snippet
+        );
     }
     for event in remaining.iter().take(opts.usize_or("top", 5)) {
-        println!("- [{:.3}] ({}) {}", event.score, event.driver, event.snippet);
+        println!(
+            "- [{:.3}] ({}) {}",
+            event.score, event.driver, event.snippet
+        );
     }
     Ok(())
 }

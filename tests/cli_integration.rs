@@ -225,7 +225,10 @@ fn publish_generations_diff_workflow() {
         .lines()
         .find(|l| l.starts_with("gen 1 → gen 2:"))
         .unwrap_or_else(|| panic!("no diff summary in: {stdout}"));
-    assert!(summary.ends_with("/ -0)"), "extend removed events: {summary}");
+    assert!(
+        summary.ends_with("/ -0)"),
+        "extend removed events: {summary}"
+    );
 
     // A corrupted generation shows as INVALID but the command succeeds.
     let manifest = store.join("gen-2").join("MANIFEST");
@@ -360,7 +363,13 @@ fn exit_codes_classify_usage_corruption_and_transient_io() {
     assert_eq!(out.status.code(), Some(2), "missing --out");
     let models = temp_model_dir("bad_driver");
     let out = cli()
-        .args(["train", "--out", models.to_str().unwrap(), "--driver", "cim,astrology"])
+        .args([
+            "train",
+            "--out",
+            models.to_str().unwrap(),
+            "--driver",
+            "cim,astrology",
+        ])
         .output()
         .expect("run");
     assert_eq!(out.status.code(), Some(2), "unknown driver");
@@ -389,10 +398,22 @@ fn exit_codes_classify_usage_corruption_and_transient_io() {
     let models = temp_model_dir("exitcode_models");
     let store = temp_model_dir("exitcode_store");
     let out = cli()
-        .args(["train", "--out", models.to_str().unwrap(), "--docs", "900", "--driver", "cim"])
+        .args([
+            "train",
+            "--out",
+            models.to_str().unwrap(),
+            "--docs",
+            "900",
+            "--driver",
+            "cim",
+        ])
         .output()
         .expect("run train");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     for seed in ["7", "11"] {
         let mut args = vec![
             "publish",
@@ -409,13 +430,25 @@ fn exit_codes_classify_usage_corruption_and_transient_io() {
             args.push("--extend");
         }
         let out = cli().args(&args).output().expect("run publish");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     let manifest = store.join("gen-2").join("MANIFEST");
     let text = std::fs::read_to_string(&manifest).expect("read manifest");
     std::fs::write(&manifest, &text[..text.len() - 8]).expect("truncate manifest");
     let out = cli()
-        .args(["diff", "--store", store.to_str().unwrap(), "--from", "1", "--to", "2"])
+        .args([
+            "diff",
+            "--store",
+            store.to_str().unwrap(),
+            "--from",
+            "1",
+            "--to",
+            "2",
+        ])
         .output()
         .expect("run diff");
     assert_eq!(
@@ -435,10 +468,22 @@ fn watch_runs_supervised_cycles_and_seals_generations() {
     let store = temp_model_dir("watch_store");
 
     let out = cli()
-        .args(["train", "--out", models.to_str().unwrap(), "--docs", "900", "--driver", "cim"])
+        .args([
+            "train",
+            "--out",
+            models.to_str().unwrap(),
+            "--docs",
+            "900",
+            "--driver",
+            "cim",
+        ])
         .output()
         .expect("run train");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Cold start: watch builds generation 1, then runs 2 supervised
     // cycles under a deterministic fault plan (one delayed poll, one
@@ -457,20 +502,29 @@ fn watch_runs_supervised_cycles_and_seals_generations() {
             "--interval-ms",
             "0",
         ])
-        .env("ETAP_FAULTS", "corpus.poll=delay:2ms@0.5,retrain=panic@once")
+        .env(
+            "ETAP_FAULTS",
+            "corpus.poll=delay:2ms@0.5,retrain=panic@once",
+        )
         .env("ETAP_FAULT_SEED", "42")
         .output()
         .expect("run watch");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.contains("fault injection armed"), "{stderr}");
-    assert!(stderr.contains("watch done: 2 cycle(s), 0 failed"), "{stderr}");
+    assert!(
+        stderr.contains("watch done: 2 cycle(s), 0 failed"),
+        "{stderr}"
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("listening on http://"), "{stdout}");
     // Cold-built gen 1 + two cycles = gens 1..3 sealed on disk.
     for generation in 1..=3 {
         assert!(
-            store.join(format!("gen-{generation}")).join("MANIFEST").exists(),
+            store
+                .join(format!("gen-{generation}"))
+                .join("MANIFEST")
+                .exists(),
             "generation {generation} missing\n{stderr}"
         );
     }
@@ -516,12 +570,7 @@ fn watch_runs_supervised_cycles_and_seals_generations() {
 fn publish_extend_on_empty_store_fails() {
     let store = temp_model_dir("empty_store");
     let out = cli()
-        .args([
-            "publish",
-            "--store",
-            store.to_str().unwrap(),
-            "--extend",
-        ])
+        .args(["publish", "--store", store.to_str().unwrap(), "--extend"])
         .output()
         .expect("run publish");
     assert!(!out.status.success());

@@ -119,10 +119,8 @@ fn custom_driver_leads_survive_v2_publish_restart_and_threads() {
     let trained = trained_custom();
     let crawl = custom_crawl(43);
 
-    let root = std::env::temp_dir().join(format!(
-        "etap_drivers_integration_{}",
-        std::process::id()
-    ));
+    let root =
+        std::env::temp_dir().join(format!("etap_drivers_integration_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let store = GenerationStore::open(&root)
         .expect("open store")

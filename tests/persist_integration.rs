@@ -38,10 +38,7 @@ fn crawl(seed: u64, docs: usize) -> SyntheticWeb {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "etap_persist_it_{tag}_{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("etap_persist_it_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
@@ -60,16 +57,17 @@ fn trained_system_roundtrips_through_model_files() {
     let restored: Vec<_> = system
         .drivers()
         .iter()
-        .map(|d| {
-            persist::load(&dir.join(format!("{}.model", d.spec.driver.id()))).expect("load")
-        })
+        .map(|d| persist::load(&dir.join(format!("{}.model", d.spec.driver.id()))).expect("load"))
         .collect();
     let restored = TrainedEtap::from_drivers(restored, system.snippet_window());
 
     let fresh = crawl(21, 60);
     let original_events = system.identify_events(fresh.docs());
     let restored_events = restored.identify_events(fresh.docs());
-    assert_eq!(original_events, restored_events, "bit-identical identification");
+    assert_eq!(
+        original_events, restored_events,
+        "bit-identical identification"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -81,8 +79,7 @@ fn serialized_model_is_v2_codec_with_checksum() {
     let trailer = text.lines().last().expect("trailer");
     assert!(trailer.starts_with("#sum "), "{trailer}");
     // The codec layer validates it end to end.
-    let (version, _) =
-        etap_repro::persist::parse(&text, "MODEL", 2).expect("codec-valid document");
+    let (version, _) = etap_repro::persist::parse(&text, "MODEL", 2).expect("codec-valid document");
     assert_eq!(version, 2);
 }
 
@@ -233,7 +230,10 @@ fn torn_manifest_write_falls_back_to_previous_generation() {
     let bytes = std::fs::read(&manifest).unwrap();
     for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&manifest, &bytes[..cut]).unwrap();
-        assert!(store.load(2).is_err(), "cut={cut}: torn manifest must not load");
+        assert!(
+            store.load(2).is_err(),
+            "cut={cut}: torn manifest must not load"
+        );
         let (loaded, skipped) = store
             .load_latest()
             .expect("scan survives the torn generation")
@@ -278,14 +278,20 @@ fn generation_vanishing_between_listing_and_read_never_panics() {
     // Shape 2: the directory itself is gone. A reader holding the old
     // listing gets an error (not a panic); a fresh scan serves gen 1.
     std::fs::remove_dir_all(root.join("gen-2")).unwrap();
-    assert!(store.load(2).is_err(), "missing generation must error cleanly");
+    assert!(
+        store.load(2).is_err(),
+        "missing generation must error cleanly"
+    );
     let (loaded, skipped) = store
         .load_latest()
         .expect("scan")
         .expect("gen 1 still serves");
     assert_eq!(loaded.generation, 1);
     assert_eq!(loaded.book, gen1.book);
-    assert!(skipped.is_empty(), "nothing listed, nothing skipped: {skipped:?}");
+    assert!(
+        skipped.is_empty(),
+        "nothing listed, nothing skipped: {skipped:?}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -364,7 +370,10 @@ fn every_listed_company_resolves_in_owned_and_mapped_books() {
             let (view, view_events) = mapped.company_events(&c.company).expect("mapped lookup");
             assert_eq!((view.company, view.events), (c.company.as_str(), c.events));
             let view_events: Vec<_> = view_events.iter().map(|v| v.to_owned_event()).collect();
-            assert_eq!(owned_events.into_iter().cloned().collect::<Vec<_>>(), view_events);
+            assert_eq!(
+                owned_events.into_iter().cloned().collect::<Vec<_>>(),
+                view_events
+            );
         }
         // Every surface form an event names resolves to a listed company.
         for surface in book.events().iter().flat_map(|e| &e.companies) {

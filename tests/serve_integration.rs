@@ -90,9 +90,7 @@ fn status_of(response: &str) -> u16 {
 }
 
 fn body_of(response: &str) -> &str {
-    response
-        .split_once("\r\n\r\n")
-        .map_or("", |(_, body)| body)
+    response.split_once("\r\n\r\n").map_or("", |(_, body)| body)
 }
 
 fn header_of<'a>(response: &'a str, name: &str) -> Option<&'a str> {
@@ -201,10 +199,7 @@ fn leads_match_offline_ranking_and_companies_match_mrr() {
     );
     assert_eq!(status_of(&response), 200);
     let ebody = body_of(&response);
-    assert!(ebody.contains(&format!(
-        "\"event_count\":{}",
-        top_company.events
-    )));
+    assert!(ebody.contains(&format!("\"event_count\":{}", top_company.events)));
 
     server.shutdown();
 }
@@ -221,7 +216,10 @@ fn score_endpoint_scores_snippets() {
     );
     assert_eq!(status_of(&on_topic), 200);
     let body = body_of(&on_topic);
-    assert!(body.contains("\"driver\":\"change_in_management\""), "{body}");
+    assert!(
+        body.contains("\"driver\":\"change_in_management\""),
+        "{body}"
+    );
     assert!(body.contains("\"trigger\":true"), "{body}");
 
     let off_topic = post(
@@ -269,7 +267,10 @@ fn icp_endpoint_scores_companies_with_explanations() {
         .iter()
         .find(|&&i| i != profile.industry)
         .unwrap();
-    let r = get(addr, &format!("/score?company=Acme%20Corp&industry={other}"));
+    let r = get(
+        addr,
+        &format!("/score?company=Acme%20Corp&industry={other}"),
+    );
     assert_eq!(status_of(&r), 200);
     let body = body_of(&r);
     assert!(!body.contains("\"icp_score\":100"), "{body}");
@@ -282,14 +283,20 @@ fn icp_endpoint_scores_companies_with_explanations() {
         &format!("/score?company=Acme%20Corp&industry={other}&w_industry=0&w_size=1&w_region=1"),
     );
     assert!(body_of(&r).contains("\"icp_score\":100"), "{r}");
-    assert_eq!(status_of(&get(addr, "/score?company=A&size_min=banana")), 400);
+    assert_eq!(
+        status_of(&get(addr, "/score?company=A&size_min=banana")),
+        400
+    );
     assert_eq!(status_of(&get(addr, "/score?company=A&w_size=-1")), 400);
 
     // A driver parameter adds the company's trigger-event count.
     let r = get(addr, "/score?company=Acme%20Corp&driver=cim");
     assert_eq!(status_of(&r), 200);
     let body = body_of(&r);
-    assert!(body.contains("\"driver\":\"change_in_management\""), "{body}");
+    assert!(
+        body.contains("\"driver\":\"change_in_management\""),
+        "{body}"
+    );
     assert!(body.contains("\"driver_events\":"), "{body}");
 
     server.shutdown();
@@ -330,7 +337,10 @@ fn error_paths() {
 
     // 404 unknown route; unknown company.
     assert_eq!(status_of(&get(addr, "/nope")), 404);
-    assert_eq!(status_of(&get(addr, "/companies/No%20Such%20Co/events")), 404);
+    assert_eq!(
+        status_of(&get(addr, "/companies/No%20Such%20Co/events")),
+        404
+    );
     // Degenerate company-events paths where the "/companies/" prefix
     // and "/events" suffix overlap or enclose an empty name must 404
     // instead of panicking the worker that slices the name out.
@@ -361,14 +371,19 @@ fn error_paths() {
         body_of(&unknown).contains("\"error\":\"unknown driver key: astrology\""),
         "{unknown}"
     );
-    assert_eq!(status_of(&get(addr, "/score?company=Acme&driver=astrology")), 404);
+    assert_eq!(
+        status_of(&get(addr, "/score?company=Acme&driver=astrology")),
+        404
+    );
     // 413 oversized body (declared up front).
     let big = "x".repeat(4096);
     let response = post(addr, "/score", &big);
     assert_eq!(status_of(&response), 413);
     // 408 deadline exceeded mid-read: send half a request and stall.
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(b"GET /leads HTTP/1.1\r\nHos").expect("write");
+    stream
+        .write_all(b"GET /leads HTTP/1.1\r\nHos")
+        .expect("write");
     let mut out = Vec::new();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -391,11 +406,15 @@ fn backpressure_sheds_with_retry_after() {
 
     // Occupy the single worker with a stalled request…
     let mut stalled = TcpStream::connect(addr).expect("connect");
-    stalled.write_all(b"GET /leads HTTP/1.1\r\n").expect("write");
+    stalled
+        .write_all(b"GET /leads HTTP/1.1\r\n")
+        .expect("write");
     std::thread::sleep(Duration::from_millis(100)); // worker now blocked reading
-    // …fill the queue…
+                                                    // …fill the queue…
     let mut queued = TcpStream::connect(addr).expect("connect");
-    queued.write_all(b"GET /healthz HTTP/1.1\r\n").expect("write");
+    queued
+        .write_all(b"GET /healthz HTTP/1.1\r\n")
+        .expect("write");
     std::thread::sleep(Duration::from_millis(100));
     // …then the next connection must be shed instantly with 503.
     let shed = get(addr, "/healthz");
@@ -546,12 +565,7 @@ fn served_responses_are_identical_for_any_thread_count() {
     let fresh = crawl(7);
     let mut bodies = Vec::new();
     for threads in [1usize, 4] {
-        let snapshot = Arc::new(LeadSnapshot::build(
-            trained(),
-            fresh.docs(),
-            1,
-            threads,
-        ));
+        let snapshot = Arc::new(LeadSnapshot::build(trained(), fresh.docs(), 1, threads));
         let server =
             etap_repro::serve::start(&ServeConfig::default(), snapshot).expect("start server");
         let addr = server.addr();
@@ -748,7 +762,10 @@ fn publishes_persist_and_warm_start_serves_identical_responses() {
 
     // "Restart": a brand-new server warm-started purely from disk.
     let store = etap_repro::serve::GenerationStore::open(&root).expect("open store");
-    let (restored, skipped) = store.load_latest().expect("scan").expect("valid generation");
+    let (restored, skipped) = store
+        .load_latest()
+        .expect("scan")
+        .expect("valid generation");
     assert!(skipped.is_empty(), "{skipped:?}");
     assert_eq!(restored.generation, 2, "resumes at the newest generation");
     let server2 = etap_repro::serve::start(&config, Arc::new(restored)).expect("restart");

@@ -17,7 +17,8 @@ use std::time::Duration;
 /// Serialize tests that install the process-global fault registry.
 fn fault_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn trained() -> Arc<TrainedEtap> {
@@ -133,7 +134,10 @@ fn faulted_watch_replays_identically_across_thread_counts() {
         !trace1.is_empty(),
         "the replay spec must actually inject something"
     );
-    assert_eq!(trace1, trace4, "injection traces diverged across thread counts");
+    assert_eq!(
+        trace1, trace4,
+        "injection traces diverged across thread counts"
+    );
     assert_eq!(gens1, gens4, "sealed generations diverged");
     assert_eq!(bytes1, bytes4, "newest sealed events.leads bytes diverged");
     // The @once panic arm fired exactly once.
@@ -149,7 +153,9 @@ fn watch_advances_generations_and_prunes_with_retention() {
     let _guard = fault_lock();
     fault::reset();
     let (root, _store, gen1) = seeded_store("advance");
-    let store = GenerationStore::open(&root).expect("reopen").with_retention(2);
+    let store = GenerationStore::open(&root)
+        .expect("reopen")
+        .with_retention(2);
     let server = test_server(gen1);
     let report = watch::run(&server, &store, &fast_config(3, 0));
     server.shutdown();
