@@ -9,100 +9,40 @@
 //! to emit the *instance* (the word/entity surface form) or the
 //! *presence* (the bare category tag) into the feature vector.
 //!
-//! ## Representation: structure-of-arrays over a shared buffer
+//! ## Representation: structure-of-arrays in one shared buffer
 //!
-//! A snippet no longer owns one `String` per token. All annotation data
-//! lives in a [`SnippetBuf`] — one text buffer plus parallel span / POS /
-//! entity-link / entity vectors — and an [`AnnotatedSnippet`] is an
-//! `Arc<SnippetBuf>` handle plus the ranges of one snippet inside it.
-//! Several snippets of a batch share one buffer; the per-worker
-//! [`crate::AnnotateScratch`] recycles buffers through an
-//! [`etap_runtime::Arena`], so steady-state annotation allocates nothing.
-//!
-//! All offsets stored in the buffer are **snippet-relative** (token spans
-//! index the snippet's own text slice, entity links index the snippet's
-//! own entity list), which makes equality and downstream consumption
-//! independent of where in a shared buffer a snippet happens to live —
-//! chunk boundaries are invisible, which the determinism suite relies on.
+//! A snippet does not own one `String` per token. Its annotation data
+//! lives in one `SnippetBuf`: the text plus parallel span / POS /
+//! entity-link / entity vectors. An [`AnnotatedSnippet`] is an `Arc`
+//! handle to that buffer, so cloning it is a refcount bump. The
+//! per-worker [`crate::AnnotateScratch`] keeps the handle it last gave
+//! out and refills that buffer in place once every other handle is
+//! dropped, so steady-state annotation allocates nothing.
 
 use crate::entity::{EntityCategory, EntitySpan};
 use crate::pos::PosTag;
-use etap_runtime::Recycle;
-use etap_text::{Token, TokenSpan};
+use etap_text::TokenSpan;
 use std::fmt;
 use std::sync::Arc;
 
 /// Sentinel for "token not covered by any entity" in the link vector.
 const NO_ENTITY: u32 = u32::MAX;
 
-/// Backing storage for one or more annotated snippets: one owned text
-/// buffer plus parallel structure-of-arrays annotation vectors.
+/// Backing storage of one annotated snippet: its text plus parallel
+/// structure-of-arrays annotation vectors.
 #[derive(Debug, Default)]
-pub struct SnippetBuf {
-    /// Concatenated snippet texts.
+struct SnippetBuf {
+    /// The snippet text.
     text: String,
-    /// Token spans, with offsets relative to each snippet's text slice.
+    /// Token spans over `text`.
     spans: Vec<TokenSpan>,
     /// POS tag per token (parallel to `spans`).
     pos: Vec<PosTag>,
-    /// Snippet-relative entity index per token, `NO_ENTITY` if uncovered
+    /// Index into `entities` per token, `NO_ENTITY` if uncovered
     /// (parallel to `spans`).
     entity: Vec<u32>,
-    /// Entity spans, with snippet-relative token indices and offsets.
+    /// Entity spans, with token indices into `spans`.
     entities: Vec<EntitySpan>,
-}
-
-/// The ranges of one snippet inside a [`SnippetBuf`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SnipRange {
-    text: (u32, u32),
-    toks: (u32, u32),
-    ents: (u32, u32),
-}
-
-impl SnippetBuf {
-    /// Append one annotated snippet. `spans`/`pos` are parallel token
-    /// vectors over `text`; `entities` carries token indices into
-    /// `spans`. Everything is copied verbatim — offsets stay
-    /// snippet-relative — so appending is a handful of `memcpy`s.
-    pub(crate) fn push_snippet(
-        &mut self,
-        text: &str,
-        spans: &[TokenSpan],
-        pos: &[PosTag],
-        entities: &[EntitySpan],
-    ) -> SnipRange {
-        debug_assert_eq!(spans.len(), pos.len());
-        let text_at = self.text.len() as u32;
-        let toks_at = self.spans.len() as u32;
-        let ents_at = self.entities.len() as u32;
-        self.text.push_str(text);
-        self.spans.extend_from_slice(spans);
-        self.pos.extend_from_slice(pos);
-        let base = self.entity.len();
-        self.entity.resize(base + spans.len(), NO_ENTITY);
-        for (ei, span) in entities.iter().enumerate() {
-            for ti in span.token_range() {
-                self.entity[base + ti] = ei as u32;
-            }
-        }
-        self.entities.extend_from_slice(entities);
-        SnipRange {
-            text: (text_at, self.text.len() as u32),
-            toks: (toks_at, self.spans.len() as u32),
-            ents: (ents_at, self.entities.len() as u32),
-        }
-    }
-}
-
-impl Recycle for SnippetBuf {
-    fn recycle(&mut self) {
-        self.text.clear();
-        self.spans.clear();
-        self.pos.clear();
-        self.entity.clear();
-        self.entities.clear();
-    }
 }
 
 /// One token of an annotated snippet, as viewed through
@@ -118,106 +58,89 @@ pub struct TokenRef<'a> {
     pub entity: Option<usize>,
 }
 
-/// A fully annotated snippet: a shared buffer handle plus the ranges of
-/// this snippet's text, tokens and entities inside it.
+/// A fully annotated snippet: a shared handle to its buffer.
 ///
 /// Cloning is a refcount bump. Equality compares annotation *content*
 /// (text, token spans, POS tags, entity links, entity spans), never
-/// buffer identity, so snippets annotated through different batch
-/// chunkings compare equal.
-#[derive(Clone)]
-pub struct AnnotatedSnippet {
-    buf: Arc<SnippetBuf>,
-    range: SnipRange,
-}
-
-impl Default for AnnotatedSnippet {
-    fn default() -> Self {
-        Self {
-            buf: Arc::new(SnippetBuf::default()),
-            range: SnipRange {
-                text: (0, 0),
-                toks: (0, 0),
-                ents: (0, 0),
-            },
-        }
-    }
-}
+/// buffer identity.
+#[derive(Clone, Default)]
+pub struct AnnotatedSnippet(Arc<SnippetBuf>);
 
 impl AnnotatedSnippet {
-    /// Wrap one snippet range of a shared buffer.
-    pub(crate) fn from_shared(buf: Arc<SnippetBuf>, range: SnipRange) -> Self {
-        Self { buf, range }
-    }
-
-    /// Assemble from tokenizer + NER + POS outputs (compatibility path:
-    /// builds a fresh single-snippet buffer).
-    ///
-    /// `entities` must be disjoint and ordered (as produced by
-    /// [`crate::NamedEntityRecognizer::recognize`]).
-    #[must_use]
-    pub fn assemble(
-        source: &str,
-        tokens: &[Token<'_>],
-        entities: Vec<EntitySpan>,
-        pos_tags: &[PosTag],
-    ) -> Self {
-        debug_assert_eq!(tokens.len(), pos_tags.len());
-        let mut buf = SnippetBuf::default();
-        let spans: Vec<TokenSpan> = tokens
-            .iter()
-            .map(|t| TokenSpan {
-                start: t.start as u32,
-                end: t.end as u32,
-                kind: t.kind,
-            })
-            .collect();
-        let range = buf.push_snippet(source, &spans, pos_tags, &entities);
-        Self {
-            buf: Arc::new(buf),
-            range,
+    /// Make this handle hold one annotated snippet. `spans`/`pos` are
+    /// parallel token vectors over `text`; `entities` carries token
+    /// indices into `spans`. The buffer is cleared and refilled in place
+    /// (capacities kept) when no other handle shares it; otherwise the
+    /// handle moves to a fresh buffer and the shared one is left to its
+    /// holders.
+    pub(crate) fn refill(
+        &mut self,
+        text: &str,
+        spans: &[TokenSpan],
+        pos: &[PosTag],
+        entities: &[EntitySpan],
+    ) {
+        debug_assert_eq!(spans.len(), pos.len());
+        if Arc::get_mut(&mut self.0).is_none() {
+            self.0 = Arc::default();
         }
+        let buf = Arc::get_mut(&mut self.0).expect("the buffer is unshared after the check");
+        buf.text.clear();
+        buf.text.push_str(text);
+        buf.spans.clear();
+        buf.spans.extend_from_slice(spans);
+        buf.pos.clear();
+        buf.pos.extend_from_slice(pos);
+        buf.entity.clear();
+        buf.entity.resize(spans.len(), NO_ENTITY);
+        for (ei, span) in entities.iter().enumerate() {
+            for ti in span.token_range() {
+                buf.entity[ti] = ei as u32;
+            }
+        }
+        buf.entities.clear();
+        buf.entities.extend_from_slice(entities);
     }
 
     /// The snippet's source text.
     #[must_use]
     pub fn text(&self) -> &str {
-        &self.buf.text[self.range.text.0 as usize..self.range.text.1 as usize]
+        &self.0.text
     }
 
     /// Token spans over [`Self::text`].
     #[must_use]
     pub fn spans(&self) -> &[TokenSpan] {
-        &self.buf.spans[self.range.toks.0 as usize..self.range.toks.1 as usize]
+        &self.0.spans
     }
 
     /// POS tags, parallel to [`Self::spans`].
     #[must_use]
     pub fn pos_tags(&self) -> &[PosTag] {
-        &self.buf.pos[self.range.toks.0 as usize..self.range.toks.1 as usize]
+        &self.0.pos
     }
 
     fn entity_ids(&self) -> &[u32] {
-        &self.buf.entity[self.range.toks.0 as usize..self.range.toks.1 as usize]
+        &self.0.entity
     }
 
-    /// Entity spans in document order (token indices refer to this
-    /// snippet's tokens).
+    /// Entity spans in document order (token indices refer to
+    /// [`Self::spans`]).
     #[must_use]
     pub fn entities(&self) -> &[EntitySpan] {
-        &self.buf.entities[self.range.ents.0 as usize..self.range.ents.1 as usize]
+        &self.0.entities
     }
 
     /// Number of tokens.
     #[must_use]
     pub fn token_count(&self) -> usize {
-        (self.range.toks.1 - self.range.toks.0) as usize
+        self.0.spans.len()
     }
 
     /// Whether the snippet has no tokens.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.range.toks.0 == self.range.toks.1
+        self.0.spans.is_empty()
     }
 
     /// Surface text of token `i`.
@@ -341,14 +264,10 @@ impl fmt::Debug for AnnotatedSnippet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NamedEntityRecognizer, PosTagger};
-    use etap_text::tokenize;
+    use crate::{AnnotateScratch, Annotator};
 
     fn annotate(text: &str) -> AnnotatedSnippet {
-        let toks = tokenize(text);
-        let ents = NamedEntityRecognizer::new().recognize(&toks);
-        let tags = PosTagger::new().tag(&toks);
-        AnnotatedSnippet::assemble(text, &toks, ents, &tags)
+        Annotator::new().annotate(text)
     }
 
     #[test]
@@ -410,35 +329,20 @@ mod tests {
         let text2 = "Oracle gained 5 % on Monday.";
         let standalone = annotate(text2);
 
-        // Build a shared buffer holding both snippets; the second must
-        // compare equal to its standalone twin despite living at a
-        // nonzero offset in a different buffer.
-        let ner = NamedEntityRecognizer::new();
-        let pos = PosTagger::new();
-        let mut buf = SnippetBuf::default();
-        let mut ranges = Vec::new();
-        for text in [text1, text2] {
-            let toks = tokenize(text);
-            let spans: Vec<TokenSpan> = toks
-                .iter()
-                .map(|t| TokenSpan {
-                    start: t.start as u32,
-                    end: t.end as u32,
-                    kind: t.kind,
-                })
-                .collect();
-            let ents = ner.recognize(&toks);
-            let tags = pos.tag(&toks);
-            ranges.push(buf.push_snippet(text, &spans, &tags, &ents));
-        }
-        let shared = Arc::new(buf);
-        let packed = AnnotatedSnippet::from_shared(Arc::clone(&shared), ranges[1]);
-        assert_eq!(packed, standalone);
-        assert_eq!(packed.text(), text2);
+        // A warm scratch annotates `text2` into a buffer that held
+        // `text1` before (capacities sized for it); the result must
+        // compare equal to its standalone twin in a buffer of its own.
+        let ann = Annotator::new();
+        let mut scratch = AnnotateScratch::new();
+        let first = ann.annotate_with(text1, &mut scratch);
         assert_ne!(
-            packed,
-            AnnotatedSnippet::from_shared(shared, ranges[0]),
+            first, standalone,
             "different snippets must not compare equal"
         );
+        drop(first);
+        let refilled = ann.annotate_with(text2, &mut scratch);
+        assert_eq!(refilled, standalone);
+        assert_eq!(refilled.text(), text2);
+        assert!(!Arc::ptr_eq(&refilled.0, &standalone.0));
     }
 }

@@ -30,16 +30,13 @@ pub mod gazetteer;
 pub mod ner;
 pub mod pos;
 
-pub use annotated::{AnnotatedSnippet, SnippetBuf, TokenRef};
+pub use annotated::{AnnotatedSnippet, TokenRef};
 pub use entity::{EntityCategory, EntitySpan};
 pub use ner::{NamedEntityRecognizer, Rule, StartClass};
 pub use pos::{PosTag, PosTagger};
 
-use annotated::SnipRange;
-use etap_runtime::Arena;
 use etap_text::{LexemeMemo, TokenSpan};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What the annotator derives from a token's surface alone: its POS tag
 /// and which NER rules can start at it.
@@ -51,9 +48,9 @@ struct Lexeme {
 
 /// Per-worker reusable state for the zero-allocation annotate path:
 /// tokenizer span vector, NER/POS outputs, the lowercase fold buffer, and
-/// the [`Arena`] that owns snippet buffers. One scratch per worker
-/// (threaded through `par_chunk_map_with`); after warm-up, annotating a
-/// snippet whose previous output has been dropped allocates nothing.
+/// the snippet last handed out, whose buffer the next call refills. Keep
+/// one scratch per worker thread; after warm-up, annotating a snippet
+/// whose previous output has been dropped allocates nothing.
 ///
 /// The scratch also remembers each distinct token surface's POS tag and
 /// NER [`StartClass`] (a [`LexemeMemo`]), from its second snippet on.
@@ -61,15 +58,6 @@ struct Lexeme {
 /// the same one after [`Annotator::ner_mut`], the scratch forgets it.
 #[derive(Debug, Default)]
 pub struct AnnotateScratch {
-    tokens: TokenScratch,
-    ranges: Vec<SnipRange>,
-    arena: Arena<SnippetBuf>,
-}
-
-/// The per-snippet half of an [`AnnotateScratch`]: one snippet's tokens
-/// and annotations, and the lexeme memo.
-#[derive(Debug, Default)]
-struct TokenScratch {
     spans: Vec<TokenSpan>,
     entities: Vec<EntitySpan>,
     pos: Vec<PosTag>,
@@ -78,6 +66,7 @@ struct TokenScratch {
     lexemes: LexemeMemo<Lexeme>,
     /// [`Annotator::stamp`] of the annotator `lexemes` was filled by.
     stamp: u64,
+    out: AnnotatedSnippet,
 }
 
 impl AnnotateScratch {
@@ -145,26 +134,28 @@ impl Annotator {
     /// state (scratch warm, previous snippet dropped) this performs zero
     /// heap allocations: the tokenizer writes spans into the scratch, the
     /// NER walks gazetteer tries without key strings, and the output
-    /// buffer is recycled through the scratch's arena. If the previous
-    /// snippet is still alive the arena spills to a fresh buffer, so
+    /// buffer of the previous call is refilled in place. If the previous
+    /// snippet is still alive the output goes to a fresh buffer, so
     /// retaining snippets is safe, just not free.
     #[must_use]
     pub fn annotate_with(&self, text: &str, scratch: &mut AnnotateScratch) -> AnnotatedSnippet {
+        self.annotate_spans(text, scratch);
         let AnnotateScratch {
-            tokens: t, arena, ..
+            spans,
+            entities,
+            pos,
+            out,
+            ..
         } = scratch;
-        self.annotate_spans(text, t);
-        let range = arena
-            .fill()
-            .push_snippet(text, &t.spans, &t.pos, &t.entities);
-        AnnotatedSnippet::from_shared(arena.share(), range)
+        out.refill(text, spans, pos, entities);
+        out.clone()
     }
 
     /// Tokenize `text` into the scratch and fill its POS tags and entity
     /// spans. Each token's [`Lexeme`] comes from the scratch's memo,
     /// except on the scratch's first snippet.
-    fn annotate_spans(&self, text: &str, scratch: &mut TokenScratch) {
-        let TokenScratch {
+    fn annotate_spans(&self, text: &str, scratch: &mut AnnotateScratch) {
+        let AnnotateScratch {
             spans,
             entities,
             pos,
@@ -172,6 +163,7 @@ impl Annotator {
             lower,
             lexemes,
             stamp,
+            ..
         } = scratch;
         etap_text::tokenize_into(text, spans);
         if *stamp != self.stamp {
@@ -200,65 +192,6 @@ impl Annotator {
             .recognize_with_starts(text, spans, starts, lower, entities);
     }
 
-    /// Annotate one chunk of a batch into a single shared buffer: the
-    /// arena is filled once per chunk (reset-per-chunk), and every
-    /// snippet of the chunk shares the one `Arc` buffer.
-    fn annotate_chunk<S: AsRef<str>>(
-        &self,
-        chunk: &[S],
-        scratch: &mut AnnotateScratch,
-    ) -> Vec<AnnotatedSnippet> {
-        let AnnotateScratch {
-            tokens: t,
-            ranges,
-            arena,
-        } = scratch;
-        ranges.clear();
-        {
-            let buf = arena.fill();
-            for text in chunk {
-                let text = text.as_ref();
-                self.annotate_spans(text, t);
-                ranges.push(buf.push_snippet(text, &t.spans, &t.pos, &t.entities));
-            }
-        }
-        let shared = arena.share();
-        ranges
-            .iter()
-            .map(|r| AnnotatedSnippet::from_shared(Arc::clone(&shared), *r))
-            .collect()
-    }
-
-    /// Annotate many snippets on up to `threads` worker threads
-    /// (`0` = the `ETAP_THREADS` default). Annotation is the pipeline's
-    /// dominant cost and is embarrassingly parallel: output `i` is
-    /// content-equal to `self.annotate(texts[i].as_ref())`,
-    /// order-preserving and bit-identical to the sequential path for any
-    /// thread count. Each fixed-size chunk shares one arena-recycled
-    /// snippet buffer (snippet equality is content-based, so the chunk
-    /// packing is unobservable).
-    #[must_use]
-    pub fn annotate_batch<S: AsRef<str> + Sync>(
-        &self,
-        texts: &[S],
-        threads: usize,
-    ) -> Vec<AnnotatedSnippet> {
-        use etap_runtime::par::{par_chunk_map_with, CHUNK};
-        if texts.is_empty() {
-            return Vec::new();
-        }
-        let n_chunks = texts.len().div_ceil(CHUNK);
-        let per_chunk = par_chunk_map_with(n_chunks, threads, AnnotateScratch::new, |sc, ci| {
-            let chunk = &texts[ci * CHUNK..(ci * CHUNK + CHUNK).min(texts.len())];
-            self.annotate_chunk(chunk, sc)
-        });
-        let mut out = Vec::with_capacity(texts.len());
-        for chunk in per_chunk {
-            out.extend(chunk);
-        }
-        out
-    }
-
     /// Access the underlying NER (e.g. to extend gazetteers).
     #[must_use]
     pub fn ner(&self) -> &NamedEntityRecognizer {
@@ -278,8 +211,7 @@ impl Annotator {
 /// every POS tag computed afresh, with no start-class gate and no memo.
 #[doc(hidden)]
 pub mod reference {
-    use super::{AnnotatedSnippet, Annotator, SnippetBuf};
-    use std::sync::Arc;
+    use super::{AnnotatedSnippet, Annotator};
 
     /// Annotate `text` the reference way.
     #[must_use]
@@ -292,9 +224,9 @@ pub mod reference {
         annotator
             .pos
             .tag_spans_into(text, &spans, &mut lower, &mut pos);
-        let mut buf = SnippetBuf::default();
-        let range = buf.push_snippet(text, &spans, &pos, &entities);
-        AnnotatedSnippet::from_shared(Arc::new(buf), range)
+        let mut out = AnnotatedSnippet::default();
+        out.refill(text, &spans, &pos, &entities);
+        out
     }
 }
 
@@ -343,23 +275,31 @@ mod tests {
     }
 
     #[test]
-    fn annotate_batch_matches_sequential_annotate() {
+    fn annotate_with_recycles_the_buffer_when_unshared() {
         let ann = Annotator::new();
-        // Straddle the chunk boundary so multiple shared buffers appear.
-        let texts: Vec<String> = (0..etap_runtime::par::CHUNK + 7)
-            .map(|i| {
-                format!(
-                    "Company{i} Inc. hired {i} employees in Q{} 2004.",
-                    i % 4 + 1
-                )
-            })
-            .collect();
-        for threads in [1, 4] {
-            let batch = ann.annotate_batch(&texts, threads);
-            assert_eq!(batch.len(), texts.len());
-            for (snip, text) in batch.iter().zip(&texts) {
-                assert_eq!(snip, &ann.annotate(text));
-            }
-        }
+        let mut scratch = AnnotateScratch::new();
+        let first = ann.annotate_with("IBM acquired Daksh for $160 million.", &mut scratch);
+        let at = first.text().as_ptr();
+        let spans_at = first.spans().as_ptr();
+        drop(first);
+        // Nothing else holds the buffer: the next snippet overwrites it
+        // in place, keeping the text and span allocations.
+        let second = ann.annotate_with("Oracle hired a CEO.", &mut scratch);
+        assert_eq!(second.text().as_ptr(), at);
+        assert_eq!(second.spans().as_ptr(), spans_at);
+        assert_eq!(second, ann.annotate("Oracle hired a CEO."));
+    }
+
+    #[test]
+    fn annotate_with_spills_when_a_snippet_is_alive() {
+        let ann = Annotator::new();
+        let mut scratch = AnnotateScratch::new();
+        let kept = ann.annotate_with("IBM acquired Daksh.", &mut scratch);
+        let next = ann.annotate_with("Oracle hired a CEO.", &mut scratch);
+        // The retained snippet keeps its content; the new one lives in a
+        // buffer of its own.
+        assert_eq!(kept, ann.annotate("IBM acquired Daksh."));
+        assert_eq!(next, ann.annotate("Oracle hired a CEO."));
+        assert_ne!(kept.text().as_ptr(), next.text().as_ptr());
     }
 }

@@ -30,9 +30,8 @@
 //!
 //! ## Zero-allocation matching
 //!
-//! All rules run over a [`Toks`] token source — either borrowed `Token`
-//! slices (the compatibility path) or `(&str, &[TokenSpan])` pairs (the
-//! hot path fed by [`etap_text::tokenize_into`]). Gazetteer probes walk
+//! All rules run over token spans into the snippet text, as
+//! [`etap_text::tokenize_into`] writes them. Gazetteer probes walk
 //! the byte trie incrementally instead of building `String` keys, and
 //! case-insensitive word checks fold ASCII in place (`eq_ignore_ascii_case`),
 //! falling back to a caller-kept scratch `String` only for non-ASCII
@@ -56,7 +55,7 @@ use crate::gazetteer::{
     self, Gazetteer, COUNT_NOUNS, CURRENCY_CODES, CURRENCY_SYMBOLS, HONORIFICS, MERIDIEMS,
     NAMED_TIMES, PERCENT_WORDS, PERIOD_HEADS, SCALE_WORDS,
 };
-use etap_text::{is_capitalized, lower_into, tokenize, Token, TokenKind, TokenSpan};
+use etap_text::{is_capitalized, lower_into, tokenize, TokenKind, TokenSpan};
 
 /// A candidate match produced by one rule at one position.
 #[derive(Debug, Clone, Copy)]
@@ -67,45 +66,13 @@ struct Candidate {
     priority: u8,
 }
 
-/// A read-only token source the recognizer rules run over: either a
-/// borrowed `[Token]` slice or spans resolved against a text buffer.
-/// Monomorphised, so the rules compile to the same code for both.
-trait Toks {
-    fn len(&self) -> usize;
-    fn text(&self, i: usize) -> &str;
-    fn kind(&self, i: usize) -> TokenKind;
-    fn start(&self, i: usize) -> usize;
-    fn end(&self, i: usize) -> usize;
-    fn capitalized(&self, i: usize) -> bool {
-        is_capitalized(self.text(i), self.kind(i))
-    }
-}
-
-impl Toks for [Token<'_>] {
-    fn len(&self) -> usize {
-        <[Token<'_>]>::len(self)
-    }
-    fn text(&self, i: usize) -> &str {
-        self[i].text
-    }
-    fn kind(&self, i: usize) -> TokenKind {
-        self[i].kind
-    }
-    fn start(&self, i: usize) -> usize {
-        self[i].start
-    }
-    fn end(&self, i: usize) -> usize {
-        self[i].end
-    }
-}
-
-/// Spans over a text buffer — the structure-of-arrays token source.
+/// Token spans over a text buffer: the token source the rules run over.
 struct SpanToks<'a> {
     text: &'a str,
     spans: &'a [TokenSpan],
 }
 
-impl Toks for SpanToks<'_> {
+impl SpanToks<'_> {
     fn len(&self) -> usize {
         self.spans.len()
     }
@@ -120,6 +87,9 @@ impl Toks for SpanToks<'_> {
     }
     fn end(&self, i: usize) -> usize {
         self.spans[i].end as usize
+    }
+    fn capitalized(&self, i: usize) -> bool {
+        is_capitalized(self.text(i), self.kind(i))
     }
 }
 
@@ -332,21 +302,10 @@ impl NamedEntityRecognizer {
         self.products.insert(&join_tokens(name, false));
     }
 
-    /// Recognize entities in pre-tokenized text.
-    #[must_use]
-    pub fn recognize(&self, tokens: &[Token<'_>]) -> Vec<EntitySpan> {
-        let mut out = Vec::new();
-        let mut scratch = String::new();
-        self.recognize_impl(tokens, &mut scratch, &mut out, |t, i, sc| {
-            self.start_class(t.text(i), t.kind(i), sc)
-        });
-        out
-    }
-
     /// Recognize entities over token spans, writing into a caller-kept
     /// output vector (cleared first). `scratch` is the lowercase fold
     /// buffer for non-ASCII tokens; with ASCII input nothing allocates.
-    pub fn recognize_into(
+    pub(crate) fn recognize_into(
         &self,
         text: &str,
         spans: &[TokenSpan],
@@ -435,26 +394,15 @@ impl NamedEntityRecognizer {
             .with(Rule::Object, self.objects.starts_entry(text))
     }
 
-    /// Convenience: tokenize and recognize in one call, returning entity
-    /// surfaces borrowed from `text`.
-    #[must_use]
-    pub fn recognize_text<'a>(&self, text: &'a str) -> Vec<(EntityCategory, &'a str)> {
-        let tokens = tokenize(text);
-        self.recognize(&tokens)
-            .into_iter()
-            .map(|s| (s.category, &text[s.start..s.end]))
-            .collect()
-    }
-
     /// Longest-match scan; `start_at` gives the [`StartClass`] of the
     /// token at each position the scan visits, and only its rules run
     /// there.
-    fn recognize_impl<S: Toks + ?Sized>(
+    fn recognize_impl(
         &self,
-        toks: &S,
+        toks: &SpanToks<'_>,
         scratch: &mut String,
         out: &mut Vec<EntitySpan>,
-        mut start_at: impl FnMut(&S, usize, &mut String) -> StartClass,
+        mut start_at: impl FnMut(&SpanToks<'_>, usize, &mut String) -> StartClass,
     ) {
         let mut i = 0usize;
         while i < toks.len() {
@@ -477,9 +425,9 @@ impl NamedEntityRecognizer {
 
     /// The longest candidate among `rules` at `i` (ties: lower
     /// priority, then the earlier rule).
-    fn best_candidate<S: Toks + ?Sized>(
+    fn best_candidate(
         &self,
-        toks: &S,
+        toks: &SpanToks<'_>,
         i: usize,
         rules: StartClass,
         sc: &mut String,
@@ -504,10 +452,10 @@ impl NamedEntityRecognizer {
     }
 
     /// Run one rule at `i`.
-    fn match_rule<S: Toks + ?Sized>(
+    fn match_rule(
         &self,
         rule: Rule,
-        toks: &S,
+        toks: &SpanToks<'_>,
         i: usize,
         sc: &mut String,
     ) -> Option<Candidate> {
@@ -533,10 +481,10 @@ impl NamedEntityRecognizer {
     /// Longest gazetteer match starting at `i` (case-preserving): one
     /// incremental trie walk over the candidate run, no key strings. The
     /// walk dying mid-token proves no longer entry can match either.
-    fn match_gazetteer<S: Toks + ?Sized>(
+    fn match_gazetteer(
         &self,
         g: &Gazetteer,
-        toks: &S,
+        toks: &SpanToks<'_>,
         i: usize,
         category: EntityCategory,
         priority: u8,
@@ -563,9 +511,9 @@ impl NamedEntityRecognizer {
     }
 
     /// Same, but case-folded (designations are stored lowercase).
-    fn match_designation<S: Toks + ?Sized>(
+    fn match_designation(
         &self,
-        toks: &S,
+        toks: &SpanToks<'_>,
         i: usize,
         sc: &mut String,
     ) -> Option<Candidate> {
@@ -591,12 +539,7 @@ impl NamedEntityRecognizer {
         })
     }
 
-    fn match_currency<S: Toks + ?Sized>(
-        &self,
-        toks: &S,
-        i: usize,
-        sc: &mut String,
-    ) -> Option<Candidate> {
+    fn match_currency(&self, toks: &SpanToks<'_>, i: usize, sc: &mut String) -> Option<Candidate> {
         let n = toks.len();
         let text = toks.text(i);
         // Symbol form: $ 160 [million], or the range "$5-7 million"
@@ -657,12 +600,7 @@ impl NamedEntityRecognizer {
         None
     }
 
-    fn match_percent<S: Toks + ?Sized>(
-        &self,
-        toks: &S,
-        i: usize,
-        sc: &mut String,
-    ) -> Option<Candidate> {
+    fn match_percent(&self, toks: &SpanToks<'_>, i: usize, sc: &mut String) -> Option<Candidate> {
         if !toks.kind(i).is_numeric() || i + 1 >= toks.len() {
             return None;
         }
@@ -688,12 +626,7 @@ impl NamedEntityRecognizer {
         None
     }
 
-    fn match_time<S: Toks + ?Sized>(
-        &self,
-        toks: &S,
-        i: usize,
-        sc: &mut String,
-    ) -> Option<Candidate> {
+    fn match_time(&self, toks: &SpanToks<'_>, i: usize, sc: &mut String) -> Option<Candidate> {
         let n = toks.len();
         // Named times of day.
         if lower_in(toks.text(i), NAMED_TIMES, sc) {
@@ -748,12 +681,7 @@ impl NamedEntityRecognizer {
         None
     }
 
-    fn match_period<S: Toks + ?Sized>(
-        &self,
-        toks: &S,
-        i: usize,
-        sc: &mut String,
-    ) -> Option<Candidate> {
+    fn match_period(&self, toks: &SpanToks<'_>, i: usize, sc: &mut String) -> Option<Candidate> {
         let n = toks.len();
         let text = toks.text(i);
         // Quarter shorthand: "Q3", "Q4 2005", "H1 2006".
@@ -828,7 +756,7 @@ impl NamedEntityRecognizer {
         None
     }
 
-    fn match_year<S: Toks + ?Sized>(&self, toks: &S, i: usize) -> Option<Candidate> {
+    fn match_year(&self, toks: &SpanToks<'_>, i: usize) -> Option<Candidate> {
         if toks.kind(i) == TokenKind::Number && is_year(toks.text(i)) {
             return Some(Candidate {
                 category: EntityCategory::Year,
@@ -839,12 +767,7 @@ impl NamedEntityRecognizer {
         None
     }
 
-    fn match_length<S: Toks + ?Sized>(
-        &self,
-        toks: &S,
-        i: usize,
-        sc: &mut String,
-    ) -> Option<Candidate> {
+    fn match_length(&self, toks: &SpanToks<'_>, i: usize, sc: &mut String) -> Option<Candidate> {
         if !toks.kind(i).is_numeric() || i + 1 >= toks.len() {
             return None;
         }
@@ -858,12 +781,7 @@ impl NamedEntityRecognizer {
         None
     }
 
-    fn match_count<S: Toks + ?Sized>(
-        &self,
-        toks: &S,
-        i: usize,
-        sc: &mut String,
-    ) -> Option<Candidate> {
+    fn match_count(&self, toks: &SpanToks<'_>, i: usize, sc: &mut String) -> Option<Candidate> {
         let text = toks.text(i);
         // Digit + count noun: "5,000 employees".
         if toks.kind(i).is_numeric()
@@ -891,7 +809,7 @@ impl NamedEntityRecognizer {
         None
     }
 
-    fn match_person<S: Toks + ?Sized>(&self, toks: &S, i: usize) -> Option<Candidate> {
+    fn match_person(&self, toks: &SpanToks<'_>, i: usize) -> Option<Candidate> {
         let n = toks.len();
         let text = toks.text(i);
         // Honorific (+ .) + capitalised run.
@@ -968,7 +886,7 @@ impl NamedEntityRecognizer {
             || gazetteer::WEEKDAYS.contains(&text)
     }
 
-    fn match_org<S: Toks + ?Sized>(&self, toks: &S, i: usize) -> Option<Candidate> {
+    fn match_org(&self, toks: &SpanToks<'_>, i: usize) -> Option<Candidate> {
         let n = toks.len();
         // Gazetteer orgs (longest match).
         let gaz = self.match_gazetteer(&self.orgs, toks, i, EntityCategory::Org, 20);
@@ -1027,13 +945,24 @@ fn is_year(text: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Annotator;
+    use etap_text::tokenize_into;
 
     fn ner() -> NamedEntityRecognizer {
         NamedEntityRecognizer::new()
     }
 
+    /// Each entity `ann` finds in `text`, with its surface.
+    fn entities<'a>(ann: &Annotator, text: &'a str) -> Vec<(EntityCategory, &'a str)> {
+        ann.annotate(text)
+            .entities()
+            .iter()
+            .map(|e| (e.category, &text[e.start..e.end]))
+            .collect()
+    }
+
     fn cats(text: &str) -> Vec<(EntityCategory, &str)> {
-        ner().recognize_text(text)
+        entities(&Annotator::new(), text)
     }
 
     fn has(text: &str, cat: EntityCategory, surface: &str) -> bool {
@@ -1234,8 +1163,8 @@ mod tests {
     #[test]
     fn spans_are_disjoint_and_ordered() {
         let text = "IBM paid $160 million for Daksh in April 2004, said Mr. Palmisano, CEO of IBM, in Bangalore.";
-        let toks = tokenize(text);
-        let spans = ner().recognize(&toks);
+        let snip = Annotator::new().annotate(text);
+        let spans = snip.entities();
         for w in spans.windows(2) {
             assert!(w[0].first_token + w[0].token_len <= w[1].first_token);
         }
@@ -1244,11 +1173,10 @@ mod tests {
 
     #[test]
     fn runtime_extension() {
-        let mut n = ner();
-        assert!(n.recognize_text("Frobnicate announced").is_empty());
-        n.add_organization("Frobnicate");
-        assert!(n
-            .recognize_text("Frobnicate announced")
+        let mut ann = Annotator::new();
+        assert!(entities(&ann, "Frobnicate announced").is_empty());
+        ann.ner_mut().add_organization("Frobnicate");
+        assert!(entities(&ann, "Frobnicate announced")
             .iter()
             .any(|(c, s)| *c == EntityCategory::Org && *s == "Frobnicate"));
     }
@@ -1400,6 +1328,7 @@ mod tests {
         let words = rule_words();
         let mut rng = etap_runtime::Rng::seed_from_u64(0x57A27);
         let mut sc = String::new();
+        let mut spans = Vec::new();
         let mut hits = [0usize; Rule::ALL.len()];
         for round in 0..4 {
             for &input in ODD_TOKENS.iter().chain(&words) {
@@ -1422,16 +1351,20 @@ mod tests {
                     }
                     text.push_str(&w);
                 }
-                let toks = tokenize(&text);
+                tokenize_into(&text, &mut spans);
+                let toks = SpanToks {
+                    text: &text,
+                    spans: &spans,
+                };
                 for i in 0..toks.len() {
-                    let class = n.start_class(toks[i].text, toks[i].kind, &mut sc);
+                    let class = n.start_class(toks.text(i), toks.kind(i), &mut sc);
                     for rule in Rule::ALL {
-                        if n.match_rule(rule, toks.as_slice(), i, &mut sc).is_some() {
+                        if n.match_rule(rule, &toks, i, &mut sc).is_some() {
                             hits[rule as usize] += 1;
                             assert!(
                                 class.contains(rule),
                                 "{rule:?} matches at {:?} in {text:?} but is not in {class:?}",
-                                toks[i].text
+                                toks.text(i)
                             );
                         }
                     }
@@ -1466,8 +1399,7 @@ mod tests {
     }
 
     #[test]
-    fn recognize_into_matches_recognize() {
-        use etap_text::tokenize_into;
+    fn recognize_into_matches_the_sweep() {
         let texts = [
             "IBM paid $160 million for Daksh in April 2004, said Mr. Palmisano, CEO of IBM.",
             "Bank of America opened 40 offices in New York City on Monday at 09:30.",
@@ -1476,12 +1408,11 @@ mod tests {
         ];
         let n = ner();
         let mut spans = Vec::new();
-        let mut out = Vec::new();
+        let (mut out, mut expect) = (Vec::new(), Vec::new());
         let mut scratch = String::new();
         for text in texts {
-            let toks = tokenize(text);
-            let expect = n.recognize(&toks);
             tokenize_into(text, &mut spans);
+            n.recognize_sweep(text, &spans, &mut scratch, &mut expect);
             n.recognize_into(text, &spans, &mut scratch, &mut out);
             assert_eq!(out, expect, "mismatch on {text:?}");
         }

@@ -15,7 +15,7 @@
 //! 4. shape rules (capitalised → np, numeric → cd),
 //! 5. default: nn.
 
-use etap_text::{is_capitalized, lower_into, Token, TokenKind, TokenSpan};
+use etap_text::{is_capitalized, lower_into, TokenKind, TokenSpan};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -413,20 +413,11 @@ impl PosTagger {
         Self::default()
     }
 
-    /// Tag a single word (lowercased lookup, then rules).
-    #[must_use]
-    pub fn tag_word(&self, token: &Token<'_>) -> PosTag {
-        // `String::new` does not allocate; the scratch is only written on
-        // the non-ASCII fallback inside `tag_text`.
-        let mut scratch = String::new();
-        self.tag_text(token.text, token.kind, &mut scratch)
-    }
-
-    /// Tag a word given its text and shape — the allocation-free core
-    /// shared by [`Self::tag_word`] and the span path. ASCII words (the
-    /// common case) are looked up with an in-place case-folding
-    /// comparator and byte-level suffix rules; non-ASCII words lower
-    /// through `scratch`.
+    /// Tag a word given its text and shape: lowercased lexicon lookup,
+    /// then suffix and shape rules. ASCII words (the common case) are
+    /// looked up with an in-place case-folding comparator and byte-level
+    /// suffix rules; non-ASCII words lower through `scratch`, which is
+    /// written only then.
     #[must_use]
     pub fn tag_text(&self, text: &str, kind: TokenKind, scratch: &mut String) -> PosTag {
         if kind == TokenKind::Punct {
@@ -462,15 +453,9 @@ impl PosTagger {
         PosTag::Nn
     }
 
-    /// Tag every token of a snippet.
-    #[must_use]
-    pub fn tag(&self, tokens: &[Token<'_>]) -> Vec<PosTag> {
-        tokens.iter().map(|t| self.tag_word(t)).collect()
-    }
-
-    /// Tag token spans into a caller-kept vector (cleared first) — the
-    /// zero-allocation companion of [`Self::tag`].
-    pub fn tag_spans_into(
+    /// Tag every token span of `text` into a caller-kept vector
+    /// (cleared first).
+    pub(crate) fn tag_spans_into(
         &self,
         text: &str,
         spans: &[TokenSpan],
@@ -580,22 +565,26 @@ fn suffix_rule(lower: &str) -> Option<PosTag> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Annotator;
     use etap_text::tokenize;
 
+    /// The POS tag the annotator gives the first token of `word`.
     fn tag_of(word: &str) -> PosTag {
-        let toks = tokenize(word);
-        PosTagger::new().tag_word(&toks[0])
+        Annotator::new().annotate(word).pos(0)
     }
 
     #[test]
-    fn tag_spans_into_matches_tag() {
+    fn tag_spans_into_matches_tag_text() {
         use etap_text::tokenize_into;
         let text = "The Board ANNOUNCED sharply lower fourth-quarter résumé figures in 2004, Société Générale said.";
         let tagger = PosTagger::new();
-        let expect = tagger.tag(&tokenize(text));
+        let mut scratch = String::new();
+        let expect: Vec<PosTag> = tokenize(text)
+            .iter()
+            .map(|t| tagger.tag_text(t.text, t.kind, &mut scratch))
+            .collect();
         let mut spans = Vec::new();
         let mut out = Vec::new();
-        let mut scratch = String::new();
         tokenize_into(text, &mut spans);
         tagger.tag_spans_into(text, &spans, &mut scratch, &mut out);
         assert_eq!(out, expect);
@@ -645,10 +634,9 @@ mod tests {
 
     #[test]
     fn sentence_tagging() {
-        let toks = tokenize("The company acquired a small firm.");
-        let tags = PosTagger::new().tag(&toks);
+        let snip = Annotator::new().annotate("The company acquired a small firm.");
         assert_eq!(
-            tags,
+            snip.pos_tags(),
             vec![
                 PosTag::Dt,
                 PosTag::Nn,
@@ -676,10 +664,12 @@ mod tests {
     fn lexicon_is_consistent_after_sort() {
         // Every word in the raw lexicon must be findable.
         let tagger = PosTagger::new();
+        let mut scratch = String::new();
         for (w, t) in LEXICON {
             let toks = tokenize(w);
             if toks.len() == 1 {
-                assert_eq!(tagger.tag_word(&toks[0]), *t, "lexicon lookup for {w}");
+                let tag = tagger.tag_text(toks[0].text, toks[0].kind, &mut scratch);
+                assert_eq!(tag, *t, "lexicon lookup for {w}");
             }
         }
     }

@@ -88,6 +88,7 @@ impl LexiconLearner {
         let mut words: Vec<String> = Vec::new();
         let mut candidates: Vec<String> = Vec::new();
         let mut uniq: HashSet<String> = HashSet::new();
+        let mut fold = String::new();
         for snip in snippets {
             words.clear();
             candidates.clear();
@@ -99,7 +100,10 @@ impl LexiconLearner {
                 if is_stopword(&lower) {
                     continue;
                 }
-                if matches!(tagger.tag_word(&t), PosTag::Vb | PosTag::Jj | PosTag::Rb) {
+                if matches!(
+                    tagger.tag_text(t.text, t.kind, &mut fold),
+                    PosTag::Vb | PosTag::Jj | PosTag::Rb
+                ) {
                     candidates.push(lower.clone().into_owned());
                 }
                 words.push(lower.into_owned());

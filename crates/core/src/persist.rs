@@ -213,11 +213,11 @@ fn decode_model(text: &str) -> Result<TrainedDriver, CodecError> {
         msg: "missing features record".to_string(),
     })?;
 
-    let mut vocab = Vocabulary::with_capacity(n_features);
-    let mut ll = [
-        Vec::with_capacity(n_features),
-        Vec::with_capacity(n_features),
-    ];
+    // The header's count is untrusted: reserve no more than the records
+    // the file actually holds.
+    let capacity = n_features.min(records.len());
+    let mut vocab = Vocabulary::with_capacity(capacity);
+    let mut ll = [Vec::with_capacity(capacity), Vec::with_capacity(capacity)];
     for rec in records {
         vocab.intern(rec.str(0)?);
         ll[0].push(rec.parse(1)?);
@@ -458,6 +458,25 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let codec = err.get_ref().and_then(|e| e.downcast_ref::<CodecError>());
         assert!(matches!(codec, Some(CodecError::Truncated)), "{err:?}");
+    }
+
+    #[test]
+    fn huge_feature_counts_are_invalid_data_without_reserving_them() {
+        // A sealed file whose `features` record claims far more terms
+        // than it holds must fail as a count mismatch, not reserve the
+        // claimed capacity (which overflows or aborts the process).
+        for claimed in ["1000000000000000000", "4000000000"] {
+            let mut w = Writer::new(MODEL_KIND, 2);
+            w.record(["driver", "change_in_management"]);
+            w.record(["bigrams", "false"]);
+            w.record(["prior", "-0.5", "-1.0"]);
+            w.record(["unseen", "-9.0", "-8.0"]);
+            w.record(["features", claimed]);
+            w.record(["alpha", "-1.5", "-2.5"]);
+            let err = from_str(&w.finish()).expect_err("count mismatch");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{claimed}: {err}");
+            assert!(err.to_string().contains("feature count mismatch"), "{err}");
+        }
     }
 
     #[test]

@@ -799,7 +799,7 @@ mod tests {
         "Cisco names new chief executive officer amid reorganization.",
     ];
 
-    fn annotate_batch_texts() -> Vec<AnnotatedSnippet> {
+    fn sample_snippets() -> Vec<AnnotatedSnippet> {
         let ann = Annotator::new();
         BATCH_TEXTS.iter().map(|t| ann.annotate(t)).collect()
     }
@@ -809,7 +809,7 @@ mod tests {
         // Once every feature is interned, a frozen lookup finds exactly
         // the vector interning built.
         let mut vz = Vectorizer::paper_default().with_bigrams(true);
-        let snips = annotate_batch_texts();
+        let snips = sample_snippets();
         let interned: Vec<SparseVec> = snips.iter().map(|s| vz.vectorize(s)).collect();
         vz.freeze();
         let (mut walk, mut scratch) = (FeatureWalk::new(), VectorScratch::new());
@@ -822,7 +822,7 @@ mod tests {
 
     #[test]
     fn unfrozen_batch_matches_sequential_ids_and_vectors() {
-        let snips = annotate_batch_texts();
+        let snips = sample_snippets();
         for threads in [1usize, 4] {
             let mut seq = Vectorizer::paper_default().with_bigrams(true);
             let expect: Vec<SparseVec> = snips.iter().map(|s| seq.vectorize(s)).collect();
@@ -840,7 +840,7 @@ mod tests {
 
     #[test]
     fn frozen_batch_matches_sequential() {
-        let snips = annotate_batch_texts();
+        let snips = sample_snippets();
         let mut vz = Vectorizer::paper_default().with_bigrams(true);
         for s in &snips {
             let _ = vz.vectorize(s);
@@ -858,7 +858,7 @@ mod tests {
 
     #[test]
     fn one_recorded_pool_serves_every_vectorizer_that_walks_alike() {
-        let snips = annotate_batch_texts();
+        let snips = sample_snippets();
         // Two vectorizers with different vocabularies (one has already
         // interned other text) but the same walk settings.
         let fresh = Vectorizer::paper_default().with_bigrams(true);
@@ -925,7 +925,7 @@ mod tests {
     fn term_index_gathers_each_columns_own_lookup() {
         // Three frozen vocabularies that share some terms and not
         // others, in different id orders.
-        let snips = annotate_batch_texts();
+        let snips = sample_snippets();
         let extra = annotate("Shares of Acme fell sharply after the merger.");
         let mut a = Vectorizer::paper_default();
         let mut b = Vectorizer::paper_default();

@@ -7,10 +7,6 @@
 //! * [`rng`] — a seeded, reproducible PRNG (SplitMix64 seeding a
 //!   xoshiro256\*\* generator) replacing the external `rand` crate. Same
 //!   seeds → same streams, forever, on every platform.
-//! * [`arena`] — a recyclable single-slot bump arena (`Arc`-refcounted)
-//!   that lets per-worker hot loops own batch-crossing buffers with zero
-//!   steady-state allocations, spilling transparently when a consumer
-//!   retains a handle.
 //! * [`par`] — deterministic fan-out over OS threads
 //!   (`std::thread::scope`, no rayon). Work is cut into *fixed-size*
 //!   chunks whose results are merged back in input order, so the output
@@ -45,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod fault;
 pub mod hash;
 pub mod par;
@@ -54,7 +49,6 @@ pub mod pool;
 pub mod rng;
 pub mod supervise;
 
-pub use arena::{Arena, Recycle};
 pub use fault::{FaultKind, FaultPlan, FaultRegistry};
 pub use par::{
     max_threads, par_chunk_map, par_chunk_map_with, par_map, par_map_with, resolve_threads,

@@ -338,6 +338,93 @@ mod tests {
         assert_eq!(query, vec![("q".to_string(), "a b".to_string())]);
     }
 
+    /// A fuzz input for [`split_target`]: random bytes, or pieces chosen
+    /// to stress the decoder (escapes cut off at the end or splitting a
+    /// multibyte character, `+`, runs of `&` and `=`).
+    fn fuzz_target(rng: &mut etap_runtime::Rng) -> String {
+        const PIECES: &[&str] = &[
+            "%",
+            "%4",
+            "%41",
+            "%zz",
+            "%C3",
+            "%A9",
+            "%C3%A9",
+            "%E2%82",
+            "%F0%9F%98%80",
+            "é",
+            "\u{1F600}",
+            "+",
+            "&",
+            "=",
+            "&&",
+            "==",
+            "?",
+            "/",
+            "a",
+            "top",
+            "%2B",
+            "%00",
+            "%%",
+        ];
+        let mut bytes = Vec::new();
+        match rng.gen_range(0..3u32) {
+            0 => {
+                for _ in 0..rng.gen_range(0..40usize) {
+                    bytes.push(rng.gen_range(0..256u32) as u8);
+                }
+            }
+            1 => {
+                for _ in 0..rng.gen_range(0..16usize) {
+                    let piece = rng.choose(PIECES).expect("pieces");
+                    bytes.extend_from_slice(piece.as_bytes());
+                }
+            }
+            _ => {
+                // Mostly `&` and `=`, with a few escapes.
+                for _ in 0..rng.gen_range(0..40usize) {
+                    let piece = match rng.gen_range(0..10u32) {
+                        0..=3 => "&",
+                        4..=7 => "=",
+                        _ => rng.choose(PIECES).expect("pieces"),
+                    };
+                    bytes.extend_from_slice(piece.as_bytes());
+                }
+            }
+        }
+        if rng.gen_bool(0.3) {
+            // An escape cut off at the very end.
+            bytes.extend_from_slice(if rng.gen_bool(0.5) { b"%" } else { b"%E" });
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    #[test]
+    fn fuzzed_targets_split_or_fail_typed() {
+        let mut rng = etap_runtime::Rng::seed_from_u64(0x7A26E7);
+        let (mut ok, mut bad) = (0, 0);
+        for case in 0..3_000 {
+            let target = fuzz_target(&mut rng);
+            for plus in [false, true] {
+                if let Some(d) = percent_decode(&target, plus) {
+                    assert!(d.len() <= target.len(), "case {case}: {target:?}");
+                }
+            }
+            match split_target(&target) {
+                Ok((path, query)) => {
+                    ok += 1;
+                    let (raw_path, raw_query) = target.split_once('?').unwrap_or((&target, ""));
+                    assert!(path.len() <= raw_path.len(), "case {case}: {target:?}");
+                    let decoded: usize = query.iter().map(|(k, v)| k.len() + v.len()).sum();
+                    assert!(decoded <= raw_query.len(), "case {case}: {target:?}");
+                }
+                Err(RequestError::Malformed(_)) => bad += 1,
+                Err(e) => panic!("case {case}: {target:?} gave {e:?}"),
+            }
+        }
+        assert!(ok > 300 && bad > 300, "{ok} ok, {bad} rejected");
+    }
+
     #[test]
     fn terminator_search() {
         assert_eq!(find_terminator(b"GET / HTTP/1.1\r\n\r\n"), Some(14));

@@ -2,7 +2,9 @@
 # Repository verification: every stage must pass, and the script leaves
 # every committed file as it found it.
 #
-# 1. tier 1: `cargo build --release && cargo test -q`;
+# 1. tier 1: `cargo build --release && cargo test -q`, after
+#    `cargo fmt --all --check` (rustfmt defaults; `e2ebench/` is its own
+#    workspace, so `--all` leaves it alone);
 # 2. e2ebench: the end-to-end benchmark (`e2ebench/`, its own workspace,
 #    so tier 1 never compiles it) builds and its unit tests pass; then
 #    its three workloads run traced at seed 101 for 5 s each, and the
@@ -65,7 +67,8 @@ bench_sums="$work/bench.sha256"
 # jnum <file> <key>: pull a flat numeric JSON field.
 jnum() { sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p" "$1"; }
 
-echo "== tier 1: cargo build --release && cargo test -q =="
+echo "== tier 1: cargo fmt --all --check, cargo build --release && cargo test -q =="
+cargo fmt --all --check
 cargo build --release
 cargo test -q
 
