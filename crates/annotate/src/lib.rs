@@ -291,6 +291,25 @@ mod tests {
     }
 
     #[test]
+    fn annotate_with_keeps_capacity_across_recycles() {
+        let ann = Annotator::new();
+        let mut scratch = AnnotateScratch::new();
+        let long = "IBM acquired Daksh for $160 million in April 2004, \
+                    and Oracle hired a new CEO in New York City on Monday.";
+        let first = ann.annotate_with(long, &mut scratch);
+        let at = first.text().as_ptr();
+        let spans_at = first.spans().as_ptr();
+        drop(first);
+        // A short snippet in between must not shrink the buffer: the long
+        // text fits again without a new allocation.
+        drop(ann.annotate_with("Hi.", &mut scratch));
+        let again = ann.annotate_with(long, &mut scratch);
+        assert_eq!(again.text().as_ptr(), at);
+        assert_eq!(again.spans().as_ptr(), spans_at);
+        assert_eq!(again, ann.annotate(long));
+    }
+
+    #[test]
     fn annotate_with_spills_when_a_snippet_is_alive() {
         let ann = Annotator::new();
         let mut scratch = AnnotateScratch::new();
