@@ -12,9 +12,12 @@
 //!   into `n` **base shards** keyed by each event's primary company
 //!   (driver id for company-less events).
 //! * [`encode_append`] is the **append** encode: it re-encodes a book on
-//!   top of the previous generation's segments ([`PrevSegment`]). Every
+//!   top of the previous generation's segments ([`SealedSegment`]). Every
 //!   record already sealed there keeps its place; only unmatched
 //!   records are written, into one new **delta** segment.
+//! * [`SealedSegment::open`] is the one parser of a segment container;
+//!   a book and an append both read the segments it opened, so no
+//!   segment is parsed twice.
 //! * Both encoders copy each record's sealed bytes and re-emit the
 //!   index with its directories (driver table, company table, name
 //!   keys, driver-code table) copied verbatim; only the segment counts
@@ -34,9 +37,9 @@
 //!   the new events, merges them into the book's ranking in place,
 //!   recomputes the directories and lays the result out by the same
 //!   rules as [`encode_append`] against the book's own segments. The
-//!   extended book shares every reused segment's arena (mapped or
-//!   heap) and seals only its delta, so a watch cycle costs in
-//!   proportion to its poll. A mapped base with heap deltas is not
+//!   extended book shares every reused segment (mapped or heap) and
+//!   seals only its delta, so a watch cycle costs in proportion to its
+//!   poll. A mapped base with heap deltas is not
 //!   [fully mapped](MappedBook::is_fully_mapped).
 //!
 //! ## Why append
@@ -106,15 +109,6 @@ pub const LEADS2_VERSION: u32 = 2;
 /// append publishes reject them with a typed future-version error.
 pub const LEADS2_APPEND_VERSION: u32 = 3;
 
-/// The container version segment `sid` of a layout with `n_base` base
-/// shards must carry.
-fn segment_version(sid: usize, n_base: usize) -> u32 {
-    if sid < n_base {
-        LEADS2_VERSION
-    } else {
-        LEADS2_APPEND_VERSION
-    }
-}
 /// Default shard count when the caller doesn't choose one.
 pub const DEFAULT_SHARDS: u32 = 16;
 
@@ -495,55 +489,93 @@ fn cold_layout<'r>(
     }
 }
 
-/// A segment file of the previous generation split into its records:
-/// what [`encode_append`] matches a new book against.
-#[derive(Debug)]
-pub struct PrevSegment<'a> {
-    records: Vec<&'a [u8]>,
-    /// Publishes merged into the segment (1 for base shards).
-    span: u64,
+/// A sealed segment container opened over its arena: what
+/// [`encode_append`] matches a new book against, and what a
+/// [`MappedBook`] reads its records from.
+#[derive(Debug, Clone)]
+pub struct SealedSegment {
+    arena: Arc<Arena>,
+    count: usize,
+    /// Publishes merged into the segment (1 for base shards); `None` for
+    /// a delta whose meta omits it, which serves but is never reused.
+    span: Option<u64>,
+    /// `(start, len)` of the offset table within the arena bytes.
+    offsets: (usize, usize),
+    /// `(start, len)` of the records blob within the arena bytes.
+    records: (usize, usize),
 }
 
-impl<'a> PrevSegment<'a> {
-    /// Split sealed segment bytes into records, checking that they are
-    /// segment `id` of a layout with `n_base` base shards.
+impl SealedSegment {
+    /// Open `arena` as segment `sid` of a layout with `n_base` base
+    /// shards: kind, the version its place calls for, meta and offset
+    /// table length. A record's offsets are checked where it is read.
     ///
     /// # Errors
     /// A typed [`CodecError`] on any structural problem. Integrity
     /// checksums are the caller's job, as for [`MappedBook::open`].
-    pub fn parse(bytes: &'a [u8], id: u32, n_base: u32) -> Result<Self, CodecError> {
-        let sv = bin_open(bytes, SHARD_KIND, LEADS2_APPEND_VERSION, false)?;
-        let delta = sv.version() == LEADS2_APPEND_VERSION;
+    pub fn open(arena: Arc<Arena>, sid: usize, n_base: usize) -> Result<Self, CodecError> {
+        let malformed = |msg: String| CodecError::Malformed { line: 0, msg };
+        let sv = bin_open(arena.bytes(), SHARD_KIND, LEADS2_APPEND_VERSION, false)?;
+        let delta = sid >= n_base;
+        let version = [LEADS2_VERSION, LEADS2_APPEND_VERSION][usize::from(delta)];
+        if sv.version() != version {
+            return Err(malformed(format!(
+                "segment {sid} has container version {} in a {n_base}-shard layout",
+                sv.version()
+            )));
+        }
         let mut meta = Cur::new(sv.section(0)?);
-        if sv.version() != segment_version(id as usize, n_base as usize)
-            || meta.u32()? != id
-            || meta.u32()? != n_base
-        {
-            return Err(CodecError::Malformed {
-                line: 0,
-                msg: format!("segment {id} is not part of a {n_base}-shard layout"),
-            });
-        }
+        let (file_sid, file_n) = (meta.u32()? as usize, meta.u32()? as usize);
         let count = meta.u64()? as usize;
-        let span = if delta { meta.u64()? } else { 1 };
-        let records = sv.section(2)?;
-        let offsets = sv.section(1)?;
-        if offsets.len() / 8 != count || offsets.len() % 8 != 0 {
-            return Err(CodecError::Truncated);
+        if file_sid != sid || file_n != n_base {
+            return Err(malformed(format!(
+                "segment {sid} metadata mismatch (claims id {file_sid}, {file_n} base shards)"
+            )));
         }
-        let starts: Vec<usize> = offsets
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")) as usize)
-            .collect();
-        let records = starts
-            .iter()
-            .enumerate()
-            .map(|(i, &start)| {
-                let end = starts.get(i + 1).copied().unwrap_or(records.len());
-                records.get(start..end).ok_or(CodecError::Truncated)
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(Self { records, span })
+        let span = if delta { meta.u64().ok() } else { Some(1) };
+        let offsets = sv.section_range(1)?;
+        if count.checked_mul(8) != Some(offsets.1) {
+            return Err(malformed(format!("segment {sid} offset table length")));
+        }
+        let records = sv.section_range(2)?;
+        Ok(Self {
+            arena,
+            count,
+            span,
+            offsets,
+            records,
+        })
+    }
+
+    /// The sealed bytes of record `i`, if structurally valid.
+    fn record(&self, i: usize) -> Option<&[u8]> {
+        if i >= self.count {
+            return None;
+        }
+        let b = self.arena.bytes();
+        let offset = |i: usize| -> Option<usize> {
+            let at = self.offsets.0 + i * 8;
+            Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?) as usize)
+        };
+        let (start, len) = self.records;
+        let end = if i + 1 < self.count {
+            offset(i + 1)?
+        } else {
+            len
+        };
+        b.get(start..start + len)?.get(offset(i)?..end)
+    }
+
+    /// Whether an append may reuse this segment, which it does whole or
+    /// not at all: every record resolves, and a delta states its span.
+    fn reusable(&self) -> bool {
+        self.span.is_some() && (0..self.count).all(|i| self.record(i).is_some())
+    }
+
+    /// The container bytes.
+    #[must_use]
+    pub fn bytes(&self) -> &[u8] {
+        self.arena.bytes()
     }
 }
 
@@ -559,7 +591,7 @@ impl<'a> PrevSegment<'a> {
 pub fn encode_append(
     book: &MappedBook,
     n_base: u32,
-    prev: &[Option<PrevSegment<'_>>],
+    prev: &[Option<SealedSegment>],
 ) -> Option<EncodedBook> {
     let ranked: Vec<((u32, u32), &[u8])> = book.ranked_records().collect();
     let layout = append_layout(&ranked, book.moves(), n_base, prev)?;
@@ -573,23 +605,28 @@ fn append_layout(
     ranked: &[((u32, u32), &[u8])],
     mut moved: Moves,
     n_base: u32,
-    prev: &[Option<PrevSegment<'_>>],
+    prev: &[Option<SealedSegment>],
 ) -> Option<Layout> {
     let base = n_base as usize;
     if base == 0 || prev.len() < base {
         return None;
     }
+    let prev: Vec<Option<&SealedSegment>> = prev
+        .iter()
+        .map(|s| s.as_ref().filter(|s| s.reusable()))
+        .collect();
 
     // Pair each record with a previous record of identical bytes; equal
     // records pair in segment order, so the result is deterministic.
-    let sealed = prev.iter().flatten().map(|s| s.records.len()).sum();
+    let sealed = prev.iter().flatten().map(|s| s.count).sum();
     let mut table: HashMap<&[u8], Vec<(u32, u32)>> = HashMap::with_capacity(sealed);
     for (sid, seg) in prev.iter().enumerate().rev() {
-        for (idx, rec) in seg.iter().flat_map(|s| s.records.iter().enumerate().rev()) {
-            table
-                .entry(*rec)
-                .or_default()
-                .push((sid as u32, idx as u32));
+        let Some(seg) = seg else { continue };
+        for idx in (0..seg.count).rev() {
+            let rec = seg
+                .record(idx)
+                .expect("a reusable segment resolves every record");
+            table.entry(rec).or_default().push((sid as u32, idx as u32));
         }
     }
     let mut live = vec![0usize; prev.len()];
@@ -604,11 +641,7 @@ fn append_layout(
         })
         .collect();
 
-    let fully_live = |sid: usize| {
-        prev[sid]
-            .as_ref()
-            .is_some_and(|s| s.records.len() == live[sid])
-    };
+    let fully_live = |sid: usize| prev[sid].is_some_and(|s| s.count == live[sid]);
     let kept_deltas = (base..prev.len())
         .take_while(|&sid| fully_live(sid))
         .count();
@@ -627,7 +660,7 @@ fn append_layout(
     // The delta stack as (records, publishes); entries from `tail` on
     // are rewritten into one new segment.
     let mut stack: Vec<(usize, u64)> = (base..base + kept_deltas)
-        .map(|sid| (live[sid], prev[sid].as_ref().map_or(1, |s| s.span)))
+        .map(|sid| (live[sid], prev[sid].and_then(|s| s.span).unwrap_or(1)))
         .collect();
     let mut tail = stack.len();
     if fresh > 0 {
@@ -898,24 +931,6 @@ impl<'a> EventView<'a> {
     }
 }
 
-struct ShardMap {
-    arena: Arc<Arena>,
-    count: usize,
-    /// `(start, len)` of the offset table within the arena bytes.
-    offsets: (usize, usize),
-    /// `(start, len)` of the records blob within the arena bytes.
-    records: (usize, usize),
-}
-
-impl std::fmt::Debug for ShardMap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardMap")
-            .field("count", &self.count)
-            .field("bytes", &self.arena.len())
-            .finish()
-    }
-}
-
 #[derive(Debug)]
 struct DriverEntry {
     driver: SalesDriver,
@@ -942,7 +957,7 @@ struct CompanyEntry {
 #[derive(Debug)]
 pub struct MappedBook {
     index: Arc<Arena>,
-    shards: Vec<ShardMap>,
+    shards: Vec<SealedSegment>,
     /// Segments `0..n_base` are base shards; the rest are deltas.
     n_base: usize,
     total: usize,
@@ -975,6 +990,21 @@ impl MappedBook {
     /// checksums are the caller's job (the generation-store manifest
     /// already hashes every file).
     pub fn open(index: Arc<Arena>, shard_arenas: Vec<Arc<Arena>>) -> Result<Self, CodecError> {
+        let given = shard_arenas.len();
+        let mut arenas = shard_arenas.into_iter();
+        Self::assemble(index, given, |sid, n_base| {
+            SealedSegment::open(arenas.next().expect("one arena per segment"), sid, n_base)
+        })
+    }
+
+    /// [`open`](Self::open) with the `given` segments supplied in id
+    /// order by `segment(sid, n_base)`, so an extension can pass the
+    /// segments it reuses as this book opened them.
+    fn assemble(
+        index: Arc<Arena>,
+        given: usize,
+        mut segment: impl FnMut(usize, usize) -> Result<SealedSegment, CodecError>,
+    ) -> Result<Self, CodecError> {
         let malformed = |msg: String| CodecError::Malformed { line: 0, msg };
         let iv = bin_open(index.bytes(), INDEX_KIND, LEADS2_APPEND_VERSION, false)?;
 
@@ -1001,42 +1031,22 @@ impl MappedBook {
         if counts.iter().try_fold(0usize, |sum, &n| sum.checked_add(n)) != Some(total) {
             return Err(malformed("segment counts do not sum to total".into()));
         }
-        if shard_arenas.len() != n_segments {
+        if given != n_segments {
             return Err(malformed(format!(
-                "index expects {n_segments} segments, got {}",
-                shard_arenas.len()
+                "index expects {n_segments} segments, got {given}"
             )));
         }
 
         let mut shards = Vec::with_capacity(n_segments);
-        for (sid, arena) in shard_arenas.into_iter().enumerate() {
-            let sv = bin_open(arena.bytes(), SHARD_KIND, LEADS2_APPEND_VERSION, false)?;
-            if sv.version() != segment_version(sid, n_base) {
+        for (sid, &count) in counts.iter().enumerate() {
+            let shard = segment(sid, n_base)?;
+            if shard.count != count {
                 return Err(malformed(format!(
-                    "segment {sid} has container version {} in a {n_base}-shard layout",
-                    sv.version()
+                    "segment {sid} holds {} events, the index says {count}",
+                    shard.count
                 )));
             }
-            let mut mc = Cur::new(sv.section(0)?);
-            let file_sid = mc.u32()? as usize;
-            let file_n = mc.u32()? as usize;
-            let count = mc.u64()? as usize;
-            if file_sid != sid || file_n != n_base || count != counts[sid] {
-                return Err(malformed(format!(
-                    "segment {sid} metadata mismatch (claims id {file_sid}, {file_n} base shards, {count} events)"
-                )));
-            }
-            let offsets = sv.section_range(1)?;
-            if count.checked_mul(8) != Some(offsets.1) {
-                return Err(malformed(format!("shard {sid} offset table length")));
-            }
-            let records = sv.section_range(2)?;
-            shards.push(ShardMap {
-                arena,
-                count,
-                offsets,
-                records,
-            });
+            shards.push(shard);
         }
 
         let rank_refs = iv.section_range(1)?;
@@ -1238,24 +1248,15 @@ impl MappedBook {
     /// The sealed bytes of the record at a `(shard, idx)` reference, if
     /// structurally valid.
     fn record(&self, (shard, idx): (u32, u32)) -> Option<&[u8]> {
-        let sm = self.shards.get(shard as usize)?;
-        let idx = idx as usize;
-        if idx >= sm.count {
-            return None;
-        }
-        let b = sm.arena.bytes();
-        let offset = |i: usize| -> Option<usize> {
-            let at = sm.offsets.0 + i * 8;
-            Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?) as usize)
-        };
-        let start = offset(idx)?;
-        let end = if idx + 1 < sm.count {
-            offset(idx + 1)?
-        } else {
-            sm.records.1
-        };
-        b.get(sm.records.0..sm.records.0 + sm.records.1)?
-            .get(start..end)
+        self.shards.get(shard as usize)?.record(idx as usize)
+    }
+
+    /// Segment `sid` as this book opened it, for an append on `n_base`
+    /// base shards: `None` if absent or of another layout.
+    #[must_use]
+    pub fn segment(&self, sid: usize, n_base: usize) -> Option<SealedSegment> {
+        let shard = self.shards.get(sid)?;
+        (self.n_base == n_base).then(|| shard.clone())
     }
 
     fn decode<'a>(&self, rec: &'a [u8]) -> Option<EventView<'a>> {
@@ -1499,11 +1500,7 @@ impl MappedBook {
             Moves::shaped(old.chain([fresh.count]))
         };
         let n_base = self.n_base as u32;
-        let prev: Vec<Option<PrevSegment<'_>>> = self
-            .segments()
-            .enumerate()
-            .map(|(sid, arena)| PrevSegment::parse(arena.bytes(), sid as u32, n_base).ok())
-            .collect();
+        let prev: Vec<Option<SealedSegment>> = self.shards.iter().cloned().map(Some).collect();
         let layout = append_layout(&ranked, shape(), n_base, &prev).unwrap_or_else(|| {
             let codes = CodeMap::of(by_driver.iter().map(|(d, _)| *d));
             cold_layout(ranked.iter().copied(), shape(), &codes, n_base)
@@ -1515,17 +1512,22 @@ impl MappedBook {
             &ranking,
         );
         let index = seal_index(&layout.counts, n_base, order.len(), sections);
-        let arenas = layout
-            .segments
-            .into_iter()
-            .zip(self.segments().map(Some).chain(std::iter::repeat(None)))
-            .map(|(segment, reused)| match (segment, reused) {
-                (Segment::Linked, Some(arena)) => Arc::clone(arena),
-                (Segment::Written(bytes), _) => Arc::new(Arena::Heap(bytes)),
+        // A reused segment keeps its id and layout: it stays as opened.
+        let given = layout.segments.len();
+        let mut segments = layout.segments.into_iter();
+        MappedBook::assemble(Arc::new(Arena::Heap(index)), given, |sid, n_base| {
+            match (
+                segments.next().expect("one per segment"),
+                self.shards.get(sid),
+            ) {
+                (Segment::Linked, Some(reused)) => Ok(reused.clone()),
+                (Segment::Written(bytes), _) => {
+                    SealedSegment::open(Arc::new(Arena::Heap(bytes)), sid, n_base)
+                }
                 (Segment::Linked, None) => unreachable!("only existing segments are reused"),
-            })
-            .collect();
-        MappedBook::open(Arc::new(Arena::Heap(index)), arenas).expect("an extended book opens")
+            }
+        })
+        .expect("an extended book opens")
     }
 
     /// Whether an extension can share this book's records: their driver
@@ -1703,16 +1705,21 @@ mod tests {
         MappedBook::open(Arc::new(Arena::Heap(index.to_vec())), arenas(segments)).expect("open")
     }
 
+    /// `bytes` opened as segment `sid` of an `n_base`-shard layout.
+    fn segment(bytes: &[u8], sid: usize, n_base: u32) -> Result<SealedSegment, CodecError> {
+        SealedSegment::open(Arc::new(Arena::Heap(bytes.to_vec())), sid, n_base as usize)
+    }
+
     fn open_encoded(enc: &EncodedBook) -> MappedBook {
         open_segments(&enc.index, &resolve(&[], enc))
     }
 
     /// Append-encode `events` over previously sealed `segments`.
     fn append(segments: &[Vec<u8>], events: Vec<TriggerEvent>, n_base: u32) -> Option<EncodedBook> {
-        let prev: Vec<Option<PrevSegment>> = segments
+        let prev: Vec<Option<SealedSegment>> = segments
             .iter()
             .enumerate()
-            .map(|(sid, b)| Some(PrevSegment::parse(b, sid as u32, n_base).expect("parse")))
+            .map(|(sid, b)| Some(segment(b, sid, n_base).expect("parse")))
             .collect();
         encode_append(&handle(events), n_base, &prev)
     }
@@ -1894,8 +1901,8 @@ mod tests {
         assert_eq!(enc.segments.len(), 9);
         assert!(enc.segments[..8].iter().all(|s| *s == Segment::Linked));
         let segments = resolve(&sealed, &enc);
-        let delta = PrevSegment::parse(&segments[8], 8, 8).expect("delta");
-        assert_eq!((delta.records.len(), delta.span), (12, 1));
+        let delta = segment(&segments[8], 8, 8).expect("delta");
+        assert_eq!((delta.count, delta.span), (12, Some(1)));
         assert_same_book(&open_segments(&enc.index, &segments), &book);
 
         // Only the index and the delta carry the append version, so a
@@ -1937,24 +1944,24 @@ mod tests {
             };
             appends += 1;
             segments = resolve(&segments, &enc);
-            let deltas: Vec<PrevSegment> = (4..segments.len())
-                .map(|sid| PrevSegment::parse(&segments[sid], sid as u32, 4).expect("delta"))
+            let deltas: Vec<SealedSegment> = (4..segments.len())
+                .map(|sid| segment(&segments[sid], sid, 4).expect("delta"))
                 .collect();
             // Equal polls: one delta per set bit of the append count.
             assert_eq!(deltas.len() as u32, appends.count_ones(), "after {appends}");
             assert!(deltas.windows(2).all(|w| w[0].span > w[1].span));
             assert_eq!(
-                deltas.iter().map(|d| d.span).sum::<u64>(),
+                deltas.iter().map(|d| d.span.expect("span")).sum::<u64>(),
                 u64::from(appends)
             );
             let mapped = open_segments(&enc.index, &segments);
             assert_same_book(&mapped, &LeadBook::build(events.clone()));
 
             // Republishing the loaded layout itself links everything.
-            let prev: Vec<Option<PrevSegment>> = segments
+            let prev: Vec<Option<SealedSegment>> = segments
                 .iter()
                 .enumerate()
-                .map(|(sid, b)| PrevSegment::parse(b, sid as u32, 4).ok())
+                .map(|(sid, b)| segment(b, sid, 4).ok())
                 .collect();
             let again = encode_append(&mapped, 4, &prev).expect("append");
             assert!(again.segments.iter().all(|s| *s == Segment::Linked));
@@ -1981,15 +1988,15 @@ mod tests {
                 "segment {sid}"
             );
         }
-        let emptied = PrevSegment::parse(&segments[gone], gone as u32, 4).expect("emptied");
-        assert!(emptied.records.is_empty());
-        let delta = PrevSegment::parse(&segments[4], 4, 4).expect("delta");
+        let emptied = segment(&segments[gone], gone, 4).expect("emptied");
+        assert!(emptied.count == 0);
+        let delta = segment(&segments[4], 4, 4).expect("delta");
         let live = events
             .iter()
             .filter(|e| shard_of_event(e, 4) as usize == gone)
             .count()
             - 1;
-        assert_eq!(delta.records.len(), live);
+        assert_eq!(delta.count, live);
         assert_same_book(
             &open_segments(&enc.index, &segments),
             &LeadBook::build(fewer),
@@ -1997,10 +2004,10 @@ mod tests {
 
         // A segment the caller could not verify is never reused.
         let book = LeadBook::build(events);
-        let mut prev: Vec<Option<PrevSegment>> = sealed
+        let mut prev: Vec<Option<SealedSegment>> = sealed
             .iter()
             .enumerate()
-            .map(|(sid, b)| PrevSegment::parse(b, sid as u32, 4).ok())
+            .map(|(sid, b)| segment(b, sid, 4).ok())
             .collect();
         prev[1] = None;
         let enc = encode_append(&BookHandle::from(book.clone()), 4, &prev).expect("append");
@@ -2009,7 +2016,7 @@ mod tests {
 
         // A segment of another layout is refused, and a different book
         // (no overlap) re-encodes cold.
-        assert!(PrevSegment::parse(&sealed[0], 0, 8).is_err());
+        assert!(segment(&sealed[0], 0, 8).is_err());
         assert!(append(&sealed, poll_events(5_000, 50), 4).is_none());
     }
 

@@ -33,7 +33,7 @@
 //!
 //! // Identify and rank trigger events in fresh documents.
 //! let fresh = SyntheticWeb::generate(WebConfig { seed: 7, ..WebConfig::with_docs(60) });
-//! let events = trained.identify_events(fresh.docs());
+//! let events = trained.identify_events_parallel(fresh.docs(), 0);
 //! let ranked = etap::rank::rank_by_score(events);
 //! for event in ranked.iter().take(3) {
 //!     println!("[{:.3}] {} — {}", event.score, event.driver, event.snippet);
@@ -213,13 +213,7 @@ impl TrainedEtap {
     }
 
     /// Identify trigger events across a document collection (all
-    /// drivers, unordered).
-    #[must_use]
-    pub fn identify_events(&self, docs: &[SyntheticDoc]) -> Vec<TriggerEvent> {
-        self.identify_events_parallel(docs, 0)
-    }
-
-    /// Identify events on an explicit worker-thread count (`0` = the
+    /// drivers, unordered) on `threads` workers (`0` = the
     /// `ETAP_THREADS` default). Bit-identical output for any value.
     #[must_use]
     pub fn identify_events_parallel(

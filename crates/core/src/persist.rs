@@ -196,18 +196,6 @@ fn decode_model(text: &str) -> Result<TrainedDriver, CodecError> {
         line: 0,
         msg: "missing driver record".to_string(),
     })?;
-    // Built-in keys resolve to their fixed ids; unknown keys are
-    // interned (registering the display name when the file carries one)
-    // so a model trained against a drivers file reloads in a fresh
-    // process.
-    let driver = match &driver_name {
-        Some(name) => SalesDriver::register(&key, name),
-        None => SalesDriver::intern(&key),
-    }
-    .map_err(|e| CodecError::Malformed {
-        line: 0,
-        msg: format!("driver {key:?}: {e}"),
-    })?;
     let n_features = n_features.ok_or(CodecError::Malformed {
         line: 0,
         msg: "missing features record".to_string(),
@@ -233,6 +221,18 @@ fn decode_model(text: &str) -> Result<TrainedDriver, CodecError> {
         });
     }
 
+    // Built-in keys resolve to their fixed ids; unknown keys are
+    // interned (registering the display name when the file carries one)
+    // so a model trained against a drivers file reloads in a fresh
+    // process — only once the whole file decoded: the registry never shrinks.
+    let driver = match &driver_name {
+        Some(name) => SalesDriver::register(&key, name),
+        None => SalesDriver::intern(&key),
+    }
+    .map_err(|e| CodecError::Malformed {
+        line: 0,
+        msg: format!("driver {key:?}: {e}"),
+    })?;
     let spec = if queries.is_empty() && filter.is_none() && lexicon.is_none() {
         DriverSpec::builtin(driver)
     } else {
@@ -300,19 +300,29 @@ pub fn events_from_str(text: &str) -> Result<Vec<TriggerEvent>, CodecError> {
     let (_, records) = etap_persist::parse(text, LEADS_KIND, LEADS_VERSION)?;
     let mut expected: Option<usize> = None;
     let mut events = Vec::new();
-    for rec in records {
+    for rec in &records {
         match rec.tag() {
             "count" => {
                 if expected.replace(rec.parse(1)?).is_some() {
                     return Err(rec.malformed("duplicate count record"));
                 }
             }
-            "e" => events.push(decode_event(&rec)?),
+            "e" => events.push(decode_event(rec)?),
             other => return Err(rec.malformed(format!("unexpected record `{other}`"))),
         }
     }
     match expected {
-        Some(n) if n == events.len() => Ok(events),
+        Some(n) if n == events.len() => {
+            // Intern, not strict parse: a LEADS file naming a data-defined
+            // driver must load in a fresh process before any drivers file
+            // does; only now, as the registry never shrinks.
+            let keyed = records.iter().filter(|r| r.tag() == "e");
+            for (e, rec) in events.iter_mut().zip(keyed) {
+                e.driver = SalesDriver::intern(rec.str(1)?)
+                    .map_err(|err| rec.malformed(format!("unknown driver: {err}")))?;
+            }
+            Ok(events)
+        }
         Some(n) => Err(CodecError::Malformed {
             line: 0,
             msg: format!("count record says {n} events, file has {}", events.len()),
@@ -324,13 +334,11 @@ pub fn events_from_str(text: &str) -> Result<Vec<TriggerEvent>, CodecError> {
     }
 }
 
+/// One `e` record, its driver key left for [`events_from_str`] to resolve.
 fn decode_event(rec: &Record) -> Result<TriggerEvent, CodecError> {
-    // Intern, not strict parse: a LEADS file naming a data-defined
-    // driver must load in a fresh process before any drivers file does.
-    let driver = SalesDriver::intern(rec.str(1)?)
-        .map_err(|e| rec.malformed(format!("unknown driver: {e}")))?;
+    rec.str(1)?;
     Ok(TriggerEvent {
-        driver,
+        driver: SalesDriver::MergersAcquisitions,
         doc_id: rec.parse(2)?,
         score: rec.parse(3)?,
         doc_date: (rec.parse(4)?, rec.parse(5)?, rec.parse(6)?),
@@ -477,6 +485,54 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{claimed}: {err}");
             assert!(err.to_string().contains("feature count mismatch"), "{err}");
         }
+    }
+
+    #[test]
+    fn rejected_files_register_no_driver() {
+        // The driver registry is process-wide and never shrinks: a file
+        // that fails to decode must not leave its driver key behind.
+        let registered = |key: &str| SalesDriver::registered().iter().any(|d| d.id() == key);
+        let model = |key: &str, features: &str| {
+            let mut w = Writer::new(MODEL_KIND, MODEL_VERSION);
+            w.record(["driver", key]);
+            w.record(["driver-name", "pilot programs"]);
+            w.record(["filter", "ORG AND KW(pilot)"]);
+            w.record(["prior", "-0.5", "-1.0"]);
+            w.record(["unseen", "-9.0", "-8.0"]);
+            w.record(["features", features]);
+            w.record(["alpha", "-1.5", "-2.5"]);
+            w.finish()
+        };
+        let key = "persist_rejected_model_key";
+        assert!(from_str(&model(key, "2")).is_err(), "count mismatch");
+        assert!(!registered(key), "a rejected MODEL v3 registered {key}");
+        from_str(&model(key, "1")).expect("the same model, counted right");
+        assert!(registered(key));
+
+        let leads = |key: &str, count: &str| {
+            let mut w = Writer::new(LEADS_KIND, LEADS_VERSION);
+            w.record(["count", count]);
+            w.record(["e", key, "7", "0.9", "2005", "6", "1", "http://t/7", "s"]);
+            w.record([
+                "e",
+                "revenue_growth",
+                "8",
+                "0.8",
+                "2005",
+                "6",
+                "1",
+                "u",
+                "s",
+            ]);
+            w.finish()
+        };
+        let key = "persist_rejected_leads_key";
+        assert!(events_from_str(&leads(key, "3")).is_err(), "count mismatch");
+        assert!(!registered(key), "a rejected LEADS v1 registered {key}");
+        let events = events_from_str(&leads(key, "2")).expect("counted right");
+        assert!(registered(key));
+        assert_eq!(events[0].driver.id(), key);
+        assert_eq!(events[1].driver, SalesDriver::RevenueGrowth);
     }
 
     #[test]

@@ -504,7 +504,7 @@ fn sample_negatives_into<U: Send>(
     keep: impl Fn(&mut FeatureWalk, AnnotatedSnippet) -> U + Sync,
 ) -> Vec<U> {
     let target = config.negative_snippets;
-    if target == 0 || web.len() == 0 {
+    if target == 0 || web.is_empty() {
         return Vec::new();
     }
     let snipgen = SnippetGenerator::new(config.snippet_window);

@@ -57,7 +57,7 @@ fn fixture() -> &'static Fixture {
         );
         let web = SyntheticWeb::generate(WebConfig {
             total_docs: 500,
-            seed: 0x5C0_4E,
+            seed: 0x0005_C04E,
             drivers: DriverSet::all_registered(),
             ..WebConfig::default()
         });
@@ -281,7 +281,7 @@ fn assembled_systems_flag_what_the_identifier_flags() {
         let want = identifier.identify(&drivers, docs, 1);
         assert!(!want.is_empty(), "the fresh crawl should flag something");
         let system = TrainedEtap::from_drivers(drivers, 3);
-        assert_eq!(system.identify_events(docs), want);
+        assert_eq!(system.identify_events_parallel(docs, 0), want);
         assert_eq!(system.identify_events_parallel(docs, 3), want);
         // A prior-adapted copy shares the index; its scan must still be
         // what the identifier makes of its own drivers.

@@ -377,19 +377,6 @@ fn parse_header(header: &str, kind: &str, max_version: u32) -> Result<u32, Codec
     Ok(version)
 }
 
-/// Read a codec file from disk and [`parse`] it.
-///
-/// # Errors
-/// [`CodecError::Io`] on filesystem errors, otherwise see [`parse`].
-pub fn read_file(
-    path: &Path,
-    kind: &str,
-    max_version: u32,
-) -> Result<(u32, Vec<Record>), CodecError> {
-    let text = std::fs::read_to_string(path)?;
-    parse(&text, kind, max_version)
-}
-
 /// Crash-safe file write: contents go to `<path>.tmp` first, are
 /// fsync'd, renamed over `path`, and the parent directory is fsync'd so
 /// the rename itself is durable. A crash at any point leaves either the

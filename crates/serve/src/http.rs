@@ -77,8 +77,9 @@ impl From<io::Error> for RequestError {
     }
 }
 
-/// Read and parse one request from `stream`. The caller is expected to
-/// have set the socket read timeout (that is what bounds this call).
+/// Read and parse one request from `stream` (a `TcpStream` when
+/// serving). The caller is expected to have set the socket read timeout
+/// (that is what bounds this call).
 ///
 /// `carry` is the connection's read-ahead buffer: bytes of the *next*
 /// request that arrived in the same packets as this one are left there
@@ -88,7 +89,7 @@ impl From<io::Error> for RequestError {
 /// # Errors
 /// See [`RequestError`].
 pub fn read_request(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     max_body: usize,
     carry: &mut Vec<u8>,
 ) -> Result<Request, RequestError> {
@@ -167,15 +168,18 @@ pub fn read_request(
 /// Read until the `\r\n\r\n` header terminator; returns `(head, extra)`
 /// where `extra` is any body prefix that arrived in the same packets.
 /// Consumes `carry` (keep-alive read-ahead) before touching the socket.
-fn read_head(stream: &mut TcpStream, carry: Vec<u8>) -> Result<(Vec<u8>, Vec<u8>), RequestError> {
+fn read_head(stream: &mut impl Read, carry: Vec<u8>) -> Result<(Vec<u8>, Vec<u8>), RequestError> {
     let mut buf = carry;
     let mut chunk = [0u8; 1024];
+    // Each read scans only what it added, plus three bytes of overlap.
+    let mut scanned = 0;
     loop {
-        if let Some(pos) = find_terminator(&buf) {
+        if let Some(pos) = find_terminator(&buf[scanned..]).map(|at| scanned + at) {
             let extra = buf.split_off(pos + 4);
             buf.truncate(pos);
             return Ok((buf, extra));
         }
+        scanned = buf.len().saturating_sub(3);
         if buf.len() > MAX_HEADER_BYTES {
             return Err(RequestError::Malformed("header section too large"));
         }

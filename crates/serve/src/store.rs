@@ -36,9 +36,10 @@
 //! on disk never propagates into a new generation. A previous segment
 //! the published book already holds (a book extended in memory shares
 //! the segments of the generation it extends) is compared with its file
-//! through a small buffer and then read through the book's arena, rather
-//! than mapped a second time. With no previous binary generation of the
-//! same shard count, the publish encodes cold.
+//! through a small buffer and then used as the book opened it, rather
+//! than mapped and opened a second time. With no previous binary
+//! generation of the same shard count, or one whose [`Manifest`]
+//! `load` rejects, the publish encodes cold.
 //!
 //! Linking has a cost: until the next cold re-encode, every retained
 //! binary generation shares each base shard's inode. One corrupt base
@@ -78,7 +79,7 @@
 //! a concurrent warm start can't race into `ENOENT`.)
 
 use crate::snapshot::LeadSnapshot;
-use etap::leads2::{self, MappedBook, PrevSegment, Segment};
+use etap::leads2::{self, MappedBook, SealedSegment, Segment};
 use etap::{BookHandle, LeadBook, TrainedEtap};
 use etap_persist::{open_arena, Arena, CodecError, Writer};
 use etap_runtime::perf::Stage;
@@ -174,6 +175,10 @@ impl From<CodecError> for StoreError {
         Self::Codec(e)
     }
 }
+
+/// The generations [`GenerationStore::load_latest`] passed over, newest
+/// first, each with the reason it failed to load.
+pub type Skipped = Vec<(u64, String)>;
 
 /// Pinned generations, keyed by canonicalized store root. Process-global
 /// rather than per-instance because the watch loop re-opens the store
@@ -302,32 +307,6 @@ impl GenerationStore {
             .copied()
     }
 
-    /// The newest visible generation other than `exclude`, with its
-    /// manifest's `name → (fnv, size)` map — what an append publish
-    /// reuses segments from. Any failure (no previous generation,
-    /// unreadable manifest) degrades to a cold publish.
-    fn link_base(&self, exclude: u64) -> Option<(PathBuf, HashMap<String, (u64, usize)>)> {
-        let newest = self
-            .generations()
-            .ok()?
-            .into_iter()
-            .filter(|&g| g != exclude)
-            .next_back()?;
-        let dir = self.gen_dir(newest);
-        let (_, records) =
-            etap_persist::read_file(&dir.join("MANIFEST"), MANIFEST_KIND, MANIFEST_VERSION).ok()?;
-        let mut map = HashMap::new();
-        for rec in &records {
-            if rec.tag() == "file" {
-                let name = rec.str(1).ok()?.to_string();
-                let fnv = u64::from_str_radix(rec.str(2).ok()?, 16).ok()?;
-                let size: usize = rec.parse(3).ok()?;
-                map.insert(name, (fnv, size));
-            }
-        }
-        Some((dir, map))
-    }
-
     /// Persist one snapshot as generation `snapshot.generation`,
     /// following the crash-safety protocol (tmp dir → fsync'd files →
     /// manifest last → rename → root fsync). Republishing an existing
@@ -384,7 +363,7 @@ impl GenerationStore {
             let name = format!("model-{i:03}-{}.model", driver.spec.driver.id());
             payloads.write(&name, etap::persist::to_string(driver).as_bytes())?;
         }
-        for (name, fnv, size) in &payloads.files {
+        for FileEntry { name, fnv, size } in &payloads.files {
             manifest.record(["file", name, &format!("{fnv:016x}"), &size.to_string()]);
         }
 
@@ -412,20 +391,21 @@ impl GenerationStore {
         payloads: &mut Payloads,
     ) -> io::Result<usize> {
         let book = &snapshot.book;
-        let base = self.link_base(snapshot.generation);
+        let newest = self
+            .generations()
+            .ok()
+            .and_then(|all| all.into_iter().rfind(|&g| g != snapshot.generation));
+        // A previous generation whose manifest `load` rejects is no link
+        // source: the publish encodes cold.
+        let base = newest.and_then(|g| {
+            let dir = self.gen_dir(g);
+            Some((dir.clone(), Manifest::read(&dir, g).ok()?))
+        });
         let prev = base
             .as_ref()
-            .map(|(dir, files)| verified_segments(dir, files, book))
+            .map(|(dir, manifest)| verified_segments(dir, manifest, book, n_base as usize))
             .unwrap_or_default();
-        let parsed: Vec<Option<PrevSegment>> = prev
-            .iter()
-            .enumerate()
-            .map(|(sid, arena)| {
-                let arena = arena.as_ref()?;
-                PrevSegment::parse(arena.bytes(), sid as u32, n_base).ok()
-            })
-            .collect();
-        let encoded = leads2::encode_append(book, n_base, &parsed)
+        let encoded = leads2::encode_append(book, n_base, &prev)
             .unwrap_or_else(|| leads2::encode_book(book, n_base));
 
         std::fs::create_dir_all(payloads.dir.join(SHARD_DIR))?;
@@ -439,8 +419,8 @@ impl GenerationStore {
             let before = payloads.outcome.files_written;
             match (segment, &base, prev.get(sid)) {
                 (Segment::Written(bytes), _, _) => payloads.write(&name, bytes)?,
-                (Segment::Linked, Some((dir, files)), Some(Some(arena))) => {
-                    payloads.link(&dir.join(&name), &name, arena.bytes(), files[&name].0)?;
+                (Segment::Linked, Some((dir, manifest)), Some(Some(reused))) => {
+                    payloads.link(dir, &manifest.segments[sid], reused.bytes())?;
                 }
                 (Segment::Linked, _, _) => unreachable!("only verified segments are reused"),
             }
@@ -489,133 +469,46 @@ impl GenerationStore {
         // the load_latest fall-back-to-older-generation path.
         etap_runtime::fault::check_io("store.load")?;
         let dir = self.gen_dir(generation);
-        let (_, records) =
-            etap_persist::read_file(&dir.join("MANIFEST"), MANIFEST_KIND, MANIFEST_VERSION)?;
-
-        let mut stated_generation: Option<u64> = None;
-        let mut window: Option<usize> = None;
-        let mut event_count: Option<usize> = None;
-        let mut format: Option<String> = None;
-        let mut shard_count: Option<u32> = None;
-        let mut files: Vec<(String, u64, usize)> = Vec::new();
-        for rec in &records {
-            match rec.tag() {
-                "generation" => stated_generation = Some(rec.parse(1)?),
-                "window" => window = Some(rec.parse(1)?),
-                "events" => event_count = Some(rec.parse(1)?),
-                "format" => format = Some(rec.str(1)?.to_string()),
-                "shards" => shard_count = Some(rec.parse(1)?),
-                "file" => {
-                    let name = rec.str(1)?.to_string();
-                    if files.iter().any(|(n, _, _)| *n == name) {
-                        return Err(StoreError::Invalid(format!(
-                            "manifest lists {name:?} twice"
-                        )));
-                    }
-                    let checksum = u64::from_str_radix(rec.str(2)?, 16)
-                        .map_err(|_| rec.malformed("bad checksum field"))?;
-                    let size: usize = rec.parse(3)?;
-                    files.push((name, checksum, size));
-                }
-                other => {
-                    return Err(StoreError::Invalid(format!(
-                        "unknown manifest record `{other}`"
-                    )))
-                }
-            }
-        }
-        let missing = |what: &str| StoreError::Invalid(format!("manifest missing {what} record"));
-        let stated_generation = stated_generation.ok_or_else(|| missing("generation"))?;
-        if stated_generation != generation {
-            return Err(StoreError::Invalid(format!(
-                "directory gen-{generation} holds manifest for generation {stated_generation}"
-            )));
-        }
-        let window = window.ok_or_else(|| missing("window"))?;
-        let event_count = event_count.ok_or_else(|| missing("events"))?;
-        let binary = match format.as_deref() {
-            None | Some("text") => false,
-            Some("binary") => true,
-            Some(other) => {
-                return Err(StoreError::Invalid(format!(
-                    "unknown leads format {other:?}"
-                )))
-            }
+        let manifest = Manifest::read(&dir, generation)?;
+        let map = |file: &FileEntry| -> Result<Arc<Arena>, StoreError> {
+            let arena = open_arena(&dir.join(&file.name))?;
+            file.check(arena.bytes())?;
+            Ok(Arc::new(arena))
+        };
+        let read = |file: &FileEntry| -> Result<String, StoreError> {
+            let bytes = std::fs::read(dir.join(&file.name))?;
+            file.check(&bytes)?;
+            String::from_utf8(bytes)
+                .map_err(|_| StoreError::Invalid(format!("{}: not UTF-8", file.name)))
         };
 
-        // Verify + decode each payload in manifest order (which
-        // preserves the driver order the snapshot was published with).
-        let verify = |name: &str, bytes: &[u8], checksum: u64, size: usize| {
-            if bytes.len() != size {
-                return Err(StoreError::Invalid(format!(
-                    "{name}: manifest says {size} bytes, file has {}",
-                    bytes.len()
-                )));
-            }
-            let computed = etap_persist::fnv1a64(bytes);
-            if computed != checksum {
-                return Err(StoreError::Invalid(format!(
-                    "{name}: checksum mismatch ({checksum:016x} vs {computed:016x})"
-                )));
-            }
-            Ok(())
-        };
+        // Decode in manifest order: the driver order the snapshot was
+        // published with, and the order a fresh process registers custom
+        // drivers in (before a binary book's code table interns its own).
         let mut drivers = Vec::new();
         let mut text_book: Option<LeadBook> = None;
-        let mut index_arena: Option<Arc<Arena>> = None;
-        let mut shard_arenas: Vec<(u32, Arc<Arena>)> = Vec::new();
-        for (name, checksum, size) in &files {
-            let path = dir.join(name);
-            if binary && (name == INDEX_FILE || shard_id(name).is_some()) {
-                let arena = Arc::new(open_arena(&path)?);
-                verify(name, arena.bytes(), *checksum, *size)?;
-                if name == INDEX_FILE {
-                    index_arena = Some(arena);
-                } else if let Some(sid) = shard_id(name) {
-                    shard_arenas.push((sid, arena));
-                }
-            } else if !binary && name == EVENTS_FILE {
-                let bytes = std::fs::read(&path)?;
-                verify(name, &bytes, *checksum, *size)?;
-                let text = String::from_utf8(bytes)
-                    .map_err(|_| StoreError::Invalid(format!("{name}: not UTF-8")))?;
-                text_book = Some(etap::persist::book_from_str(&text)?);
-            } else if name.ends_with(".model") {
-                let bytes = std::fs::read(&path)?;
-                verify(name, &bytes, *checksum, *size)?;
-                drivers.push(etap::persist::load(&path).map_err(CodecError::Io)?);
-            } else {
-                return Err(StoreError::Invalid(format!(
-                    "manifest lists unrecognized file {name:?}"
-                )));
+        for file in &manifest.files {
+            if file.name.ends_with(".model") {
+                drivers.push(etap::persist::from_str(&read(file)?).map_err(CodecError::Io)?);
+            } else if file.name == manifest.book.name && !manifest.binary {
+                text_book = Some(etap::persist::book_from_str(&read(file)?)?);
             }
         }
-
-        let book: BookHandle = if binary {
-            let n = shard_count.ok_or_else(|| missing("shards"))?.max(1) as usize;
-            let index = index_arena.ok_or_else(|| missing("book.index file"))?;
-            shard_arenas.sort_by_key(|(sid, _)| *sid);
-            if shard_arenas.len() != n
-                || shard_arenas
+        let book: BookHandle = match text_book {
+            Some(book) => book.into(),
+            None => {
+                let shards = manifest
+                    .segments
                     .iter()
-                    .enumerate()
-                    .any(|(i, (sid, _))| *sid != i as u32)
-            {
-                return Err(StoreError::Invalid(format!(
-                    "manifest lists {} segment files, expected segments 0..{n}",
-                    shard_arenas.len()
-                )));
+                    .map(map)
+                    .collect::<Result<_, _>>()?;
+                MappedBook::open(map(&manifest.book)?, shards)?.into()
             }
-            let shards = shard_arenas.into_iter().map(|(_, a)| a).collect();
-            MappedBook::open(index, shards)?.into()
-        } else {
-            text_book
-                .ok_or_else(|| missing("events.leads file"))?
-                .into()
         };
-        if book.len() != event_count {
+        if book.len() != manifest.events {
             return Err(StoreError::Invalid(format!(
-                "manifest says {event_count} events, book has {}",
+                "manifest says {} events, book has {}",
+                manifest.events,
                 book.len()
             )));
         }
@@ -623,7 +516,7 @@ impl GenerationStore {
         Ok(LeadSnapshot {
             generation,
             book,
-            trained: Arc::new(TrainedEtap::from_drivers(drivers, window)),
+            trained: Arc::new(TrainedEtap::from_drivers(drivers, manifest.window)),
         })
     }
 
@@ -635,7 +528,7 @@ impl GenerationStore {
     /// # Errors
     /// Propagates only root-directory read failures; per-generation
     /// failures are *reported*, not raised.
-    pub fn load_latest(&self) -> io::Result<Option<(LeadSnapshot, Vec<(u64, String)>)>> {
+    pub fn load_latest(&self) -> io::Result<Option<(LeadSnapshot, Skipped)>> {
         let mut skipped = Vec::new();
         for generation in self.generations()?.into_iter().rev() {
             match self.load(generation) {
@@ -687,36 +580,173 @@ impl GenerationStore {
     }
 }
 
-/// The previous generation's segment files in id order, each only when
-/// its bytes match the size and checksum its manifest recorded: a
-/// segment that fails them is never reused.
+/// One payload file as a manifest lists it: its path in the generation
+/// directory, the FNV-1a 64 of its bytes, and their count.
+#[derive(Debug, Clone)]
+struct FileEntry {
+    name: String,
+    fnv: u64,
+    size: usize,
+}
+
+impl FileEntry {
+    /// Whether `bytes` are this file: the size, then the checksum.
+    fn check(&self, bytes: &[u8]) -> Result<(), StoreError> {
+        let (name, size) = (&self.name, self.size);
+        if bytes.len() != size {
+            return Err(StoreError::Invalid(format!(
+                "{name}: manifest says {size} bytes, file has {}",
+                bytes.len()
+            )));
+        }
+        let computed = etap_persist::fnv1a64(bytes);
+        if computed != self.fnv {
+            return Err(StoreError::Invalid(format!(
+                "{name}: checksum mismatch ({:016x} vs {computed:016x})",
+                self.fnv
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// A generation's `MANIFEST`, as [`GenerationStore::load`] and an append
+/// publish both read it: every record known, every file listed once and
+/// recognized for the format, the generation the directory's, and a
+/// binary generation's segments exactly `0..shards`.
+#[derive(Debug)]
+pub struct Manifest {
+    window: usize,
+    events: usize,
+    binary: bool,
+    /// In manifest order.
+    files: Vec<FileEntry>,
+    /// `book.index` or `events.leads`.
+    book: FileEntry,
+    /// The segment files by id (binary generations).
+    segments: Vec<FileEntry>,
+}
+
+impl Manifest {
+    fn read(dir: &Path, generation: u64) -> Result<Self, StoreError> {
+        let text = std::fs::read_to_string(dir.join("MANIFEST")).map_err(CodecError::Io)?;
+        Self::parse(&text, generation)
+    }
+
+    /// Parse the sealed `MANIFEST` text of generation `generation`.
+    ///
+    /// # Errors
+    /// [`StoreError::Codec`] when the text fails the codec,
+    /// [`StoreError::Invalid`] when a rule above fails.
+    pub fn parse(text: &str, generation: u64) -> Result<Self, StoreError> {
+        let (_, records) = etap_persist::parse(text, MANIFEST_KIND, MANIFEST_VERSION)?;
+        let invalid = |msg: String| Err(StoreError::Invalid(msg));
+        let (mut stated_generation, mut window, mut events) = (None::<u64>, None, None);
+        let (mut format, mut shards): (Option<&str>, Option<u32>) = (None, None);
+        let mut files: Vec<FileEntry> = Vec::new();
+        for rec in &records {
+            match rec.tag() {
+                "generation" => stated_generation = Some(rec.parse(1)?),
+                "window" => window = Some(rec.parse(1)?),
+                "events" => events = Some(rec.parse(1)?),
+                "format" => format = Some(rec.str(1)?),
+                "shards" => shards = Some(rec.parse(1)?),
+                "file" => {
+                    let name = rec.str(1)?;
+                    if files.iter().any(|f| f.name == name) {
+                        return invalid(format!("manifest lists {name:?} twice"));
+                    }
+                    let fnv = u64::from_str_radix(rec.str(2)?, 16)
+                        .map_err(|_| rec.malformed("bad checksum field"))?;
+                    let (name, size) = (name.to_string(), rec.parse(3)?);
+                    files.push(FileEntry { name, fnv, size });
+                }
+                other => return invalid(format!("unknown manifest record `{other}`")),
+            }
+        }
+        let missing = |what: &str| StoreError::Invalid(format!("manifest missing {what} record"));
+        let stated_generation = stated_generation.ok_or_else(|| missing("generation"))?;
+        if stated_generation != generation {
+            return invalid(format!(
+                "directory gen-{generation} holds manifest for generation {stated_generation}"
+            ));
+        }
+        let window = window.ok_or_else(|| missing("window"))?;
+        let events = events.ok_or_else(|| missing("events"))?;
+        let binary = match format {
+            None | Some("text") => false,
+            Some("binary") => true,
+            Some(other) => return invalid(format!("unknown leads format {other:?}")),
+        };
+
+        let book_file = if binary { INDEX_FILE } else { EVENTS_FILE };
+        let mut book = None;
+        let mut segments: Vec<(u32, usize)> = Vec::new();
+        for (i, f) in files.iter().enumerate() {
+            match shard_id(&f.name) {
+                Some(sid) if binary => segments.push((sid, i)),
+                _ if f.name == book_file => book = Some(i),
+                _ if f.name.ends_with(".model") => {}
+                _ => return invalid(format!("manifest lists unrecognized file {:?}", f.name)),
+            }
+        }
+        let book = book.ok_or_else(|| missing(&format!("{book_file} file")))?;
+        if binary {
+            let n = shards.ok_or_else(|| missing("shards"))?.max(1) as usize;
+            segments.sort_unstable();
+            if segments.len() != n || segments.iter().zip(0..).any(|(&(sid, _), i)| sid != i) {
+                return invalid(format!(
+                    "manifest lists {} segment files, expected segments 0..{n}",
+                    segments.len()
+                ));
+            }
+        }
+        Ok(Self {
+            window,
+            events,
+            binary,
+            book: files[book].clone(),
+            segments: segments.iter().map(|&(_, i)| files[i].clone()).collect(),
+            files,
+        })
+    }
+}
+
+/// The previous generation's segments in id order, opened for an
+/// `n_base`-shard layout, each only when its bytes match the size and
+/// checksum its manifest recorded: a segment that fails them is never
+/// reused.
 ///
 /// A book extended in memory holds the previous generation's segments
 /// as its own (see `MappedBook::extend`). A file whose bytes equal the
-/// book's segment with the same id is read through that arena, after
+/// book's segment with the same id is used as the book opened it, after
 /// a buffered comparison, instead of being mapped a second time — a
 /// second mapping would count every page of it twice in the resident
-/// set. Any other file is mapped. One read buffer serves every
-/// comparison of the publish.
+/// set. Any other file is mapped and opened. One read buffer serves
+/// every comparison of the publish.
 fn verified_segments(
     dir: &Path,
-    files: &HashMap<String, (u64, usize)>,
+    manifest: &Manifest,
     book: &MappedBook,
-) -> Vec<Option<Arc<Arena>>> {
+    n_base: usize,
+) -> Vec<Option<SealedSegment>> {
     let held: Vec<&Arc<Arena>> = book.segments().collect();
     let mut buf = vec![0; 1 << 16];
-    (0..)
-        .map(shard_file)
-        .map_while(|name| files.get(&name).map(|&sum| (name, sum)))
+    manifest
+        .segments
+        .iter()
         .enumerate()
-        .map(|(sid, (name, (fnv, size)))| {
-            let path = dir.join(name);
-            let verified = |a: &Arena| a.len() == size && etap_persist::fnv1a64(a.bytes()) == fnv;
+        .map(|(sid, file)| {
+            let path = dir.join(&file.name);
+            let verified = |a: &Arena| file.check(a.bytes()).is_ok();
             match held.get(sid) {
                 Some(arena) if verified(arena) && file_equals(&path, arena.bytes(), &mut buf) => {
-                    Some(Arc::clone(arena))
+                    book.segment(sid, n_base)
                 }
-                _ => open_arena(&path).ok().filter(|a| verified(a)).map(Arc::new),
+                _ => {
+                    let arena = open_arena(&path).ok().filter(|a| verified(a))?;
+                    SealedSegment::open(Arc::new(arena), sid, n_base).ok()
+                }
             }
         })
         .collect()
@@ -744,8 +774,8 @@ fn file_equals(path: &Path, bytes: &[u8], buf: &mut [u8]) -> bool {
 /// will list, and what the publish wrote or linked.
 struct Payloads {
     dir: PathBuf,
-    /// `(name, fnv, size)` in publish order.
-    files: Vec<(String, u64, usize)>,
+    /// In publish order.
+    files: Vec<FileEntry>,
     outcome: PublishOutcome,
 }
 
@@ -754,20 +784,23 @@ impl Payloads {
         write_synced(&self.dir.join(name), contents)?;
         self.outcome.files_written += 1;
         self.outcome.bytes_written += contents.len() as u64;
-        let fnv = etap_persist::fnv1a64(contents);
-        self.files.push((name.to_string(), fnv, contents.len()));
+        self.files.push(FileEntry {
+            name: name.to_string(),
+            fnv: etap_persist::fnv1a64(contents),
+            size: contents.len(),
+        });
         Ok(())
     }
 
-    /// Reuse `from`, a verified file of the previous generation holding
-    /// `contents`: hard-link it (the inode outlives pruning of its
+    /// Reuse `file` of the previous generation in `from`, verified to
+    /// hold `contents`: hard-link it (the inode outlives pruning of its
     /// source directory), or write a copy where links fail.
-    fn link(&mut self, from: &Path, name: &str, contents: &[u8], fnv: u64) -> io::Result<()> {
-        if std::fs::hard_link(from, self.dir.join(name)).is_err() {
-            return self.write(name, contents);
+    fn link(&mut self, from: &Path, file: &FileEntry, contents: &[u8]) -> io::Result<()> {
+        if std::fs::hard_link(from.join(&file.name), self.dir.join(&file.name)).is_err() {
+            return self.write(&file.name, contents);
         }
         self.outcome.files_linked += 1;
-        self.files.push((name.to_string(), fnv, contents.len()));
+        self.files.push(file.clone());
         Ok(())
     }
 }

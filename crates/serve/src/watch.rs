@@ -94,7 +94,7 @@ impl Default for WatchConfig {
             interval: Duration::from_secs(60),
             cycles: None,
             poll_docs: 80,
-            poll_seed: 0x011A_7C4,
+            poll_seed: 0x0011_A7C4,
             threads: 0,
             stage_timeout: Duration::from_secs(120),
             retry: RetryPolicy::default(),

@@ -19,7 +19,10 @@
 //! * once the served book came from the store (a restart), the extends
 //!   in memory lay it out exactly as the publishes lay it out on disk:
 //!   every segment a publish linked or wrote is byte-identical to the
-//!   served book's segment with the same id.
+//!   served book's segment with the same id;
+//! * a pinned generation survives every prune, through the delta merges
+//!   and cold re-encodes published after it, and still loads as the
+//!   book it sealed.
 //!
 //! The fault registry is process-global, so every test here runs under
 //! [`lock`].
@@ -249,9 +252,31 @@ fn check_outcome(outcome: &PublishOutcome, expect: (u64, u64)) {
     );
 }
 
-/// Run one seeded history; returns the publishes checked against the
-/// served book's own layout.
-fn run_history(seed: u64, steps: u64) -> usize {
+/// What one history exercised.
+#[derive(Debug, Default)]
+struct Exercised {
+    /// Publishes checked against the served book's own layout.
+    layouts_checked: usize,
+    /// Publishes that merged deltas while an older generation was pinned.
+    merges_pinned: usize,
+    /// Cold re-encodes published while an older generation was pinned.
+    colds_pinned: usize,
+    /// Prunes that had to step around the pinned generation.
+    pins_kept: usize,
+}
+
+/// The pinned generation must still be there and load as it sealed.
+fn assert_pinned_loads(store: &GenerationStore, pinned: &Option<Arc<LeadSnapshot>>) {
+    let Some(snap) = pinned else { return };
+    assert_eq!(store.pinned(), Some(snap.generation));
+    let loaded = store
+        .load(snap.generation)
+        .unwrap_or_else(|e| panic!("pinned generation {}: {e}", snap.generation));
+    assert_same_book(&loaded, snap);
+}
+
+/// Run one seeded history.
+fn run_history(seed: u64, steps: u64) -> Exercised {
     let mut rng = Rng::seed_from_u64(seed);
     let root = temp_root(&format!("t1_{seed}"));
     let twin_root = temp_root(&format!("t4_{seed}"));
@@ -264,7 +289,11 @@ fn run_history(seed: u64, steps: u64) -> usize {
     let mut prev: Option<Sealed> = None;
     let mut prev_len = 0;
     let mut served_from_store = false;
-    let mut layouts_checked = 0;
+    let mut exercised = Exercised::default();
+    // Pins draw from their own stream, so the history's publishes,
+    // crashes, prunes and restarts are the ones it has without pins.
+    let mut pin_rng = Rng::seed_from_u64(!seed);
+    let mut pinned: Option<Arc<LeadSnapshot>> = None;
 
     for generation in 1..=steps {
         if generation > 1 {
@@ -301,6 +330,13 @@ fn run_history(seed: u64, steps: u64) -> usize {
         check_outcome(&outcome, expect);
         check_outcome(&twin_outcome, expect);
         prev_len = len;
+        if let (Some(p), Some(_)) = (&prev, &pinned) {
+            match expect.0.checked_sub(u64::from(SHARDS)) {
+                None => exercised.colds_pinned += 1,
+                Some(kept) if kept < p.deltas.len() as u64 => exercised.merges_pinned += 1,
+                Some(_) => {}
+            }
+        }
 
         let segments = now.inodes.len();
         let appends = total(&now.deltas).1 as u32;
@@ -348,11 +384,32 @@ fn run_history(seed: u64, steps: u64) -> usize {
                     "generation {generation}: segment {sid} on disk differs from the served book's"
                 );
             }
-            layouts_checked += 1;
+            exercised.layouts_checked += 1;
         }
 
+        // Pin the generation just sealed, as a server that loads it
+        // does, or drop the pin; then sometimes prune.
+        match pin_rng.gen_range(0..10u32) {
+            0..=2 => {
+                store.pin(generation);
+                pinned = Some(Arc::clone(&snap));
+            }
+            3 => {
+                store.unpin();
+                pinned = None;
+            }
+            _ => {}
+        }
         if rng.gen_bool(0.3) {
-            store.prune(rng.gen_range(1..3usize)).expect("prune");
+            let keep = rng.gen_range(1..3usize);
+            let before = store.generations().expect("list");
+            let removed = store.prune(keep).expect("prune");
+            if let Some(snap) = &pinned {
+                assert!(!removed.contains(&snap.generation), "{removed:?}");
+                let old = &before[..before.len().saturating_sub(keep)];
+                exercised.pins_kept += usize::from(old.contains(&snap.generation));
+            }
+            assert_pinned_loads(&store, &pinned);
         }
         if rng.gen_bool(0.25) {
             // A restart: re-open the store and continue from what it
@@ -362,19 +419,27 @@ fn run_history(seed: u64, steps: u64) -> usize {
             served_from_store = true;
         }
     }
+    assert_pinned_loads(&store, &pinned);
+    store.unpin();
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&twin_root);
-    layouts_checked
+    exercised
 }
 
 #[test]
 fn random_histories_match_the_reference_layout() {
     let _guard = lock();
-    let checked: usize = [11, 23, 47]
+    let runs: Vec<Exercised> = [11, 23, 47]
         .into_iter()
         .map(|seed| run_history(seed, 14))
-        .sum();
+        .collect();
+    let sum = |f: fn(&Exercised) -> usize| runs.iter().map(f).sum::<usize>();
+    let checked = sum(|r| r.layouts_checked);
     assert!(checked >= 5, "only {checked} publishes followed a restart");
+    assert!(
+        sum(|r| r.merges_pinned) > 0 && sum(|r| r.colds_pinned) > 0 && sum(|r| r.pins_kept) > 0,
+        "{runs:?}"
+    );
 }
 
 #[test]

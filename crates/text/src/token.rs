@@ -399,20 +399,15 @@ fn scan_word(text: &str, start: usize, first: char) -> (usize, bool) {
         } else {
             let c = char_after(text, end).expect("end is a char boundary inside text");
             let w = c.len_utf8();
-            if c.is_alphanumeric() {
-                prev = c;
-                ascii = false;
-                end += w;
-            } else if c == '\u{2019}'
+            let joins = c == '\u{2019}'
                 && prev.is_alphabetic()
-                && char_after(text, end + w).is_some_and(char::is_alphabetic)
-            {
-                prev = c;
-                ascii = false;
-                end += w;
-            } else {
+                && char_after(text, end + w).is_some_and(char::is_alphabetic);
+            if !(c.is_alphanumeric() || joins) {
                 break;
             }
+            prev = c;
+            ascii = false;
+            end += w;
         }
     }
     (end, ascii)

@@ -91,7 +91,7 @@ fn main() {
     fault::install(
         &FaultPlan::parse(
             "persist.write=io@0.1,corpus.poll=delay:5ms@0.2,retrain=panic@once",
-            0xBAD_DA,
+            0x000B_ADDA,
         )
         .expect("valid plan"),
     );

@@ -31,7 +31,7 @@ fn main() {
         seed: 77,
         ..WebConfig::with_docs(400)
     });
-    let events = trained.identify_events(news.docs());
+    let events = trained.identify_events_parallel(news.docs(), 0);
 
     // Deduplicate per document: keep each document's best snippet.
     let mut best_per_doc: Vec<&etap_repro::TriggerEvent> = Vec::new();

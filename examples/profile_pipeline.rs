@@ -46,7 +46,7 @@ fn main() {
         seed: 2_026,
         ..WebConfig::with_docs(400)
     });
-    let events = trained.identify_events(fresh.docs());
+    let events = trained.identify_events_parallel(fresh.docs(), 0);
     println!("  {} trigger events flagged", events.len());
 
     let scan = perf::report();

@@ -38,7 +38,7 @@ fn main() {
         seed: 2_024,
         ..WebConfig::with_docs(300)
     });
-    let events = trained.identify_events(fresh.docs());
+    let events = trained.identify_events_parallel(fresh.docs(), 0);
     println!(
         "\nFlagged {} trigger events in {} fresh documents.",
         events.len(),

@@ -26,7 +26,7 @@ fn main() {
         seed: 4242,
         ..WebConfig::with_docs(400)
     });
-    let events = trained.identify_events(news.docs());
+    let events = trained.identify_events_parallel(news.docs(), 0);
     println!("{} revenue-growth trigger events identified.", events.len());
 
     // Ranking 1: classifier confidence (how sure are we it IS a revenue

@@ -4,7 +4,9 @@
 #
 # 1. tier 1: `cargo build --release && cargo test -q`, after
 #    `cargo fmt --all --check` (rustfmt defaults; `e2ebench/` is its own
-#    workspace, so `--all` leaves it alone);
+#    workspace, so `--all` leaves it alone) and
+#    `cargo clippy --all-targets -- -D warnings` (clippy's default lints,
+#    every target of the workspace, no warning allowed);
 # 2. e2ebench: the end-to-end benchmark (`e2ebench/`, its own workspace,
 #    so tier 1 never compiles it) builds and its unit tests pass; then
 #    its three workloads run traced at seed 101 for 5 s each, and the
@@ -67,8 +69,9 @@ bench_sums="$work/bench.sha256"
 # jnum <file> <key>: pull a flat numeric JSON field.
 jnum() { sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p" "$1"; }
 
-echo "== tier 1: cargo fmt --all --check, cargo build --release && cargo test -q =="
+echo "== tier 1: cargo fmt --all --check, cargo clippy, cargo build --release && cargo test -q =="
 cargo fmt --all --check
+cargo clippy --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 

@@ -527,7 +527,7 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
             let window = opts.usize_or("window", 3);
             let trained = Arc::new(etap_repro::TrainedEtap::from_drivers(models, window));
             let docs = opts.usize_or("docs", 80);
-            let seed = opts.usize_or("seed", 0x011A_7C4) as u64;
+            let seed = opts.usize_or("seed", 0x0011_A7C4) as u64;
             let crawl = SyntheticWeb::generate(WebConfig {
                 seed: watch::poll_batch_seed(seed, 1),
                 drivers: DriverSet::all_registered(),
@@ -557,7 +557,7 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
     let mut config = WatchConfig {
         interval: Duration::from_millis(opts.usize_or("interval-ms", 1_000) as u64),
         poll_docs: opts.usize_or("docs", 80),
-        poll_seed: opts.usize_or("seed", 0x011A_7C4) as u64,
+        poll_seed: opts.usize_or("seed", 0x0011_A7C4) as u64,
         drivers: DriverSet::all_registered(),
         ..WatchConfig::default()
     };

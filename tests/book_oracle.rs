@@ -16,7 +16,7 @@ use etap_repro::persist::{bin_open, Arena};
 use etap_repro::runtime::Rng;
 use etap_repro::serve::{GenerationStore, LeadSnapshot, LeadsFormat};
 use etap_repro::system::leads2::{
-    encode_append, encode_book, EncodedBook, PrevSegment, Segment, LEADS2_APPEND_VERSION,
+    encode_append, encode_book, EncodedBook, SealedSegment, Segment, LEADS2_APPEND_VERSION,
     SHARD_KIND,
 };
 use etap_repro::system::{driverfile, BookHandle, EventView, LeadBook, MappedBook};
@@ -495,7 +495,7 @@ fn snapshot_extend_chains_agree_across_scan_threads() {
             "generation {generation}: 1 vs 4 threads"
         );
         if generation % 8 == 0 {
-            let full = LeadBook::build(system.identify_events(&union));
+            let full = LeadBook::build(system.identify_events_parallel(&union, 0));
             assert!(
                 next_one.book == BookHandle::from(full),
                 "generation {generation}: rebuild"
@@ -570,10 +570,10 @@ fn exercise(book: &MappedBook, drivers: &[SalesDriver], prev: &[Vec<u8>]) {
         }
     }
     let _ = encode_book(book, 3);
-    let prev: Vec<Option<PrevSegment>> = prev
+    let prev: Vec<Option<SealedSegment>> = prev
         .iter()
         .enumerate()
-        .map(|(sid, b)| PrevSegment::parse(b, sid as u32, 4).ok())
+        .map(|(sid, b)| SealedSegment::open(Arc::new(Arena::Heap(b.clone())), sid, 4).ok())
         .collect();
     let _ = encode_append(book, 4, &prev);
 }
@@ -589,10 +589,10 @@ fn mapped_book_open_is_total_on_corrupt_layouts() {
         .collect();
     let sealed = cold_files[1..].to_vec();
     all.extend(events(&mut rng, &drivers, 60, 8));
-    let prev: Vec<Option<PrevSegment>> = sealed
+    let prev: Vec<Option<SealedSegment>> = sealed
         .iter()
         .enumerate()
-        .map(|(sid, b)| PrevSegment::parse(b, sid as u32, 4).ok())
+        .map(|(sid, b)| SealedSegment::open(Arc::new(Arena::Heap(b.clone())), sid, 4).ok())
         .collect();
     let delta =
         encode_append(&BookHandle::from(LeadBook::build(all)), 4, &prev).expect("append layout");

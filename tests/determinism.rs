@@ -59,8 +59,8 @@ fn event_rankings_are_stable() {
         seed: 99,
         ..WebConfig::with_docs(120)
     });
-    let e1 = trained.identify_events(fresh.docs());
-    let e2 = trained.identify_events(fresh.docs());
+    let e1 = trained.identify_events_parallel(fresh.docs(), 0);
+    let e2 = trained.identify_events_parallel(fresh.docs(), 0);
     assert_eq!(e1, e2);
     assert_eq!(
         rank::rank_by_score(e1.clone()),

@@ -90,7 +90,7 @@ fn custom_drivers_identify_events_from_the_data_file_alone() {
     let hires: SalesDriver = "executive-hires".parse().expect("registered");
 
     let crawl = custom_crawl(41);
-    let events = trained.identify_events(crawl.docs());
+    let events = trained.identify_events_parallel(crawl.docs(), 0);
     let funding_events = events.iter().filter(|e| e.driver == funding).count();
     let hire_events = events.iter().filter(|e| e.driver == hires).count();
     assert!(funding_events > 0, "no funding-rounds events identified");

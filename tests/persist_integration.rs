@@ -7,7 +7,7 @@ use etap_repro::corpus::{SyntheticWeb, WebConfig};
 use etap_repro::serve::{GenerationStore, LeadSnapshot};
 use etap_repro::system::{persist, LeadBook};
 use etap_repro::{DriverSpec, Etap, EtapConfig, SalesDriver, TrainedEtap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 fn trained() -> Arc<TrainedEtap> {
@@ -62,8 +62,8 @@ fn trained_system_roundtrips_through_model_files() {
     let restored = TrainedEtap::from_drivers(restored, system.snippet_window());
 
     let fresh = crawl(21, 60);
-    let original_events = system.identify_events(fresh.docs());
-    let restored_events = restored.identify_events(fresh.docs());
+    let original_events = system.identify_events_parallel(fresh.docs(), 0);
+    let restored_events = restored.identify_events_parallel(fresh.docs(), 0);
     assert_eq!(
         original_events, restored_events,
         "bit-identical identification"
@@ -86,8 +86,8 @@ fn serialized_model_is_v2_codec_with_checksum() {
 #[test]
 fn lead_book_roundtrips_bit_exactly_through_leads_document() {
     let system = trained();
-    let book = LeadBook::build(system.identify_events(crawl(22, 60).docs()));
-    assert!(book.len() > 0, "need events to make the test meaningful");
+    let book = LeadBook::build(system.identify_events_parallel(crawl(22, 60).docs(), 0));
+    assert!(!book.is_empty(), "need events to make the test meaningful");
     let text = persist::book_to_string(&book);
     let restored = persist::book_from_str(&text).expect("parse book");
     assert_eq!(restored, book);
@@ -142,10 +142,13 @@ fn extend_roundtrips_through_the_store() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A named way to damage one generation directory.
+type Corruption = (&'static str, fn(&Path));
+
 #[test]
 fn store_corruption_matrix_falls_back_to_newest_valid() {
     let system = trained();
-    let corruptions: [(&str, fn(&PathBuf)); 4] = [
+    let corruptions: [Corruption; 4] = [
         ("truncated_events", |dir| {
             let path = dir.join("events.leads");
             let text = std::fs::read_to_string(&path).unwrap();
@@ -297,7 +300,7 @@ fn generation_vanishing_between_listing_and_read_never_panics() {
 
 /// Replace one file's manifest entry (checksum + size) and reseal the
 /// manifest, leaving everything else untouched.
-fn rewrite_manifest_entry(dir: &PathBuf, name: &str, contents: &str) {
+fn rewrite_manifest_entry(dir: &Path, name: &str, contents: &str) {
     let manifest_path = dir.join("MANIFEST");
     let text = std::fs::read_to_string(&manifest_path).unwrap();
     let mut out = String::new();
@@ -347,10 +350,10 @@ fn every_listed_company_resolves_in_owned_and_mapped_books() {
     // Alias resolution is order-dependent, and Eq. 2 ranks companies
     // per driver while lookups walk the global ranking: the bug needs
     // several drivers and enough companies for their orders to differ.
-    let mut events = trained().identify_events(crawl(0xA11A5, 2_000).docs());
+    let mut events = trained().identify_events_parallel(crawl(0xA11A5, 2_000).docs(), 0);
     // Books grown poll by poll, as the watch loop grows them.
     for poll in 0..3 {
-        events.extend(trained().identify_events(crawl(0xB00C + poll, 80).docs()));
+        events.extend(trained().identify_events_parallel(crawl(0xB00C + poll, 80).docs(), 0));
         let book = LeadBook::build(events.clone());
         let enc = encode_book(&BookHandle::from(book.clone()), 4);
         let segments = enc

@@ -37,7 +37,7 @@ fn train_identify_rank_roundtrip() {
     let trained = Etap::new(config).train(&web);
 
     let fresh = small_web(0x12345);
-    let events = trained.identify_events(fresh.docs());
+    let events = trained.identify_events_parallel(fresh.docs(), 0);
     assert!(!events.is_empty());
 
     // Ranking is a permutation of the events.

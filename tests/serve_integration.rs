@@ -137,7 +137,7 @@ fn leads_match_offline_ranking_and_companies_match_mrr() {
     let fresh = crawl(7);
 
     // The offline path the server must agree with byte-for-byte.
-    let events = rank::rank_by_score(trained().identify_events(fresh.docs()));
+    let events = rank::rank_by_score(trained().identify_events_parallel(fresh.docs(), 0));
     assert!(!events.is_empty(), "test crawl produced no events");
     let mut resolver = AliasResolver::new();
     let companies = rank::rank_companies_resolved(&events, &mut resolver);
@@ -329,9 +329,11 @@ fn leads_icp_enrichment_is_opt_in() {
 
 #[test]
 fn error_paths() {
-    let mut config = ServeConfig::default();
-    config.max_body_bytes = 512;
-    config.deadline_ms = 300;
+    let config = ServeConfig {
+        max_body_bytes: 512,
+        deadline_ms: 300,
+        ..ServeConfig::default()
+    };
     let server = boot(&config);
     let addr = server.addr();
 
@@ -397,10 +399,12 @@ fn error_paths() {
 
 #[test]
 fn backpressure_sheds_with_retry_after() {
-    let mut config = ServeConfig::default();
-    config.workers = 1;
-    config.queue_capacity = 1;
-    config.deadline_ms = 1_000;
+    let config = ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        deadline_ms: 1_000,
+        ..ServeConfig::default()
+    };
     let server = boot(&config);
     let addr = server.addr();
 
@@ -525,7 +529,7 @@ fn hot_swap_never_mixes_generations() {
 
     // Publish generation 2 (different crawl) mid-traffic.
     std::thread::sleep(Duration::from_millis(150));
-    let book2 = LeadBook::build(trained().identify_events(crawl(99).docs()));
+    let book2 = LeadBook::build(trained().identify_events_parallel(crawl(99).docs(), 0));
     let published = server.publish(book2, trained());
     assert_eq!(published, 2);
     std::thread::sleep(Duration::from_millis(150));
