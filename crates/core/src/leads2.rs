@@ -1055,8 +1055,10 @@ impl MappedBook {
         }
 
         // The trailing code→key table (absent on builtin-only books)
-        // decodes first: the driver directory below resolves through it.
-        let mut codes = CodeMap::default();
+        // decodes first: the driver directory below names its codes. The
+        // keys are interned only once the whole index has validated, so
+        // a rejected index registers no driver.
+        let mut keys: Vec<(u8, &str)> = Vec::new();
         let mut directories = vec![
             iv.section_range(2)?,
             iv.section_range(4)?,
@@ -1068,11 +1070,7 @@ impl MappedBook {
             let n = c.u32()? as usize;
             let n = c.count(n, 5)?;
             for _ in 0..n {
-                let code = c.u8()?;
-                let key = c.str_view()?;
-                let driver = SalesDriver::intern(key)
-                    .map_err(|e| malformed(format!("driver key {key:?}: {e}")))?;
-                codes.custom.push((code, driver));
+                keys.push((c.u8()?, c.str_view()?));
             }
         }
 
@@ -1080,30 +1078,23 @@ impl MappedBook {
         let n = c.u32()? as usize;
         let n = c.count(n, 20)?;
         let driver_refs = iv.section_range(3)?;
-        let mut drivers = Vec::with_capacity(n);
+        let mut driver_codes = Vec::with_capacity(n);
         for _ in 0..n {
             let code = c.u8()?;
             c.bytes(3)?;
             let refs_off = c.u64()? as usize;
             let count = c.u64()? as usize;
-            let driver = codes
-                .resolve(code)
-                .ok_or_else(|| malformed(format!("unknown driver code {code}")))?;
+            if driver_from_code(code).is_none() && !keys.iter().any(|(c, _)| *c == code) {
+                return Err(malformed(format!("unknown driver code {code}")));
+            }
             if refs_off
                 .checked_add(count)
                 .and_then(|end| end.checked_mul(8))
                 .is_none_or(|end| end > driver_refs.1)
             {
-                return Err(malformed(format!(
-                    "driver {} refs out of bounds",
-                    driver.id()
-                )));
+                return Err(malformed(format!("driver code {code} refs out of bounds")));
             }
-            drivers.push(DriverEntry {
-                driver,
-                refs_off,
-                count,
-            });
+            driver_codes.push((code, refs_off, count));
         }
 
         let mut c = Cur::new(iv.section(4)?);
@@ -1162,6 +1153,25 @@ impl MappedBook {
             last = Some(key);
             name_keys.push(((at + start, len), idx));
         }
+
+        let mut codes = CodeMap::default();
+        for (code, key) in keys {
+            let driver = SalesDriver::intern(key)
+                .map_err(|e| malformed(format!("driver key {key:?}: {e}")))?;
+            codes.custom.push((code, driver));
+        }
+        // Every code was checked against the table above, so none is
+        // dropped here.
+        let drivers = driver_codes
+            .into_iter()
+            .filter_map(|(code, refs_off, count)| {
+                Some(DriverEntry {
+                    driver: codes.resolve(code)?,
+                    refs_off,
+                    count,
+                })
+            })
+            .collect();
 
         Ok(Self {
             index,

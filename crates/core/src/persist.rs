@@ -395,9 +395,14 @@ fn parse_choice(rec: &Record, i: usize) -> Result<CategoryChoice, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::leads2::{
+        encode_book, BookHandle, MappedBook, Segment, INDEX_KIND, LEADS2_APPEND_VERSION,
+    };
     use crate::training::{train_driver, TrainingConfig};
     use etap_annotate::Annotator;
     use etap_corpus::{SearchEngine, SyntheticWeb, WebConfig};
+    use etap_persist::{bin_open, Arena};
+    use std::sync::Arc;
 
     fn quick_trained() -> TrainedDriver {
         let web = SyntheticWeb::generate(WebConfig {
@@ -533,6 +538,55 @@ mod tests {
         assert!(registered(key));
         assert_eq!(events[0].driver.id(), key);
         assert_eq!(events[1].driver, SalesDriver::RevenueGrowth);
+
+        // A LEADS v2 index whose code table names an unregistered key
+        // (swapped in for a registered one of the same length), and
+        // whose name key, decoded after that table, points past the
+        // company table.
+        let sealed =
+            SalesDriver::register("persist_sealed_leads2_key", "pilot programs").expect("register");
+        let key = "persist_reject_leads2_key";
+        let book = BookHandle::from(LeadBook::build(vec![TriggerEvent {
+            driver: sealed,
+            doc_id: 7,
+            url: "http://t/7".to_string(),
+            snippet: "Acme Pilots starts a pilot program".to_string(),
+            score: 0.9,
+            companies: vec!["Acme Pilots".to_string()],
+            doc_date: (2005, 6, 1),
+        }]));
+        let enc = encode_book(&book, 1);
+        let segments: Vec<Arc<Arena>> = enc
+            .segments
+            .iter()
+            .zip(book.segments())
+            .map(|(segment, sealed)| match segment {
+                Segment::Linked => Arc::clone(sealed),
+                Segment::Written(bytes) => Arc::new(Arena::Heap(bytes.clone())),
+            })
+            .collect();
+        let mut index = enc.index;
+        let at = (0..index.len())
+            .find(|&i| index[i..].starts_with(sealed.id().as_bytes()))
+            .expect("the code table holds the sealed key");
+        index[at..at + key.len()].copy_from_slice(key.as_bytes());
+        let open = |index: &[u8]| {
+            MappedBook::open(Arc::new(Arena::Heap(index.to_vec())), segments.clone())
+        };
+        let mut rejected = index.clone();
+        let view = bin_open(&index, INDEX_KIND, LEADS2_APPEND_VERSION, false).expect("index");
+        let names = view.section_range(6).expect("name keys").0;
+        let first_len = u32::from_le_bytes(index[names + 8..names + 12].try_into().unwrap());
+        let idx = names + 12 + first_len as usize;
+        rejected[idx..idx + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(open(&rejected).is_err(), "name key past the company table");
+        assert!(
+            !registered(key),
+            "a rejected LEADS v2 index registered {key}"
+        );
+        let mapped = open(&index).expect("the same index, name keys intact");
+        assert!(registered(key));
+        assert_eq!(mapped.top(1)[0].driver().id(), key);
     }
 
     #[test]

@@ -140,6 +140,12 @@ impl SyntheticWeb {
         &self.docs
     }
 
+    /// All documents, moved out of the web.
+    #[must_use]
+    pub fn into_docs(self) -> Vec<SyntheticDoc> {
+        self.docs
+    }
+
     /// Document by id.
     #[must_use]
     pub fn doc(&self, id: usize) -> &SyntheticDoc {

@@ -15,6 +15,7 @@
 //! Either way the rest of the system sees only `&[u8]`, so every
 //! consumer is backing-agnostic.
 
+use std::fmt;
 use std::fs::File;
 use std::io;
 use std::path::Path;
@@ -25,7 +26,6 @@ use etap_runtime::perf::Stage;
 static STAGE_MMAP: Stage = Stage::new("persist.mmap");
 
 /// An immutable byte arena backed by a mapping or by owned heap memory.
-#[derive(Debug)]
 pub enum Arena {
     /// Bytes read into process heap memory.
     Heap(Vec<u8>),
@@ -66,6 +66,18 @@ impl Arena {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             Arena::Mmap(_) => true,
         }
+    }
+}
+
+/// Prints the backing and the length, never the bytes: an arena holds
+/// a whole sealed file.
+impl fmt::Debug for Arena {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let backing = if self.is_mapped() { "mmap" } else { "heap" };
+        f.debug_struct("Arena")
+            .field("backing", &backing)
+            .field("len", &self.len())
+            .finish()
     }
 }
 
@@ -114,7 +126,6 @@ pub mod sys {
     const MAP_PRIVATE: usize = 2;
 
     /// An owned read-only file mapping; unmapped on drop.
-    #[derive(Debug)]
     pub struct Mapping {
         ptr: *const u8,
         len: usize,
@@ -224,6 +235,15 @@ mod tests {
         assert_eq!(arena.len(), 19);
         assert!(!arena.is_empty());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn debug_prints_backing_and_length_not_bytes() {
+        let arena = Arena::Heap(vec![0xAB; 4096]);
+        assert_eq!(
+            format!("{arena:?}"),
+            r#"Arena { backing: "heap", len: 4096 }"#
+        );
     }
 
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

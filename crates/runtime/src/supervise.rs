@@ -27,7 +27,16 @@
 //! retries, leaving the stuck thread to finish (or not) in the
 //! background. That leak is deliberate — there is no safe way to kill a
 //! thread, and the stages here (crawl, score, write) hold no locks the
-//! supervisor needs.
+//! supervisor needs. [`SupervisorStats::stage_threads`] counts attempt
+//! threads still alive, so an abandoned one stays visible.
+//!
+//! An attempt that delivers its result (ok, error or panic) has its
+//! thread joined before the stage returns. The join costs nothing the
+//! output can see — the thread has already sent its result — but it
+//! keeps the heap small: glibc gives a thread that starts while another
+//! is still exiting a fresh malloc arena, and each extra arena keeps
+//! the memory its stage freed. Joined, the next stage's thread reuses
+//! the finished thread's arena.
 //!
 //! Backoff jitter draws from the in-tree seeded [`Rng`], so a supervised
 //! run under a fixed fault plan retries on an identical schedule every
@@ -115,6 +124,10 @@ pub struct SupervisorStats {
     pub consecutive_failures: AtomicU64,
     /// Degraded-mode flag.
     pub degraded: AtomicBool,
+    /// Gauge: stage attempt threads still alive. Finished attempts are
+    /// joined, so between stages this counts timed-out attempts still
+    /// running in the background.
+    pub stage_threads: AtomicU64,
 }
 
 impl SupervisorStats {
@@ -182,7 +195,7 @@ impl Supervisor {
                 self.stats.retries_total.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(self.policy.backoff(attempt - 1, &mut self.jitter));
             }
-            match run_attempt(name, timeout, Arc::clone(&f)) {
+            match run_attempt(name, timeout, Arc::clone(&f), &self.stats) {
                 Ok(value) => return Ok(value),
                 Err(err) => {
                     self.stats
@@ -223,17 +236,26 @@ impl Supervisor {
 }
 
 /// One attempt: spawn, catch panics at the thread boundary, wait with
-/// timeout. A timed-out thread is abandoned (see module docs).
-fn run_attempt<T, F>(name: &str, timeout: Duration, f: Arc<F>) -> Result<T, StageError>
+/// timeout. A thread that delivered its result is joined; a timed-out
+/// one is abandoned (see module docs).
+fn run_attempt<T, F>(
+    name: &str,
+    timeout: Duration,
+    f: Arc<F>,
+    stats: &Arc<SupervisorStats>,
+) -> Result<T, StageError>
 where
     T: Send + 'static,
     F: Fn() -> Result<T, String> + Send + Sync + 'static,
 {
     let (tx, rx) = mpsc::channel::<Result<T, StageError>>();
     let thread_name = format!("etap-stage-{name}");
+    stats.stage_threads.fetch_add(1, Ordering::SeqCst);
+    let live = LiveThread(Arc::clone(stats));
     let spawned = std::thread::Builder::new()
         .name(thread_name)
         .spawn(move || {
+            let _live = live;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f()));
             let result = match outcome {
                 Ok(Ok(value)) => Ok(value),
@@ -244,11 +266,28 @@ where
             let _ = tx.send(result);
         });
     match spawned {
-        Ok(_handle) => match rx.recv_timeout(timeout) {
-            Ok(result) => result,
+        Ok(handle) => match rx.recv_timeout(timeout) {
+            Ok(result) => {
+                // The thread only unwinds its frame after the send, so
+                // this join is brief; it frees the thread's malloc arena
+                // for the next stage's thread.
+                let _ = handle.join();
+                result
+            }
             Err(_) => Err(StageError::TimedOut),
         },
         Err(e) => Err(StageError::Failed(format!("spawn failed: {e}"))),
+    }
+}
+
+/// Held by an attempt thread for its whole life: counts it out of
+/// [`SupervisorStats::stage_threads`] as it exits, or as the spawn that
+/// was to start it fails.
+struct LiveThread(Arc<SupervisorStats>);
+
+impl Drop for LiveThread {
+    fn drop(&mut self) {
+        self.0.stage_threads.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -267,6 +306,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::time::Instant;
 
     fn fast_policy() -> RetryPolicy {
         RetryPolicy {
@@ -348,6 +388,96 @@ mod tests {
             Ok(())
         });
         assert_eq!(got, Err(StageError::TimedOut));
+    }
+
+    /// Raised by a thread-local's destructor, which runs as the attempt
+    /// thread exits, after the stage has sent its result; it lingers so
+    /// that only a join can see the flag raised.
+    static EXITED: AtomicBool = AtomicBool::new(false);
+
+    struct OnExit;
+
+    impl Drop for OnExit {
+        fn drop(&mut self) {
+            std::thread::sleep(Duration::from_millis(20));
+            EXITED.store(true, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static ON_EXIT: OnExit = const { OnExit };
+    }
+
+    #[test]
+    fn finished_attempt_threads_are_joined() {
+        let mut sup = Supervisor::new(
+            RetryPolicy {
+                max_attempts: 1,
+                ..fast_policy()
+            },
+            2,
+        );
+        let stats = sup.stats();
+        let timeout = Duration::from_secs(5);
+        let mut joined = |name: &str, outcome: fn() -> Result<u32, String>| {
+            EXITED.store(false, Ordering::SeqCst);
+            let got = sup.stage(name, timeout, move || {
+                ON_EXIT.with(|_| ());
+                outcome()
+            });
+            assert!(EXITED.load(Ordering::SeqCst), "{name}: thread not joined");
+            assert_eq!(stats.stage_threads.load(Ordering::SeqCst), 0, "{name}");
+            got
+        };
+        assert_eq!(joined("ok", || Ok(1)), Ok(1));
+        assert_eq!(
+            joined("err", || Err("no".to_string())),
+            Err(StageError::Failed("no".to_string()))
+        );
+        assert_eq!(
+            joined("bomb", || panic!("boom")),
+            Err(StageError::Panicked("boom".to_string()))
+        );
+    }
+
+    #[test]
+    fn abandoned_thread_is_counted_until_it_exits() {
+        let mut sup = Supervisor::new(
+            RetryPolicy {
+                max_attempts: 1,
+                ..fast_policy()
+            },
+            2,
+        );
+        let stats = sup.stats();
+        let release = Arc::new(AtomicBool::new(false));
+        let hold = Arc::clone(&release);
+        let started = Instant::now();
+        // Hangs until released (or 10 s, so a supervisor that joined a
+        // timed-out thread fails the timing check below rather than
+        // hanging the suite).
+        let got: Result<(), _> = sup.stage("hang", Duration::from_millis(20), move || {
+            while !hold.load(Ordering::SeqCst) && started.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(())
+        });
+        assert_eq!(got, Err(StageError::TimedOut));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the timeout path waited on the thread: {:?}",
+            started.elapsed()
+        );
+        assert_eq!(stats.stage_threads.load(Ordering::SeqCst), 1, "while hung");
+        release.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while stats.stage_threads.load(Ordering::SeqCst) != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the abandoned thread never exited"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

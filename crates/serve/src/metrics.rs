@@ -134,6 +134,9 @@ pub struct Metrics {
     pub watch_cycles_total: AtomicU64,
     /// Stage retries performed by the watch supervisor.
     pub watch_retries_total: AtomicU64,
+    /// Gauge: watch stage threads alive after the last cycle — the
+    /// timed-out attempts the supervisor abandoned and that still run.
+    pub watch_stage_threads: AtomicU64,
     /// Gauge: 1 while the watch loop is in degraded mode, else 0.
     pub watch_degraded: AtomicU64,
     /// Faults injected by the `ETAP_FAULTS` registry (0 outside chaos
@@ -245,6 +248,11 @@ impl Metrics {
         );
         let _ = writeln!(
             out,
+            "etap_watch_stage_threads {}",
+            self.watch_stage_threads.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(
+            out,
             "etap_watch_degraded {}",
             self.watch_degraded.load(Ordering::Relaxed)
         );
@@ -334,6 +342,7 @@ mod tests {
             "etap_shards_linked_total 0",
             "etap_watch_cycles_total 0",
             "etap_watch_retries_total 0",
+            "etap_watch_stage_threads 0",
             "etap_watch_degraded 0",
             "etap_faults_injected_total 0",
             "etap_request_latency_ms{quantile=\"0.99\"}",

@@ -180,6 +180,10 @@ pub fn run(server: &ServerHandle, store: &GenerationStore, config: &WatchConfig)
             stats.retries_total.load(Ordering::Relaxed),
             Ordering::Relaxed,
         );
+        m.watch_stage_threads.store(
+            stats.stage_threads.load(Ordering::SeqCst),
+            Ordering::Relaxed,
+        );
         m.watch_degraded
             .store(u64::from(stats.is_degraded()), Ordering::Relaxed);
         m.faults_injected_total
@@ -223,7 +227,7 @@ fn run_cycle(
                         drivers: poll_drivers,
                         ..WebConfig::with_docs(poll_docs)
                     });
-                    Ok(web.docs().to_vec())
+                    Ok(web.into_docs())
                 })
                 .map_err(|e| ("poll", e))?,
         )

@@ -10,6 +10,8 @@ use etap_repro::runtime::fault::{self, FaultPlan, TraceEntry};
 use etap_repro::runtime::supervise::RetryPolicy;
 use etap_repro::serve::{watch, GenerationStore, LeadSnapshot, ServeConfig, WatchConfig};
 use etap_repro::{DriverSpec, Etap, EtapConfig, SalesDriver, TrainedEtap};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -55,6 +57,16 @@ fn test_server(snapshot: Arc<LeadSnapshot>) -> etap_repro::serve::ServerHandle {
         ..ServeConfig::default()
     };
     etap_repro::serve::start(&config, snapshot).expect("server start")
+}
+
+/// The full response to `GET target` on a fresh connection.
+fn get(addr: SocketAddr, target: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let request = format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read");
+    response
 }
 
 /// Fast retry policy so injected failures don't slow the suite.
@@ -158,7 +170,13 @@ fn watch_advances_generations_and_prunes_with_retention() {
         .with_retention(2);
     let server = test_server(gen1);
     let report = watch::run(&server, &store, &fast_config(3, 0));
+    // Every finished stage thread was joined: none is left alive.
+    let metrics = get(server.addr(), "/metrics");
     server.shutdown();
+    assert!(
+        metrics.lines().any(|l| l == "etap_watch_stage_threads 0"),
+        "{metrics}"
+    );
 
     assert_eq!(report.cycles, 3);
     assert_eq!(report.cycles_failed, 0, "{:?}", report.last_error);
