@@ -99,7 +99,11 @@ pub struct Annotator {
 
 impl Default for Annotator {
     fn default() -> Self {
-        Self::with_components(NamedEntityRecognizer::default(), PosTagger::default())
+        Self {
+            ner: NamedEntityRecognizer::default(),
+            pos: PosTagger::default(),
+            stamp: fresh_stamp(),
+        }
     }
 }
 
@@ -108,16 +112,6 @@ impl Annotator {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create an annotator wrapping custom components.
-    #[must_use]
-    pub fn with_components(ner: NamedEntityRecognizer, pos: PosTagger) -> Self {
-        Self {
-            ner,
-            pos,
-            stamp: fresh_stamp(),
-        }
     }
 
     /// Annotate a snippet: tokenize, find entity spans, tag the rest.

@@ -97,13 +97,6 @@ impl IterativeDenoiser {
         }
     }
 
-    /// Set the worker-thread count for re-classification.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Train with noise reduction.
     ///
     /// * `noisy_positive` — Pⁿ, snippets harvested by smart queries;

@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod aliases;
-pub mod dedup;
 pub mod driverfile;
 pub mod events;
 pub mod filter;
@@ -60,7 +59,6 @@ pub mod temporal;
 pub mod training;
 
 pub use aliases::AliasResolver;
-pub use dedup::EventDeduper;
 pub use driverfile::{DriverDef, DriverFileError};
 pub use events::{EventIdentifier, TriggerEvent};
 pub use filter::{Filter, FilterParseError};
@@ -141,21 +139,11 @@ impl Etap {
     }
 
     /// Train classifiers for every configured driver against `web`
-    /// (indexing it with the built-in search engine first).
+    /// (indexing it with the built-in search engine first). Held-out
+    /// evaluation calls [`training::train_drivers`] with its own
+    /// exclusion predicate instead.
     #[must_use]
     pub fn train(&self, web: &SyntheticWeb) -> TrainedEtap {
-        self.train_excluding(web, |_| false)
-    }
-
-    /// Like [`Etap::train`] but keeping the documents selected by
-    /// `exclude_doc` out of every training set (pure positives and
-    /// negatives) so they can serve as held-out evaluation data.
-    #[must_use]
-    pub fn train_excluding(
-        &self,
-        web: &SyntheticWeb,
-        exclude_doc: impl Fn(usize) -> bool + Copy + Sync,
-    ) -> TrainedEtap {
         let engine = SearchEngine::build(web.docs());
         let drivers = training::train_drivers(
             &self.config.drivers,
@@ -163,7 +151,7 @@ impl Etap {
             web,
             &self.annotator,
             &self.config.training,
-            exclude_doc,
+            |_| false,
         );
         TrainedEtap::assemble(
             drivers,

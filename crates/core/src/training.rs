@@ -478,7 +478,7 @@ const NEGATIVE_CHUNK: usize = 256;
 
 /// Sample the random negative class from the whole web.
 ///
-/// Sampling is chunked: chunk `i` draws up to [`NEGATIVE_CHUNK`]
+/// Sampling is chunked: chunk `i` draws up to `NEGATIVE_CHUNK`
 /// snippets from its own RNG stream (`Rng::stream(seed ^ mask, i)`),
 /// chunks run on up to `config.threads` workers, and the ordered merge
 /// concatenates them. The resulting set is bit-identical for any thread

@@ -7,9 +7,8 @@
 //! it, and the negative class is randomly sampled from it.
 
 use crate::drivers::{DriverSet, SalesDriver};
-use crate::generator::{DocGenerator, Genre, SyntheticDoc};
-use crate::templates::BACKGROUND_GENRES;
-use etap_runtime::Rng;
+use crate::generator::SyntheticDoc;
+use crate::stream::DocStream;
 
 /// Genre mix and size of a synthetic web.
 #[derive(Debug, Clone, Copy)]
@@ -27,11 +26,6 @@ pub struct WebConfig {
     /// Fraction of entity names the NER gazetteer knows (see
     /// [`crate::names::NameGenerator::known_fraction`]).
     pub known_name_fraction: f64,
-    /// Fraction of documents that are *syndicated copies* of an earlier
-    /// document (same body with a light edit, different URL) — the
-    /// press-release wire phenomenon `etap::dedup` exists for. Default
-    /// 0 so the paper experiments are unaffected.
-    pub syndication_fraction: f64,
     /// Which sales drivers this web writes trigger/distractor documents
     /// for. Defaults to the three built-ins, so the default document
     /// stream is byte-identical to the closed-enum era; add registered
@@ -52,7 +46,6 @@ impl Default for WebConfig {
             business_noise_fraction: 0.35,
             seed: 0xE7A9,
             known_name_fraction: 0.25,
-            syndication_fraction: 0.0,
             drivers: DriverSet::builtin(),
         }
     }
@@ -86,46 +79,17 @@ pub struct SyntheticWeb {
 }
 
 impl SyntheticWeb {
-    /// Generate a web from a config.
+    /// Generate a web from a config: the [`DocStream`] of `config`,
+    /// collected.
+    ///
+    /// # Panics
+    /// When the genre fractions exceed 1.
     #[must_use]
     pub fn generate(config: WebConfig) -> Self {
-        config.validate();
-        let mut genre_rng = Rng::seed_from_u64(config.seed ^ 0x9E3779B97F4A7C15);
-        let mut gen = DocGenerator::with_known_fraction(config.seed, config.known_name_fraction);
-        let mut docs: Vec<SyntheticDoc> = Vec::with_capacity(config.total_docs);
-        for id in 0..config.total_docs {
-            // Syndication: republish an earlier document under a new URL
-            // with a light edit, as press-release wires do.
-            if config.syndication_fraction > 0.0
-                && !docs.is_empty()
-                && genre_rng.gen_bool(config.syndication_fraction.clamp(0.0, 1.0))
-            {
-                let src = &docs[genre_rng.gen_range(0..docs.len())];
-                let mut copy = src.clone();
-                copy.id = id;
-                copy.url = format!("http://wire.example.com/{id}");
-                copy.body = format!("{} Editors added minor context.", copy.body);
-                docs.push(copy);
-                continue;
-            }
-            let genre = draw_genre(&config, &mut genre_rng);
-            let mut doc = gen.generate(genre);
-            // Keep ids dense even when syndication skipped the internal
-            // generator counter.
-            doc.id = id;
-            doc.url = format!("http://news.example.com/{id}");
-            docs.push(doc);
+        Self {
+            docs: DocStream::new(config).collect(),
+            config,
         }
-        Self { docs, config }
-    }
-
-    /// Stream the documents `generate(config)` would materialize, one
-    /// at a time with O(1) memory — the scale path for corpora too
-    /// large to hold (see [`crate::stream::DocStream`] for the parity
-    /// contract).
-    #[must_use]
-    pub fn stream(config: WebConfig) -> crate::stream::DocStream {
-        crate::stream::DocStream::new(config)
     }
 
     /// The configuration this web was generated from.
@@ -170,37 +134,6 @@ impl SyntheticWeb {
             .iter()
             .filter(move |d| d.trigger_driver() == Some(driver))
     }
-
-    /// A random sample of `n` documents (for the negative class), by id.
-    #[must_use]
-    pub fn sample_ids(&self, n: usize, seed: u64) -> Vec<usize> {
-        let mut rng = Rng::seed_from_u64(seed);
-        (0..n.min(self.len()))
-            .map(|_| rng.gen_range(0..self.len()))
-            .collect()
-    }
-}
-
-fn draw_genre(config: &WebConfig, rng: &mut Rng) -> Genre {
-    let x: f64 = rng.gen_f64();
-    let mut acc = 0.0;
-    for driver in config.drivers.iter() {
-        acc += config.trigger_fraction;
-        if x < acc {
-            return Genre::Trigger(driver);
-        }
-    }
-    for driver in config.drivers.iter() {
-        acc += config.distractor_fraction;
-        if x < acc {
-            return Genre::Distractor(driver);
-        }
-    }
-    acc += config.business_noise_fraction;
-    if x < acc {
-        return Genre::BusinessNoise;
-    }
-    Genre::Background(rng.gen_range(0..BACKGROUND_GENRES.len()))
 }
 
 #[cfg(test)]
@@ -281,33 +214,6 @@ mod tests {
         });
         for (a, b) in web.docs().iter().zip(again.docs()) {
             assert_eq!(a.text(), b.text());
-        }
-    }
-
-    #[test]
-    fn sample_ids_is_seeded_and_bounded() {
-        let web = SyntheticWeb::generate(WebConfig::with_docs(100));
-        let a = web.sample_ids(30, 5);
-        let b = web.sample_ids(30, 5);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&i| i < 100));
-    }
-
-    #[test]
-    fn syndication_produces_near_copies() {
-        let web = SyntheticWeb::generate(WebConfig {
-            syndication_fraction: 0.3,
-            ..WebConfig::with_docs(300)
-        });
-        let wire = web
-            .docs()
-            .iter()
-            .filter(|d| d.url.starts_with("http://wire."))
-            .count();
-        assert!(wire > 40, "{wire} syndicated copies");
-        // Ids stay dense.
-        for (i, d) in web.docs().iter().enumerate() {
-            assert_eq!(d.id, i);
         }
     }
 

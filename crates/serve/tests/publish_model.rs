@@ -22,7 +22,12 @@
 //!   served book's segment with the same id;
 //! * a pinned generation survives every prune, through the delta merges
 //!   and cold re-encodes published after it, and still loads as the
-//!   book it sealed.
+//!   book it sealed;
+//! * a byte flipped in place in a sealed segment invalidates every
+//!   generation that links the file, and only those: the next publish
+//!   links no corrupt file (its records are re-sealed), the generation
+//!   it seals loads as the in-memory book, and a crashed publish falls
+//!   back past the corrupt generations.
 //!
 //! The fault registry is process-global, so every test here runs under
 //! [`lock`].
@@ -33,8 +38,9 @@ use etap_corpus::{SyntheticDoc, SyntheticWeb, WebConfig};
 use etap_persist::bin_open;
 use etap_runtime::fault::{self, FaultPlan};
 use etap_runtime::Rng;
-use etap_serve::{GenerationStore, LeadSnapshot, LeadsFormat, PublishOutcome};
-use std::os::unix::fs::MetadataExt;
+use etap_serve::{GenerationStore, LeadSnapshot, LeadsFormat, PublishOutcome, StoreError};
+use std::collections::HashSet;
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -95,6 +101,41 @@ fn segment_count(root: &Path, generation: u64) -> usize {
     (0..)
         .take_while(|&sid| segment_path(root, generation, sid).exists())
         .count()
+}
+
+/// Each segment's inode, in id order.
+fn segment_inodes(root: &Path, generation: u64) -> Vec<u64> {
+    (0..segment_count(root, generation))
+        .map(|sid| {
+            let path = segment_path(root, generation, sid);
+            std::fs::metadata(path).expect("segment").ino()
+        })
+        .collect()
+}
+
+/// Whether a generation links none of the `corrupt` inodes (only
+/// segments are ever flipped, so this is whether it loads).
+fn intact(root: &Path, generation: u64, corrupt: &HashSet<u64>) -> bool {
+    segment_inodes(root, generation)
+        .iter()
+        .all(|ino| !corrupt.contains(ino))
+}
+
+/// Flip one bit of the file at `path` in place, as a failing disk does:
+/// every link to the inode sees it. Returns the open file.
+fn flip_bit(path: &Path, rng: &mut Rng) -> std::fs::File {
+    let file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(path)
+        .expect("open segment");
+    let len = file.metadata().expect("segment").len();
+    let at = rng.gen_range(0..len);
+    let mut byte = [0];
+    file.read_exact_at(&mut byte, at).expect("read");
+    byte[0] ^= 1 << rng.gen_range(0..8u32);
+    file.write_all_at(&byte, at).expect("write");
+    file
 }
 
 /// Every file of a generation as `(relative path, bytes)`, sorted.
@@ -166,8 +207,8 @@ fn dominates(older: Delta, newer: Delta) -> bool {
 /// The segment layout a generation sealed, read back from disk.
 #[derive(Debug)]
 struct Sealed {
-    /// Records in the base shards.
-    base: u64,
+    /// Records in each base shard.
+    base: Vec<u64>,
     /// The delta stack, oldest first.
     deltas: Vec<Delta>,
     /// Every segment's inode, base shards first.
@@ -176,7 +217,7 @@ struct Sealed {
 
 fn read_sealed(root: &Path, generation: u64) -> Sealed {
     let mut sealed = Sealed {
-        base: 0,
+        base: Vec::new(),
         deltas: Vec::new(),
         inodes: Vec::new(),
     };
@@ -187,7 +228,7 @@ fn read_sealed(root: &Path, generation: u64) -> Sealed {
         let meta = view.section(0).expect("meta");
         let word = |at: usize| u64::from_le_bytes(meta[at..at + 8].try_into().expect("u64"));
         if sid < SHARDS as usize {
-            sealed.base += word(8);
+            sealed.base.push(word(8));
         } else {
             sealed.deltas.push((word(8), word(16)));
         }
@@ -200,18 +241,26 @@ fn read_sealed(root: &Path, generation: u64) -> Sealed {
 
 /// Check one publish against the layout rules, stated on their own
 /// rather than by re-running the encoder: `prev` is the previous
-/// generation's layout (`None` before the first seal), `fresh` the
-/// records the book gained. Returns the expected `(linked, written)`
-/// segment counts.
-fn check_layout(prev: Option<&Sealed>, now: &Sealed, records: u64, fresh: u64) -> (u64, u64) {
-    let shards = u64::from(SHARDS);
+/// generation's layout (`None` before the first seal), `bad` the id of
+/// its segment that fails its checksum, if any, and `fresh` the records
+/// the book gained. Returns the ids of the segments the publish must
+/// link and the count it must write.
+fn check_layout(
+    prev: Option<&Sealed>,
+    bad: Option<usize>,
+    now: &Sealed,
+    records: u64,
+    fresh: u64,
+) -> (Vec<usize>, u64) {
+    let shards = SHARDS as usize;
+    let now_base: u64 = now.base.iter().sum();
     let (delta_records, appends) = total(&now.deltas);
     assert_eq!(
-        now.base + delta_records,
+        now_base + delta_records,
         records,
         "every record sealed once"
     );
-    assert!(delta_records < now.base || now.deltas.is_empty(), "{now:?}");
+    assert!(delta_records < now_base || now.deltas.is_empty(), "{now:?}");
     assert!(
         now.deltas.windows(2).all(|w| dominates(w[0], w[1])),
         "each delta dominates the next: {now:?}"
@@ -220,34 +269,57 @@ fn check_layout(prev: Option<&Sealed>, now: &Sealed, records: u64, fresh: u64) -
     let log2 = 63 - u64::leading_zeros(appends.max(1)) as usize;
     assert!(now.deltas.len() <= log2 + 1, "{now:?}");
 
-    let Some(prev) = prev.filter(|p| total(&p.deltas).0 + fresh < p.base) else {
-        // Cold: the deltas would have reached the base's record count.
+    let cold = || {
         assert!(now.deltas.is_empty(), "{now:?}");
-        return (0, shards);
+        (Vec::new(), u64::from(SHARDS))
     };
-    assert_eq!(now.base, prev.base, "base shards are reused");
+    let Some(prev) = prev else { return cold() };
+    // A segment that fails its checksum is never reused: its records are
+    // sealed again with the fresh ones. A bad base shard's slot is
+    // written empty; a bad delta ends the deltas that can be kept.
+    let mut base: u64 = prev.base.iter().sum();
+    let mut deltas = &prev.deltas[..];
+    let mut fresh = fresh;
+    match bad {
+        Some(sid) if sid < shards => {
+            base -= prev.base[sid];
+            fresh += prev.base[sid];
+        }
+        Some(sid) => {
+            fresh += total(&deltas[sid - shards..]).0;
+            deltas = &deltas[..sid - shards];
+        }
+        None => {}
+    }
+    if total(deltas).0 + fresh >= base {
+        // Cold: the deltas would have reached the base's record count.
+        return cold();
+    }
+    assert_eq!(now_base, base, "base shards are reused");
     // The new delta absorbs the fewest newest deltas that leaves the
     // delta below it dominating it.
     let new = (fresh, 1);
     let kept = match fresh {
-        0 => prev.deltas.len(),
-        _ => (1..=prev.deltas.len())
+        0 => deltas.len(),
+        _ => (1..=deltas.len())
             .rev()
-            .find(|&k| dominates(prev.deltas[k - 1], add(total(&prev.deltas[k..]), new)))
+            .find(|&k| dominates(deltas[k - 1], add(total(&deltas[k..]), new)))
             .unwrap_or(0),
     };
-    let mut expected = prev.deltas[..kept].to_vec();
+    let mut expected = deltas[..kept].to_vec();
     if fresh > 0 {
-        expected.push(add(total(&prev.deltas[kept..]), new));
+        expected.push(add(total(&deltas[kept..]), new));
     }
-    assert_eq!(now.deltas, expected, "from {prev:?}");
-    (shards + kept as u64, u64::from(fresh > 0))
+    assert_eq!(now.deltas, expected, "from {prev:?}, bad segment {bad:?}");
+    let linked = (0..shards + kept).filter(|&sid| Some(sid) != bad).collect();
+    let emptied = bad.is_some_and(|sid| sid < shards);
+    (linked, u64::from(emptied) + u64::from(fresh > 0))
 }
 
-fn check_outcome(outcome: &PublishOutcome, expect: (u64, u64)) {
+fn check_outcome(outcome: &PublishOutcome, (linked, written): &(Vec<usize>, u64)) {
     assert_eq!(
         (outcome.files_linked, outcome.shards_written),
-        expect,
+        (linked.len() as u64, *written),
         "{outcome:?}"
     );
 }
@@ -263,16 +335,34 @@ struct Exercised {
     colds_pinned: usize,
     /// Prunes that had to step around the pinned generation.
     pins_kept: usize,
+    /// Bits flipped in base shards, and in deltas.
+    flips_base: usize,
+    flips_delta: usize,
+    /// Flips that also invalidated an older retained generation.
+    flips_shared: usize,
+    /// Crashed publishes that fell back past a corrupt generation.
+    crashes_past_corrupt: usize,
 }
 
-/// The pinned generation must still be there and load as it sealed.
-fn assert_pinned_loads(store: &GenerationStore, pinned: &Option<Arc<LeadSnapshot>>) {
+/// The pinned generation must still be there, and load as it sealed
+/// unless it links a corrupt file.
+fn assert_pinned_loads(
+    store: &GenerationStore,
+    pinned: &Option<Arc<LeadSnapshot>>,
+    corrupt: &HashSet<u64>,
+) {
     let Some(snap) = pinned else { return };
-    assert_eq!(store.pinned(), Some(snap.generation));
-    let loaded = store
-        .load(snap.generation)
-        .unwrap_or_else(|e| panic!("pinned generation {}: {e}", snap.generation));
-    assert_same_book(&loaded, snap);
+    let generation = snap.generation;
+    assert_eq!(store.pinned(), Some(generation));
+    match store.load(generation) {
+        Ok(loaded) if intact(store.root(), generation, corrupt) => {
+            assert_same_book(&loaded, snap);
+        }
+        Err(StoreError::Invalid(msg)) if !intact(store.root(), generation, corrupt) => {
+            assert!(msg.contains("checksum"), "{msg}");
+        }
+        other => panic!("pinned generation {generation}: {:?}", other.err()),
+    }
 }
 
 /// Run one seeded history.
@@ -287,13 +377,24 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
     let mut snap = Arc::new(LeadSnapshot::build(trained(), &first, 1, 1));
     let mut twin_snap = Arc::new(LeadSnapshot::build(trained(), &first, 1, 4));
     let mut prev: Option<Sealed> = None;
-    let mut prev_len = 0;
     let mut served_from_store = false;
     let mut exercised = Exercised::default();
     // Pins draw from their own stream, so the history's publishes,
     // crashes, prunes and restarts are the ones it has without pins.
     let mut pin_rng = Rng::seed_from_u64(!seed);
     let mut pinned: Option<Arc<LeadSnapshot>> = None;
+    // So do bit flips. A flip never touches a file a served book maps,
+    // which would see it in its pages.
+    let mut flip_rng = Rng::seed_from_u64(seed.rotate_left(32));
+    let mut mapped: HashSet<u64> = HashSet::new();
+    let mut corrupt: HashSet<u64> = HashSet::new();
+    // Open handles keep every inode in those sets alive, so no new file
+    // is handed its number.
+    let mut held: Vec<std::fs::File> = Vec::new();
+    // The previous generation's flipped segment, if any.
+    let mut bad: Option<usize> = None;
+    // Each generation's record count, by generation number.
+    let mut lens = vec![0];
 
     for generation in 1..=steps {
         if generation > 1 {
@@ -315,26 +416,49 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
             fault::reset();
             // (When no write failed, the publish below replaces it.)
             if attempt.is_err() {
-                let (served, skipped) = store.load_latest().expect("scan").expect("a generation");
-                assert_eq!(served.generation, generation - 1, "{skipped:?}");
-                assert_eq!(served.book.len(), prev_len);
+                let fallback = store
+                    .generations()
+                    .expect("list")
+                    .into_iter()
+                    .rfind(|&g| intact(&root, g, &corrupt));
+                let served = store.load_latest().expect("scan");
+                assert_eq!(
+                    served.as_ref().map(|(s, _)| (s.generation, s.book.len())),
+                    fallback.map(|g| (g, lens[g as usize])),
+                    "{:?}",
+                    served.map(|(_, skipped)| skipped)
+                );
                 assert!(!root.join(format!("gen-{generation}")).exists());
+                exercised.crashes_past_corrupt += usize::from(fallback != Some(generation - 1));
             }
         }
 
         let outcome = store.publish(&snap).expect("publish");
         let twin_outcome = twin.publish(&twin_snap).expect("twin publish");
+        assert!(
+            segment_inodes(&root, generation)
+                .iter()
+                .all(|ino| !corrupt.contains(ino)),
+            "generation {generation} links a corrupt segment"
+        );
         let now = read_sealed(&root, generation);
         let len = snap.book.len();
-        let expect = check_layout(prev.as_ref(), &now, len as u64, (len - prev_len) as u64);
-        check_outcome(&outcome, expect);
-        check_outcome(&twin_outcome, expect);
-        prev_len = len;
+        let expect = check_layout(
+            prev.as_ref(),
+            bad.take(),
+            &now,
+            len as u64,
+            (len - lens[lens.len() - 1]) as u64,
+        );
+        check_outcome(&outcome, &expect);
+        check_outcome(&twin_outcome, &expect);
+        lens.push(len);
         if let (Some(p), Some(_)) = (&prev, &pinned) {
-            match expect.0.checked_sub(u64::from(SHARDS)) {
-                None => exercised.colds_pinned += 1,
-                Some(kept) if kept < p.deltas.len() as u64 => exercised.merges_pinned += 1,
-                Some(_) => {}
+            let kept = expect.0.iter().filter(|&&sid| sid >= SHARDS as usize);
+            if expect.0.is_empty() {
+                exercised.colds_pinned += 1;
+            } else if kept.count() < p.deltas.len() {
+                exercised.merges_pinned += 1;
             }
         }
 
@@ -349,7 +473,7 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
         // A linked segment keeps its inode; a written one gets a new one.
         let old = prev.as_ref().map_or(&[][..], |p| &p.inodes[..]);
         for (sid, ino) in now.inodes.iter().enumerate() {
-            if (sid as u64) < expect.0 {
+            if expect.0.contains(&sid) {
                 assert_eq!(*ino, old[sid], "reused segment {sid} changed inode");
             } else {
                 assert!(
@@ -409,17 +533,56 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
                 let old = &before[..before.len().saturating_sub(keep)];
                 exercised.pins_kept += usize::from(old.contains(&snap.generation));
             }
-            assert_pinned_loads(&store, &pinned);
+            assert_pinned_loads(&store, &pinned, &corrupt);
         }
+        let sealed = prev.as_ref().expect("sealed");
         if rng.gen_bool(0.25) {
             // A restart: re-open the store and continue from what it
             // serves.
             store = open_store(&root);
             snap = Arc::new(loaded);
+            for sid in 0..sealed.inodes.len() {
+                let path = segment_path(&root, generation, sid);
+                held.push(std::fs::File::open(path).expect("segment"));
+            }
+            mapped.extend(&sealed.inodes);
             served_from_store = true;
         }
+
+        // Sometimes a bit flips in a segment of this generation, in
+        // both stores alike.
+        let targets: Vec<usize> = (0..sealed.inodes.len())
+            .filter(|&sid| !mapped.contains(&sealed.inodes[sid]))
+            .collect();
+        if !targets.is_empty() && flip_rng.gen_bool(0.2) {
+            let sid = targets[flip_rng.gen_range(0..targets.len())];
+            flip_bit(
+                &segment_path(&twin_root, generation, sid),
+                &mut flip_rng.clone(),
+            );
+            held.push(flip_bit(
+                &segment_path(&root, generation, sid),
+                &mut flip_rng,
+            ));
+            let ino = sealed.inodes[sid];
+            let shared = store
+                .generations()
+                .expect("list")
+                .into_iter()
+                .any(|g| g != generation && segment_inodes(&root, g).contains(&ino));
+            corrupt.insert(ino);
+            bad = Some(sid);
+            // The served book's layout no longer mirrors the store's.
+            served_from_store = false;
+            match sid < SHARDS as usize {
+                true => exercised.flips_base += 1,
+                false => exercised.flips_delta += 1,
+            }
+            exercised.flips_shared += usize::from(shared);
+            assert_pinned_loads(&store, &pinned, &corrupt);
+        }
     }
-    assert_pinned_loads(&store, &pinned);
+    assert_pinned_loads(&store, &pinned, &corrupt);
     store.unpin();
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&twin_root);
@@ -438,6 +601,13 @@ fn random_histories_match_the_reference_layout() {
     assert!(checked >= 5, "only {checked} publishes followed a restart");
     assert!(
         sum(|r| r.merges_pinned) > 0 && sum(|r| r.colds_pinned) > 0 && sum(|r| r.pins_kept) > 0,
+        "{runs:?}"
+    );
+    assert!(
+        sum(|r| r.flips_base) > 0
+            && sum(|r| r.flips_delta) > 0
+            && sum(|r| r.flips_shared) > 0
+            && sum(|r| r.crashes_past_corrupt) > 0,
         "{runs:?}"
     );
 }

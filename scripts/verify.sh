@@ -6,7 +6,9 @@
 #    `cargo fmt --all --check` (rustfmt defaults; `e2ebench/` is its own
 #    workspace, so `--all` leaves it alone) and
 #    `cargo clippy --all-targets -- -D warnings` (clippy's default lints,
-#    every target of the workspace, no warning allowed);
+#    every target of the workspace, no warning allowed) and
+#    `RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace` (no
+#    broken, private or ambiguous intra-doc link, no stray HTML tag);
 # 2. e2ebench: the end-to-end benchmark (`e2ebench/`, its own workspace,
 #    so tier 1 never compiles it) builds and its unit tests pass; then
 #    its three workloads run traced at seed 101 for 5 s each, and the
@@ -69,9 +71,10 @@ bench_sums="$work/bench.sha256"
 # jnum <file> <key>: pull a flat numeric JSON field.
 jnum() { sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p" "$1"; }
 
-echo "== tier 1: cargo fmt --all --check, cargo clippy, cargo build --release && cargo test -q =="
+echo "== tier 1: cargo fmt --all --check, cargo clippy, cargo doc, cargo build --release && cargo test -q =="
 cargo fmt --all --check
 cargo clippy --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release
 cargo test -q
 

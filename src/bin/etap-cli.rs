@@ -90,7 +90,7 @@ impl From<String> for CliError {
 }
 
 /// Static message strings in this binary are argument/precondition
-/// errors ("--out <dir> is required", "store is empty") → exit 2.
+/// errors (`"--out <dir> is required"`, `"store is empty"`) → exit 2.
 impl From<&str> for CliError {
     fn from(m: &str) -> Self {
         Self::Usage(m.to_string())

@@ -1,6 +1,6 @@
 //! Seeded property tests over the core data structures and invariants,
 //! spanning crates (chunker ↔ snippets ↔ vectorizer ↔ classifiers ↔
-//! temporal, alias, dedup and persistence front-ends).
+//! temporal, alias and persistence front-ends).
 //!
 //! Each property draws its cases from the in-tree `etap_runtime::Rng`
 //! with a fixed seed, so a failure names a reproducible case index.
@@ -307,34 +307,6 @@ fn text_front_end_and_parsers_are_total_on_arbitrary_unicode() {
         assert!(
             etap_repro::text::stem(&word).len() <= word.len() + 1,
             "{word:?}"
-        );
-    }
-}
-
-/// Deduplication is idempotent: re-checking any text already seen
-/// always reports it as a duplicate.
-#[test]
-fn deduper_is_idempotent() {
-    let mut rng = Rng::seed_from_u64(0xDED);
-    for case in 0..128 {
-        let texts: Vec<String> = (0..rng.gen_range(1..12usize))
-            .map(|_| {
-                let words: Vec<String> = (0..rng.gen_range(5..14usize))
-                    .map(|_| ascii_word(&mut rng, b"abcdefghijklmnopqrstuvwxyz", 3..9))
-                    .collect();
-                words.join(" ")
-            })
-            .collect();
-        let mut d = etap_repro::system::EventDeduper::new(0.9);
-        let verdicts: Vec<bool> = texts.iter().map(|t| d.is_new(t)).collect();
-        for t in &texts {
-            assert!(!d.is_new(t), "case {case}: {t:?}");
-        }
-        assert!(verdicts[0], "case {case}");
-        assert_eq!(
-            d.clusters(),
-            verdicts.iter().filter(|v| **v).count(),
-            "case {case}"
         );
     }
 }
