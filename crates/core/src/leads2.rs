@@ -6,8 +6,10 @@
 //!
 //! * A book is a list of **segments** — sealed `ETAPBIN` containers of
 //!   length-prefixed event records plus an offset table — and one
-//!   **index** holding every ranking (global, per-driver, per-company)
-//!   as `(segment, idx)` references.
+//!   **index**. The index's global ranking names each record by its
+//!   **global number**, its place in the segments laid end to end; the
+//!   per-driver and per-company rankings name **rank positions**, places
+//!   in the global ranking. Every number is a 4-byte `u32`.
 //! * [`encode_book`] is the **cold** encode: it splits a [`MappedBook`]
 //!   into `n` **base shards** keyed by each event's primary company
 //!   (driver id for company-less events).
@@ -19,15 +21,16 @@
 //!   a book and an append both read the segments it opened, so no
 //!   segment is parsed twice.
 //! * Both encoders copy each record's sealed bytes and re-emit the
-//!   index with its directories (driver table, company table, name
-//!   keys, driver-code table) copied verbatim; only the segment counts
-//!   and the three ref blobs are rewritten. No publish re-encodes an
-//!   event, and driver codes always travel with their own book's code
-//!   table.
+//!   index. Everything that names rank positions (driver table and
+//!   lists, company table and lists, name keys, driver-code table) is
+//!   copied verbatim; only the segment counts and the global ranking
+//!   are rewritten. No publish re-encodes an event, and driver codes
+//!   always travel with their own book's code table.
 //! * [`MappedBook`] opens those containers over [`Arena`]s and serves
 //!   them **zero-copy**: string fields stay offset+len views into the
-//!   arena until response-write time. It reads `(segment, idx)` refs
-//!   whatever the layout.
+//!   arena until response-write time. It finds the segment of a global
+//!   number by binary search over the segments' first numbers, whatever
+//!   the layout.
 //! * [`BookHandle`] is the one served book: a shared [`MappedBook`].
 //!   `From<LeadBook>` seals a freshly built book into heap arenas — one
 //!   segment in rank order plus the index — so built, extended,
@@ -41,6 +44,21 @@
 //!   seals only its delta, so a watch cycle costs in proportion to its
 //!   poll. A mapped base with heap deltas is not
 //!   [fully mapped](MappedBook::is_fully_mapped).
+//!
+//! ## Index layout
+//!
+//! Section 0 holds `[n_segments][n_base][total]` and each segment's
+//! record count; section 1 the global ranking, one global number per
+//! rank position; sections 2+3 the driver directory (`[code u8][off]
+//! [count]` per driver) and its rank-position lists; sections 4+5 the
+//! company directory in MRR order (`[name][mrr f64 bits][events][off]
+//! [count]`) and its lists; section 6 the sorted name keys (`[key]
+//! [company]`); section 7, only when registered drivers are present,
+//! their code→key table. Every count, offset, global number and rank
+//! position is a little-endian `u32`, every string a `u32` length and
+//! its bytes. [`MappedBook::open`] checks every global number against
+//! the record count and every position against `total`, so a served
+//! query never meets a dangling one.
 //!
 //! ## Why append
 //!
@@ -78,13 +96,16 @@
 //! bytes a cold shard has always carried — plus, on deltas only, the
 //! number of publishes merged into it. Nothing in a segment depends on
 //! the generation number, so the generation store can hard-link a reused
-//! segment instead of rewriting it. A cold encode is byte-identical to
-//! the pre-append format. Delta segments and an index that references
-//! deltas are container version [`LEADS2_APPEND_VERSION`], so a build
-//! that predates append publishes fails on them with a future-version
-//! error, not a metadata mismatch; it cannot read a store once a delta
-//! exists.
+//! segment instead of rewriting it. Base shards are container version
+//! [`LEADS2_VERSION`], byte for byte as every cold encode has sealed
+//! them; delta segments are [`LEADS2_APPEND_VERSION`], so a build that
+//! predates append publishes fails on them with a future-version error.
+//! The index is [`INDEX_VERSION`], cold or append, and is the only index
+//! version this build reads or writes: an index of an older layout fails
+//! to open with a typed error, and the generation store skips its
+//! generation.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -101,13 +122,16 @@ use crate::rank::{self, CompanyRanking, Mentions, RankKey};
 pub const SHARD_KIND: &str = "LEADS";
 /// `ETAPBIN` kind of the index file (`book.index`).
 pub const INDEX_KIND: &str = "LEADS-IDX";
-/// Format version of the cold containers: base shards, and an index
-/// whose segments are all base shards.
+/// Format version of base shard segments.
 pub const LEADS2_VERSION: u32 = 2;
-/// Format version of the containers only an append layout has: delta
-/// segments, and an index that references deltas. Builds that predate
-/// append publishes reject them with a typed future-version error.
+/// Format version of delta segments, which only an append layout has.
+/// Builds that predate append publishes reject them with a typed
+/// future-version error.
 pub const LEADS2_APPEND_VERSION: u32 = 3;
+/// Format version of the index, cold or append: `u32` global numbers,
+/// rank positions and directory fields. The only index version this
+/// build reads or writes.
+pub const INDEX_VERSION: u32 = 4;
 
 /// Default shard count when the caller doesn't choose one.
 pub const DEFAULT_SHARDS: u32 = 16;
@@ -180,9 +204,10 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_ref(out: &mut Vec<u8>, (shard, idx): (u32, u32)) {
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&idx.to_le_bytes());
+/// `n` as the `u32` every index count, offset, number and position is.
+fn put_u32(out: &mut Vec<u8>, n: usize) {
+    let n = u32::try_from(n).expect("a LEADS v2 book holds fewer than 2^32 events");
+    out.extend_from_slice(&n.to_le_bytes());
 }
 
 /// Bytes [`encode_event`] writes for `e`.
@@ -269,7 +294,7 @@ impl Records {
 /// written; the offset table and the records follow. `span` (publishes
 /// merged into the segment) is written for deltas only, so a base shard
 /// keeps its original 16-byte meta.
-fn segment_writer(id: u32, n_base: u32, span: Option<u64>, count: usize) -> BinWriter {
+fn segment_writer(id: u32, n_base: u32, span: Option<u64>, count: usize) -> BinWriter<'static> {
     let mut meta = Vec::with_capacity(24);
     meta.extend_from_slice(&id.to_le_bytes());
     meta.extend_from_slice(&n_base.to_le_bytes());
@@ -295,106 +320,89 @@ fn seal_segment(id: u32, n_base: u32, span: Option<u64>, records: Records) -> Ve
 }
 
 /// Seal an index over segments holding `counts[i]` records each:
-/// section 0 (meta + counts) is written here, `sections` are 1.. in
-/// order. When deltas follow the base shards the index is an append
-/// container and the meta word after the segment count is `n_base`;
-/// otherwise that word is 0 and the index is byte-identical to the
-/// pre-append format.
-fn seal_index(counts: &[usize], n_base: u32, total: usize, sections: Vec<Vec<u8>>) -> Vec<u8> {
-    let n_segments = counts.len() as u32;
-    let mut meta = Vec::with_capacity(16 + counts.len() * 8);
-    meta.extend_from_slice(&n_segments.to_le_bytes());
-    let appended = n_segments != n_base;
-    meta.extend_from_slice(&(if appended { n_base } else { 0 }).to_le_bytes());
-    meta.extend_from_slice(&(total as u64).to_le_bytes());
+/// section 0 (meta + counts) is written here, `ranking` (the global
+/// number at each rank position) is section 1 and `directories` are
+/// sections 2.. in order.
+fn seal_index<'a>(
+    counts: &[usize],
+    n_base: u32,
+    ranking: Vec<u8>,
+    directories: impl IntoIterator<Item = Cow<'a, [u8]>>,
+) -> Vec<u8> {
+    let mut meta = Vec::with_capacity(12 + counts.len() * 4);
+    put_u32(&mut meta, counts.len());
+    meta.extend_from_slice(&n_base.to_le_bytes());
+    put_u32(&mut meta, ranking.len() / 4);
     for &c in counts {
-        meta.extend_from_slice(&(c as u64).to_le_bytes());
+        put_u32(&mut meta, c);
     }
-    let version = if appended {
-        LEADS2_APPEND_VERSION
-    } else {
-        LEADS2_VERSION
-    };
-    let mut w = BinWriter::new(INDEX_KIND, version);
-    w.section(meta);
-    for s in sections {
-        w.section(s);
+    let mut w = BinWriter::new(INDEX_KIND, INDEX_VERSION);
+    w.section(meta).section(ranking);
+    for d in directories {
+        w.section(d);
     }
     w.finish()
 }
 
-/// Index sections 1.. of a book whose event at rank position `i` is the
-/// record at `at(i)`: the global ranking, the per-driver directory and
-/// refs, the company directory (MRR order) and refs, the normalized-name
-/// keys and, when registered drivers are present, their code table.
-/// Sealing a built book and extending a sealed one both write their
-/// index through this; every later encode copies the directories.
-fn index_sections(
-    total: usize,
-    at: impl Fn(usize) -> (u32, u32),
+/// Index sections 2.. of a book whose per-driver rankings are
+/// `by_driver` and whose company ranking is `ranking`, both as rank
+/// positions: the per-driver directory and lists, the company directory
+/// (MRR order) and lists, the normalized-name keys and, when registered
+/// drivers are present, their code table. Rank positions do not depend
+/// on where records lie, so every later encode copies these sections.
+fn directory_sections(
     by_driver: &[(SalesDriver, Vec<usize>)],
     ranking: &CompanyRanking,
 ) -> Vec<Vec<u8>> {
-    // Section 1: the global ranking.
-    let mut rank_bytes = Vec::with_capacity(total * 8);
-    for i in 0..total {
-        put_ref(&mut rank_bytes, at(i));
-    }
-
-    // Sections 2+3: per-driver directory + refs blob.
+    // Sections 2+3: per-driver directory + rank positions.
     let mut driver_dir = Vec::new();
-    let mut driver_refs = Vec::with_capacity(total * 8);
-    driver_dir.extend_from_slice(&(by_driver.len() as u32).to_le_bytes());
-    for (d, idxs) in by_driver {
-        let off = (driver_refs.len() / 8) as u64;
-        for &i in idxs {
-            put_ref(&mut driver_refs, at(i));
-        }
+    let mut driver_lists = Vec::new();
+    put_u32(&mut driver_dir, by_driver.len());
+    for (d, positions) in by_driver {
         driver_dir.push(driver_code(*d));
-        driver_dir.extend_from_slice(&[0, 0, 0]);
-        driver_dir.extend_from_slice(&off.to_le_bytes());
-        driver_dir.extend_from_slice(&(idxs.len() as u64).to_le_bytes());
+        put_u32(&mut driver_dir, driver_lists.len() / 4);
+        put_u32(&mut driver_dir, positions.len());
+        for &p in positions {
+            put_u32(&mut driver_lists, p);
+        }
     }
 
-    // Sections 4+5: company directory (MRR order) + refs blob.
+    // Sections 4+5: company directory (MRR order) + rank positions.
     let mut company_dir = Vec::new();
-    let mut company_refs = Vec::new();
-    company_dir.extend_from_slice(&(ranking.companies.len() as u64).to_le_bytes());
+    let mut company_lists = Vec::new();
+    put_u32(&mut company_dir, ranking.companies.len());
     for (i, c) in ranking.companies.iter().enumerate() {
-        let idxs = ranking.events_of(i);
-        let off = (company_refs.len() / 8) as u64;
-        for &i in idxs {
-            put_ref(&mut company_refs, at(i));
-        }
+        let positions = ranking.events_of(i);
         put_str(&mut company_dir, &c.company);
         company_dir.extend_from_slice(&c.mrr.to_bits().to_le_bytes());
-        company_dir.extend_from_slice(&(c.events as u64).to_le_bytes());
-        company_dir.extend_from_slice(&off.to_le_bytes());
-        company_dir.extend_from_slice(&(idxs.len() as u64).to_le_bytes());
+        put_u32(&mut company_dir, c.events);
+        put_u32(&mut company_dir, company_lists.len() / 4);
+        put_u32(&mut company_dir, positions.len());
+        for &p in positions {
+            put_u32(&mut company_lists, p);
+        }
     }
 
     // Section 6: normalized-name lookup keys, sorted for determinism
     // and binary search.
     let keys = &ranking.name_keys;
     let mut name_keys = Vec::new();
-    name_keys.extend_from_slice(&(keys.len() as u64).to_le_bytes());
+    put_u32(&mut name_keys, keys.len());
     for (k, i) in keys {
         put_str(&mut name_keys, k);
-        name_keys.extend_from_slice(&(*i as u64).to_le_bytes());
+        put_u32(&mut name_keys, *i);
     }
 
     let mut sections = vec![
-        rank_bytes,
         driver_dir,
-        driver_refs,
+        driver_lists,
         company_dir,
-        company_refs,
+        company_lists,
         name_keys,
     ];
 
     // Optional section 7: code→key table for registered (non-builtin)
-    // drivers. Omitted entirely when only built-ins are present, which
-    // keeps those indexes byte-identical to the pre-registry format.
+    // drivers, omitted when only built-ins are present.
     let custom: Vec<SalesDriver> = by_driver
         .iter()
         .map(|(d, _)| *d)
@@ -428,16 +436,19 @@ fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
     let mut w = segment_writer(0, 1, None, events.len());
     w.section(offsets);
     let segment = w.finish_with(len, |out| events.iter().for_each(|e| encode_event(out, e)));
-    let sections = index_sections(
-        events.len(),
-        |gi| (0, gi as u32),
-        book.by_driver_raw(),
-        book.ranking(),
+    // One segment in rank order: rank position `p` is global number `p`.
+    let mut ranking = Vec::with_capacity(events.len() * 4);
+    for p in 0..events.len() {
+        put_u32(&mut ranking, p);
+    }
+    let directories = directory_sections(book.by_driver_raw(), book.ranking());
+    let index = seal_index(
+        &[events.len()],
+        1,
+        ranking,
+        directories.into_iter().map(Cow::Owned),
     );
-    (
-        seal_index(&[events.len()], 1, events.len(), sections),
-        segment,
-    )
+    (index, segment)
 }
 
 /// Serialize `book` cold into `n_shards` base shards plus one index.
@@ -446,34 +457,64 @@ fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
 #[must_use]
 pub fn encode_book(book: &MappedBook, n_shards: u32) -> EncodedBook {
     let n_shards = n_shards.max(1);
-    let layout = cold_layout(book.ranked_records(), book.moves(), &book.codes, n_shards);
+    let layout = cold_layout(book.ranked_records(), book.len(), &book.codes, n_shards);
     book.reseal(layout, n_shards)
 }
 
 /// Where an encode puts a book's records: the segments it seals (or
-/// reuses), the records each one holds, and each record's new ref.
+/// reuses), the records each one holds, and where the record at each
+/// rank position went.
 struct Layout {
     segments: Vec<Segment>,
     counts: Vec<usize>,
-    moved: Moves,
+    /// `placed[p]`: the `(segment, idx)` of the record at rank position
+    /// `p`, or [`Layout::NOWHERE`].
+    placed: Vec<(u32, u32)>,
 }
 
-/// The cold layout of records given in rank order with their refs:
-/// each goes to the base shard of its primary key, in rank order.
+impl Layout {
+    /// The place of a rank position whose record was not placed (only a
+    /// corrupt book has one); its global number names no record.
+    const NOWHERE: (u32, u32) = (u32::MAX, 0);
+
+    /// Index section 1 over this layout: the global number of the
+    /// record at each rank position.
+    fn ranking(&self) -> Vec<u8> {
+        let mut starts = Vec::with_capacity(self.counts.len());
+        let mut next = 0;
+        for &count in &self.counts {
+            starts.push(next);
+            next += count;
+        }
+        let mut out = Vec::with_capacity(self.placed.len() * 4);
+        for &(sid, idx) in &self.placed {
+            match starts.get(sid as usize) {
+                Some(&start) => put_u32(&mut out, start + idx as usize),
+                None => out.extend_from_slice(&u32::MAX.to_le_bytes()),
+            }
+        }
+        out
+    }
+}
+
+/// The cold layout of a book of `total` rank positions, whose records
+/// are given in rank order with their positions: each goes to the base
+/// shard of its primary key, in rank order.
 fn cold_layout<'r>(
-    ranked: impl IntoIterator<Item = ((u32, u32), &'r [u8])>,
-    mut moved: Moves,
+    ranked: impl IntoIterator<Item = (usize, &'r [u8])>,
+    total: usize,
     codes: &CodeMap,
     n_shards: u32,
 ) -> Layout {
     let mut shards: Vec<Records> = (0..n_shards).map(|_| Records::default()).collect();
-    for (old, rec) in ranked {
+    let mut placed = vec![Layout::NOWHERE; total];
+    for (p, rec) in ranked {
         let Ok(e) = EventView::decode(rec, codes) else {
             continue;
         };
         let sid = shard_of(&e, n_shards);
         let shard = &mut shards[sid as usize];
-        moved.set(old, (sid, shard.count as u32));
+        placed[p] = (sid, shard.count as u32);
         shard.push(rec);
     }
     let counts: Vec<usize> = shards.iter().map(|s| s.count).collect();
@@ -485,7 +526,7 @@ fn cold_layout<'r>(
     Layout {
         segments,
         counts,
-        moved,
+        placed,
     }
 }
 
@@ -566,6 +607,18 @@ impl SealedSegment {
         b.get(start..start + len)?.get(offset(i)?..end)
     }
 
+    /// Check the container checksum of a segment that is a file mapping:
+    /// its pages show the file as it is now, so a byte changed in place
+    /// since the segment was opened fails here. A heap segment passes.
+    fn check_mapped(&self) -> Result<(), String> {
+        if !self.arena.is_mapped() {
+            return Ok(());
+        }
+        bin_open(self.bytes(), SHARD_KIND, LEADS2_APPEND_VERSION, true)
+            .map(drop)
+            .map_err(|e| e.to_string())
+    }
+
     /// Whether an append may reuse this segment, which it does whole or
     /// not at all: every record resolves, and a delta states its span.
     fn reusable(&self) -> bool {
@@ -593,17 +646,18 @@ pub fn encode_append(
     n_base: u32,
     prev: &[Option<SealedSegment>],
 ) -> Option<EncodedBook> {
-    let ranked: Vec<((u32, u32), &[u8])> = book.ranked_records().collect();
-    let layout = append_layout(&ranked, book.moves(), n_base, prev)?;
+    let ranked: Vec<(usize, &[u8])> = book.ranked_records().collect();
+    let layout = append_layout(&ranked, book.len(), n_base, prev)?;
     Some(book.reseal(layout, n_base))
 }
 
-/// The append layout of records given in rank order with their refs,
-/// on top of `prev` ([`encode_append`]'s rules); `None` when the book
-/// must be laid out cold instead.
+/// The append layout of a book of `total` rank positions, whose records
+/// are given in rank order with their positions, on top of `prev`
+/// ([`encode_append`]'s rules); `None` when the book must be laid out
+/// cold instead.
 fn append_layout(
-    ranked: &[((u32, u32), &[u8])],
-    mut moved: Moves,
+    ranked: &[(usize, &[u8])],
+    total: usize,
     n_base: u32,
     prev: &[Option<SealedSegment>],
 ) -> Option<Layout> {
@@ -687,15 +741,15 @@ fn append_layout(
     let tail_sid = base + tail;
     let keep: Vec<bool> = (0..tail_sid).map(reused).collect();
     let mut tail_records = Records::default();
-    for (&(old, rec), m) in ranked.iter().zip(&matched) {
-        let at = match *m {
+    let mut placed = vec![Layout::NOWHERE; total];
+    for (&(p, rec), m) in ranked.iter().zip(&matched) {
+        placed[p] = match *m {
             Some((sid, idx)) if keep.get(sid as usize) == Some(&true) => (sid, idx),
             _ => {
                 tail_records.push(rec);
                 (tail_sid as u32, (tail_records.count - 1) as u32)
             }
         };
-        moved.set(old, at);
     }
 
     let mut segments: Vec<Segment> = keep
@@ -720,45 +774,8 @@ fn append_layout(
     Some(Layout {
         segments,
         counts,
-        moved,
+        placed,
     })
-}
-
-/// Where an encode put each record of the book it read:
-/// `at[segment][idx]` is the record's new `(segment, idx)` ref.
-struct Moves {
-    at: Vec<Vec<(u32, u32)>>,
-}
-
-impl Moves {
-    /// The ref written for a record that was not placed (only a corrupt
-    /// book has one); it resolves to no event.
-    const NOWHERE: (u32, u32) = (u32::MAX, u32::MAX);
-
-    /// An empty table for segments holding `counts[i]` records each.
-    fn shaped(counts: impl IntoIterator<Item = usize>) -> Self {
-        Self {
-            at: counts.into_iter().map(|n| vec![Self::NOWHERE; n]).collect(),
-        }
-    }
-
-    fn set(&mut self, (sid, idx): (u32, u32), to: (u32, u32)) {
-        if let Some(slot) = self
-            .at
-            .get_mut(sid as usize)
-            .and_then(|s| s.get_mut(idx as usize))
-        {
-            *slot = to;
-        }
-    }
-
-    fn get(&self, (sid, idx): (u32, u32)) -> (u32, u32) {
-        self.at
-            .get(sid as usize)
-            .and_then(|s| s.get(idx as usize))
-            .copied()
-            .unwrap_or(Self::NOWHERE)
-    }
 }
 
 /// A bounds-checked forward cursor over a byte slice; every read fails
@@ -934,7 +951,9 @@ impl<'a> EventView<'a> {
 #[derive(Debug)]
 struct DriverEntry {
     driver: SalesDriver,
-    refs_off: usize,
+    /// The driver's rank positions: entries `off..off + count` of the
+    /// driver lists.
+    off: usize,
     count: usize,
 }
 
@@ -944,8 +963,36 @@ struct CompanyEntry {
     name: (usize, usize),
     mrr: f64,
     events: usize,
-    refs_off: usize,
+    /// The company's rank positions: entries `off..off + count` of the
+    /// company lists.
+    off: usize,
     count: usize,
+}
+
+/// Check that `table` is a table of `u32`s — exactly `len` of them when
+/// given — each below `bound`.
+fn check_u32s(
+    table: &[u8],
+    what: &str,
+    len: Option<usize>,
+    bound: usize,
+) -> Result<(), CodecError> {
+    let malformed = |msg: String| CodecError::Malformed { line: 0, msg };
+    if !table.len().is_multiple_of(4) || len.is_some_and(|n| n.checked_mul(4) != Some(table.len()))
+    {
+        return Err(malformed(format!("{what} length")));
+    }
+    let past = table
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
+        .enumerate()
+        .find(|&(_, n)| n >= bound);
+    match past {
+        Some((i, n)) => Err(malformed(format!(
+            "{what} entry {i} is {n}, not below {bound}"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// A lead book served directly from `LEADS v2` arenas — mmap'd files
@@ -953,26 +1000,35 @@ struct CompanyEntry {
 /// process — without materializing events. The directories (driver
 /// table, company table, name keys) are indexed eagerly, O(#companies),
 /// into a few flat tables; company names, lookup keys, event records
-/// and all ranking refs stay in the arenas.
+/// and every ranking stay in the arenas.
 #[derive(Debug)]
 pub struct MappedBook {
     index: Arc<Arena>,
     shards: Vec<SealedSegment>,
+    /// `starts[i]`: the global number of segment `i`'s first record.
+    starts: Vec<usize>,
     /// Segments `0..n_base` are base shards; the rest are deltas.
     n_base: usize,
     total: usize,
-    rank_refs: (usize, usize),
+    /// Index section 1: the global number at each rank position.
+    ranking: (usize, usize),
     drivers: Vec<DriverEntry>,
-    driver_refs: (usize, usize),
+    /// Index section 3: the drivers' rank positions.
+    driver_lists: (usize, usize),
     companies: Vec<CompanyEntry>,
-    company_refs: (usize, usize),
+    /// Index section 5: the companies' rank positions.
+    company_lists: (usize, usize),
     /// The name-key section in key order: each normalized name's
     /// `(start, len)` within the index arena, and its company's index.
     name_keys: Vec<((usize, usize), usize)>,
     codes: CodeMap,
-    /// Index sections an encode copies verbatim: the driver and company
-    /// directories, the name keys and, when present, the code table.
+    /// Index sections 2.., which name rank positions and no place in a
+    /// segment: every encode copies them verbatim.
     directories: Vec<(usize, usize)>,
+    /// Set when this book, or one it was extended from, copied records
+    /// out of a mapped segment that failed its checksum: the segment's
+    /// id in that book and the error. See [`check_mapped`](Self::check_mapped).
+    tainted: Option<(usize, String)>,
 }
 
 impl MappedBook {
@@ -980,15 +1036,17 @@ impl MappedBook {
     /// (`shard_arenas[i]` must be segment id `i`).
     ///
     /// Structural validation happens here — each segment's id, layout
-    /// and count cross-checked against the index, every directory
-    /// bounds-checked — so
-    /// the per-request accessors can be simple `Option` lookups that
-    /// never slice out of bounds.
+    /// and count cross-checked against the index, every global number
+    /// checked against the record count, every rank position against
+    /// the total, every directory bounds-checked — so the per-request
+    /// accessors can be simple `Option` lookups that never slice out of
+    /// bounds.
     ///
     /// # Errors
-    /// A typed [`CodecError`] on any structural mismatch; integrity
-    /// checksums are the caller's job (the generation-store manifest
-    /// already hashes every file).
+    /// A typed [`CodecError`] on any structural mismatch, and on an index
+    /// of another version than [`INDEX_VERSION`]; integrity checksums
+    /// are the caller's job (the generation-store manifest already
+    /// hashes every file).
     pub fn open(index: Arc<Arena>, shard_arenas: Vec<Arc<Arena>>) -> Result<Self, CodecError> {
         let given = shard_arenas.len();
         let mut arenas = shard_arenas.into_iter();
@@ -1006,39 +1064,40 @@ impl MappedBook {
         mut segment: impl FnMut(usize, usize) -> Result<SealedSegment, CodecError>,
     ) -> Result<Self, CodecError> {
         let malformed = |msg: String| CodecError::Malformed { line: 0, msg };
-        let iv = bin_open(index.bytes(), INDEX_KIND, LEADS2_APPEND_VERSION, false)?;
+        let iv = bin_open(index.bytes(), INDEX_KIND, INDEX_VERSION, false)?;
+        if iv.version() != INDEX_VERSION {
+            return Err(malformed(format!(
+                "index has container version {}, this build reads version {INDEX_VERSION}",
+                iv.version()
+            )));
+        }
+        if iv.section_count() > 8 {
+            return Err(malformed(format!(
+                "index has {} sections",
+                iv.section_count()
+            )));
+        }
 
         let mut c = Cur::new(iv.section(0)?);
         let n_segments = c.u32()? as usize;
-        // A cold index pads this word; an append index names its base,
-        // which deltas follow.
-        let appended = iv.version() == LEADS2_APPEND_VERSION;
-        let n_base = match c.u32()? as usize {
-            n if appended => n,
-            _ => n_segments,
-        };
-        let total = c.u64()? as usize;
-        let n_segments = c.count(n_segments, 8)?;
-        if n_base == 0 || n_base > n_segments || (appended && n_base == n_segments) {
+        let n_base = c.u32()? as usize;
+        let total = c.u32()? as usize;
+        let n_segments = c.count(n_segments, 4)?;
+        if n_base == 0 || n_base > n_segments {
             return Err(malformed(format!(
                 "index claims {n_base} base shards of {n_segments} segments"
             )));
-        }
-        let mut counts = Vec::with_capacity(n_segments);
-        for _ in 0..n_segments {
-            counts.push(c.u64()? as usize);
-        }
-        if counts.iter().try_fold(0usize, |sum, &n| sum.checked_add(n)) != Some(total) {
-            return Err(malformed("segment counts do not sum to total".into()));
         }
         if given != n_segments {
             return Err(malformed(format!(
                 "index expects {n_segments} segments, got {given}"
             )));
         }
-
+        let mut starts = Vec::with_capacity(n_segments);
         let mut shards = Vec::with_capacity(n_segments);
-        for (sid, &count) in counts.iter().enumerate() {
+        let mut next = 0usize;
+        for sid in 0..n_segments {
+            let count = c.u32()? as usize;
             let shard = segment(sid, n_base)?;
             if shard.count != count {
                 return Err(malformed(format!(
@@ -1046,26 +1105,34 @@ impl MappedBook {
                     shard.count
                 )));
             }
+            starts.push(next);
+            next = next.checked_add(count).ok_or(CodecError::Truncated)?;
             shards.push(shard);
         }
-
-        let rank_refs = iv.section_range(1)?;
-        if total.checked_mul(8) != Some(rank_refs.1) {
-            return Err(malformed("rank table length".into()));
+        if next != total {
+            return Err(malformed("segment counts do not sum to total".into()));
         }
+
+        let ranking = iv.section_range(1)?;
+        check_u32s(iv.section(1)?, "rank table", Some(total), total)?;
+        let driver_lists = iv.section_range(3)?;
+        check_u32s(iv.section(3)?, "driver lists", None, total)?;
+        let company_lists = iv.section_range(5)?;
+        check_u32s(iv.section(5)?, "company lists", None, total)?;
+        let directories = (2..iv.section_count())
+            .map(|i| iv.section_range(i))
+            .collect::<Result<Vec<_>, _>>()?;
+        // A directory entry names `count` list entries from `off`.
+        let past = |off: usize, count: usize, (_, len): (usize, usize)| {
+            off.checked_add(count).is_none_or(|end| end > len / 4)
+        };
 
         // The trailing code→key table (absent on builtin-only books)
         // decodes first: the driver directory below names its codes. The
         // keys are interned only once the whole index has validated, so
         // a rejected index registers no driver.
         let mut keys: Vec<(u8, &str)> = Vec::new();
-        let mut directories = vec![
-            iv.section_range(2)?,
-            iv.section_range(4)?,
-            iv.section_range(6)?,
-        ];
         if iv.section_count() > 7 {
-            directories.push(iv.section_range(7)?);
             let mut c = Cur::new(iv.section(7)?);
             let n = c.u32()? as usize;
             let n = c.count(n, 5)?;
@@ -1076,47 +1143,36 @@ impl MappedBook {
 
         let mut c = Cur::new(iv.section(2)?);
         let n = c.u32()? as usize;
-        let n = c.count(n, 20)?;
-        let driver_refs = iv.section_range(3)?;
+        let n = c.count(n, 9)?;
         let mut driver_codes = Vec::with_capacity(n);
         for _ in 0..n {
             let code = c.u8()?;
-            c.bytes(3)?;
-            let refs_off = c.u64()? as usize;
-            let count = c.u64()? as usize;
+            let off = c.u32()? as usize;
+            let count = c.u32()? as usize;
             if driver_from_code(code).is_none() && !keys.iter().any(|(c, _)| *c == code) {
                 return Err(malformed(format!("unknown driver code {code}")));
             }
-            if refs_off
-                .checked_add(count)
-                .and_then(|end| end.checked_mul(8))
-                .is_none_or(|end| end > driver_refs.1)
-            {
-                return Err(malformed(format!("driver code {code} refs out of bounds")));
+            if past(off, count, driver_lists) {
+                return Err(malformed(format!("driver code {code} list out of bounds")));
             }
-            driver_codes.push((code, refs_off, count));
+            driver_codes.push((code, off, count));
         }
 
         let mut c = Cur::new(iv.section(4)?);
         let at = iv.section_range(4)?.0;
-        let n = c.u64()? as usize;
-        let n = c.count(n, 36)?;
-        let company_refs = iv.section_range(5)?;
+        let n = c.u32()? as usize;
+        let n = c.count(n, 24)?;
         let mut companies = Vec::with_capacity(n);
         for _ in 0..n {
             let (start, len) = c.str_range()?;
             let name = (at + start, len);
             let mrr = f64::from_bits(c.u64()?);
-            let events = c.u64()? as usize;
-            let refs_off = c.u64()? as usize;
-            let count = c.u64()? as usize;
-            if refs_off
-                .checked_add(count)
-                .and_then(|end| end.checked_mul(8))
-                .is_none_or(|end| end > company_refs.1)
-            {
+            let events = c.u32()? as usize;
+            let off = c.u32()? as usize;
+            let count = c.u32()? as usize;
+            if past(off, count, company_lists) {
                 return Err(malformed(format!(
-                    "company at {} refs out of bounds",
+                    "company at {} list out of bounds",
                     name.0
                 )));
             }
@@ -1124,7 +1180,7 @@ impl MappedBook {
                 name,
                 mrr,
                 events,
-                refs_off,
+                off,
                 count,
             });
         }
@@ -1133,15 +1189,15 @@ impl MappedBook {
         // place.
         let mut c = Cur::new(iv.section(6)?);
         let at = iv.section_range(6)?.0;
-        let n = c.u64()? as usize;
-        let n = c.count(n, 12)?;
+        let n = c.u32()? as usize;
+        let n = c.count(n, 8)?;
         let mut name_keys = Vec::with_capacity(n);
         let mut last: Option<&str> = None;
         for _ in 0..n {
             let (start, len) = c.str_range()?;
             let key = &iv.section(6)?[start..start + len];
             let key = std::str::from_utf8(key).map_err(|_| CodecError::Truncated)?;
-            let idx = c.u64()? as usize;
+            let idx = c.u32()? as usize;
             if idx >= companies.len() {
                 return Err(malformed(format!(
                     "name key {key:?} points past company table"
@@ -1164,10 +1220,10 @@ impl MappedBook {
         // dropped here.
         let drivers = driver_codes
             .into_iter()
-            .filter_map(|(code, refs_off, count)| {
+            .filter_map(|(code, off, count)| {
                 Some(DriverEntry {
                     driver: codes.resolve(code)?,
-                    refs_off,
+                    off,
                     count,
                 })
             })
@@ -1176,16 +1232,18 @@ impl MappedBook {
         Ok(Self {
             index,
             shards,
+            starts,
             n_base,
             total,
-            rank_refs,
+            ranking,
             drivers,
-            driver_refs,
+            driver_lists,
             companies,
-            company_refs,
+            company_lists,
             name_keys,
             codes,
             directories,
+            tainted: None,
         })
     }
 
@@ -1244,15 +1302,34 @@ impl MappedBook {
         self.arenas().all(|a| a.is_mapped())
     }
 
-    fn ref_at(&self, (start, len): (usize, usize), i: usize) -> Option<(u32, u32)> {
-        let at = start + i.checked_mul(8)?;
-        if at + 8 > start + len {
+    /// Entry `i` of the `u32` table at `(start, len)` in the index.
+    fn u32_at(&self, (start, len): (usize, usize), i: usize) -> Option<usize> {
+        let at = i.checked_mul(4)?;
+        if at.checked_add(4)? > len {
             return None;
         }
-        let b = self.index.bytes();
-        let shard = u32::from_le_bytes(b.get(at..at + 4)?.try_into().ok()?);
-        let idx = u32::from_le_bytes(b.get(at + 4..at + 8)?.try_into().ok()?);
-        Some((shard, idx))
+        let b = self.index.bytes().get(start + at..start + at + 4)?;
+        Some(u32::from_le_bytes(b.try_into().ok()?) as usize)
+    }
+
+    /// The `(segment, idx)` of the record with global number `g`: the
+    /// last segment whose first number is at most `g`.
+    fn locate(&self, g: usize) -> Option<(u32, u32)> {
+        if g >= self.total {
+            return None;
+        }
+        let sid = self.starts.partition_point(|&s| s <= g).checked_sub(1)?;
+        Some((sid as u32, (g - self.starts[sid]) as u32))
+    }
+
+    /// The global number of the record at rank position `p`.
+    fn global(&self, p: usize) -> Option<usize> {
+        self.u32_at(self.ranking, p)
+    }
+
+    /// The `(segment, idx)` of the record at rank position `p`.
+    fn rank_ref(&self, p: usize) -> Option<(u32, u32)> {
+        self.locate(self.global(p)?)
     }
 
     /// The sealed bytes of the record at a `(shard, idx)` reference, if
@@ -1274,71 +1351,48 @@ impl MappedBook {
     }
 
     /// The event at a `(shard, idx)` reference, if structurally valid.
-    #[must_use]
-    pub fn event_at(&self, shard: u32, idx: u32) -> Option<EventView<'_>> {
-        self.decode(self.record((shard, idx))?)
+    fn event(&self, at: (u32, u32)) -> Option<EventView<'_>> {
+        self.decode(self.record(at)?)
     }
 
-    /// Every resolvable record in global rank order, with its ref.
-    fn ranked_records(&self) -> impl Iterator<Item = ((u32, u32), &[u8])> {
-        (0..self.total)
-            .filter_map(|i| self.ref_at(self.rank_refs, i))
-            .filter_map(|r| Some((r, self.record(r)?)))
+    /// The event at rank position `p`, if structurally valid.
+    fn event_ranked(&self, p: usize) -> Option<EventView<'_>> {
+        self.event(self.rank_ref(p)?)
     }
 
-    fn events_from(&self, refs: (usize, usize), off: usize, n: usize) -> Vec<EventView<'_>> {
+    /// Every resolvable record in global rank order, with its rank
+    /// position.
+    fn ranked_records(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        (0..self.total).filter_map(|p| Some((p, self.record(self.rank_ref(p)?)?)))
+    }
+
+    /// The events at the rank positions `off..off + n` of `lists`.
+    fn events_listed(&self, lists: (usize, usize), off: usize, n: usize) -> Vec<EventView<'_>> {
         (off..off + n)
-            .filter_map(|i| self.ref_at(refs, i))
-            .filter_map(|(s, x)| self.event_at(s, x))
+            .filter_map(|i| self.u32_at(lists, i))
+            .filter_map(|p| self.event_ranked(p))
             .collect()
     }
 
-    /// An empty [`Moves`] table shaped like this book's segments.
-    fn moves(&self) -> Moves {
-        Moves::shaped(self.shards.iter().map(|s| s.count))
-    }
-
-    /// This book re-encoded into `layout`.
+    /// This book re-encoded into `layout`: a new global ranking, and
+    /// every other index section copied.
     fn reseal(&self, layout: Layout, n_base: u32) -> EncodedBook {
+        let directories = self
+            .directories
+            .iter()
+            .map(|&range| Cow::Borrowed(self.index_bytes(range)));
         EncodedBook {
-            index: self.reseal_index(&layout.moved, &layout.counts, n_base),
+            index: seal_index(&layout.counts, n_base, layout.ranking(), directories),
             segments: layout.segments,
         }
-    }
-
-    /// Re-emit this book's index for records placed by `moved` into
-    /// segments holding `counts[i]` records each: the three ref blobs
-    /// are rewritten through `moved`, every directory is copied.
-    fn reseal_index(&self, moved: &Moves, counts: &[usize], n_base: u32) -> Vec<u8> {
-        let bytes = |(start, len): (usize, usize)| &self.index.bytes()[start..start + len];
-        let remap = |refs: (usize, usize)| {
-            let mut out = Vec::with_capacity(refs.1);
-            for r in bytes(refs).chunks_exact(8) {
-                let old = (
-                    u32::from_le_bytes(r[..4].try_into().expect("4 bytes")),
-                    u32::from_le_bytes(r[4..].try_into().expect("4 bytes")),
-                );
-                put_ref(&mut out, moved.get(old));
-            }
-            out
-        };
-        let copy = |i: usize| bytes(self.directories[i]).to_vec();
-        let mut sections = vec![
-            remap(self.rank_refs),
-            copy(0),
-            remap(self.driver_refs),
-            copy(1),
-            remap(self.company_refs),
-            copy(2),
-        ];
-        sections.extend((3..self.directories.len()).map(copy));
-        seal_index(counts, n_base, self.total, sections)
     }
 
     /// The top `top` events across all drivers (best first).
     #[must_use]
     pub fn top(&self, top: usize) -> Vec<EventView<'_>> {
-        self.events_from(self.rank_refs, 0, top.min(self.total))
+        (0..top.min(self.total))
+            .filter_map(|p| self.event_ranked(p))
+            .collect()
     }
 
     /// The top `top` events for one driver (best first).
@@ -1347,7 +1401,7 @@ impl MappedBook {
         self.drivers
             .iter()
             .find(|d| d.driver == driver)
-            .map(|d| self.events_from(self.driver_refs, d.refs_off, d.count.min(top)))
+            .map(|d| self.events_listed(self.driver_lists, d.off, d.count.min(top)))
             .unwrap_or_default()
     }
 
@@ -1408,7 +1462,7 @@ impl MappedBook {
             .binary_search_by(|&(k, _)| self.index_bytes(k).cmp(key.as_bytes()))
             .ok()?;
         let entry = self.companies.get(self.name_keys[at].1)?;
-        let events = self.events_from(self.company_refs, entry.refs_off, entry.count);
+        let events = self.events_listed(self.company_lists, entry.off, entry.count);
         Some((self.company_ref(entry), events))
     }
 
@@ -1423,15 +1477,17 @@ impl MappedBook {
     /// 2. **directories** — the per-driver rankings, the Eq. 2 company
     ///    ranking and the name keys are recomputed in one pass over the
     ///    merged views, through the code `LeadBook::build` uses, and
-    ///    written by the index writer sealing uses;
+    ///    written by the index writer sealing uses. They name rank
+    ///    positions, so no layout changes them;
     /// 3. **layout** — the merged records (this book's segments plus the
     ///    new ones) are laid out by the rules of [`encode_append`] against
     ///    this book's own segments, else cold as by [`encode_book`] with
     ///    this book's base shard count: the rules a publish applies
-    ///    against the previous generation on disk. A reused segment stays
-    ///    the same `Arc<Arena>`, mapped or heap; deltas merge and the
-    ///    book re-encodes cold as on disk, so the segment count stays
-    ///    bounded however many cycles a daemon runs.
+    ///    against the previous generation on disk. Only the global
+    ///    ranking depends on it. A reused segment stays the same
+    ///    `Arc<Arena>`, mapped or heap; deltas merge and the book
+    ///    re-encodes cold as on disk, so the segment count stays bounded
+    ///    however many cycles a daemon runs.
     ///
     /// Records are matched, ranked and indexed by content, so the result
     /// is byte-identical (after [`encode_book`]) to sealing the rebuilt
@@ -1454,17 +1510,16 @@ impl MappedBook {
         for e in &events {
             fresh.push_event(e);
         }
-        let (old_total, old_segments) = match shared {
-            true => (self.total, self.shards.len()),
+        let (old_total, fresh_id) = match shared {
+            true => (self.total, self.shards.len() as u32),
             false => (0, 0),
         };
-        let fresh_id = old_segments as u32;
 
         // 1. Merge. Equal keys keep this book's events first, as a stable
         // sort of its events followed by the new ones would.
         let mut old = (0..old_total)
-            .filter_map(|i| self.ref_at(self.rank_refs, i))
-            .filter_map(|at| Some((at, self.event_at(at.0, at.1)?)))
+            .filter_map(|p| self.rank_ref(p))
+            .filter_map(|at| Some((at, self.event(at)?)))
             .peekable();
         let mut new = events.iter().zip(0u32..).peekable();
         let mut order = Vec::with_capacity(old_total + events.len());
@@ -1489,43 +1544,41 @@ impl MappedBook {
             }
         }
 
-        // 2. Directories.
+        // 2. Directories, as rank positions.
         let (by_driver, ranking) = leads::directories(&mentions);
         drop(mentions);
         drop(events);
 
         // 3. Layout, by the rules a publish applies on disk.
-        let ranked: Vec<((u32, u32), &[u8])> = order
+        let ranked: Vec<(usize, &[u8])> = order
             .iter()
-            .map(|&at| {
+            .enumerate()
+            .map(|(p, &at)| {
                 let rec = match at {
                     (sid, idx) if sid == fresh_id => fresh.get(idx as usize),
                     at => self.record(at).expect("checked by shares_records"),
                 };
-                (at, rec)
+                (p, rec)
             })
             .collect();
-        let shape = || {
-            let old = self.shards[..old_segments].iter().map(|s| s.count);
-            Moves::shaped(old.chain([fresh.count]))
-        };
         let n_base = self.n_base as u32;
         let prev: Vec<Option<SealedSegment>> = self.shards.iter().cloned().map(Some).collect();
-        let layout = append_layout(&ranked, shape(), n_base, &prev).unwrap_or_else(|| {
+        let layout = append_layout(&ranked, order.len(), n_base, &prev).unwrap_or_else(|| {
             let codes = CodeMap::of(by_driver.iter().map(|(d, _)| *d));
-            cold_layout(ranked.iter().copied(), shape(), &codes, n_base)
+            cold_layout(ranked.iter().copied(), order.len(), &codes, n_base)
         });
-        let sections = index_sections(
-            order.len(),
-            |i| layout.moved.get(order[i]),
-            &by_driver,
-            &ranking,
-        );
-        let index = seal_index(&layout.counts, n_base, order.len(), sections);
+        let directories = directory_sections(&by_driver, &ranking);
+        let directories = directories.into_iter().map(Cow::Owned);
+        let index = seal_index(&layout.counts, n_base, layout.ranking(), directories);
+        let kept: Vec<bool> = layout
+            .segments
+            .iter()
+            .map(|s| *s == Segment::Linked)
+            .collect();
         // A reused segment keeps its id and layout: it stays as opened.
         let given = layout.segments.len();
         let mut segments = layout.segments.into_iter();
-        MappedBook::assemble(Arc::new(Arena::Heap(index)), given, |sid, n_base| {
+        let mut book = MappedBook::assemble(Arc::new(Arena::Heap(index)), given, |sid, n_base| {
             match (
                 segments.next().expect("one per segment"),
                 self.shards.get(sid),
@@ -1537,7 +1590,39 @@ impl MappedBook {
                 (Segment::Linked, None) => unreachable!("only existing segments are reused"),
             }
         })
-        .expect("an extended book opens")
+        .expect("an extended book opens");
+        // The records of every segment not reused were copied out of it,
+        // and a mapped one's copies are only as sound as its pages.
+        book.tainted = self.tainted.clone().or_else(|| {
+            self.shards
+                .iter()
+                .enumerate()
+                .filter(|&(sid, _)| kept.get(sid) != Some(&true))
+                .find_map(|(sid, seg)| seg.check_mapped().err().map(|e| (sid, e)))
+        });
+        book
+    }
+
+    /// Check that sealing this book copies no bytes that a file changed
+    /// in place under its mapping since the book opened it: every mapped
+    /// segment for which `vouched(sid)` is false passes its container
+    /// checksum, and no extend behind this book copied records out of
+    /// one that failed. A caller vouches for a segment whose bytes it
+    /// has just checked itself.
+    ///
+    /// # Errors
+    /// The id of the failing segment, in this book or the book an
+    /// extend copied it from, and why it failed.
+    pub fn check_mapped(&self, vouched: impl Fn(usize) -> bool) -> Result<(), (usize, String)> {
+        if let Some(tainted) = &self.tainted {
+            return Err(tainted.clone());
+        }
+        for (sid, seg) in self.shards.iter().enumerate() {
+            if !vouched(sid) {
+                seg.check_mapped().map_err(|e| (sid, e))?;
+            }
+        }
+        Ok(())
     }
 
     /// Whether an extension can share this book's records: their driver
@@ -1554,13 +1639,11 @@ impl MappedBook {
         {
             return false;
         }
-        let mut seen: Vec<Vec<bool>> = self.shards.iter().map(|s| vec![false; s.count]).collect();
-        (0..self.total).all(|i| {
-            self.ref_at(self.rank_refs, i)
-                .filter(|&at| self.record(at).is_some())
-                .is_some_and(|(sid, idx)| {
-                    !std::mem::replace(&mut seen[sid as usize][idx as usize], true)
-                })
+        let mut seen = vec![false; self.total];
+        (0..self.total).all(|p| {
+            self.global(p)
+                .filter(|&g| self.locate(g).and_then(|at| self.record(at)).is_some())
+                .is_some_and(|g| !std::mem::replace(&mut seen[g], true))
         })
     }
 
@@ -1774,11 +1857,9 @@ mod tests {
 
     #[test]
     fn builtin_books_have_no_code_table_and_custom_books_round_trip() {
-        // Builtin-only books encode exactly the seven legacy sections —
-        // the byte-layout contract that keeps them identical to
-        // pre-registry LEADS v2 artifacts.
+        // Builtin-only books encode exactly seven sections.
         let enc = encode_book(&handle(sample_events(40)), 4);
-        let iv = bin_open(&enc.index, INDEX_KIND, LEADS2_VERSION, true).expect("open");
+        let iv = bin_open(&enc.index, INDEX_KIND, INDEX_VERSION, true).expect("open");
         assert_eq!(iv.section_count(), 7);
 
         // A custom driver adds the trailing code table, and the mapped
@@ -1790,7 +1871,7 @@ mod tests {
         events.push(event(custom, 91, 0.81, &[]));
         let book = LeadBook::build(events);
         let enc = encode_book(&BookHandle::from(book.clone()), 4);
-        let iv = bin_open(&enc.index, INDEX_KIND, LEADS2_VERSION, true).expect("open");
+        let iv = bin_open(&enc.index, INDEX_KIND, INDEX_VERSION, true).expect("open");
         assert_eq!(
             iv.section_count(),
             8,
@@ -1851,14 +1932,20 @@ mod tests {
 
     #[test]
     fn cold_encode_is_byte_identical_to_the_pre_append_format() {
-        // Digest of the same book sealed by the encoder before append
-        // publishes existed: the cold path must never drift from it.
+        // The base shards of this book, as the encoder before append
+        // publishes sealed them: the cold path must never drift from
+        // them, so a new index version still links every old shard.
         let enc = encode_book(&handle(sample_events(120)), 8);
-        let mut all = enc.index.clone();
-        for seg in resolve(&[], &enc) {
-            all.extend_from_slice(&seg);
-        }
-        assert_eq!((fnv1a64(&all), all.len()), (0x78f3_6aba_beb0_21c1, 14_936));
+        let segments = resolve(&[], &enc).concat();
+        assert_eq!(
+            (fnv1a64(&segments), segments.len()),
+            (0xf11d_1967_7229_1b0b, 10_844)
+        );
+        // The index over them.
+        assert_eq!(
+            (fnv1a64(&enc.index), enc.index.len()),
+            (0xcc81_188f_e721_0662, 2_335)
+        );
     }
 
     #[test]
@@ -1915,21 +2002,21 @@ mod tests {
         assert_eq!((delta.count, delta.span), (12, Some(1)));
         assert_same_book(&open_segments(&enc.index, &segments), &book);
 
-        // Only the index and the delta carry the append version, so a
-        // reader of the cold format rejects them by version alone.
+        // Base shards keep the cold version; a reader of it rejects the
+        // delta and the index by version alone.
         let cold_version =
             |bytes: &[u8], kind| bin_open(bytes, kind, LEADS2_VERSION, true).map(|v| v.version());
         assert_eq!(
             cold_version(&segments[0], SHARD_KIND).ok(),
             Some(LEADS2_VERSION)
         );
-        for (bytes, kind) in [(&enc.index, INDEX_KIND), (&segments[8], SHARD_KIND)] {
+        for (bytes, kind, version) in [
+            (&enc.index, INDEX_KIND, INDEX_VERSION),
+            (&segments[8], SHARD_KIND, LEADS2_APPEND_VERSION),
+        ] {
             assert!(matches!(
                 cold_version(bytes, kind),
-                Err(CodecError::FutureVersion {
-                    version: LEADS2_APPEND_VERSION,
-                    ..
-                })
+                Err(CodecError::FutureVersion { version: v, .. }) if v == version
             ));
         }
 
@@ -2073,6 +2160,106 @@ mod tests {
                 let _ = m.companies_top(5);
                 let _ = m.company_events("Acme 0");
             }
+        }
+    }
+
+    /// `index` re-sealed at `version` after `edit` changed its sections.
+    fn reseal_index(index: &[u8], version: u32, edit: impl FnOnce(&mut [Vec<u8>])) -> Vec<u8> {
+        let iv = bin_open(index, INDEX_KIND, INDEX_VERSION, true).expect("index");
+        let mut sections: Vec<Vec<u8>> = (0..iv.section_count())
+            .map(|i| iv.section(i).expect("section").to_vec())
+            .collect();
+        edit(&mut sections);
+        let mut w = BinWriter::new(INDEX_KIND, version);
+        for s in sections {
+            w.section(s);
+        }
+        w.finish()
+    }
+
+    fn set_u32(section: &mut [u8], at: usize, n: u32) {
+        section[at..at + 4].copy_from_slice(&n.to_le_bytes());
+    }
+
+    #[test]
+    fn index_refs_and_directories_are_checked_at_open() {
+        let enc = encode_book(&handle(sample_events(30)), 4);
+        let shards = arenas(&resolve(&[], &enc));
+        let open = |index: Vec<u8>| MappedBook::open(Arc::new(Arena::Heap(index)), shards.clone());
+        let refused = |what: &str, index: Vec<u8>| match open(index) {
+            Err(CodecError::Malformed { msg, .. }) => msg,
+            other => panic!("{what}: expected a malformed index, got {other:?}"),
+        };
+        assert!(open(enc.index.clone()).is_ok());
+
+        // A global number at the record count, in the rank table.
+        let msg = refused(
+            "rank entry",
+            reseal_index(&enc.index, INDEX_VERSION, |s| set_u32(&mut s[1], 8, 30)),
+        );
+        assert!(msg.contains("rank table entry 2 is 30"), "{msg}");
+        // A rank position at the total, in each list blob.
+        for (section, what) in [(3, "driver lists"), (5, "company lists")] {
+            let msg = refused(
+                what,
+                reseal_index(&enc.index, INDEX_VERSION, |s| {
+                    set_u32(&mut s[section], 4, 30)
+                }),
+            );
+            assert!(msg.contains(&format!("{what} entry 1 is 30")), "{msg}");
+        }
+        // A driver entry whose list runs one past its blob: the first
+        // entry's count, after its code and offset.
+        let msg = refused(
+            "driver directory",
+            reseal_index(&enc.index, INDEX_VERSION, |s| {
+                let (n, off) = (s[3].len() / 4, 4 + 1);
+                set_u32(&mut s[2], off + 4, n as u32 + 1);
+            }),
+        );
+        assert!(msg.contains("list out of bounds"), "{msg}");
+        // A company entry whose list runs one past its blob: the first
+        // entry's offset, after its name, mrr and event count.
+        let msg = refused(
+            "company directory",
+            reseal_index(&enc.index, INDEX_VERSION, |s| {
+                let name = u32::from_le_bytes(s[4][4..8].try_into().unwrap()) as usize;
+                let (off, n) = (4 + 4 + name + 8 + 4, s[5].len() / 4);
+                set_u32(&mut s[4], off, n as u32);
+            }),
+        );
+        assert!(msg.contains("list out of bounds"), "{msg}");
+        // An index of the version-3 layout opens nowhere.
+        let msg = refused("version 3", reseal_index(&enc.index, 3, |_| {}));
+        assert!(msg.contains("container version 3"), "{msg}");
+    }
+
+    #[test]
+    fn index_width_follows_the_layout_formula() {
+        // A later change that widens any index field fails here.
+        let book = LeadBook::build(sample_events(120));
+        let ranking = book.ranking();
+        let events = book.len();
+        let drivers = book.by_driver_raw().len();
+        let companies = ranking.companies.len();
+        let mentions: usize = (0..companies).map(|i| ranking.events_of(i).len()).sum();
+        let keys = ranking.name_keys.len();
+        assert_eq!(
+            (events, drivers, companies, mentions, keys),
+            (120, 3, 15, 120, 15)
+        );
+        let names: usize = ranking.companies.iter().map(|c| c.company.len()).sum();
+        let key_bytes: usize = ranking.name_keys.iter().map(|(k, _)| k.len()).sum();
+        for n_segments in [1, 8] {
+            let enc = encode_book(&BookHandle::from(book.clone()), n_segments as u32);
+            let formula = 44 + 16 * 7 // container header + section table
+                + 12 + 4 * n_segments // s0: meta, a count per segment
+                + 4 * events // s1: a global number per rank position
+                + 4 + 9 * drivers + 4 * events // s2+s3: code, off, count; positions
+                + 4 + (4 + 8 + 4 + 4 + 4) * companies + names // s4: name, mrr, events, off, count
+                + 4 * mentions // s5: a position per company mention
+                + 4 + (4 + 4) * keys + key_bytes; // s6: key, company
+            assert_eq!(enc.index.len(), formula, "{n_segments} segments");
         }
     }
 

@@ -395,9 +395,7 @@ fn parse_choice(rec: &Record, i: usize) -> Result<CategoryChoice, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::leads2::{
-        encode_book, BookHandle, MappedBook, Segment, INDEX_KIND, LEADS2_APPEND_VERSION,
-    };
+    use crate::leads2::{encode_book, BookHandle, MappedBook, Segment, INDEX_KIND, INDEX_VERSION};
     use crate::training::{train_driver, TrainingConfig};
     use etap_annotate::Annotator;
     use etap_corpus::{SearchEngine, SyntheticWeb, WebConfig};
@@ -574,11 +572,11 @@ mod tests {
             MappedBook::open(Arc::new(Arena::Heap(index.to_vec())), segments.clone())
         };
         let mut rejected = index.clone();
-        let view = bin_open(&index, INDEX_KIND, LEADS2_APPEND_VERSION, false).expect("index");
+        let view = bin_open(&index, INDEX_KIND, INDEX_VERSION, false).expect("index");
         let names = view.section_range(6).expect("name keys").0;
-        let first_len = u32::from_le_bytes(index[names + 8..names + 12].try_into().unwrap());
-        let idx = names + 12 + first_len as usize;
-        rejected[idx..idx + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let first_len = u32::from_le_bytes(index[names + 4..names + 8].try_into().unwrap());
+        let idx = names + 8 + first_len as usize;
+        rejected[idx..idx + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(open(&rejected).is_err(), "name key past the company table");
         assert!(
             !registered(key),

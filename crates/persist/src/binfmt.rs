@@ -30,6 +30,8 @@
 //!   then version, then checksum — mirroring the text codec's
 //!   corruption-before-content discipline.
 
+use std::borrow::Cow;
+
 use crate::{fnv1a64, CodecError};
 
 /// Container magic, chosen to be self-identifying in a hex dump.
@@ -40,14 +42,16 @@ pub const KIND_LEN: usize = 12;
 pub const HEADER_LEN: usize = 8 + KIND_LEN + 4 + 4 + 8 + 8;
 
 /// Builds one container: declare sections, then [`finish`](Self::finish).
+/// A section may borrow its bytes, so a re-encode copies them straight
+/// from the container it reads into the sealed output.
 #[derive(Debug)]
-pub struct BinWriter {
+pub struct BinWriter<'a> {
     kind: String,
     version: u32,
-    sections: Vec<Vec<u8>>,
+    sections: Vec<Cow<'a, [u8]>>,
 }
 
-impl BinWriter {
+impl<'a> BinWriter<'a> {
     /// Start a container of `kind` (≤ 12 ASCII bytes) at `version`.
     #[must_use]
     pub fn new(kind: &str, version: u32) -> Self {
@@ -63,8 +67,8 @@ impl BinWriter {
     }
 
     /// Append one section; its index is the order of calls.
-    pub fn section(&mut self, bytes: Vec<u8>) -> &mut Self {
-        self.sections.push(bytes);
+    pub fn section(&mut self, bytes: impl Into<Cow<'a, [u8]>>) -> &mut Self {
+        self.sections.push(bytes.into());
         self
     }
 
@@ -89,7 +93,7 @@ impl BinWriter {
         let lens: Vec<usize> = self
             .sections
             .iter()
-            .map(Vec::len)
+            .map(|s| s.len())
             .chain(last.as_ref().map(|l| l.0))
             .collect();
         let payload_len: usize = lens.iter().sum();

@@ -13,8 +13,10 @@
 //!     model-001-<id>.model    numbered to preserve driver order
 //!   gen-4/                    binary format (LEADS v2)
 //!     MANIFEST
-//!     book.index              ETAPBIN LEADS-IDX — rankings as
-//!                             (segment, idx) refs
+//!     book.index              ETAPBIN LEADS-IDX v4 — the global
+//!                             ranking as u32 record numbers, per-
+//!                             driver and per-company rankings as
+//!                             u32 rank positions
 //!     shards/
 //!       shard-00000.leads2    ETAPBIN LEADS — event records: the
 //!       …                     base shards of the last cold encode,
@@ -33,7 +35,11 @@
 //! survive pruning of the source directory: the inode lives until its
 //! last link drops. A previous segment is reused only after its bytes
 //! pass the size and FNV checksum its manifest recorded, so corruption
-//! on disk never propagates into a new generation. A previous segment
+//! on disk never propagates into a new generation. Nor does a byte
+//! changed in place under a served book's mapping, which the mapping
+//! shows: a publish fails with `InvalidData` rather than re-seal it
+//! (`MappedBook::check_mapped`, which also catches records an in-memory
+//! extend copied out of such a segment). A previous segment
 //! the published book already holds (a book extended in memory shares
 //! the segments of the generation it extends) is compared with its file
 //! through a small buffer and then used as the book opened it, rather
@@ -405,6 +411,20 @@ impl GenerationStore {
             .as_ref()
             .map(|(dir, manifest)| verified_segments(dir, manifest, book, n_base as usize))
             .unwrap_or_default();
+        // A mapping shows its file as it is now: before records are
+        // copied out of a mapped segment, its bytes must still be the
+        // sealed ones. A segment reused as the book's own arena has just
+        // passed its manifest checksum.
+        let held: Vec<&Arc<Arena>> = book.segments().collect();
+        book.check_mapped(|sid| {
+            prev.get(sid)
+                .and_then(Option::as_ref)
+                .is_some_and(|seg| std::ptr::eq(seg.bytes(), held[sid].bytes()))
+        })
+        .map_err(|(sid, e)| {
+            let what = format!("{} mapped by the served book: {e}", shard_file(sid));
+            io::Error::new(io::ErrorKind::InvalidData, what)
+        })?;
         let encoded = leads2::encode_append(book, n_base, &prev)
             .unwrap_or_else(|| leads2::encode_book(book, n_base));
 
@@ -990,6 +1010,65 @@ mod tests {
         assert_ne!(ino(2, 1), ino(3, 1), "{outcome:?}");
         assert_eq!(ino(2, 0), ino(3, 0));
         assert_eq!(store.load(3).expect("load 3").book, extend(3).book);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn corruption_in_a_mapped_segment_fails_the_publish() {
+        use std::os::unix::fs::FileExt;
+        let store = temp_store("binmapflip").with_leads_format(LeadsFormat::Binary { shards: 4 });
+        store.publish(&snapshot(1, 40)).expect("publish 1");
+        let (loaded, _) = store.load_latest().expect("scan").expect("generation 1");
+        assert!(loaded.book.is_mapped(), "binary load must map, not parse");
+        let extra = extended_snapshot(2, 40, 3).book.events_owned()[40..].to_vec();
+        let extend = || LeadSnapshot {
+            generation: 2,
+            book: loaded.book.extend(extra.clone()).into(),
+            trained: Arc::clone(&loaded.trained),
+        };
+
+        // Flip one bit of a shard file in place: the book maps it, so
+        // its pages show the flip.
+        let victim = store.root().join("gen-1").join(shard_file(1));
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&victim)
+            .unwrap();
+        let flip = |at: u64| {
+            let mut byte = [0];
+            file.read_exact_at(&mut byte, at).unwrap();
+            file.write_all_at(&[byte[0] ^ 0x04], at).unwrap();
+        };
+        let bytes = std::fs::read(&victim).unwrap();
+        let records = leads2::SHARD_KIND;
+        let records = etap_persist::bin_open(&bytes, records, leads2::LEADS2_VERSION, true)
+            .and_then(|view| view.section_range(2))
+            .expect("base shard")
+            .0;
+        // The first record's driver code: the record no longer decodes,
+        // so the extend copies the shard's other records into its delta.
+        // The last byte of the last company name: the record decodes, so
+        // the extend keeps the shard and the publish would copy from it.
+        for (at, kept) in [(records, false), (bytes.len() - 1, true)] {
+            flip(at as u64);
+            let next = extend();
+            let shard = |book: &BookHandle| Arc::clone(book.segments().nth(1).unwrap());
+            assert_eq!(Arc::ptr_eq(&shard(&loaded.book), &shard(&next.book)), kept);
+            let err = store.publish(&next).expect_err("a corrupt mapped segment");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&shard_file(1)), "{err}");
+            assert_eq!(store.generations().unwrap(), vec![1]);
+            assert!(!store.root().join("gen-2").exists(), "no gen-2 sealed");
+            flip(at as u64);
+        }
+
+        // Nothing newer shadows generation 1: with the bit restored it
+        // is the newest valid generation, and the publish goes through.
+        let (latest, skipped) = store.load_latest().expect("scan").expect("generation 1");
+        assert_eq!((latest.generation, skipped.len()), (1, 0));
+        store.publish(&extend()).expect("publish 2");
+        assert_eq!(store.load(2).expect("load 2").book, extend().book);
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -24,7 +24,8 @@
 #    BENCH_e2e.json and say so in CHANGES.md;
 # 3. throughput: over 30 interleaved pairs of bench_throughput runs from
 #    this tree and from the base revision (HEAD when the working tree
-#    differs from it, else HEAD~1), the median ratio of single-thread
+#    differs from it; else, on a branch that is not main's tip, its
+#    merge base with main; else HEAD~1), the median ratio of single-thread
 #    docs/sec, scan.annotate ms and the 2-/4-thread speedups must each
 #    stay within a constant bound. A self-test fails unless the gate
 #    rejects the base with a sed-slowed annotation stage and accepts it
@@ -190,8 +191,17 @@ THROUGHPUT_GATES="docs_per_sec_1t 1 higher 0.91
 scan.annotate 2 lower 1.08
 speedup_2t 3 higher 0.87
 speedup_4t 4 higher 0.87"
+# The base is where the change under test starts: HEAD for a dirty
+# tree; for a clean branch other than main's tip, its merge base with
+# main, so a change committed in several commits is gated as a whole;
+# else HEAD~1.
 base_rev=HEAD~1
-[ -z "$(git status --porcelain)" ] || base_rev=HEAD
+if [ -n "$(git status --porcelain)" ]; then
+    base_rev=HEAD
+elif main_tip=$(git rev-parse -q --verify main) && [ "$(git rev-parse HEAD)" != "$main_tip" ]; then
+    fork=$(git merge-base HEAD main || true)
+    [ -z "$fork" ] || [ "$fork" = "$(git rev-parse HEAD)" ] || base_rev=$fork
+fi
 tree_bench="${CARGO_TARGET_DIR:-$repo/target}/release/bench_throughput"
 
 # build_bench <dir> [sed script]: export the base revision into <dir>,

@@ -12,12 +12,13 @@
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use etap_repro::persist::{bin_open, Arena};
+use etap_repro::persist::binfmt::HEADER_LEN;
+use etap_repro::persist::{bin_open, fnv1a64, Arena};
 use etap_repro::runtime::Rng;
 use etap_repro::serve::{GenerationStore, LeadSnapshot, LeadsFormat};
 use etap_repro::system::leads2::{
-    encode_append, encode_book, EncodedBook, SealedSegment, Segment, LEADS2_APPEND_VERSION,
-    SHARD_KIND,
+    encode_append, encode_book, EncodedBook, SealedSegment, Segment, INDEX_KIND, INDEX_VERSION,
+    LEADS2_APPEND_VERSION, SHARD_KIND,
 };
 use etap_repro::system::{driverfile, BookHandle, EventView, LeadBook, MappedBook};
 use etap_repro::{
@@ -545,6 +546,30 @@ fn mutate(files: &mut [Vec<u8>], rng: &mut Rng) {
     }
 }
 
+/// Overwrite one entry of an index's global ranking or of a rank-position
+/// list (sections 1, 3 and 5) with a number in range, the total or
+/// `u32::MAX`, and re-seal the container checksum, so only the ref checks
+/// of `MappedBook::open` stand between the entry and the accessors.
+fn mutate_refs(index: &mut [u8], rng: &mut Rng) {
+    let view = bin_open(index, INDEX_KIND, INDEX_VERSION, true).expect("a sealed index");
+    let total = view.section_range(1).expect("rank table").1 / 4;
+    let (start, len) = view
+        .section_range([1, 3, 5][rng.gen_range(0..3usize)])
+        .expect("ref section");
+    if len == 0 {
+        return;
+    }
+    let at = start + 4 * rng.gen_range(0..len / 4);
+    let value = match rng.gen_range(0..3u32) {
+        0 => total as u32,
+        1 => u32::MAX,
+        _ => rng.gen_range(0..total) as u32,
+    };
+    index[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    let sum = fnv1a64(&index[HEADER_LEN..]);
+    index[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+}
+
 /// Ask `book` everything the server and the store ever ask it.
 fn exercise(book: &MappedBook, drivers: &[SalesDriver], prev: &[Vec<u8>]) {
     let _ = (
@@ -629,5 +654,35 @@ fn mapped_book_open_is_total_on_corrupt_layouts() {
     assert!(
         opened > 100 && refused > 100,
         "opened {opened}, refused {refused}"
+    );
+
+    // Checksummed indexes with one ref out of range or redirected: the
+    // ref checks refuse the first kind, and the accessors serve the
+    // second.
+    let (mut opened, mut refused) = (0, 0);
+    for round in 0..400 {
+        let mut files = if round % 2 == 0 {
+            cold_files.clone()
+        } else {
+            append_files.clone()
+        };
+        mutate_refs(&mut files[0], &mut rng);
+        let heap = |b: &Vec<u8>| Arc::new(Arena::Heap(b.clone()));
+        let segments = files[1..].iter().map(heap).collect();
+        match MappedBook::open(heap(&files[0]), segments) {
+            Ok(book) => {
+                opened += 1;
+                exercise(&book, &drivers, &sealed);
+            }
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(msg.contains(" entry "), "refused by another check: {msg}");
+                refused += 1;
+            }
+        }
+    }
+    assert!(
+        opened > 50 && refused > 50,
+        "ref mutations: opened {opened}, refused {refused}"
     );
 }
