@@ -89,6 +89,7 @@ fn main() {
                 vectorizer: vectorizer.clone(),
                 model: outcome.model,
                 report,
+                file_prior: None,
             };
             let prf = evaluate_driver(
                 &trained,

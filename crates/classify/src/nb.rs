@@ -181,6 +181,14 @@ impl MultinomialNbModel {
             log_unseen: self.log_unseen,
         }
     }
+
+    /// The same model with `log P(class)` replaced by `log_prior`, bit
+    /// for bit (what a persisted adapted prior restores).
+    #[must_use]
+    pub fn with_log_prior(mut self, log_prior: [f64; 2]) -> Self {
+        self.log_prior = log_prior;
+        self
+    }
 }
 
 impl Classifier for MultinomialNbModel {

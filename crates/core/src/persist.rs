@@ -26,7 +26,9 @@
 //!   ```
 //!
 //!   (fields are tab-separated; spelled with spaces above for
-//!   legibility).
+//!   legibility). `prior` is the prior the driver was trained with: a
+//!   watch cycle's adapted prior is served, and a generation store
+//!   records it in the generation's `MANIFEST`, not here.
 //!
 //! * **`LEADS` v1** — a ranked event list (the serializable heart of a
 //!   [`LeadBook`]): a `count` record, then one `e` record per event
@@ -65,7 +67,10 @@ pub const LEADS_VERSION: u32 = 1;
 pub fn to_string(trained: &TrainedDriver) -> String {
     let vocab = trained.vectorizer.vocabulary();
     let policy = trained.vectorizer.policy();
-    let (ll, prior, unseen) = trained.model.parts();
+    let (ll, _, unseen) = trained.model.parts();
+    // An adapted prior is served, not stored: the file keeps the model
+    // as trained, so a prior-only retrain rewrites no byte of it.
+    let prior = trained.file_prior();
 
     let custom = !trained.spec.driver.is_builtin();
     let mut w = Writer::new(MODEL_KIND, if custom { MODEL_VERSION } else { 2 });
@@ -248,6 +253,7 @@ fn decode_model(text: &str) -> Result<TrainedDriver, CodecError> {
         vectorizer: Vectorizer::from_parts(policy, vocab, bigrams),
         model: MultinomialNbModel::from_parts(ll, prior, unseen),
         report: zeroed_report(),
+        file_prior: None,
     })
 }
 

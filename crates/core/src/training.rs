@@ -118,6 +118,11 @@ pub struct TrainedDriver<M = etap_classify::nb::MultinomialNbModel> {
     pub model: M,
     /// Harvest/training statistics.
     pub report: TrainingReport,
+    /// `[log P(positive), log P(negative)]` as the driver's `MODEL` file
+    /// holds them, when `model` serves an adapted class prior instead;
+    /// `None` when the file holds `model`'s own prior. A prior-only
+    /// retrain thereby leaves the file's bytes unchanged.
+    pub file_prior: Option<[f64; 2]>,
 }
 
 impl<M: Classifier> TrainedDriver<M> {
@@ -318,6 +323,8 @@ impl TrainedDriver<etap_classify::nb::MultinomialNbModel> {
     /// parameters, so base-rate drift — the paper's daily-alert setting,
     /// where event frequency shifts day to day — is the part of the
     /// model that *can* be updated without refolding training counts.
+    /// The driver's `MODEL` file keeps the prior it held
+    /// ([`file_prior`](Self::file_prior)), so its bytes do not change.
     #[must_use]
     pub fn with_adapted_prior(&self, observed_rate: f64, blend: f64) -> Self {
         let blend = blend.clamp(0.0, 1.0);
@@ -325,8 +332,29 @@ impl TrainedDriver<etap_classify::nb::MultinomialNbModel> {
         let adapted = (1.0 - blend) * old + blend * observed_rate.clamp(0.0, 1.0);
         Self {
             model: self.model.with_prior_positive(adapted),
+            file_prior: Some(self.file_prior()),
             ..self.clone()
         }
+    }
+
+    /// The driver serving `log_prior` bit for bit, while its `MODEL`
+    /// file keeps the prior it holds (how a stored adapted prior is
+    /// restored).
+    #[must_use]
+    pub fn with_served_prior(self, log_prior: [f64; 2]) -> Self {
+        Self {
+            file_prior: Some(self.file_prior()),
+            model: self.model.with_log_prior(log_prior),
+            ..self
+        }
+    }
+
+    /// `[log P(positive), log P(negative)]` as the driver's `MODEL` file
+    /// holds them: the prior it was trained or loaded with, whatever
+    /// prior it serves.
+    #[must_use]
+    pub fn file_prior(&self) -> [f64; 2] {
+        self.file_prior.unwrap_or(*self.model.parts().1)
     }
 }
 
@@ -651,6 +679,7 @@ where
         vectorizer,
         model: outcome.model,
         report,
+        file_prior: None,
     }
 }
 

@@ -130,6 +130,12 @@ pub struct Metrics {
     /// generation instead of writing; linked / (linked + dirty) is the
     /// publish link ratio.
     pub shards_linked_total: AtomicU64,
+    /// Payload files store publishes hard-linked from the previous
+    /// generation: segments and unchanged models.
+    pub store_files_linked_total: AtomicU64,
+    /// Payload bytes store publishes wrote (linked files and manifests
+    /// excluded).
+    pub store_bytes_written_total: AtomicU64,
     /// Ingest cycles completed by the watch loop (success or failure).
     pub watch_cycles_total: AtomicU64,
     /// Stage retries performed by the watch supervisor.
@@ -147,12 +153,17 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Count the segment files one store publish wrote and linked.
+    /// Count the segment files one store publish wrote and linked, every
+    /// file it linked, and the bytes it wrote.
     pub fn record_publish(&self, outcome: &PublishOutcome) {
         self.shards_dirty_total
             .fetch_add(outcome.shards_written, Ordering::Relaxed);
         self.shards_linked_total
+            .fetch_add(outcome.shards_linked, Ordering::Relaxed);
+        self.store_files_linked_total
             .fetch_add(outcome.files_linked, Ordering::Relaxed);
+        self.store_bytes_written_total
+            .fetch_add(outcome.bytes_written, Ordering::Relaxed);
     }
 
     /// Record a finished response.
@@ -235,6 +246,16 @@ impl Metrics {
             out,
             "etap_shards_linked_total {}",
             self.shards_linked_total.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(
+            out,
+            "etap_store_files_linked_total {}",
+            self.store_files_linked_total.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(
+            out,
+            "etap_store_bytes_written_total {}",
+            self.store_bytes_written_total.load(Ordering::Relaxed)
         );
         let _ = writeln!(
             out,
@@ -340,6 +361,8 @@ mod tests {
             "etap_mmap_generations 0",
             "etap_shards_dirty_total 0",
             "etap_shards_linked_total 0",
+            "etap_store_files_linked_total 0",
+            "etap_store_bytes_written_total 0",
             "etap_watch_cycles_total 0",
             "etap_watch_retries_total 0",
             "etap_watch_stage_threads 0",
@@ -347,6 +370,35 @@ mod tests {
             "etap_faults_injected_total 0",
             "etap_request_latency_ms{quantile=\"0.99\"}",
             "etap_request_latency_bucket{le=\"+Inf\"} 2",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn publishes_count_linked_segments_apart_from_linked_models() {
+        let m = Metrics::default();
+        // A prior-only binary cycle: index and delta written, four base
+        // shards and two models linked.
+        let cycle = PublishOutcome {
+            dir: std::path::PathBuf::from("gen-2"),
+            files_written: 2,
+            shards_written: 1,
+            files_linked: 6,
+            shards_linked: 4,
+            bytes_written: 3_000,
+        };
+        m.record_publish(&cycle);
+        m.record_publish(&PublishOutcome {
+            bytes_written: 500,
+            ..cycle
+        });
+        let text = m.exposition(0, 1);
+        for needle in [
+            "etap_shards_dirty_total 2\n",
+            "etap_shards_linked_total 8\n",
+            "etap_store_files_linked_total 12\n",
+            "etap_store_bytes_written_total 3500\n",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

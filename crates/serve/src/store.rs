@@ -7,10 +7,13 @@
 //! ```text
 //! <root>/
 //!   gen-3/                    text format (LEADS v1)
-//!     MANIFEST                ETAP GEN-MANIFEST (written last)
+//!     MANIFEST                ETAP GEN-MANIFEST v3 (written last): each
+//!                             file's size and checksum, and the served
+//!                             prior of every adapted driver
 //!     events.leads            ETAP LEADS v1 — the ranked event book
-//!     model-000-<id>.model    ETAP MODEL v2 — one per trained driver,
-//!     model-001-<id>.model    numbered to preserve driver order
+//!     model-000-<id>.model    ETAP MODEL v2 — one per driver, as
+//!     model-001-<id>.model    trained, numbered to preserve driver
+//!                             order; linked while unchanged
 //!   gen-4/                    binary format (LEADS v2)
 //!     MANIFEST
 //!     book.index              ETAPBIN LEADS-IDX v4 — the global
@@ -47,12 +50,22 @@
 //! generation of the same shard count, or one whose [`Manifest`]
 //! `load` rejects, the publish encodes cold.
 //!
-//! Linking has a cost: until the next cold re-encode, every retained
-//! binary generation shares each base shard's inode. One corrupt base
-//! shard therefore fails the checksum of every generation that links
-//! it, and [`GenerationStore::load_latest`] has no older binary
-//! generation to fall back to. The next publish seals a valid one,
-//! since it never links the corrupt shard.
+//! Model files are linked the same way, in both formats. A `MODEL` file
+//! holds its driver as trained; a watch cycle's adapted class prior is
+//! served from a `prior` record of the manifest instead, which `load`
+//! applies bit for bit. A prior-only cycle therefore writes no model: a
+//! model file whose bytes equal the previous generation's file of the
+//! same name — its manifest size and checksum, then the file itself,
+//! compared through a small buffer — is hard-linked. The index, the
+//! `LEADS v1` event file and the manifest are always written.
+//!
+//! Linking has a cost: every retained generation that links a file
+//! shares its inode (a base shard until the next cold re-encode, a
+//! model until its driver is retrained). One corrupt linked file
+//! therefore fails the checksum of every generation that links it, and
+//! [`GenerationStore::load_latest`] may have no older generation to
+//! fall back to. The next publish seals a valid one, since it never
+//! links a file that fails its checks: it writes a fresh copy.
 //!
 //! At load, binary payloads are opened as [`Arena`]s — mmap-backed on
 //! Linux — and served zero-copy through a `MappedBook`: warm start is
@@ -99,8 +112,9 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 pub const MANIFEST_KIND: &str = "GEN-MANIFEST";
 /// Highest `GEN-MANIFEST` version this build reads/writes (v2 adds the
 /// `format`/`shards` records for binary generations, `shards` counting
-/// every segment file; v1 manifests still load).
-pub const MANIFEST_VERSION: u32 = 2;
+/// every segment file; v3 adds the `prior` records of adapted drivers;
+/// v1 and v2 manifests still load).
+pub const MANIFEST_VERSION: u32 = 3;
 /// The ranked-event file inside each text-format generation.
 pub const EVENTS_FILE: &str = "events.leads";
 /// The ranking-index file inside each binary-format generation.
@@ -133,14 +147,19 @@ pub enum LeadsFormat {
 pub struct PublishOutcome {
     /// The sealed generation directory.
     pub dir: PathBuf,
-    /// Payload files newly written (segments, index, models).
+    /// Payload files newly written (segments, index or event file,
+    /// models).
     pub files_written: u64,
     /// Segment files among [`files_written`](Self::files_written): the
     /// new delta, or every base shard of a cold encode (always 0 for
     /// text-format publishes).
     pub shards_written: u64,
-    /// Segment files hard-linked unchanged from the previous generation.
+    /// Payload files hard-linked unchanged from the previous generation:
+    /// reused segments, and models whose bytes equal the previous
+    /// generation's file.
     pub files_linked: u64,
+    /// Segment files among [`files_linked`](Self::files_linked).
+    pub shards_linked: u64,
     /// Bytes of payload newly written (excludes linked files and the
     /// manifest).
     pub bytes_written: u64,
@@ -319,7 +338,10 @@ impl GenerationStore {
     /// generation number replaces it atomically. Binary-format
     /// publishes append to the previous generation: segments whose
     /// records are all still in the book are hard-linked, and only the
-    /// new records are written (see `etap::leads2`).
+    /// new records are written (see `etap::leads2`). In either format, a
+    /// model file byte-identical to the previous generation's is
+    /// hard-linked too, so a cycle that only adapts class priors writes
+    /// no model: the served priors go into the manifest.
     ///
     /// # Errors
     /// Propagates filesystem errors; the store is left without a
@@ -350,9 +372,13 @@ impl GenerationStore {
                 files_written: 0,
                 shards_written: 0,
                 files_linked: 0,
+                shards_linked: 0,
                 bytes_written: 0,
             },
         };
+        // A previous generation whose manifest `load` rejects is no link
+        // source: every file is written.
+        let base = self.link_source(generation);
         match self.leads_format {
             LeadsFormat::Text => {
                 let events = snapshot.book.events_owned();
@@ -360,14 +386,23 @@ impl GenerationStore {
                 payloads.write(EVENTS_FILE, text.as_bytes())?;
             }
             LeadsFormat::Binary { shards } => {
-                let segments = self.publish_segments(snapshot, shards.max(1), &mut payloads)?;
+                let segments =
+                    publish_segments(snapshot, shards.max(1), base.as_ref(), &mut payloads)?;
                 manifest.record(["format", "binary"]);
                 manifest.record(["shards", &segments.to_string()]);
             }
         }
+        // Each model file holds the driver as trained; an adapted prior
+        // is served from a `prior` record, so a prior-only cycle links
+        // every model file.
         for (i, driver) in snapshot.trained.drivers().iter().enumerate() {
             let name = format!("model-{i:03}-{}.model", driver.spec.driver.id());
-            payloads.write(&name, etap::persist::to_string(driver).as_bytes())?;
+            let text = etap::persist::to_string(driver);
+            payloads.write_or_link(&name, text.as_bytes(), base.as_ref())?;
+            if driver.file_prior.is_some() {
+                let [pos, neg] = driver.model.parts().1;
+                manifest.record(["prior", &name, &pos.to_string(), &neg.to_string()]);
+            }
         }
         for FileEntry { name, fnv, size } in &payloads.files {
             manifest.record(["file", name, &format!("{fnv:016x}"), &size.to_string()]);
@@ -387,66 +422,18 @@ impl GenerationStore {
         Ok(payloads.outcome)
     }
 
-    /// Write the `LEADS v2` index and segments of `snapshot`, appending
-    /// to the newest other generation when its layout allows, else
-    /// encoding cold. Returns the segment count.
-    fn publish_segments(
-        &self,
-        snapshot: &LeadSnapshot,
-        n_base: u32,
-        payloads: &mut Payloads,
-    ) -> io::Result<usize> {
-        let book = &snapshot.book;
+    /// The newest generation other than `generation`, with its
+    /// manifest, unless `load` would reject that manifest: where a
+    /// publish links unchanged files from.
+    fn link_source(&self, generation: u64) -> Option<(PathBuf, Manifest)> {
         let newest = self
             .generations()
-            .ok()
-            .and_then(|all| all.into_iter().rfind(|&g| g != snapshot.generation));
-        // A previous generation whose manifest `load` rejects is no link
-        // source: the publish encodes cold.
-        let base = newest.and_then(|g| {
-            let dir = self.gen_dir(g);
-            Some((dir.clone(), Manifest::read(&dir, g).ok()?))
-        });
-        let prev = base
-            .as_ref()
-            .map(|(dir, manifest)| verified_segments(dir, manifest, book, n_base as usize))
-            .unwrap_or_default();
-        // A mapping shows its file as it is now: before records are
-        // copied out of a mapped segment, its bytes must still be the
-        // sealed ones. A segment reused as the book's own arena has just
-        // passed its manifest checksum.
-        let held: Vec<&Arc<Arena>> = book.segments().collect();
-        book.check_mapped(|sid| {
-            prev.get(sid)
-                .and_then(Option::as_ref)
-                .is_some_and(|seg| std::ptr::eq(seg.bytes(), held[sid].bytes()))
-        })
-        .map_err(|(sid, e)| {
-            let what = format!("{} mapped by the served book: {e}", shard_file(sid));
-            io::Error::new(io::ErrorKind::InvalidData, what)
-        })?;
-        let encoded = leads2::encode_append(book, n_base, &prev)
-            .unwrap_or_else(|| leads2::encode_book(book, n_base));
-
-        std::fs::create_dir_all(payloads.dir.join(SHARD_DIR))?;
-        payloads.write(INDEX_FILE, &encoded.index)?;
-        // Only segments are ever linked: sharing an inode couples two
-        // generations' fates under in-place corruption — acceptable for
-        // checksummed bulk segments, not for the small files (index,
-        // models, manifest) whose independence the fallback leans on.
-        for (sid, segment) in encoded.segments.iter().enumerate() {
-            let name = shard_file(sid);
-            let before = payloads.outcome.files_written;
-            match (segment, &base, prev.get(sid)) {
-                (Segment::Written(bytes), _, _) => payloads.write(&name, bytes)?,
-                (Segment::Linked, Some((dir, manifest)), Some(Some(reused))) => {
-                    payloads.link(dir, &manifest.segments[sid], reused.bytes())?;
-                }
-                (Segment::Linked, _, _) => unreachable!("only verified segments are reused"),
-            }
-            payloads.outcome.shards_written += payloads.outcome.files_written - before;
-        }
-        Ok(encoded.segments.len())
+            .ok()?
+            .into_iter()
+            .rfind(|&g| g != generation)?;
+        let dir = self.gen_dir(newest);
+        let manifest = Manifest::read(&dir, newest).ok()?;
+        Some((dir, manifest))
     }
 
     /// Generation numbers currently visible (sorted ascending).
@@ -475,7 +462,9 @@ impl GenerationStore {
 
     /// Load and fully validate one generation: the manifest must parse,
     /// list each file exactly once with matching size and checksum, and
-    /// every payload file must itself decode. Both formats serve through
+    /// every payload file must itself decode. A driver with a manifest
+    /// `prior` record serves that prior, bit for bit, over the one its
+    /// model file holds. Both formats serve through
     /// one `MappedBook`: a text generation parses and is sealed into
     /// heap arenas, a binary one mmaps zero-copy (the manifest FNV pass
     /// over the arenas is the integrity check — no parse happens).
@@ -509,7 +498,11 @@ impl GenerationStore {
         let mut text_book: Option<LeadBook> = None;
         for file in &manifest.files {
             if file.name.ends_with(".model") {
-                drivers.push(etap::persist::from_str(&read(file)?).map_err(CodecError::Io)?);
+                let driver = etap::persist::from_str(&read(file)?).map_err(CodecError::Io)?;
+                drivers.push(match manifest.prior(&file.name) {
+                    Some(prior) => driver.with_served_prior(prior),
+                    None => driver,
+                });
             } else if file.name == manifest.book.name && !manifest.binary {
                 text_book = Some(etap::persist::book_from_str(&read(file)?)?);
             }
@@ -630,10 +623,11 @@ impl FileEntry {
     }
 }
 
-/// A generation's `MANIFEST`, as [`GenerationStore::load`] and an append
-/// publish both read it: every record known, every file listed once and
-/// recognized for the format, the generation the directory's, and a
-/// binary generation's segments exactly `0..shards`.
+/// A generation's `MANIFEST`, as [`GenerationStore::load`] and a
+/// publish's linking both read it: every record known, every file listed
+/// once and recognized for the format, every `prior` finite and naming a
+/// listed model once, the generation the directory's, and a binary
+/// generation's segments exactly `0..shards`.
 #[derive(Debug)]
 pub struct Manifest {
     window: usize,
@@ -645,6 +639,9 @@ pub struct Manifest {
     book: FileEntry,
     /// The segment files by id (binary generations).
     segments: Vec<FileEntry>,
+    /// The served `[log P(positive), log P(negative)]` of each model file
+    /// whose driver adapted its class prior (v3).
+    priors: Vec<(String, [f64; 2])>,
 }
 
 impl Manifest {
@@ -664,6 +661,7 @@ impl Manifest {
         let (mut stated_generation, mut window, mut events) = (None::<u64>, None, None);
         let (mut format, mut shards): (Option<&str>, Option<u32>) = (None, None);
         let mut files: Vec<FileEntry> = Vec::new();
+        let mut priors: Vec<(String, [f64; 2])> = Vec::new();
         for rec in &records {
             match rec.tag() {
                 "generation" => stated_generation = Some(rec.parse(1)?),
@@ -680,6 +678,17 @@ impl Manifest {
                         .map_err(|_| rec.malformed("bad checksum field"))?;
                     let (name, size) = (name.to_string(), rec.parse(3)?);
                     files.push(FileEntry { name, fnv, size });
+                }
+                "prior" => {
+                    let name = rec.str(1)?;
+                    let prior: [f64; 2] = [rec.parse(2)?, rec.parse(3)?];
+                    if priors.iter().any(|(n, _)| n == name) {
+                        return invalid(format!("manifest has two priors for {name:?}"));
+                    }
+                    if !prior.iter().all(|p| p.is_finite()) {
+                        return invalid(format!("prior of {name:?} is not finite"));
+                    }
+                    priors.push((name.to_string(), prior));
                 }
                 other => return invalid(format!("unknown manifest record `{other}`")),
             }
@@ -711,6 +720,12 @@ impl Manifest {
             }
         }
         let book = book.ok_or_else(|| missing(&format!("{book_file} file")))?;
+        let listed = |name: &str| name.ends_with(".model") && files.iter().any(|f| f.name == name);
+        if let Some((name, _)) = priors.iter().find(|(name, _)| !listed(name)) {
+            return invalid(format!(
+                "manifest has a prior for {name:?}, no listed model"
+            ));
+        }
         if binary {
             let n = shards.ok_or_else(|| missing("shards"))?.max(1) as usize;
             segments.sort_unstable();
@@ -728,8 +743,66 @@ impl Manifest {
             book: files[book].clone(),
             segments: segments.iter().map(|&(_, i)| files[i].clone()).collect(),
             files,
+            priors,
         })
     }
+
+    /// The served prior of the model file `name`, when its driver
+    /// adapted one.
+    fn prior(&self, name: &str) -> Option<[f64; 2]> {
+        self.priors.iter().find(|(n, _)| n == name).map(|&(_, p)| p)
+    }
+}
+
+/// Write the `LEADS v2` index and segments of `snapshot`, appending to
+/// the previous generation `base` when its layout allows, else encoding
+/// cold. Returns the segment count.
+fn publish_segments(
+    snapshot: &LeadSnapshot,
+    n_base: u32,
+    base: Option<&(PathBuf, Manifest)>,
+    payloads: &mut Payloads,
+) -> io::Result<usize> {
+    let book = &snapshot.book;
+    let prev = base
+        .map(|(dir, manifest)| verified_segments(dir, manifest, book, n_base as usize))
+        .unwrap_or_default();
+    // A mapping shows its file as it is now: before records are copied
+    // out of a mapped segment, its bytes must still be the sealed ones.
+    // A segment reused as the book's own arena has just passed its
+    // manifest checksum.
+    let held: Vec<&Arc<Arena>> = book.segments().collect();
+    book.check_mapped(|sid| {
+        prev.get(sid)
+            .and_then(Option::as_ref)
+            .is_some_and(|seg| std::ptr::eq(seg.bytes(), held[sid].bytes()))
+    })
+    .map_err(|(sid, e)| {
+        let what = format!("{} mapped by the served book: {e}", shard_file(sid));
+        io::Error::new(io::ErrorKind::InvalidData, what)
+    })?;
+    let encoded = leads2::encode_append(book, n_base, &prev)
+        .unwrap_or_else(|| leads2::encode_book(book, n_base));
+
+    std::fs::create_dir_all(payloads.dir.join(SHARD_DIR))?;
+    payloads.write(INDEX_FILE, &encoded.index)?;
+    let (written, linked) = (
+        payloads.outcome.files_written,
+        payloads.outcome.files_linked,
+    );
+    for (sid, segment) in encoded.segments.iter().enumerate() {
+        let name = shard_file(sid);
+        match (segment, base, prev.get(sid)) {
+            (Segment::Written(bytes), _, _) => payloads.write(&name, bytes)?,
+            (Segment::Linked, Some((dir, manifest)), Some(Some(reused))) => {
+                payloads.link(dir, &manifest.segments[sid], reused.bytes())?;
+            }
+            (Segment::Linked, _, _) => unreachable!("only verified segments are reused"),
+        }
+    }
+    payloads.outcome.shards_written = payloads.outcome.files_written - written;
+    payloads.outcome.shards_linked = payloads.outcome.files_linked - linked;
+    Ok(encoded.segments.len())
 }
 
 /// The previous generation's segments in id order, opened for an
@@ -812,6 +885,28 @@ impl Payloads {
         Ok(())
     }
 
+    /// Write `contents` as `name`, or link the file of that name from the
+    /// previous generation `base` when it holds exactly these bytes: its
+    /// manifest entry's size and checksum, then the file itself through
+    /// a small buffer, so a corrupt file is never linked.
+    fn write_or_link(
+        &mut self,
+        name: &str,
+        contents: &[u8],
+        base: Option<&(PathBuf, Manifest)>,
+    ) -> io::Result<()> {
+        let same = base.and_then(|(dir, manifest)| {
+            let file = manifest.files.iter().find(|f| f.name == name)?;
+            let path = dir.join(name);
+            (file.check(contents).is_ok() && file_equals(&path, contents, &mut [0; 1 << 13]))
+                .then_some((dir, file))
+        });
+        match same {
+            Some((dir, file)) => self.link(dir, file, contents),
+            None => self.write(name, contents),
+        }
+    }
+
     /// Reuse `file` of the previous generation in `from`, verified to
     /// hold `contents`: hard-link it (the inode outlives pruning of its
     /// source directory), or write a copy where links fail.
@@ -840,7 +935,8 @@ fn write_synced(path: &Path, contents: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etap::{LeadBook, SalesDriver, TriggerEvent};
+    use etap::{LeadBook, SalesDriver, TrainedDriver, TriggerEvent};
+    use std::os::unix::fs::MetadataExt;
 
     fn temp_store(tag: &str) -> GenerationStore {
         let root = std::env::temp_dir().join(format!("etap_store_{tag}_{}", std::process::id()));
@@ -887,6 +983,228 @@ mod tests {
             generation,
             book: LeadBook::build(events).into(),
             trained: Arc::new(TrainedEtap::from_drivers(Vec::new(), 3)),
+        }
+    }
+
+    /// A built-in driver decoded from a small hand-made `MODEL` file,
+    /// its likelihoods moved by `shift`.
+    fn model_driver(key: &str, shift: f64) -> TrainedDriver {
+        let mut w = Writer::new(etap::persist::MODEL_KIND, 2);
+        w.record(["driver", key]);
+        w.record(["prior", "-1.2", "-0.35"]);
+        w.record(["unseen", "-9", "-8"]);
+        w.record(["features", "2"]);
+        w.record(["acquire", &(-1.5 + shift).to_string(), "-2.5"]);
+        w.record(["merger", "-1.25", &(-3.0 - shift).to_string()]);
+        etap::persist::from_str(&w.finish()).expect("model")
+    }
+
+    fn two_drivers(shift: f64) -> Arc<TrainedEtap> {
+        let drivers = ["mergers_acquisitions", "revenue_growth"].map(|k| model_driver(k, shift));
+        Arc::new(TrainedEtap::from_drivers(drivers.to_vec(), 3))
+    }
+
+    /// Each driver's served `log P(class)`, as bits.
+    fn prior_bits(trained: &TrainedEtap) -> Vec<[u64; 2]> {
+        let bits = |d: &TrainedDriver| d.model.parts().1.map(f64::to_bits);
+        trained.drivers().iter().map(bits).collect()
+    }
+
+    /// The inodes of a generation's model files, in driver order.
+    fn model_inodes(store: &GenerationStore, generation: u64) -> Vec<u64> {
+        let dir = store.gen_dir(generation);
+        let mut models: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "model"))
+            .collect();
+        models.sort();
+        models
+            .iter()
+            .map(|p| std::fs::metadata(p).unwrap().ino())
+            .collect()
+    }
+
+    #[test]
+    fn prior_only_cycles_link_every_model_file() {
+        let formats = [
+            ("priortext", LeadsFormat::Text, 1),
+            ("priorbin", LeadsFormat::Binary { shards: 4 }, 2),
+        ];
+        for (tag, format, written) in formats {
+            let store = temp_store(tag).with_leads_format(format);
+            let first = LeadSnapshot {
+                trained: two_drivers(0.0),
+                ..snapshot(1, 40)
+            };
+            store.publish(&first).expect("publish 1");
+
+            // A watch cycle: fresh events, adapted class priors. Only
+            // the book's files are written (text: the event file;
+            // binary: the index and one delta).
+            let cycle = |served: &LeadSnapshot, generation, extra, rates: &[f64]| LeadSnapshot {
+                trained: Arc::new(served.trained.with_adapted_priors(rates, 0.1)),
+                ..extended_snapshot(generation, 40, extra)
+            };
+            let second = cycle(&first, 2, 6, &[0.3, 0.05]);
+            let outcome = store.publish(&second).expect("publish 2");
+            let models_linked = |o: &PublishOutcome| o.files_linked - o.shards_linked;
+            assert_eq!(
+                (outcome.files_written, models_linked(&outcome)),
+                (written, 2),
+                "{tag}: {outcome:?}"
+            );
+            assert_eq!(model_inodes(&store, 1), model_inodes(&store, 2));
+            let loaded = store.load(2).expect("load 2");
+            assert_eq!(prior_bits(&loaded.trained), prior_bits(&second.trained));
+            assert_ne!(prior_bits(&loaded.trained), prior_bits(&first.trained));
+
+            // A restarted daemon continues from the generation it loads:
+            // its next cycle links the same model inodes.
+            let restarted = GenerationStore::open(store.root())
+                .expect("reopen")
+                .with_leads_format(format);
+            let (served, skipped) = restarted.load_latest().expect("scan").expect("gen 2");
+            assert_eq!((served.generation, skipped.len()), (2, 0));
+            let third = cycle(&served, 3, 9, &[0.2, 0.1]);
+            let outcome = restarted.publish(&third).expect("publish 3");
+            assert_eq!(
+                (outcome.files_written, models_linked(&outcome)),
+                (written, 2),
+                "{tag}: {outcome:?}"
+            );
+            assert_eq!(model_inodes(&store, 1), model_inodes(&store, 3));
+            let loaded = restarted.load(3).expect("load 3");
+            assert_eq!(prior_bits(&loaded.trained), prior_bits(&third.trained));
+
+            // A retrain that moves the likelihoods writes fresh models.
+            let retrained = LeadSnapshot {
+                trained: two_drivers(0.25),
+                ..extended_snapshot(4, 40, 9)
+            };
+            let outcome = restarted.publish(&retrained).expect("publish 4");
+            assert_eq!(models_linked(&outcome), 0, "{tag}: {outcome:?}");
+            assert_eq!(outcome.files_written - outcome.shards_written, 3);
+            let (old, new) = (model_inodes(&store, 3), model_inodes(&store, 4));
+            assert!(old.iter().all(|ino| !new.contains(ino)), "{tag}");
+            let loaded = restarted.load(4).expect("load 4");
+            assert_eq!(prior_bits(&loaded.trained), prior_bits(&retrained.trained));
+            let _ = std::fs::remove_dir_all(store.root());
+        }
+    }
+
+    #[test]
+    fn generation_with_the_adapted_prior_in_its_model_file_still_loads() {
+        // A manifest v2 store wrote the adapted prior into the MODEL file
+        // and had no `prior` records.
+        let store = temp_store("v2prior");
+        let adapted = two_drivers(0.0).with_adapted_priors(&[0.3, 0.05], 0.1);
+        let mut in_file = adapted.drivers().to_vec();
+        for driver in &mut in_file {
+            driver.file_prior = None;
+        }
+        let sealed = LeadSnapshot {
+            trained: Arc::new(TrainedEtap::from_drivers(in_file, 3)),
+            ..snapshot(1, 5)
+        };
+        store.publish(&sealed).expect("publish 1");
+        let path = store.root().join("gen-1").join("MANIFEST");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut v2 = Writer::new(MANIFEST_KIND, 2);
+        for line in text.lines().skip(1).filter(|l| !l.starts_with("#sum")) {
+            assert!(!line.starts_with("prior"), "{line}");
+            v2.record(line.split('\t'));
+        }
+        std::fs::write(&path, v2.finish()).unwrap();
+
+        let loaded = store.load(1).expect("a v2 generation loads");
+        assert_eq!(prior_bits(&loaded.trained), prior_bits(&adapted));
+        // The next cycle keeps that file as it is, and links it.
+        let next = LeadSnapshot {
+            trained: Arc::new(loaded.trained.with_adapted_priors(&[0.2, 0.1], 0.1)),
+            ..snapshot(2, 5)
+        };
+        let outcome = store.publish(&next).expect("publish 2");
+        assert_eq!(outcome.files_linked, 2, "{outcome:?}");
+        assert_eq!(model_inodes(&store, 1), model_inodes(&store, 2));
+        let loaded = store.load(2).expect("load 2");
+        assert_eq!(prior_bits(&loaded.trained), prior_bits(&next.trained));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn corrupt_linked_model_fails_every_generation_that_links_it() {
+        let store = temp_store("modelshared");
+        for g in 1..=3 {
+            let snap = LeadSnapshot {
+                trained: two_drivers(0.0),
+                ..snapshot(g, 4)
+            };
+            store.publish(&snap).expect("publish");
+        }
+        assert_eq!(model_inodes(&store, 1), model_inodes(&store, 3));
+        let victim = store
+            .root()
+            .join("gen-2")
+            .join("model-001-revenue_growth.model");
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x02;
+        std::fs::write(&victim, &bytes).unwrap();
+        for g in 1..=3 {
+            match store.load(g) {
+                Err(StoreError::Invalid(msg)) => assert!(msg.contains("checksum"), "{msg}"),
+                other => panic!("gen {g}: expected Invalid(checksum), got {other:?}"),
+            }
+        }
+
+        // The next publish links the intact model and writes the other.
+        let next = LeadSnapshot {
+            trained: two_drivers(0.0),
+            ..snapshot(4, 4)
+        };
+        let outcome = store.publish(&next).expect("publish 4");
+        assert_eq!((outcome.files_linked, outcome.files_written), (1, 2));
+        let (old, new) = (model_inodes(&store, 3), model_inodes(&store, 4));
+        assert_eq!((old[0] == new[0], old[1] == new[1]), (true, false));
+        let (loaded, skipped) = store.load_latest().expect("scan").expect("gen 4");
+        assert_eq!((loaded.generation, skipped.len()), (4, 0));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn manifest_priors_are_finite_unique_and_name_a_listed_model() {
+        let model = "model-000-revenue_growth.model";
+        let manifest = |priors: &[[&str; 4]]| {
+            let mut w = Writer::new(MANIFEST_KIND, MANIFEST_VERSION);
+            w.record(["generation", "1"]);
+            w.record(["window", "3"]);
+            w.record(["events", "2"]);
+            w.record(["file", EVENTS_FILE, "00000000000000aa", "10"]);
+            w.record(["file", model, "00000000000000bb", "20"]);
+            for prior in priors {
+                w.record(*prior);
+            }
+            Manifest::parse(&w.finish(), 1)
+        };
+        let good = ["prior", model, "-1.2", "-0.35"];
+        let parsed = manifest(&[good]).expect("a valid prior");
+        assert_eq!(parsed.prior(model), Some([-1.2, -0.35]));
+        let cases = [
+            (vec![good, good], "two priors"),
+            (
+                vec![["prior", "model-001-x.model", "-1", "-1"]],
+                "no listed model",
+            ),
+            (vec![["prior", EVENTS_FILE, "-1", "-1"]], "no listed model"),
+            (vec![["prior", model, "NaN", "-1"]], "not finite"),
+            (vec![["prior", model, "-1", "-inf"]], "not finite"),
+        ];
+        for (priors, why) in cases {
+            match manifest(&priors) {
+                Err(StoreError::Invalid(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("{priors:?}: expected Invalid({why}), got {other:?}"),
+            }
         }
     }
 

@@ -103,7 +103,8 @@ fn mutate(lines: &[&str], extra: &[&str], rng: &mut Rng) -> Vec<u8> {
 }
 
 /// Two manifests as publishes write them: a binary generation with four
-/// segments and two models, and a text generation with one model.
+/// segments and two models, one serving an adapted prior, and a text
+/// generation with one model serving an adapted prior.
 fn manifests() -> [(u64, String); 2] {
     let file = |w: &mut Writer, name: &str, fnv: u64, size: usize| {
         w.record(["file", name, &format!("{fnv:016x}"), &size.to_string()]);
@@ -126,6 +127,12 @@ fn manifests() -> [(u64, String); 2] {
         90_000,
     );
     file(&mut binary, "model-001-revenue_growth.model", 0xa2, 80_000);
+    binary.record([
+        "prior",
+        "model-001-revenue_growth.model",
+        "-2.6741716416617847",
+        "-0.07143888714337628",
+    ]);
 
     let mut text = Writer::new(MANIFEST_KIND, MANIFEST_VERSION);
     text.record(["generation", "3"]);
@@ -138,6 +145,12 @@ fn manifests() -> [(u64, String); 2] {
         0xb1,
         70_000,
     );
+    text.record([
+        "prior",
+        "model-000-change_in_management.model",
+        "-1.1963",
+        "-0.3567",
+    ]);
     [(7, binary.finish()), (3, text.finish())]
 }
 
@@ -148,6 +161,8 @@ const HOSTILE_RECORDS: &[&str] = &[
     "events\t18446744073709551615\n",
     "window\t18446744073709551615\n",
     "file\tshards/shard-4294967295.leads2\t0\t18446744073709551615\n",
+    "prior\tmodel-000-mergers_acquisitions.model\tNaN\t-1e308\n",
+    "prior\tmodel-000-change_in_management.model\t-inf\t1e400\n",
 ];
 
 fn seal(body: &[u8]) -> String {

@@ -27,7 +27,11 @@
 //!   generation that links the file, and only those: the next publish
 //!   links no corrupt file (its records are re-sealed), the generation
 //!   it seals loads as the in-memory book, and a crashed publish falls
-//!   back past the corrupt generations.
+//!   back past the corrupt generations;
+//! * every model file byte-identical to the previous generation's is
+//!   hard-linked, and no corrupt one is: a bit flipped in a linked model
+//!   invalidates exactly the generations that link it, and the next
+//!   publish writes a fresh copy.
 //!
 //! The fault registry is process-global, so every test here runs under
 //! [`lock`].
@@ -113,12 +117,46 @@ fn segment_inodes(root: &Path, generation: u64) -> Vec<u64> {
         .collect()
 }
 
+/// Each model file of a generation, in driver order.
+fn model_paths(root: &Path, generation: u64) -> Vec<PathBuf> {
+    let dir = root.join(format!("gen-{generation}"));
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("generation")
+        .map(|entry| entry.expect("entry").path())
+        .filter(|path| path.extension().is_some_and(|x| x == "model"))
+        .collect();
+    paths.sort();
+    paths
+}
+
+/// Each model file's inode, in driver order.
+fn model_inodes(root: &Path, generation: u64) -> Vec<u64> {
+    model_paths(root, generation)
+        .iter()
+        .map(|path| std::fs::metadata(path).expect("model").ino())
+        .collect()
+}
+
 /// Whether a generation links none of the `corrupt` inodes (only
-/// segments are ever flipped, so this is whether it loads).
+/// segments and models are ever flipped, so this is whether it loads).
 fn intact(root: &Path, generation: u64, corrupt: &HashSet<u64>) -> bool {
     segment_inodes(root, generation)
         .iter()
+        .chain(&model_inodes(root, generation))
         .all(|ino| !corrupt.contains(ino))
+}
+
+/// Every retained generation loads exactly when it links no corrupt
+/// file; the others fail their checksum.
+fn assert_only_intact_generations_load(store: &GenerationStore, corrupt: &HashSet<u64>) {
+    for generation in store.generations().expect("list") {
+        let intact = intact(store.root(), generation, corrupt);
+        match store.load(generation) {
+            Ok(_) => assert!(intact, "generation {generation} loads a corrupt file"),
+            Err(StoreError::Invalid(msg)) if !intact => assert!(msg.contains("checksum"), "{msg}"),
+            Err(e) => panic!("intact generation {generation}: {e}"),
+        }
+    }
 }
 
 /// Flip one bit of the file at `path` in place, as a failing disk does:
@@ -316,10 +354,22 @@ fn check_layout(
     (linked, u64::from(emptied) + u64::from(fresh > 0))
 }
 
-fn check_outcome(outcome: &PublishOutcome, (linked, written): &(Vec<usize>, u64)) {
+/// Check one publish's counts against the segments the layout rules
+/// link and write, and the `models` model files it must link: every
+/// other file is written, the index and the rest of the models alike.
+fn check_outcome(outcome: &PublishOutcome, (linked, written): &(Vec<usize>, u64), models: u64) {
     assert_eq!(
-        (outcome.files_linked, outcome.shards_written),
+        (outcome.shards_linked, outcome.shards_written),
         (linked.len() as u64, *written),
+        "{outcome:?}"
+    );
+    let all_models = trained().drivers().len() as u64;
+    assert_eq!(
+        (outcome.files_linked, outcome.files_written),
+        (
+            linked.len() as u64 + models,
+            1 + written + all_models - models
+        ),
         "{outcome:?}"
     );
 }
@@ -340,6 +390,10 @@ struct Exercised {
     flips_delta: usize,
     /// Flips that also invalidated an older retained generation.
     flips_shared: usize,
+    /// Bits flipped in model files, and those whose file more than one
+    /// retained generation linked.
+    flips_model: usize,
+    flips_model_shared: usize,
     /// Crashed publishes that fell back past a corrupt generation.
     crashes_past_corrupt: usize,
 }
@@ -386,6 +440,7 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
     // So do bit flips. A flip never touches a file a served book maps,
     // which would see it in its pages.
     let mut flip_rng = Rng::seed_from_u64(seed.rotate_left(32));
+    let mut model_flip_rng = Rng::seed_from_u64(seed ^ 0x6d6f_64656c);
     let mut mapped: HashSet<u64> = HashSet::new();
     let mut corrupt: HashSet<u64> = HashSet::new();
     // Open handles keep every inode in those sets alive, so no new file
@@ -433,6 +488,17 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
             }
         }
 
+        // The models never change here, so each is linked from the
+        // newest other generation unless its file there is corrupt.
+        let models = store
+            .generations()
+            .expect("list")
+            .into_iter()
+            .rfind(|&g| g != generation)
+            .map_or(0, |g| {
+                let inodes = model_inodes(&root, g);
+                inodes.iter().filter(|ino| !corrupt.contains(ino)).count() as u64
+            });
         let outcome = store.publish(&snap).expect("publish");
         let twin_outcome = twin.publish(&twin_snap).expect("twin publish");
         assert!(
@@ -440,6 +506,12 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
                 .iter()
                 .all(|ino| !corrupt.contains(ino)),
             "generation {generation} links a corrupt segment"
+        );
+        assert!(
+            model_inodes(&root, generation)
+                .iter()
+                .all(|ino| !corrupt.contains(ino)),
+            "generation {generation} links a corrupt model"
         );
         let now = read_sealed(&root, generation);
         let len = snap.book.len();
@@ -450,8 +522,8 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
             len as u64,
             (len - lens[lens.len() - 1]) as u64,
         );
-        check_outcome(&outcome, &expect);
-        check_outcome(&twin_outcome, &expect);
+        check_outcome(&outcome, &expect, models);
+        check_outcome(&twin_outcome, &expect, models);
         lens.push(len);
         if let (Some(p), Some(_)) = (&prev, &pinned) {
             let kept = expect.0.iter().filter(|&&sid| sid >= SHARDS as usize);
@@ -581,6 +653,31 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
             exercised.flips_shared += usize::from(shared);
             assert_pinned_loads(&store, &pinned, &corrupt);
         }
+
+        // Sometimes a bit flips in one of this generation's model files,
+        // an inode every generation since the model was last written
+        // links; in both stores alike.
+        if model_flip_rng.gen_bool(0.2) {
+            let paths = model_paths(&root, generation);
+            let m = model_flip_rng.gen_range(0..paths.len());
+            flip_bit(
+                &model_paths(&twin_root, generation)[m],
+                &mut model_flip_rng.clone(),
+            );
+            held.push(flip_bit(&paths[m], &mut model_flip_rng));
+            let ino = model_inodes(&root, generation)[m];
+            let linking = store
+                .generations()
+                .expect("list")
+                .into_iter()
+                .filter(|&g| model_inodes(&root, g).contains(&ino))
+                .count();
+            corrupt.insert(ino);
+            exercised.flips_model += 1;
+            exercised.flips_model_shared += usize::from(linking > 1);
+            assert_only_intact_generations_load(&store, &corrupt);
+            assert_pinned_loads(&store, &pinned, &corrupt);
+        }
     }
     assert_pinned_loads(&store, &pinned, &corrupt);
     store.unpin();
@@ -607,7 +704,8 @@ fn random_histories_match_the_reference_layout() {
         sum(|r| r.flips_base) > 0
             && sum(|r| r.flips_delta) > 0
             && sum(|r| r.flips_shared) > 0
-            && sum(|r| r.crashes_past_corrupt) > 0,
+            && sum(|r| r.crashes_past_corrupt) > 0
+            && sum(|r| r.flips_model_shared) > 0,
         "{runs:?}"
     );
 }

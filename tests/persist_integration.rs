@@ -184,7 +184,12 @@ fn store_corruption_matrix_falls_back_to_newest_valid() {
             let sum = etap_repro::persist::fnv1a64(forged.as_bytes());
             forged.push_str(&format!("#sum {sum:016x}\n"));
             let name = model.file_name().unwrap().to_owned();
-            std::fs::write(&model, &forged).unwrap();
+            // Replace the file rather than write it in place: gen-1
+            // links the same unchanged model, and an in-place write
+            // would reach it through the shared inode.
+            let tmp = model.with_extension("forged");
+            std::fs::write(&tmp, &forged).unwrap();
+            std::fs::rename(&tmp, &model).unwrap();
             // Update the manifest entry so only the version differs.
             rewrite_manifest_entry(dir, name.to_str().unwrap(), &forged);
         }),
