@@ -19,12 +19,13 @@ use etap::{rank, DriverSpec, EventIdentifier, SalesDriver};
 use etap_annotate::Annotator;
 use etap_bench::{is_test_doc, paper_training_config, standard_web};
 use etap_corpus::{SearchEngine, SyntheticWeb, WebConfig};
+use std::sync::Arc;
 
 fn main() {
     println!("== Ablation A7: time-weighted scores vs biography noise (CiM) ==\n");
     let web = standard_web();
     let engine = SearchEngine::build(web.docs());
-    let annotator = Annotator::new();
+    let annotator = Arc::new(Annotator::new());
     let config = paper_training_config(&web);
     let spec = DriverSpec::builtin(SalesDriver::ChangeInManagement);
     let trained = train_driver(&spec, &engine, &web, &annotator, &config, is_test_doc);
@@ -33,7 +34,7 @@ fn main() {
         seed: 0x7E3919,
         ..WebConfig::with_docs(600)
     });
-    let identifier = EventIdentifier::new(3);
+    let identifier = EventIdentifier::with_annotator(Arc::clone(&annotator), 3);
     let events = identifier.identify(&[trained], crawl.docs(), 0);
     let trigger_docs: Vec<usize> = crawl
         .trigger_docs(SalesDriver::ChangeInManagement)
@@ -78,7 +79,7 @@ fn main() {
     );
 
     for half_life in [3650.0f64, 730.0, 365.0, 180.0] {
-        let weighted = rank::rank_by_time_weighted_score(events.clone(), half_life);
+        let weighted = rank::rank_by_time_weighted_score(events.clone(), half_life, &annotator);
         let kept: Vec<&etap::TriggerEvent> = weighted
             .iter()
             .filter(|(_, w)| *w >= 0.5)

@@ -21,11 +21,12 @@
 //!   a book and an append both read the segments it opened, so no
 //!   segment is parsed twice.
 //! * Both encoders copy each record's sealed bytes and re-emit the
-//!   index. Everything that names rank positions (driver table and
-//!   lists, company table and lists, name keys, driver-code table) is
-//!   copied verbatim; only the segment counts and the global ranking
-//!   are rewritten. No publish re-encodes an event, and driver codes
-//!   always travel with their own book's code table.
+//!   index. Everything that names rank positions or canonical strings
+//!   (driver table and lists, company table and lists, name keys,
+//!   driver-code table) is copied verbatim; only the segment counts, the
+//!   global ranking and the string places are rewritten. No publish
+//!   re-encodes an event, and driver codes always travel with their own
+//!   book's code table.
 //! * [`MappedBook`] opens those containers over [`Arena`]s and serves
 //!   them **zero-copy**: string fields stay offset+len views into the
 //!   arena until response-write time. It finds the segment of a global
@@ -47,18 +48,38 @@
 //!
 //! ## Index layout
 //!
-//! Section 0 holds `[n_segments][n_base][total]` and each segment's
-//! record count; section 1 the global ranking, one global number per
-//! rank position; sections 2+3 the driver directory (`[code u8][off]
-//! [count]` per driver) and its rank-position lists; sections 4+5 the
-//! company directory in MRR order (`[name][mrr f64 bits][events][off]
-//! [count]`) and its lists; section 6 the sorted name keys (`[key]
-//! [company]`); section 7, only when registered drivers are present,
-//! their code→key table. Every count, offset, global number and rank
-//! position is a little-endian `u32`, every string a `u32` length and
-//! its bytes. [`MappedBook::open`] checks every global number against
-//! the record count and every position against `total`, so a served
-//! query never meets a dangling one.
+//! The index holds only numbers. Sections 0–2 depend on the layout and
+//! are rewritten by every encode: section 0 holds `[n_segments][n_base]
+//! [total]` and each segment's record count; section 1 the global
+//! ranking, one global number per rank position; section 2 the **string
+//! places**, one per canonical string (below). Sections 3.. name rank
+//! positions and canonical strings by number, so every encode copies
+//! them verbatim: sections 3+4 the driver directory (`[code u8][off]
+//! [count]` per driver) and its rank-position lists; sections 5+6 the
+//! company directory in MRR order (`[mrr f64 bits][events][count]`; a
+//! company's list starts where the previous one's ends) and its lists;
+//! section 7 the sorted name keys (`[company]` each); section 8, only
+//! when registered drivers are present, their code→key table. Every
+//! count, offset, global number, rank position and place is a
+//! little-endian `u32`. [`MappedBook::open`] checks every global number
+//! against the record count, every position against `total` and every
+//! place against the string sections, so a served query never meets a
+//! dangling one.
+//!
+//! ## Strings
+//!
+//! Company names and name keys live in the segments, not the index.
+//! With `C` companies and `K` name keys, company `i`'s name is
+//! **canonical string** `i` and key `j` is canonical string `C + j`.
+//! Every segment carries a string section: distinct strings in byte
+//! order, each a LEB128 varint length and its bytes. A string's place is
+//! the byte offset of its length in the segments' string sections laid
+//! end to end. A cold encode puts each distinct string into the base
+//! shard `fnv1a64(string) % n`. An append places each canonical string
+//! where a reused segment already holds it, and writes only the others,
+//! once each, into its one new delta, so a watch cycle seals only the
+//! names and keys its poll made new. Strings a reused segment holds but
+//! the book no longer names stay until the next cold re-encode.
 //!
 //! ## Why append
 //!
@@ -92,18 +113,17 @@
 //!   publish re-encodes cold instead, so records re-sort into fresh base
 //!   shards and the layout never drifts far from a cold encode.
 //!
-//! A segment's meta section is `(segment id, n_base, records)` — the 16
-//! bytes a cold shard has always carried — plus, on deltas only, the
-//! number of publishes merged into it. Nothing in a segment depends on
-//! the generation number, so the generation store can hard-link a reused
-//! segment instead of rewriting it. Base shards are container version
-//! [`LEADS2_VERSION`], byte for byte as every cold encode has sealed
-//! them; delta segments are [`LEADS2_APPEND_VERSION`], so a build that
-//! predates append publishes fails on them with a future-version error.
-//! The index is [`INDEX_VERSION`], cold or append, and is the only index
-//! version this build reads or writes: an index of an older layout fails
-//! to open with a typed error, and the generation store skips its
-//! generation.
+//! A segment holds four sections: its meta `(segment id, n_base,
+//! records)` plus, on deltas only, the number of publishes merged into
+//! it; the records' offset table; its string section; the records.
+//! Nothing in a segment depends on the generation number, so the
+//! generation store can hard-link a reused segment, strings and all,
+//! instead of rewriting it. Base shards and deltas alike are container
+//! version [`LEADS2_VERSION`] and the index is [`INDEX_VERSION`]; these
+//! are the only versions this build reads or writes. A segment or an
+//! index of an older layout fails to open with a typed error: the
+//! generation store skips its generation, and the next publish reuses
+//! none of its segments, so it encodes cold.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -122,16 +142,15 @@ use crate::rank::{self, CompanyRanking, Mentions, RankKey};
 pub const SHARD_KIND: &str = "LEADS";
 /// `ETAPBIN` kind of the index file (`book.index`).
 pub const INDEX_KIND: &str = "LEADS-IDX";
-/// Format version of base shard segments.
-pub const LEADS2_VERSION: u32 = 2;
-/// Format version of delta segments, which only an append layout has.
-/// Builds that predate append publishes reject them with a typed
-/// future-version error.
-pub const LEADS2_APPEND_VERSION: u32 = 3;
-/// Format version of the index, cold or append: `u32` global numbers,
-/// rank positions and directory fields. The only index version this
-/// build reads or writes.
-pub const INDEX_VERSION: u32 = 4;
+/// Format version of every segment, base shard or delta: meta, offset
+/// table, string section, records. The only segment version this build
+/// reads or writes; builds before string sections reject it with a
+/// typed future-version error.
+pub const LEADS2_VERSION: u32 = 5;
+/// Format version of the index, cold or append: `u32` numbers only,
+/// its strings in the segments. The only index version this build
+/// reads or writes.
+pub const INDEX_VERSION: u32 = 5;
 
 /// Default shard count when the caller doesn't choose one.
 pub const DEFAULT_SHARDS: u32 = 16;
@@ -208,6 +227,17 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 fn put_u32(out: &mut Vec<u8>, n: usize) {
     let n = u32::try_from(n).expect("a LEADS v2 book holds fewer than 2^32 events");
     out.extend_from_slice(&n.to_le_bytes());
+}
+
+/// `n` as a LEB128 varint, the length of a string-section entry: seven
+/// bits a byte, low bits first, so a length below 128 takes one byte.
+fn put_varint(out: &mut Vec<u8>, n: usize) {
+    let mut n = u32::try_from(n).expect("a string shorter than 4 GiB");
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
 }
 
 /// Bytes [`encode_event`] writes for `e`.
@@ -290,11 +320,17 @@ impl Records {
     }
 }
 
-/// A segment container of `count` records with its meta section
-/// written; the offset table and the records follow. `span` (publishes
-/// merged into the segment) is written for deltas only, so a base shard
-/// keeps its original 16-byte meta.
-fn segment_writer(id: u32, n_base: u32, span: Option<u64>, count: usize) -> BinWriter<'static> {
+/// A segment container of `count` records with its meta section, offset
+/// table and string section written; the records follow. `span`
+/// (publishes merged into the segment) is written for deltas only.
+fn segment_writer(
+    id: u32,
+    n_base: u32,
+    span: Option<u64>,
+    count: usize,
+    offsets: Vec<u8>,
+    strings: Vec<u8>,
+) -> BinWriter<'static> {
     let mut meta = Vec::with_capacity(24);
     meta.extend_from_slice(&id.to_le_bytes());
     meta.extend_from_slice(&n_base.to_le_bytes());
@@ -302,59 +338,121 @@ fn segment_writer(id: u32, n_base: u32, span: Option<u64>, count: usize) -> BinW
     if let Some(span) = span {
         meta.extend_from_slice(&span.to_le_bytes());
     }
-    let version = if span.is_some() {
-        LEADS2_APPEND_VERSION
-    } else {
-        LEADS2_VERSION
-    };
-    let mut w = BinWriter::new(SHARD_KIND, version);
-    w.section(meta);
+    let mut w = BinWriter::new(SHARD_KIND, LEADS2_VERSION);
+    w.section(meta).section(offsets).section(strings);
     w
 }
 
-/// Seal one segment holding `records` in order.
-fn seal_segment(id: u32, n_base: u32, span: Option<u64>, records: Records) -> Vec<u8> {
-    let mut w = segment_writer(id, n_base, span, records.count);
-    w.section(records.offsets).section(records.blob);
+/// Seal one segment holding `records` in order and the string section
+/// `strings`.
+fn seal_segment(
+    id: u32,
+    n_base: u32,
+    span: Option<u64>,
+    records: Records,
+    strings: Vec<u8>,
+) -> Vec<u8> {
+    let mut w = segment_writer(id, n_base, span, records.count, records.offsets, strings);
+    w.section(records.blob);
     w.finish()
 }
 
-/// Seal an index over segments holding `counts[i]` records each:
-/// section 0 (meta + counts) is written here, `ranking` (the global
-/// number at each rank position) is section 1 and `directories` are
-/// sections 2.. in order.
+/// The canonical strings of a book ranked as `ranking`: each company's
+/// name in MRR order, then each name key in key order.
+fn canonical_strings(ranking: &CompanyRanking) -> Vec<&[u8]> {
+    let names = ranking.companies.iter().map(|c| c.company.as_bytes());
+    let keys = ranking.name_keys.iter().map(|(k, _)| k.as_bytes());
+    names.chain(keys).collect()
+}
+
+/// Seal the canonical strings `ids` (indexes into `strings`) as segment
+/// `sid`'s string section — each distinct string once, in byte order —
+/// and record each id's `(sid, offset)` in `placed`.
+fn seal_strings(
+    strings: &[&[u8]],
+    mut ids: Vec<usize>,
+    sid: u32,
+    placed: &mut [(u32, u32)],
+) -> Vec<u8> {
+    ids.sort_unstable_by(|&a, &b| strings[a].cmp(strings[b]));
+    let mut out = Vec::new();
+    let mut last: Option<(&[u8], u32)> = None;
+    for id in ids {
+        let s = strings[id];
+        let at = match last {
+            Some((prev, at)) if prev == s => at,
+            _ => {
+                let at = u32::try_from(out.len()).expect("string sections below 4 GiB");
+                put_varint(&mut out, s.len());
+                out.extend_from_slice(s);
+                last = Some((s, at));
+                at
+            }
+        };
+        placed[id] = (sid, at);
+    }
+    out
+}
+
+/// Each `(segment, idx)` ref as the `u32` global number of its item in
+/// segments of `sizes[i]` items laid end to end: a record's global
+/// number, or a string's place. A ref into no segment
+/// ([`Layout::NOWHERE`]) becomes `u32::MAX`.
+fn globals(sizes: &[usize], refs: &[(u32, u32)]) -> Vec<u8> {
+    let mut starts = Vec::with_capacity(sizes.len());
+    let mut next = 0;
+    for &size in sizes {
+        starts.push(next);
+        next += size;
+    }
+    let mut out = Vec::with_capacity(refs.len() * 4);
+    for &(sid, idx) in refs {
+        match starts.get(sid as usize) {
+            Some(&start) => put_u32(&mut out, start + idx as usize),
+            None => out.extend_from_slice(&u32::MAX.to_le_bytes()),
+        }
+    }
+    out
+}
+
+/// Seal an index over `layout`: sections 0–2 (meta and counts, global
+/// ranking, string places) are written here, and `directories` are
+/// sections 3.. in order.
 fn seal_index<'a>(
-    counts: &[usize],
+    layout: &Layout,
     n_base: u32,
-    ranking: Vec<u8>,
     directories: impl IntoIterator<Item = Cow<'a, [u8]>>,
 ) -> Vec<u8> {
+    let counts = &layout.counts;
     let mut meta = Vec::with_capacity(12 + counts.len() * 4);
     put_u32(&mut meta, counts.len());
     meta.extend_from_slice(&n_base.to_le_bytes());
-    put_u32(&mut meta, ranking.len() / 4);
+    put_u32(&mut meta, layout.placed.len());
     for &c in counts {
         put_u32(&mut meta, c);
     }
     let mut w = BinWriter::new(INDEX_KIND, INDEX_VERSION);
-    w.section(meta).section(ranking);
+    w.section(meta)
+        .section(globals(counts, &layout.placed))
+        .section(globals(&layout.string_bytes, &layout.strings));
     for d in directories {
         w.section(d);
     }
     w.finish()
 }
 
-/// Index sections 2.. of a book whose per-driver rankings are
+/// Index sections 3.. of a book whose per-driver rankings are
 /// `by_driver` and whose company ranking is `ranking`, both as rank
 /// positions: the per-driver directory and lists, the company directory
-/// (MRR order) and lists, the normalized-name keys and, when registered
-/// drivers are present, their code table. Rank positions do not depend
-/// on where records lie, so every later encode copies these sections.
+/// (MRR order) and lists, the name keys' companies and, when registered
+/// drivers are present, their code table. They name rank positions and
+/// canonical strings by number, not where either lies, so every later
+/// encode copies these sections.
 fn directory_sections(
     by_driver: &[(SalesDriver, Vec<usize>)],
     ranking: &CompanyRanking,
 ) -> Vec<Vec<u8>> {
-    // Sections 2+3: per-driver directory + rank positions.
+    // Sections 3+4: per-driver directory + rank positions.
     let mut driver_dir = Vec::new();
     let mut driver_lists = Vec::new();
     put_u32(&mut driver_dir, by_driver.len());
@@ -367,29 +465,29 @@ fn directory_sections(
         }
     }
 
-    // Sections 4+5: company directory (MRR order) + rank positions.
+    // Sections 5+6: company directory (MRR order) + rank positions, each
+    // company's list right after the previous one's. Company `i`'s name
+    // is canonical string `i`.
     let mut company_dir = Vec::new();
     let mut company_lists = Vec::new();
     put_u32(&mut company_dir, ranking.companies.len());
     for (i, c) in ranking.companies.iter().enumerate() {
         let positions = ranking.events_of(i);
-        put_str(&mut company_dir, &c.company);
         company_dir.extend_from_slice(&c.mrr.to_bits().to_le_bytes());
         put_u32(&mut company_dir, c.events);
-        put_u32(&mut company_dir, company_lists.len() / 4);
         put_u32(&mut company_dir, positions.len());
         for &p in positions {
             put_u32(&mut company_lists, p);
         }
     }
 
-    // Section 6: normalized-name lookup keys, sorted for determinism
-    // and binary search.
+    // Section 7: each normalized-name key's company. Key `j` is
+    // canonical string `C + j`; keys are sorted for determinism and
+    // binary search.
     let keys = &ranking.name_keys;
-    let mut name_keys = Vec::new();
+    let mut name_keys = Vec::with_capacity(4 + 4 * keys.len());
     put_u32(&mut name_keys, keys.len());
-    for (k, i) in keys {
-        put_str(&mut name_keys, k);
+    for (_, i) in keys {
         put_u32(&mut name_keys, *i);
     }
 
@@ -401,7 +499,7 @@ fn directory_sections(
         name_keys,
     ];
 
-    // Optional section 7: code→key table for registered (non-builtin)
+    // Optional section 8: code→key table for registered (non-builtin)
     // drivers, omitted when only built-ins are present.
     let custom: Vec<SalesDriver> = by_driver
         .iter()
@@ -421,10 +519,27 @@ fn directory_sections(
 }
 
 /// Seal a freshly built book as one segment holding every event in rank
-/// order, plus its index: `(index, segment)`. The only encoder that
-/// reads a [`LeadBook`]; every later encode copies these bytes.
+/// order and every canonical string, plus its index: `(index,
+/// segment)`. The only encoder that reads a [`LeadBook`]; every later
+/// encode copies these bytes.
 fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
     let events = book.events();
+    let strings = canonical_strings(book.ranking());
+    let mut layout = Layout {
+        segments: Vec::new(),
+        counts: vec![events.len()],
+        string_bytes: Vec::new(),
+        // One segment in rank order: rank position `p` is record `p`.
+        placed: (0..events.len() as u32).map(|p| (0, p)).collect(),
+        strings: vec![Layout::NOWHERE; strings.len()],
+    };
+    let section = seal_strings(
+        &strings,
+        (0..strings.len()).collect(),
+        0,
+        &mut layout.strings,
+    );
+    layout.string_bytes.push(section.len());
     // Records are encoded straight into the sealed container, so the
     // book's bytes are never held twice.
     let mut offsets = Vec::with_capacity(events.len() * 8);
@@ -433,21 +548,10 @@ fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
         offsets.extend_from_slice(&(len as u64).to_le_bytes());
         len += event_len(e);
     }
-    let mut w = segment_writer(0, 1, None, events.len());
-    w.section(offsets);
+    let w = segment_writer(0, 1, None, events.len(), offsets, section);
     let segment = w.finish_with(len, |out| events.iter().for_each(|e| encode_event(out, e)));
-    // One segment in rank order: rank position `p` is global number `p`.
-    let mut ranking = Vec::with_capacity(events.len() * 4);
-    for p in 0..events.len() {
-        put_u32(&mut ranking, p);
-    }
     let directories = directory_sections(book.by_driver_raw(), book.ranking());
-    let index = seal_index(
-        &[events.len()],
-        1,
-        ranking,
-        directories.into_iter().map(Cow::Owned),
-    );
+    let index = seal_index(&layout, 1, directories.into_iter().map(Cow::Owned));
     (index, segment)
 }
 
@@ -457,54 +561,45 @@ fn seal(book: &LeadBook) -> (Vec<u8>, Vec<u8>) {
 #[must_use]
 pub fn encode_book(book: &MappedBook, n_shards: u32) -> EncodedBook {
     let n_shards = n_shards.max(1);
-    let layout = cold_layout(book.ranked_records(), book.len(), &book.codes, n_shards);
+    let strings: Vec<&[u8]> = book.strings().map(str::as_bytes).collect();
+    let ranked = book.ranked_records();
+    let layout = cold_layout(ranked, book.len(), &book.codes, n_shards, &strings);
     book.reseal(layout, n_shards)
 }
 
-/// Where an encode puts a book's records: the segments it seals (or
-/// reuses), the records each one holds, and where the record at each
-/// rank position went.
+/// Where an encode puts a book's records and canonical strings: the
+/// segments it seals (or reuses), the records and string bytes each one
+/// holds, where the record at each rank position went, and where each
+/// canonical string lies.
 struct Layout {
     segments: Vec<Segment>,
     counts: Vec<usize>,
+    /// Bytes of each segment's string section.
+    string_bytes: Vec<usize>,
     /// `placed[p]`: the `(segment, idx)` of the record at rank position
     /// `p`, or [`Layout::NOWHERE`].
     placed: Vec<(u32, u32)>,
+    /// `strings[i]`: the `(segment, offset)` of canonical string `i` in
+    /// that segment's string section.
+    strings: Vec<(u32, u32)>,
 }
 
 impl Layout {
     /// The place of a rank position whose record was not placed (only a
     /// corrupt book has one); its global number names no record.
     const NOWHERE: (u32, u32) = (u32::MAX, 0);
-
-    /// Index section 1 over this layout: the global number of the
-    /// record at each rank position.
-    fn ranking(&self) -> Vec<u8> {
-        let mut starts = Vec::with_capacity(self.counts.len());
-        let mut next = 0;
-        for &count in &self.counts {
-            starts.push(next);
-            next += count;
-        }
-        let mut out = Vec::with_capacity(self.placed.len() * 4);
-        for &(sid, idx) in &self.placed {
-            match starts.get(sid as usize) {
-                Some(&start) => put_u32(&mut out, start + idx as usize),
-                None => out.extend_from_slice(&u32::MAX.to_le_bytes()),
-            }
-        }
-        out
-    }
 }
 
 /// The cold layout of a book of `total` rank positions, whose records
 /// are given in rank order with their positions: each goes to the base
-/// shard of its primary key, in rank order.
+/// shard of its primary key, in rank order, and each distinct canonical
+/// string to the base shard of its hash.
 fn cold_layout<'r>(
     ranked: impl IntoIterator<Item = (usize, &'r [u8])>,
     total: usize,
     codes: &CodeMap,
     n_shards: u32,
+    strings: &[&[u8]],
 ) -> Layout {
     let mut shards: Vec<Records> = (0..n_shards).map(|_| Records::default()).collect();
     let mut placed = vec![Layout::NOWHERE; total];
@@ -517,22 +612,31 @@ fn cold_layout<'r>(
         placed[p] = (sid, shard.count as u32);
         shard.push(rec);
     }
-    let counts: Vec<usize> = shards.iter().map(|s| s.count).collect();
-    let segments = shards
-        .into_iter()
-        .enumerate()
-        .map(|(sid, recs)| Segment::Written(seal_segment(sid as u32, n_shards, None, recs)))
-        .collect();
-    Layout {
-        segments,
-        counts,
-        placed,
+    let mut ids: Vec<Vec<usize>> = vec![Vec::new(); n_shards as usize];
+    for (id, s) in strings.iter().enumerate() {
+        ids[(fnv1a64(s) % u64::from(n_shards)) as usize].push(id);
     }
+    let mut placed_strings = vec![Layout::NOWHERE; strings.len()];
+    let mut layout = Layout {
+        segments: Vec::with_capacity(shards.len()),
+        counts: shards.iter().map(|s| s.count).collect(),
+        string_bytes: Vec::with_capacity(shards.len()),
+        placed,
+        strings: Vec::new(),
+    };
+    for ((sid, recs), ids) in shards.into_iter().enumerate().zip(ids) {
+        let section = seal_strings(strings, ids, sid as u32, &mut placed_strings);
+        layout.string_bytes.push(section.len());
+        let segment = seal_segment(sid as u32, n_shards, None, recs, section);
+        layout.segments.push(Segment::Written(segment));
+    }
+    layout.strings = placed_strings;
+    layout
 }
 
 /// A sealed segment container opened over its arena: what
 /// [`encode_append`] matches a new book against, and what a
-/// [`MappedBook`] reads its records from.
+/// [`MappedBook`] reads its records and strings from.
 #[derive(Debug, Clone)]
 pub struct SealedSegment {
     arena: Arc<Arena>,
@@ -542,26 +646,27 @@ pub struct SealedSegment {
     span: Option<u64>,
     /// `(start, len)` of the offset table within the arena bytes.
     offsets: (usize, usize),
+    /// `(start, len)` of the string section within the arena bytes.
+    strings: (usize, usize),
     /// `(start, len)` of the records blob within the arena bytes.
     records: (usize, usize),
 }
 
 impl SealedSegment {
     /// Open `arena` as segment `sid` of a layout with `n_base` base
-    /// shards: kind, the version its place calls for, meta and offset
-    /// table length. A record's offsets are checked where it is read.
+    /// shards: kind, version, meta and offset table length. A record's
+    /// offsets and a string's length are checked where they are read.
     ///
     /// # Errors
-    /// A typed [`CodecError`] on any structural problem. Integrity
+    /// A typed [`CodecError`] on any structural problem, and on a
+    /// segment of another version than [`LEADS2_VERSION`]. Integrity
     /// checksums are the caller's job, as for [`MappedBook::open`].
     pub fn open(arena: Arc<Arena>, sid: usize, n_base: usize) -> Result<Self, CodecError> {
         let malformed = |msg: String| CodecError::Malformed { line: 0, msg };
-        let sv = bin_open(arena.bytes(), SHARD_KIND, LEADS2_APPEND_VERSION, false)?;
-        let delta = sid >= n_base;
-        let version = [LEADS2_VERSION, LEADS2_APPEND_VERSION][usize::from(delta)];
-        if sv.version() != version {
+        let sv = bin_open(arena.bytes(), SHARD_KIND, LEADS2_VERSION, false)?;
+        if sv.version() != LEADS2_VERSION {
             return Err(malformed(format!(
-                "segment {sid} has container version {} in a {n_base}-shard layout",
+                "segment {sid} has container version {}, this build reads version {LEADS2_VERSION}",
                 sv.version()
             )));
         }
@@ -573,17 +678,22 @@ impl SealedSegment {
                 "segment {sid} metadata mismatch (claims id {file_sid}, {file_n} base shards)"
             )));
         }
-        let span = if delta { meta.u64().ok() } else { Some(1) };
+        let span = if sid >= n_base {
+            meta.u64().ok()
+        } else {
+            Some(1)
+        };
         let offsets = sv.section_range(1)?;
         if count.checked_mul(8) != Some(offsets.1) {
             return Err(malformed(format!("segment {sid} offset table length")));
         }
-        let records = sv.section_range(2)?;
+        let (strings, records) = (sv.section_range(2)?, sv.section_range(3)?);
         Ok(Self {
             arena,
             count,
             span,
             offsets,
+            strings,
             records,
         })
     }
@@ -607,6 +717,39 @@ impl SealedSegment {
         b.get(start..start + len)?.get(offset(i)?..end)
     }
 
+    /// The string whose length prefix is at byte `at` of the string
+    /// section, with where its bytes start within the arena bytes.
+    fn string_at(&self, at: usize) -> Result<(usize, &[u8]), CodecError> {
+        let (start, len) = self.strings;
+        let section = self.arena.bytes().get(start..start + len);
+        let mut c = Cur::new(section.and_then(|s| s.get(at..)).unwrap_or_default());
+        let n = c.varint()? as usize;
+        let s = c.bytes(n)?;
+        Ok((start + at + c.at - n, s))
+    }
+
+    /// The string section as `(offset, bytes)` entries in order; an
+    /// entry that does not parse yields `None` and ends it.
+    fn strings(&self) -> impl Iterator<Item = Option<(usize, &[u8])>> {
+        let (start, len) = self.strings;
+        let mut c = Cur::new(
+            self.arena
+                .bytes()
+                .get(start..start + len)
+                .unwrap_or_default(),
+        );
+        let mut failed = false;
+        std::iter::from_fn(move || {
+            if failed || c.at == c.b.len() {
+                return None;
+            }
+            let at = c.at;
+            let entry = c.varint().and_then(|n| c.bytes(n as usize));
+            failed = entry.is_err();
+            Some(entry.ok().map(|s| (at, s)))
+        })
+    }
+
     /// Check the container checksum of a segment that is a file mapping:
     /// its pages show the file as it is now, so a byte changed in place
     /// since the segment was opened fails here. A heap segment passes.
@@ -614,15 +757,18 @@ impl SealedSegment {
         if !self.arena.is_mapped() {
             return Ok(());
         }
-        bin_open(self.bytes(), SHARD_KIND, LEADS2_APPEND_VERSION, true)
+        bin_open(self.bytes(), SHARD_KIND, LEADS2_VERSION, true)
             .map(drop)
             .map_err(|e| e.to_string())
     }
 
     /// Whether an append may reuse this segment, which it does whole or
-    /// not at all: every record resolves, and a delta states its span.
+    /// not at all: every record resolves, every string parses, and a
+    /// delta states its span.
     fn reusable(&self) -> bool {
-        self.span.is_some() && (0..self.count).all(|i| self.record(i).is_some())
+        self.span.is_some()
+            && (0..self.count).all(|i| self.record(i).is_some())
+            && self.strings().all(|s| s.is_some())
     }
 
     /// The container bytes.
@@ -635,7 +781,8 @@ impl SealedSegment {
 /// Re-encode `book` on top of the previous generation's segments
 /// (`prev[i]` is segment `i`; `None` when it is missing or failed its
 /// checksum, so it cannot be reused). Records match by their sealed
-/// bytes. See the module docs for the layout, merge and cold rules.
+/// bytes, strings by theirs. See the module docs for the layout, merge
+/// and cold rules.
 ///
 /// Returns `None` when the book must be encoded cold instead: the
 /// previous generation has fewer than `n_base` segments, or the deltas
@@ -647,19 +794,21 @@ pub fn encode_append(
     prev: &[Option<SealedSegment>],
 ) -> Option<EncodedBook> {
     let ranked: Vec<(usize, &[u8])> = book.ranked_records().collect();
-    let layout = append_layout(&ranked, book.len(), n_base, prev)?;
+    let strings: Vec<&[u8]> = book.strings().map(str::as_bytes).collect();
+    let layout = append_layout(&ranked, book.len(), n_base, prev, &strings)?;
     Some(book.reseal(layout, n_base))
 }
 
 /// The append layout of a book of `total` rank positions, whose records
-/// are given in rank order with their positions, on top of `prev`
-/// ([`encode_append`]'s rules); `None` when the book must be laid out
-/// cold instead.
+/// are given in rank order with their positions and whose canonical
+/// strings are `strings`, on top of `prev` ([`encode_append`]'s rules);
+/// `None` when the book must be laid out cold instead.
 fn append_layout(
     ranked: &[(usize, &[u8])],
     total: usize,
     n_base: u32,
     prev: &[Option<SealedSegment>],
+    strings: &[&[u8]],
 ) -> Option<Layout> {
     let base = n_base as usize;
     if base == 0 || prev.len() < base {
@@ -711,13 +860,27 @@ fn append_layout(
         .filter(|m| m.is_none_or(|(sid, _)| !reused(sid as usize)))
         .count();
 
+    // The strings the segments that may be reused hold, each at its
+    // first place.
+    let mut held: HashMap<&[u8], (u32, u32)> = HashMap::new();
+    for (sid, seg) in prev.iter().enumerate() {
+        let Some(seg) = seg.filter(|_| reused(sid)) else {
+            continue;
+        };
+        for (at, s) in seg.strings().flatten() {
+            held.entry(s).or_insert((sid as u32, at as u32));
+        }
+    }
+    let homeless = strings.iter().any(|s| !held.contains_key(s));
+
     // The delta stack as (records, publishes); entries from `tail` on
-    // are rewritten into one new segment.
+    // are rewritten into one new segment. A publish with no record to
+    // write still writes one when a canonical string has no home.
     let mut stack: Vec<(usize, u64)> = (base..base + kept_deltas)
         .map(|sid| (live[sid], prev[sid].and_then(|s| s.span).unwrap_or(1)))
         .collect();
     let mut tail = stack.len();
-    if fresh > 0 {
+    if fresh > 0 || homeless {
         stack.push((fresh, 1));
         while let [.., older, newer] = *stack.as_slice() {
             if older.0 >= 2 * newer.0 && older.1 >= 2 * newer.1 {
@@ -740,42 +903,60 @@ fn append_layout(
     // Segments below the tail keep their ids: reused, or emptied.
     let tail_sid = base + tail;
     let keep: Vec<bool> = (0..tail_sid).map(reused).collect();
+    let kept = |sid: u32| keep.get(sid as usize) == Some(&true);
     let mut tail_records = Records::default();
     let mut placed = vec![Layout::NOWHERE; total];
     for (&(p, rec), m) in ranked.iter().zip(&matched) {
         placed[p] = match *m {
-            Some((sid, idx)) if keep.get(sid as usize) == Some(&true) => (sid, idx),
+            Some((sid, idx)) if kept(sid) => (sid, idx),
             _ => {
                 tail_records.push(rec);
                 (tail_sid as u32, (tail_records.count - 1) as u32)
             }
         };
     }
+    // Each canonical string stays where a kept segment holds it; the
+    // rest go to the tail, once each.
+    let mut placed_strings = vec![Layout::NOWHERE; strings.len()];
+    let mut tail_strings = Vec::new();
+    for (id, s) in strings.iter().enumerate() {
+        match held.get(s) {
+            Some(&(sid, at)) if kept(sid) => placed_strings[id] = (sid, at),
+            _ => tail_strings.push(id),
+        }
+    }
 
-    let mut segments: Vec<Segment> = keep
-        .iter()
-        .enumerate()
-        .map(|(sid, &kept)| match kept {
-            true => Segment::Linked,
-            false => Segment::Written(seal_segment(sid as u32, n_base, None, Records::default())),
-        })
-        .collect();
-    let mut counts: Vec<usize> = keep
-        .iter()
-        .zip(&live)
-        .map(|(&kept, &n)| if kept { n } else { 0 })
-        .collect();
+    let mut layout = Layout {
+        segments: Vec::with_capacity(tail_sid + 1),
+        counts: Vec::with_capacity(tail_sid + 1),
+        string_bytes: Vec::with_capacity(tail_sid + 1),
+        placed,
+        strings: Vec::new(),
+    };
+    for (sid, &kept) in keep.iter().enumerate() {
+        let (segment, count, bytes) = match (kept, prev[sid]) {
+            (true, Some(seg)) => (Segment::Linked, live[sid], seg.strings.1),
+            _ => {
+                let empty = seal_segment(sid as u32, n_base, None, Records::default(), Vec::new());
+                (Segment::Written(empty), 0, 0)
+            }
+        };
+        layout.segments.push(segment);
+        layout.counts.push(count);
+        layout.string_bytes.push(bytes);
+    }
     if let Some(&(records, span)) = stack.get(tail) {
         debug_assert_eq!(records, tail_records.count);
-        let delta = seal_segment(tail_sid as u32, n_base, Some(span), tail_records);
-        segments.push(Segment::Written(delta));
-        counts.push(records);
+        let section = seal_strings(strings, tail_strings, tail_sid as u32, &mut placed_strings);
+        layout.string_bytes.push(section.len());
+        let delta = seal_segment(tail_sid as u32, n_base, Some(span), tail_records, section);
+        layout.segments.push(Segment::Written(delta));
+        layout.counts.push(records);
+    } else {
+        debug_assert!(tail_strings.is_empty(), "every string has a home");
     }
-    Some(Layout {
-        segments,
-        counts,
-        placed,
-    })
+    layout.strings = placed_strings;
+    Some(layout)
 }
 
 /// A bounds-checked forward cursor over a byte slice; every read fails
@@ -824,16 +1005,30 @@ impl<'a> Cur<'a> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
+    /// A LEB128 `u32` as [`put_varint`] writes it: at most five bytes,
+    /// and no longer than it needs to be.
+    fn varint(&mut self) -> Result<u32, CodecError> {
+        let overlong = || CodecError::Malformed {
+            line: 0,
+            msg: "overlong string length".into(),
+        };
+        let mut n = 0u64;
+        for i in 0..5 {
+            let b = self.u8()?;
+            n |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if (i > 0 && b == 0) || n > u64::from(u32::MAX) {
+                    return Err(overlong());
+                }
+                return Ok(n as u32);
+            }
+        }
+        Err(overlong())
+    }
+
     fn str_view(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         std::str::from_utf8(self.bytes(len)?).map_err(|_| CodecError::Truncated)
-    }
-
-    /// [`str_view`](Self::str_view) as its `(start, len)` within the
-    /// cursor's slice.
-    fn str_range(&mut self) -> Result<(usize, usize), CodecError> {
-        let s = self.str_view()?;
-        Ok((self.at - s.len(), s.len()))
     }
 }
 
@@ -957,10 +1152,18 @@ struct DriverEntry {
     count: usize,
 }
 
+/// A canonical string of a book, resolved from its place at open: its
+/// bytes are `start..start + len` of segment `segment`'s arena.
+#[derive(Debug, Clone, Copy)]
+struct StrRef {
+    segment: u32,
+    len: u32,
+    start: usize,
+}
+
 #[derive(Debug)]
 struct CompanyEntry {
-    /// `(start, len)` of the name within the index arena.
-    name: (usize, usize),
+    name: StrRef,
     mrr: f64,
     events: usize,
     /// The company's rank positions: entries `off..off + count` of the
@@ -995,12 +1198,49 @@ fn check_u32s(
     }
 }
 
+/// The `(segment, offset)` of item `g` in segments whose first items are
+/// `starts`, `total` items in all: the last segment that starts at or
+/// before `g`. An empty segment starts where the next one does, so it
+/// never holds `g`.
+fn locate_in(starts: &[usize], total: usize, g: usize) -> Option<(usize, usize)> {
+    if g >= total {
+        return None;
+    }
+    let sid = starts.partition_point(|&s| s <= g).checked_sub(1)?;
+    Some((sid, g - starts[sid]))
+}
+
+/// Canonical string `i` at `place` in the string sections of `shards`
+/// laid end to end (`starts[s]` is segment `s`'s first byte, `total` the
+/// bytes of all): where its bytes lie, and the bytes, checked as UTF-8.
+fn resolve_string<'a>(
+    shards: &'a [SealedSegment],
+    starts: &[usize],
+    total: usize,
+    i: usize,
+    place: usize,
+) -> Result<(StrRef, &'a [u8]), CodecError> {
+    let (sid, at) = locate_in(starts, total, place).ok_or_else(|| CodecError::Malformed {
+        line: 0,
+        msg: format!("string {i} place {place}, not below {total}"),
+    })?;
+    let (start, bytes) = shards[sid].string_at(at)?;
+    std::str::from_utf8(bytes).map_err(|_| CodecError::Truncated)?;
+    let name = StrRef {
+        segment: sid as u32,
+        len: bytes.len() as u32,
+        start,
+    };
+    Ok((name, bytes))
+}
+
 /// A lead book served directly from `LEADS v2` arenas — mmap'd files
 /// for a loaded generation, heap buffers for a book sealed in this
 /// process — without materializing events. The directories (driver
 /// table, company table, name keys) are indexed eagerly, O(#companies),
-/// into a few flat tables; company names, lookup keys, event records
-/// and every ranking stay in the arenas.
+/// into a few flat tables; company names and lookup keys (in the
+/// segments' string sections), event records and every ranking stay in
+/// the arenas.
 #[derive(Debug)]
 pub struct MappedBook {
     index: Arc<Arena>,
@@ -1018,12 +1258,13 @@ pub struct MappedBook {
     companies: Vec<CompanyEntry>,
     /// Index section 5: the companies' rank positions.
     company_lists: (usize, usize),
-    /// The name-key section in key order: each normalized name's
-    /// `(start, len)` within the index arena, and its company's index.
-    name_keys: Vec<((usize, usize), usize)>,
+    /// The name keys in key order: each normalized name, and its
+    /// company's index.
+    name_keys: Vec<(StrRef, usize)>,
     codes: CodeMap,
-    /// Index sections 2.., which name rank positions and no place in a
-    /// segment: every encode copies them verbatim.
+    /// Index sections 3.., which name rank positions and canonical
+    /// strings by number and no place in a segment: every encode copies
+    /// them verbatim.
     directories: Vec<(usize, usize)>,
     /// Set when this book, or one it was extended from, copied records
     /// out of a mapped segment that failed its checksum: the segment's
@@ -1038,9 +1279,10 @@ impl MappedBook {
     /// Structural validation happens here — each segment's id, layout
     /// and count cross-checked against the index, every global number
     /// checked against the record count, every rank position against
-    /// the total, every directory bounds-checked — so the per-request
-    /// accessors can be simple `Option` lookups that never slice out of
-    /// bounds.
+    /// the total, every directory bounds-checked, every string place
+    /// resolved to a UTF-8 string and the name keys checked for order —
+    /// so the per-request accessors can be simple `Option` lookups that
+    /// never slice out of bounds.
     ///
     /// # Errors
     /// A typed [`CodecError`] on any structural mismatch, and on an index
@@ -1071,7 +1313,7 @@ impl MappedBook {
                 iv.version()
             )));
         }
-        if iv.section_count() > 8 {
+        if iv.section_count() > 9 {
             return Err(malformed(format!(
                 "index has {} sections",
                 iv.section_count()
@@ -1094,8 +1336,9 @@ impl MappedBook {
             )));
         }
         let mut starts = Vec::with_capacity(n_segments);
+        let mut string_starts = Vec::with_capacity(n_segments);
         let mut shards = Vec::with_capacity(n_segments);
-        let mut next = 0usize;
+        let (mut next, mut string_bytes) = (0usize, 0usize);
         for sid in 0..n_segments {
             let count = c.u32()? as usize;
             let shard = segment(sid, n_base)?;
@@ -1107,6 +1350,8 @@ impl MappedBook {
             }
             starts.push(next);
             next = next.checked_add(count).ok_or(CodecError::Truncated)?;
+            string_starts.push(string_bytes);
+            string_bytes += shard.strings.1;
             shards.push(shard);
         }
         if next != total {
@@ -1115,11 +1360,11 @@ impl MappedBook {
 
         let ranking = iv.section_range(1)?;
         check_u32s(iv.section(1)?, "rank table", Some(total), total)?;
-        let driver_lists = iv.section_range(3)?;
-        check_u32s(iv.section(3)?, "driver lists", None, total)?;
-        let company_lists = iv.section_range(5)?;
-        check_u32s(iv.section(5)?, "company lists", None, total)?;
-        let directories = (2..iv.section_count())
+        let driver_lists = iv.section_range(4)?;
+        check_u32s(iv.section(4)?, "driver lists", None, total)?;
+        let company_lists = iv.section_range(6)?;
+        check_u32s(iv.section(6)?, "company lists", None, total)?;
+        let directories = (3..iv.section_count())
             .map(|i| iv.section_range(i))
             .collect::<Result<Vec<_>, _>>()?;
         // A directory entry names `count` list entries from `off`.
@@ -1132,8 +1377,8 @@ impl MappedBook {
         // keys are interned only once the whole index has validated, so
         // a rejected index registers no driver.
         let mut keys: Vec<(u8, &str)> = Vec::new();
-        if iv.section_count() > 7 {
-            let mut c = Cur::new(iv.section(7)?);
+        if iv.section_count() > 8 {
+            let mut c = Cur::new(iv.section(8)?);
             let n = c.u32()? as usize;
             let n = c.count(n, 5)?;
             for _ in 0..n {
@@ -1141,7 +1386,7 @@ impl MappedBook {
             }
         }
 
-        let mut c = Cur::new(iv.section(2)?);
+        let mut c = Cur::new(iv.section(3)?);
         let n = c.u32()? as usize;
         let n = c.count(n, 9)?;
         let mut driver_codes = Vec::with_capacity(n);
@@ -1158,56 +1403,70 @@ impl MappedBook {
             driver_codes.push((code, off, count));
         }
 
-        let mut c = Cur::new(iv.section(4)?);
-        let at = iv.section_range(4)?.0;
+        // Company directory: each company's list runs on from the last.
+        let mut c = Cur::new(iv.section(5)?);
         let n = c.u32()? as usize;
-        let n = c.count(n, 24)?;
-        let mut companies = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (start, len) = c.str_range()?;
-            let name = (at + start, len);
+        let n_companies = c.count(n, 16)?;
+        let mut entries = Vec::with_capacity(n_companies);
+        let mut off = 0usize;
+        for i in 0..n_companies {
             let mrr = f64::from_bits(c.u64()?);
             let events = c.u32()? as usize;
-            let off = c.u32()? as usize;
             let count = c.u32()? as usize;
             if past(off, count, company_lists) {
-                return Err(malformed(format!(
-                    "company at {} list out of bounds",
-                    name.0
-                )));
+                return Err(malformed(format!("company {i} list out of bounds")));
             }
+            entries.push((mrr, events, off, count));
+            off += count;
+        }
+
+        let mut c = Cur::new(iv.section(7)?);
+        let n = c.u32()? as usize;
+        let n_keys = c.count(n, 4)?;
+        let mut key_companies = Vec::with_capacity(n_keys);
+        for j in 0..n_keys {
+            let company = c.u32()? as usize;
+            if company >= n_companies {
+                return Err(malformed(format!("name key {j} points past company table")));
+            }
+            key_companies.push(company);
+        }
+
+        // Canonical string `i` (company names, then name keys) lies at
+        // place `i` of the segments' string sections laid end to end.
+        let places = iv.section(2)?;
+        if Some(places.len()) != n_companies.checked_add(n_keys).map(|n| n * 4) {
+            return Err(malformed("string place table length".into()));
+        }
+        let mut places = places
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
+            .enumerate();
+        let mut resolve = || {
+            let (i, place) = places.next().expect("one place per string");
+            resolve_string(&shards, &string_starts, string_bytes, i, place)
+        };
+        let mut companies = Vec::with_capacity(n_companies);
+        for (mrr, events, off, count) in entries {
             companies.push(CompanyEntry {
-                name,
+                name: resolve()?.0,
                 mrr,
                 events,
                 off,
                 count,
             });
         }
-
-        // Name keys are written sorted, so lookups binary-search them in
-        // place.
-        let mut c = Cur::new(iv.section(6)?);
-        let at = iv.section_range(6)?.0;
-        let n = c.u32()? as usize;
-        let n = c.count(n, 8)?;
-        let mut name_keys = Vec::with_capacity(n);
-        let mut last: Option<&str> = None;
-        for _ in 0..n {
-            let (start, len) = c.str_range()?;
-            let key = &iv.section(6)?[start..start + len];
-            let key = std::str::from_utf8(key).map_err(|_| CodecError::Truncated)?;
-            let idx = c.u32()? as usize;
-            if idx >= companies.len() {
-                return Err(malformed(format!(
-                    "name key {key:?} points past company table"
-                )));
-            }
-            if last.is_some_and(|last| last >= key) {
+        // Name keys are sealed sorted, so lookups binary-search them.
+        let mut name_keys = Vec::with_capacity(n_keys);
+        let mut last: Option<&[u8]> = None;
+        for company in key_companies {
+            let (key, bytes) = resolve()?;
+            if last.is_some_and(|last| last >= bytes) {
+                let key = String::from_utf8_lossy(bytes);
                 return Err(malformed(format!("name key {key:?} out of order")));
             }
-            last = Some(key);
-            name_keys.push(((at + start, len), idx));
+            last = Some(bytes);
+            name_keys.push((key, company));
         }
 
         let mut codes = CodeMap::default();
@@ -1315,11 +1574,8 @@ impl MappedBook {
     /// The `(segment, idx)` of the record with global number `g`: the
     /// last segment whose first number is at most `g`.
     fn locate(&self, g: usize) -> Option<(u32, u32)> {
-        if g >= self.total {
-            return None;
-        }
-        let sid = self.starts.partition_point(|&s| s <= g).checked_sub(1)?;
-        Some((sid as u32, (g - self.starts[sid]) as u32))
+        let (sid, idx) = locate_in(&self.starts, self.total, g)?;
+        Some((sid as u32, idx as u32))
     }
 
     /// The global number of the record at rank position `p`.
@@ -1382,7 +1638,7 @@ impl MappedBook {
             .iter()
             .map(|&range| Cow::Borrowed(self.index_bytes(range)));
         EncodedBook {
-            index: seal_index(&layout.counts, n_base, layout.ranking(), directories),
+            index: seal_index(&layout, n_base, directories),
             segments: layout.segments,
         }
     }
@@ -1434,9 +1690,30 @@ impl MappedBook {
             .unwrap_or_default()
     }
 
+    /// The bytes of a canonical string, checked at open.
+    fn str_bytes(&self, s: StrRef) -> &[u8] {
+        self.shards
+            .get(s.segment as usize)
+            .and_then(|seg| seg.arena.bytes().get(s.start..s.start + s.len as usize))
+            .unwrap_or_default()
+    }
+
+    fn str_of(&self, s: StrRef) -> &str {
+        std::str::from_utf8(self.str_bytes(s)).unwrap_or_default()
+    }
+
+    /// The book's canonical strings in number order: each company's name
+    /// in MRR order, then each name key in key order. Every one is held
+    /// by a string section of the book's segments.
+    pub fn strings(&self) -> impl Iterator<Item = &str> {
+        let names = self.companies.iter().map(|c| c.name);
+        let keys = self.name_keys.iter().map(|&(k, _)| k);
+        names.chain(keys).map(|s| self.str_of(s))
+    }
+
     fn company_ref(&self, entry: &CompanyEntry) -> CompanyRef<'_> {
         CompanyRef {
-            company: std::str::from_utf8(self.index_bytes(entry.name)).unwrap_or_default(),
+            company: self.str_of(entry.name),
             mrr: entry.mrr,
             events: entry.events,
         }
@@ -1459,7 +1736,7 @@ impl MappedBook {
         let key = AliasResolver::normalize(name);
         let at = self
             .name_keys
-            .binary_search_by(|&(k, _)| self.index_bytes(k).cmp(key.as_bytes()))
+            .binary_search_by(|&(k, _)| self.str_bytes(k).cmp(key.as_bytes()))
             .ok()?;
         let entry = self.companies.get(self.name_keys[at].1)?;
         let events = self.events_listed(self.company_lists, entry.off, entry.count);
@@ -1563,13 +1840,14 @@ impl MappedBook {
             .collect();
         let n_base = self.n_base as u32;
         let prev: Vec<Option<SealedSegment>> = self.shards.iter().cloned().map(Some).collect();
-        let layout = append_layout(&ranked, order.len(), n_base, &prev).unwrap_or_else(|| {
+        let strings = canonical_strings(&ranking);
+        let total = order.len();
+        let layout = append_layout(&ranked, total, n_base, &prev, &strings).unwrap_or_else(|| {
             let codes = CodeMap::of(by_driver.iter().map(|(d, _)| *d));
-            cold_layout(ranked.iter().copied(), order.len(), &codes, n_base)
+            cold_layout(ranked.iter().copied(), total, &codes, n_base, &strings)
         });
         let directories = directory_sections(&by_driver, &ranking);
-        let directories = directories.into_iter().map(Cow::Owned);
-        let index = seal_index(&layout.counts, n_base, layout.ranking(), directories);
+        let index = seal_index(&layout, n_base, directories.into_iter().map(Cow::Owned));
         let kept: Vec<bool> = layout
             .segments
             .iter()
@@ -1857,10 +2135,10 @@ mod tests {
 
     #[test]
     fn builtin_books_have_no_code_table_and_custom_books_round_trip() {
-        // Builtin-only books encode exactly seven sections.
+        // Builtin-only books encode exactly eight sections.
         let enc = encode_book(&handle(sample_events(40)), 4);
         let iv = bin_open(&enc.index, INDEX_KIND, INDEX_VERSION, true).expect("open");
-        assert_eq!(iv.section_count(), 7);
+        assert_eq!(iv.section_count(), 8);
 
         // A custom driver adds the trailing code table, and the mapped
         // book resolves its events back to the registered DriverId.
@@ -1874,7 +2152,7 @@ mod tests {
         let iv = bin_open(&enc.index, INDEX_KIND, INDEX_VERSION, true).expect("open");
         assert_eq!(
             iv.section_count(),
-            8,
+            9,
             "custom drivers append the code table"
         );
 
@@ -1931,20 +2209,19 @@ mod tests {
     }
 
     #[test]
-    fn cold_encode_is_byte_identical_to_the_pre_append_format() {
-        // The base shards of this book, as the encoder before append
-        // publishes sealed them: the cold path must never drift from
-        // them, so a new index version still links every old shard.
+    fn cold_encode_matches_its_pinned_digest() {
+        // A cold encode of this book, as the format with string sections
+        // seals it: a change to any segment or index byte fails here.
         let enc = encode_book(&handle(sample_events(120)), 8);
         let segments = resolve(&[], &enc).concat();
         assert_eq!(
             (fnv1a64(&segments), segments.len()),
-            (0xf11d_1967_7229_1b0b, 10_844)
+            (0x48a6_71cb_13c8_e60c, 11_178)
         );
         // The index over them.
         assert_eq!(
             (fnv1a64(&enc.index), enc.index.len()),
-            (0xcc81_188f_e721_0662, 2_335)
+            (0x9271_9517_5cdb_c9ed, 2_115)
         );
     }
 
@@ -1952,7 +2229,8 @@ mod tests {
     fn clean_shards_are_byte_identical_under_extend() {
         let n_shards = 8;
         let base_events = sample_events(60);
-        let base = resolve(&[], &encode_book(&handle(base_events.clone()), n_shards));
+        let base_book = handle(base_events.clone());
+        let base = resolve(&[], &encode_book(&base_book, n_shards));
 
         // Extend with events that all target one company, i.e. one shard.
         let mut extended_events = base_events;
@@ -1965,13 +2243,31 @@ mod tests {
             ));
         }
         let hot = shard_of_event(&extended_events[60], n_shards) as usize;
-        let ext = resolve(&[], &encode_book(&handle(extended_events), n_shards));
+        let ext_book = handle(extended_events);
+        let ext = resolve(&[], &encode_book(&ext_book, n_shards));
+
+        // The new company's name and key each land in the shard of their
+        // hash; no other string changes.
+        let strings = |b: &BookHandle| -> Vec<String> { b.strings().map(String::from).collect() };
+        let (old, new) = (strings(&base_book), strings(&ext_book));
+        let added: Vec<&String> = new.iter().filter(|s| !old.contains(s)).collect();
+        assert_eq!(added, ["Hotspot Inc", "hotspot"]);
+        assert!(old.iter().all(|s| new.contains(s)));
+        let mut dirty: Vec<usize> = added
+            .iter()
+            .map(|s| (fnv1a64(s.as_bytes()) % u64::from(n_shards)) as usize)
+            .chain([hot])
+            .collect();
+        dirty.sort_unstable();
+        dirty.dedup();
 
         assert_eq!(base.len(), ext.len());
-        assert_ne!(base[hot], ext[hot], "hot shard must change");
-        // Every shard that received no new events must be bit-identical.
-        let identical = (0..base.len()).filter(|&sid| base[sid] == ext[sid]).count();
-        assert_eq!(identical, n_shards as usize - 1);
+        // Every shard that received no new event and no new string must
+        // be bit-identical.
+        for sid in 0..base.len() {
+            assert_eq!(base[sid] == ext[sid], !dirty.contains(&sid), "shard {sid}");
+        }
+        assert!(dirty.len() < base.len());
     }
 
     #[test]
@@ -2002,20 +2298,16 @@ mod tests {
         assert_eq!((delta.count, delta.span), (12, Some(1)));
         assert_same_book(&open_segments(&enc.index, &segments), &book);
 
-        // Base shards keep the cold version; a reader of it rejects the
-        // delta and the index by version alone.
-        let cold_version =
-            |bytes: &[u8], kind| bin_open(bytes, kind, LEADS2_VERSION, true).map(|v| v.version());
-        assert_eq!(
-            cold_version(&segments[0], SHARD_KIND).ok(),
-            Some(LEADS2_VERSION)
-        );
+        // A reader of the layout before string sections (version 4)
+        // rejects base shards, deltas and the index by version alone.
+        let old_reader = |bytes: &[u8], kind| bin_open(bytes, kind, 4, true).map(|v| v.version());
         for (bytes, kind, version) in [
             (&enc.index, INDEX_KIND, INDEX_VERSION),
-            (&segments[8], SHARD_KIND, LEADS2_APPEND_VERSION),
+            (&segments[0], SHARD_KIND, LEADS2_VERSION),
+            (&segments[8], SHARD_KIND, LEADS2_VERSION),
         ] {
             assert!(matches!(
-                cold_version(bytes, kind),
+                old_reader(bytes, kind),
                 Err(CodecError::FutureVersion { version: v, .. }) if v == version
             ));
         }
@@ -2041,6 +2333,7 @@ mod tests {
             };
             appends += 1;
             segments = resolve(&segments, &enc);
+            assert_strings_sealed_once(&segments);
             let deltas: Vec<SealedSegment> = (4..segments.len())
                 .map(|sid| segment(&segments[sid], sid, 4).expect("delta"))
                 .collect();
@@ -2156,11 +2449,74 @@ mod tests {
             corrupt[at] ^= 0x10;
             let arena = Arc::new(Arena::Heap(corrupt));
             if let Ok(m) = MappedBook::open(arena, shards.clone()) {
-                let _ = m.top(5);
-                let _ = m.companies_top(5);
-                let _ = m.company_events("Acme 0");
+                exercise(&m);
             }
         }
+
+        // The string sections and the place table, checksums re-sealed so
+        // every change reaches the structural checks: each byte flipped,
+        // set to a bare continuation byte (a truncated or overlong
+        // length) or to a zero.
+        let segments = resolve(&[], &enc);
+        let mut targets: Vec<(Option<usize>, usize)> = Vec::new();
+        for (sid, seg) in segments.iter().enumerate() {
+            let view = bin_open(seg, SHARD_KIND, LEADS2_VERSION, true).expect("segment");
+            let (start, len) = view.section_range(2).expect("strings");
+            targets.extend((start..start + len).map(|at| (Some(sid), at)));
+        }
+        let view = bin_open(&enc.index, INDEX_KIND, INDEX_VERSION, true).expect("index");
+        let (start, len) = view.section_range(2).expect("places");
+        targets.extend((start..start + len).map(|at| (None, at)));
+        let (mut opened, mut refused) = (0, 0);
+        for (i, &(sid, at)) in targets.iter().enumerate() {
+            let mut files = segments.clone();
+            files.insert(0, enc.index.clone());
+            let file = &mut files[sid.map_or(0, |s| s + 1)];
+            file[at] = match i % 3 {
+                0 => file[at] ^ 1 << (i % 8),
+                1 => 0x80,
+                _ => 0,
+            };
+            let sum = fnv1a64(&file[etap_persist::binfmt::HEADER_LEN..]);
+            let checksum = etap_persist::binfmt::HEADER_LEN - 8;
+            file[checksum..checksum + 8].copy_from_slice(&sum.to_le_bytes());
+            match MappedBook::open(Arc::new(Arena::Heap(files[0].clone())), arenas(&files[1..])) {
+                Ok(m) => {
+                    opened += 1;
+                    exercise(&m);
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(
+            opened > 50 && refused > 50,
+            "opened {opened}, refused {refused}"
+        );
+    }
+
+    /// Ask `book` every query the server and the store ask, and extend
+    /// it: each answers or returns nothing, none panics.
+    fn exercise(book: &MappedBook) {
+        let _ = (book.top(book.len()), book.events_owned());
+        for d in SalesDriver::ALL {
+            let _ = (book.driver_total(d), book.top_for(d, usize::MAX));
+        }
+        let names: Vec<String> = book
+            .companies_top(usize::MAX)
+            .iter()
+            .map(|c| c.company.to_string())
+            .chain(book.strings().map(String::from))
+            .collect();
+        for name in names
+            .iter()
+            .map(String::as_str)
+            .chain(["Acme 0", "zed 1", ""])
+        {
+            let _ = book.company_events(name);
+        }
+        let _ = encode_book(book, 3);
+        let extended = book.extend(poll_events(9_000, 5));
+        let _ = (extended.companies_top(usize::MAX), extended.top(3));
     }
 
     /// `index` re-sealed at `version` after `edit` changed its sections.
@@ -2199,7 +2555,7 @@ mod tests {
         );
         assert!(msg.contains("rank table entry 2 is 30"), "{msg}");
         // A rank position at the total, in each list blob.
-        for (section, what) in [(3, "driver lists"), (5, "company lists")] {
+        for (section, what) in [(4, "driver lists"), (6, "company lists")] {
             let msg = refused(
                 what,
                 reseal_index(&enc.index, INDEX_VERSION, |s| {
@@ -2213,30 +2569,72 @@ mod tests {
         let msg = refused(
             "driver directory",
             reseal_index(&enc.index, INDEX_VERSION, |s| {
-                let (n, off) = (s[3].len() / 4, 4 + 1);
-                set_u32(&mut s[2], off + 4, n as u32 + 1);
+                let (n, off) = (s[4].len() / 4, 4 + 1);
+                set_u32(&mut s[3], off + 4, n as u32 + 1);
             }),
         );
         assert!(msg.contains("list out of bounds"), "{msg}");
         // A company entry whose list runs one past its blob: the first
-        // entry's offset, after its name, mrr and event count.
+        // entry's count, after its mrr and event count.
         let msg = refused(
             "company directory",
             reseal_index(&enc.index, INDEX_VERSION, |s| {
-                let name = u32::from_le_bytes(s[4][4..8].try_into().unwrap()) as usize;
-                let (off, n) = (4 + 4 + name + 8 + 4, s[5].len() / 4);
-                set_u32(&mut s[4], off, n as u32);
+                let n = s[6].len() / 4;
+                set_u32(&mut s[5], 4 + 8 + 4, n as u32 + 1);
             }),
         );
         assert!(msg.contains("list out of bounds"), "{msg}");
-        // An index of the version-3 layout opens nowhere.
-        let msg = refused("version 3", reseal_index(&enc.index, 3, |_| {}));
-        assert!(msg.contains("container version 3"), "{msg}");
+        // A name key naming the company count.
+        let msg = refused(
+            "name key",
+            reseal_index(&enc.index, INDEX_VERSION, |s| {
+                let companies = u32::from_le_bytes(s[5][..4].try_into().unwrap());
+                set_u32(&mut s[7], 4, companies);
+            }),
+        );
+        assert!(msg.contains("points past company table"), "{msg}");
+        // A string place at the end of the string sections, and a place
+        // table one entry short.
+        let bytes: usize = shards
+            .iter()
+            .map(|a| {
+                let seg = bin_open(a.bytes(), SHARD_KIND, LEADS2_VERSION, true).expect("segment");
+                seg.section_range(2).expect("strings").1
+            })
+            .sum();
+        let msg = refused(
+            "string place",
+            reseal_index(&enc.index, INDEX_VERSION, |s| {
+                set_u32(&mut s[2], 0, bytes as u32)
+            }),
+        );
+        assert!(msg.contains(&format!("string 0 place {bytes}")), "{msg}");
+        let msg = refused(
+            "string place table",
+            reseal_index(&enc.index, INDEX_VERSION, |s| s[2].truncate(s[2].len() - 4)),
+        );
+        assert!(msg.contains("string place table length"), "{msg}");
+        // Two name keys out of order: the places of the first two swapped.
+        let msg = refused(
+            "key order",
+            reseal_index(&enc.index, INDEX_VERSION, |s| {
+                let companies = u32::from_le_bytes(s[5][..4].try_into().unwrap()) as usize;
+                let at = 4 * companies;
+                let first: [u8; 4] = s[2][at..at + 4].try_into().unwrap();
+                s[2].copy_within(at + 4..at + 8, at);
+                s[2][at + 4..at + 8].copy_from_slice(&first);
+            }),
+        );
+        assert!(msg.contains("out of order"), "{msg}");
+        // An index of the version-4 layout opens nowhere.
+        let msg = refused("version 4", reseal_index(&enc.index, 4, |_| {}));
+        assert!(msg.contains("container version 4"), "{msg}");
     }
 
     #[test]
     fn index_width_follows_the_layout_formula() {
-        // A later change that widens any index field fails here.
+        // A later change that widens any index field, or moves a string
+        // byte back into the index, fails here.
         let book = LeadBook::build(sample_events(120));
         let ranking = book.ranking();
         let events = book.len();
@@ -2248,19 +2646,174 @@ mod tests {
             (events, drivers, companies, mentions, keys),
             (120, 3, 15, 120, 15)
         );
-        let names: usize = ranking.companies.iter().map(|c| c.company.len()).sum();
-        let key_bytes: usize = ranking.name_keys.iter().map(|(k, _)| k.len()).sum();
         for n_segments in [1, 8] {
             let enc = encode_book(&BookHandle::from(book.clone()), n_segments as u32);
-            let formula = 44 + 16 * 7 // container header + section table
+            let formula = 44 + 16 * 8 // container header + section table
                 + 12 + 4 * n_segments // s0: meta, a count per segment
                 + 4 * events // s1: a global number per rank position
-                + 4 + 9 * drivers + 4 * events // s2+s3: code, off, count; positions
-                + 4 + (4 + 8 + 4 + 4 + 4) * companies + names // s4: name, mrr, events, off, count
-                + 4 * mentions // s5: a position per company mention
-                + 4 + (4 + 4) * keys + key_bytes; // s6: key, company
+                + 4 * (companies + keys) // s2: a place per canonical string
+                + 4 + 9 * drivers + 4 * events // s3+s4: code, off, count; positions
+                + 4 + (8 + 4 + 4) * companies // s5: mrr, events, count
+                + 4 * mentions // s6: a position per company mention
+                + 4 + 4 * keys; // s7: the company of each key
             assert_eq!(enc.index.len(), formula, "{n_segments} segments");
         }
+    }
+
+    /// The string section of a sealed segment, entry by entry.
+    fn section_strings(segment: &[u8]) -> Vec<String> {
+        let view = bin_open(segment, SHARD_KIND, LEADS2_VERSION, true).expect("segment");
+        let mut c = Cur::new(view.section(2).expect("strings"));
+        let mut out = Vec::new();
+        while c.at < c.b.len() {
+            let n = c.varint().expect("length") as usize;
+            out.push(String::from_utf8(c.bytes(n).expect("bytes").to_vec()).expect("UTF-8"));
+        }
+        out
+    }
+
+    /// Every string of every segment: each at most once, each section in
+    /// byte order.
+    fn assert_strings_sealed_once(segments: &[Vec<u8>]) {
+        let mut all: Vec<String> = Vec::new();
+        for (sid, segment) in segments.iter().enumerate() {
+            let strings = section_strings(segment);
+            assert!(strings.windows(2).all(|w| w[0] < w[1]), "segment {sid}");
+            all.extend(strings);
+        }
+        let n = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), n, "a string sealed twice");
+    }
+
+    #[test]
+    fn varint_lengths_are_minimal_and_bounded() {
+        let read = |b: &[u8]| Cur::new(b).varint();
+        for n in [0usize, 1, 127, 128, 300, 16_383, 16_384, u32::MAX as usize] {
+            let mut out = Vec::new();
+            put_varint(&mut out, n);
+            assert_eq!(read(&out).ok(), Some(n as u32), "{n}");
+            assert_eq!(out.len(), [1, 2, 3, 4, 5][(n.max(1).ilog2() / 7) as usize]);
+        }
+        // Truncated: a continuation bit with nothing after it.
+        assert!(matches!(read(&[0x80]), Err(CodecError::Truncated)));
+        assert!(matches!(read(&[]), Err(CodecError::Truncated)));
+        // Overlong: a trailing zero byte, a sixth byte, a value past u32.
+        for overlong in [
+            &[0x80, 0x00][..],
+            &[0x81, 0x80, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+            &[0xff, 0xff, 0xff, 0xff, 0x1f],
+        ] {
+            assert!(
+                matches!(read(overlong), Err(CodecError::Malformed { ref msg, .. }) if msg.contains("overlong")),
+                "{overlong:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn known_companies_extend_with_an_empty_string_section() {
+        let book = handle(sample_events(120));
+        let enc = encode_book(&book, 4);
+        let cold = resolve(&[], &enc);
+        let mapped = open_segments(&enc.index, &cold);
+        // Low scores, and surfaces the book already holds: no company's
+        // canonical display moves, and no new key appears.
+        let known = ["Acme 3", "Zed 1", "Nadir 2"];
+        let poll: Vec<TriggerEvent> = (0..6)
+            .map(|i| event(SalesDriver::ALL[i % 3], 2_000 + i, 0.1, &[known[i % 3]]))
+            .collect();
+        let ext = mapped.extend(poll);
+        assert_eq!(ext.shard_count(), 5, "one new delta");
+        let delta = ext.segments().last().expect("delta").bytes().to_vec();
+        assert!(section_strings(&delta).is_empty());
+        let strings = |b: &MappedBook| {
+            let mut all: Vec<String> = b.strings().map(String::from).collect();
+            all.sort_unstable();
+            all
+        };
+        assert_eq!(strings(&ext), strings(&mapped));
+    }
+
+    #[test]
+    fn a_changed_canonical_display_seals_exactly_that_string() {
+        let events = sample_events(120);
+        let enc = encode_book(&handle(events.clone()), 4);
+        let cold = resolve(&[], &enc);
+        let mapped = open_segments(&enc.index, &cold);
+        // The first mention of key "acme 0" (best score, first driver)
+        // now reads "ACME 0 Inc", so that display becomes its name.
+        let first = SalesDriver::MergersAcquisitions;
+        let poll = vec![event(first, 3_000, 0.999, &["ACME 0 Inc"])];
+        let ext = mapped.extend(poll.clone());
+        let delta = ext.segments().last().expect("delta").bytes().to_vec();
+        assert_eq!(section_strings(&delta), ["ACME 0 Inc"]);
+        let (company, _) = ext.company_events("Acme 0").expect("acme 0");
+        assert_eq!(company.company, "ACME 0 Inc");
+        assert!(!ext.strings().any(|s| s == "Acme 0"));
+
+        // The old display stays in the base shard that holds it, which
+        // the extend shares whole; a cold re-encode drops it.
+        let holder = (fnv1a64(b"Acme 0") % 4) as usize;
+        assert!(section_strings(&cold[holder]).contains(&"Acme 0".to_string()));
+        assert!(Arc::ptr_eq(
+            mapped.segments().nth(holder).expect("base"),
+            ext.segments().nth(holder).expect("base")
+        ));
+        let recold = resolve(&[], &encode_book(&ext, 4));
+        assert!(!recold
+            .iter()
+            .any(|s| section_strings(s).contains(&"Acme 0".to_string())));
+
+        // On disk the append seals the same delta.
+        let mut all = events;
+        all.extend(poll);
+        let disk = append(&cold, all, 4).expect("append");
+        assert!(disk.segments[..4].iter().all(|s| *s == Segment::Linked));
+        assert_eq!(disk.segments[4], Segment::Written(delta));
+    }
+
+    #[test]
+    fn segments_and_indexes_before_string_sections_fail_typed() {
+        let enc = encode_book(&handle(sample_events(30)), 4);
+        let segments = resolve(&[], &enc);
+        // The same sections under an older container version.
+        let downgrade = |bytes: &[u8], kind: &str, version: u32| {
+            let view = bin_open(bytes, kind, LEADS2_VERSION, true).expect("container");
+            let mut w = BinWriter::new(kind, version);
+            for i in 0..view.section_count() {
+                w.section(view.section(i).expect("section").to_vec());
+            }
+            w.finish()
+        };
+        for version in [2, 3, 4] {
+            let old = downgrade(&segments[1], SHARD_KIND, version);
+            let err = segment(&old, 1, 4).expect_err("an old segment");
+            assert!(err
+                .to_string()
+                .contains(&format!("container version {version}")));
+            let mut files = segments.clone();
+            files[1] = old;
+            assert!(
+                MappedBook::open(Arc::new(Arena::Heap(enc.index.clone())), arenas(&files)).is_err()
+            );
+            // An append reuses no such segment.
+            let prev: Vec<Option<SealedSegment>> = files
+                .iter()
+                .enumerate()
+                .map(|(sid, b)| segment(b, sid, 4).ok())
+                .collect();
+            let again =
+                encode_append(&open_segments(&enc.index, &segments), 4, &prev).expect("append");
+            assert!(matches!(again.segments[1], Segment::Written(_)));
+        }
+        let old = downgrade(&enc.index, INDEX_KIND, 4);
+        assert!(matches!(
+            MappedBook::open(Arc::new(Arena::Heap(old)), arenas(&segments)),
+            Err(CodecError::Malformed { ref msg, .. }) if msg.contains("container version 4")
+        ));
     }
 
     #[test]

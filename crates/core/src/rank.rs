@@ -91,12 +91,14 @@ pub fn rank_by_orientation(
 ///
 /// Returns `(event, weighted score)` pairs, best first. `half_life_days`
 /// controls the decay (365 is a sensible default for sales leads).
+/// Snippets are annotated with the caller's `annotator`, so its gazetteer
+/// automaton is built once, not per call.
 #[must_use]
 pub fn rank_by_time_weighted_score(
     events: Vec<TriggerEvent>,
     half_life_days: f64,
+    annotator: &Annotator,
 ) -> Vec<(TriggerEvent, f64)> {
-    let annotator = Annotator::new();
     let mut scratch = AnnotateScratch::new();
     let resolver = TemporalResolver::new();
     let mut scored: Vec<(TriggerEvent, f64)> = events
@@ -494,7 +496,7 @@ mod tests {
         fresh.snippet = "Acme Corp named Jane Roe as its new CEO on Monday.".into();
         let mut historical = event(SalesDriver::ChangeInManagement, 1, 0.99, &[]);
         historical.snippet = "Mr. Andersen was the CEO of XYZ Inc. from 1989 to 1992.".into();
-        let ranked = rank_by_time_weighted_score(vec![historical, fresh], 365.0);
+        let ranked = rank_by_time_weighted_score(vec![historical, fresh], 365.0, &Annotator::new());
         assert!(ranked[0].0.snippet.contains("Jane Roe"), "{ranked:?}");
         assert!(ranked[0].1 > ranked[1].1);
         // Historical event decayed to ~0 despite the higher raw score.

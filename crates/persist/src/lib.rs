@@ -407,12 +407,19 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     Ok(())
 }
 
-/// Fsync a directory so a just-completed rename inside it is durable.
-/// Best-effort on platforms that refuse directory handles.
-pub fn sync_dir(path: &Path) {
-    if let Ok(dir) = std::fs::File::open(path) {
-        let _ = dir.sync_all();
+/// Fsync a directory, so the entries just created, renamed or removed
+/// in it are durable. A no-op where the platform has no directory
+/// handles (not Unix).
+///
+/// # Errors
+/// A fault injected at the `persist.sync_dir` seam, or the open or the
+/// fsync failing.
+pub fn sync_dir(path: &Path) -> io::Result<()> {
+    etap_runtime::fault::check_io("persist.sync_dir")?;
+    if cfg!(unix) {
+        std::fs::File::open(path)?.sync_all()?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! instead of a flake.
 //!
 //! Production code threads named **fault points** (seams) through its
-//! failure-prone operations — `persist.write`, `store.publish`,
-//! `store.load`, `corpus.poll`, `retrain` — by calling
+//! failure-prone operations — `persist.write`, `persist.sync_dir`,
+//! `store.publish`, `store.load`, `corpus.poll`, `retrain` — by calling
 //! [`check`]/[`check_io`]/[`check_stage`] with the point name. With no
 //! plan installed the seam is one relaxed atomic load (free in
 //! production). With a plan installed (usually from the `ETAP_FAULTS`

@@ -16,15 +16,16 @@
 //!                             order; linked while unchanged
 //!   gen-4/                    binary format (LEADS v2)
 //!     MANIFEST
-//!     book.index              ETAPBIN LEADS-IDX v4 — the global
-//!                             ranking as u32 record numbers, per-
-//!                             driver and per-company rankings as
-//!                             u32 rank positions
+//!     book.index              ETAPBIN LEADS-IDX v5 — numbers only:
+//!                             the global ranking as u32 record
+//!                             numbers, per-driver and per-company
+//!                             rankings as u32 rank positions, a u32
+//!                             place per company name and name key
 //!     shards/
-//!       shard-00000.leads2    ETAPBIN LEADS — event records: the
-//!       …                     base shards of the last cold encode,
-//!       shard-00015.leads2    one per company-hash bucket,
-//!       shard-00016.leads2    then deltas, oldest first
+//!       shard-00000.leads2    ETAPBIN LEADS v5 — event records and
+//!       …                     the names and keys no earlier segment
+//!       shard-00015.leads2    holds: the base shards of the last
+//!       shard-00016.leads2    cold encode, then deltas, oldest first
 //!     model-000-<id>.model
 //!   gen-5/
 //!     …
@@ -34,7 +35,8 @@
 //! event's record is matched by content against the previous
 //! generation's segment files. A segment whose records are all still in
 //! the book is `hard_link`ed under the same name, and the unmatched
-//! records go into one new delta segment; the index is rewritten. Links
+//! records go into one new delta segment, with the company names and
+//! keys no linked segment holds; the index, numbers only, is rewritten. Links
 //! survive pruning of the source directory: the inode lives until its
 //! last link drops. A previous segment is reused only after its bytes
 //! pass the size and FNV checksum its manifest recorded, so corruption
@@ -79,10 +81,12 @@
 //!
 //! 1. write every payload file into `gen-<n>.tmp/`, fsync each;
 //! 2. write `MANIFEST` (listing every file with size + FNV-1a 64
-//!    checksum) last, fsync it;
+//!    checksum) last, fsync it; fsync `shards/` and the directory
+//!    itself, so every entry is durable before the directory's name is;
 //! 3. `rename` the directory to `gen-<n>`; fsync the store root.
 //!
-//! A crash before (3) leaves a `.tmp` directory that readers ignore
+//! A failed fsync fails the publish like a failed write. A crash before
+//! (3) leaves a `.tmp` directory that readers ignore
 //! (and the next publish sweeps); a torn file inside a visible
 //! generation fails its manifest or codec checksum and the loader
 //! [falls back](GenerationStore::load_latest) to the newest generation
@@ -334,8 +338,11 @@ impl GenerationStore {
 
     /// Persist one snapshot as generation `snapshot.generation`,
     /// following the crash-safety protocol (tmp dir → fsync'd files →
-    /// manifest last → rename → root fsync). Republishing an existing
-    /// generation number replaces it atomically. Binary-format
+    /// manifest last → fsync'd directories → rename → root fsync).
+    /// Republishing an existing generation number removes the old
+    /// directory and then renames the new one into place: a crash
+    /// between the two leaves that generation absent, and
+    /// [`load_latest`](Self::load_latest) serves the one before it. Binary-format
     /// publishes append to the previous generation: segments whose
     /// records are all still in the book are hard-linked, and only the
     /// new records are written (see `etap::leads2`). In either format, a
@@ -344,8 +351,10 @@ impl GenerationStore {
     /// no model: the served priors go into the manifest.
     ///
     /// # Errors
-    /// Propagates filesystem errors; the store is left without a
-    /// partially visible generation in every failure case.
+    /// Propagates filesystem errors, a failed directory fsync included;
+    /// the store is left without a partially visible generation in every
+    /// failure case. Only a failed fsync of the store root, after the
+    /// rename, leaves the complete generation visible.
     pub fn publish(&self, snapshot: &LeadSnapshot) -> io::Result<PublishOutcome> {
         let _t = STAGE_PUBLISH.scope();
         // Fault seam: lets chaos runs fail whole publishes before any
@@ -409,11 +418,16 @@ impl GenerationStore {
         }
 
         write_synced(&tmp_dir.join("MANIFEST"), manifest.finish().as_bytes())?;
+        // Every entry of the generation is durable before its name is.
+        if matches!(self.leads_format, LeadsFormat::Binary { .. }) {
+            etap_persist::sync_dir(&tmp_dir.join(SHARD_DIR))?;
+        }
+        etap_persist::sync_dir(&tmp_dir)?;
         if final_dir.exists() {
             std::fs::remove_dir_all(&final_dir)?;
         }
         std::fs::rename(&tmp_dir, &final_dir)?;
-        etap_persist::sync_dir(&self.root);
+        etap_persist::sync_dir(&self.root)?;
         // Retention runs after the rename: the new generation is
         // already sealed, so a prune failure must not fail the publish.
         if let Some(keep) = self.retention {
@@ -586,7 +600,7 @@ impl GenerationStore {
                 removed.push(generation);
             }
             if !removed.is_empty() {
-                etap_persist::sync_dir(&self.root);
+                etap_persist::sync_dir(&self.root)?;
             }
         }
         Ok(removed)
@@ -1220,6 +1234,61 @@ mod tests {
     }
 
     #[test]
+    fn generation_of_an_older_layout_is_skipped_and_the_next_publish_encodes_cold() {
+        let store = temp_store("oldlayout").with_leads_format(LeadsFormat::Binary { shards: 4 });
+        store.publish(&snapshot(1, 40)).expect("publish 1");
+        // Re-seal every container of generation 1 at version 4, the
+        // layout before string sections, and restate the manifest.
+        let dir = store.gen_dir(1);
+        let path = dir.join("MANIFEST");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut manifest = Writer::new(MANIFEST_KIND, MANIFEST_VERSION);
+        for line in text.lines().skip(1).filter(|l| !l.starts_with("#sum")) {
+            let fields: Vec<&str> = line.split('\t').collect();
+            if fields[0] != "file" || fields[1].ends_with(".model") {
+                manifest.record(fields);
+                continue;
+            }
+            let bytes = std::fs::read(dir.join(fields[1])).unwrap();
+            let kind =
+                [leads2::SHARD_KIND, leads2::INDEX_KIND][usize::from(fields[1] == INDEX_FILE)];
+            let view = etap_persist::bin_open(&bytes, kind, leads2::LEADS2_VERSION, true).unwrap();
+            let mut w = etap_persist::BinWriter::new(kind, 4);
+            for i in 0..view.section_count() {
+                w.section(view.section(i).unwrap().to_vec());
+            }
+            let old = w.finish();
+            std::fs::write(dir.join(fields[1]), &old).unwrap();
+            let fnv = format!("{:016x}", etap_persist::fnv1a64(&old));
+            manifest.record(["file", fields[1], &fnv, &old.len().to_string()]);
+        }
+        std::fs::write(&path, manifest.finish()).unwrap();
+
+        let (latest, skipped) = (store.load_latest().expect("scan"), store.load(1));
+        assert!(latest.is_none(), "no generation of this layout");
+        let err = skipped
+            .map(drop)
+            .expect_err("generation 1 is skipped")
+            .to_string();
+        assert!(err.contains("container version 4"), "{err}");
+
+        // The same book again: a reusable layout would link every
+        // segment, but no old one is reused, so the publish encodes cold.
+        let again = LeadSnapshot {
+            generation: 2,
+            ..snapshot(1, 40)
+        };
+        let outcome = store.publish(&again).expect("publish 2");
+        assert_eq!(
+            (outcome.shards_linked, outcome.shards_written),
+            (0, 4),
+            "{outcome:?}"
+        );
+        assert_eq!(store.load(2).expect("load 2").book, again.book);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
     fn binary_publish_roundtrips_and_maps() {
         let store = temp_store("binround").with_leads_format(LeadsFormat::Binary { shards: 4 });
         let outcome = store.publish(&snapshot(1, 12)).expect("publish");
@@ -1359,16 +1428,23 @@ mod tests {
             file.write_all_at(&[byte[0] ^ 0x04], at).unwrap();
         };
         let bytes = std::fs::read(&victim).unwrap();
-        let records = leads2::SHARD_KIND;
-        let records = etap_persist::bin_open(&bytes, records, leads2::LEADS2_VERSION, true)
-            .and_then(|view| view.section_range(2))
-            .expect("base shard")
-            .0;
+        let view = etap_persist::bin_open(&bytes, leads2::SHARD_KIND, leads2::LEADS2_VERSION, true)
+            .expect("base shard");
+        let records = view.section_range(3).expect("records").0;
+        let (strings, len) = view.section_range(2).expect("strings");
+        assert!(len > 0, "shard 1 holds strings");
         // The first record's driver code: the record no longer decodes,
         // so the extend copies the shard's other records into its delta.
         // The last byte of the last company name: the record decodes, so
         // the extend keeps the shard and the publish would copy from it.
-        for (at, kept) in [(records, false), (bytes.len() - 1, true)] {
+        // The last byte of the shard's last string: the extend keeps the
+        // shard and seals the string, which the book still names, anew.
+        let cases = [
+            (records, false),
+            (bytes.len() - 1, true),
+            (strings + len - 1, true),
+        ];
+        for (at, kept) in cases {
             flip(at as u64);
             let next = extend();
             let shard = |book: &BookHandle| Arc::clone(book.segments().nth(1).unwrap());

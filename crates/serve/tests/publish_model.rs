@@ -13,9 +13,16 @@
 //! * the loaded mapped book equals the in-memory book;
 //! * exactly the segments the rules reuse are hard-linked, each keeping
 //!   its inode until a merge or cold re-encode rewrites it;
+//! * the book's canonical strings (company names, name keys) lie where
+//!   the string rule puts them, read back from each segment's string
+//!   section: a cold encode hashes each into a base shard; an append
+//!   leaves each one a linked segment holds and writes the rest, once
+//!   each, into its new delta, which it writes even with no new record
+//!   when a string has no home; no string lies in two segments;
 //! * the segment count stays within `shards + ⌈log2 appends⌉ + 1`;
 //! * a twin history scanned with 4 threads seals byte-identical files;
-//! * a crashed publish leaves the previous generation loadable;
+//! * a crashed publish leaves the previous generation loadable, and so
+//!   does a failed directory fsync;
 //! * once the served book came from the store (a restart), the extends
 //!   in memory lay it out exactly as the publishes lay it out on disk:
 //!   every segment a publish linked or wrote is byte-identical to the
@@ -36,10 +43,10 @@
 //! The fault registry is process-global, so every test here runs under
 //! [`lock`].
 
-use etap::leads2::{LEADS2_APPEND_VERSION, SHARD_KIND};
+use etap::leads2::{LEADS2_VERSION, SHARD_KIND};
 use etap::{DriverSpec, Etap, EtapConfig, SalesDriver, TrainedEtap};
 use etap_corpus::{SyntheticDoc, SyntheticWeb, WebConfig};
-use etap_persist::bin_open;
+use etap_persist::{bin_open, fnv1a64};
 use etap_runtime::fault::{self, FaultPlan};
 use etap_runtime::Rng;
 use etap_serve::{GenerationStore, LeadSnapshot, LeadsFormat, PublishOutcome, StoreError};
@@ -251,6 +258,29 @@ struct Sealed {
     deltas: Vec<Delta>,
     /// Every segment's inode, base shards first.
     inodes: Vec<u64>,
+    /// Every segment's string section, entry by entry.
+    strings: Vec<Vec<String>>,
+}
+
+/// The entries of a string section: each a LEB128 length and its bytes.
+fn section_strings(mut section: &[u8]) -> Vec<String> {
+    let mut out = Vec::new();
+    while !section.is_empty() {
+        let (mut len, mut shift) = (0usize, 0);
+        loop {
+            let byte = section[0];
+            section = &section[1..];
+            len |= usize::from(byte & 0x7f) << shift;
+            shift += 7;
+            if byte & 0x80 == 0 {
+                break;
+            }
+        }
+        let (string, rest) = section.split_at(len);
+        out.push(String::from_utf8(string.to_vec()).expect("UTF-8"));
+        section = rest;
+    }
+    out
 }
 
 fn read_sealed(root: &Path, generation: u64) -> Sealed {
@@ -258,11 +288,12 @@ fn read_sealed(root: &Path, generation: u64) -> Sealed {
         base: Vec::new(),
         deltas: Vec::new(),
         inodes: Vec::new(),
+        strings: Vec::new(),
     };
     for sid in 0..segment_count(root, generation) {
         let path = segment_path(root, generation, sid);
         let bytes = std::fs::read(&path).expect("segment");
-        let view = bin_open(&bytes, SHARD_KIND, LEADS2_APPEND_VERSION, true).expect("container");
+        let view = bin_open(&bytes, SHARD_KIND, LEADS2_VERSION, true).expect("container");
         let meta = view.section(0).expect("meta");
         let word = |at: usize| u64::from_le_bytes(meta[at..at + 8].try_into().expect("u64"));
         if sid < SHARDS as usize {
@@ -273,22 +304,105 @@ fn read_sealed(root: &Path, generation: u64) -> Sealed {
         sealed
             .inodes
             .push(std::fs::metadata(&path).expect("segment").ino());
+        let strings = view.section(2).expect("string section");
+        sealed.strings.push(section_strings(strings));
     }
     sealed
+}
+
+/// Whether the canonical strings `canonical` all lie in the string
+/// sections of `prev`'s segments a publish with no new delta would reuse:
+/// every segment but the one that failed its checksum and, when that is
+/// a delta, the deltas after it.
+fn held_without_a_delta(prev: Option<&Sealed>, bad: Option<usize>, canonical: &[String]) -> bool {
+    let Some(prev) = prev else { return false };
+    let reused = |sid: usize| match bad {
+        Some(b) if b < SHARDS as usize => sid != b,
+        Some(b) => sid < b,
+        None => true,
+    };
+    let held: HashSet<&String> = prev
+        .strings
+        .iter()
+        .enumerate()
+        .filter(|&(sid, _)| reused(sid))
+        .flat_map(|(_, strings)| strings)
+        .collect();
+    canonical.iter().all(|s| held.contains(s))
+}
+
+/// Check where a publish sealed the book's canonical strings, given the
+/// segments it `linked`: a cold encode puts each distinct string into
+/// the base shard of its hash; an append leaves each one a linked
+/// segment holds where it is and writes the others into its new delta,
+/// once each. Every section is in byte order, and no string lies in two
+/// segments of a generation.
+fn check_strings(now: &Sealed, linked: &[usize], canonical: &[String]) {
+    let mut distinct: Vec<&String> = canonical.iter().collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let sorted = |strings: Vec<&String>| -> Vec<String> {
+        let mut strings: Vec<String> = strings.into_iter().cloned().collect();
+        strings.sort_unstable();
+        strings.dedup();
+        strings
+    };
+    let mut all: Vec<&String> = now.strings.iter().flatten().collect();
+    let sealed = all.len();
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(
+        all.len(),
+        sealed,
+        "a string sealed twice: {:?}",
+        now.strings
+    );
+    assert!(distinct.iter().all(|s| all.binary_search(s).is_ok()));
+    if linked.is_empty() {
+        for (sid, strings) in now.strings.iter().enumerate() {
+            let hashed = distinct
+                .iter()
+                .copied()
+                .filter(|s| fnv1a64(s.as_bytes()) % u64::from(SHARDS) == sid as u64);
+            assert_eq!(strings, &sorted(hashed.collect()), "cold shard {sid}");
+        }
+        return;
+    }
+    let held: HashSet<&String> = linked.iter().flat_map(|&sid| &now.strings[sid]).collect();
+    for (sid, strings) in now.strings.iter().enumerate() {
+        if linked.contains(&sid) {
+            continue;
+        }
+        let expected = match sid + 1 == now.strings.len() && sid >= SHARDS as usize {
+            // The new delta: every string no linked segment holds.
+            true => sorted(
+                distinct
+                    .iter()
+                    .copied()
+                    .filter(|s| !held.contains(s))
+                    .collect(),
+            ),
+            // An emptied base shard.
+            false => Vec::new(),
+        };
+        assert_eq!(strings, &expected, "segment {sid}");
+    }
 }
 
 /// Check one publish against the layout rules, stated on their own
 /// rather than by re-running the encoder: `prev` is the previous
 /// generation's layout (`None` before the first seal), `bad` the id of
-/// its segment that fails its checksum, if any, and `fresh` the records
-/// the book gained. Returns the ids of the segments the publish must
-/// link and the count it must write.
+/// its segment that fails its checksum, if any, `fresh` the records the
+/// book gained and `held` whether the segments a publish without a new
+/// delta would reuse hold every canonical string. Returns the ids of the
+/// segments the publish must link and the count it must write.
 fn check_layout(
     prev: Option<&Sealed>,
     bad: Option<usize>,
     now: &Sealed,
     records: u64,
     fresh: u64,
+    held: bool,
 ) -> (Vec<usize>, u64) {
     let shards = SHARDS as usize;
     let now_base: u64 = now.base.iter().sum();
@@ -334,24 +448,27 @@ fn check_layout(
         return cold();
     }
     assert_eq!(now_base, base, "base shards are reused");
-    // The new delta absorbs the fewest newest deltas that leaves the
-    // delta below it dominating it.
+    // A publish writes a new delta when it has records to write, or a
+    // canonical string no reused segment holds. The new delta absorbs
+    // the fewest newest deltas that leaves the delta below it dominating
+    // it.
     let new = (fresh, 1);
-    let kept = match fresh {
-        0 => deltas.len(),
-        _ => (1..=deltas.len())
+    let written = fresh > 0 || !held;
+    let kept = match written {
+        false => deltas.len(),
+        true => (1..=deltas.len())
             .rev()
             .find(|&k| dominates(deltas[k - 1], add(total(&deltas[k..]), new)))
             .unwrap_or(0),
     };
     let mut expected = deltas[..kept].to_vec();
-    if fresh > 0 {
+    if written {
         expected.push(add(total(&deltas[kept..]), new));
     }
     assert_eq!(now.deltas, expected, "from {prev:?}, bad segment {bad:?}");
     let linked = (0..shards + kept).filter(|&sid| Some(sid) != bad).collect();
     let emptied = bad.is_some_and(|sid| sid < shards);
-    (linked, u64::from(emptied) + u64::from(fresh > 0))
+    (linked, u64::from(emptied) + u64::from(written))
 }
 
 /// Check one publish's counts against the segments the layout rules
@@ -515,13 +632,17 @@ fn run_history(seed: u64, steps: u64) -> Exercised {
         );
         let now = read_sealed(&root, generation);
         let len = snap.book.len();
+        let canonical: Vec<String> = snap.book.strings().map(String::from).collect();
+        let strings_held = held_without_a_delta(prev.as_ref(), bad, &canonical);
         let expect = check_layout(
             prev.as_ref(),
             bad.take(),
             &now,
             len as u64,
             (len - lens[lens.len() - 1]) as u64,
+            strings_held,
         );
+        check_strings(&now, &expect.0, &canonical);
         check_outcome(&outcome, &expect, models);
         check_outcome(&twin_outcome, &expect, models);
         lens.push(len);
@@ -710,6 +831,35 @@ fn random_histories_match_the_reference_layout() {
     );
 }
 
+/// The numbers-only width of the index of `book` over `segments`
+/// segments, at most: 4 bytes per count, global number, rank position
+/// and string place, and no string byte (`leads2`'s index formula, with
+/// a company's list bounded by its mention count).
+fn numbers_only_index_width(book: &etap::BookHandle, segments: usize) -> usize {
+    let (events, drivers) = (book.len(), book.drivers().len());
+    let companies = book.companies_len();
+    let strings = book.strings().count();
+    let keys = strings - companies;
+    let mentions: usize = book
+        .companies_top(usize::MAX)
+        .iter()
+        .map(|c| c.events)
+        .sum();
+    44 + 16 * 8
+        + 12
+        + 4 * segments
+        + 4 * events
+        + 4 * strings
+        + 4
+        + 9 * drivers
+        + 4 * events
+        + 4
+        + 16 * companies
+        + 4 * mentions
+        + 4
+        + 4 * keys
+}
+
 #[test]
 fn amortized_bytes_per_cycle_stay_below_a_cold_publish() {
     let _guard = lock();
@@ -722,6 +872,14 @@ fn amortized_bytes_per_cycle_stay_below_a_cold_publish() {
         let docs = poll(500 + generation, 10);
         snap = Arc::new(LeadSnapshot::extend(&snap, &docs, generation, 1));
         written += store.publish(&snap).expect("publish").bytes_written;
+        // Each cycle rewrites the index, which holds numbers only.
+        let index = root.join(format!("gen-{generation}/book.index"));
+        let index = std::fs::metadata(index).expect("index").len() as usize;
+        let width = numbers_only_index_width(&snap.book, segment_count(&root, generation));
+        assert!(
+            index <= width,
+            "generation {generation}: {index} B index, {width} B of numbers"
+        );
     }
     let cold_root = temp_root("amortized_cold");
     let cold = open_store(&cold_root)
@@ -732,4 +890,41 @@ fn amortized_bytes_per_cycle_stay_below_a_cold_publish() {
     assert!(per_cycle < cold, "{per_cycle} B per cycle vs {cold} B cold");
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&cold_root);
+}
+
+#[test]
+fn a_failed_directory_sync_fails_the_publish() {
+    let _guard = lock();
+    for (tag, format) in [
+        ("sync_text", LeadsFormat::Text),
+        ("sync_binary", LeadsFormat::Binary { shards: SHARDS }),
+    ] {
+        let root = temp_root(tag);
+        let store = GenerationStore::open(&root)
+            .expect("open store")
+            .with_leads_format(format);
+        let first = Arc::new(LeadSnapshot::build(trained(), &poll(3, 30), 1, 1));
+        store.publish(&first).expect("publish 1");
+        let next = LeadSnapshot::extend(&first, &poll(4, 20), 2, 1);
+
+        // Every directory fsync of the publish fails: the first, of the
+        // text generation's directory or the binary one's `shards/`,
+        // fails the publish before the rename.
+        fault::install(&FaultPlan::parse("persist.sync_dir=io", 1).expect("plan"));
+        let attempt = store.publish(&next);
+        fault::reset();
+        assert!(attempt.is_err(), "{tag}: {attempt:?}");
+        assert_eq!(store.generations().expect("list"), vec![1], "{tag}");
+        assert!(!root.join("gen-2").exists(), "{tag}");
+        let (served, skipped) = store.load_latest().expect("scan").expect("generation 1");
+        assert_eq!((served.generation, skipped.len()), (1, 0), "{tag}");
+        assert_eq!(served.book.events_owned(), first.book.events_owned());
+
+        // The retry seals it.
+        store.publish(&next).expect("publish 2");
+        let (served, _) = store.load_latest().expect("scan").expect("generation 2");
+        assert_eq!(served.generation, 2);
+        assert_eq!(served.book.events_owned(), next.book.events_owned());
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

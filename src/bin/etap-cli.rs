@@ -353,7 +353,7 @@ fn cmd_scan(opts: &Opts) -> Result<(), CliError> {
     eprintln!("{} trigger events flagged.", events.len());
 
     if opts.has("time-weighted") {
-        let ranked = rank::rank_by_time_weighted_score(events, 365.0);
+        let ranked = rank::rank_by_time_weighted_score(events, 365.0, identifier.annotator());
         for (i, (e, w)) in ranked.iter().take(top).enumerate() {
             println!(
                 "{:>3}. [{:.3}×time={w:.3}] ({}) {}",

@@ -18,7 +18,7 @@ use etap_repro::runtime::Rng;
 use etap_repro::serve::{GenerationStore, LeadSnapshot, LeadsFormat};
 use etap_repro::system::leads2::{
     encode_append, encode_book, EncodedBook, SealedSegment, Segment, INDEX_KIND, INDEX_VERSION,
-    LEADS2_APPEND_VERSION, SHARD_KIND,
+    LEADS2_VERSION, SHARD_KIND,
 };
 use etap_repro::system::{driverfile, BookHandle, EventView, LeadBook, MappedBook};
 use etap_repro::{
@@ -283,7 +283,7 @@ fn delta_spans(book: &MappedBook, base: usize) -> Vec<u64> {
     book.segments()
         .skip(base)
         .map(|arena| {
-            let view = bin_open(arena.bytes(), SHARD_KIND, LEADS2_APPEND_VERSION, false)
+            let view = bin_open(arena.bytes(), SHARD_KIND, LEADS2_VERSION, false)
                 .expect("delta container");
             let meta = view.section(0).expect("meta");
             u64::from_le_bytes(meta[16..24].try_into().expect("span"))
@@ -546,15 +546,21 @@ fn mutate(files: &mut [Vec<u8>], rng: &mut Rng) {
     }
 }
 
+/// Re-seal the container checksum of `file` after an edit.
+fn reseal(file: &mut [u8]) {
+    let sum = fnv1a64(&file[HEADER_LEN..]);
+    file[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+}
+
 /// Overwrite one entry of an index's global ranking or of a rank-position
-/// list (sections 1, 3 and 5) with a number in range, the total or
+/// list (sections 1, 4 and 6) with a number in range, the total or
 /// `u32::MAX`, and re-seal the container checksum, so only the ref checks
 /// of `MappedBook::open` stand between the entry and the accessors.
 fn mutate_refs(index: &mut [u8], rng: &mut Rng) {
     let view = bin_open(index, INDEX_KIND, INDEX_VERSION, true).expect("a sealed index");
     let total = view.section_range(1).expect("rank table").1 / 4;
     let (start, len) = view
-        .section_range([1, 3, 5][rng.gen_range(0..3usize)])
+        .section_range([1, 4, 6][rng.gen_range(0..3usize)])
         .expect("ref section");
     if len == 0 {
         return;
@@ -566,8 +572,46 @@ fn mutate_refs(index: &mut [u8], rng: &mut Rng) {
         _ => rng.gen_range(0..total) as u32,
     };
     index[at..at + 4].copy_from_slice(&value.to_le_bytes());
-    let sum = fnv1a64(&index[HEADER_LEN..]);
-    index[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    reseal(index);
+}
+
+/// Change one byte of a segment's string section, or one string place of
+/// the index (section 2), and re-seal the container checksum, so only the
+/// string checks of `MappedBook::open` stand between the change and the
+/// accessors. A string byte is flipped, made a bare continuation byte (a
+/// length prefix then runs truncated or overlong) or zeroed; a place is
+/// moved by a few bytes, set past the string sections or to `u32::MAX`.
+fn mutate_strings(files: &mut [Vec<u8>], rng: &mut Rng) {
+    let target = rng.gen_range(0..files.len());
+    let file = &mut files[target];
+    if target == 0 {
+        let view = bin_open(file, INDEX_KIND, INDEX_VERSION, true).expect("a sealed index");
+        let (start, len) = view.section_range(2).expect("place table");
+        if len == 0 {
+            return;
+        }
+        let at = start + 4 * rng.gen_range(0..len / 4);
+        let place = u32::from_le_bytes(file[at..at + 4].try_into().expect("4 bytes"));
+        let value = match rng.gen_range(0..3u32) {
+            0 => place.wrapping_add(rng.gen_range(1..4u32)),
+            1 => place.wrapping_sub(1),
+            _ => [u32::MAX, 1 << 20][rng.gen_range(0..2usize)],
+        };
+        file[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    } else {
+        let view = bin_open(file, SHARD_KIND, LEADS2_VERSION, true).expect("a sealed segment");
+        let (start, len) = view.section_range(2).expect("string section");
+        if len == 0 {
+            return;
+        }
+        let at = start + rng.gen_range(0..len);
+        file[at] = match rng.gen_range(0..3u32) {
+            0 => file[at] ^ 1 << rng.gen_range(0..8u32),
+            1 => 0x80 | file[at],
+            _ => 0,
+        };
+    }
+    reseal(file);
 }
 
 /// Ask `book` everything the server and the store ever ask it.
@@ -582,12 +626,14 @@ fn exercise(book: &MappedBook, drivers: &[SalesDriver], prev: &[Vec<u8>]) {
     for d in book.drivers().into_iter().chain(drivers.iter().copied()) {
         let _ = (book.driver_total(d), book.top_for(d, usize::MAX));
     }
+    // Every company, every name key, and names the book never saw.
     let names: Vec<String> = book
         .companies_top(usize::MAX)
         .iter()
         .map(|c| c.company.to_string())
+        .chain(book.strings().map(String::from))
         .collect();
-    for name in names.iter().map(String::as_str).chain(["Acme", "zed"]) {
+    for name in names.iter().map(String::as_str).chain(["Acme", "zed", ""]) {
         if let Some((_, events)) = book.company_events(name) {
             for e in events {
                 let _ = (e.companies_vec(), e.date(), e.url(), e.snippet());
@@ -601,6 +647,9 @@ fn exercise(book: &MappedBook, drivers: &[SalesDriver], prev: &[Vec<u8>]) {
         .map(|(sid, b)| SealedSegment::open(Arc::new(Arena::Heap(b.clone())), sid, 4).ok())
         .collect();
     let _ = encode_append(book, 4, &prev);
+    let mut rng = Rng::seed_from_u64(book.len() as u64);
+    let extended = book.extend(events(&mut rng, drivers, 10_000, 5));
+    let _ = (extended.companies_top(usize::MAX), extended.top(5));
 }
 
 #[test]
@@ -684,5 +733,32 @@ fn mapped_book_open_is_total_on_corrupt_layouts() {
     assert!(
         opened > 50 && refused > 50,
         "ref mutations: opened {opened}, refused {refused}"
+    );
+
+    // Checksummed layouts with a string byte or a string place changed:
+    // the string checks refuse some, and the accessors serve the rest.
+    let (mut opened, mut refused) = (0, 0);
+    for round in 0..600 {
+        let mut files = if round % 2 == 0 {
+            cold_files.clone()
+        } else {
+            append_files.clone()
+        };
+        for _ in 0..rng.gen_range(1..3u32) {
+            mutate_strings(&mut files, &mut rng);
+        }
+        let heap = |b: &Vec<u8>| Arc::new(Arena::Heap(b.clone()));
+        let segments = files[1..].iter().map(heap).collect();
+        match MappedBook::open(heap(&files[0]), segments) {
+            Ok(book) => {
+                opened += 1;
+                exercise(&book, &drivers, &sealed);
+            }
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(
+        opened > 50 && refused > 50,
+        "string mutations: opened {opened}, refused {refused}"
     );
 }
